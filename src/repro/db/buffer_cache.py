@@ -119,3 +119,14 @@ class BufferCache:
         self.misses = 0
         self.dirty_evictions = 0
         self.clean_evictions = 0
+
+    def snapshot(self) -> dict[int, bool]:
+        """A copy of the contents: block -> dirty, in LRU order."""
+        return dict(self._lru)
+
+    def restore(self, state: dict[int, bool]) -> None:
+        """Install a copy of a :meth:`snapshot` and zero the counters."""
+        if len(state) > self.capacity_units:
+            raise ValueError("snapshot exceeds the cache capacity")
+        self._lru = dict(state)
+        self.reset_stats()

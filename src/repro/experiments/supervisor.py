@@ -252,11 +252,17 @@ def _kill_pool(pool: ProcessPoolExecutor,
     and in the supervisor's cleanup path.  Terminated workers are
     *joined* with a bounded timeout and SIGKILLed if they ignore the
     terminate — without the join, every chaos-induced teardown leaks a
-    zombie until the parent exits.  Touches the executor's process
-    table, which is stdlib-internal but stable across supported
-    versions; every step is best-effort.
+    zombie until the parent exits.  The executor's manager thread joins
+    the workers too once it sees one die, and a thread that loses that
+    ``waitpid`` race reads a reaped child as still alive (ECHILD) until
+    the winner records its exit code; so the manager thread is joined
+    before the final reap.  Touches the executor's process table and
+    manager thread, which are stdlib-internal but stable across
+    supported versions; every step is best-effort.
     """
     processes = list((getattr(pool, "_processes", None) or {}).values())
+    # Taken before shutdown(), which drops the executor's reference.
+    manager = getattr(pool, "_executor_manager_thread", None)
     for process in processes:
         try:
             process.terminate()
@@ -279,6 +285,13 @@ def _kill_pool(pool: ProcessPoolExecutor,
         pool.shutdown(wait=False, cancel_futures=True)
     except Exception:  # pragma: no cover - broken executor state
         pass
+    if manager is not None:
+        manager.join(join_timeout_s)
+        for process in processes:
+            try:
+                process.join(join_timeout_s)
+            except Exception:  # pragma: no cover - already reaped
+                pass
 
 
 @dataclass

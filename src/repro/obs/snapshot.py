@@ -72,6 +72,11 @@ POINT_METRICS = (
     "fixed_point_rounds",
 )
 
+#: Counters that describe what a sweep cost, not what it measured: they
+#: depend on which points happened to share a worker process, so they
+#: stay out of the canonical payload.
+COST_COUNTERS = frozenset({"odb.prewarm.reused"})
+
 
 class SnapshotError(ValueError):
     """A snapshot file is missing, malformed, or from another schema."""
@@ -231,12 +236,15 @@ class SweepSnapshot:
         for point in points:
             if getattr(point, "metrics", None):
                 registry.merge(point.metrics)
+        counters = {name: value
+                    for name, value in sorted(registry.counters.items())
+                    if name not in COST_COUNTERS}
         manifests = [point.manifest for point in points
                      if point.manifest is not None]
         snapshot = cls(
             points=dict(sorted(by_key.items())),
             flame=flame,
-            metrics={"counters": dict(sorted(registry.counters.items())),
+            metrics={"counters": counters,
                      "gauges": dict(sorted(registry.gauges.items()))},
             provenance=(_provenance_from_manifests(manifests)
                         if manifests else _empty_provenance()),

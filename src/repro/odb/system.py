@@ -42,6 +42,18 @@ from repro.sim.stats import Counter
 #: this size regardless of the block-unit resolution (DESIGN.md §6).
 PHYSICAL_BLOCK_BYTES = 8 * 1024
 
+#: ``(key, BufferCache.snapshot())`` of the most recent prewarm in this
+#: process, so fixed-point rounds and points that differ only in P, C,
+#: CPI or faults restore it instead of replaying (DESIGN.md §13,
+#: "Prewarm reuse").  One entry bounds the memory at one snapshot.
+_prewarm_memo: Optional[tuple[tuple, dict[int, bool]]] = None
+
+
+def _clear_prewarm_memo() -> None:
+    """Forget the memoised prewarm (a test hook)."""
+    global _prewarm_memo
+    _prewarm_memo = None
+
 
 @dataclass(frozen=True)
 class OdbConfig:
@@ -258,6 +270,22 @@ class OdbSystem:
                     install(block_id, dirty=write)
         cache.reset_stats()
 
+    def _prewarm_once(self, plans: int) -> bool:
+        """:meth:`prewarm_buffer_cache`, or a restore of the memoised
+        result when every input it reads matches; True on a restore."""
+        global _prewarm_memo
+        config = self.config
+        key = (config.seed, config.warehouses, config.unit_bytes,
+               config.workload, self.remote_touch_prob,
+               self.buffer_cache.capacity_units, plans)
+        memo = _prewarm_memo
+        if memo is not None and memo[0] == key:
+            self.buffer_cache.restore(memo[1])
+            return True
+        self.prewarm_buffer_cache(plans)
+        _prewarm_memo = (key, self.buffer_cache.snapshot())
+        return False
+
     # -- measurement -----------------------------------------------------------
 
     def _snapshot(self) -> dict[str, float]:
@@ -322,8 +350,12 @@ class OdbSystem:
         terminates (its low TPS is the result, not an error).
         """
         if prewarm_plans > 0 and self.db.transactions.count == 0:
-            with _tracing.span("des-prewarm"):
-                self.prewarm_buffer_cache(prewarm_plans)
+            with _tracing.span("des-prewarm") as span:
+                reused = self._prewarm_once(prewarm_plans)
+                if span is not None:
+                    span.count("reused", int(reused))
+            if _metrics.ACTIVE:
+                _metrics.inc("odb.prewarm.reused", int(reused))
         with _tracing.span("des-warmup") as span:
             self._run_until_transactions(warmup_txns, time_limit_s)
             if span is not None:

@@ -122,6 +122,51 @@ class TestStats:
         assert BufferCache(4).hit_rate == 0.0
 
 
+class TestSnapshotRestore:
+    @staticmethod
+    def used_cache() -> BufferCache:
+        cache = BufferCache(3)
+        for block_id in (1, 2, 3, 4):
+            cache.install(block_id)  # evicts 1
+        cache.touch_write(3)
+        cache.lookup(2)
+        cache.lookup(9)
+        return cache
+
+    def test_restore_keeps_order_and_dirty_bits(self):
+        snapshot = self.used_cache().snapshot()
+        assert list(snapshot.items()) == [(4, False), (3, True), (2, False)]
+        cache = BufferCache(3)
+        cache.restore(snapshot)
+        assert list(cache._lru.items()) == list(snapshot.items())
+        assert cache.oldest_dirty(3) == [3]
+
+    def test_restore_zeroes_counters(self):
+        source = self.used_cache()
+        assert source.hits and source.misses and source.clean_evictions
+        cache = self.used_cache()
+        cache.restore(source.snapshot())
+        assert (cache.hits, cache.misses, cache.dirty_evictions,
+                cache.clean_evictions) == (0, 0, 0, 0)
+
+    def test_live_cache_does_not_alias_the_snapshot(self):
+        source = self.used_cache()
+        snapshot = source.snapshot()
+        expected = list(snapshot.items())
+        source.install(7, dirty=True)
+        cache = BufferCache(3)
+        cache.restore(snapshot)
+        cache.lookup(4)
+        cache.touch_write(2)
+        cache.install(8)
+        cache.clean(3)
+        assert list(snapshot.items()) == expected
+
+    def test_restore_rejects_oversized_state(self):
+        with pytest.raises(ValueError):
+            BufferCache(2).restore(self.used_cache().snapshot())
+
+
 class TestProperties:
     @given(st.integers(min_value=1, max_value=30),
            st.lists(st.tuples(st.integers(0, 100), st.booleans()),

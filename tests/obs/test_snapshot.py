@@ -5,6 +5,7 @@ unit-level coverage, plus real (fast-settings) runs for the cache- and
 journal-reconstruction paths.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -58,6 +59,20 @@ class TestFromPoints:
         snapshot = fake_snapshot()
         assert snapshot.metrics["counters"]["cache.misses"] == 2.0
         assert snapshot.metrics["counters"]["runner.rounds"] == 4.0
+
+    def test_cost_counters_stay_out_of_the_canonical_payload(self):
+        # Whether a point reused a prewarm depends on what ran before it
+        # in the same worker, so the two sweeps below are the same sweep.
+        def with_reuse(point, reused):
+            metrics = json.loads(json.dumps(point.metrics))
+            metrics["counters"]["odb.prewarm.reused"] = reused
+            return dataclasses.replace(point, metrics=metrics)
+
+        cold = SweepSnapshot.from_points([with_reuse(fake_point(10), 0)])
+        warm = SweepSnapshot.from_points([with_reuse(fake_point(10), 2)])
+        assert "odb.prewarm.reused" not in warm.metrics["counters"]
+        assert warm.metrics["counters"]["runner.rounds"] == 2.0
+        assert cold.checksum() == warm.checksum()
 
     def test_provenance_collapses_single_values(self):
         snapshot = fake_snapshot()

@@ -4,10 +4,20 @@ These run short simulations; the paper-shape assertions over full sweeps
 live in tests/experiments and the benchmarks.
 """
 
+import dataclasses
+
 import pytest
 
-from repro.hw.machine import ITANIUM2_QUAD
+from repro.experiments.configs import FAST_SETTINGS
+from repro.experiments.records import payload_checksum
+from repro.experiments.runner import run_configuration
+from repro.faults import FaultPlan, TransientAborts
+from repro.hw.machine import GIB, ITANIUM2_QUAD, XEON_MP_QUAD
+from repro.obs import metrics as _metrics
+from repro.obs import tracing as _tracing
 from repro.odb import OdbConfig, OdbSystem
+from repro.odb.system import _clear_prewarm_memo
+from repro.workload import compile_workload, workload_by_name
 
 
 def run(warehouses=25, clients=8, processors=2, **kwargs):
@@ -119,3 +129,105 @@ class TestIronLawConsistency:
         ideal_tps = (metrics.processors * frequency) / (metrics.ipx * cpi)
         predicted = ideal_tps * metrics.cpu_utilization
         assert metrics.tps == pytest.approx(predicted, rel=0.05)
+
+
+PREWARM_PLANS = 300
+BASE = dict(warehouses=10, clients=4, processors=1)
+
+#: Each changes an input the prewarm reads, so it needs its own entry.
+OWN_ENTRY = {
+    "seed": dict(seed=43),
+    "warehouses": dict(warehouses=11),
+    "custom-segments": dict(
+        workload=compile_workload(workload_by_name("key-value"))),
+    "phased": dict(
+        workload=compile_workload(workload_by_name("order-entry-burst"))),
+    "remote-touch-prob": dict(remote_touch_prob=0.3),
+    "buffer-cache-fraction": dict(buffer_cache_fraction=0.1),
+    "machine-sga": dict(machine=dataclasses.replace(
+        XEON_MP_QUAD, memory_bytes=GIB + GIB // 2)),
+}
+
+#: Each changes only what the prewarm never reads, so it reuses the entry.
+REUSE = {
+    "processors": dict(processors=4),
+    "clients": dict(clients=32),
+    "cpi": dict(user_cpi=4.0, os_cpi=3.0),
+    "faults": dict(faults=FaultPlan(seed=3, aborts=TransientAborts(0.2))),
+}
+
+
+def memo_prewarm(**overrides):
+    """``(reused, state)`` of a memoised prewarm of the varied base."""
+    system = OdbSystem(OdbConfig(**{**BASE, **overrides}))
+    reused = system._prewarm_once(PREWARM_PLANS)
+    return reused, list(system.buffer_cache._lru.items())
+
+
+def fresh_prewarm(**overrides):
+    """The state a full prewarm replay of the varied base leaves."""
+    system = OdbSystem(OdbConfig(**{**BASE, **overrides}))
+    system.prewarm_buffer_cache(PREWARM_PLANS)
+    return list(system.buffer_cache._lru.items())
+
+
+class TestPrewarmReuse:
+    @pytest.fixture(autouse=True)
+    def _empty_memo(self):
+        _clear_prewarm_memo()
+        yield
+        _clear_prewarm_memo()
+
+    @pytest.mark.parametrize("variant", sorted(OWN_ENTRY))
+    def test_prewarm_input_gets_its_own_entry(self, variant):
+        reused, base = memo_prewarm()
+        assert not reused
+        reused, state = memo_prewarm(**OWN_ENTRY[variant])
+        assert not reused
+        assert state == fresh_prewarm(**OWN_ENTRY[variant])
+        assert state != base  # the input really changes the prewarm
+
+    @pytest.mark.parametrize("variant", sorted(REUSE))
+    def test_other_inputs_reuse_the_entry(self, variant):
+        memo_prewarm()
+        reused, state = memo_prewarm(**REUSE[variant])
+        assert reused
+        assert state == fresh_prewarm(**REUSE[variant])
+
+    def test_plan_count_is_part_of_the_key(self):
+        memo_prewarm()
+        system = OdbSystem(OdbConfig(**BASE))
+        assert not system._prewarm_once(PREWARM_PLANS + 1)
+
+    def test_run_configuration_checksum_matches_cleared_memo(
+            self, monkeypatch):
+        def run(registry):
+            _metrics.enable_metrics(registry)
+            tracer = _tracing.enable_tracing()
+            try:
+                result = run_configuration(100, 2, settings=FAST_SETTINGS,
+                                           use_cache=False)
+            finally:
+                _tracing.disable_tracing()
+                _metrics.disable_metrics()
+            reused = [span.counters["reused"] for _depth, span
+                      in tracer.walk() if span.name == "des-prewarm"]
+            return payload_checksum(result.to_dict()), reused
+
+        registry = _metrics.MetricsRegistry()
+        memo_checksum, memo_reused = run(registry)
+        assert memo_reused == [0, 1]
+        assert registry.counters["odb.prewarm.reused"] == 1
+
+        prewarm_once = OdbSystem._prewarm_once
+
+        def cleared_first(system, plans):
+            _clear_prewarm_memo()
+            return prewarm_once(system, plans)
+
+        monkeypatch.setattr(OdbSystem, "_prewarm_once", cleared_first)
+        registry = _metrics.MetricsRegistry()
+        cleared_checksum, cleared_reused = run(registry)
+        assert cleared_reused == [0, 0]
+        assert registry.counters["odb.prewarm.reused"] == 0
+        assert cleared_checksum == memo_checksum
