@@ -61,10 +61,13 @@ class DbWriter:
         previously_dirty: set[int] = set()
         while True:
             yield self.engine.timeout(interval_s)
-            currently_dirty = set(cache.oldest_dirty(cache.resident_units))
+            # One full-cache scan: nothing changes the cache before the
+            # loop below cleans the blocks it writes.
+            dirty = cache.oldest_dirty(cache.resident_units)
+            currently_dirty = set(dirty)
             aged_out = currently_dirty & previously_dirty
             written = 0
-            for block_id in cache.oldest_dirty(cache.resident_units):
+            for block_id in dirty:
                 if block_id not in aged_out:
                     continue
                 cache.clean(block_id)

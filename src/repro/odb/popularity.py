@@ -117,7 +117,13 @@ def steady_state_fill(cache: BufferCache, space: BlockSpace,
     dirty with its segment's write fraction — in steady state a unit
     near eviction has been written with that probability, so dirty
     evictions flow at the right rate from the first measured second.
+
+    The cache must be empty (``ValueError`` otherwise); its contents are
+    handed over with one :meth:`BufferCache.restore`, which also zeroes
+    its counters.
     """
+    if cache.resident_units:
+        raise ValueError("steady_state_fill needs an empty cache")
     if rng is None:
         rng = Random(0x5EED)
     write_fractions = segment_write_fractions(profiles)
@@ -130,15 +136,19 @@ def steady_state_fill(cache: BufferCache, space: BlockSpace,
         copies = min(copies, budget)
         selected.append((unit.segment, unit.index, copies))
         budget -= copies
-    installed = 0
+    # The units are distinct and fit the empty cache, so installing them
+    # one by one would never refresh or evict: build the LRU-ordered
+    # contents directly.  A unit's copies are one warehouse stride apart.
+    stride = space.units_per_warehouse
+    random = rng.random
+    state: dict[int, bool] = {}
     for segment, index, copies in reversed(selected):
         dirty_prob = write_fractions.get(segment, 0.0)
+        base = space.block_id(segment, 0, index)
         for warehouse in range(copies):
-            cache.install(space.block_id(segment, warehouse, index),
-                          dirty=rng.random() < dirty_prob)
-            installed += 1
-    cache.reset_stats()
-    return installed
+            state[base + warehouse * stride] = random() < dirty_prob
+    cache.restore(state)
+    return len(state)
 
 
 def expected_hit_rate(space: BlockSpace, capacity_units: int,

@@ -138,7 +138,7 @@ class TestSnapshotRestore:
         assert list(snapshot.items()) == [(4, False), (3, True), (2, False)]
         cache = BufferCache(3)
         cache.restore(snapshot)
-        assert list(cache._lru.items()) == list(snapshot.items())
+        assert list(cache.snapshot().items()) == list(snapshot.items())
         assert cache.oldest_dirty(3) == [3]
 
     def test_restore_zeroes_counters(self):

@@ -160,6 +160,30 @@ class TestDbWriter:
         # The same hot block is written repeatedly.
         assert writer.written.count >= 5
 
+    def test_checkpoint_scans_the_cache_once_per_interval(self):
+        class CountingCache(BufferCache):
+            scans = 0
+
+            def oldest_dirty(self, limit):
+                self.scans += 1
+                return super().oldest_dirty(limit)
+
+        engine, scheduler, disks = make_world()
+        writer = DbWriter(engine, disks, scheduler)
+        cache = CountingCache(16)
+        for block in range(6):
+            cache.install(block, dirty=(block % 2 == 0))
+        queued = []
+        enqueue = writer.enqueue
+        writer.enqueue = lambda block: (queued.append(block), enqueue(block))
+        engine.process(writer.process())
+        engine.process(writer.checkpoint_process(cache, interval_s=0.01,
+                                                 max_per_interval=2))
+        engine.run(until=0.035)  # checkpoints at 0.01, 0.02 and 0.03
+        assert cache.scans == 3
+        # Aged out at 0.02 (two per interval), the rest at 0.03.
+        assert queued == [0, 2, 4]
+
     def test_checkpoint_validation(self):
         engine, scheduler, disks = make_world()
         writer = DbWriter(engine, disks, scheduler)

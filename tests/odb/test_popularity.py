@@ -1,14 +1,19 @@
 """Tests for analytic popularity and the steady-state cache fill."""
 
+from random import Random
+
 import pytest
 
 from repro.db.buffer_cache import BufferCache
+from repro.odb import OdbConfig, OdbSystem
 from repro.odb.popularity import (
     expected_hit_rate,
+    segment_write_fractions,
     steady_state_fill,
     unit_popularities,
 )
 from repro.odb.schema import OdbSchema
+from repro.workload import compile_workload, workload_by_name
 
 
 def space_for(warehouses=10):
@@ -75,6 +80,54 @@ class TestSteadyStateFill:
         cache = BufferCache(100)
         steady_state_fill(cache, space)
         assert cache.hits == 0 and cache.misses == 0
+
+
+    def test_refuses_a_non_empty_cache(self):
+        cache = BufferCache(100)
+        cache.install(1)
+        with pytest.raises(ValueError):
+            steady_state_fill(cache, space_for())
+
+
+def install_loop_fill(cache, space, profiles):
+    """The fill as one ``install`` per unit: the reference the bulk fill
+    must reproduce, order and dirty bits included."""
+    rng = Random(0x5EED)
+    write_fractions = segment_write_fractions(profiles)
+    selected = []
+    budget = cache.capacity_units
+    for unit in unit_popularities(space, profiles):
+        if budget <= 0:
+            break
+        copies = min(space.warehouses if unit.per_warehouse else 1, budget)
+        selected.append((unit.segment, unit.index, copies))
+        budget -= copies
+    for segment, index, copies in reversed(selected):
+        dirty_prob = write_fractions.get(segment, 0.0)
+        for warehouse in range(copies):
+            cache.install(space.block_id(segment, warehouse, index),
+                          dirty=rng.random() < dirty_prob)
+    cache.reset_stats()
+    return cache.resident_units
+
+
+class TestBulkFillMatchesInstallLoop:
+    @pytest.mark.parametrize("warehouses", [10, 800])
+    @pytest.mark.parametrize("workload", [
+        "odb-standard", "key-value", "order-entry-burst"])
+    def test_same_contents_in_the_same_order(self, workload, warehouses):
+        system = OdbSystem(OdbConfig(
+            warehouses=warehouses, clients=4, processors=1,
+            workload=compile_workload(workload_by_name(workload))))
+        capacity = system.buffer_cache.capacity_units
+        profiles = system.mix.profiles
+        bulk, reference = BufferCache(capacity), BufferCache(capacity)
+        installed = steady_state_fill(bulk, system.space, profiles)
+        assert installed == install_loop_fill(reference, system.space,
+                                              profiles)
+        assert list(bulk.snapshot().items()) == list(
+            reference.snapshot().items())
+        assert (bulk.hits, bulk.misses) == (0, 0)
 
 
 class TestExpectedHitRate:

@@ -161,14 +161,14 @@ def memo_prewarm(**overrides):
     """``(reused, state)`` of a memoised prewarm of the varied base."""
     system = OdbSystem(OdbConfig(**{**BASE, **overrides}))
     reused = system._prewarm_once(PREWARM_PLANS)
-    return reused, list(system.buffer_cache._lru.items())
+    return reused, list(system.buffer_cache.snapshot().items())
 
 
 def fresh_prewarm(**overrides):
     """The state a full prewarm replay of the varied base leaves."""
     system = OdbSystem(OdbConfig(**{**BASE, **overrides}))
     system.prewarm_buffer_cache(PREWARM_PLANS)
-    return list(system.buffer_cache._lru.items())
+    return list(system.buffer_cache.snapshot().items())
 
 
 class TestPrewarmReuse:
