@@ -14,6 +14,8 @@ server (and the Quad Itanium2 used in Section 6.3).  It provides:
   coherence misses between per-CPU cache hierarchies.
 - :mod:`~repro.hw.hierarchy` — per-CPU TC/L2/L3 stacks glued to the
   shared coherence directory; produces the event rates of Table 2.
+- :mod:`~repro.hw.cwalk` — builds (once) and loads the C kernel that
+  holds the cache, TLB and predictor state and walks the references.
 - :mod:`~repro.hw.bus` — the front-side-bus IOQ queueing model that turns
   bus utilization into bus-transaction time (Figure 16).
 - :mod:`~repro.hw.trace` — synthetic reference-stream generation from

@@ -3,8 +3,9 @@
 The model is line-granular and demand-filled: every access either hits a
 resident line (refreshing its recency) or misses, installs the line, and
 possibly evicts the least-recently-used line of the set (reporting a
-writeback when the victim was dirty).  Each set is a Python dict keyed by
-line id; insertion order doubles as LRU order (hits delete + reinsert).
+writeback when the victim was dirty).  The state lives in the compiled
+walk kernel (:mod:`repro.hw.cwalk`): each set is ``ways`` slots of line
+id and dirty bit, kept in LRU order, least recent first.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.hw.cwalk import ffi, lib
 from repro.hw.machine import CacheConfig
 
 
@@ -26,133 +28,103 @@ class AccessResult:
     writeback: bool = False
 
 
-# Shared immutable results for the two allocation-free outcomes.  A
-# cache access happens millions of times per configuration run, and a
-# frozen-dataclass construction per access dominated the model's cost;
-# only a miss that actually evicts needs a fresh object.
+# Shared immutable results for the two allocation-free outcomes.
 _HIT = AccessResult(hit=True)
 _MISS_NO_VICTIM = AccessResult(hit=False)
+
+_STATS = ("accesses", "hits", "misses", "evictions", "writebacks",
+          "invalidations")
+
+
+def _stat(name: str) -> property:
+    return property(lambda self: getattr(self._c, name),
+                    doc=f"Count of {name} since the last reset_stats().")
 
 
 class SetAssociativeCache:
     """One cache level.
 
     Addresses are byte addresses; the cache works internally on line ids
-    (``address // line_bytes``).  Statistics counters are plain attributes
-    so the EMON layer can snapshot them cheaply.
+    (``address // line_bytes``).  Addresses and line ids are unsigned:
+    a negative one raises :class:`OverflowError`.
     """
+
+    accesses = _stat("accesses")
+    hits = _stat("hits")
+    misses = _stat("misses")
+    evictions = _stat("evictions")
+    writebacks = _stat("writebacks")
+    invalidations = _stat("invalidations")
 
     def __init__(self, config: CacheConfig):
         self.config = config
-        self._num_sets = config.num_sets
-        self._ways = config.associativity
         self._line_shift = config.line_bytes.bit_length() - 1
-        # One dict per set: {line_id: dirty}; dict order is LRU order.
-        self._sets: list[dict[int, bool]] = [dict() for _ in range(self._num_sets)]
-        self.accesses = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.writebacks = 0
-        self.invalidations = 0
-
-    # -- address helpers ----------------------------------------------------
+        slots = config.num_sets * config.associativity
+        # The arrays are owned here; the struct only points at them.
+        self._tags = ffi.new("uint64_t[]", slots)
+        self._dirty = ffi.new("uint8_t[]", slots)
+        self._fill = ffi.new("uint32_t[]", config.num_sets)
+        self._c = ffi.new("cache_t *", {
+            "tags": self._tags, "dirty": self._dirty, "fill": self._fill,
+            "num_sets": config.num_sets, "ways": config.associativity,
+            "line_shift": self._line_shift})
+        self._victim = ffi.new("uint64_t *")
 
     def line_of(self, address: int) -> int:
         """Line id containing byte ``address``."""
         return address >> self._line_shift
 
-    def _set_of(self, line: int) -> dict[int, bool]:
-        return self._sets[line % self._num_sets]
-
     # -- operations ----------------------------------------------------------
 
     def access(self, address: int, write: bool = False) -> AccessResult:
         """Reference a byte address; returns hit/miss and victim info."""
-        line = address >> self._line_shift
-        cache_set = self._sets[line % self._num_sets]
-        self.accesses += 1
-        dirty = cache_set.pop(line, None)
-        if dirty is not None:
-            self.hits += 1
-            cache_set[line] = dirty or write
+        result = lib.cache_access(self._c, address >> self._line_shift,
+                                  write, self._victim)
+        if result & lib.ACCESS_HIT:
             return _HIT
-        self.misses += 1
-        if len(cache_set) >= self._ways:
-            evicted_line = next(iter(cache_set))
-            writeback = cache_set.pop(evicted_line)
-            self.evictions += 1
-            if writeback:
-                self.writebacks += 1
-            cache_set[line] = write
-            return AccessResult(hit=False, evicted_line=evicted_line,
-                                writeback=writeback)
-        cache_set[line] = write
+        if result & lib.ACCESS_EVICTED:
+            return AccessResult(hit=False, evicted_line=self._victim[0],
+                                writeback=bool(result & lib.ACCESS_WRITEBACK))
         return _MISS_NO_VICTIM
 
     def access_hit(self, address: int, write: bool = False) -> bool:
-        """Like :meth:`access` but returns only the hit/miss outcome.
-
-        State evolution and counters are identical to :meth:`access`;
-        the victim information is simply not materialized.  This is the
-        hot path for levels whose eviction victims the caller ignores
-        (TLB translations, trace-cache fills, the L2 in front of an
-        inclusive L3).
-        """
-        line = address >> self._line_shift
-        cache_set = self._sets[line % self._num_sets]
-        self.accesses += 1
-        dirty = cache_set.pop(line, None)
-        if dirty is not None:
-            self.hits += 1
-            cache_set[line] = dirty or write
-            return True
-        self.misses += 1
-        if len(cache_set) >= self._ways:
-            evicted_line = next(iter(cache_set))
-            if cache_set.pop(evicted_line):
-                self.writebacks += 1
-            self.evictions += 1
-        cache_set[line] = write
-        return False
+        """Like :meth:`access` but returns only the hit/miss outcome."""
+        return bool(lib.cache_access(self._c, address >> self._line_shift,
+                                     write, self._victim) & lib.ACCESS_HIT)
 
     def contains(self, address: int) -> bool:
         """True when the line holding ``address`` is resident (no LRU touch)."""
-        line = address >> self._line_shift
-        return line in self._sets[line % self._num_sets]
+        return bool(lib.cache_contains(self._c, address >> self._line_shift))
 
     def invalidate(self, address: int) -> bool:
         """Drop the line holding ``address`` (coherence); True if present."""
-        line = address >> self._line_shift
-        cache_set = self._sets[line % self._num_sets]
-        if line in cache_set:
-            del cache_set[line]
-            self.invalidations += 1
-            return True
-        return False
+        return self.invalidate_line(address >> self._line_shift)
 
     def invalidate_line(self, line: int) -> bool:
         """Drop a line by line id (coherence fast path)."""
-        cache_set = self._sets[line % self._num_sets]
-        if line in cache_set:
-            del cache_set[line]
-            self.invalidations += 1
-            return True
-        return False
+        return bool(lib.cache_invalidate(self._c, line))
 
     def flush(self) -> int:
         """Empty the cache (e.g. at simulation phase boundaries)."""
-        resident = sum(len(s) for s in self._sets)
-        for cache_set in self._sets:
-            cache_set.clear()
-        return resident
+        return lib.cache_flush(self._c)
 
     # -- statistics -----------------------------------------------------------
 
     @property
     def resident_lines(self) -> int:
         """Number of lines currently cached."""
-        return sum(len(s) for s in self._sets)
+        return lib.cache_resident(self._c)
+
+    @property
+    def _sets(self) -> list[dict[int, bool]]:
+        """A copy of every set as ``{line: dirty}`` in LRU order."""
+        ways = self.config.associativity
+        tags = ffi.unpack(self._tags, len(self._tags))
+        dirty = ffi.unpack(self._dirty, len(self._dirty))
+        return [{tags[slot]: bool(dirty[slot])
+                 for slot in range(base, base + fill)}
+                for base, fill in zip(range(0, len(tags), ways),
+                                      ffi.unpack(self._fill, len(self._fill)))]
 
     @property
     def miss_rate(self) -> float:
@@ -161,12 +133,8 @@ class SetAssociativeCache:
 
     def reset_stats(self) -> None:
         """Zero the counters without disturbing cache contents (warm-up)."""
-        self.accesses = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.writebacks = 0
-        self.invalidations = 0
+        for name in _STATS:
+            setattr(self._c, name, 0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         cfg = self.config

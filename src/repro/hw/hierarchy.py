@@ -15,8 +15,18 @@ from dataclasses import dataclass, field, replace
 from repro.hw.branch import BimodalPredictor
 from repro.hw.cache import SetAssociativeCache
 from repro.hw.coherence import CoherenceDirectory
+from repro.hw.cwalk import ffi, lib
 from repro.hw.machine import CacheConfig, MachineConfig
 from repro.hw.tlb import Tlb
+
+#: The Table 2 split counts, in the kernel's ``EV_*`` order.
+_EVENTS = ("data_refs", "code_refs", "branches", "mispredicts", "tlb_misses",
+           "tc_misses", "l2_misses", "l3_misses", "l3_writebacks",
+           "coherence_misses")
+#: ``hier_t.counts``: a user and a kernel slot per event, then the
+#: context switches.
+_CONTEXT_SWITCHES = 2 * lib.EV_CONTEXT_SWITCHES
+_COUNT_SLOTS = _CONTEXT_SWITCHES + 1
 
 
 def scaled_cache_config(config: CacheConfig, scale: int) -> CacheConfig:
@@ -79,17 +89,28 @@ class HierarchyCounts:
         are never touched by tracing.
         """
         flat: dict[str, float] = {}
-        for name in ("data_refs", "code_refs", "branches", "mispredicts",
-                     "tlb_misses", "tc_misses", "l2_misses", "l3_misses",
-                     "l3_writebacks", "coherence_misses"):
+        for name in _EVENTS:
             split: SplitCount = getattr(self, name)
             flat[name] = float(split.total)
         flat["context_switches"] = float(self.context_switches)
         return flat
 
 
+def _counts_from(slots: list) -> HierarchyCounts:
+    """A :class:`HierarchyCounts` from ``hier_t.counts`` values."""
+    return HierarchyCounts(
+        **{name: SplitCount(slots[2 * index], slots[2 * index + 1])
+           for index, name in enumerate(_EVENTS)},
+        context_switches=slots[_CONTEXT_SWITCHES])
+
+
 class CpuHierarchy:
-    """One CPU's private TC / L2 / L3 / DTLB / branch predictor."""
+    """One CPU's private TC / L2 / L3 / DTLB / branch predictor.
+
+    The caches and the predictor keep their state in the compiled walk
+    kernel, and so do the Table 2 counts: :attr:`counts` builds a
+    :class:`HierarchyCounts` from them on every read.
+    """
 
     def __init__(self, machine: MachineConfig, cpu: int, scale: int = 1):
         self.cpu = cpu
@@ -99,59 +120,25 @@ class CpuHierarchy:
         self.l3 = SetAssociativeCache(scaled_cache_config(machine.l3, scale))
         self.dtlb = Tlb(machine.dtlb)
         self.predictor = BimodalPredictor()
-        self.counts = HierarchyCounts()
         if self.l2.config.line_bytes != self.l3.config.line_bytes:
             raise ValueError("L2 and L3 must share a line size")
-        # Bound-method aliases for the per-reference fast path.  The
-        # underlying cache objects are never replaced after construction
-        # (flush/invalidate mutate them in place), so the aliases stay
-        # valid for the hierarchy's lifetime.
-        self._dtlb_hit = self.dtlb._cache.access_hit
-        self._l2_hit = self.l2.access_hit
-        self._l3_access = self.l3.access
-        self._l2_invalidate = self.l2.invalidate_line
-        self._tc_hit = self.tc.access_hit
+        self._c = ffi.new("hier_t *", {
+            "dtlb": self.dtlb._cache._c, "tc": self.tc._c, "l2": self.l2._c,
+            "l3": self.l3._c, "predictor": self.predictor._c})
 
-    # The three per-reference entry points below increment SplitCount
-    # buckets inline instead of via SplitCount.add(): together they run
-    # several million times per configuration, and the method-call
-    # overhead was a measurable share of the trace simulation.
+    @property
+    def counts(self) -> HierarchyCounts:
+        """The Table 2 counts so far (a copy)."""
+        return _counts_from(ffi.unpack(self._c.counts, _COUNT_SLOTS))
+
+    def reset_counts(self) -> None:
+        """Zero the Table 2 counts (cache contents are kept)."""
+        self._c.counts = [0] * _COUNT_SLOTS
 
     def data_access(self, address: int, write: bool, kernel: bool) -> tuple[bool, bool]:
         """One data reference; returns ``(l2_missed, l3_missed)``."""
-        counts = self.counts
-        refs = counts.data_refs
-        if kernel:
-            refs.kernel += 1
-        else:
-            refs.user += 1
-        if not self._dtlb_hit(address):
-            misses = counts.tlb_misses
-            if kernel:
-                misses.kernel += 1
-            else:
-                misses.user += 1
-        if self._l2_hit(address, write):
-            return False, False
-        misses = counts.l2_misses
-        if kernel:
-            misses.kernel += 1
-        else:
-            misses.user += 1
-        l3_result = self._l3_access(address, write)
-        if l3_result.hit:
-            return True, False
-        misses = counts.l3_misses
-        if kernel:
-            misses.kernel += 1
-        else:
-            misses.user += 1
-        if l3_result.writeback:
-            counts.l3_writebacks.add(kernel)
-        if l3_result.evicted_line is not None:
-            # Inclusive hierarchy: an L3 eviction drops the L2 copy too.
-            self._l2_invalidate(l3_result.evicted_line)
-        return True, True
+        result = lib.hier_data(self._c, address, write, kernel)
+        return bool(result & lib.L2_MISSED), bool(result & lib.L3_MISSED)
 
     def fetch(self, address: int, kernel: bool) -> bool:
         """One instruction-fetch reference; returns True on a TC miss.
@@ -159,43 +146,16 @@ class CpuHierarchy:
         A TC miss is filled from L2/L3, so code misses contribute to the
         unified cache traffic as on the real machine.
         """
-        counts = self.counts
-        refs = counts.code_refs
-        if kernel:
-            refs.kernel += 1
-        else:
-            refs.user += 1
-        if self._tc_hit(address):
-            return False
-        counts.tc_misses.add(kernel)
-        if not self._l2_hit(address):
-            counts.l2_misses.add(kernel)
-            l3_result = self._l3_access(address)
-            if not l3_result.hit:
-                counts.l3_misses.add(kernel)
-                if l3_result.writeback:
-                    counts.l3_writebacks.add(kernel)
-                if l3_result.evicted_line is not None:
-                    self._l2_invalidate(l3_result.evicted_line)
-        return True
+        return bool(lib.hier_fetch(self._c, address, kernel))
 
     def branch(self, pc: int, taken: bool, kernel: bool) -> bool:
         """One conditional branch; returns True when predicted correctly."""
-        counts = self.counts
-        refs = counts.branches
-        if kernel:
-            refs.kernel += 1
-        else:
-            refs.user += 1
-        correct = self.predictor.predict_and_update(pc, taken)
-        if not correct:
-            counts.mispredicts.add(kernel)
-        return correct
+        return bool(lib.hier_branch(self._c, pc, taken, kernel))
 
     def context_switch(self) -> None:
         """Address-space switch: the DTLB is flushed."""
         self.dtlb.flush()
-        self.counts.context_switches += 1
+        self._c.counts[_CONTEXT_SWITCHES] += 1
 
     def invalidate_data_line(self, line: int) -> None:
         """Coherence invalidation of a (L2/L3-sized) line id."""
@@ -204,7 +164,12 @@ class CpuHierarchy:
 
 
 class SmpHierarchy:
-    """``P`` private hierarchies kept coherent by one directory."""
+    """``P`` private hierarchies kept coherent by one directory.
+
+    Addresses are unsigned, and a packed run entry must fit 64 bits:
+    a negative or oversized one raises :class:`OverflowError` before
+    any state changes.
+    """
 
     def __init__(self, machine: MachineConfig, processors: int, scale: int = 1):
         if not 1 <= processors <= machine.max_processors:
@@ -215,6 +180,7 @@ class SmpHierarchy:
         self.cpus = [CpuHierarchy(machine, cpu, scale) for cpu in range(processors)]
         self.directory = CoherenceDirectory(processors, self._invalidate)
         self._line_shift = self.cpus[0].l3.config.line_bytes.bit_length() - 1
+        self._states = [hierarchy._c for hierarchy in self.cpus]
 
     def _invalidate(self, cpu: int, line: int) -> None:
         self.cpus[cpu].invalidate_data_line(line)
@@ -222,17 +188,10 @@ class SmpHierarchy:
     def data_access(self, cpu: int, address: int, write: bool, kernel: bool,
                     shared: bool = False) -> None:
         """A data reference on ``cpu``; ``shared`` lines engage coherence."""
-        hierarchy = self.cpus[cpu]
-        l2_miss, l3_miss = hierarchy.data_access(address, write, kernel)
-        if not shared or self.processors == 1:
-            return
-        line = address >> self._line_shift
-        if write:
-            coherence_miss = self.directory.note_write(cpu, line, l3_miss)
-        else:
-            coherence_miss = self.directory.note_read(cpu, line, l3_miss)
-        if coherence_miss:
-            hierarchy.counts.coherence_misses.add(kernel)
+        l3_missed = self.cpus[cpu].data_access(address, write, kernel)[1]
+        if shared and self.processors > 1:
+            self._replay(cpu, [(address << 2) | (2 if write else 0) | l3_missed],
+                         1, kernel)
 
     def fetch(self, cpu: int, address: int, kernel: bool) -> None:
         """An instruction fetch on ``cpu`` (code is read-shared: no coherence)."""
@@ -244,312 +203,53 @@ class SmpHierarchy:
 
     # -- batched reference walks --------------------------------------------
     #
-    # The three *_run entry points below are the trace generator's fast
-    # path (DESIGN.md §13): one call walks a whole precomputed run of
-    # references through the hierarchy with the cache/TLB dict operations
-    # inlined and every counter accumulated in locals, flushed once at
-    # the end.  They are required to be *bit-identical* to issuing the
-    # same references one at a time through data_access/fetch/branch —
-    # same state evolution, same counter totals — which the hw test
-    # suite checks by replaying identical streams through both paths.
+    # The trace generator's fast path (DESIGN.md §13): one call walks a
+    # whole run of references in the compiled kernel, through the same
+    # probes as the single-reference methods above, so a run leaves
+    # exactly the state and counts of issuing its references one at a
+    # time.  ``kernel`` is constant per run: the generator batches at
+    # segment granularity (a user segment or a kernel burst).
 
     def access_run(self, cpu: int, run: list, kernel: bool) -> None:
-        """Walk packed data references on ``cpu`` in one pass.
-
-        Each entry packs one reference as ``(address << 2) | write << 1
-        | shared`` — ``kernel`` is constant per run because the trace
-        generator batches at segment granularity (a user segment or a
-        kernel burst, never a mix).  Streaks of hits never leave the
-        inlined probe loop; only misses descend into the L3/eviction/
-        coherence slow path.
-        """
-        hierarchy = self.cpus[cpu]
-        counts = hierarchy.counts
-        tlb_cache = hierarchy.dtlb._cache
-        tlb_sets = tlb_cache._sets
-        tlb_shift = tlb_cache._line_shift
-        tlb_nsets = tlb_cache._num_sets
-        tlb_ways = tlb_cache._ways
-        l2 = hierarchy.l2
-        l2_sets = l2._sets
-        l2_shift = l2._line_shift
-        l2_nsets = l2._num_sets
-        l2_ways = l2._ways
-        l3 = hierarchy.l3
-        l3_sets = l3._sets
-        l3_nsets = l3._num_sets
-        l3_ways = l3._ways
-        multi = self.processors > 1
-        directory = self.directory
-        note_read = directory.note_read
-        note_write = directory.note_write
-        # Local accumulators: Table 2 split counts for this run...
-        tlb_missed_refs = l2_missed_refs = l3_missed_refs = 0
-        l3_writeback_refs = coherence_refs = 0
-        # ...and the per-cache statistics attributes.
-        t_hits = t_misses = t_evictions = 0
-        l2_hits = l2_misses = l2_evictions = l2_writebacks = 0
-        l2_invalidations = 0
-        l3_accesses = l3_hits = l3_misses = l3_evictions = l3_writebacks = 0
-        # Hit-streak short-circuits: a reference to the page/line the
-        # previous reference touched is a guaranteed hit on an entry
-        # that is already most-recent, so the pop/reinsert LRU dance is
-        # the identity — skip it (a write may still need to set the
-        # dirty bit; in-place assignment keeps the LRU position).  The
-        # directory can only invalidate *other* CPUs' lines from this
-        # run, so the streak line cannot vanish mid-run.
-        last_page = -1
-        last_line = -1
-        for code in run:
-            address = code >> 2
-            # DTLB probe (page granularity; translations are never dirty).
-            page = address >> tlb_shift
-            if page == last_page:
-                t_hits += 1
-            else:
-                last_page = page
-                tlb_set = tlb_sets[page % tlb_nsets]
-                if tlb_set.pop(page, None) is not None:
-                    t_hits += 1
-                    tlb_set[page] = False
-                else:
-                    t_misses += 1
-                    tlb_missed_refs += 1
-                    if len(tlb_set) >= tlb_ways:
-                        del tlb_set[next(iter(tlb_set))]
-                        t_evictions += 1
-                    tlb_set[page] = False
-            # L2 probe (L2 and L3 share a line size: one line id).
-            write = code & 2
-            line = address >> l2_shift
-            if line == last_line:
-                l2_hits += 1
-                l3_missed = False
-                if write:
-                    l2_sets[line % l2_nsets][line] = True
-            else:
-                last_line = line
-                l2_set = l2_sets[line % l2_nsets]
-                dirty = l2_set.pop(line, None)
-                if dirty is not None:
-                    l2_hits += 1
-                    l2_set[line] = dirty or write != 0
-                    l3_missed = False
-                else:
-                    l2_misses += 1
-                    l2_missed_refs += 1
-                    if len(l2_set) >= l2_ways:
-                        victim = next(iter(l2_set))
-                        if l2_set.pop(victim):
-                            l2_writebacks += 1
-                        l2_evictions += 1
-                    l2_set[line] = write != 0
-                    # L3 access, with victim info for inclusion.
-                    l3_accesses += 1
-                    l3_set = l3_sets[line % l3_nsets]
-                    dirty = l3_set.pop(line, None)
-                    if dirty is not None:
-                        l3_hits += 1
-                        l3_set[line] = dirty or write != 0
-                        l3_missed = False
-                    else:
-                        l3_misses += 1
-                        l3_missed_refs += 1
-                        l3_missed = True
-                        if len(l3_set) >= l3_ways:
-                            victim = next(iter(l3_set))
-                            if l3_set.pop(victim):
-                                l3_writebacks += 1
-                                l3_writeback_refs += 1
-                            l3_evictions += 1
-                            # Inclusive hierarchy: drop the L2 copy too.
-                            victim_set = l2_sets[victim % l2_nsets]
-                            if victim in victim_set:
-                                del victim_set[victim]
-                                l2_invalidations += 1
-                        l3_set[line] = write != 0
-            if multi and code & 1:
-                if write:
-                    if note_write(cpu, line, l3_missed):
-                        coherence_refs += 1
-                elif note_read(cpu, line, l3_missed):
-                    coherence_refs += 1
-        refs = len(run)
-        if kernel:
-            counts.data_refs.kernel += refs
-            counts.tlb_misses.kernel += tlb_missed_refs
-            counts.l2_misses.kernel += l2_missed_refs
-            counts.l3_misses.kernel += l3_missed_refs
-            counts.l3_writebacks.kernel += l3_writeback_refs
-            counts.coherence_misses.kernel += coherence_refs
-        else:
-            counts.data_refs.user += refs
-            counts.tlb_misses.user += tlb_missed_refs
-            counts.l2_misses.user += l2_missed_refs
-            counts.l3_misses.user += l3_missed_refs
-            counts.l3_writebacks.user += l3_writeback_refs
-            counts.coherence_misses.user += coherence_refs
-        tlb_cache.accesses += refs
-        tlb_cache.hits += t_hits
-        tlb_cache.misses += t_misses
-        tlb_cache.evictions += t_evictions
-        l2.accesses += refs
-        l2.hits += l2_hits
-        l2.misses += l2_misses
-        l2.evictions += l2_evictions
-        l2.writebacks += l2_writebacks
-        l2.invalidations += l2_invalidations
-        l3.accesses += l3_accesses
-        l3.hits += l3_hits
-        l3.misses += l3_misses
-        l3.evictions += l3_evictions
-        l3.writebacks += l3_writebacks
+        """Walk packed data references ``(address << 2) | write << 1 |
+        shared`` on ``cpu`` in one pass."""
+        codes = ffi.new("uint64_t[]", run)
+        shared = lib.walk_data(self._states[cpu], codes, len(run), kernel,
+                               self.processors > 1)
+        if shared:
+            self._replay(cpu, codes, shared, kernel)
 
     def fetch_run(self, cpu: int, run: list, kernel: bool) -> None:
-        """Walk a run of instruction-fetch byte addresses in one pass.
-
-        Code is read-shared, so no coherence; TC misses fill through
-        L2/L3 exactly as :meth:`CpuHierarchy.fetch` does.
-        """
-        hierarchy = self.cpus[cpu]
-        counts = hierarchy.counts
-        tc = hierarchy.tc
-        tc_sets = tc._sets
-        tc_shift = tc._line_shift
-        tc_nsets = tc._num_sets
-        tc_ways = tc._ways
-        l2 = hierarchy.l2
-        l2_sets = l2._sets
-        l2_shift = l2._line_shift
-        l2_nsets = l2._num_sets
-        l2_ways = l2._ways
-        l3 = hierarchy.l3
-        l3_sets = l3._sets
-        l3_nsets = l3._num_sets
-        l3_ways = l3._ways
-        tc_missed_refs = l2_missed_refs = l3_missed_refs = 0
-        l3_writeback_refs = 0
-        tc_hits = tc_misses = tc_evictions = 0
-        l2_accesses = l2_hits = l2_misses = l2_evictions = l2_writebacks = 0
-        l2_invalidations = 0
-        l3_accesses = l3_hits = l3_misses = l3_evictions = l3_writebacks = 0
-        # Hit-streak short-circuit (same argument as access_run): a
-        # refetch of the line just fetched is a hit on the MRU entry,
-        # so the LRU pop/reinsert is the identity.
-        last_tc = -1
-        for address in run:
-            tc_line = address >> tc_shift
-            if tc_line == last_tc:
-                tc_hits += 1
-                continue
-            last_tc = tc_line
-            tc_set = tc_sets[tc_line % tc_nsets]
-            if tc_set.pop(tc_line, None) is not None:
-                tc_hits += 1
-                tc_set[tc_line] = False
-                continue
-            tc_misses += 1
-            tc_missed_refs += 1
-            if len(tc_set) >= tc_ways:
-                del tc_set[next(iter(tc_set))]
-                tc_evictions += 1
-            tc_set[tc_line] = False
-            # Fill from L2/L3 (unified: code rides the data counters).
-            l2_accesses += 1
-            line = address >> l2_shift
-            l2_set = l2_sets[line % l2_nsets]
-            dirty = l2_set.pop(line, None)
-            if dirty is not None:
-                l2_hits += 1
-                l2_set[line] = dirty
-                continue
-            l2_misses += 1
-            l2_missed_refs += 1
-            if len(l2_set) >= l2_ways:
-                victim = next(iter(l2_set))
-                if l2_set.pop(victim):
-                    l2_writebacks += 1
-                l2_evictions += 1
-            l2_set[line] = False
-            l3_accesses += 1
-            l3_set = l3_sets[line % l3_nsets]
-            dirty = l3_set.pop(line, None)
-            if dirty is not None:
-                l3_hits += 1
-                l3_set[line] = dirty
-                continue
-            l3_misses += 1
-            l3_missed_refs += 1
-            if len(l3_set) >= l3_ways:
-                victim = next(iter(l3_set))
-                if l3_set.pop(victim):
-                    l3_writebacks += 1
-                    l3_writeback_refs += 1
-                l3_evictions += 1
-                victim_set = l2_sets[victim % l2_nsets]
-                if victim in victim_set:
-                    del victim_set[victim]
-                    l2_invalidations += 1
-            l3_set[line] = False
-        refs = len(run)
-        if kernel:
-            counts.code_refs.kernel += refs
-            counts.tc_misses.kernel += tc_missed_refs
-            counts.l2_misses.kernel += l2_missed_refs
-            counts.l3_misses.kernel += l3_missed_refs
-            counts.l3_writebacks.kernel += l3_writeback_refs
-        else:
-            counts.code_refs.user += refs
-            counts.tc_misses.user += tc_missed_refs
-            counts.l2_misses.user += l2_missed_refs
-            counts.l3_misses.user += l3_missed_refs
-            counts.l3_writebacks.user += l3_writeback_refs
-        tc.accesses += refs
-        tc.hits += tc_hits
-        tc.misses += tc_misses
-        tc.evictions += tc_evictions
-        l2.accesses += l2_accesses
-        l2.hits += l2_hits
-        l2.misses += l2_misses
-        l2.evictions += l2_evictions
-        l2.writebacks += l2_writebacks
-        l2.invalidations += l2_invalidations
-        l3.accesses += l3_accesses
-        l3.hits += l3_hits
-        l3.misses += l3_misses
-        l3.evictions += l3_evictions
-        l3.writebacks += l3_writebacks
+        """Walk a run of instruction-fetch byte addresses in one pass."""
+        lib.walk_fetch(self._states[cpu], ffi.new("uint64_t[]", run),
+                       len(run), kernel)
 
     def branch_run(self, cpu: int, run: list, kernel: bool) -> None:
         """Walk packed branches ``(site << 1) | taken`` in one pass."""
-        hierarchy = self.cpus[cpu]
-        counts = hierarchy.counts
-        predictor = hierarchy.predictor
-        table = predictor._table
-        size = predictor.table_size
-        mispredicted = 0
-        for code in run:
-            index = (code >> 1) % size
-            state = table[index]
-            if code & 1:
-                if state < 2:
-                    mispredicted += 1
-                if state < 3:
-                    table[index] = state + 1
+        lib.walk_branch(self._states[cpu], ffi.new("uint64_t[]", run),
+                        len(run), kernel)
+
+    def _replay(self, cpu: int, codes, count: int, kernel: bool) -> None:
+        """Drive the directory with ``cpu``'s shared data references.
+
+        ``codes[:count]`` are ``(address << 2) | write << 1 | l3_missed``,
+        in walk order.  Replaying them after the walk is exact: the
+        directory only invalidates *other* CPUs' lines, so nothing it
+        does can change this CPU's walk.
+        """
+        note_read = self.directory.note_read
+        note_write = self.directory.note_write
+        shift = self._line_shift + 2
+        misses = 0
+        for index in range(count):
+            code = codes[index]
+            if code & 2:
+                misses += note_write(cpu, code >> shift, code & 1)
             else:
-                if state >= 2:
-                    mispredicted += 1
-                if state > 0:
-                    table[index] = state - 1
-        refs = len(run)
-        predictor.predictions += refs
-        predictor.mispredictions += mispredicted
-        if kernel:
-            counts.branches.kernel += refs
-            counts.mispredicts.kernel += mispredicted
-        else:
-            counts.branches.user += refs
-            counts.mispredicts.user += mispredicted
+                misses += note_read(cpu, code >> shift, code & 1)
+        if misses:
+            self._states[cpu].counts[
+                2 * lib.EV_COHERENCE_MISSES + bool(kernel)] += misses
 
     def context_switch(self, cpu: int) -> None:
         """Apply context-switch perturbation to TLBs and caches."""
@@ -557,15 +257,5 @@ class SmpHierarchy:
 
     def merged_counts(self) -> HierarchyCounts:
         """Sum of all CPUs' event counts."""
-        merged = HierarchyCounts()
-        for hierarchy in self.cpus:
-            counts = hierarchy.counts
-            for name in ("data_refs", "code_refs", "branches", "mispredicts",
-                         "tlb_misses", "tc_misses", "l2_misses", "l3_misses",
-                         "l3_writebacks", "coherence_misses"):
-                target: SplitCount = getattr(merged, name)
-                source: SplitCount = getattr(counts, name)
-                target.user += source.user
-                target.kernel += source.kernel
-            merged.context_switches += counts.context_switches
-        return merged
+        return _counts_from([sum(column) for column in zip(
+            *(ffi.unpack(state.counts, _COUNT_SLOTS) for state in self._states))])

@@ -221,8 +221,8 @@ class TraceGenerator:
     # resulting references into a flat run buffer (plain ints: address
     # plus flag bits — no per-access tuples or method calls), then a
     # single *walk* call (:meth:`repro.hw.hierarchy.SmpHierarchy.access_run`
-    # and friends) replays the run through the cache models with the
-    # probe loops inlined.  Both phases preserve the reference order, so
+    # and friends) replays the run through the cache models in the
+    # compiled walk kernel.  Both phases preserve the reference order, so
     # the cache state evolution — and therefore every count — is
     # bit-identical to the per-access path.
 
@@ -465,7 +465,7 @@ class TraceGenerator:
 
     def _reset_counts(self) -> None:
         for hierarchy in self.smp.cpus:
-            hierarchy.counts = HierarchyCounts()
+            hierarchy.reset_counts()
         directory = self.smp.directory
         directory.invalidations = 0
         directory.interventions = 0
