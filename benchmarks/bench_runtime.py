@@ -42,7 +42,6 @@ from repro.experiments.configs import (  # noqa: E402
 )
 from repro.experiments.parallel import sweep_parallel  # noqa: E402
 from repro.experiments.runner import run_configuration, sweep  # noqa: E402
-from repro.sim.scheduler import SCHED_ENV  # noqa: E402
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent / "BENCH_runtime.json"
 DEFAULT_BASELINE = (Path(__file__).resolve().parent
@@ -90,33 +89,21 @@ def calibrate(rounds: int = 3_000_000, repeats: int = 3) -> float:
     return best
 
 
-def time_single(spec: dict) -> float:
-    start = time.perf_counter()
-    run_configuration(spec["warehouses"], spec["processors"],
-                      settings=spec["settings"], use_cache=False)
-    return time.perf_counter() - start
-
-
-def time_single_with_scheduler(spec: dict, scheduler: str,
-                               repeats: int = 3) -> float:
-    """Best-of-``repeats`` :func:`time_single` under a pinned ``REPRO_SCHED``.
+def time_single(spec: dict, repeats: int = 3) -> float:
+    """Best-of-``repeats`` wall time of one uncached configuration run.
 
     Best-of-N because the first run in a fresh process pays one-time
     costs (allocator growth, first-touch page faults) that are not the
     hot path being pinned, and shared CI hosts inject multi-hundred-ms
-    stalls at random — the minimum is the stable statistic.  The
-    environment is restored afterwards so the sweep measurements keep
-    whatever scheduler the caller selected.
+    stalls at random — the minimum is the stable statistic.
     """
-    previous = os.environ.get(SCHED_ENV)
-    os.environ[SCHED_ENV] = scheduler
-    try:
-        return min(time_single(spec) for _ in range(repeats))
-    finally:
-        if previous is None:
-            del os.environ[SCHED_ENV]
-        else:
-            os.environ[SCHED_ENV] = previous
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        run_configuration(spec["warehouses"], spec["processors"],
+                          settings=spec["settings"], use_cache=False)
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 def time_sweep_serial(spec: dict) -> float:
@@ -145,12 +132,7 @@ def measure(mode: str, jobs: int) -> dict:
     # single pre-measurement sample can catch a fast (or slow) window
     # the measurements themselves never saw.
     calibration_before = calibrate()
-    # The single-configuration run is the scheduler dimension: timed
-    # once per implementation (both are pinned explicitly — the heap
-    # number must not silently become a calendar number when the caller
-    # exported REPRO_SCHED).  The sweeps keep the ambient scheduler.
-    single = time_single_with_scheduler(spec["single"], "heap")
-    single_calendar = time_single_with_scheduler(spec["single"], "calendar")
+    single = time_single(spec["single"])
     serial = time_sweep_serial(spec["sweep"])
     parallel = time_sweep_parallel(spec["sweep"], jobs)
     calibration = (calibration_before + calibrate()) / 2.0
@@ -162,7 +144,6 @@ def measure(mode: str, jobs: int) -> dict:
         "calibration_s": round(calibration, 4),
         "measurements": {
             "single_wall_s": round(single, 3),
-            "single_calendar_wall_s": round(single_calendar, 3),
             "sweep_serial_wall_s": round(serial, 3),
             "sweep_parallel_wall_s": round(parallel, 3),
         },
@@ -177,8 +158,7 @@ def add_pre_optimization_speedups(report: dict, baseline: dict) -> None:
 
     The pre-optimization numbers were taken on the baseline machine, so
     every speedup is calibration-normalized: ``(pre_wall / pre_calib) /
-    (cur_wall / cur_calib)``.  Both scheduler implementations get a
-    single-run figure.
+    (cur_wall / cur_calib)``.
     """
     pre = baseline.get("pre_optimization", {}).get(report["mode"])
     if not pre:
@@ -196,8 +176,6 @@ def add_pre_optimization_speedups(report: dict, baseline: dict) -> None:
     if "single_wall_s" in pre:
         derived["single_speedup_vs_pre"] = normalized_speedup(
             pre["single_wall_s"], current["single_wall_s"])
-        derived["single_calendar_speedup_vs_pre"] = normalized_speedup(
-            pre["single_wall_s"], current["single_calendar_wall_s"])
     if "sweep_serial_wall_s" in pre:
         derived["sweep_speedup_vs_pre"] = normalized_speedup(
             pre["sweep_serial_wall_s"], current["sweep_parallel_wall_s"])
@@ -209,7 +187,7 @@ def check(report: dict, baseline: dict, tolerance: float,
 
     ``min_single_speedup`` additionally gates the hot-path optimization
     claim: the normalized single-run speedup vs the pre-optimization
-    recording (both schedulers) must stay at or above it.  ``None``
+    recording must stay at or above it.  ``None``
     takes the mode's committed ``min_single_speedup`` from the baseline
     (the quick single is trace-dominated and holds ≥2×; the full single
     is DES-dominated and pins a lower floor); ``0`` disables the gate.
@@ -235,17 +213,15 @@ def check(report: dict, baseline: dict, tolerance: float,
                 f"{name}: {cur_wall:.2f}s vs baseline {base_wall:.2f}s "
                 f"(normalized ratio {ratio:.2f} > {1.0 + tolerance:.2f})")
     if min_single_speedup > 0.0:
-        for key in ("single_speedup_vs_pre",
-                    "single_calendar_speedup_vs_pre"):
-            speedup = report["derived"].get(key)
-            if speedup is None:
-                failures.append(
-                    f"{key}: not derivable (pre_optimization timings or "
-                    "calibrations missing from the baseline)")
-            elif speedup < min_single_speedup:
-                failures.append(
-                    f"{key}: {speedup:.2f}x < required "
-                    f"{min_single_speedup:.2f}x")
+        speedup = report["derived"].get("single_speedup_vs_pre")
+        if speedup is None:
+            failures.append(
+                "single_speedup_vs_pre: not derivable (pre_optimization "
+                "timings or calibrations missing from the baseline)")
+        elif speedup < min_single_speedup:
+            failures.append(
+                f"single_speedup_vs_pre: {speedup:.2f}x < required "
+                f"{min_single_speedup:.2f}x")
     return failures
 
 

@@ -164,7 +164,6 @@ def manifest_section(manifest: "RunManifest") -> ReportSection:
                             f"{manifest.cpu_time_s:.2f}s"],
         ["fixed-point rounds", manifest.fixed_point_rounds],
         ["tracing enabled", manifest.tracing_enabled],
-        ["scheduler", manifest.scheduler],
     ]
     return ReportSection("Run manifest", ["field", "value"], rows)
 

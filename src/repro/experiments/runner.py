@@ -53,7 +53,6 @@ from repro.obs import tracing as _tracing
 from repro.obs.manifest import RunManifest, environment_fields
 from repro.odb.system import OdbConfig, OdbSystem
 from repro.sim.randomness import RandomStreams
-from repro.sim.scheduler import scheduler_name_from_env
 from repro.workload import CompiledWorkload, WorkloadSpec, compile_workload
 
 #: Process-wide default result cache, created lazily by
@@ -328,7 +327,6 @@ def run_configuration(warehouses: int, processors: int,
         cpu_time_s=time.process_time() - started_cpu,
         fixed_point_rounds=settings.fixed_point_rounds,
         tracing_enabled=_tracing.tracing_enabled(),
-        scheduler=scheduler_name_from_env(),
         round_deltas=round_deltas,
         **environment_fields(),
     )

@@ -281,8 +281,6 @@ _PROVENANCE_EXPLANATIONS = {
     "settings_fingerprint": "fidelity settings differ — points are not "
                             "directly comparable",
     "fault_fingerprint": "one side ran under fault injection",
-    "scheduler": "DES scheduler differs (dispatch-order-identical by "
-                 "contract; timing annex may shift)",
     "package_version": "package version changed between the runs",
     "git_rev": "code revision changed — any delta may be a code effect",
     "seed": "RNG seed differs — results are from different seed trees",

@@ -103,10 +103,6 @@ class RunManifest:
     cpu_time_s: float = 0.0
     fixed_point_rounds: int = 0
     tracing_enabled: bool = False
-    #: DES event-queue implementation the run used (``REPRO_SCHED``).
-    #: Descriptive only — schedulers are dispatch-order-identical by
-    #: contract, so this never joins cache keys or comparisons.
-    scheduler: str = "heap"
     #: Fixed-point trajectory: one record per coupled round with the
     #: round's TPS/CPI iterate and its delta from the previous round
     #: (``None`` deltas on round 0).  Descriptive like every other

@@ -6,8 +6,8 @@ the repro needs a durable, comparable record of what a sweep measured.
 A :class:`SweepSnapshot` is that record: per-point headline metrics
 keyed by grid coordinates, the aggregated phase flame table, the merged
 metrics-registry totals, and the provenance needed to *explain* a
-difference (workload fingerprint, scheduler, package/git revision,
-fleet shape).  :mod:`repro.obs.diff` consumes two of them.
+difference (workload fingerprint, package/git revision, fleet
+shape).  :mod:`repro.obs.diff` consumes two of them.
 
 Determinism contract (DESIGN.md §15):
 
@@ -140,7 +140,6 @@ def _provenance_from_manifests(manifests: Sequence["RunManifest"]) -> dict:
                                          for m in manifests),
         "fault_fingerprint": collapse(m.fault_fingerprint
                                       for m in manifests),
-        "scheduler": collapse(m.scheduler for m in manifests),
         "package_version": collapse(m.package_version for m in manifests),
         "git_rev": collapse(m.git_rev for m in manifests),
         "seed": collapse(m.seed for m in manifests),
@@ -159,7 +158,6 @@ def _empty_provenance() -> dict:
         "workload_fingerprint": None,
         "settings_fingerprint": None,
         "fault_fingerprint": None,
-        "scheduler": None,
         "package_version": None,
         "git_rev": None,
         "seed": None,

@@ -12,7 +12,6 @@ split, disk I/O and context switches per transaction, utilization).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heappop
 from typing import Optional
 
 from repro.db.blocks import BlockSpace
@@ -35,7 +34,6 @@ from repro.osmodel.scheduler import Scheduler
 from repro.sim import Engine
 from repro.sim.engine import publish_scheduler_metrics
 from repro.sim.randomness import RandomStreams
-from repro.sim.scheduler import HeapScheduler
 from repro.sim.stats import Counter
 
 #: A real database block: a buffer-cache miss is one physical read of
@@ -310,35 +308,13 @@ class OdbSystem:
         return snap
 
     def _run_until_transactions(self, target: int, time_limit_s: float) -> None:
-        # The commit count must be re-checked before every event (an
-        # overshoot would shift the measurement snapshot), so the loop
-        # cannot batch.  The heap scheduler gets an inlined heappop loop
-        # (this is the DES hot loop; a method call per event was a
-        # measurable cost); other schedulers go through their pop_due
-        # method, which batches slot pours internally.
+        # The commit count is checked before every event (an overshoot
+        # would shift the measurement snapshot).  The clock is left at
+        # the last event, never pinned to the deadline: the measurement
+        # window runs from commit-driven snapshot to snapshot.
         engine = self.engine
-        sched = engine._sched
-        counter = self.db.transactions
-        deadline = engine.now + time_limit_s
-        if type(sched) is HeapScheduler:
-            heap = sched._heap
-            pop = heappop
-            while counter.count < target and heap and heap[0][0] <= deadline:
-                when, _priority, _seq, event = pop(heap)
-                if event._dead:
-                    sched._dead -= 1
-                    sched.skipped_dead += 1
-                    continue
-                engine._now = when
-                event._process()
-            return
-        pop_due = sched.pop_due
-        while counter.count < target:
-            entry = pop_due(deadline)
-            if entry is None:
-                break
-            engine._now = entry[0]
-            entry[3]._process()
+        engine.run(engine.now + time_limit_s,
+                   stop=(self.db.transactions, target))
 
     def run(self, warmup_txns: int = 500, measure_txns: int = 2000,
             prewarm_plans: int = 4000,
@@ -370,15 +346,14 @@ class OdbSystem:
                 span.count("sim_time_s", self.engine.now)
         after = self._snapshot()
         if _metrics.ACTIVE:
-            # DES totals at the phase boundary (the measurement loop
-            # itself stays untouched): what the engine retired and how
-            # much simulated time it covered, plus the scheduler's
-            # cumulative queue counters (once per engine lifetime).
+            # DES totals at the phase boundary: the transactions measured
+            # plus the engine's cumulative queue counters (once per
+            # engine lifetime).  Events and simulated time are counted
+            # by each Engine.run call.
             _metrics.inc("engine.des_runs")
             _metrics.inc("engine.transactions",
                          after["transactions"] - before["transactions"])
-            _metrics.inc("engine.sim_time_s", self.engine.now)
-            publish_scheduler_metrics(self.engine.scheduler)
+            publish_scheduler_metrics(self.engine)
         return self._metrics(before, after)
 
     def _metrics(self, before: dict[str, float],

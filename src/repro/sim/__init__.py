@@ -6,7 +6,8 @@ a virtual clock through a binary heap of scheduled events.
 
 Public surface:
 
-- :class:`~repro.sim.engine.Engine` — the event loop and clock.
+- :class:`~repro.sim.engine.Engine` — the event loop, its event queue
+  (one binary heap with lazy cancellation) and the clock.
 - :class:`~repro.sim.engine.Event`, :class:`~repro.sim.engine.Timeout` —
   waitable primitives.
 - :class:`~repro.sim.process.Process`, :class:`~repro.sim.process.Interrupt`
@@ -14,10 +15,6 @@ Public surface:
 - :class:`~repro.sim.resources.Resource`,
   :class:`~repro.sim.resources.Store`,
   :class:`~repro.sim.resources.Gate` — contention primitives.
-- :mod:`~repro.sim.scheduler` — pluggable event queues
-  (:class:`~repro.sim.scheduler.HeapScheduler`,
-  :class:`~repro.sim.scheduler.CalendarScheduler`), selected via
-  ``Engine(scheduler=...)`` or ``REPRO_SCHED``.
 - :mod:`~repro.sim.randomness` — named, independently seeded RNG streams.
 - :mod:`~repro.sim.stats` — time-weighted statistics helpers.
 """
@@ -26,20 +23,10 @@ from repro.sim.engine import Engine, Event, Timeout, AllOf, AnyOf, SimulationErr
 from repro.sim.process import Process, Interrupt
 from repro.sim.resources import Resource, Store, Gate
 from repro.sim.randomness import RandomStreams
-from repro.sim.scheduler import (
-    CalendarScheduler,
-    HeapScheduler,
-    make_scheduler,
-    scheduler_name_from_env,
-)
 from repro.sim.stats import TimeWeighted, Tally, Counter
 
 __all__ = [
     "Engine",
-    "HeapScheduler",
-    "CalendarScheduler",
-    "make_scheduler",
-    "scheduler_name_from_env",
     "Event",
     "Timeout",
     "AllOf",

@@ -1,23 +1,28 @@
-"""Event loop and clock for the discrete-event simulation kernel.
+"""Event loop, event queue and clock for the discrete-event simulation kernel.
 
 The engine keeps ``(time, priority, sequence, event)`` entries in a
-pluggable scheduler (:mod:`repro.sim.scheduler`): a binary heap by
-default, or a calendar queue selected via ``Engine(scheduler=...)`` or
-the ``REPRO_SCHED`` environment variable.  Each :class:`Event` carries a
-list of callbacks that fire when the event is processed;
+binary heap, so events dispatch in strict tuple order: by time, then
+priority, then scheduling order.  Each :class:`Event` carries a list of
+callbacks that fire when the event is processed;
 :class:`~repro.sim.process.Process` resumption is just another callback.
 The design mirrors simpy's core but is intentionally smaller: no
 real-time support, no nested environments.
+
+Cancellation is lazy: a :meth:`Event.cancel`-ed entry stays queued and
+is skipped when it reaches the top, and when dead entries outnumber
+live ones the heap is compacted in one pass.  This bounds the queue
+under workloads that schedule and abandon many timeouts (lock-wait
+deadlines, races between a completion and its timeout).
 """
 
 from __future__ import annotations
 
-from heapq import heappop
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Iterable, Optional
 
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
-from repro.sim.scheduler import HeapScheduler, make_scheduler
+from repro.sim.stats import Counter
 
 #: Priority for events that must run before ordinary events at the same time
 #: (used internally for process interrupts).
@@ -34,11 +39,11 @@ class Event:
     """A waitable, one-shot occurrence on the simulation timeline.
 
     An event has three observable states: *pending* (created, not yet
-    triggered), *triggered* (scheduled on the engine's scheduler with a
-    value), and *processed* (callbacks have run).  Processes wait on
-    events by yielding them.  A triggered event can be
-    :meth:`cancel`-ed, which removes it from the timeline without
-    processing (lazy: the scheduler skips it at pop time).
+    triggered), *triggered* (queued on the engine with a value), and
+    *processed* (callbacks have run).  Processes wait on events by
+    yielding them.  A triggered event can be :meth:`cancel`-ed, which
+    removes it from the timeline without processing (lazy: the engine
+    skips it at pop time).
     """
 
     __slots__ = ("engine", "callbacks", "_value", "_ok", "_triggered",
@@ -105,7 +110,7 @@ class Event:
         """Discard a triggered-but-unprocessed event from the timeline.
 
         The scheduled entry stays queued but is skipped (and eventually
-        compacted away) by the scheduler — callbacks never run and the
+        compacted away) by the engine — callbacks never run and the
         clock never advances for it.  Cancelling twice is a no-op;
         cancelling a processed event is an error, as is cancelling an
         event that was never scheduled.
@@ -118,7 +123,7 @@ class Event:
             return
         self._dead = True
         self.callbacks.clear()
-        self.engine._sched.note_dead()
+        self.engine._note_dead()
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Run ``callback(event)`` when the event is processed.
@@ -219,14 +224,20 @@ class AnyOf(_Condition):
         return self._completed >= 1
 
 
-class Engine:
-    """The simulation event loop.
+#: Dead entries tolerated before a compaction pass is considered; below
+#: this the bookkeeping cost outweighs the memory saved.
+_COMPACT_MIN_DEAD = 64
 
-    ``scheduler`` selects the event-queue implementation: ``None``
-    consults the ``REPRO_SCHED`` environment variable (default
-    ``heap``), a string names one (``"heap"`` / ``"calendar"``), and a
-    scheduler instance is used as-is.  Dispatch order — and therefore
-    every simulation result — is identical across implementations.
+_INF = float("inf")
+
+
+#: The stop condition of a :meth:`Engine.run` without one: a counter
+#: that never reaches its target.
+_NO_STOP = (Counter("never"), _INF)
+
+
+class Engine:
+    """The simulation event loop and its event queue.
 
     >>> engine = Engine()
     >>> def proc(engine):
@@ -238,19 +249,19 @@ class Engine:
     5.0
     """
 
-    def __init__(self, scheduler=None) -> None:
+    def __init__(self) -> None:
         self._now = 0.0
-        self._sched = make_scheduler(scheduler)
+        self._heap: list = []
+        self._sequence = 0
+        self._dead = 0
+        self.skipped_dead = 0
+        self.compactions = 0
+        self.max_depth = 0
 
     @property
     def now(self) -> float:
         """Current simulation time."""
         return self._now
-
-    @property
-    def scheduler(self):
-        """The event-queue implementation (telemetry via ``snapshot()``)."""
-        return self._sched
 
     # -- event factories ---------------------------------------------------
 
@@ -276,144 +287,135 @@ class Engine:
         """Event completing when any of ``events`` completes."""
         return AnyOf(self, events)
 
-    # -- scheduling --------------------------------------------------------
+    # -- the event queue ---------------------------------------------------
 
     def _schedule(self, event: Event, delay: float, priority: int = NORMAL) -> None:
-        self._sched.schedule(self._now + delay, priority, event)
+        self._sequence += 1
+        heap = self._heap
+        heappush(heap, (self._now + delay, priority, self._sequence, event))
+        if len(heap) > self.max_depth:
+            self.max_depth = len(heap)
+
+    def _note_dead(self) -> None:
+        """Record one cancellation; compacts when the dead dominate."""
+        self._dead += 1
+        if (self._dead >= _COMPACT_MIN_DEAD
+                and self._dead * 2 > len(self._heap)):
+            self._compact()
+
+    def _compact(self) -> None:
+        """Drop every dead entry in one pass.  In place, so a dispatch
+        loop holding the heap keeps seeing the live one."""
+        heap = self._heap
+        queued = len(heap)
+        heap[:] = [entry for entry in heap if not entry[3]._dead]
+        heapify(heap)
+        self.skipped_dead += queued - len(heap)
+        self._dead = 0
+        self.compactions += 1
+
+    def _dispatched(self) -> int:
+        return self._sequence - self.skipped_dead - len(self._heap)
+
+    def queue_stats(self) -> dict:
+        """Event-queue counters (published by :func:`publish_scheduler_metrics`).
+
+        Once no cancelled entry is left queued, ``scheduled = dispatched
+        + skipped_dead + pending``.  ``max_depth`` is the longest the
+        heap has been, dead entries included.
+        """
+        return {
+            "scheduled": self._sequence,
+            "dispatched": self._dispatched(),
+            "skipped_dead": self.skipped_dead,
+            "pending": len(self._heap) - self._dead,
+            "max_depth": self.max_depth,
+            "compactions": self.compactions,
+        }
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` when idle."""
-        return self._sched.peek()
+        heap = self._heap
+        while heap and heap[0][3]._dead:
+            heappop(heap)
+            self._dead -= 1
+            self.skipped_dead += 1
+        return heap[0][0] if heap else _INF
+
+    # -- dispatch ----------------------------------------------------------
 
     def step(self) -> None:
         """Process exactly one event."""
-        entry = self._sched.pop()
-        if entry is None:
+        self.peek()
+        if not self._heap:
             raise SimulationError("step() on an empty schedule")
-        self._now = entry[0]
-        entry[3]._process()
+        when, _priority, _seq, event = heappop(self._heap)
+        self._now = when
+        event._process()
 
-    def run(self, until: Optional[float] = None) -> None:
-        """Run until the schedule drains or the clock reaches ``until``.
+    def run(self, until: Optional[float] = None,
+            stop: Optional[tuple] = None) -> None:
+        """Run until the schedule drains, the clock passes ``until``, or
+        the ``stop`` condition holds.
 
-        When ``until`` is given the clock is advanced to exactly ``until``
-        even if the last event fires earlier, so time-weighted statistics
-        close their final interval consistently.
+        ``stop`` is a ``(counter, target)`` pair: the loop stops before
+        the next event once ``counter.count >= target``.  Without it, a
+        given ``until`` advances the clock to exactly ``until`` even if
+        the last event fires earlier, so time-weighted statistics close
+        their final interval consistently.  With it the clock stays at
+        the last dispatched event, whichever limit ends the run.
+
+        Tracing and metrics are checked once per call, never per event:
+        the events a call retired are the change in :meth:`queue_stats`'
+        ``dispatched`` across it.
         """
-        # The pop/process cycle is specialized per scheduler: this loop
-        # retires every event of a simulation, and per-event method-call
-        # overhead is a measurable DES cost, so the heap path inlines
-        # heappop directly (with the lazy-cancellation skip).  Tracing
-        # and metrics take the separate instrumented loop below so the
-        # disabled path stays exactly as fast (two flag reads per run()
-        # call, nothing per event).
-        if _tracing.ACTIVE or _metrics.ACTIVE:
-            self._run_traced(until)
-            return
         if until is not None and until < self._now:
             raise ValueError(f"run(until={until}) is in the past (now={self._now})")
-        sched = self._sched
-        if type(sched) is HeapScheduler:
-            heap = sched._heap
-            if until is None:
-                while heap:
-                    when, _priority, _seq, event = heappop(heap)
-                    if event._dead:
-                        sched._dead -= 1
-                        sched.skipped_dead += 1
-                        continue
-                    self._now = when
-                    event._process()
-                return
-            while heap and heap[0][0] <= until:
-                when, _priority, _seq, event = heappop(heap)
-                if event._dead:
-                    sched._dead -= 1
-                    sched.skipped_dead += 1
-                    continue
-                self._now = when
-                event._process()
-            self._now = until
+        if not (_tracing.ACTIVE or _metrics.ACTIVE):
+            self._dispatch(until, stop)
             return
-        if until is None:
-            pop = sched.pop
-            while True:
-                entry = pop()
-                if entry is None:
-                    return
-                self._now = entry[0]
-                entry[3]._process()
-        pop_due = sched.pop_due
-        while True:
-            entry = pop_due(until)
-            if entry is None:
-                break
-            self._now = entry[0]
-            entry[3]._process()
-        self._now = until
-
-    def _run_traced(self, until: Optional[float]) -> None:
-        """The :meth:`run` loop under an open tracing span.
-
-        Same semantics as the fast path; additionally records the
-        number of events retired and the simulated-time interval
-        covered — into the open span when tracing is on, and into the
-        metrics registry (``engine.*`` and ``scheduler.*`` counters)
-        when metrics are on.  Only entered when
-        :data:`repro.obs.tracing.ACTIVE` or
-        :data:`repro.obs.metrics.ACTIVE`.
-        """
-        if until is not None and until < self._now:
-            raise ValueError(
-                f"run(until={until}) is in the past (now={self._now})")
-        sched = self._sched
-        events = 0
-        started_at = self._now
+        started_at, dispatched = self._now, self._dispatched()
         with _tracing.span("des-event-loop") as span:
-            if until is None:
-                pop = sched.pop
-                while True:
-                    entry = pop()
-                    if entry is None:
-                        break
-                    self._now = entry[0]
-                    entry[3]._process()
-                    events += 1
-            else:
-                pop_due = sched.pop_due
-                while True:
-                    entry = pop_due(until)
-                    if entry is None:
-                        break
-                    self._now = entry[0]
-                    entry[3]._process()
-                    events += 1
-                self._now = until
+            self._dispatch(until, stop)
+            events = self._dispatched() - dispatched
             if span is not None:
                 span.count("events", events)
                 span.count("sim_time_s", self._now - started_at)
-        if _metrics.ACTIVE:
-            _metrics.inc("engine.runs")
-            _metrics.inc("engine.events", events)
-            _metrics.inc("engine.sim_time_s", self._now - started_at)
+        _metrics.inc("engine.runs")
+        _metrics.inc("engine.events", events)
+        _metrics.inc("engine.sim_time_s", self._now - started_at)
+
+    def _dispatch(self, until: Optional[float], stop: Optional[tuple]) -> None:
+        # The DES hot loop: every event of a simulation passes through
+        # here, so the per-event work is one counter compare, one
+        # deadline test, the heappop and the dead-entry skip.
+        counter, target = stop or _NO_STOP
+        limit = _INF if until is None else until
+        heap = self._heap
+        while counter.count < target and heap and heap[0][0] <= limit:
+            when, _priority, _seq, event = heappop(heap)
+            if event._dead:
+                self._dead -= 1
+                self.skipped_dead += 1
+                continue
+            self._now = when
+            event._process()
+        if until is not None and stop is None:
+            self._now = until
 
 
-def publish_scheduler_metrics(scheduler) -> None:
-    """Publish a scheduler's counters into the active metrics registry.
+def publish_scheduler_metrics(engine: Engine) -> None:
+    """Publish an engine's queue counters into the active metrics registry.
 
-    One ``scheduler.*`` counter per :meth:`snapshot` field (the queue
-    implementation name becomes a ``scheduler.<name>.runs`` counter so
-    sweep reports can tell which implementation produced the numbers).
-    Counters are cumulative per scheduler, so this must be called once
-    per engine lifetime — the DES phase boundary in
-    :meth:`repro.odb.system.OdbSystem.run` — never per ``run()`` call.
+    One ``scheduler.*`` counter per :meth:`Engine.queue_stats` field,
+    ``max_depth`` as a gauge.  Counters are cumulative per engine, so
+    this must be called once per engine lifetime — the DES phase
+    boundary in :meth:`repro.odb.system.OdbSystem.run` — never per
+    ``run()`` call.
     """
     if not _metrics.ACTIVE:
         return
-    snap = scheduler.snapshot()
-    name = snap.pop("scheduler")
-    _metrics.inc(f"scheduler.{name}.runs")
-    for field in ("scheduled", "dispatched", "skipped_dead",
-                  "compactions", "resizes"):
-        _metrics.inc(f"scheduler.{field}", snap[field])
-    _metrics.gauge("scheduler.max_depth", snap["max_depth"])
+    stats = engine.queue_stats()
+    for field in ("scheduled", "dispatched", "skipped_dead", "compactions"):
+        _metrics.inc(f"scheduler.{field}", stats[field])
+    _metrics.gauge("scheduler.max_depth", stats["max_depth"])

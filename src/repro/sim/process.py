@@ -68,7 +68,7 @@ class Process(Event):
             self._waiting_on = None
             # An interrupted sleep leaves its Timeout orphaned on the
             # schedule: nobody waits on it anymore, so cancel it and let
-            # the scheduler's lazy-cancellation compaction reclaim the
+            # the engine's lazy-cancellation compaction reclaim the
             # entry instead of carrying it until its deadline pops.
             if (isinstance(waiting_on, Timeout) and not waiting_on.callbacks
                     and not waiting_on.processed):

@@ -256,6 +256,22 @@ class TestCliDiff:
                      "--fail-on-regress", "--thresholds", str(policy),
                      "--out", str(tmp_path)]) == 0
 
+    def test_dropped_provenance_field_is_not_a_regression(
+            self, snapshot_path, tmp_path):
+        from repro.cli import main
+
+        # A snapshot from before the event-queue choice was removed still
+        # records it; diffing against a current one only reports it.
+        old = SweepSnapshot.load(snapshot_path)
+        old.provenance["scheduler"] = "heap"
+        old_path = old.save(tmp_path / "old.snapshot.json")
+        row = next(p for p in diff_snapshots(
+            old, SweepSnapshot.load(snapshot_path)).provenance
+            if p.name == "scheduler")
+        assert row.changed
+        assert main(["diff", str(old_path), str(snapshot_path),
+                     "--fail-on-regress", "--out", str(tmp_path)]) == 0
+
     def test_usage_errors_exit_via_systemexit(self, tmp_path):
         from repro.cli import main
 

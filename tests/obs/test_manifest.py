@@ -57,6 +57,11 @@ class TestRoundTrip:
         data = sample_manifest().to_dict()
         data["future_field"] = "whatever"
         assert RunManifest.from_dict(data) == sample_manifest()
+        # Manifests written before the event-queue choice was removed
+        # carry the field that recorded it.
+        data = sample_manifest().to_dict()
+        data["scheduler"] = "heap"
+        assert RunManifest.from_dict(data) == sample_manifest()
 
     def test_save_load(self, tmp_path):
         manifest = sample_manifest()
@@ -116,14 +121,3 @@ class TestRunnerIntegration:
         assert result.system.tps > 0
         assert last_manifest() is not None
 
-
-class TestSchedulerField:
-    def test_default_scheduler_recorded(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SCHED", raising=False)
-        run_configuration(10, 1, settings=FAST_SETTINGS, use_cache=False)
-        assert last_manifest().scheduler == "heap"
-
-    def test_env_selected_scheduler_recorded(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHED", "calendar")
-        run_configuration(10, 1, settings=FAST_SETTINGS, use_cache=False)
-        assert last_manifest().scheduler == "calendar"

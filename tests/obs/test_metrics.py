@@ -207,29 +207,28 @@ class TestSchedulerPublishing:
 
         registry = enable_metrics()
         try:
-            engine = Engine(scheduler="heap")
+            engine = Engine()
             for delay in (1.0, 2.0, 3.0):
                 engine.timeout(delay)
             engine.timeout(4.0).cancel()
             engine.run()
-            publish_scheduler_metrics(engine.scheduler)
+            publish_scheduler_metrics(engine)
         finally:
             disable_metrics()
         counters = registry.counters
-        assert counters["scheduler.heap.runs"] == 1.0
         assert counters["scheduler.scheduled"] == 4.0
         assert counters["scheduler.dispatched"] == 3.0
         assert counters["scheduler.skipped_dead"] == 1.0
+        assert counters["scheduler.compactions"] == 0.0
         assert registry.gauges["scheduler.max_depth"] >= 3.0
 
     def test_publish_is_noop_when_disabled(self):
         from repro.sim import Engine
         from repro.sim.engine import publish_scheduler_metrics
 
-        publish_scheduler_metrics(Engine().scheduler)  # must not raise
+        publish_scheduler_metrics(Engine())  # must not raise
 
-    def test_run_publishes_scheduler_counters(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHED", "calendar")
+    def test_run_publishes_scheduler_counters(self):
         registry = enable_metrics()
         try:
             run_configuration(10, 1, settings=FAST_SETTINGS,
@@ -237,7 +236,8 @@ class TestSchedulerPublishing:
         finally:
             disable_metrics()
         counters = registry.counters
-        assert counters["scheduler.calendar.runs"] >= 1.0
         assert counters["scheduler.scheduled"] > 0
         assert counters["scheduler.dispatched"] > 0
+        # Every dispatched event went through a counted Engine.run call.
+        assert counters["engine.events"] == counters["scheduler.dispatched"]
         assert "scheduler.max_depth" in registry.gauges

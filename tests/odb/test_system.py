@@ -117,6 +117,29 @@ class TestRun:
                                         time_limit_s=5.0)
         assert metrics.elapsed_s <= 5.0
 
+    def test_time_limited_phase_leaves_clock_at_last_event(self, monkeypatch):
+        # A phase stopped by its deadline ends the measurement window at
+        # the last event it dispatched.  Pinning the clock to the
+        # deadline would stretch elapsed_s over idle time and move every
+        # time-limited point.
+        from repro.sim.engine import Event
+
+        dispatched_at = []
+        process = Event._process
+
+        def recording(event):
+            dispatched_at.append(event.engine.now)
+            process(event)
+
+        monkeypatch.setattr(Event, "_process", recording)
+        system = OdbSystem(OdbConfig(warehouses=400, clients=1,
+                                     processors=1))
+        metrics = system.run(warmup_txns=10, measure_txns=10**9,
+                             time_limit_s=5.0)
+        assert metrics.transactions < 10**9   # the deadline stopped it
+        assert system.engine.now == dispatched_at[-1]
+        assert metrics.elapsed_s < 5.0
+
 
 class TestIronLawConsistency:
     def test_des_tps_matches_iron_law_at_measured_utilization(self):

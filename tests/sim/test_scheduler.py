@@ -1,307 +1,65 @@
-"""Pluggable-scheduler tests: selection, ordering, lazy cancellation.
+"""Event-queue equivalence properties.
 
-Covers the satellite guarantees of the scheduler layer: the two
-implementations dispatch identically (property tests drive randomized
-schedules through both), cancelled timeouts cannot pollute the queue
-(bounded length under 10k cancellations), and the telemetry snapshot
-stays consistent.
+The engine has two ways to drain its heap: the dispatch loop behind
+``run()`` and the one-event ``step()``.  Randomized schedules must come
+out of both in the same order, and that order must be the sorted
+``(time, priority, insertion)`` drain.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import (
-    CalendarScheduler,
-    Engine,
-    HeapScheduler,
-    Interrupt,
-    SimulationError,
-    make_scheduler,
-    scheduler_name_from_env,
+from repro.sim import Engine
+from tests.sim.test_engine import (
+    _delays,
+    _interrupts,
+    _jobs,
+    _queue,
+    _random_schedule,
 )
-from repro.sim.scheduler import SCHED_ENV
 
 
-class TestSelection:
-    def test_default_is_heap(self, monkeypatch):
-        monkeypatch.delenv(SCHED_ENV, raising=False)
-        assert scheduler_name_from_env() == "heap"
-        assert isinstance(make_scheduler(None), HeapScheduler)
-
-    def test_env_selects_calendar(self, monkeypatch):
-        monkeypatch.setenv(SCHED_ENV, "calendar")
-        assert scheduler_name_from_env() == "calendar"
-        assert isinstance(Engine().scheduler, CalendarScheduler)
-
-    def test_env_rejects_unknown(self, monkeypatch):
-        monkeypatch.setenv(SCHED_ENV, "splay")
-        with pytest.raises(ValueError, match="splay"):
-            scheduler_name_from_env()
-
-    def test_name_selects_implementation(self):
-        assert isinstance(make_scheduler("heap"), HeapScheduler)
-        assert isinstance(make_scheduler("calendar"), CalendarScheduler)
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="fifo"):
-            make_scheduler("fifo")
-
-    def test_instance_passes_through(self):
-        sched = CalendarScheduler()
-        assert make_scheduler(sched) is sched
-        assert Engine(scheduler=sched).scheduler is sched
-
-    def test_non_scheduler_rejected(self):
-        with pytest.raises(TypeError):
-            make_scheduler(42)
-
-    def test_calendar_rejects_bad_width(self):
-        with pytest.raises(ValueError):
-            CalendarScheduler(width=0.0)
+def _step_drain(engine):
+    while engine.peek() != float("inf"):
+        engine.step()
 
 
-class _Item:
-    """Stand-in event: schedulers only read ``_dead`` and identity."""
-
-    __slots__ = ("_dead", "tag")
-
-    def __init__(self, tag):
-        self._dead = False
-        self.tag = tag
-
-
-def _drain(sched):
-    order = []
-    while True:
-        entry = sched.pop()
-        if entry is None:
-            return order
-        order.append(entry[3].tag)
-
-
-class TestOrdering:
-    @pytest.mark.parametrize("factory", [HeapScheduler, CalendarScheduler])
-    def test_time_priority_sequence_order(self, factory):
-        sched = factory()
-        # Same time + priority → insertion order; lower priority first.
-        sched.schedule(2.0, 1, _Item("late"))
-        sched.schedule(1.0, 1, _Item("a"))
-        sched.schedule(1.0, 1, _Item("b"))
-        sched.schedule(1.0, 0, _Item("urgent"))
-        sched.schedule(0.5, 1, _Item("first"))
-        assert _drain(sched) == ["first", "urgent", "a", "b", "late"]
-
-    @pytest.mark.parametrize("factory", [HeapScheduler, CalendarScheduler])
-    def test_pop_due_leaves_later_entries(self, factory):
-        sched = factory()
-        sched.schedule(1.0, 1, _Item("due"))
-        sched.schedule(3.0, 1, _Item("later"))
-        assert sched.pop_due(2.0)[3].tag == "due"
-        assert sched.pop_due(2.0) is None
-        assert len(sched) == 1
-        assert sched.pop_due(3.0)[3].tag == "later"
-
-    @pytest.mark.parametrize("factory", [HeapScheduler, CalendarScheduler])
-    def test_peek_skips_dead_entries(self, factory):
-        sched = factory()
-        dead = _Item("dead")
-        sched.schedule(1.0, 1, dead)
-        sched.schedule(2.0, 1, _Item("live"))
-        dead._dead = True
-        sched.note_dead()
-        assert sched.peek() == 2.0
-        assert _drain(sched) == ["live"]
-        assert sched.peek() == float("inf")
-
-    def test_calendar_far_inserts_are_bucket_appends(self):
-        sched = CalendarScheduler(width=1.0)
-        for i in range(10):
-            sched.schedule(5.25 + i / 100.0, 1, _Item(i))
-        # All ten share slot 5: one occupied slot, no near entries yet.
-        assert list(sched._far) == [5]
-        assert not sched._near
-        assert _drain(sched) == list(range(10))
-
-    def test_calendar_resize_splits_dense_slots(self):
-        sched = CalendarScheduler(width=1.0)
-        for i in range(sched.SPLIT_THRESHOLD + 1):
-            sched.schedule(1.0 + i / 1000.0, 1, _Item(i))
-        assert _drain(sched) == list(range(sched.SPLIT_THRESHOLD + 1))
-        assert sched.resizes >= 1
-        assert sched.width < 1.0
-
-    def test_calendar_resize_merges_sparse_slots(self):
-        sched = CalendarScheduler(width=1.0)
-        count = CalendarScheduler.MERGE_PATIENCE + 8
-        for i in range(count):
-            sched.schedule(float(i) + 0.5, 1, _Item(i))
-        assert _drain(sched) == list(range(count))
-        assert sched.resizes >= 1
-        assert sched.width > 1.0
-
-    def test_calendar_schedule_under_horizon_stays_ordered(self):
-        sched = CalendarScheduler(width=1.0)
-        sched.schedule(5.5, 1, _Item("mid"))
-        assert sched.pop_due(0.0) is None   # pours slot 5, horizon = 6.0
-        sched.schedule(5.25, 1, _Item("early"))   # lands under the horizon
-        sched.schedule(5.75, 1, _Item("late"))
-        assert _drain(sched) == ["early", "mid", "late"]
-
-
-class TestLazyCancellation:
-    @pytest.mark.parametrize("name", ["heap", "calendar"])
-    def test_10k_cancelled_timeouts_bounded_queue(self, name):
-        engine = Engine(scheduler=name)
-        sched = engine.scheduler
-        survivor = engine.timeout(20_000.0, value="done")
-        for t in [engine.timeout(100.0 + i) for i in range(10_000)]:
-            t.cancel()
-        # Compaction must keep the dead from accumulating: without it the
-        # queue would sit at 10_001 entries until their deadlines pop.
-        assert len(sched) == 1
-        snap = sched.snapshot()
-        assert snap["pending"] == 1
-        assert snap["compactions"] >= 5
-        assert snap["skipped_dead"] + sched._dead == 10_000
-        if name == "heap":
-            assert len(sched._heap) <= 200
-        else:
-            assert sched._queued <= 200
-        engine.run()
-        assert engine.now == 20_000.0
-        assert survivor.processed
-        final = sched.snapshot()
-        assert final["skipped_dead"] == 10_000
-        assert final["pending"] == 0
-        assert final["dispatched"] == 1
-
-    def test_cancelled_timeout_never_fires(self):
-        engine = Engine()
-        fired = []
-        t = engine.timeout(5.0)
-        t.add_callback(fired.append)
-        t.cancel()
-        engine.run()
-        assert not fired
-        assert engine.now == 0.0       # clock never advanced for it
-        assert t.cancelled
-
-    def test_cancel_is_idempotent(self):
-        engine = Engine()
-        t = engine.timeout(1.0)
-        t.cancel()
-        t.cancel()
-        assert engine.scheduler.snapshot()["pending"] == 0
-
-    def test_cancel_untriggered_event_rejected(self):
-        engine = Engine()
-        with pytest.raises(SimulationError, match="untriggered"):
-            engine.event().cancel()
-
-    def test_cancel_processed_event_rejected(self):
-        engine = Engine()
-        t = engine.timeout(1.0)
-        engine.run()
-        with pytest.raises(SimulationError, match="processed"):
-            t.cancel()
-
-    def test_waiting_on_cancelled_event_rejected(self):
-        engine = Engine()
-        t = engine.timeout(1.0)
-        t.cancel()
-        with pytest.raises(SimulationError, match="cancelled"):
-            t.add_callback(lambda event: None)
-
-    def test_interrupted_sleep_reclaims_its_timeout(self):
-        engine = Engine()
-
-        def sleeper():
-            try:
-                yield engine.timeout(1000.0)
-            except Interrupt:
-                pass
-
-        def poker(victim):
-            yield engine.timeout(1.0)
-            victim.interrupt("wake")
-
-        victim = engine.process(sleeper())
-        engine.process(poker(victim))
-        engine.run()
-        # The orphaned 1000.0 timeout was cancelled, not carried: the
-        # clock stops at the interrupt, and nothing stays queued.
-        assert engine.now == 1.0
-        assert engine.scheduler.snapshot()["pending"] == 0
-
-
-# -- scheduler equivalence (property) ------------------------------------
-
-#: Coarse delay grid so randomized schedules collide on timestamps often
-#: (ties are where dispatch order is easiest to get wrong).
-_delays = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0])
-_jobs = st.lists(st.lists(_delays, min_size=1, max_size=5),
-                 min_size=1, max_size=8)
-_interrupts = st.lists(
-    st.tuples(_delays, st.integers(min_value=0, max_value=7)),
-    max_size=4)
-
-
-def _dispatch_trace(name, jobs, interrupts):
+def _dispatch_trace(drain, jobs, interrupts):
     """Run one randomized schedule; the observable dispatch history."""
-    engine = Engine(scheduler=name)
-    trace = []
-    procs = []
-
-    def sleeper(index, delays):
-        for delay in delays:
-            try:
-                yield engine.timeout(delay)
-                trace.append(("slept", engine.now, index))
-            except Interrupt:
-                trace.append(("interrupted", engine.now, index))
-
-    for index, delays in enumerate(jobs):
-        procs.append(engine.process(sleeper(index, delays)))
-
-    def poker(pokes):
-        for delay, victim_index in pokes:
-            yield engine.timeout(delay)
-            victim = procs[victim_index % len(procs)]
-            if victim.is_alive:
-                victim.interrupt("poke")
-                trace.append(("poked", engine.now, victim_index))
-
-    if interrupts:
-        engine.process(poker(interrupts))
-    engine.run()
-    return trace, engine.now, engine.scheduler.snapshot()
+    engine = Engine()
+    trace = _random_schedule(engine, jobs, interrupts)
+    drain(engine)
+    return trace, engine.now, engine.queue_stats()
 
 
 @given(_jobs, _interrupts)
 @settings(max_examples=60, deadline=None)
 def test_schedulers_dispatch_identically(jobs, interrupts):
-    heap_trace, heap_now, heap_snap = _dispatch_trace(
-        "heap", jobs, interrupts)
-    cal_trace, cal_now, cal_snap = _dispatch_trace(
-        "calendar", jobs, interrupts)
-    assert cal_trace == heap_trace
-    assert cal_now == heap_now
+    run_trace, run_now, run_stats = _dispatch_trace(
+        Engine.run, jobs, interrupts)
+    step_trace, step_now, step_stats = _dispatch_trace(
+        _step_drain, jobs, interrupts)
+    assert step_trace == run_trace
+    assert step_now == run_now
     # After a full drain the ledgers agree too: same events scheduled,
     # same events dispatched, nothing pending either way.
     for field in ("scheduled", "dispatched", "skipped_dead", "pending"):
-        assert cal_snap[field] == heap_snap[field], field
+        assert step_stats[field] == run_stats[field], field
 
 
 @given(st.lists(st.tuples(_delays, st.sampled_from([0, 1])),
                 min_size=1, max_size=64))
 @settings(max_examples=60, deadline=None)
 def test_raw_schedulers_pop_in_same_order(entries):
-    heap, calendar = HeapScheduler(), CalendarScheduler()
-    for when, priority in entries:
-        heap.schedule(when, priority, _Item(len(heap)))
-        calendar.schedule(when, priority, _Item(len(calendar)))
-    heap_order = [entry[:3] for entry in iter(heap.pop, None)]
-    cal_order = [entry[:3] for entry in iter(calendar.pop, None)]
-    assert cal_order == heap_order
-    assert heap_order == sorted(heap_order)
+    orders = []
+    for drain in (Engine.run, _step_drain):
+        engine = Engine()
+        fired = []
+        for index, (when, priority) in enumerate(entries):
+            _queue(engine, when, priority, (when, priority, index), fired)
+        drain(engine)
+        orders.append(fired)
+    run_order, step_order = orders
+    assert step_order == run_order
+    assert run_order == sorted(run_order)
+    assert len(run_order) == len(entries)
