@@ -1,4 +1,5 @@
-/* Declarations of the compiled cache-walk kernel (_walk.c).
+/* Declarations of the compiled kernel (_walk.c): the cache walk and
+ * the exact samplers.
  *
  * This file is also the cffi cdef, so it holds only plain declarations:
  * no preprocessor lines, and array sizes written as literals.
@@ -61,3 +62,63 @@ size_t walk_data(hier_t *h, uint64_t *run, size_t n, int kernel,
                  int record_shared);
 void walk_fetch(hier_t *h, const uint64_t *run, size_t n, int kernel);
 void walk_branch(hier_t *h, const uint64_t *run, size_t n, int kernel);
+
+/* -- exact sampling ---------------------------------------------------- */
+
+/* CPython's Mersenne Twister: the 624 state words and the read index,
+ * exactly the 625 integers of random.Random.getstate()[1]. */
+typedef struct {
+    uint32_t state[624];
+    uint32_t index;
+} mt_t;
+
+double mt_random(mt_t *mt);
+uint32_t mt_getrandbits(mt_t *mt, int k);
+uint32_t mt_randbelow(mt_t *mt, uint32_t n);
+uint32_t mt_poisson(mt_t *mt, double threshold);
+
+/* One touch spec of a transaction type, resolved against the block
+ * space (repro.odb.transactions._SegmentSampler): the unit index is
+ * bisect(cdf, u), taken mod `modulus` when that is nonzero, and the
+ * block is offset + stride * warehouse + index. */
+typedef struct {
+    const double *cdf;
+    uint32_t cdf_len;
+    uint32_t count;
+    uint64_t modulus, stride, offset;
+    double write_prob;
+} touch_t;
+
+size_t sample_plans(mt_t *mt, const double *mix_cdf, uint32_t types,
+                    const uint32_t *first, const touch_t *touches,
+                    uint32_t warehouses, double remote_prob,
+                    uint32_t plans, uint64_t *out);
+
+/* Zipf CDFs of the trace stream, in gen_t.cdf order. */
+enum {
+    CDF_HOT, CDF_WARM, CDF_PRIVATE, CDF_KERNEL, CDF_USER_CODE,
+    CDF_KERNEL_CODE, CDF_HOT_BLOCK
+};
+
+/* The synthetic reference stream's sampler (repro.hw.trace). */
+typedef struct {
+    mt_t mt;
+    const double *cdf[7];
+    uint32_t cdf_len[7];
+    double p_hot, p_hot_warm, p_hot_warm_block;
+    double hot_write_prob, warm_write_prob, block_write_prob;
+    double private_write_prob, revisit_prob, hot_block_prob;
+    uint32_t warehouses, hot_blocks_per_wh, cold_blocks_per_wh;
+    uint32_t lines_per_block, slab_pool_lines, task_lines_per_client;
+    uint32_t task_refs_per_cs;
+    uint64_t slab_seq;
+    uint64_t recent[24];
+    uint32_t recent_len;
+} gen_t;
+
+void gen_user_data(gen_t *g, uint64_t private_base, uint64_t *run,
+                   size_t n);
+void gen_code(gen_t *g, int kernel, uint64_t *run, size_t n);
+void gen_branches(gen_t *g, uint64_t *run, size_t n);
+size_t gen_kernel_data(gen_t *g, size_t refs, size_t slab_refs,
+                       int64_t task_client, uint64_t *run);

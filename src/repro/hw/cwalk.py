@@ -1,13 +1,16 @@
 """Build-once loader of the compiled cache-walk kernel.
 
-``_walk.c`` holds the cache, TLB and predictor state and the reference
-walks; ``_walk.h`` declares them and doubles as the cffi ``cdef``.  On
+``_walk.c`` holds the cache, TLB and predictor state, the reference
+walks and the exact samplers (:mod:`repro.hw.sampling`); ``_walk.h``
+declares them and doubles as the cffi ``cdef``.  On
 first import the kernel is compiled in cffi API mode into this
 package's ``__pycache__``, named by a digest of both files and the
 interpreter's ABI tag, so an edit or a different interpreter builds
 afresh and a cached import is one ``dlopen``.  The build runs in a
 temp directory beside the target and lands with ``os.replace``, so
 processes importing at once each see either no file or a whole one.
+A process that lands a build removes this interpreter's other builds
+(older digests) from the directory; other interpreters' builds stay.
 A failed build raises :class:`ImportError`: the hardware model has no
 other implementation.
 """
@@ -66,12 +69,22 @@ def _build(name: str, target: Path) -> None:
             f"(cc/gcc) with the Python headers ({error})") from error
 
 
+def _prune(target: Path) -> None:
+    """Remove the stale kernel builds for this interpreter beside
+    ``target``.  A process still running one keeps its mapping."""
+    for stale in target.parent.glob("_repro_walk_*" + _SUFFIX):
+        if stale.name != target.name:
+            with contextlib.suppress(OSError):
+                stale.unlink()
+
+
 def load(cache_dir: Path = CACHE_DIR):
     """``(ffi, lib)`` of the kernel, building it into ``cache_dir`` once."""
     name = module_name()
     target = Path(cache_dir) / (name + _SUFFIX)
     if not target.exists():
         _build(name, target)
+        _prune(target)
     spec = importlib.util.spec_from_file_location(name, target)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

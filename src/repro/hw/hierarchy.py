@@ -104,6 +104,11 @@ def _counts_from(slots: list) -> HierarchyCounts:
         context_switches=slots[_CONTEXT_SWITCHES])
 
 
+def _codes(run):
+    """A run as kernel input: a cdata run as is, a list copied in."""
+    return run if isinstance(run, ffi.CData) else ffi.new("uint64_t[]", run)
+
+
 class CpuHierarchy:
     """One CPU's private TC / L2 / L3 / DTLB / branch predictor.
 
@@ -208,26 +213,26 @@ class SmpHierarchy:
     # probes as the single-reference methods above, so a run leaves
     # exactly the state and counts of issuing its references one at a
     # time.  ``kernel`` is constant per run: the generator batches at
-    # segment granularity (a user segment or a kernel burst).
+    # segment granularity (a user segment or a kernel burst).  A run is
+    # a list of ints or a ``uint64_t[]`` cdata, such as a slice of the
+    # generator's buffer, which is walked in place.
 
-    def access_run(self, cpu: int, run: list, kernel: bool) -> None:
+    def access_run(self, cpu: int, run, kernel: bool) -> None:
         """Walk packed data references ``(address << 2) | write << 1 |
-        shared`` on ``cpu`` in one pass."""
-        codes = ffi.new("uint64_t[]", run)
+        shared`` on ``cpu`` in one pass (a cdata run is overwritten)."""
+        codes = _codes(run)
         shared = lib.walk_data(self._states[cpu], codes, len(run), kernel,
                                self.processors > 1)
         if shared:
             self._replay(cpu, codes, shared, kernel)
 
-    def fetch_run(self, cpu: int, run: list, kernel: bool) -> None:
+    def fetch_run(self, cpu: int, run, kernel: bool) -> None:
         """Walk a run of instruction-fetch byte addresses in one pass."""
-        lib.walk_fetch(self._states[cpu], ffi.new("uint64_t[]", run),
-                       len(run), kernel)
+        lib.walk_fetch(self._states[cpu], _codes(run), len(run), kernel)
 
-    def branch_run(self, cpu: int, run: list, kernel: bool) -> None:
+    def branch_run(self, cpu: int, run, kernel: bool) -> None:
         """Walk packed branches ``(site << 1) | taken`` in one pass."""
-        lib.walk_branch(self._states[cpu], ffi.new("uint64_t[]", run),
-                        len(run), kernel)
+        lib.walk_branch(self._states[cpu], _codes(run), len(run), kernel)
 
     def _replay(self, cpu: int, codes, count: int, kernel: bool) -> None:
         """Drive the directory with ``cpu``'s shared data references.

@@ -36,28 +36,20 @@ real-machine reference densities (``*_density`` parameters).
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
+from repro.hw.cwalk import ffi, lib
 from repro.hw.hierarchy import HierarchyCounts, SmpHierarchy
 from repro.hw.machine import MachineConfig
-from repro.sim.randomness import RandomStreams, sample_cdf, zipf_cdf
+from repro.hw.sampling import Mersenne, check_bound, zipf_array
+from repro.sim.randomness import RandomStreams
 
-# Region base addresses (byte addresses; regions far apart).
-_HOT_BASE = 0
-_WARM_BASE = 1 << 24
+# Region base addresses the Python side uses (byte addresses).  The
+# rest of the address map lives beside the samplers in ``_walk.c``.
 _PRIVATE_BASE = 1 << 25
-_KERNEL_DATA_BASE = 1 << 28
-_KERNEL_COLD_BASE = 1 << 29
-_KERNEL_TASK_BASE = 3 << 28
 _KERNEL_SYNC_BASE = 7 << 26
-_BLOCK_BASE = 1 << 30
-_USER_CODE_BASE = 0
-_KERNEL_CODE_BASE = 1 << 22
 
 _LINE = 128  # L2/L3 line size in bytes (both machines)
-_CODE_LINE = 64  # TC line size
 
 
 @dataclass(frozen=True)
@@ -189,7 +181,15 @@ class MicroarchRates:
 
 
 class TraceGenerator:
-    """Drives an :class:`SmpHierarchy` with the synthetic stream."""
+    """Drives an :class:`SmpHierarchy` with the synthetic stream.
+
+    The stream is sampled in the walk kernel (DESIGN.md §13, "Compiled
+    sampling"): a ``gen_t`` holds the ``trace`` stream's Mersenne
+    Twister state, the Zipf CDFs and the stream parameters, and fills
+    one segment's run at a time into a buffer that goes to the walk
+    as it is.  The ``Random`` stream is handed to the kernel and back
+    once per :meth:`run` or :meth:`run_transaction` call.
+    """
 
     def __init__(self, machine: MachineConfig, profile: TraceProfile,
                  streams: RandomStreams,
@@ -197,215 +197,102 @@ class TraceGenerator:
         self.machine = machine
         self.profile = profile
         self.params = params
+        p = params
+        for name, bound in (
+                ("warehouses", profile.warehouses),
+                ("clients", profile.clients),
+                ("cold_blocks_per_warehouse", p.cold_blocks_per_warehouse),
+                ("lines_per_block", p.lines_per_block),
+                ("os_slab_pool_lines", p.os_slab_pool_lines),
+                ("os_task_lines_per_client", p.os_task_lines_per_client),
+                ("os_sync_lines", p.os_sync_lines)):
+            check_bound(name, bound)
         self.smp = SmpHierarchy(machine, profile.processors,
                                 scale=params.micro_scale)
         self._rng = streams.stream("trace")
-        p = params
-        self._hot_cdf = zipf_cdf(p.hot_lines, p.hot_skew)
-        self._warm_cdf = zipf_cdf(p.warm_lines, p.warm_skew)
-        self._private_cdf = zipf_cdf(p.private_lines, 0.4)
-        self._kernel_cdf = zipf_cdf(p.kernel_data_lines, p.kernel_skew)
-        self._user_code_cdf = zipf_cdf(p.user_code_lines, p.code_skew)
-        self._kernel_code_cdf = zipf_cdf(p.kernel_code_lines, p.code_skew)
-        self._hot_block_cdf = zipf_cdf(p.hot_blocks_per_warehouse, p.block_skew)
-        # Per-transaction recent-line window for within-transaction reuse.
-        self._recent: list[int] = []
-        self._slab_seq = 0
-        self._txns_run = 0
-
-    # -- address pickers ----------------------------------------------------
-
-    # The segment methods below run in two batched phases (DESIGN.md
-    # §13): a *generation* pass draws every random number in exactly the
-    # order of the straightforward per-access formulation and packs the
-    # resulting references into a flat run buffer (plain ints: address
-    # plus flag bits — no per-access tuples or method calls), then a
-    # single *walk* call (:meth:`repro.hw.hierarchy.SmpHierarchy.access_run`
-    # and friends) replays the run through the cache models in the
-    # compiled walk kernel.  Both phases preserve the reference order, so
-    # the cache state evolution — and therefore every count — is
-    # bit-identical to the per-access path.
-
-    def _pick(self, base: int, cdf, rng) -> int:
-        return base + sample_cdf(rng, cdf) * _LINE
-
-    def _pick_block_address(self, rng) -> int:
-        p = self.params
-        warehouse = rng.randrange(self.profile.warehouses)
-        if rng.random() < p.hot_block_prob:
-            block = bisect_left(self._hot_block_cdf, rng.random())
-            block_id = warehouse * p.hot_blocks_per_warehouse + block
-            region = 0
-        else:
-            block = rng.randrange(p.cold_blocks_per_warehouse)
-            block_id = warehouse * p.cold_blocks_per_warehouse + block
-            region = 1 << 38  # cold blocks live far from hot blocks
-        line = rng.randrange(p.lines_per_block)
-        return _BLOCK_BASE + region + (block_id * p.lines_per_block + line) * _LINE
+        shapes = ((p.hot_lines, p.hot_skew), (p.warm_lines, p.warm_skew),
+                  (p.private_lines, 0.4),
+                  (p.kernel_data_lines, p.kernel_skew),
+                  (p.user_code_lines, p.code_skew),
+                  (p.kernel_code_lines, p.code_skew),
+                  (p.hot_blocks_per_warehouse, p.block_skew))
+        # The gen_t points into these arrays.
+        self._cdfs = [zipf_array(n, skew) for n, skew in shapes]
+        p_hot_warm = p.p_hot + p.p_warm
+        self._gen = ffi.new("gen_t *", {
+            "cdf": self._cdfs,
+            "cdf_len": [n for n, _ in shapes],
+            "p_hot": p.p_hot,
+            "p_hot_warm": p_hot_warm,
+            "p_hot_warm_block": p_hot_warm + p.p_block,
+            "hot_write_prob": p.hot_write_prob,
+            "warm_write_prob": p.warm_write_prob,
+            "block_write_prob": p.block_write_prob,
+            "private_write_prob": p.private_write_prob,
+            "revisit_prob": p.revisit_prob,
+            "hot_block_prob": p.hot_block_prob,
+            "warehouses": profile.warehouses,
+            "hot_blocks_per_wh": p.hot_blocks_per_warehouse,
+            "cold_blocks_per_wh": p.cold_blocks_per_warehouse,
+            "lines_per_block": p.lines_per_block,
+            "slab_pool_lines": p.os_slab_pool_lines,
+            "task_lines_per_client": p.os_task_lines_per_client,
+            "task_refs_per_cs": p.os_task_refs_per_cs,
+        })
+        self._mt = Mersenne(ffi.addressof(self._gen, "mt"))
+        # One run buffer, as long as the longest segment or burst; each
+        # run is walked before the next is filled.
+        self._buffer = ffi.new("uint64_t[]", max(
+            p.user_refs_per_txn, p.code_refs_per_txn, p.branches_per_txn,
+            p.os_code_refs_per_burst, p.os_base_refs,
+            p.os_refs_per_io + p.os_slab_refs_per_io + p.os_task_refs_per_cs,
+            p.os_refs_per_cs + p.os_task_refs_per_cs))
 
     # -- stream segments ----------------------------------------------------
 
-    def _user_data_segment(self, cpu: int, client: int, count: int) -> None:
-        p = self.params
-        rng = self._rng
-        rand = rng.random
-        # randrange draws are inlined as CPython's
-        # Random._randbelow_with_getrandbits loop — identical getrandbits
-        # sequence (the stream stays pinned), minus two interpreter
-        # frames per draw; _pick_block_address is inlined the same way.
-        getrandbits = rng.getrandbits
-        recent = self._recent
-        hot_cdf = self._hot_cdf
-        warm_cdf = self._warm_cdf
-        private_cdf = self._private_cdf
-        hot_block_cdf = self._hot_block_cdf
-        p_hot = p.p_hot
-        p_hot_warm = p.p_hot + p.p_warm
-        p_hot_warm_block = p_hot_warm + p.p_block
-        hot_write_prob = p.hot_write_prob
-        warm_write_prob = p.warm_write_prob
-        block_write_prob = p.block_write_prob
-        private_write_prob = p.private_write_prob
-        revisit_prob = p.revisit_prob
-        hot_block_prob = p.hot_block_prob
-        wh_count = self.profile.warehouses
-        wh_bits = wh_count.bit_length()
-        hot_per_wh = p.hot_blocks_per_warehouse
-        cold_per_wh = p.cold_blocks_per_warehouse
-        cold_bits = cold_per_wh.bit_length()
-        lines_per_block = p.lines_per_block
-        line_bits = lines_per_block.bit_length()
-        private_base = _PRIVATE_BASE + client * (p.private_lines * 2) * _LINE
-        # Generation pass: pack (address << 2) | write << 1 | shared.
-        run: list[int] = []
-        append = run.append
-        for _ in range(count):
-            if recent and rand() < revisit_prob:
-                size = len(recent)
-                size_bits = size.bit_length()
-                pick = getrandbits(size_bits)
-                while pick >= size:
-                    pick = getrandbits(size_bits)
-                append(recent[pick] << 2)
-                continue
-            u = rand()
-            if u < p_hot:
-                address = _HOT_BASE + bisect_left(hot_cdf, rand()) * _LINE
-                append((address << 2)
-                       | (2 if rand() < hot_write_prob else 0) | 1)
-            elif u < p_hot_warm:
-                address = _WARM_BASE + bisect_left(warm_cdf, rand()) * _LINE
-                append((address << 2)
-                       | (2 if rand() < warm_write_prob else 0) | 1)
-            elif u < p_hot_warm_block:
-                warehouse = getrandbits(wh_bits)
-                while warehouse >= wh_count:
-                    warehouse = getrandbits(wh_bits)
-                if rand() < hot_block_prob:
-                    block_id = (warehouse * hot_per_wh
-                                + bisect_left(hot_block_cdf, rand()))
-                    region = 0
-                else:
-                    block = getrandbits(cold_bits)
-                    while block >= cold_per_wh:
-                        block = getrandbits(cold_bits)
-                    block_id = warehouse * cold_per_wh + block
-                    region = 1 << 38   # cold blocks live far from hot
-                line = getrandbits(line_bits)
-                while line >= lines_per_block:
-                    line = getrandbits(line_bits)
-                address = (_BLOCK_BASE + region
-                           + (block_id * lines_per_block + line) * _LINE)
-                append((address << 2)
-                       | (2 if rand() < block_write_prob else 0))
-                recent.append(address)
-                if len(recent) > 24:
-                    recent.pop(0)
-            else:
-                address = (private_base
-                           + bisect_left(private_cdf, rand()) * _LINE)
-                append((address << 2)
-                       | (2 if rand() < private_write_prob else 0))
-        if run:
-            self.smp.access_run(cpu, run, False)
-
-    def _user_code_segment(self, cpu: int, count: int) -> None:
-        rand = self._rng.random
-        cdf = self._user_code_cdf
-        run = [_USER_CODE_BASE + bisect_left(cdf, rand()) * _CODE_LINE
-               for _ in range(count)]
-        if run:
-            self.smp.fetch_run(cpu, run, False)
-
-    def _branches(self, cpu: int, count: int) -> None:
-        rand = self._rng.random
-        cdf = self._user_code_cdf
-        run: list[int] = []
-        append = run.append
-        for _ in range(count):
-            site = bisect_left(cdf, rand())
-            # Per-site taken bias, stable across the run: mostly strongly
-            # biased branches with a hard-to-predict minority, as in real
-            # integer code.
-            bucket = (site * 2654435761) % 20
-            if bucket < 12:
-                taken_prob = 0.97
-            elif bucket < 15:
-                taken_prob = 0.03
-            elif bucket < 19:
-                taken_prob = 0.88
-            else:
-                taken_prob = 0.55
-            append((site << 1) | (1 if rand() < taken_prob else 0))
-        if run:
-            self.smp.branch_run(cpu, run, False)
+    # A transaction runs as a sequence of segments (user data, user
+    # code, branches, kernel bursts).  Each one is two calls: a kernel
+    # fill draws its references in exactly the order of the original
+    # per-access Python formulation (``tests/hw/reference_trace.py``)
+    # into the run buffer, and one walk call
+    # (:meth:`repro.hw.hierarchy.SmpHierarchy.access_run` and friends)
+    # replays that slice of the buffer through the cache models.  Both
+    # keep the reference order, so every count is bit-identical to the
+    # per-access path.
 
     def _kernel_burst(self, cpu: int, refs: int, slab_refs: int = 0,
-                      task_client: int | None = None) -> None:
-        p = self.params
-        rng = self._rng
-        rand = rng.random
-        kernel_cdf = self._kernel_cdf
-        run: list[int] = []
-        append = run.append
-        for _ in range(refs):
-            address = (_KERNEL_DATA_BASE
-                       + bisect_left(kernel_cdf, rand()) * _LINE)
-            append((address << 2) | (2 if rand() < 0.3 else 0))
-        for _ in range(slab_refs):
-            # Recycled per-request slab objects: hit when recently reused.
-            self._slab_seq += 1
-            line = self._slab_seq % p.os_slab_pool_lines
-            append(((_KERNEL_COLD_BASE + line * _LINE) << 2) | 2)
-        if task_client is not None:
-            base = (_KERNEL_TASK_BASE
-                    + task_client * p.os_task_lines_per_client * _LINE)
-            for _ in range(p.os_task_refs_per_cs):
-                offset = rng.randrange(p.os_task_lines_per_client)
-                append(((base + offset * _LINE) << 2)
-                       | (2 if rand() < 0.4 else 0))
-        if run:
-            self.smp.access_run(cpu, run, True)
-        kernel_code_cdf = self._kernel_code_cdf
-        code_run = [
-            _KERNEL_CODE_BASE + bisect_left(kernel_code_cdf, rand()) * _CODE_LINE
-            for _ in range(p.os_code_refs_per_burst)]
-        if code_run:
-            self.smp.fetch_run(cpu, code_run, True)
+                      task_client: int = -1) -> None:
+        buffer = self._buffer
+        count = lib.gen_kernel_data(self._gen, refs, slab_refs, task_client,
+                                    buffer)
+        if count:
+            self.smp.access_run(cpu, buffer[0:count], True)
+        count = self.params.os_code_refs_per_burst
+        if count:
+            lib.gen_code(self._gen, True, buffer, count)
+            self.smp.fetch_run(cpu, buffer[0:count], True)
 
     # -- driving ------------------------------------------------------------
 
     def run_transaction(self, cpu: int, client: int) -> None:
         """Simulate one transaction's reference stream on ``cpu``."""
+        with self._mt.borrowed(self._rng):
+            self._transaction(cpu, client)
+
+    def _transaction(self, cpu: int, client: int) -> None:
         p = self.params
-        rng = self._rng
+        gen = self._gen
+        mt = self._mt.c
+        buffer = self._buffer
+        smp = self.smp
         profile = self.profile
-        self._recent = []
-        reads = _poisson(rng, profile.reads_per_txn)
-        switches = _poisson(rng, profile.context_switches_per_txn)
+        gen.recent_len = 0
+        reads = self._mt.poisson(profile.reads_per_txn)
+        switches = self._mt.poisson(profile.context_switches_per_txn)
+        private_base = _PRIVATE_BASE + client * (p.private_lines * 2) * _LINE
         # Split the user work into segments separated by I/O waits; each
         # I/O produces a kernel burst and each switch flushes the DTLB.
-        segments = max(1, reads + 1)
+        segments = reads + 1
         user_refs_left = p.user_refs_per_txn
         code_refs_left = p.code_refs_per_txn
         branches_left = p.branches_per_txn
@@ -414,20 +301,26 @@ class TraceGenerator:
             share = user_refs_left // (segments - segment)
             code_share = code_refs_left // (segments - segment)
             branch_share = branches_left // (segments - segment)
-            self._user_data_segment(cpu, client, share)
-            self._user_code_segment(cpu, code_share)
-            self._branches(cpu, branch_share)
+            if share:
+                lib.gen_user_data(gen, private_base, buffer, share)
+                smp.access_run(cpu, buffer[0:share], False)
+            if code_share:
+                lib.gen_code(gen, False, buffer, code_share)
+                smp.fetch_run(cpu, buffer[0:code_share], False)
+            if branch_share:
+                lib.gen_branches(gen, buffer, branch_share)
+                smp.branch_run(cpu, buffer[0:branch_share], False)
             user_refs_left -= share
             code_refs_left -= code_share
             branches_left -= branch_share
             if segment < reads:
-                next_client = rng.randrange(profile.clients)
+                next_client = lib.mt_randbelow(mt, profile.clients)
                 self._kernel_burst(cpu, p.os_refs_per_io,
                                    slab_refs=p.os_slab_refs_per_io,
                                    task_client=next_client
-                                   if switches_left > 0 else None)
+                                   if switches_left > 0 else -1)
                 if switches_left > 0:
-                    self.smp.context_switch(cpu)
+                    smp.context_switch(cpu)
                     switches_left -= 1
         self._kernel_burst(cpu, p.os_base_refs)
         for _ in range(switches_left):
@@ -435,14 +328,14 @@ class TraceGenerator:
             # incoming process's task state, and the contended wait-queue
             # structures, which bounce between CPUs.
             self._kernel_burst(cpu, p.os_refs_per_cs,
-                               task_client=rng.randrange(profile.clients))
+                               task_client=lib.mt_randbelow(
+                                   mt, profile.clients))
             for _ in range(p.os_sync_refs_per_cs):
                 address = (_KERNEL_SYNC_BASE
-                           + rng.randrange(p.os_sync_lines) * _LINE)
-                self.smp.data_access(cpu, address, write=rng.random() < 0.5,
-                                     kernel=True, shared=True)
-            self.smp.context_switch(cpu)
-        self._txns_run += 1
+                           + lib.mt_randbelow(mt, p.os_sync_lines) * _LINE)
+                smp.data_access(cpu, address, write=lib.mt_random(mt) < 0.5,
+                                kernel=True, shared=True)
+            smp.context_switch(cpu)
 
     def run(self, transactions: int, warmup: int = 0) -> MicroarchRates:
         """Run ``transactions`` transactions round-robin over clients.
@@ -454,13 +347,14 @@ class TraceGenerator:
         counts are discarded, mirroring the paper's 20-minute warm-up.
         """
         profile = self.profile
-        for index in range(warmup):
-            client = index % profile.clients
-            self.run_transaction(client % profile.processors, client)
-        self._reset_counts()
-        for index in range(transactions):
-            client = index % profile.clients
-            self.run_transaction(client % profile.processors, client)
+        with self._mt.borrowed(self._rng):
+            for index in range(warmup):
+                client = index % profile.clients
+                self._transaction(client % profile.processors, client)
+            self._reset_counts()
+            for index in range(transactions):
+                client = index % profile.clients
+                self._transaction(client % profile.processors, client)
         return self.rates()
 
     def _reset_counts(self) -> None:
@@ -526,15 +420,3 @@ class TraceGenerator:
         rates.validate()
         return rates
 
-
-def _poisson(rng, mean: float) -> int:
-    """Small-mean Poisson sample (Knuth's method; mean is O(10) here)."""
-    if mean <= 0:
-        return 0
-    threshold = math.exp(-mean)
-    count = 0
-    product = rng.random()
-    while product > threshold:
-        count += 1
-        product *= rng.random()
-    return count

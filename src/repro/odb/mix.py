@@ -19,17 +19,23 @@ class TransactionMix:
         total = sum(p.weight for p in profiles)
         if total <= 0:
             raise ValueError("mix weights must sum to a positive value")
-        self._cdf: list[float] = []
+        #: Cumulative normalized weights; ``pick`` takes the first profile
+        #: whose entry is >= the uniform draw.
+        self.cdf: list[float] = []
         running = 0.0
         for profile in profiles:
             running += profile.weight / total
-            self._cdf.append(running)
-        self._cdf[-1] = 1.0
+            self.cdf.append(running)
+        self.cdf[-1] = 1.0
+
+    def active(self) -> "TransactionMix":
+        """The stationary mix ``pick`` currently draws from: this one."""
+        return self
 
     def pick(self, rng: Random) -> TransactionProfile:
         """Draw one transaction type from the mix."""
         u = rng.random()
-        for probability, profile in zip(self._cdf, self.profiles):
+        for probability, profile in zip(self.cdf, self.profiles):
             if u <= probability:
                 return profile
         return self.profiles[-1]
@@ -86,6 +92,10 @@ class PhasedTransactionMix(TransactionMix):
         index = bisect_right(self._ends, position)
         return min(index, len(self._phase_mixes) - 1)
 
+    def active(self) -> TransactionMix:
+        """The active phase's own stationary mix."""
+        return self._phase_mixes[self.active_phase()]
+
     def pick(self, rng: Random) -> TransactionProfile:
         """Draw one transaction type from the active phase's mix."""
-        return self._phase_mixes[self.active_phase()].pick(rng)
+        return self.active().pick(rng)

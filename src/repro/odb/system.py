@@ -245,27 +245,25 @@ class OdbSystem:
         freshens LRU recency with realistic access interleaving.
         """
         from repro.odb.popularity import steady_state_fill
-        from repro.odb.transactions import plan_transaction
 
         steady_state_fill(self.buffer_cache, self.space, self.mix.profiles)
-        rng = self.streams.stream("prewarm")
-        # Hot loop (thousands of plan replays before the DES even
-        # starts): alias the per-plan callees once.
-        pick_profile = self.mix.pick
+        # The plans are sampled in the walk kernel, a buffer at a time;
+        # the clock stands still during prewarm, so a phased mix draws
+        # from one phase throughout.
         cache = self.buffer_cache
         lookup = cache.lookup
         touch_write = cache.touch_write
         install = cache.install
-        sampler = self.sampler
-        warehouses = self.config.warehouses
-        remote_prob = self.remote_touch_prob
-        for _ in range(plans):
-            plan = plan_transaction(rng, pick_profile(rng), sampler,
-                                    warehouses, remote_prob)
-            for block_id, write in plan.touches:
-                hit = touch_write(block_id) if write else lookup(block_id)
-                if not hit:
-                    install(block_id, dirty=write)
+        for touches in self.sampler.sample_plans(
+                self.streams.stream("prewarm"), self.mix.active(),
+                self.config.warehouses, self.remote_touch_prob, plans):
+            for code in touches:
+                block_id = code >> 1
+                if code & 1:
+                    if not touch_write(block_id):
+                        install(block_id, True)
+                elif not lookup(block_id):
+                    install(block_id, False)
         cache.reset_stats()
 
     def _prewarm_once(self, plans: int) -> bool:

@@ -15,6 +15,8 @@ from random import Random
 from typing import Optional
 
 from repro.db.blocks import BlockSpace
+from repro.hw.cwalk import ffi, lib
+from repro.hw.sampling import Mersenne, check_bound, zipf_array
 from repro.sim.randomness import zipf_cdf
 
 
@@ -191,80 +193,115 @@ def _raw_abort_weight(profile: TransactionProfile) -> float:
 
 
 class _SegmentSampler:
-    """Cached Zipf CDFs per (segment, skew) for block picking.
+    """Per-profile touch specs resolved against one block space.
 
-    ``pick`` runs once per planned touch — hundreds of thousands of
-    times per configuration — so everything derivable from the spec
-    alone (the CDF, the segment's unit count, the block-id base and
-    stride) is resolved once into a per-spec plan and the hot call
-    reduces to one ``rng.random()`` draw, a bisect, and one add chain.
-    The draw order is identical to the direct formulation: exactly one
-    uniform sample per touch.
+    Everything derivable from a spec alone (the Zipf CDF, the segment's
+    unit count, the block-id base and stride) is resolved once per
+    transaction profile, so a planned touch costs one uniform draw, a
+    bisect and one add chain.  The DES's :func:`plan_transaction` and
+    the compiled prewarm sampler (:meth:`sample_plans`) read the same
+    resolution.
     """
 
     def __init__(self, space: BlockSpace):
         self.space = space
-        self._cdfs: dict[tuple[str, float], list[float]] = {}
-        #: spec -> (cdf, modulus-or-0, per-warehouse stride-or-0, offset).
-        self._plans: dict[TouchSpec, tuple] = {}
+        #: id(profile) -> (profile, resolved touches).  Keyed by identity:
+        #: hashing a frozen profile hashes every TouchSpec in it.  The
+        #: entry holds the profile, so its id cannot be reused.
+        self._resolved: dict[int, tuple] = {}
 
-    def _plan(self, spec: TouchSpec) -> tuple:
-        segment = self.space.segment(spec.segment)
+    def resolve(self, profile: TransactionProfile) -> tuple[tuple, ...]:
+        """Per touch spec of ``profile``: ``(cdf, modulus, stride,
+        offset, count, write_prob, cdf_array)``.  The unit index is
+        ``bisect_left(cdf, u)``, taken mod ``modulus`` when that is
+        nonzero; the block is ``offset + stride * warehouse + index``.
+        ``cdf_array`` is ``cdf`` as a ``double[]`` for the kernel."""
+        entry = self._resolved.get(id(profile))
+        if entry is None:
+            entry = (profile, tuple(self._touch(spec)
+                                    for spec in profile.touches))
+            self._resolved[id(profile)] = entry
+        return entry[1]
+
+    def _touch(self, spec: TouchSpec) -> tuple:
+        space = self.space
+        segment = space.segment(spec.segment)
+        modulus = 0
         if spec.fixed_index is not None:
             # A pinned unit: the CDF degenerates to one bucket so the
-            # hot call still consumes exactly one uniform draw (keeping
-            # the RNG stream aligned with distribution changes) and the
+            # touch still consumes exactly one uniform draw (keeping the
+            # RNG stream aligned with distribution changes) and the
             # chosen index folds into the offset.
-            cdf = [1.0]
-            modulus = 0
-            space = self.space
-            if segment.per_warehouse:
-                stride = space.units_per_warehouse
-                offset = space.global_units + space._wh_offsets[spec.segment]
-            else:
-                stride = 0
-                offset = space._global_offsets[spec.segment]
-            plan = (cdf, modulus, stride,
-                    offset + spec.fixed_index % segment.units)
-            self._plans[spec] = plan
-            return plan
-        if spec.append_hot:
+            units, skew = 1, 0.0
+            pinned = spec.fixed_index % segment.units
+        elif spec.append_hot:
             # A rolling append window: the hottest ~2% of the segment
             # (at least 4 units), strongly skewed.
-            window = max(4, segment.units // 50)
-            key = (spec.segment, -1.0)
-            cdf = self._cdfs.get(key)
-            if cdf is None:
-                cdf = zipf_cdf(window, 1.2)
-                self._cdfs[key] = cdf
+            units, skew = max(4, segment.units // 50), 1.2
             modulus = segment.units
+            pinned = 0
         else:
-            key = (spec.segment, spec.skew)
-            cdf = self._cdfs.get(key)
-            if cdf is None:
-                cdf = zipf_cdf(segment.units, spec.skew)
-                self._cdfs[key] = cdf
-            modulus = 0
-        space = self.space
+            units, skew = segment.units, spec.skew
+            pinned = 0
         if segment.per_warehouse:
             stride = space.units_per_warehouse
             offset = space.global_units + space._wh_offsets[spec.segment]
         else:
             stride = 0
             offset = space._global_offsets[spec.segment]
-        plan = (cdf, modulus, stride, offset)
-        self._plans[spec] = plan
-        return plan
+        return (zipf_cdf(units, skew), modulus, stride, offset + pinned,
+                spec.count, spec.write_prob, zipf_array(units, skew))
 
-    def pick(self, rng: Random, spec: TouchSpec, warehouse: int) -> int:
-        plan = self._plans.get(spec)
-        if plan is None:
-            plan = self._plan(spec)
-        cdf, modulus, stride, offset = plan
-        index = bisect_left(cdf, rng.random())
-        if modulus:
-            index %= modulus
-        return offset + stride * warehouse + index
+    def sample_plans(self, rng: Random, mix, warehouses: int,
+                     remote_prob: float, plans: int):
+        """The touches of ``plans`` transactions drawn from ``mix`` in
+        the walk kernel, each packed as ``(block_id << 1) | write``.
+
+        Returns an iterator of ``uint64_t[]`` slices, in access order,
+        each valid until the next is taken.  Iterated to the end, it
+        draws exactly what ``plans`` calls of ``plan_transaction(rng,
+        mix.pick(rng), self, warehouses, remote_prob)`` would and
+        leaves ``rng`` where they would.  ``mix`` is a stationary
+        :class:`~repro.odb.mix.TransactionMix`.
+        """
+        check_bound("warehouses", warehouses)
+        first = [0]
+        touches = []
+        for profile in mix.profiles:
+            for (cdf, modulus, stride, offset, count, write_prob,
+                 array) in self.resolve(profile):
+                touches.append({
+                    "cdf": array, "cdf_len": len(cdf), "count": count,
+                    "modulus": modulus, "stride": stride, "offset": offset,
+                    "write_prob": write_prob})
+            first.append(len(touches))
+        longest = max(sum(spec.count for spec in profile.touches)
+                      for profile in mix.profiles)
+        tables = (ffi.new("double[]", mix.cdf), len(mix.profiles),
+                  ffi.new("uint32_t[]", first), ffi.new("touch_t[]", touches),
+                  warehouses, remote_prob)
+        return _fills(rng, tables, plans, max(1, _FILL_TOUCHES // longest),
+                      longest)
+
+
+#: Touches one kernel call of ``_SegmentSampler.sample_plans`` fills at
+#: most: a 64 KiB buffer, reused.  One buffer for all 4 000 prewarm
+#: plans would be about 600 KiB, and freeing a block that large raises
+#: glibc's mmap threshold; the DES's later allocations then fragment
+#: the heap, which cost about 3 MB of peak RSS per process.
+_FILL_TOUCHES = 8192
+
+
+def _fills(rng: Random, tables: tuple, plans: int, per_fill: int,
+           longest: int):
+    """Yield ``plans`` transactions' touches, ``per_fill`` plans per
+    kernel call, drawing from ``rng``'s stream (one handoff)."""
+    out = ffi.new("uint64_t[]", per_fill * longest)
+    with Mersenne().borrowed(rng) as mt:
+        while plans > 0:
+            count = lib.sample_plans(mt.c, *tables, min(plans, per_fill), out)
+            plans -= per_fill
+            yield out[0:count]
 
 
 def plan_transaction(rng: Random, profile: TransactionProfile,
@@ -275,7 +312,6 @@ def plan_transaction(rng: Random, profile: TransactionProfile,
     ``remote_prob`` is the chance any given touch goes to a remote
     warehouse (TPC-C's remote order lines / customer payments).
     """
-    space = sampler.space
     # The randrange draws are inlined as CPython's
     # Random._randbelow_with_getrandbits loop (k = n.bit_length(),
     # redraw while >= n): same getrandbits sequence, so the stream stays
@@ -296,21 +332,15 @@ def plan_transaction(rng: Random, profile: TransactionProfile,
         # updates contend per warehouse (Oracle buffer-level contention),
         # which is what makes tiny databases switch-heavy.
         lock_keys.append(("dist", warehouse))
-    # Hot loop: the sampler's per-spec plan is resolved once per spec,
-    # not once per touch, and the pick is inlined (one uniform draw, a
-    # bisect, an add chain) — draw order identical to sampler.pick.
+    # Hot loop: the touch specs come resolved once per profile (one
+    # uniform draw, a bisect, an add chain per touch).
     touches: list[tuple[int, bool]] = []
     append = touches.append
     rand = rng.random
-    plans = sampler._plans
     multi = warehouses > 1
-    for spec in profile.touches:
-        plan = plans.get(spec)
-        if plan is None:
-            plan = sampler._plan(spec)
-        cdf, modulus, stride, offset = plan
-        write_prob = spec.write_prob
-        for _ in range(spec.count):
+    for (cdf, modulus, stride, offset, count, write_prob,
+         _) in sampler.resolve(profile):
+        for _ in range(count):
             target = warehouse
             if multi and rand() < remote_prob:
                 target = getrandbits(wh_bits)

@@ -16,8 +16,14 @@ from repro.hw import (
     TraceProfile,
     XEON_MP_QUAD,
 )
-from repro.hw.trace import _poisson
+from repro.hw.sampling import Mersenne
 from repro.sim.randomness import RandomStreams
+
+
+def _poisson(rng, mean):
+    """One draw of the compiled Poisson sampler from ``rng``'s stream."""
+    with Mersenne().borrowed(rng) as mt:
+        return mt.poisson(mean)
 
 
 def profile(warehouses=100, processors=4, clients=32, reads=3.0, switches=5.0):
