@@ -11,7 +11,7 @@ Each mode times three things, always uncached:
 
 - one canonical single-configuration run (DES + trace + CPI fixed point);
 - a small warehouse sweep executed serially;
-- the same sweep through :func:`repro.experiments.parallel.sweep_parallel`.
+- the same sweep through :func:`repro.experiments.parallel.run_sweep` on the local pool.
 
 Results land in ``benchmarks/BENCH_runtime.json``.  ``--check`` compares
 against the committed ``benchmarks/BENCH_runtime_baseline.json`` and
@@ -40,7 +40,10 @@ from repro.experiments.configs import (  # noqa: E402
     DEFAULT_SETTINGS,
     FAST_SETTINGS,
 )
-from repro.experiments.parallel import sweep_parallel  # noqa: E402
+from repro.experiments.parallel import (  # noqa: E402
+    PoolExecutor,
+    run_sweep,
+)
 from repro.experiments.runner import run_configuration, sweep  # noqa: E402
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent / "BENCH_runtime.json"
@@ -119,9 +122,9 @@ def time_sweep_parallel(spec: dict, jobs: int) -> float:
     # exercise the real atomic-store path.
     with tempfile.TemporaryDirectory(prefix="bench-cache-") as cache_dir:
         start = time.perf_counter()
-        sweep_parallel(spec["grid"], spec["processors"],
-                       settings=spec["settings"], jobs=jobs,
-                       cache_dir=cache_dir)
+        run_sweep(spec["grid"], spec["processors"],
+                  settings=spec["settings"], cache_dir=cache_dir,
+                  executor=PoolExecutor(jobs))
         return time.perf_counter() - start
 
 

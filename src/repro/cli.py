@@ -39,22 +39,22 @@ authoring guide.
 ``--jobs N`` fans independent configuration runs across ``N`` worker
 processes (default: one per CPU; results are bit-identical to serial,
 see DESIGN.md §8); ``REPRO_SERIAL=1`` forces serial execution.
-``--shards N``, ``--retries N``, and ``--point-timeout S`` (on
-``sweep`` and ``report --sweep``) opt into the supervised sharded
-executor (:mod:`repro.experiments.supervisor`): per-point retry with
-deterministic backoff, pool self-healing on worker death, and shard
-failover, with the degradation timeline surfaced in sweep reports
-(DESIGN.md §11).  ``--workers N`` (on ``sweep``) distributes the sweep
-across ``N`` fabric worker processes over ``--transport`` stdio pipes
-or TCP sockets (:mod:`repro.fabric`): time-bounded leases, heartbeat
-liveness, idempotent journal appends, and graceful fallback to the
-local executor when the fleet is lost (DESIGN.md §12).  ``--bind
+Every sweep runs through one driver (:mod:`repro.experiments.parallel`,
+DESIGN.md §8): per-point retry with deterministic backoff, pool
+self-healing on worker death, and the degradation timeline surfaced in
+sweep reports.  ``--retries N`` and ``--point-timeout S`` (on ``sweep``
+and ``report --sweep``) set its retry budget and per-point deadline.
+``--workers N`` (on ``sweep``) distributes the sweep across ``N``
+fabric worker processes over ``--transport`` stdio pipes or TCP
+sockets (:mod:`repro.fabric`) instead of the local pool: leases,
+heartbeat liveness, idempotent journal appends, and graceful fallback
+to the local pool when the fleet is lost.  ``--bind
 HOST:PORT`` turns the coordinator multi-host: no local fleet is
 spawned, and remote hosts join with ``repro fabric-worker --connect
 HOST:PORT`` (reconnecting with deterministic backoff if the channel
 drops).  ``--fabric-secret PATH`` (or ``REPRO_FABRIC_SECRET``) enables
 HMAC-SHA256 authenticated framing on both ends; forged or replayed
-frames are rejected without failing the sweep (DESIGN.md §16).
+frames are rejected without failing the sweep.
 
 ``report`` runs one configuration with tracing enabled
 (:mod:`repro.obs`) and writes a Markdown (optionally HTML) dashboard —
@@ -77,7 +77,7 @@ them — or sweep journals, result-cache directories, or two
 ``--workload`` scenarios swept on the spot — into a Markdown/HTML
 dashboard of per-point metric deltas classified under a threshold
 policy (``--thresholds``), with ``--fail-on-regress`` exiting 3 on any
-regressed cell so CI can gate on it (DESIGN.md §15).
+regressed cell so CI can gate on it (DESIGN.md §13).
 ``docs regen`` regenerates the generated blocks of EXPERIMENTS.md and
 results/README.md from the committed ``results/*.txt`` artifacts;
 ``--check`` fails (exit 1) on drift, which CI runs as the doc-drift
@@ -99,7 +99,11 @@ from repro.experiments.configs import (
     FULL_WAREHOUSE_GRID,
     RunnerSettings,
 )
-from repro.experiments.parallel import sweep_parallel
+from repro.experiments.parallel import (
+    PoolExecutor,
+    SupervisorPolicy,
+    run_sweep,
+)
 from repro.experiments.report import render_series, render_table
 from repro.experiments.resilience import JournalOwnershipError, SweepJournal
 from repro.experiments.runner import (
@@ -168,25 +172,21 @@ def _add_jobs(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_supervision(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="supervised sharded execution across N worker "
-                             "pools (retry/backoff, pool self-healing, "
-                             "shard failover; see DESIGN.md §11)")
     parser.add_argument("--retries", type=int, default=None, metavar="N",
-                        help="per-point retry budget under supervision "
-                             "(default 3; implies the supervised executor)")
+                        help="per-point retry budget (default 3; see "
+                             "DESIGN.md §8)")
     parser.add_argument("--point-timeout", type=float, default=None,
                         metavar="S",
-                        help="wall-clock budget per point attempt in "
-                             "seconds (stragglers are killed and retried; "
-                             "implies the supervised executor)")
+                        help="wall-clock budget per dispatched point "
+                             "attempt in seconds (stragglers are "
+                             "cancelled and retried)")
 
 
 def _add_fabric(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, default=None, metavar="N",
                         help="distributed execution across N fabric worker "
                              "processes (leases, heartbeats, requeue, "
-                             "local fallback; see DESIGN.md §12)")
+                             "local fallback; see DESIGN.md §8)")
     parser.add_argument("--transport", choices=("stdio", "tcp"),
                         default="stdio",
                         help="fabric worker transport: stdio subprocess "
@@ -226,42 +226,37 @@ def _fabric_secret(args) -> Optional[str]:
         raise SystemExit(str(error))
 
 
-def _fabric_coordinator(args):
-    """A :class:`FabricCoordinator` from CLI flags, or None (no fabric).
+def _policy(args) -> SupervisorPolicy:
+    """The driver policy from ``--retries``/``--point-timeout``."""
+    retries = getattr(args, "retries", None)
+    return SupervisorPolicy(
+        max_retries=retries if retries is not None else 3,
+        point_timeout_s=getattr(args, "point_timeout", None))
 
-    ``--workers N`` opts into the distributed fabric executor; it
-    shares ``--retries`` with the supervised path and maps
-    ``--point-timeout`` onto the lease timeout.  Mutually exclusive
-    with ``--shards`` — the fabric already falls back to local sharded
-    execution when the fleet is lost.  ``--bind HOST:PORT`` makes the
-    coordinator listen for external ``repro fabric-worker`` processes
-    (the bound address is printed) instead of spawning a local fleet.
+
+def _executor(args):
+    """The sweep's executor from CLI flags.
+
+    ``--workers N`` selects the distributed fabric; otherwise the local
+    pool over ``--jobs`` workers (which the driver runs in-process when
+    that is one worker).  ``--bind HOST:PORT`` makes the coordinator listen for
+    external ``repro fabric-worker`` processes (the bound address is
+    printed) instead of spawning a local fleet.
     """
     workers = getattr(args, "workers", None)
     if workers is None:
-        return None
-    if getattr(args, "shards", None) is not None:
-        raise SystemExit("--workers (fabric) and --shards (local "
-                         "supervision) are mutually exclusive")
+        return PoolExecutor(args.jobs)
     if workers < 1:
         raise SystemExit("--workers needs a positive worker count")
-    from repro.experiments.supervisor import SupervisorPolicy
     from repro.fabric import FabricCoordinator, FabricPolicy
 
     bind = getattr(args, "bind", None)
     if bind is not None:
         _parse_hostport(bind, "--bind")
     secret = _fabric_secret(args)
-    retries = getattr(args, "retries", None)
-    timeout = getattr(args, "point_timeout", None)
-    policy = SupervisorPolicy(
-        max_retries=retries if retries is not None else 3,
-        point_timeout_s=timeout)
     transport = "tcp" if bind is not None else args.transport
-    fabric = FabricPolicy(workers=workers, transport=transport,
-                          lease_timeout_s=timeout, secret=secret,
-                          bind=bind)
-    coordinator = FabricCoordinator(policy=policy, fabric=fabric)
+    coordinator = FabricCoordinator(fabric=FabricPolicy(
+        workers=workers, transport=transport, secret=secret, bind=bind))
     if bind is not None:
         try:
             host, port = coordinator.listen().address
@@ -271,55 +266,6 @@ def _fabric_coordinator(args):
         print(f"fabric: listening on {host}:{port} ({auth}); workers "
               f"join with `repro fabric-worker --connect {host}:{port}`")
     return coordinator
-
-
-def _print_fabric_summary(coordinator) -> None:
-    """One-line fleet health + degradation summary after a fabric sweep."""
-    health = coordinator.worker_health()
-    states = ", ".join(f"{h.name}={h.state}({h.completed})"
-                       for h in health)
-    print(f"fabric: {len(health)} worker(s): {states}")
-    reconnects = sum(h.reconnects for h in health)
-    revalidated = sum(h.revalidated for h in health)
-    auth_rejected = sum(1 for e in coordinator.events
-                        if e["event"] == "worker-auth-rejected")
-    if reconnects or revalidated or auth_rejected:
-        print(f"fabric: {auth_rejected} auth rejection(s), "
-              f"{reconnects} reconnect(s), "
-              f"{revalidated} lease(s) revalidated")
-    degraded = [e for e in coordinator.events
-                if e["event"] not in ("fleet-started", "worker-ready",
-                                      "worker-accepted", "lease-granted")]
-    if degraded:
-        kinds = ", ".join(sorted({e["event"] for e in degraded}))
-        print(f"fabric: {len(degraded)} degradation event(s) ({kinds})")
-
-
-def _supervisor(args):
-    """A :class:`ShardedSupervisor` from CLI flags, or None (plain path).
-
-    ``--shards``/``--retries``/``--point-timeout`` all opt into the
-    supervised executor; shards share the default result cache, and the
-    worker budget (``--jobs``) is split evenly across them.
-    """
-    shards = getattr(args, "shards", None)
-    retries = getattr(args, "retries", None)
-    timeout = getattr(args, "point_timeout", None)
-    if shards is None and retries is None and timeout is None:
-        return None
-    from repro.experiments.supervisor import (
-        ShardedSupervisor,
-        SupervisorPolicy,
-        default_shards,
-    )
-
-    if shards is not None and shards < 1:
-        raise SystemExit("--shards needs a positive shard count")
-    policy = SupervisorPolicy(
-        max_retries=retries if retries is not None else 3,
-        point_timeout_s=timeout)
-    return ShardedSupervisor(
-        shards=default_shards(shards or 1, jobs=args.jobs), policy=policy)
 
 
 def cmd_run(args) -> int:
@@ -389,52 +335,42 @@ def _journal_path(args, faults: Optional[FaultPlan],
     return root / f"{name}.jsonl"
 
 
-def _snapshot_sweep(args, grid, faults, workload, journal, coordinator):
-    """The ``repro sweep --snapshot`` path: telemetry sweep + artifact.
+#: Events every healthy sweep emits; the rest are degradations.
+_ROUTINE_EVENTS = frozenset({"fleet-started", "worker-ready",
+                             "worker-accepted", "lease-granted",
+                             "point-straggling"})
 
-    Snapshots need per-point telemetry (manifests, traces, metrics), so
-    this routes through the telemetry executors — fabric when
-    ``--workers`` asked for it, supervised when ``--shards`` and
-    friends did, the plain pool otherwise — then freezes the sweep as a
-    :class:`~repro.obs.snapshot.SweepSnapshot` before returning the
-    results for the usual series rendering.
-    """
-    from repro.experiments.parallel import sweep_telemetry
-    from repro.obs.snapshot import SweepSnapshot
 
-    supervisor = None
-    if coordinator is not None:
-        from repro.experiments.parallel import RunSpec
-        from repro.fabric import fabric_run_telemetry
-
-        if journal is not None:
-            raise SystemExit("--snapshot with --workers does not support "
-                             "--resume/--journal yet")
-        specs = [RunSpec(warehouses=w, processors=args.processors,
-                         machine=_machine(args), settings=_settings(args),
-                         faults=faults, workload=workload)
-                 for w in grid]
-        points = fabric_run_telemetry(specs, coordinator=coordinator)
-        _print_fabric_summary(coordinator)
-    else:
-        supervisor = _supervisor(args)
-        if supervisor is not None and journal is not None:
-            raise SystemExit("--snapshot with --shards/--retries/"
-                             "--point-timeout does not support "
-                             "--resume/--journal yet")
-        points = sweep_telemetry(grid, args.processors,
-                                 machine=_machine(args),
-                                 settings=_settings(args), faults=faults,
-                                 jobs=args.jobs, supervisor=supervisor,
-                                 workload=workload, journal=journal)
-    snapshot = SweepSnapshot.from_points(points)
-    path = snapshot.save(args.snapshot)
-    print(f"snapshot: {path} ({snapshot.describe()})")
-    return [point.result for point in points], supervisor
+def _print_degradation(executor) -> None:
+    """Fleet health (fabric) and a one-line degradation summary."""
+    if executor.name == "fabric":
+        health = executor.worker_health()
+        states = ", ".join(f"{h.name}={h.state}({h.completed})"
+                           for h in health)
+        print(f"fabric: {len(health)} worker(s): {states}")
+        reconnects = sum(h.reconnects for h in health)
+        revalidated = sum(h.revalidated for h in health)
+        auth_rejected = sum(1 for e in executor.events
+                            if e["event"] == "worker-auth-rejected")
+        if reconnects or revalidated or auth_rejected:
+            print(f"fabric: {auth_rejected} auth rejection(s), "
+                  f"{reconnects} reconnect(s), "
+                  f"{revalidated} lease(s) revalidated")
+    degraded = [e for e in executor.events
+                if e["event"] not in _ROUTINE_EVENTS]
+    if degraded:
+        kinds = ", ".join(sorted({e["event"] for e in degraded}))
+        print(f"{executor.name}: {len(degraded)} degradation event(s) "
+              f"({kinds})")
 
 
 def cmd_sweep(args) -> int:
-    """``repro sweep``: a warehouse sweep at fixed processor count."""
+    """``repro sweep``: a warehouse sweep at fixed processor count.
+
+    ``--snapshot`` traces every point and freezes the sweep as a
+    :class:`~repro.obs.snapshot.SweepSnapshot`; ``--resume``/``--journal``
+    checkpoint it, on whichever executor runs it.
+    """
     grid = _parse_grid(args.grid)
     faults = _faults(args)
     workload = _workload(args)
@@ -446,38 +382,23 @@ def cmd_sweep(args) -> int:
     if journal is not None:
         done = len(journal.load())
         print(f"journal: {journal.path} ({done} point(s) already complete)")
-    coordinator = _fabric_coordinator(args)
+    executor = _executor(args)
     try:
-        if args.snapshot:
-            records, supervisor = _snapshot_sweep(args, grid, faults,
-                                                  workload, journal,
-                                                  coordinator)
-        elif coordinator is not None:
-            from repro.fabric import fabric_sweep
-
-            supervisor = None
-            records = fabric_sweep(grid, args.processors,
-                                   machine=_machine(args),
-                                   settings=_settings(args), faults=faults,
-                                   journal=journal, coordinator=coordinator,
-                                   workload=workload)
-            _print_fabric_summary(coordinator)
-        else:
-            supervisor = _supervisor(args)
-            records = sweep_parallel(grid, args.processors,
-                                     machine=_machine(args),
-                                     settings=_settings(args),
-                                     faults=faults,
-                                     journal=journal, jobs=args.jobs,
-                                     supervisor=supervisor,
-                                     workload=workload)
+        points = run_sweep(grid, args.processors, machine=_machine(args),
+                           settings=_settings(args), faults=faults,
+                           workload=workload, executor=executor,
+                           policy=_policy(args), trace=bool(args.snapshot),
+                           journal=journal)
     except JournalOwnershipError as error:
         raise SystemExit(str(error))
-    if supervisor is not None and supervisor.events:
-        degraded = [e for e in supervisor.events
-                    if e["event"] != "point-straggling"]
-        print(f"supervision: {len(degraded)} degradation event(s) "
-              f"({', '.join(sorted({e['event'] for e in degraded}))})")
+    _print_degradation(executor)
+    if args.snapshot:
+        from repro.obs.snapshot import SweepSnapshot
+
+        snapshot = SweepSnapshot.from_points(points)
+        path = snapshot.save(args.snapshot)
+        print(f"snapshot: {path} ({snapshot.describe()})")
+    records = [point.result for point in points]
     xs = [r.warehouses for r in records]
     series = {
         "TPS": [r.tps for r in records],
@@ -502,9 +423,10 @@ def cmd_sweep(args) -> int:
 def cmd_pivot(args) -> int:
     """``repro pivot``: pivot-point analysis over a warehouse sweep."""
     grid = _parse_grid(args.grid)
-    records = sweep_parallel(grid, args.processors, machine=_machine(args),
-                             settings=_settings(args), jobs=args.jobs,
-                             workload=_workload(args))
+    records = [point.result for point in run_sweep(
+        grid, args.processors, machine=_machine(args),
+        settings=_settings(args), workload=_workload(args),
+        executor=PoolExecutor(args.jobs))]
     xs = [r.warehouses for r in records]
     if args.metric == "cpi":
         ys = [r.cpi.cpi for r in records]
@@ -616,17 +538,16 @@ def cmd_report(args) -> int:
 
 def _report_sweep(args) -> int:
     """The ``repro report --sweep`` path: one aggregated dashboard."""
-    from repro.experiments.parallel import sweep_telemetry
     from repro.experiments.report import write_run_report
     from repro.obs.sweep_report import build_sweep_report
 
     grid = _parse_grid(args.grid)
     machine = _machine(args)
-    supervisor = _supervisor(args)
-    points = sweep_telemetry(grid, args.processors, machine=machine,
-                             settings=_settings(args), faults=_faults(args),
-                             jobs=args.jobs, supervisor=supervisor,
-                             workload=_workload(args))
+    executor = PoolExecutor(args.jobs)
+    points = run_sweep(grid, args.processors, machine=machine,
+                       settings=_settings(args), faults=_faults(args),
+                       workload=_workload(args), executor=executor,
+                       policy=_policy(args), trace=True)
     if getattr(args, "snapshot", None):
         from repro.obs.snapshot import SweepSnapshot
 
@@ -634,7 +555,7 @@ def _report_sweep(args) -> int:
         print(f"snapshot: {snapshot.save(args.snapshot)} "
               f"({snapshot.describe()})")
     report = build_sweep_report(
-        points, events=supervisor.events if supervisor is not None else None)
+        points, events=executor.events if executor is not None else None)
     out = Path(args.out) if args.out else _reports_dir()
     stem = (f"sweep_{_slug(machine.name)}_p{args.processors}"
             f"_w{'-'.join(str(w) for w in grid)}")
@@ -649,7 +570,6 @@ def _traces_dir() -> Path:
 
 def cmd_trace(args) -> int:
     """``repro trace``: export a sweep as Chrome trace JSON / validate."""
-    from repro.experiments.parallel import sweep_telemetry
     from repro.obs.trace_export import (
         tracks_from_points,
         validate_chrome_trace_file,
@@ -670,9 +590,10 @@ def cmd_trace(args) -> int:
 
     grid = _parse_grid(args.grid)
     machine = _machine(args)
-    points = sweep_telemetry(grid, args.processors, machine=machine,
-                             settings=_settings(args), faults=_faults(args),
-                             jobs=args.jobs, workload=_workload(args))
+    points = run_sweep(grid, args.processors, machine=machine,
+                       settings=_settings(args), faults=_faults(args),
+                       workload=_workload(args),
+                       executor=PoolExecutor(args.jobs), trace=True)
     tracks = tracks_from_points(points)
     if not tracks:
         raise SystemExit("no spans were recorded (all points were "
@@ -691,7 +612,6 @@ def cmd_trace(args) -> int:
 
 def _workload_snapshot(args, reference):
     """Run one workload's sweep and freeze it (``repro diff --workload``)."""
-    from repro.experiments.parallel import sweep_telemetry
     from repro.obs.snapshot import SweepSnapshot
     from repro.workload import WorkloadSpecError, resolve_workload
 
@@ -700,9 +620,9 @@ def _workload_snapshot(args, reference):
     except WorkloadSpecError as error:
         raise SystemExit(f"cannot load workload {reference!r}: {error}")
     grid = _parse_grid(args.grid)
-    points = sweep_telemetry(grid, args.processors, machine=_machine(args),
-                             settings=_settings(args), jobs=args.jobs,
-                             workload=workload)
+    points = run_sweep(grid, args.processors, machine=_machine(args),
+                       settings=_settings(args), workload=workload,
+                       executor=PoolExecutor(args.jobs), trace=True)
     print(f"swept workload {workload.name}: {len(points)} point(s)")
     return SweepSnapshot.from_points(points,
                                      source=f"workload:{workload.name}")
@@ -943,7 +863,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--snapshot", default=None, metavar="PATH",
                               help="freeze the sweep as a diffable "
                                    "SweepSnapshot artifact (repro diff; "
-                                   "DESIGN.md §15)")
+                                   "DESIGN.md §13)")
     _add_common(sweep_parser)
     _add_faults(sweep_parser)
     _add_workload(sweep_parser)
@@ -1045,7 +965,7 @@ def build_parser() -> argparse.ArgumentParser:
     diff_parser.add_argument("--thresholds", default=None,
                              metavar="POLICY.yaml",
                              help="per-metric threshold overrides "
-                                  "(YAML/JSON; see DESIGN.md §15)")
+                                  "(YAML/JSON; see DESIGN.md §13)")
     diff_parser.add_argument("--fail-on-regress", action="store_true",
                              help="exit 3 when any metric cell regressed "
                                   "beyond its threshold (the CI gate)")

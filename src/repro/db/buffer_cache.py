@@ -23,7 +23,7 @@ class BufferCache:
     update path (marks dirty).  Evictions return the victim so the engine
     can hand dirty ones to the database writer.
 
-    The LRU is exact and kept in two generations (DESIGN.md §13,
+    The LRU is exact and kept in two generations (DESIGN.md §11,
     "Buffer-cache LRU").  ``_new`` holds, in recency order, every block
     installed or hit since the last swap; ``_old`` is the generation
     before it and never receives inserts, so every ``_old`` entry is

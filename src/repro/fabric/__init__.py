@@ -1,30 +1,27 @@
 """Distributed sweep fabric: coordinator/worker execution over transports.
 
-The third step of the execution ladder (DESIGN.md §12): PR 2's process
-pool fans a sweep across local CPUs, PR 5's :class:`ShardedSupervisor`
-supervises local worker pools per shard, and this package takes the
-"hosts, not just cores" step — a coordinator leases :class:`RunSpec`
-points to remote worker processes over pluggable transports (stdio
-subprocess pipes, TCP sockets), workers stream results plus serialized
-telemetry back, and the coordinator remains the *sole* writer to the
-:class:`~repro.experiments.resilience.SweepJournal`.
+The multi-host executor behind the one sweep driver (DESIGN.md §8):
+:func:`~repro.experiments.parallel.run_points` fans a sweep across a
+local process pool, and this package takes the "hosts, not just cores"
+step — a :class:`FabricCoordinator` leases :class:`RunSpec` points to
+remote worker processes over pluggable transports (stdio subprocess
+pipes, TCP sockets), workers stream results (plus serialized telemetry
+when the sweep is traced) back, and the driver remains the *sole*
+writer to the :class:`~repro.experiments.resilience.SweepJournal`.
 
-Robustness is the headline contract:
+The coordinator owns the fleet; retries, backoff, deadlines, dedup and
+the degradation ladder are the driver's:
 
-- time-bounded **leases** with automatic expiry and requeue;
+- leases a point deadline can cancel, with late completions accepted;
 - **heartbeat** liveness detection with a configurable timeout;
-- per-point retry/backoff reusing
-  :class:`~repro.experiments.supervisor.SupervisorPolicy` and
-  :func:`~repro.experiments.supervisor.backoff_delay`;
 - a protocol-version **handshake** over schema-checked, length-prefixed
   JSON frames — a malformed frame quarantines the worker, not the sweep;
-- journal appends **idempotent by config key**, so a re-leased point
-  that completes twice is deduplicated, never double-counted;
-- graceful degradation: when every remote worker is lost the sweep
-  finishes on a local
-  :class:`~repro.experiments.supervisor.ShardedSupervisor` fallback.
+- completions idempotent by config key, so a re-leased point that
+  completes twice is deduplicated, never double-counted;
+- graceful degradation: when every remote worker is lost the driver
+  finishes the sweep on the local pool.
 
-Multi-host hardening (DESIGN.md §16) layers on top:
+Multi-host hardening layers on top:
 
 - **authenticated framing** — with a shared secret
   (``--fabric-secret`` file or ``REPRO_FABRIC_SECRET``) every frame
@@ -62,7 +59,6 @@ from repro.fabric.coordinator import (
     WorkerHealth,
     fabric_run_many,
     fabric_run_telemetry,
-    fabric_sweep,
 )
 from repro.fabric.protocol import (
     PROTOCOL_VERSION,
@@ -111,7 +107,6 @@ __all__ = [
     "encode_frame",
     "fabric_run_many",
     "fabric_run_telemetry",
-    "fabric_sweep",
     "read_frame",
     "resolve_fabric_secret",
     "run_with_reconnect",

@@ -1,14 +1,14 @@
-"""Deterministic fabric-fault injection (test-only), extending ChaosPolicy.
+"""Deterministic fault injection (test-only): the one chaos policy.
 
-:class:`~repro.experiments.supervisor.ChaosPolicy` injects *pool*
-faults inside a local worker; this module injects *fabric* faults —
-the distributed failure modes DESIGN.md §12's failure matrix enumerates
-— inside a remote worker process, using the same seeded
-``(key, attempt)`` draw (:func:`~repro.experiments.supervisor._unit_hash`
-idiom) so every chaos run replays identically:
+:class:`FabricChaosPolicy` injects the failure modes of DESIGN.md §8's
+failure matrix inside the process that runs a point — a fabric worker,
+a local pool worker, or (degraded) the driver's own process — using a
+seeded ``(key, attempt)`` draw so every chaos run replays identically.
+The fabric faults fire in fabric workers:
 
 - ``kill`` — the worker SIGKILLs itself mid-point: the transport goes
-  EOF, the coordinator must detect the loss and re-lease the point;
+  EOF, the coordinator must detect the loss and re-lease the point (in
+  a pool worker the process exits and the pool is rebuilt);
 - ``blackhole`` — the worker suppresses heartbeats and sits on the
   finished result for ``delay_s``: the coordinator must declare it dead
   on heartbeat timeout, re-lease the point, and then *deduplicate* the
@@ -18,7 +18,7 @@ idiom) so every chaos run replays identically:
 - ``duplicate`` — the worker sends its result frame twice: the second
   completion must be deduplicated, never double-journaled;
 - ``latency`` — the worker sleeps ``latency_s`` before sending the
-  result: leases must tolerate slow links without spurious expiry;
+  result: deadlines must tolerate slow links without spurious expiry;
 - ``halfopen`` — the worker stops reading and writing without closing
   the socket (no FIN): the coordinator's heartbeat timeout, not a
   blocked read, must surface the loss;
@@ -27,7 +27,7 @@ idiom) so every chaos run replays identically:
   frame stalled and quarantine the worker;
 - ``partition`` — asymmetric partition: the worker keeps *sending*
   heartbeats but stops *receiving* coordinator frames, so its lease
-  can never renew and the coordinator must expire it;
+  can never complete and the driver's deadline must expire it;
 - ``replay`` — the worker records its signed result frame and sends
   the identical bytes again: on an authenticated channel the stale
   sequence number must be rejected (``fabric.auth.rejected``) without
@@ -37,11 +37,21 @@ idiom) so every chaos run replays identically:
   ``repro fabric-worker`` supervisor loop must dial back in, resume
   its session by token, and carry on.
 
-Chaos fires only on the first ``attempts`` attempts of a point, so any
-retry budget ``>= attempts`` is guaranteed to converge; ``targets``
-scopes the blast radius to specific cache keys.  The policy serializes
-to JSON (:meth:`to_dict`/:meth:`from_dict`) because it rides to the
-worker on its command line.
+Two more fire in pool and fabric workers alike:
+
+- ``hang`` — the worker stalls ``delay_s`` before running the point:
+  the driver's ``point_timeout_s`` deadline must cancel and retry it;
+- ``poison`` — the point raises :class:`~repro.experiments.parallel.ChaosError`:
+  the plain retry path.
+
+In the driver's own process ``kill``, ``hang`` and ``poison`` all
+degrade to :class:`~repro.experiments.parallel.ChaosError` so the
+parent survives its own chaos; the other faults do nothing outside a
+fabric worker.  Chaos fires only on the first ``attempts`` attempts of
+a point, so any retry budget ``>= attempts`` is guaranteed to
+converge; ``targets`` scopes the blast radius to specific cache keys.
+The policy serializes to JSON (:meth:`to_dict`/:meth:`from_dict`)
+because it rides to fabric workers on their command line.
 """
 
 from __future__ import annotations
@@ -50,19 +60,18 @@ import json
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
-from repro.experiments.supervisor import _unit_hash
+from repro.experiments.parallel import _unit_hash
 
-#: The fabric fault kinds, in draw order.  New kinds append after the
-#: original four so a policy that only uses the old kinds draws
-#: identically to PR 6.
+#: The fault kinds, in draw order.  New kinds only ever append, so a
+#: policy that uses only older kinds draws identically to before.
 FABRIC_FAULTS = ("kill", "blackhole", "corrupt", "duplicate",
                  "latency", "halfopen", "sloworis", "partition",
-                 "replay", "disconnect")
+                 "replay", "disconnect", "hang", "poison")
 
 
 @dataclass(frozen=True)
 class FabricChaosPolicy:
-    """Seeded, JSON-serializable fabric-fault injector (test-only)."""
+    """Seeded, JSON-serializable fault injector (test-only)."""
 
     seed: int = 0
     kill: float = 0.0
@@ -75,9 +84,12 @@ class FabricChaosPolicy:
     partition: float = 0.0
     replay: float = 0.0
     disconnect: float = 0.0
+    hang: float = 0.0
+    poison: float = 0.0
     attempts: int = 1
     #: How long a blackholed worker sits on its finished result before
-    #: sending it anyway (to exercise the dedup path).
+    #: sending it anyway (to exercise the dedup path), and how long a
+    #: hung, half-open or slow-loris worker stalls.
     delay_s: float = 2.0
     #: Injected send delay for the ``latency`` fault.
     latency_s: float = 0.1
@@ -98,7 +110,7 @@ class FabricChaosPolicy:
         object.__setattr__(self, "targets", tuple(self.targets))
 
     def action(self, key: str, attempt: int) -> Optional[str]:
-        """The fabric fault to inject for this (key, attempt), or None."""
+        """The fault to inject for this (key, attempt), or None."""
         if attempt >= self.attempts:
             return None
         if self.targets and key not in self.targets:

@@ -1,59 +1,59 @@
 """The fabric coordinator: lease points to workers, survive their deaths.
 
-:class:`FabricCoordinator` drives a sweep across remote worker
-processes (DESIGN.md §12).  It owns the full robustness contract:
+:class:`FabricCoordinator` is the distributed
+:class:`~repro.experiments.parallel.Executor` (DESIGN.md §8): the sweep
+driver (:func:`~repro.experiments.parallel.run_points`) owns attempts,
+backoff, deadlines, dedup and the journal, and this class owns the
+fleet:
 
-- **Leases** — each ready worker holds at most one time-bounded lease on
-  one :class:`~repro.experiments.parallel.RunSpec` point; an expired
-  lease requeues the point (with the supervisor's deterministic
-  :func:`~repro.experiments.supervisor.backoff_delay`) without killing
-  the worker — a late-but-valid completion is still accepted.
+- **Leases** — each ready worker holds at most one lease on one
+  :class:`~repro.experiments.parallel.RunSpec` point.  When the
+  driver's deadline passes it cancels the lease (``lease-expired``)
+  without killing the worker — a late-but-valid completion is still
+  accepted.
 - **Heartbeats** — a worker silent past ``heartbeat_timeout_s`` is
-  marked unresponsive and its lease requeued; it is restored to the
-  ready pool if it comes back, quarantined after
-  ``worker_failure_threshold`` strikes.
+  marked unresponsive and its lease fails back to the driver; it is
+  restored to the ready pool if it comes back, quarantined after
+  ``failure_threshold`` strikes.
 - **Quarantine** — a malformed frame (or a checksum-mismatched result)
-  condemns the *worker*, never the sweep: its lease requeues and the
+  condemns the *worker*, never the sweep: its lease fails back and the
   channel is closed with the bounded teardown ladder.
-- **Idempotent completion** — the coordinator tracks completed config
-  keys; a duplicate completion (re-leased point finishing twice,
-  chaos replay) is counted and dropped, so the
-  :class:`~repro.experiments.resilience.SweepJournal` — written *only*
-  by the coordinator, via the ``on_result`` hook — records every point
-  exactly once.
-- **Graceful degradation** — when every worker is lost or quarantined
-  (or ``REPRO_SERIAL=1`` forbids spawning), the remaining points finish
-  on a local :class:`~repro.experiments.supervisor.ShardedSupervisor`
-  under the same policy and the same ``on_result`` hook.
+- **Idempotent completion** — a duplicate completion (re-leased point
+  finishing twice, chaos replay) is counted and dropped, so the
+  journal the driver writes records every point exactly once.
+- **Handshake, auth and reconnect** — protocol-version handshake,
+  signed frames, and session tokens that let a rejoining worker
+  re-validate its in-flight lease (DESIGN.md §8).
 
-Because every point is a pure function of its spec, none of this can
-change results: a fabric sweep is bit-identical to a serial sweep, and
-``events`` / ``worker_health()`` (mirrored to ``fabric.*`` metrics)
-are descriptive telemetry only.
+When every worker is lost or quarantined (or ``REPRO_SERIAL=1``
+forbids spawning), the coordinator is no longer usable and the driver
+falls back to the local pool (``local-fallback``).  Because every
+point is a pure function of its spec, none of this can change results:
+a fabric sweep is bit-identical to a serial sweep, and ``events`` /
+``worker_health()`` (mirrored to ``fabric.*`` metrics) are descriptive
+telemetry only.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
 from repro.experiments.parallel import (
+    Executor,
     PointTelemetry,
+    RunOptions,
     RunSpec,
+    SupervisorPolicy,
+    PoolExecutor,
+    SweepPoint,
+    run_points,
     serial_forced,
 )
 from repro.experiments.records import ConfigResult, payload_checksum
-from repro.experiments.resilience import SweepJournal
-from repro.experiments.supervisor import (
-    ShardedSupervisor,
-    SupervisorPolicy,
-    SweepFailure,
-    backoff_delay,
-    default_shards,
-)
 from repro.fabric.chaos import FabricChaosPolicy
 from repro.fabric.protocol import (
     PROTOCOL_VERSION,
@@ -78,24 +78,20 @@ TRANSPORTS = ("stdio", "tcp")
 
 @dataclass(frozen=True)
 class FabricPolicy:
-    """Fabric-layer knobs: worker fleet shape, liveness, lease bounds.
+    """Fabric-layer knobs: worker fleet shape, liveness, transports.
 
-    Retry budget and backoff shape stay on
-    :class:`~repro.experiments.supervisor.SupervisorPolicy` — the fabric
-    reuses them unchanged, so a sweep degrades from distributed to
-    sharded-local without changing its retry semantics.
+    Retries, backoff, point deadlines, the strike threshold and the
+    polling tick are the driver's
+    :class:`~repro.experiments.parallel.SupervisorPolicy`, shared with
+    the local pool, so a sweep degrades from distributed to local
+    without changing its retry semantics.
     """
 
     workers: int = 2
     transport: str = "stdio"
     heartbeat_s: float = 0.25
     heartbeat_timeout_s: float = 2.0
-    #: Wall-clock bound on one lease; ``None`` disables expiry.
-    lease_timeout_s: Optional[float] = None
-    #: Unresponsive/error strikes before a worker is quarantined.
-    worker_failure_threshold: int = 3
     handshake_timeout_s: float = 10.0
-    tick_s: float = 0.02
     close_timeout_s: float = 5.0
     #: Shared secret enabling authenticated framing (``None`` = off).
     secret: Optional[str] = None
@@ -118,11 +114,7 @@ class FabricPolicy:
             raise ValueError("heartbeat intervals must be positive")
         if self.heartbeat_timeout_s <= self.heartbeat_s:
             raise ValueError("heartbeat_timeout_s must exceed heartbeat_s")
-        if self.lease_timeout_s is not None and self.lease_timeout_s <= 0:
-            raise ValueError("lease_timeout_s must be positive (or None)")
-        if self.worker_failure_threshold < 1:
-            raise ValueError("worker_failure_threshold must be >= 1")
-        if self.handshake_timeout_s <= 0 or self.tick_s <= 0:
+        if self.handshake_timeout_s <= 0:
             raise ValueError("timeouts must be positive")
         if self.bind is not None and self.transport != "tcp":
             raise ValueError("bind requires the tcp transport")
@@ -155,21 +147,13 @@ class WorkerHealth:
 _TERMINAL_STATES = frozenset({"lost", "quarantined", "rejected"})
 
 
-class _WorkerRuntime:
-    """Mutable per-worker state: transport, liveness clocks, lease."""
+class _WorkerRuntime(WorkerHealth):
+    """A worker's live state: its health plus transport, clocks, lease."""
 
     def __init__(self, transport: WorkerTransport, now: float,
                  handshake_timeout_s: float):
+        super().__init__(name=transport.name)
         self.transport = transport
-        self.name = transport.name
-        self.host = ""
-        self.pid: Optional[int] = None
-        self.state = "connecting"
-        self.completed = 0
-        self.failures = 0
-        self.duplicates = 0
-        self.reconnects = 0
-        self.revalidated = 0
         self.token: Optional[str] = None
         self.point = None
         self.last_beat = now
@@ -177,71 +161,42 @@ class _WorkerRuntime:
         self.handshake_deadline = now + handshake_timeout_s
 
     def health(self) -> WorkerHealth:
-        """The picklable snapshot of this worker's counters."""
-        return WorkerHealth(name=self.name, host=self.host, pid=self.pid,
-                            state=self.state, completed=self.completed,
-                            failures=self.failures,
-                            duplicates=self.duplicates,
-                            reconnects=self.reconnects,
-                            revalidated=self.revalidated)
+        """A detached snapshot of this worker's health."""
+        return WorkerHealth(**{field.name: getattr(self, field.name)
+                               for field in fields(WorkerHealth)})
 
 
-_WAITING, _RUNNING, _DONE = "waiting", "running", "done"
-
-
-class _Point:
-    """Coordinator-side state of one sweep point across its leases."""
-
-    __slots__ = ("index", "spec", "key", "attempt", "state", "not_before",
-                 "deadline", "last_error")
-
-    def __init__(self, index: int, spec: RunSpec):
-        self.index = index
-        self.spec = spec
-        self.key = spec.key()
-        self.attempt = 0
-        self.state = _WAITING
-        self.not_before = 0.0
-        self.deadline: Optional[float] = None
-        self.last_error: Optional[BaseException] = None
-
-
-class FabricCoordinator:
+class FabricCoordinator(Executor):
     """Distributed executor for :class:`RunSpec` points over transports.
 
-    ``run(specs)`` returns payloads in grid order —
-    :class:`~repro.experiments.records.ConfigResult` by default,
-    :class:`~repro.experiments.parallel.PointTelemetry` (stamped with
-    the producing worker's id) with ``telemetry=True`` — surviving
-    worker death, silence, corruption and replay, or raising
-    :class:`~repro.experiments.supervisor.SweepFailure` once a point's
-    retry budget is spent.  Pass prebuilt ``transports`` (tests), or
-    let ``fabric.workers``/``fabric.transport`` spawn the fleet.
+    Drive it with :func:`~repro.experiments.parallel.run_points` (or
+    ``run_sweep``).  Pass prebuilt ``transports`` (tests), or let
+    ``fabric.workers``/``fabric.transport`` spawn the fleet each run.
+    Points come back as :class:`PointTelemetry` stamped with the
+    producing worker's id.
     """
 
+    name = "fabric"
+    fallback_event = "local-fallback"
+
     def __init__(self, transports: Optional[Sequence[WorkerTransport]] = None,
-                 policy: Optional[SupervisorPolicy] = None,
                  fabric: Optional[FabricPolicy] = None,
-                 chaos: Optional[FabricChaosPolicy] = None,
-                 use_cache: bool = True,
-                 cache_dir: Optional[Union[str, Path]] = None):
-        self.policy = policy or SupervisorPolicy()
+                 chaos: Optional[FabricChaosPolicy] = None):
+        super().__init__(chaos)
         self.fabric = fabric or FabricPolicy()
-        self.chaos = chaos
-        self.use_cache = use_cache
-        self.cache_dir = str(cache_dir) if cache_dir is not None else None
         self._given_transports = list(transports) if transports else None
         self._workers: list[_WorkerRuntime] = []
         self._listener: Optional[TcpListener] = None
         #: Session token → runtime, for reconnect rebinding.
         self._tokens: dict[str, _WorkerRuntime] = {}
         self._accept_counter = 0
-        #: Ordered degradation timeline (dicts with ``seq``/``event``
-        #: plus ``worker``/``key``/``reason`` fields as applicable).
-        self.events: list[dict] = []
-        self._completed: set[str] = set()
         self._lease_counter = 0
-        self._telemetry = False
+        self._options: Optional[RunOptions] = None
+        #: Points leased this run, by key (results and resumes name keys).
+        self._by_key: dict[str, SweepPoint] = {}
+        self._completed: set[str] = set()
+        self._outcomes: list = []
+        self._grace_deadline: Optional[float] = None
 
     # ------------------------------------------------------------------
     # telemetry plumbing
@@ -250,14 +205,6 @@ class FabricCoordinator:
         """Per-worker health snapshots, in connection order."""
         return [worker.health() for worker in self._workers]
 
-    def _event(self, kind: str, **fields) -> None:
-        record = {"seq": len(self.events), "event": kind}
-        record.update(fields)
-        self.events.append(record)
-        if _metrics.ACTIVE:
-            _metrics.inc(f"fabric.{kind.replace('-', '_')}")
-            _metrics.emit(f"fabric-{kind}", **fields)
-
     # ------------------------------------------------------------------
     # fleet lifecycle
 
@@ -265,7 +212,7 @@ class FabricCoordinator:
         """Bind (or return) the TCP accept socket.
 
         Called eagerly by the CLI in ``--bind`` mode so the bound
-        address can be printed before the sweep starts; ``run`` calls
+        address can be printed before the sweep starts; ``open`` calls
         it lazily otherwise.  The listener carries the fabric secret
         and read deadline to every accepted transport.
         """
@@ -342,20 +289,28 @@ class FabricCoordinator:
             self._listener.close()
             self._listener = None
 
-    def _usable(self) -> list[_WorkerRuntime]:
+    def _usable_workers(self) -> list[_WorkerRuntime]:
         return [worker for worker in self._workers
                 if worker.state not in _TERMINAL_STATES]
+
+    def _idle_workers(self) -> list[_WorkerRuntime]:
+        return [worker for worker in self._workers
+                if worker.state == "ready" and worker.point is None]
+
+    def _fail(self, point, error: BaseException) -> None:
+        """Report a failed lease to the driver (next ``poll``)."""
+        self._outcomes.append((point, error))
 
     def _release_lease(self, worker: _WorkerRuntime):
         point = worker.point
         worker.point = None
-        if point is not None and point.state != _DONE:
+        if point is not None and not point.done:
             return point
         return None
 
     def _condemn(self, worker: _WorkerRuntime, state: str, kind: str,
-                 reason: str, now: float) -> None:
-        """Move a worker to a terminal state and requeue its lease."""
+                 reason: str) -> None:
+        """Move a worker to a terminal state and fail its lease."""
         if worker.state in _TERMINAL_STATES:
             return
         worker.state = state
@@ -363,100 +318,138 @@ class FabricCoordinator:
         point = self._release_lease(worker)
         worker.transport.close(timeout_s=self.fabric.close_timeout_s)
         if point is not None:
-            self._retry(point, RuntimeError(f"{worker.name}: {reason}"), now)
+            self._fail(point, RuntimeError(f"{worker.name}: {reason}"))
 
-    def _lose(self, worker: _WorkerRuntime, reason: str, now: float) -> None:
-        self._condemn(worker, "lost", "worker-lost", reason, now)
+    def _lose(self, worker: _WorkerRuntime, reason: str) -> None:
+        self._condemn(worker, "lost", "worker-lost", reason)
 
-    def _quarantine(self, worker: _WorkerRuntime, reason: str,
-                    now: float) -> None:
-        self._condemn(worker, "quarantined", "worker-quarantined", reason,
-                      now)
+    def _quarantine(self, worker: _WorkerRuntime, reason: str) -> None:
+        self._condemn(worker, "quarantined", "worker-quarantined", reason)
 
-    def _strike(self, worker: _WorkerRuntime, reason: str,
-                now: float) -> None:
+    def _strike(self, worker: _WorkerRuntime, reason: str) -> None:
         """Count one failure; quarantine at the policy threshold."""
         worker.failures += 1
-        if worker.failures >= self.fabric.worker_failure_threshold:
-            self._quarantine(worker, f"failure threshold: {reason}", now)
+        if worker.failures >= self._options.policy.failure_threshold:
+            self._quarantine(worker, f"failure threshold: {reason}")
 
     # ------------------------------------------------------------------
-    # point lifecycle
+    # the executor interface
 
-    def _retry(self, point: _Point, error: BaseException,
-               now: float) -> None:
-        point.attempt += 1
-        point.last_error = error
-        point.deadline = None
-        if point.attempt > self.policy.max_retries:
-            raise SweepFailure(point.key, point.attempt, error)
-        delay = backoff_delay(point.key, point.attempt, self.policy)
-        point.state = _WAITING
-        point.not_before = now + delay
-        self._event("point-retry", key=point.key, attempt=point.attempt,
-                    backoff_s=round(delay, 6), error=repr(error))
+    def open(self, options: RunOptions, points: int) -> None:
+        """Spawn (or adopt) the fleet, unless ``REPRO_SERIAL`` forbids it."""
+        self._options = options
+        self._by_key = {}
+        self._completed = set()
+        self._outcomes = []
+        self._grace_deadline = None
+        self._workers = []
+        if serial_forced() and self._given_transports is None:
+            return  # REPRO_SERIAL forbids spawning worker processes
+        self._spawn(time.monotonic())
 
-    def _assign(self, now: float) -> None:
-        ready = [worker for worker in self._workers
-                 if worker.state == "ready" and worker.point is None]
-        if not ready:
-            return
-        for point in self._points:
-            if not ready:
-                return
-            if point.state != _WAITING or point.not_before > now:
-                continue
-            worker = ready.pop(0)
-            self._lease_counter += 1
-            lease = {"type": "lease",
-                     "lease_id": f"L{self._lease_counter}",
-                     "key": point.key, "attempt": point.attempt,
-                     "spec": _encode_spec(point.spec),
-                     "use_cache": self.use_cache}
-            if self.cache_dir is not None:
-                lease["cache_dir"] = self.cache_dir
-            if not worker.transport.send(lease):
-                self._lose(worker, "send failed", now)
-                continue
-            worker.point = point
-            point.state = _RUNNING
-            point.deadline = (now + self.fabric.lease_timeout_s
-                              if self.fabric.lease_timeout_s is not None
-                              else None)
-            self._event("lease-granted", worker=worker.name, key=point.key,
-                        attempt=point.attempt)
+    def usable(self) -> bool:
+        """True while a worker is usable (or joins may still arrive)."""
+        if self._usable_workers():
+            self._grace_deadline = None
+            return True
+        if self.fabric.bind is not None and self._listener is not None:
+            # Bind mode has no local fleet: external workers are still
+            # joining (or rejoining after a partition).  Wait out the
+            # accept grace before degrading.
+            now = time.monotonic()
+            if self._grace_deadline is None:
+                self._grace_deadline = now + self.fabric.accept_grace_s
+            return now < self._grace_deadline
+        return False
 
-    def _complete(self, point: _Point, worker_name: str, message: dict,
-                  on_result: Optional[Callable]) -> None:
-        result = ConfigResult.from_dict(message["result"])
-        if self._telemetry:
-            manifest = None
-            raw = message.get("manifest")
-            if isinstance(raw, dict):
-                try:
-                    manifest = RunManifest.from_dict(raw)
-                except (ValueError, TypeError):
-                    manifest = None
-            trace = message.get("trace")
-            metrics = message.get("metrics")
-            payload = PointTelemetry(
-                spec=point.spec, result=result, manifest=manifest,
-                trace=trace if isinstance(trace, dict) else {},
-                metrics=metrics if isinstance(metrics, dict) else {},
-                worker=worker_name)
-        else:
-            payload = result
-        self._results[point.index] = payload
-        point.state = _DONE
-        point.deadline = None
-        self._completed.add(point.key)
-        if _metrics.ACTIVE:
-            _metrics.inc("fabric.points_completed")
-        if on_result is not None:
-            on_result(point.spec, result)
+    def slots(self) -> int:
+        """Ready workers holding no lease."""
+        return len(self._idle_workers())
+
+    def submit(self, point: SweepPoint) -> bool:
+        """Lease ``point`` to the first idle ready worker."""
+        idle = self._idle_workers()
+        if not idle:
+            return False
+        worker = idle[0]
+        self._lease_counter += 1
+        lease = {"type": "lease", "lease_id": f"L{self._lease_counter}",
+                 "key": point.key, "attempt": point.attempt,
+                 "spec": _encode_spec(point.spec),
+                 "use_cache": self._options.use_cache,
+                 "trace": self._options.trace}
+        if self._options.cache_dir is not None:
+            lease["cache_dir"] = self._options.cache_dir
+        if not worker.transport.send(lease):
+            self._lose(worker, "send failed")
+            return False
+        worker.point = point
+        self._by_key[point.key] = point
+        self._event("lease-granted", worker=worker.name, key=point.key,
+                    attempt=point.attempt)
+        return True
+
+    def poll(self, timeout: float) -> list:
+        """Wait one tick, then admit joins, read frames, check liveness."""
+        if not self._outcomes:
+            time.sleep(timeout)
+        now = time.monotonic()
+        self._accept_pending(now)
+        self._poll_frames(now)
+        self._scan_liveness(now)
+        outcomes, self._outcomes = self._outcomes, []
+        return outcomes
+
+    def cancel(self, point: SweepPoint) -> None:
+        """Expire the lease; the worker keeps its computation."""
+        timeout = self._options.policy.point_timeout_s
+        self._event("lease-expired", key=point.key, attempt=point.attempt,
+                    timeout_s=timeout)
+        # The worker keeps computing; only the lease is revoked.  Its
+        # eventual completion is accepted (if first) or deduplicated
+        # (if the re-lease won the race).
+        for worker in self._workers:
+            if worker.point is point:
+                worker.point = None
+        self._fail(point, TimeoutError(
+            f"lease on {point.key} exceeded {timeout}s"))
+
+    def close(self) -> None:
+        """Drain racing frames into the timeline, then shut down."""
+        # One last drain so frames that raced the finish line
+        # (duplicate replays of the final point, trailing heartbeats)
+        # still land in the event timeline.
+        self._poll_frames(time.monotonic())
+        self._shutdown()
+
+    def fallback(self) -> Optional[Executor]:
+        """The local pool (which the driver runs in-process when one
+        worker is all it would get)."""
+        return PoolExecutor()
 
     # ------------------------------------------------------------------
     # frame handling
+
+    def _complete(self, point: SweepPoint, worker_name: str,
+                  message: dict) -> None:
+        manifest = None
+        raw = message.get("manifest")
+        if isinstance(raw, dict):
+            try:
+                manifest = RunManifest.from_dict(raw)
+            except (ValueError, TypeError):
+                manifest = None
+        trace = metrics = None
+        if self._options.trace:
+            trace = message.get("trace")
+            trace = trace if isinstance(trace, dict) else {}
+            metrics = message.get("metrics")
+            metrics = metrics if isinstance(metrics, dict) else {}
+        self._completed.add(point.key)
+        self._outcomes.append((point, PointTelemetry(
+            spec=point.spec, result=ConfigResult.from_dict(message["result"]),
+            manifest=manifest, trace=trace, metrics=metrics,
+            worker=worker_name)))
 
     def _mark_alive(self, worker: _WorkerRuntime, now: float) -> None:
         worker.last_beat = now
@@ -516,7 +509,7 @@ class FabricCoordinator:
         if not worker.transport.send({"type": "welcome",
                                       "protocol": PROTOCOL_VERSION,
                                       "token": worker.token}):
-            self._lose(worker, "welcome send failed", now)
+            self._lose(worker, "welcome send failed")
             return
         worker.state = "ready"
         worker.last_beat = now
@@ -533,31 +526,28 @@ class FabricCoordinator:
         the point is still open and un-leased, re-grant it — no
         double-execution.  When it has finished or been re-leased
         elsewhere, the incoming result simply dedups.  Any *other*
-        lease the old channel held goes back to the queue.
+        lease the old channel held fails back to the driver.
         """
         if isinstance(resuming, dict):
             point = self._by_key.get(resuming.get("key"))
-            if (point is not None and point.state != _DONE
+            if (point is not None and not point.done
                     and not any(peer.point is point
                                 for peer in self._workers)):
                 worker.point = point
-                point.state = _RUNNING
-                point.deadline = (now + self.fabric.lease_timeout_s
-                                  if self.fabric.lease_timeout_s is not None
-                                  else None)
+                point.dispatched(now)
                 worker.revalidated += 1
                 self._event("lease-revalidated", worker=worker.name,
                             key=point.key, attempt=point.attempt)
                 if _metrics.ACTIVE:
                     _metrics.inc("fabric.leases.revalidated")
-        if (old_point is not None and old_point.state == _RUNNING
+        if (old_point is not None and old_point.running
                 and not any(peer.point is old_point
                             for peer in self._workers)):
-            self._retry(old_point, RuntimeError(
-                f"{worker.name}: lease orphaned by reconnect"), now)
+            self._fail(old_point, RuntimeError(
+                f"{worker.name}: lease orphaned by reconnect"))
 
     def _handle_result(self, worker: _WorkerRuntime, message: dict,
-                       now: float, on_result: Optional[Callable]) -> None:
+                       now: float) -> None:
         self._mark_alive(worker, now)
         key = message["key"]
         if key in self._completed:
@@ -567,15 +557,15 @@ class FabricCoordinator:
                 worker.point = None
             return
         if payload_checksum(message["result"]) != message["checksum"]:
-            self._quarantine(worker, f"checksum mismatch on {key}", now)
+            self._quarantine(worker, f"checksum mismatch on {key}")
             return
         point = self._by_key.get(key)
-        if point is None or point.state == _DONE:
+        if point is None or point.done:
             return
         if worker.point is point:
             worker.point = None
         worker.completed += 1
-        self._complete(point, worker.name, message, on_result)
+        self._complete(point, worker.name, message)
 
     def _handle_error(self, worker: _WorkerRuntime, message: dict,
                       now: float) -> None:
@@ -583,12 +573,12 @@ class FabricCoordinator:
         key = message["key"]
         if worker.point is not None and worker.point.key == key:
             worker.point = None
-        self._strike(worker, f"error on {key}", now)
+        self._strike(worker, f"error on {key}")
         point = self._by_key.get(key)
-        if point is not None and point.state == _RUNNING:
-            self._retry(point, RuntimeError(message["error"]), now)
+        if point is not None and point.running:
+            self._fail(point, RuntimeError(message["error"]))
 
-    def _poll(self, now: float, on_result: Optional[Callable]) -> None:
+    def _poll_frames(self, now: float) -> None:
         for worker in self._workers:
             if worker.state in _TERMINAL_STATES:
                 continue
@@ -596,19 +586,18 @@ class FabricCoordinator:
                 if worker.state in _TERMINAL_STATES:
                     break
                 if item is CHANNEL_CLOSED:
-                    self._lose(worker, "channel closed", now)
+                    self._lose(worker, "channel closed")
                     break
                 if isinstance(item, FrameAuthError):
                     # Forged, replayed, or cross-sweep frame: reject the
-                    # worker (its lease requeues), never the sweep.
+                    # worker (its lease fails back), never the sweep.
                     if _metrics.ACTIVE:
                         _metrics.inc("fabric.auth.rejected")
                     self._condemn(worker, "rejected",
-                                  "worker-auth-rejected", str(item), now)
+                                  "worker-auth-rejected", str(item))
                     break
                 if isinstance(item, FrameError):
-                    self._quarantine(worker, f"malformed frame: {item}",
-                                     now)
+                    self._quarantine(worker, f"malformed frame: {item}")
                     break
                 kind = item.get("type")
                 if kind == "hello":
@@ -616,7 +605,7 @@ class FabricCoordinator:
                 elif kind == "heartbeat":
                     self._mark_alive(worker, now)
                 elif kind == "result":
-                    self._handle_result(worker, item, now, on_result)
+                    self._handle_result(worker, item, now)
                 elif kind == "error":
                     self._handle_error(worker, item, now)
                 # welcome/reject/lease/shutdown are coordinator → worker
@@ -627,11 +616,11 @@ class FabricCoordinator:
             if worker.state in _TERMINAL_STATES:
                 continue
             if not worker.transport.alive():
-                self._lose(worker, "process died", now)
+                self._lose(worker, "process died")
                 continue
             if (worker.state == "connecting"
                     and now >= worker.handshake_deadline):
-                self._lose(worker, "handshake timeout", now)
+                self._lose(worker, "handshake timeout")
                 continue
             if (worker.state == "ready"
                     and now - worker.last_beat
@@ -641,10 +630,10 @@ class FabricCoordinator:
                 self._event("worker-unresponsive", worker=worker.name,
                             silent_s=round(now - worker.last_beat, 3))
                 point = self._release_lease(worker)
-                self._strike(worker, "heartbeat timeout", now)
-                if point is not None and point.state == _RUNNING:
-                    self._retry(point, TimeoutError(
-                        f"{worker.name} heartbeat timeout"), now)
+                self._strike(worker, "heartbeat timeout")
+                if point is not None and point.running:
+                    self._fail(point, TimeoutError(
+                        f"{worker.name} heartbeat timeout"))
             elif (worker.state == "unresponsive"
                     and now - worker.last_strike
                     > self.fabric.heartbeat_timeout_s):
@@ -653,115 +642,7 @@ class FabricCoordinator:
                 # worker reaches the quarantine threshold instead of
                 # parking in limbo forever.
                 worker.last_strike = now
-                self._strike(worker, "continued silence", now)
-
-    def _scan_leases(self, now: float) -> None:
-        for point in self._points:
-            if point.state != _RUNNING or point.deadline is None:
-                continue
-            if now >= point.deadline:
-                self._event("lease-expired", key=point.key,
-                            attempt=point.attempt,
-                            timeout_s=self.fabric.lease_timeout_s)
-                # The worker keeps computing; only the lease is revoked.
-                # Its eventual completion is accepted (if first) or
-                # deduplicated (if the re-lease won the race).
-                for worker in self._workers:
-                    if worker.point is point:
-                        worker.point = None
-                self._retry(point, TimeoutError(
-                    f"lease on {point.key} exceeded "
-                    f"{self.fabric.lease_timeout_s}s"), now)
-
-    # ------------------------------------------------------------------
-    # graceful degradation
-
-    def _run_fallback(self, on_result: Optional[Callable],
-                      reason: str) -> None:
-        remaining = [point for point in self._points
-                     if point.state != _DONE]
-        self._event("local-fallback", remaining=len(remaining),
-                    reason=reason)
-        supervisor = ShardedSupervisor(
-            shards=default_shards(1, cache_dir=self.cache_dir),
-            policy=self.policy, use_cache=self.use_cache,
-            cache_dir=self.cache_dir)
-        payloads = supervisor.run([point.spec for point in remaining],
-                                  on_result=on_result,
-                                  telemetry=self._telemetry)
-        for point, payload in zip(remaining, payloads):
-            self._results[point.index] = payload
-            point.state = _DONE
-            self._completed.add(point.key)
-        for record in supervisor.events:
-            fields = {k: v for k, v in record.items()
-                      if k not in ("seq", "event")}
-            self._event(record["event"], **fields)
-
-    # ------------------------------------------------------------------
-    # the coordinator loop
-
-    def run(self, specs: Sequence[RunSpec],
-            on_result: Optional[Callable] = None,
-            telemetry: bool = False) -> list:
-        """Run every spec to completion; payloads in spec order.
-
-        ``on_result(spec, result)`` fires in this process, exactly once
-        per point, as completions arrive — the journal hook that keeps
-        the coordinator the journal's sole writer.  Raises
-        :class:`SweepFailure` when a point exhausts
-        ``policy.max_retries``.
-        """
-        self._telemetry = telemetry
-        self._results: list = [None] * len(specs)
-        self._points = [_Point(index, spec)
-                        for index, spec in enumerate(specs)]
-        self._by_key = {point.key: point for point in self._points}
-        self._completed = set()
-        if not self._points:
-            return []
-        if serial_forced() and self._given_transports is None:
-            # REPRO_SERIAL forbids spawning worker processes entirely;
-            # the supervisor's serial path honors the same contract.
-            self._run_fallback(on_result, "serial-forced")
-            return self._results
-        now = time.monotonic()
-        self._spawn(now)
-        try:
-            self._loop(on_result)
-            # One last drain so frames that raced the finish line
-            # (duplicate replays of the final point, trailing
-            # heartbeats) still land in the event timeline.
-            self._poll(time.monotonic(), on_result)
-        finally:
-            self._shutdown()
-        return self._results
-
-    def _loop(self, on_result: Optional[Callable]) -> None:
-        grace_deadline: Optional[float] = None
-        while True:
-            if all(point.state == _DONE for point in self._points):
-                return
-            now = time.monotonic()
-            self._accept_pending(now)
-            self._poll(now, on_result)
-            self._scan_liveness(now)
-            self._scan_leases(now)
-            if not self._usable():
-                if self.fabric.bind is not None:
-                    # Bind mode has no local fleet: external workers are
-                    # still joining (or rejoining after a partition).
-                    # Wait out the accept grace before degrading.
-                    if grace_deadline is None:
-                        grace_deadline = now + self.fabric.accept_grace_s
-                    if now < grace_deadline:
-                        time.sleep(self.fabric.tick_s)
-                        continue
-                self._run_fallback(on_result, "all workers lost")
-                return
-            grace_deadline = None
-            self._assign(now)
-            time.sleep(self.fabric.tick_s)
+                self._strike(worker, "continued silence")
 
 
 def _encode_spec(spec: RunSpec) -> str:
@@ -772,7 +653,12 @@ def _encode_spec(spec: RunSpec) -> str:
 
 
 # ----------------------------------------------------------------------
-# run_many / sweep shaped entry points
+# stable names over the driver
+#
+# ``fabric_run_many`` and ``fabric_run_telemetry`` keep their historical
+# signatures and return types because the committed perf harness
+# (benchmarks/perf/session.py) imports them.  Each is one call into the
+# driver.
 
 
 def fabric_run_many(specs: Sequence[RunSpec],
@@ -785,20 +671,15 @@ def fabric_run_many(specs: Sequence[RunSpec],
                     on_result: Optional[Callable] = None,
                     coordinator: Optional[FabricCoordinator] = None
                     ) -> list[ConfigResult]:
-    """:func:`~repro.experiments.parallel.run_many` across the fabric.
-
-    Pass ``coordinator`` to keep the instance (its ``events`` and
-    ``worker_health()`` feed the degradation timeline of sweep
-    reports); otherwise one is built from ``workers``/``transport``
-    plus the optional policies.
-    """
-    if coordinator is None:
-        if fabric is None:
-            fabric = FabricPolicy(workers=workers, transport=transport)
-        coordinator = FabricCoordinator(policy=policy, fabric=fabric,
-                                        chaos=chaos, use_cache=use_cache,
-                                        cache_dir=cache_dir)
-    return coordinator.run(specs, on_result=on_result, telemetry=False)
+    """:func:`run_points` across the fabric, results only."""
+    return [point.result for point in run_points(
+        specs, coordinator or FabricCoordinator(
+            fabric=fabric or FabricPolicy(workers=workers,
+                                          transport=transport),
+            chaos=chaos),
+        policy=policy, use_cache=use_cache, cache_dir=cache_dir,
+        on_result=on_result and (
+            lambda spec, point: on_result(spec, point.result)))]
 
 
 def fabric_run_telemetry(specs: Sequence[RunSpec],
@@ -810,94 +691,13 @@ def fabric_run_telemetry(specs: Sequence[RunSpec],
                          cache_dir: Optional[Union[str, Path]] = None,
                          coordinator: Optional[FabricCoordinator] = None
                          ) -> list[PointTelemetry]:
-    """:func:`~repro.experiments.parallel.run_telemetry` across the fabric.
-
-    Every point's :class:`PointTelemetry` is stamped with the worker id
-    that produced it (empty for local-fallback points), and — exactly
-    like the local paths — per-point counters merge into the parent's
-    active metrics registry.
-    """
-    if coordinator is None:
-        if fabric is None:
-            fabric = FabricPolicy(workers=workers, transport=transport)
-        coordinator = FabricCoordinator(policy=policy, fabric=fabric,
-                                        chaos=chaos, use_cache=use_cache,
-                                        cache_dir=cache_dir)
-    points = coordinator.run(specs, telemetry=True)
-    registry = _metrics.current_registry()
-    if registry is not None:
-        for point in points:
-            if point is not None and point.metrics:
-                registry.merge(point.metrics)
-    return points
-
-
-def fabric_sweep(warehouse_grid, processors: int,
-                 machine=None, settings=None, clients_fn=None,
-                 use_cache: bool = True, faults=None,
-                 journal: Optional[Union[SweepJournal, str, Path]] = None,
-                 cache_dir: Optional[Union[str, Path]] = None,
-                 workers: int = 2, transport: str = "stdio",
-                 policy: Optional[SupervisorPolicy] = None,
-                 fabric: Optional[FabricPolicy] = None,
-                 chaos: Optional[FabricChaosPolicy] = None,
-                 coordinator: Optional[FabricCoordinator] = None,
-                 workload=None) -> list[ConfigResult]:
-    """A warehouse sweep across the fabric, journal as merge point.
-
-    Mirrors :func:`~repro.experiments.supervisor.supervised_sweep`:
-    points already journaled are reused without leasing, the rest are
-    distributed across the workers, and every completion is journaled
-    from the coordinator — one deduplicated append stream no matter how
-    many workers (or re-leases) produced the results.  The journal's
-    owner lock is held for the duration: a second live coordinator on
-    the same journal raises
-    :class:`~repro.experiments.resilience.JournalOwnershipError`, while
-    a *crashed* coordinator's stale lock is broken automatically — the
-    crash-resume path (``repro sweep --workers N --resume``) re-reads
-    the journal, re-leases only the missing points, and appends each
-    exactly once.
-    """
-    from repro.experiments.configs import DEFAULT_SETTINGS
-    from repro.hw.machine import XEON_MP_QUAD
-
-    machine = machine if machine is not None else XEON_MP_QUAD
-    settings = settings if settings is not None else DEFAULT_SETTINGS
-    if journal is not None and not isinstance(journal, SweepJournal):
-        journal = SweepJournal(journal)
-
-    specs = []
-    for warehouses in warehouse_grid:
-        clients = (clients_fn(warehouses, processors)
-                   if clients_fn is not None else None)
-        specs.append(RunSpec(warehouses=warehouses, processors=processors,
-                             clients=clients, machine=machine,
-                             settings=settings, faults=faults,
-                             workload=workload))
-
-    if journal is not None:
-        journal.acquire()
-    try:
-        completed = journal.load() if journal is not None else {}
-        pending = [spec for spec in specs if spec.key() not in completed]
-
-        def journal_point(spec: RunSpec, result: ConfigResult) -> None:
-            if journal is not None:
-                journal.record(spec.key(), result)
-
-        fresh = fabric_run_many(pending, workers=workers,
-                                transport=transport,
-                                policy=policy, fabric=fabric, chaos=chaos,
-                                use_cache=use_cache, cache_dir=cache_dir,
-                                on_result=journal_point,
-                                coordinator=coordinator)
-        by_key = dict(completed)
-        for spec, result in zip(pending, fresh):
-            by_key[spec.key()] = result
-        return [by_key[spec.key()] for spec in specs]
-    finally:
-        if journal is not None:
-            journal.release()
+    """:func:`run_points` across the fabric, traced."""
+    return run_points(
+        specs, coordinator or FabricCoordinator(
+            fabric=fabric or FabricPolicy(workers=workers,
+                                          transport=transport),
+            chaos=chaos),
+        policy=policy, trace=True, use_cache=use_cache, cache_dir=cache_dir)
 
 
 __all__ = [
@@ -907,5 +707,4 @@ __all__ = [
     "WorkerHealth",
     "fabric_run_many",
     "fabric_run_telemetry",
-    "fabric_sweep",
 ]

@@ -6,9 +6,9 @@ JSON.  The JSON object must carry a ``type`` key naming one of the
 message types below, and every required field of that type must be
 present with the right JSON shape — anything else raises
 :class:`FrameError`, which the coordinator treats as grounds to
-quarantine the *worker*, never to fail the sweep (DESIGN.md §12).
+quarantine the *worker*, never to fail the sweep (DESIGN.md §8).
 
-**Authenticated framing** (DESIGN.md §16).  When both sides share a
+**Authenticated framing** (DESIGN.md §8).  When both sides share a
 secret (``--fabric-secret`` file or ``REPRO_FABRIC_SECRET`` env; see
 :func:`resolve_fabric_secret`), every frame payload is prefixed with a
 32-byte HMAC-SHA256 signature computed by a per-connection
@@ -35,7 +35,9 @@ Message types (required fields):
   ``welcome`` carries a ``token`` the worker presents when
   reconnecting.
 - ``lease`` (coordinator → worker): ``lease_id``, ``key``, ``attempt``,
-  ``spec``, ``use_cache`` — one time-bounded grant of one sweep point.
+  ``spec``, ``use_cache`` — one grant of one sweep point; the optional
+  ``trace`` bool (absent = true) says whether the worker traces the
+  run and ships its span tree and metrics back.
   ``spec`` is the :class:`~repro.experiments.parallel.RunSpec` as an
   opaque base64 blob (:func:`encode_spec`): the coordinator spawns its
   own workers from the same code tree, and the protocol-version
@@ -43,8 +45,8 @@ Message types (required fields):
 - ``result`` (worker → coordinator): ``lease_id``, ``key``, ``result``,
   ``checksum`` — the point's serialized
   :class:`~repro.experiments.records.ConfigResult` plus its payload
-  checksum; optional ``manifest``/``trace``/``metrics`` dicts carry the
-  run's telemetry.
+  checksum; an optional ``manifest`` dict carries the run's manifest,
+  and ``trace``/``metrics`` dicts its telemetry when the lease asked.
 - ``error`` (worker → coordinator): ``lease_id``, ``key``, ``error`` —
   the point raised; the coordinator retries under its backoff policy.
 - ``heartbeat`` (worker → coordinator): ``worker_id`` — liveness.

@@ -30,7 +30,7 @@ socket or slow-loris peer surfaces as a single-line
 ``close`` joins the child with a bounded timeout and escalates
 terminate → kill, so a wedged worker can never leak a zombie past the
 coordinator's teardown (the same bounded-teardown contract as
-:func:`repro.experiments.supervisor._kill_pool`).
+:func:`repro.experiments.parallel._kill_pool`).
 """
 
 from __future__ import annotations

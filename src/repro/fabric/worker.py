@@ -14,11 +14,12 @@ Launched by the coordinator as ``python -m repro.fabric.worker`` (see
    rejoining after a disconnect; exit on ``reject`` or silence;
 3. start a daemon heartbeat thread sharing the send lock;
 4. loop: for each ``lease``, run the point via
-   :func:`~repro.experiments.parallel._run_spec_telemetry` (fresh
-   tracer + metrics registry per point, exactly like a local pool
-   worker), stamp its manifest with this worker's identity, and send a
-   ``result`` frame carrying the serialized payloads plus their
-   checksum — or an ``error`` frame when the point raises;
+   :func:`~repro.experiments.parallel.execute_point` exactly like a
+   local pool worker (traced, with a fresh tracer and metrics registry,
+   only when the lease's ``trace`` asks for it), stamp its manifest
+   with this worker's identity, and send a ``result`` frame carrying
+   the serialized payloads plus their checksum — or an ``error`` frame
+   when the point raises;
 5. exit on ``shutdown`` or channel EOF.
 
 Exit codes tell the supervisor loop what happened: ``0`` clean
@@ -34,7 +35,7 @@ A :class:`~repro.fabric.chaos.FabricChaosPolicy` passed via ``--chaos``
 makes the worker *hostile on purpose* (SIGKILL itself mid-point, go
 dark on heartbeats, emit garbage frames, trickle slow-loris bytes,
 drop leases behind an asymmetric partition, replay signed frames,
-drop the connection) so the coordinator's recovery paths are exercised
+drop the connection, hang, raise) so the recovery paths are exercised
 by real processes, not mocks.
 """
 
@@ -50,9 +51,13 @@ import time
 import traceback
 from typing import BinaryIO, Optional
 
-from repro.experiments.parallel import _run_spec_telemetry
+from repro.experiments.parallel import (
+    ChaosError,
+    SupervisorPolicy,
+    backoff_delay,
+    execute_point,
+)
 from repro.experiments.records import payload_checksum
-from repro.experiments.supervisor import SupervisorPolicy, backoff_delay
 from repro.fabric.chaos import FabricChaosPolicy
 from repro.fabric.protocol import (
     HEADER_BYTES,
@@ -212,7 +217,9 @@ class FabricWorker:
         slower than the read deadline, ``partition`` drops the lease on
         the floor while heartbeats keep flowing, ``replay`` re-sends
         the identical signed result bytes, ``disconnect`` drops the
-        channel after the result so the supervisor loop must rejoin.
+        channel after the result so the supervisor loop must rejoin,
+        ``hang`` stalls before running (heartbeats keep flowing) and
+        ``poison`` makes the point raise.
         """
         lease_id = message["lease_id"]
         key = message["key"]
@@ -248,12 +255,17 @@ class FabricWorker:
             return
         if action == "blackhole" and self._heartbeat is not None:
             self._heartbeat.suppressed = True
+        trace = bool(message.get("trace", True))
         try:
+            if action == "poison":
+                raise ChaosError(f"chaos poisoned {key} attempt {attempt}")
+            if action == "hang":
+                time.sleep(self.chaos.delay_s)
             spec = decode_spec(message["spec"])
             cache_dir = (message.get("cache_dir")
                          or os.environ.get("REPRO_CACHE_DIR"))
-            point = _run_spec_telemetry(spec, cache_dir,
-                                        bool(message["use_cache"]))
+            point = execute_point(spec, cache_dir,
+                                  bool(message["use_cache"]), trace)
         except FrameError:
             raise
         except Exception:
@@ -268,8 +280,10 @@ class FabricWorker:
         payload = point.result.to_dict()
         result = {"type": "result", "lease_id": lease_id, "key": key,
                   "result": payload, "checksum": payload_checksum(payload),
-                  "manifest": manifest, "trace": point.trace or {},
-                  "metrics": point.metrics or {}}
+                  "manifest": manifest}
+        if trace:
+            result["trace"] = point.trace or {}
+            result["metrics"] = point.metrics or {}
         if action == "latency":
             # A slow link, not a dead one: leases must tolerate it.
             time.sleep(self.chaos.latency_s)
@@ -366,7 +380,7 @@ def run_with_reconnect(address: str, worker_id: str,
     The supervisor loop behind ``repro fabric-worker``: each lost
     channel (coordinator crash, network drop, chaos disconnect) or
     refused dial costs one reconnect attempt and a deterministic
-    jittered backoff (:func:`~repro.experiments.supervisor.backoff_delay`
+    jittered backoff (:func:`~repro.experiments.parallel.backoff_delay`
     keyed on the worker id — two workers rejoining the same coordinator
     desynchronize, yet a replay is identical).  The session token and
     any undelivered result carry across attempts so the coordinator

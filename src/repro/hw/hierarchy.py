@@ -208,7 +208,7 @@ class SmpHierarchy:
 
     # -- batched reference walks --------------------------------------------
     #
-    # The trace generator's fast path (DESIGN.md §13): one call walks a
+    # The trace generator's fast path (DESIGN.md §11): one call walks a
     # whole run of references in the compiled kernel, through the same
     # probes as the single-reference methods above, so a run leaves
     # exactly the state and counts of issuing its references one at a

@@ -8,7 +8,7 @@ the Python calls it stands for.  A :class:`Mersenne` borrows a
 ``Random``'s stream for one batch: :meth:`Mersenne.load` copies the
 state in through ``getstate()``, :meth:`Mersenne.store` hands it back
 through ``setstate()``, and in between only the compiled state draws
-(DESIGN.md §13, "Compiled sampling").
+(DESIGN.md §11, "Compiled sampling").
 """
 
 from __future__ import annotations

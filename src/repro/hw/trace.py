@@ -183,7 +183,7 @@ class MicroarchRates:
 class TraceGenerator:
     """Drives an :class:`SmpHierarchy` with the synthetic stream.
 
-    The stream is sampled in the walk kernel (DESIGN.md §13, "Compiled
+    The stream is sampled in the walk kernel (DESIGN.md §11, "Compiled
     sampling"): a ``gen_t`` holds the ``trace`` stream's Mersenne
     Twister state, the Zipf CDFs and the stream parameters, and fills
     one segment's run at a time into a buffer that goes to the walk

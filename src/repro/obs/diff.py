@@ -28,7 +28,7 @@ Only per-point metric verdicts feed CI: ``repro diff --fail-on-regress``
 exits with :data:`REGRESSION_EXIT_CODE` iff any cell regressed beyond
 its threshold.  Thresholds default to exact comparison (results are
 deterministic) and can be widened per metric via a YAML/JSON policy
-file (DESIGN.md §15).
+file (DESIGN.md §13).
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ metrics-registry totals, and the provenance needed to *explain* a
 difference (workload fingerprint, package/git revision, fleet
 shape).  :mod:`repro.obs.diff` consumes two of them.
 
-Determinism contract (DESIGN.md §15):
+Determinism contract (DESIGN.md §13):
 
 - The **canonical payload** contains only values that are bit-stable
   across repeated runs of the same configuration: result metrics
@@ -194,7 +194,7 @@ class SweepSnapshot:
         """Snapshot a live telemetry sweep.
 
         ``points`` is what
-        :func:`repro.experiments.parallel.sweep_telemetry` returns
+        :func:`repro.experiments.parallel.run_sweep` returns
         (:class:`~repro.experiments.parallel.PointTelemetry`; ``None``
         entries from skipped points are ignored).
         """

@@ -240,10 +240,14 @@ def phase_flame_section(aggregates: Sequence[PhaseAggregate]
 
 
 def degradation_section(events: Sequence[dict]) -> "ReportSection":
-    """The supervisor's degradation timeline: retries, failovers, heals.
+    """The sweep's degradation timeline: retries, timeouts, fallbacks.
 
-    ``events`` is :attr:`repro.experiments.supervisor.ShardedSupervisor.events`
-    — ordered dicts with ``seq``/``event`` plus event-specific fields.
+    ``events`` is the executor's timeline,
+    :attr:`repro.experiments.parallel.Executor.events` (a
+    :class:`~repro.experiments.parallel.PoolExecutor` or
+    :class:`~repro.fabric.coordinator.FabricCoordinator`, including the
+    driver's own events) — ordered dicts with ``seq``/``event`` plus
+    event-specific fields.
     An empty timeline renders as an empty-row section (dropped by
     :func:`build_sweep_report`).
     """
@@ -265,18 +269,20 @@ def degradation_section(events: Sequence[dict]) -> "ReportSection":
     return ReportSection(
         "Degradation timeline",
         ["#", "event", "point", "executor", "detail"], rows,
-        note="Supervisor/fabric events in occurrence order: retries, "
-             "straggler flags, timeouts, pool rebuilds, shard "
-             "failovers, worker losses and quarantines.  The executor "
-             "column names the shard or fabric worker involved.  An "
-             "absent section means the sweep ran clean.")
+        note="Driver, pool and fabric events in occurrence order: "
+             "retries, straggler flags, timeouts, pool rebuilds, "
+             "fallbacks, worker losses and quarantines.  The executor "
+             "column names the fabric worker involved.  An absent "
+             "section means the sweep ran clean.")
 
 
 def worker_section(workers: Sequence) -> "ReportSection":
     """Per-worker fabric health: state, completions, failures.
 
     ``workers`` is :meth:`repro.fabric.FabricCoordinator.worker_health`
-    — the fleet's end-of-sweep snapshot, one row per worker.
+    — the fleet's end-of-sweep snapshot, one row per worker, after the
+    coordinator ran a sweep under
+    :func:`repro.experiments.parallel.run_points`.
     """
     from repro.experiments.report import ReportSection
 
@@ -335,9 +341,10 @@ def build_sweep_report(points: Sequence,
                        ) -> "RunReport":
     """Assemble the sweep dashboard from telemetry points.
 
-    ``points`` is what :func:`repro.experiments.parallel.sweep_telemetry`
-    returns (``None`` entries from skipped points are ignored).
-    ``events``, when a supervised or fabric sweep provides them, render
+    ``points`` is what a traced
+    :func:`repro.experiments.parallel.run_sweep` returns (``None``
+    entries from skipped points are ignored).
+    ``events``, an executor's timeline (``Executor.events``), render
     as the degradation timeline; ``workers`` (fabric
     ``worker_health()`` snapshots) render as the fleet-health section.
     Sections whose inputs are absent everywhere (no traces, no

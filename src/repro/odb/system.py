@@ -42,7 +42,7 @@ PHYSICAL_BLOCK_BYTES = 8 * 1024
 
 #: ``(key, BufferCache.snapshot())`` of the most recent prewarm in this
 #: process, so fixed-point rounds and points that differ only in P, C,
-#: CPI or faults restore it instead of replaying (DESIGN.md §13,
+#: CPI or faults restore it instead of replaying (DESIGN.md §11,
 #: "Prewarm reuse").  One entry bounds the memory at one snapshot.
 _prewarm_memo: Optional[tuple[tuple, dict[int, bool]]] = None
 

@@ -1,4 +1,4 @@
-"""Tests for the process-parallel executor: determinism, journal
+"""Tests for the local pool behind the sweep driver: determinism, journal
 serialization, and graceful degradation to the serial path."""
 
 import json
@@ -8,11 +8,12 @@ import pytest
 from repro.experiments import parallel as parallel_module
 from repro.experiments.configs import FAST_SETTINGS
 from repro.experiments.parallel import (
+    PoolExecutor,
     RunSpec,
     effective_jobs,
     map_parallel,
     run_many,
-    sweep_parallel,
+    run_sweep,
     sweep_telemetry,
 )
 from repro.experiments.resilience import SweepJournal
@@ -27,10 +28,24 @@ def canonical(results):
     return [json.dumps(r.to_dict(), sort_keys=True) for r in results]
 
 
+def sweep_results(grid, jobs=None, **kwargs):
+    """A local-executor :func:`run_sweep`, results only."""
+    return [point.result for point in run_sweep(
+        grid, PROCESSORS, settings=FAST_SETTINGS,
+        executor=PoolExecutor(jobs), **kwargs)]
+
+
 @pytest.fixture()
 def serial_reference():
     return canonical(sweep(GRID, PROCESSORS, settings=FAST_SETTINGS,
                            use_cache=False))
+
+
+class ExplodingPool:
+    """A process pool that cannot even be created (fork forbidden)."""
+
+    def __init__(self, *args, **kwargs):
+        raise OSError("forking forbidden")
 
 
 class TestEffectiveJobs:
@@ -55,8 +70,7 @@ class TestEffectiveJobs:
 class TestDeterminism:
     def test_parallel_sweep_bit_identical_to_serial(self, tmp_path,
                                                     serial_reference):
-        results = sweep_parallel(GRID, PROCESSORS, settings=FAST_SETTINGS,
-                                 jobs=2, cache_dir=tmp_path / "cache")
+        results = sweep_results(GRID, jobs=2, cache_dir=tmp_path / "cache")
         assert canonical(results) == serial_reference
 
     def test_run_many_preserves_spec_order(self, tmp_path, serial_reference):
@@ -70,16 +84,15 @@ class TestDeterminism:
     def test_serial_env_delegates_and_matches(self, monkeypatch, tmp_path,
                                               serial_reference):
         monkeypatch.setenv("REPRO_SERIAL", "1")
-        results = sweep_parallel(GRID, PROCESSORS, settings=FAST_SETTINGS,
-                                 cache_dir=tmp_path / "cache")
+        results = sweep_results(GRID, cache_dir=tmp_path / "cache")
         assert canonical(results) == serial_reference
 
 
 class TestJournal:
     def test_parent_journals_every_point(self, tmp_path):
         journal_path = tmp_path / "sweep.jsonl"
-        sweep_parallel(GRID, PROCESSORS, settings=FAST_SETTINGS, jobs=2,
-                       cache_dir=tmp_path / "cache", journal=journal_path)
+        sweep_results(GRID, jobs=2, cache_dir=tmp_path / "cache",
+                      journal=journal_path)
         journal = SweepJournal(journal_path)
         completed = journal.load()
         assert len(completed) == len(GRID)
@@ -87,13 +100,11 @@ class TestJournal:
 
     def test_resume_skips_journaled_points(self, tmp_path):
         journal_path = tmp_path / "sweep.jsonl"
-        first = sweep_parallel(GRID, PROCESSORS, settings=FAST_SETTINGS,
-                               jobs=2, cache_dir=tmp_path / "cache",
-                               journal=journal_path)
+        first = sweep_results(GRID, jobs=2, cache_dir=tmp_path / "cache",
+                              journal=journal_path)
         lines_after_first = journal_path.read_text().count("\n")
-        second = sweep_parallel(GRID, PROCESSORS, settings=FAST_SETTINGS,
-                                jobs=2, cache_dir=tmp_path / "cache",
-                                journal=journal_path)
+        second = sweep_results(GRID, jobs=2, cache_dir=tmp_path / "cache",
+                               journal=journal_path)
         # Nothing re-journaled, and the resumed results are identical.
         assert journal_path.read_text().count("\n") == lines_after_first
         assert canonical(second) == canonical(first)
@@ -102,16 +113,6 @@ class TestJournal:
 class TestFallback:
     def test_broken_pool_degrades_to_serial(self, monkeypatch, tmp_path,
                                             serial_reference):
-        class ExplodingPool:
-            def __init__(self, *args, **kwargs):
-                pass
-
-            def __enter__(self):
-                raise OSError("forking forbidden")
-
-            def __exit__(self, *exc):
-                return False
-
         monkeypatch.setattr(parallel_module, "ProcessPoolExecutor",
                             ExplodingPool)
         specs = [RunSpec(warehouses=w, processors=PROCESSORS,
@@ -120,16 +121,6 @@ class TestFallback:
         assert canonical(results) == serial_reference
 
     def test_map_parallel_fallback_preserves_order(self, monkeypatch):
-        class ExplodingPool:
-            def __init__(self, *args, **kwargs):
-                pass
-
-            def __enter__(self):
-                raise OSError("forking forbidden")
-
-            def __exit__(self, *exc):
-                return False
-
         monkeypatch.setattr(parallel_module, "ProcessPoolExecutor",
                             ExplodingPool)
         assert map_parallel(abs, [-3, 2, -1], jobs=4) == [3, 2, 1]
@@ -231,14 +222,35 @@ class TestSerialEnvParsing:
         assert not parallel_module.serial_forced()
 
 
+class TestPointFailure:
+    def test_run_many_raises_the_point_error_after_retries(self, monkeypatch,
+                                                          tmp_path):
+        from repro.experiments.parallel import SupervisorPolicy
+
+        calls = []
+
+        def failing(spec, *args, **kwargs):
+            calls.append(spec.key())
+            raise ValueError("bad point")
+
+        monkeypatch.setattr(parallel_module, "execute_point", failing)
+        spec = RunSpec(warehouses=10, processors=PROCESSORS,
+                       settings=FAST_SETTINGS)
+        # One pending point runs in-process, where the patch applies.
+        with pytest.raises(ValueError, match="bad point"):
+            run_many([spec], jobs=2, cache_dir=tmp_path / "cache")
+        # The driver's default budget: the first try plus every retry.
+        assert len(calls) == 1 + SupervisorPolicy().max_retries
+
+
 class TestPartialFallback:
     """A mid-sweep pool break must keep completed points, not recompute."""
 
     @staticmethod
     def _half_broken_pool(good_key, good_payload, error):
-        """A fake executor: the ``good_key`` spec's future completes
+        """A fake process pool: the ``good_key`` spec's future completes
         with ``good_payload`` immediately; every other future breaks
-        with ``error`` shortly *after* (so ``as_completed`` observes the
+        with ``error`` shortly *after* (so the driver observes the
         completed point before the pool failure, deterministically)."""
         import threading
         from concurrent.futures import Future
@@ -247,11 +259,8 @@ class TestPartialFallback:
             def __init__(self, *args, **kwargs):
                 pass
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
+            def shutdown(self, *args, **kwargs):
+                pass
 
             def submit(self, fn, spec, *args, **kwargs):
                 future = Future()
@@ -273,20 +282,21 @@ class TestPartialFallback:
 
         specs = [RunSpec(warehouses=w, processors=PROCESSORS,
                          settings=FAST_SETTINGS) for w in GRID]
-        first_result = parallel_module._run_spec(
+        first_point = parallel_module.execute_point(
             specs[0], str(tmp_path / "warm"), True)
         monkeypatch.setattr(
             parallel_module, "ProcessPoolExecutor",
-            self._half_broken_pool(specs[0].key(), first_result,
+            self._half_broken_pool(specs[0].key(), first_point,
                                    BrokenProcessPool("worker died")))
         serial_runs = []
-        original = parallel_module._run_spec
+        original = parallel_module.execute_point
 
         def counting_run_spec(spec, *args, **kwargs):
             serial_runs.append(spec.key())
             return original(spec, *args, **kwargs)
 
-        monkeypatch.setattr(parallel_module, "_run_spec", counting_run_spec)
+        monkeypatch.setattr(parallel_module, "execute_point",
+                            counting_run_spec)
         journaled = []
         results = run_many(specs, jobs=2, cache_dir=tmp_path / "cache",
                            on_result=lambda spec, result:
@@ -299,24 +309,26 @@ class TestPartialFallback:
 
     def test_run_telemetry_fallback_keeps_completed_points(self, monkeypatch,
                                                            tmp_path):
+        from concurrent.futures.process import BrokenProcessPool
+
         from repro.experiments.parallel import run_telemetry
 
         specs = [RunSpec(warehouses=w, processors=PROCESSORS,
                          settings=FAST_SETTINGS) for w in GRID]
-        first_point = parallel_module._run_spec_telemetry(
-            specs[0], str(tmp_path / "warm"), True)
+        first_point = parallel_module.execute_point(
+            specs[0], str(tmp_path / "warm"), True, trace=True)
         monkeypatch.setattr(
             parallel_module, "ProcessPoolExecutor",
             self._half_broken_pool(specs[0].key(), first_point,
-                                   OSError("forking forbidden")))
+                                   BrokenProcessPool("worker died")))
         serial_runs = []
-        original = parallel_module._run_spec_telemetry
+        original = parallel_module.execute_point
 
         def counting(spec, *args, **kwargs):
             serial_runs.append(spec.key())
             return original(spec, *args, **kwargs)
 
-        monkeypatch.setattr(parallel_module, "_run_spec_telemetry", counting)
+        monkeypatch.setattr(parallel_module, "execute_point", counting)
         points = run_telemetry(specs, jobs=2, cache_dir=tmp_path / "cache")
         assert [p.spec.warehouses for p in points] == list(GRID)
         assert serial_runs == [specs[1].key()]
@@ -324,16 +336,6 @@ class TestPartialFallback:
     def test_fallback_is_counted_when_metrics_active(self, monkeypatch,
                                                      tmp_path):
         from repro.obs import metrics as metrics_module
-
-        class ExplodingPool:
-            def __init__(self, *args, **kwargs):
-                pass
-
-            def __enter__(self):
-                raise OSError("forking forbidden")
-
-            def __exit__(self, *exc):
-                return False
 
         monkeypatch.setattr(parallel_module, "ProcessPoolExecutor",
                             ExplodingPool)
@@ -344,4 +346,4 @@ class TestPartialFallback:
             run_many(specs, jobs=2, cache_dir=tmp_path / "cache")
         finally:
             metrics_module.disable_metrics()
-        assert registry.counters["parallel.pool_fallbacks"] == 1.0
+        assert registry.counters["pool.serial_fallback"] == 1.0

@@ -1,27 +1,26 @@
-"""Chaos tests for the sharded supervisor: injected worker death,
-hangs, and poisoned attempts must leave sweep results bit-identical to
-the serial golden, with the degradation visible in events/metrics."""
+"""Chaos tests for the sweep driver on the local pool: injected worker
+death, hangs, and poisoned attempts must leave sweep results
+bit-identical to the serial golden, with the degradation visible in
+events/metrics."""
 
 import json
 
 import pytest
 
 from repro.experiments.configs import FAST_SETTINGS
-from repro.experiments.parallel import RunSpec, sweep_parallel
-from repro.experiments.resilience import SweepJournal
-from repro.experiments.runner import sweep
-from repro.experiments.supervisor import (
+from repro.experiments.parallel import (
     ChaosError,
-    ChaosPolicy,
-    ShardSpec,
-    ShardedSupervisor,
+    PoolExecutor,
+    RunSpec,
     SupervisorPolicy,
     SweepFailure,
     backoff_delay,
-    default_shards,
-    supervised_run_telemetry,
-    supervised_sweep,
+    run_points,
+    run_sweep,
 )
+from repro.experiments.resilience import SweepJournal
+from repro.experiments.runner import sweep
+from repro.fabric.chaos import FabricChaosPolicy as ChaosPolicy
 from repro.obs import metrics as metrics_module
 from repro.obs.sweep_report import build_sweep_report, degradation_section
 
@@ -50,6 +49,20 @@ def make_specs():
                     settings=FAST_SETTINGS) for w in GRID]
 
 
+def run_pool(pool, tmp_path, policy=FAST_POLICY, specs=None, **kwargs):
+    """Run the grid on ``pool`` through the driver; results only."""
+    points = run_points(specs or make_specs(), pool, policy=policy,
+                        cache_dir=tmp_path / "cache", **kwargs)
+    return [point.result for point in points]
+
+
+def sweep_pool(pool, tmp_path, **kwargs):
+    """A journaled-capable ``run_sweep`` of the grid on ``pool``."""
+    return [point.result for point in run_sweep(
+        GRID, PROCESSORS, settings=FAST_SETTINGS, executor=pool,
+        policy=FAST_POLICY, cache_dir=tmp_path / "cache", **kwargs)]
+
+
 class TestPolicyPrimitives:
     def test_backoff_is_deterministic_and_bounded(self):
         policy = SupervisorPolicy(base_backoff_s=0.1, backoff_factor=2.0,
@@ -72,19 +85,7 @@ class TestPolicyPrimitives:
         with pytest.raises(ValueError):
             SupervisorPolicy(backoff_factor=0.5)
         with pytest.raises(ValueError):
-            SupervisorPolicy(shard_failure_threshold=0)
-
-    def test_shard_spec_validation(self):
-        with pytest.raises(ValueError):
-            ShardSpec("bad", jobs=0)
-
-    def test_default_shards_split_job_budget(self):
-        shards = default_shards(2, jobs=4, cache_dir="/tmp/c")
-        assert [s.jobs for s in shards] == [2, 2]
-        assert [s.name for s in shards] == ["shard-0", "shard-1"]
-        assert all(s.cache_dir == "/tmp/c" for s in shards)
-        with pytest.raises(ValueError):
-            default_shards(0)
+            SupervisorPolicy(failure_threshold=0)
 
 
 class TestChaosPolicy:
@@ -116,24 +117,20 @@ class TestChaosPolicy:
 class TestPoisonRetry:
     def test_poisoned_first_attempts_retry_to_identical_results(
             self, tmp_path, serial_reference):
-        supervisor = ShardedSupervisor(
-            shards=(ShardSpec("a", cache_dir=str(tmp_path / "a"), jobs=2),),
-            policy=FAST_POLICY,
-            chaos=ChaosPolicy(poison=1.0, attempts=1))
-        results = supervisor.run(make_specs())
+        pool = PoolExecutor(jobs=2, chaos=ChaosPolicy(poison=1.0, attempts=1))
+        results = run_pool(pool, tmp_path)
         assert canonical(results) == serial_reference
-        retries = [e for e in supervisor.events if e["event"] == "point-retry"]
+        retries = [e for e in pool.events if e["event"] == "point-retry"]
         assert len(retries) == len(GRID)
         assert all("ChaosError" in e["error"] for e in retries)
 
     def test_retry_budget_exhaustion_raises_sweep_failure(self, tmp_path):
-        supervisor = ShardedSupervisor(
-            shards=(ShardSpec("a", cache_dir=str(tmp_path / "a"), jobs=1),),
-            policy=SupervisorPolicy(max_retries=1, base_backoff_s=0.005,
-                                    tick_s=0.02),
-            chaos=ChaosPolicy(poison=1.0, attempts=5))
+        pool = PoolExecutor(jobs=1, chaos=ChaosPolicy(poison=1.0, attempts=5))
         with pytest.raises(SweepFailure) as error:
-            supervisor.run(make_specs())
+            run_pool(pool, tmp_path,
+                     policy=SupervisorPolicy(max_retries=1,
+                                             base_backoff_s=0.005,
+                                             tick_s=0.02))
         assert error.value.attempts == 2
         assert isinstance(error.value.last_error, ChaosError)
 
@@ -143,75 +140,45 @@ class TestPoolSelfHealing:
                                                     serial_reference):
         # Every point's first attempt kills its worker: the pool breaks,
         # is rebuilt, and the second attempts complete — bit-identically.
-        supervisor = ShardedSupervisor(
-            shards=(ShardSpec("a", cache_dir=str(tmp_path / "a"), jobs=2),),
-            policy=FAST_POLICY,
-            chaos=ChaosPolicy(kill=1.0, attempts=1))
-        results = supervisor.run(make_specs())
+        pool = PoolExecutor(jobs=2, chaos=ChaosPolicy(kill=1.0, attempts=1))
+        completed = []
+        results = run_pool(pool, tmp_path, on_result=lambda spec, point:
+                           completed.append(spec.key()))
         assert canonical(results) == serial_reference
-        kinds = {e["event"] for e in supervisor.events}
-        assert "pool-rebuild" in kinds
+        kinds = [e["event"] for e in pool.events]
+        assert kinds.count("pool-rebuild") >= 1
         assert "serial-fallback" not in kinds
-        health = supervisor.shard_health()[0]
-        assert health.rebuilds >= 1 and not health.failed
-        assert health.completed == len(GRID)
+        assert pool.usable()
+        assert sorted(completed) == sorted(s.key() for s in make_specs())
 
 
 class TestShardFailover:
-    def test_sick_shard_fails_over_to_healthy_shard(self, tmp_path,
-                                                    serial_reference):
-        specs = make_specs()
-        # Kill only the first point's worker; threshold 1 fails its
-        # shard immediately, so its points must finish elsewhere.
-        chaos = ChaosPolicy(kill=1.0, attempts=1, targets=(specs[0].key(),))
-        policy = SupervisorPolicy(max_retries=3, base_backoff_s=0.01,
-                                  tick_s=0.02, shard_failure_threshold=1)
-        supervisor = ShardedSupervisor(
-            shards=(ShardSpec("sick", cache_dir=str(tmp_path / "a"), jobs=1),
-                    ShardSpec("healthy", cache_dir=str(tmp_path / "b"),
-                              jobs=1)),
-            policy=policy, chaos=chaos)
-        results = supervisor.run(specs)
-        assert canonical(results) == serial_reference
-        kinds = [e["event"] for e in supervisor.events]
-        assert "shard-failed" in kinds
-        assert "shard-failover" in kinds
-        by_name = {h.name: h for h in supervisor.shard_health()}
-        assert by_name["sick"].failed
-        assert not by_name["healthy"].failed
-        assert by_name["healthy"].completed >= 1
-
     def test_all_shards_failed_falls_back_to_serial(self, tmp_path,
                                                     serial_reference):
         # Chaos kills first attempts of everything and the threshold is
-        # 1: both shards die, and the supervisor must still finish the
-        # sweep in-process (where kill degrades to poison, then the
-        # attempt bound clears).
+        # 1: the pool is exhausted by the first kill, and the driver
+        # must still finish the sweep in-process (where kill degrades to
+        # poison, then the attempt bound clears).
         policy = SupervisorPolicy(max_retries=3, base_backoff_s=0.01,
-                                  tick_s=0.02, shard_failure_threshold=1)
-        supervisor = ShardedSupervisor(
-            shards=(ShardSpec("a", cache_dir=str(tmp_path / "a"), jobs=1),
-                    ShardSpec("b", cache_dir=str(tmp_path / "b"), jobs=1)),
-            policy=policy, chaos=ChaosPolicy(kill=1.0, attempts=1))
-        results = supervisor.run(make_specs())
+                                  tick_s=0.02, failure_threshold=1)
+        pool = PoolExecutor(jobs=2, chaos=ChaosPolicy(kill=1.0, attempts=1))
+        results = run_pool(pool, tmp_path, policy=policy)
         assert canonical(results) == serial_reference
-        assert "serial-fallback" in {e["event"] for e in supervisor.events}
+        assert "serial-fallback" in {e["event"] for e in pool.events}
 
 
 class TestTimeouts:
     def test_hung_worker_is_killed_and_retried(self, tmp_path,
                                                serial_reference):
         specs = make_specs()
-        chaos = ChaosPolicy(hang=1.0, attempts=1, hang_s=30.0,
+        chaos = ChaosPolicy(hang=1.0, attempts=1, delay_s=30.0,
                             targets=(specs[0].key(),))
         policy = SupervisorPolicy(max_retries=3, base_backoff_s=0.01,
                                   tick_s=0.02, point_timeout_s=1.0)
-        supervisor = ShardedSupervisor(
-            shards=(ShardSpec("a", cache_dir=str(tmp_path / "a"), jobs=2),),
-            policy=policy, chaos=chaos)
-        results = supervisor.run(specs)
+        pool = PoolExecutor(jobs=2, chaos=chaos)
+        results = run_pool(pool, tmp_path, policy=policy, specs=specs)
         assert canonical(results) == serial_reference
-        kinds = [e["event"] for e in supervisor.events]
+        kinds = [e["event"] for e in pool.events]
         assert "point-timeout" in kinds
         assert "point-straggling" in kinds  # flagged before the deadline
         assert "point-retry" in kinds
@@ -220,49 +187,40 @@ class TestTimeouts:
 class TestSupervisedSweep:
     def test_journal_is_the_merge_point_across_shards(self, tmp_path,
                                                       serial_reference):
+        # Every first attempt kills its worker: the pool is rebuilt and
+        # the journal still records each point once, from this process.
         journal_path = tmp_path / "sweep.jsonl"
-        shards = (ShardSpec("a", cache_dir=str(tmp_path / "a"), jobs=1),
-                  ShardSpec("b", cache_dir=str(tmp_path / "b"), jobs=1))
-        results = supervised_sweep(GRID, PROCESSORS, settings=FAST_SETTINGS,
-                                   journal=journal_path, shards=shards,
-                                   policy=FAST_POLICY)
+        pool = PoolExecutor(jobs=2, chaos=ChaosPolicy(kill=1.0, attempts=1))
+        results = sweep_pool(pool, tmp_path, journal=journal_path)
         assert canonical(results) == serial_reference
         journal = SweepJournal(journal_path)
         assert len(journal.load()) == len(GRID)
 
     def test_resume_skips_journaled_points(self, tmp_path):
         journal_path = tmp_path / "sweep.jsonl"
-        shards = (ShardSpec("a", cache_dir=str(tmp_path / "a"), jobs=2),)
-        first = supervised_sweep(GRID, PROCESSORS, settings=FAST_SETTINGS,
-                                 journal=journal_path, shards=shards,
-                                 policy=FAST_POLICY)
+        first = sweep_pool(PoolExecutor(jobs=2), tmp_path,
+                           journal=journal_path)
         lines = journal_path.read_text().count("\n")
-        second = supervised_sweep(GRID, PROCESSORS, settings=FAST_SETTINGS,
-                                  journal=journal_path, shards=shards,
-                                  policy=FAST_POLICY)
+        second = sweep_pool(PoolExecutor(jobs=2), tmp_path,
+                            journal=journal_path)
         assert journal_path.read_text().count("\n") == lines
         assert canonical(second) == canonical(first)
 
     def test_sweep_parallel_routes_through_supervisor(self, tmp_path,
                                                       serial_reference):
-        supervisor = ShardedSupervisor(
-            shards=(ShardSpec("a", cache_dir=str(tmp_path / "a"), jobs=2),),
-            policy=FAST_POLICY, chaos=ChaosPolicy(poison=1.0, attempts=1))
-        results = sweep_parallel(GRID, PROCESSORS, settings=FAST_SETTINGS,
-                                 supervisor=supervisor)
+        pool = PoolExecutor(jobs=2, chaos=ChaosPolicy(poison=1.0, attempts=1))
+        results = sweep_pool(pool, tmp_path)
         assert canonical(results) == serial_reference
-        assert any(e["event"] == "point-retry" for e in supervisor.events)
+        assert any(e["event"] == "point-retry" for e in pool.events)
 
     def test_serial_env_supervises_in_process(self, monkeypatch, tmp_path,
                                               serial_reference):
         monkeypatch.setenv("REPRO_SERIAL", "1")
-        supervisor = ShardedSupervisor(
-            shards=(ShardSpec("a", cache_dir=str(tmp_path / "a"), jobs=4),),
-            policy=FAST_POLICY, chaos=ChaosPolicy(kill=1.0, attempts=1))
-        results = supervisor.run(make_specs())
+        pool = PoolExecutor(jobs=4, chaos=ChaosPolicy(kill=1.0, attempts=1))
+        results = run_pool(pool, tmp_path)
         # kill degrades to poison in-process; retries still converge.
         assert canonical(results) == serial_reference
-        assert any(e["event"] == "point-retry" for e in supervisor.events)
+        assert any(e["event"] == "point-retry" for e in pool.events)
 
 
 class TestDegradationTelemetry:
@@ -271,29 +229,25 @@ class TestDegradationTelemetry:
         stream = tmp_path / "events.jsonl"
         registry = metrics_module.enable_metrics(stream_path=str(stream))
         try:
-            supervisor = ShardedSupervisor(
-                shards=(ShardSpec("a", cache_dir=str(tmp_path / "a"),
-                                  jobs=2),),
-                policy=FAST_POLICY, chaos=ChaosPolicy(kill=1.0, attempts=1))
-            results = supervisor.run(make_specs())
+            pool = PoolExecutor(jobs=2,
+                                chaos=ChaosPolicy(kill=1.0, attempts=1))
+            results = run_pool(pool, tmp_path)
         finally:
             metrics_module.disable_metrics()
         assert canonical(results) == serial_reference
-        assert registry.counters["supervisor.point_retry"] == len(GRID)
-        assert registry.counters["supervisor.pool_rebuild"] >= 1
-        assert registry.counters["supervisor.points_completed"] == len(GRID)
+        assert registry.counters["pool.point_retry"] == len(GRID)
+        assert registry.counters["pool.pool_rebuild"] >= 1
+        assert registry.counters["pool.points_completed"] == len(GRID)
         records = [json.loads(line) for line in
                    stream.read_text().splitlines()]
-        assert any(r["event"] == "supervisor-point-retry" for r in records)
-        assert any(r["event"] == "supervisor-pool-rebuild" for r in records)
+        assert any(r["event"] == "pool-point-retry" for r in records)
+        assert any(r["event"] == "pool-pool-rebuild" for r in records)
 
     def test_degradation_timeline_lands_in_sweep_report(self, tmp_path):
-        supervisor = ShardedSupervisor(
-            shards=(ShardSpec("a", cache_dir=str(tmp_path / "a"), jobs=2),),
-            policy=FAST_POLICY, chaos=ChaosPolicy(poison=1.0, attempts=1))
-        points = supervised_run_telemetry(make_specs(),
-                                          supervisor=supervisor)
-        report = build_sweep_report(points, events=supervisor.events)
+        pool = PoolExecutor(jobs=2, chaos=ChaosPolicy(poison=1.0, attempts=1))
+        points = run_points(make_specs(), pool, policy=FAST_POLICY,
+                            trace=True, cache_dir=tmp_path / "cache")
+        report = build_sweep_report(points, events=pool.events)
         text = report.to_markdown()
         assert "Degradation timeline" in text
         assert "point-retry" in text
@@ -313,11 +267,8 @@ class TestDegradationTelemetry:
             self, tmp_path):
         registry = metrics_module.enable_metrics()
         try:
-            supervised_run_telemetry(
-                make_specs(),
-                shards=(ShardSpec("a", cache_dir=str(tmp_path / "a"),
-                                  jobs=2),),
-                policy=FAST_POLICY)
+            run_points(make_specs(), PoolExecutor(jobs=2), policy=FAST_POLICY,
+                       trace=True, cache_dir=tmp_path / "cache")
         finally:
             metrics_module.disable_metrics()
         assert registry.counters["runner.runs_finished"] == len(GRID)
@@ -338,7 +289,7 @@ class TestBackoffPortability:
             pytest.approx(0.12398061597169135, abs=0, rel=1e-15)
 
     def test_matches_recomputed_formula(self):
-        from repro.experiments.supervisor import _unit_hash
+        from repro.experiments.parallel import _unit_hash
 
         policy = SupervisorPolicy(base_backoff_s=0.1, backoff_factor=3.0,
                                   max_backoff_s=0.5)
@@ -349,9 +300,9 @@ class TestBackoffPortability:
 
 
 class TestSerialEnvWithShards:
-    """REPRO_SERIAL=1 must win over any --shards/--jobs request: shard
-    shapes are honored but every shard's job budget collapses to one
-    worker and execution never leaves the parent process."""
+    """REPRO_SERIAL=1 must win over any --jobs request or pool: every
+    job budget collapses to one worker and execution never leaves the
+    parent process."""
 
     def test_effective_jobs_forced_to_one(self, monkeypatch):
         from repro.experiments.parallel import effective_jobs
@@ -360,21 +311,15 @@ class TestSerialEnvWithShards:
         assert effective_jobs(8) == 1
         assert effective_jobs(None) == 1
 
-    def test_default_shards_collapse_to_one_job_each(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERIAL", "1")
-        shards = default_shards(3, jobs=8)
-        assert len(shards) == 3
-        assert all(shard.jobs == 1 for shard in shards)
-
     def test_sharded_supervisor_completes_serially(self, monkeypatch,
                                                    serial_reference):
         monkeypatch.setenv("REPRO_SERIAL", "1")
-        supervisor = ShardedSupervisor(shards=default_shards(3, jobs=8),
-                                       policy=FAST_POLICY, use_cache=False)
-        results = supervisor.run(make_specs())
+        pool = PoolExecutor(jobs=8)
+        results = [point.result for point in run_points(
+            make_specs(), pool, policy=FAST_POLICY, use_cache=False)]
         assert canonical(results) == serial_reference
-        # the serial path never built a pool on any shard
-        assert all(shard.pool is None for shard in supervisor._shards)
+        # the serial path never built a pool
+        assert pool._pool is None
 
 
 class TestPoolTeardown:
@@ -385,7 +330,7 @@ class TestPoolTeardown:
         import time as time_module
         from concurrent.futures import ProcessPoolExecutor
 
-        from repro.experiments.supervisor import _kill_pool
+        from repro.experiments.parallel import _kill_pool
 
         pool = ProcessPoolExecutor(max_workers=1)
         pool.submit(_ignore_sigterm_and_sleep)
@@ -399,21 +344,6 @@ class TestPoolTeardown:
             assert not process.is_alive()
             assert process.exitcode is not None  # joined, not a zombie
 
-    def test_shard_runtime_close_is_idempotent(self):
-        from repro.experiments.supervisor import _ShardRuntime
-
-        runtime = _ShardRuntime(ShardSpec("s0", jobs=1))
-        runtime.close()  # no pool yet: a no-op
-        from concurrent.futures import ProcessPoolExecutor
-
-        runtime.pool = ProcessPoolExecutor(max_workers=1)
-        runtime.pool.submit(int, 1).result()
-        processes = list(runtime.pool._processes.values())
-        runtime.close()
-        assert runtime.pool is None
-        for process in processes:
-            assert not process.is_alive()
-        runtime.close()  # second close: still a no-op
 
 
 def _ignore_sigterm_and_sleep():

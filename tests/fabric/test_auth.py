@@ -11,12 +11,12 @@ import pytest
 from repro.experiments.configs import FAST_SETTINGS
 from repro.experiments.parallel import RunSpec
 from repro.experiments.runner import sweep
-from repro.experiments.supervisor import SupervisorPolicy
+from repro.experiments.parallel import SupervisorPolicy, run_sweep
 from repro.fabric import (
     FabricChaosPolicy,
     FabricCoordinator,
     FabricPolicy,
-    fabric_sweep,
+    fabric_run_many,
 )
 from repro.fabric.protocol import (
     HEADER_BYTES,
@@ -139,24 +139,21 @@ class TestSecretResolution:
 class TestAuthenticatedSweeps:
     def test_signed_stdio_sweep_bit_identical(self, serial_reference):
         coordinator = FabricCoordinator(
-            policy=FAST_POLICY,
             fabric=FabricPolicy(workers=2, heartbeat_s=0.1,
-                                heartbeat_timeout_s=1.5, tick_s=0.02,
-                                secret=SECRET),
-            use_cache=False)
-        results = coordinator.run(make_specs())
+                                heartbeat_timeout_s=1.5, secret=SECRET))
+        results = fabric_run_many(make_specs(), policy=FAST_POLICY,
+                                  use_cache=False, coordinator=coordinator)
         assert canonical(results) == serial_reference
         assert all(h.state == "ready"
                    for h in coordinator.worker_health())
 
     def test_signed_tcp_sweep_bit_identical(self, serial_reference):
         coordinator = FabricCoordinator(
-            policy=FAST_POLICY,
             fabric=FabricPolicy(workers=2, transport="tcp",
                                 heartbeat_s=0.1, heartbeat_timeout_s=1.5,
-                                tick_s=0.02, secret=SECRET),
-            use_cache=False)
-        results = coordinator.run(make_specs())
+                                secret=SECRET))
+        results = fabric_run_many(make_specs(), policy=FAST_POLICY,
+                                  use_cache=False, coordinator=coordinator)
         assert canonical(results) == serial_reference
         assert all(h.state == "ready"
                    for h in coordinator.worker_health())
@@ -176,12 +173,11 @@ class TestAuthenticatedSweeps:
         good = StdioTransport.launch("good", heartbeat_s=0.1,
                                      secret=SECRET)
         coordinator = FabricCoordinator(
-            transports=[unauth, good], policy=FAST_POLICY,
+            transports=[unauth, good],
             fabric=FabricPolicy(workers=2, heartbeat_s=0.1,
-                                heartbeat_timeout_s=1.5, tick_s=0.02,
-                                secret=SECRET),
-            use_cache=False)
-        results = coordinator.run(make_specs())
+                                heartbeat_timeout_s=1.5, secret=SECRET))
+        results = fabric_run_many(make_specs(), policy=FAST_POLICY,
+                                  use_cache=False, coordinator=coordinator)
         assert canonical(results) == serial_reference
         by_name = {h.name: h for h in coordinator.worker_health()}
         assert by_name["unauth"].state == "rejected"
@@ -200,15 +196,13 @@ class TestAuthenticatedSweeps:
         chaos = FabricChaosPolicy(seed=1, replay=1.0, attempts=1,
                                   targets=(specs[0].key(),))
         coordinator = FabricCoordinator(
-            policy=FAST_POLICY, chaos=chaos,
+            chaos=chaos,
             fabric=FabricPolicy(workers=2, heartbeat_s=0.1,
-                                heartbeat_timeout_s=1.5, tick_s=0.02,
-                                secret=SECRET),
-            use_cache=False)
+                                heartbeat_timeout_s=1.5, secret=SECRET))
         journal = tmp_path / "journal.jsonl"
-        results = fabric_sweep(GRID, PROCESSORS, settings=FAST_SETTINGS,
-                               use_cache=False, journal=journal,
-                               coordinator=coordinator)
+        results = [point.result for point in run_sweep(
+            GRID, PROCESSORS, settings=FAST_SETTINGS, use_cache=False,
+            journal=journal, executor=coordinator, policy=FAST_POLICY)]
         assert canonical(results) == serial_reference
         kinds = [e["event"] for e in coordinator.events]
         assert "worker-auth-rejected" in kinds
@@ -226,11 +220,11 @@ class TestAuthenticatedSweeps:
         chaos = FabricChaosPolicy(seed=1, replay=1.0, attempts=1,
                                   targets=(specs[0].key(),))
         coordinator = FabricCoordinator(
-            policy=FAST_POLICY, chaos=chaos,
+            chaos=chaos,
             fabric=FabricPolicy(workers=1, heartbeat_s=0.1,
-                                heartbeat_timeout_s=1.5, tick_s=0.02),
-            use_cache=False)
-        results = coordinator.run(specs)
+                                heartbeat_timeout_s=1.5))
+        results = fabric_run_many(specs, policy=FAST_POLICY,
+                                  use_cache=False, coordinator=coordinator)
         assert canonical(results) == serial_reference
         kinds = [e["event"] for e in coordinator.events]
         assert "worker-auth-rejected" not in kinds

@@ -2,15 +2,24 @@
 handshake, dedup, quarantine, lease expiry, and graceful degradation —
 no subprocesses, so every failure mode is cheap and deterministic."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.experiments.configs import FAST_SETTINGS
-from repro.experiments.parallel import RunSpec, _run_spec
+from repro.experiments.parallel import (
+    RunSpec,
+    SupervisorPolicy,
+    SweepFailure,
+    execute_point,
+)
 from repro.experiments.records import payload_checksum
-from repro.experiments.supervisor import SupervisorPolicy, SweepFailure
-from repro.fabric.coordinator import FabricCoordinator, FabricPolicy
+from repro.fabric.coordinator import (
+    FabricCoordinator,
+    FabricPolicy,
+    fabric_run_many,
+)
 from repro.fabric.protocol import PROTOCOL_VERSION, FrameError
 from repro.fabric.transports import CHANNEL_CLOSED, WorkerTransport
 
@@ -22,8 +31,7 @@ FAST_POLICY = SupervisorPolicy(max_retries=3, base_backoff_s=0.01,
 
 def fast_fabric(**overrides):
     defaults = dict(workers=2, transport="stdio", heartbeat_s=0.05,
-                    heartbeat_timeout_s=30.0, handshake_timeout_s=5.0,
-                    tick_s=0.01)
+                    heartbeat_timeout_s=30.0, handshake_timeout_s=5.0)
     defaults.update(overrides)
     return FabricPolicy(**defaults)
 
@@ -37,7 +45,7 @@ def specs():
 @pytest.fixture(scope="module")
 def payloads(specs):
     """key -> serialized ConfigResult, computed once for the module."""
-    return {spec.key(): _run_spec(spec, None, False).to_dict()
+    return {spec.key(): execute_point(spec, None, False).result.to_dict()
             for spec in specs}
 
 
@@ -91,10 +99,10 @@ class FakeTransport(WorkerTransport):
 
 def run_coordinator(transports, specs, policy=FAST_POLICY, fabric=None,
                     **kwargs):
-    coordinator = FabricCoordinator(transports=transports, policy=policy,
-                                    fabric=fabric or fast_fabric(),
-                                    use_cache=False)
-    results = coordinator.run(specs, **kwargs)
+    coordinator = FabricCoordinator(transports=transports,
+                                    fabric=fabric or fast_fabric())
+    results = fabric_run_many(specs, policy=policy, use_cache=False,
+                              coordinator=coordinator, **kwargs)
     return coordinator, results
 
 
@@ -208,8 +216,9 @@ class TestLeases:
                 pass  # accept the lease, never answer
 
         policy = SupervisorPolicy(max_retries=1, base_backoff_s=0.005,
-                                  max_backoff_s=0.01, tick_s=0.01)
-        fabric = fast_fabric(workers=1, lease_timeout_s=0.05)
+                                  max_backoff_s=0.01, tick_s=0.01,
+                                  point_timeout_s=0.05)
+        fabric = fast_fabric(workers=1)
         with pytest.raises(SweepFailure):
             run_coordinator([Silent("w0", payloads)], specs[:1],
                             policy=policy, fabric=fabric)
@@ -223,9 +232,10 @@ class TestLeases:
                 if lease["attempt"] > 0:
                     self.push(self.result_frame(lease))
 
-        fabric = fast_fabric(workers=1, lease_timeout_s=0.05)
+        fabric = fast_fabric(workers=1)
         coordinator, results = run_coordinator(
-            [Laggard("w0", payloads)], specs[:1], fabric=fabric)
+            [Laggard("w0", payloads)], specs[:1], fabric=fabric,
+            policy=dataclasses.replace(FAST_POLICY, point_timeout_s=0.05))
         assert results[0] is not None
         kinds = [e["event"] for e in coordinator.events]
         assert "lease-expired" in kinds and "point-retry" in kinds
@@ -266,10 +276,9 @@ class TestDegradation:
     def test_repro_serial_skips_spawning_entirely(self, specs, payloads,
                                                   monkeypatch):
         monkeypatch.setenv("REPRO_SERIAL", "1")
-        coordinator = FabricCoordinator(policy=FAST_POLICY,
-                                        fabric=fast_fabric(),
-                                        use_cache=False)
-        results = coordinator.run(specs[:1])
+        coordinator = FabricCoordinator(fabric=fast_fabric())
+        results = fabric_run_many(specs[:1], policy=FAST_POLICY,
+                                  use_cache=False, coordinator=coordinator)
         expected = [json.dumps(payloads[specs[0].key()], sort_keys=True)]
         assert canonical(results) == expected
         kinds = [e["event"] for e in coordinator.events]

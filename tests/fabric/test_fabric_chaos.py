@@ -8,14 +8,14 @@ import json
 import pytest
 
 from repro.experiments.configs import FAST_SETTINGS
-from repro.experiments.parallel import RunSpec
+from repro.experiments.parallel import RunSpec, SupervisorPolicy, run_sweep
 from repro.experiments.runner import sweep
-from repro.experiments.supervisor import SupervisorPolicy
 from repro.fabric import (
     FabricChaosPolicy,
     FabricCoordinator,
     FabricPolicy,
-    fabric_sweep,
+    fabric_run_many,
+    fabric_run_telemetry,
 )
 from repro.fabric.transports import StdioTransport
 
@@ -44,12 +44,9 @@ def make_specs():
 
 def make_coordinator(workers=3, transport="stdio", chaos=None, **fabric):
     defaults = dict(workers=workers, transport=transport,
-                    heartbeat_s=0.1, heartbeat_timeout_s=1.5,
-                    tick_s=0.02)
+                    heartbeat_s=0.1, heartbeat_timeout_s=1.5)
     defaults.update(fabric)
-    return FabricCoordinator(policy=FAST_POLICY,
-                             fabric=FabricPolicy(**defaults),
-                             chaos=chaos, use_cache=False)
+    return FabricCoordinator(fabric=FabricPolicy(**defaults), chaos=chaos)
 
 
 def journal_keys(path):
@@ -78,9 +75,9 @@ class TestKillMidSweep:
                                   targets=(victim_key,))
         coordinator = make_coordinator(workers=3, chaos=chaos)
         journal = tmp_path / "journal.jsonl"
-        results = fabric_sweep(GRID, PROCESSORS, settings=FAST_SETTINGS,
-                               use_cache=False, journal=journal,
-                               coordinator=coordinator)
+        results = [point.result for point in run_sweep(
+            GRID, PROCESSORS, settings=FAST_SETTINGS, use_cache=False,
+            journal=journal, executor=coordinator, policy=FAST_POLICY)]
         assert canonical(results) == serial_reference
         kinds = [e["event"] for e in coordinator.events]
         assert "worker-lost" in kinds and "point-retry" in kinds
@@ -94,7 +91,8 @@ class TestKillMidSweep:
         chaos = FabricChaosPolicy(seed=1, kill=1.0, attempts=1,
                                   targets=(specs[0].key(),))
         coordinator = make_coordinator(workers=3, chaos=chaos)
-        results = coordinator.run(specs)
+        results = fabric_run_many(specs, policy=FAST_POLICY,
+                                  use_cache=False, coordinator=coordinator)
         assert canonical(results) == serial_reference
         states = [h.state for h in coordinator.worker_health()]
         assert states.count("lost") == 1
@@ -112,9 +110,9 @@ class TestBlackhole:
                                        heartbeat_s=0.1,
                                        heartbeat_timeout_s=0.5)
         journal = tmp_path / "journal.jsonl"
-        results = fabric_sweep(GRID, PROCESSORS, settings=FAST_SETTINGS,
-                               use_cache=False, journal=journal,
-                               coordinator=coordinator)
+        results = [point.result for point in run_sweep(
+            GRID, PROCESSORS, settings=FAST_SETTINGS, use_cache=False,
+            journal=journal, executor=coordinator, policy=FAST_POLICY)]
         assert canonical(results) == serial_reference
         kinds = [e["event"] for e in coordinator.events]
         assert "worker-unresponsive" in kinds and "point-retry" in kinds
@@ -131,7 +129,8 @@ class TestCorruptFrames:
         chaos = FabricChaosPolicy(seed=1, corrupt=1.0, attempts=1,
                                   targets=(specs[0].key(),))
         coordinator = make_coordinator(workers=2, chaos=chaos)
-        results = coordinator.run(specs)
+        results = fabric_run_many(specs, policy=FAST_POLICY,
+                                  use_cache=False, coordinator=coordinator)
         assert canonical(results) == serial_reference
         kinds = [e["event"] for e in coordinator.events]
         assert "worker-quarantined" in kinds
@@ -152,9 +151,9 @@ class TestDuplicateReplay:
                                   targets=(specs[0].key(),))
         coordinator = make_coordinator(workers=1, chaos=chaos)
         journal = tmp_path / "journal.jsonl"
-        results = fabric_sweep(GRID, PROCESSORS, settings=FAST_SETTINGS,
-                               use_cache=False, journal=journal,
-                               coordinator=coordinator)
+        results = [point.result for point in run_sweep(
+            GRID, PROCESSORS, settings=FAST_SETTINGS, use_cache=False,
+            journal=journal, executor=coordinator, policy=FAST_POLICY)]
         assert canonical(results) == serial_reference
         kinds = [e["event"] for e in coordinator.events]
         assert kinds.count("duplicate-completion") == 1
@@ -167,7 +166,8 @@ class TestTotalLoss:
             self, serial_reference):
         chaos = FabricChaosPolicy(seed=1, kill=1.0, attempts=1)
         coordinator = make_coordinator(workers=1, chaos=chaos)
-        results = coordinator.run(make_specs())
+        results = fabric_run_many(make_specs(), policy=FAST_POLICY,
+                                  use_cache=False, coordinator=coordinator)
         assert canonical(results) == serial_reference
         kinds = [e["event"] for e in coordinator.events]
         assert "worker-lost" in kinds and "local-fallback" in kinds
@@ -177,7 +177,8 @@ class TestTotalLoss:
 class TestTcpTransport:
     def test_tcp_sweep_bit_identical(self, serial_reference):
         coordinator = make_coordinator(workers=2, transport="tcp")
-        results = coordinator.run(make_specs())
+        results = fabric_run_many(make_specs(), policy=FAST_POLICY,
+                                  use_cache=False, coordinator=coordinator)
         assert canonical(results) == serial_reference
         assert all(h.state == "ready"
                    for h in coordinator.worker_health())
@@ -191,11 +192,11 @@ class TestHandshakeSkew:
                                       protocol=99)
         good = StdioTransport.launch("good", heartbeat_s=0.1)
         coordinator = FabricCoordinator(
-            transports=[stale, good], policy=FAST_POLICY,
+            transports=[stale, good],
             fabric=FabricPolicy(workers=2, heartbeat_s=0.1,
-                                heartbeat_timeout_s=1.5, tick_s=0.02),
-            use_cache=False)
-        results = coordinator.run(make_specs())
+                                heartbeat_timeout_s=1.5))
+        results = fabric_run_many(make_specs(), policy=FAST_POLICY,
+                                  use_cache=False, coordinator=coordinator)
         assert canonical(results) == serial_reference
         by_name = {h.name: h for h in coordinator.worker_health()}
         assert by_name["stale"].state == "rejected"
@@ -206,7 +207,9 @@ class TestHandshakeSkew:
 class TestTelemetry:
     def test_points_and_manifests_carry_worker_identity(self):
         coordinator = make_coordinator(workers=2)
-        points = coordinator.run(make_specs(), telemetry=True)
+        points = fabric_run_telemetry(make_specs(), policy=FAST_POLICY,
+                                      use_cache=False,
+                                      coordinator=coordinator)
         workers = {p.worker for p in points}
         assert all(w.startswith("worker-") for w in workers)
         for point in points:

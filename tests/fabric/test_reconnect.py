@@ -3,19 +3,20 @@ re-validation, half-open sockets and slow-loris peers hit the read
 deadline, partitions expire leases — and every sweep stays bit-identical
 to serial."""
 
+import dataclasses
 import json
 import threading
 
 import pytest
 
 from repro.experiments.configs import FAST_SETTINGS
-from repro.experiments.parallel import RunSpec
+from repro.experiments.parallel import RunSpec, SupervisorPolicy
 from repro.experiments.runner import sweep
-from repro.experiments.supervisor import SupervisorPolicy
 from repro.fabric import (
     FabricChaosPolicy,
     FabricCoordinator,
     FabricPolicy,
+    fabric_run_many,
     run_with_reconnect,
 )
 from repro.obs import metrics as obs_metrics
@@ -55,11 +56,9 @@ def registry():
 def make_coordinator(workers=2, transport="stdio", chaos=None, **fabric):
     fabric.setdefault("heartbeat_s", 0.1)
     fabric.setdefault("heartbeat_timeout_s", 1.5)
-    fabric.setdefault("tick_s", 0.02)
     return FabricCoordinator(
-        policy=FAST_POLICY, chaos=chaos,
-        fabric=FabricPolicy(workers=workers, transport=transport, **fabric),
-        use_cache=False)
+        chaos=chaos,
+        fabric=FabricPolicy(workers=workers, transport=transport, **fabric))
 
 
 def run_bind_sweep(chaos, serial_reference, workers=1, secret=None,
@@ -79,7 +78,8 @@ def run_bind_sweep(chaos, serial_reference, workers=1, secret=None,
             policy=WORKER_BACKOFF)),
         daemon=True)
     thread.start()
-    results = coordinator.run(make_specs())
+    results = fabric_run_many(make_specs(), policy=FAST_POLICY,
+                              use_cache=False, coordinator=coordinator)
     thread.join(timeout=10.0)
     assert not thread.is_alive()
     assert canonical(results) == serial_reference
@@ -138,7 +138,8 @@ class TestNetworkChaos:
                                   attempts=1,
                                   targets=(specs[0].key(),))
         coordinator = make_coordinator(chaos=chaos)
-        results = coordinator.run(specs)
+        results = fabric_run_many(specs, policy=FAST_POLICY,
+                                  use_cache=False, coordinator=coordinator)
         assert canonical(results) == serial_reference
 
     def test_halfopen_socket_detected_by_heartbeat_timeout(
@@ -149,7 +150,8 @@ class TestNetworkChaos:
                                   targets=(specs[0].key(),))
         coordinator = make_coordinator(chaos=chaos,
                                        heartbeat_timeout_s=0.6)
-        results = coordinator.run(specs)
+        results = fabric_run_many(specs, policy=FAST_POLICY,
+                                  use_cache=False, coordinator=coordinator)
         assert canonical(results) == serial_reference
         kinds = [e["event"] for e in coordinator.events]
         assert ("worker-unresponsive" in kinds
@@ -165,7 +167,8 @@ class TestNetworkChaos:
                                   targets=(specs[0].key(),))
         coordinator = make_coordinator(transport="tcp", chaos=chaos,
                                        read_deadline_s=0.4)
-        results = coordinator.run(specs)
+        results = fabric_run_many(specs, policy=FAST_POLICY,
+                                  use_cache=False, coordinator=coordinator)
         assert canonical(results) == serial_reference
         kinds = [e["event"] for e in coordinator.events]
         assert ("worker-quarantined" in kinds or "worker-lost" in kinds
@@ -177,8 +180,11 @@ class TestNetworkChaos:
         specs = make_specs()
         chaos = FabricChaosPolicy(seed=7, partition=1.0, attempts=1,
                                   targets=(specs[0].key(),))
-        coordinator = make_coordinator(chaos=chaos, lease_timeout_s=0.5)
-        results = coordinator.run(specs)
+        coordinator = make_coordinator(chaos=chaos)
+        results = fabric_run_many(
+            specs, policy=dataclasses.replace(FAST_POLICY,
+                                              point_timeout_s=0.5),
+            use_cache=False, coordinator=coordinator)
         assert canonical(results) == serial_reference
         kinds = [e["event"] for e in coordinator.events]
         assert "lease-expired" in kinds

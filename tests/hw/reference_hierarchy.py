@@ -418,7 +418,7 @@ class ReferenceSmp:
     # -- batched reference walks --------------------------------------------
     #
     # The three *_run entry points below are the trace generator's fast
-    # path (DESIGN.md §13): one call walks a whole precomputed run of
+    # path (DESIGN.md §11): one call walks a whole precomputed run of
     # references through the hierarchy with the cache/TLB dict operations
     # inlined and every counter accumulated in locals, flushed once at
     # the end.  They are required to be *bit-identical* to issuing the

@@ -38,6 +38,7 @@ means every assertion held.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import signal
@@ -51,14 +52,16 @@ REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
 
 from repro.experiments.configs import FAST_SETTINGS  # noqa: E402
-from repro.experiments.parallel import RunSpec  # noqa: E402
-from repro.experiments.supervisor import SupervisorPolicy  # noqa: E402
+from repro.experiments.parallel import (  # noqa: E402
+    RunSpec,
+    SupervisorPolicy,
+    run_sweep,
+)
 from repro.experiments.runner import sweep  # noqa: E402
 from repro.fabric import (  # noqa: E402
     FabricChaosPolicy,
     FabricCoordinator,
     FabricPolicy,
-    fabric_sweep,
 )
 from repro.obs.sweep_report import build_sweep_report  # noqa: E402
 
@@ -136,18 +139,18 @@ def scenario_kill(out: Path, golden_blob: str) -> list[str]:
     chaos = FabricChaosPolicy(seed=11, kill=1.0, attempts=1,
                               targets=(victim,))
     coordinator = FabricCoordinator(
-        policy=FAST_POLICY,
         fabric=FabricPolicy(workers=WORKERS, transport="stdio",
-                            heartbeat_s=0.1, heartbeat_timeout_s=1.5,
-                            tick_s=0.02),
-        chaos=chaos, use_cache=False)
+                            heartbeat_s=0.1, heartbeat_timeout_s=1.5),
+        chaos=chaos)
+
+    policy = FAST_POLICY
 
     print(f"[2/4] fabric sweep, {WORKERS} stdio workers, "
           f"chaos SIGKILLs the worker holding {victim}")
     journal = out / "journal.jsonl"
-    results = fabric_sweep(GRID, PROCESSORS, settings=FAST_SETTINGS,
-                           use_cache=False, journal=journal,
-                           coordinator=coordinator)
+    results = [point.result for point in run_sweep(
+        GRID, PROCESSORS, settings=FAST_SETTINGS, use_cache=False,
+        journal=journal, executor=coordinator, policy=policy)]
 
     print("[3/4] checking invariants")
     failures: list[str] = []
@@ -187,20 +190,19 @@ def scenario_partition_replay(out: Path, golden_blob: str) -> list[str]:
                                   targets=(partitioned, replayed))
         draws = {key: chaos.action(key, 0)
                  for key in (partitioned, replayed)}
+    policy = dataclasses.replace(FAST_POLICY, point_timeout_s=0.5)
     coordinator = FabricCoordinator(
-        policy=FAST_POLICY,
         fabric=FabricPolicy(workers=WORKERS, transport="tcp",
                             heartbeat_s=0.1, heartbeat_timeout_s=1.5,
-                            tick_s=0.02, lease_timeout_s=0.5,
                             secret=SECRET),
-        chaos=chaos, use_cache=False)
+        chaos=chaos)
 
     print(f"[2/4] authenticated fabric sweep (seed {seed}): partition "
           f"drops one lease, replay re-sends one signed result")
     journal = out / "journal.jsonl"
-    results = fabric_sweep(GRID, PROCESSORS, settings=FAST_SETTINGS,
-                           use_cache=False, journal=journal,
-                           coordinator=coordinator)
+    results = [point.result for point in run_sweep(
+        GRID, PROCESSORS, settings=FAST_SETTINGS, use_cache=False,
+        journal=journal, executor=coordinator, policy=policy)]
 
     print("[3/4] checking invariants")
     failures: list[str] = []

@@ -238,7 +238,7 @@ def check_api_module_map(repo: Path) -> list[str]:
     Two-way: every ``repro.*`` name on a ``###`` module-map heading
     must import-resolve to a package or module on disk, and every
     subpackage under ``src/repro`` must appear on some heading — so a
-    new subsystem (like ``experiments.supervisor``'s parent) cannot
+    new subsystem (like ``repro.fabric``) cannot
     land without an API.md entry.
     """
     api = repo / "docs" / "API.md"
