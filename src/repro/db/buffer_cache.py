@@ -139,14 +139,11 @@ class BufferCache:
 
     def oldest_dirty(self, limit: int) -> list[int]:
         """Up to ``limit`` dirty blocks in LRU order (checkpoint targets)."""
-        result = []
-        for generation in (self._old, self._new):
-            for block_id, dirty in generation.items():
-                if dirty:
-                    result.append(block_id)
-                    if len(result) >= limit:
-                        return result
-        return result
+        # The checkpoint asks for every dirty block, so build the whole
+        # list in two comprehensions and cut it after.
+        result = [block_id for block_id, dirty in self._old.items() if dirty]
+        result += [block_id for block_id, dirty in self._new.items() if dirty]
+        return result[:limit]
 
     def reset_stats(self) -> None:
         """Zero the hit/miss counters (cache contents are kept)."""

@@ -36,7 +36,7 @@ class DbWriter:
 
     def enqueue(self, block_id: int) -> None:
         """Hand a dirty-evicted block to the writer (non-blocking)."""
-        self.enqueued.add()
+        self.enqueued.count += 1
         self._queue.put(block_id)
 
     def checkpoint_process(self, cache, interval_s: float = 0.5,
@@ -101,4 +101,4 @@ class DbWriter:
 
     def _write_one(self, block_id: int):
         yield from self.disks.write(block_id)
-        self.written.add()
+        self.written.count += 1

@@ -64,23 +64,37 @@ class DatabaseEngine:
 
     # -- block access ---------------------------------------------------------
 
-    def access_block(self, claim: Request, block_id: int, write: bool,
-                     stats: TransactionStats):
-        """Reference one block unit; on a miss, do the full I/O dance.
+    def reference(self, block_id: int, write: bool,
+                  stats: TransactionStats) -> bool:
+        """Reference one block unit in the buffer cache; True on a hit.
 
-        Returns the CPU claim held after the call (a new one if the
-        process had to block for the read).
+        A plain call, not a generator: a hit costs no simulated time and
+        no event.  On a miss the caller runs :meth:`read_miss`.
         """
-        self.logical_reads.add()
+        self.logical_reads.count += 1
         stats.logical_reads += 1
-        cache = self.buffer_cache
-        hit = cache.touch_write(block_id) if write else cache.lookup(block_id)
         if write:
             stats.blocks_dirtied += 1
-        if hit:
+            return self.buffer_cache.touch_write(block_id)
+        return self.buffer_cache.lookup(block_id)
+
+    def access_block(self, claim: Request, block_id: int, write: bool,
+                     stats: TransactionStats):
+        """:meth:`reference` then, on a miss, :meth:`read_miss`, as one
+        generator.  Returns the CPU claim held after the call."""
+        if self.reference(block_id, write, stats):
             return claim
-        # Miss: submit the read, give up the CPU, sleep on the transfer.
-        self.physical_reads.add()
+        return (yield from self.read_miss(claim, block_id, write, stats))
+
+    def read_miss(self, claim: Request, block_id: int, write: bool,
+                  stats: TransactionStats):
+        """The I/O dance after a :meth:`reference` miss: submit the read,
+        give up the CPU, sleep on the transfer, re-acquire a CPU and
+        install the block (handing a dirty victim to the writer).
+
+        Returns the CPU claim held afterwards.
+        """
+        self.physical_reads.count += 1
         stats.physical_reads += 1
         scheduler = self.scheduler
         yield from scheduler.execute_os(scheduler.costs.io_submit)
@@ -89,7 +103,7 @@ class DatabaseEngine:
         claim = scheduler.acquire()
         yield claim
         yield from scheduler.execute_os(scheduler.costs.io_complete)
-        victim = cache.install(block_id, dirty=write)
+        victim = self.buffer_cache.install(block_id, dirty=write)
         if victim is not None:
             victim_id, victim_dirty = victim
             if victim_dirty:
@@ -120,10 +134,10 @@ class DatabaseEngine:
             # switch the paper attributes to data contention).
             yield from scheduler.block(claim)
             stats.lock_waits += 1
-            self.lock_wait_switches.add()
-            wait_started = self.engine.now
+            self.lock_wait_switches.count += 1
+            wait_started = self.engine._now
             yield from self.lock_table.acquire(owner, key)
-            waited = self.engine.now - wait_started
+            waited = self.engine._now - wait_started
             claim = scheduler.acquire()
             yield claim
             # Short waits are latch-style sleep-retry loops; long waits
@@ -155,7 +169,7 @@ class DatabaseEngine:
             # Already durable (possible only with a zero-latency log).
             self.lock_table.release_all(owner)
             stats.committed = True
-            self.transactions.add()
+            self.transactions.count += 1
             return claim
         yield from scheduler.block(claim)
         yield from self.redo.wait_for_flush(sequence)
@@ -163,7 +177,7 @@ class DatabaseEngine:
         yield claim
         self.lock_table.release_all(owner)
         stats.committed = True
-        self.transactions.add()
+        self.transactions.count += 1
         return claim
 
     def abort(self, owner: object) -> None:

@@ -138,12 +138,12 @@ class LockTable:
                 raise RuntimeError(
                     f"lock order violation: {key!r} after {held[-1]!r}")
         lock = self._lock_for(key)
-        started = self.engine.now
+        started = self.engine._now
         waited = yield lock.acquire(mode, owner)
-        self.acquisitions.add()
+        self.acquisitions.count += 1
         if waited:
-            self.waits.add()
-            self.wait_time.record(self.engine.now - started)
+            self.waits.count += 1
+            self.wait_time.record(self.engine._now - started)
         self._held.setdefault(owner, []).append(key)
         return waited
 

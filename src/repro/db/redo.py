@@ -57,13 +57,13 @@ class RedoLog:
 
     def wait_for_flush(self, sequence: int):
         """Block until ``sequence`` is durable; yields the gate event."""
-        started = self.engine.now
+        started = self.engine._now
         yield self._flushed.wait_for(sequence)
-        self.commit_wait.record(self.engine.now - started)
+        self.commit_wait.record(self.engine._now - started)
 
     def mark_flushed(self, sequence: int, group: int) -> None:
         """Log-writer callback after a successful flush."""
-        self.flushes.add()
+        self.flushes.count += 1
         if group > 0:
             self.group_size.record(group)
         self._flushed.advance(sequence)

@@ -22,12 +22,16 @@ from __future__ import annotations
 
 from repro.db.engine import TransactionStats
 from repro.odb.transactions import abort_weight, plan_transaction
+from repro.sim.engine import Timeout
 
 
 def client_process(system, client_id: int):
     """The per-client main loop; runs forever (the system bounds time)."""
     scheduler = system.scheduler
+    engine = system.engine
     db = system.db
+    reference = db.reference
+    user_instructions = scheduler.user_instructions
     rng = system.streams.stream(f"client-{client_id}")
     faults = system.faults
     abort_rng = None
@@ -51,12 +55,23 @@ def client_process(system, client_id: int):
             # Hot-row locks first, in plan order (fixed order: no deadlock).
             for key in plan.lock_keys:
                 claim = yield from db.lock(claim, owner, key, stats)
-            # User work interleaved with block touches.
+            # User work interleaved with block touches.  Each touch's
+            # burst is Scheduler.execute_user written out in this loop
+            # (same timeout, same accounting, one generator fewer), and
+            # a buffer hit is a plain call; only a miss runs a generator.
             chunk = profile.user_instructions / (len(plan.touches) + 1)
+            if not chunk >= 0:
+                raise ValueError("instructions must be >= 0")
             for block_id, write in plan.touches:
-                yield from scheduler.execute_user(chunk)
-                claim = yield from db.access_block(claim, block_id, write,
-                                                   stats)
+                duration = chunk * scheduler.user_spi
+                if duration > 0:
+                    scheduler.bursts += 1
+                    yield Timeout(engine, duration)
+                user_instructions.count += chunk
+                scheduler.user_busy_s += duration
+                if not reference(block_id, write, stats):
+                    claim = yield from db.read_miss(claim, block_id, write,
+                                                    stats)
             yield from scheduler.execute_user(chunk)
             # Per-transaction kernel baseline (IPC with the client, timers).
             yield from scheduler.execute_os(scheduler.costs.base_per_txn)
@@ -73,7 +88,7 @@ def client_process(system, client_id: int):
                 system.retries.add()
                 backoff = faults.retry.backoff_s(attempt)
                 if backoff > 0:
-                    yield system.engine.timeout(backoff)
+                    yield engine.timeout(backoff)
                 continue
             claim = yield from db.commit(claim, owner, stats,
                                          redo_bytes=profile.redo_bytes)

@@ -284,6 +284,22 @@ class OdbSystem:
 
     # -- measurement -----------------------------------------------------------
 
+    def event_census(self) -> dict[str, int]:
+        """Events scheduled so far, by kind (``engine.events.<kind>``).
+
+        ``cpu_burst``: user and kernel burst timeouts; ``cpu_claim``:
+        granted CPU requests; ``disk``: granted disk requests plus
+        service and outage timeouts.  Everything else (process starts,
+        lock grants, commit gates, writer and log-writer polls) is the
+        remainder that :func:`publish_scheduler_metrics` reports as
+        ``other``.
+        """
+        return {
+            "cpu_burst": self.scheduler.bursts,
+            "cpu_claim": self.scheduler.cpus.grants,
+            "disk": self.disks.events(),
+        }
+
     def _snapshot(self) -> dict[str, float]:
         snap = self.scheduler.snapshot()
         snap.update({
@@ -351,7 +367,7 @@ class OdbSystem:
             _metrics.inc("engine.des_runs")
             _metrics.inc("engine.transactions",
                          after["transactions"] - before["transactions"])
-            publish_scheduler_metrics(self.engine)
+            publish_scheduler_metrics(self.engine, self.event_census())
         return self._metrics(before, after)
 
     def _metrics(self, before: dict[str, float],

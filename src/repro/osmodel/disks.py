@@ -12,21 +12,22 @@ at 1200 warehouses the 26-disk array can no longer keep 4 processors at
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from repro.hw.machine import DiskConfig
 from repro.sim import Engine, Resource
-from repro.sim.randomness import RandomStreams, lognormal_about
+from repro.sim.engine import Timeout
+from repro.sim.randomness import RandomStreams, lognormal_sampler
 from repro.sim.stats import Counter, Tally
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults import DiskFaultModel
 
 
-@dataclass(frozen=True)
-class DiskRequest:
-    """A completed disk request's accounting record."""
+class DiskRequest(NamedTuple):
+    """A completed disk request's accounting record (a named tuple: one
+    is built per request, and a frozen dataclass costs several times
+    more to construct)."""
 
     disk: int
     queued_s: float
@@ -34,7 +35,7 @@ class DiskRequest:
 
     @property
     def latency_s(self) -> float:
-        """Service time in seconds for one request of ``kb`` kilobytes."""
+        """Queueing plus service time of the request, in seconds."""
         return self.queued_s + self.service_s
 
 
@@ -63,32 +64,36 @@ class DiskArray:
                             for i in range(self.data_disk_count)]
         self._log_disks = [Resource(engine, 1, name=f"logdisk{i}")
                            for i in range(log_disks)]
-        self._rng = streams.stream("disk-service")
+        self._service_time = lognormal_sampler(
+            streams.stream("disk-service"), config.service_time_s,
+            config.service_time_cv)
         self.reads = Counter("disk-reads")
         self.writes = Counter("disk-writes")
         self.log_writes = Counter("log-writes")
         self.read_latency = Tally("read-latency")
         self.write_latency = Tally("write-latency")
         self._log_seq = 0
+        #: Service and outage timeouts scheduled (with the disks'
+        #: grants, ``engine.events.disk``).
+        self.timeouts = 0
 
     # -- operations (simulation processes) ----------------------------------
+
+    # read() and write() hand back the _serve generator itself, one
+    # generator level fewer per request; callers ``yield from`` either.
 
     def read(self, block_id: int):
         """Blocking read of a data block; yields until the data is in memory."""
         index = block_id % self.data_disk_count
-        request = yield from self._serve(self._data_disks[index], index)
-        self.reads.add()
-        self.read_latency.record(request.latency_s)
-        return request
+        return self._serve(self._data_disks[index], index, 1.0, True,
+                           self.reads, self.read_latency)
 
     def write(self, block_id: int):
         """Write of a data block (the caller decides whether to wait)."""
         index = block_id % self.data_disk_count
-        request = yield from self._serve(self._data_disks[index], index,
-                                         self.WRITE_SERVICE_FACTOR)
-        self.writes.add()
-        self.write_latency.record(request.latency_s)
-        return request
+        return self._serve(self._data_disks[index], index,
+                           self.WRITE_SERVICE_FACTOR, True,
+                           self.writes, self.write_latency)
 
     def log_append(self):
         """Sequential append to the redo log (round-robin over log disks).
@@ -104,29 +109,36 @@ class DiskArray:
             index = self._log_seq % self.data_disk_count
             disk = self._data_disks[index]
             faultable = True
-        request = yield from self._serve(disk, index, self.LOG_SERVICE_FACTOR,
-                                         faultable=faultable)
-        self.log_writes.add()
-        return request
+        return (yield from self._serve(disk, index, self.LOG_SERVICE_FACTOR,
+                                       faultable, self.log_writes))
 
-    def _serve(self, disk: Resource, index: int, service_factor: float = 1.0,
-               faultable: bool = True):
-        arrived = self.engine.now
+    def _serve(self, disk: Resource, index: int, service_factor: float,
+               faultable: bool, served: Counter,
+               latency: Optional[Tally] = None):
+        """Queue on ``disk``, hold it for one service time, then count
+        the request in ``served`` (and its latency in ``latency``)."""
+        engine = self.engine
+        arrived = engine._now
         claim = disk.request()
         yield claim
-        service = service_factor * lognormal_about(
-            self._rng, self.config.service_time_s, self.config.service_time_cv)
+        service = service_factor * self._service_time()
         if faultable and self.fault_model is not None:
             # An outage holds the disk (and its queue) until the window
             # closes; degradation then stretches the service itself.
-            outage = self.fault_model.outage_wait_s(index, self.engine.now)
+            outage = self.fault_model.outage_wait_s(index, engine._now)
             if outage > 0:
-                yield self.engine.timeout(outage)
+                self.timeouts += 1
+                yield Timeout(engine, outage)
             service *= self.fault_model.latency_factor(index)
-        queued = self.engine.now - arrived
-        yield self.engine.timeout(service)
+        queued = engine._now - arrived
+        self.timeouts += 1
+        yield Timeout(engine, service)
         disk.release(claim)
-        return DiskRequest(disk=index, queued_s=queued, service_s=service)
+        request = DiskRequest(disk=index, queued_s=queued, service_s=service)
+        served.count += 1
+        if latency is not None:
+            latency.record(request.latency_s)
+        return request
 
     # -- statistics ----------------------------------------------------------
 
@@ -146,6 +158,12 @@ class DiskArray:
         if elapsed <= 0:
             return 0.0
         return max(disk.busy_time() for disk in self._data_disks) / elapsed
+
+    def events(self) -> int:
+        """DES events the array has scheduled: every grant of a disk
+        claim plus every service and outage timeout."""
+        return self.timeouts + sum(
+            disk.grants for disk in self._data_disks + self._log_disks)
 
     @property
     def total_queue_length(self) -> int:

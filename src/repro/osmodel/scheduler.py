@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from repro.osmodel.kernelcost import KernelCosts
 from repro.sim import Engine, Resource
+from repro.sim.engine import Timeout
 from repro.sim.resources import Request
 from repro.sim.stats import Counter
 
@@ -48,6 +49,7 @@ class Scheduler:
         self.os_instructions = Counter("os-instructions")
         self.user_busy_s = 0.0
         self.os_busy_s = 0.0
+        self.bursts = 0
 
     # -- acquiring and releasing CPUs ---------------------------------------
 
@@ -66,31 +68,38 @@ class Scheduler:
         ``yield from`` it.  The caller re-acquires a CPU when it unblocks.
         """
         yield from self.execute_os(self.costs.context_switch)
-        self.context_switches.add()
+        self.context_switches.count += 1
         self.cpus.release(claim)
 
     # -- executing instruction segments --------------------------------------
 
+    # One generator each, no shared helper: a burst is the DES's most
+    # common event.  ``bursts`` counts the burst timeouts scheduled
+    # (``engine.events.cpu_burst``), including the per-touch user bursts
+    # that repro.odb.client schedules itself.  ``not x >= 0`` also
+    # rejects NaN.
+
     def execute_user(self, instructions: float):
         """Run ``instructions`` of user code on the held CPU."""
-        yield from self._execute(instructions, self.user_spi, kernel=False)
+        if not instructions >= 0:
+            raise ValueError("instructions must be >= 0")
+        duration = instructions * self.user_spi
+        if duration > 0:
+            self.bursts += 1
+            yield Timeout(self.engine, duration)
+        self.user_instructions.count += instructions
+        self.user_busy_s += duration
 
     def execute_os(self, instructions: float):
         """Run ``instructions`` of kernel code on the held CPU."""
-        yield from self._execute(instructions, self.os_spi, kernel=True)
-
-    def _execute(self, instructions: float, spi: float, kernel: bool):
-        if instructions < 0:
+        if not instructions >= 0:
             raise ValueError("instructions must be >= 0")
-        duration = instructions * spi
+        duration = instructions * self.os_spi
         if duration > 0:
-            yield self.engine.timeout(duration)
-        if kernel:
-            self.os_instructions.add(instructions)
-            self.os_busy_s += duration
-        else:
-            self.user_instructions.add(instructions)
-            self.user_busy_s += duration
+            self.bursts += 1
+            yield Timeout(self.engine, duration)
+        self.os_instructions.count += instructions
+        self.os_busy_s += duration
 
     # -- statistics -----------------------------------------------------------
 

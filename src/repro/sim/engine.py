@@ -91,7 +91,7 @@ class Event:
             raise SimulationError("event triggered twice")
         self._triggered = True
         self._value = value
-        self.engine._schedule(self, delay=0.0, priority=priority)
+        self.engine._schedule(self, 0.0, priority)
         return self
 
     def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
@@ -158,13 +158,20 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, engine: "Engine", delay: float, value: Any = None):
-        if delay < 0:
+        # The DES's most common event: the slots are set here directly
+        # rather than through Event.__init__.  ``not delay >= 0`` also
+        # rejects NaN, which would break the heap order.
+        if not delay >= 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(engine)
-        self.delay = delay
-        self._triggered = True
+        self.engine = engine
+        self.callbacks = []
         self._value = value
-        engine._schedule(self, delay=delay)
+        self._ok = True
+        self._triggered = True
+        self._processed = False
+        self._dead = False
+        self.delay = delay
+        engine._schedule(self, delay)
 
 
 class _Condition(Event):
@@ -290,9 +297,9 @@ class Engine:
     # -- the event queue ---------------------------------------------------
 
     def _schedule(self, event: Event, delay: float, priority: int = NORMAL) -> None:
-        self._sequence += 1
+        sequence = self._sequence = self._sequence + 1
         heap = self._heap
-        heappush(heap, (self._now + delay, priority, self._sequence, event))
+        heappush(heap, (self._now + delay, priority, sequence, event))
         if len(heap) > self.max_depth:
             self.max_depth = len(heap)
 
@@ -404,7 +411,8 @@ class Engine:
             self._now = until
 
 
-def publish_scheduler_metrics(engine: Engine) -> None:
+def publish_scheduler_metrics(engine: Engine,
+                              census: Optional[dict[str, int]] = None) -> None:
     """Publish an engine's queue counters into the active metrics registry.
 
     One ``scheduler.*`` counter per :meth:`Engine.queue_stats` field,
@@ -412,6 +420,12 @@ def publish_scheduler_metrics(engine: Engine) -> None:
     this must be called once per engine lifetime — the DES phase
     boundary in :meth:`repro.odb.system.OdbSystem.run` — never per
     ``run()`` call.
+
+    ``census`` maps event kinds to the number of events of that kind
+    the model scheduled (counted where each kind is created, never in
+    the dispatch loop); each becomes ``engine.events.<kind>``, and
+    ``engine.events.other`` is the remainder, so the kinds sum to
+    ``scheduler.scheduled``.
     """
     if not _metrics.ACTIVE:
         return
@@ -419,3 +433,8 @@ def publish_scheduler_metrics(engine: Engine) -> None:
     for field in ("scheduled", "dispatched", "skipped_dead", "compactions"):
         _metrics.inc(f"scheduler.{field}", stats[field])
     _metrics.gauge("scheduler.max_depth", stats["max_depth"])
+    if census is not None:
+        for kind, count in census.items():
+            _metrics.inc(f"engine.events.{kind}", count)
+        _metrics.inc("engine.events.other",
+                     stats["scheduled"] - sum(census.values()))

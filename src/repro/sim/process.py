@@ -30,7 +30,7 @@ class Interrupt(Exception):
 class Process(Event):
     """A running simulation process; completes when its generator returns."""
 
-    __slots__ = ("_generator", "_waiting_on")
+    __slots__ = ("_generator", "_waiting_on", "_wake")
 
     def __init__(self, engine: Engine, generator: Generator):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
@@ -38,11 +38,13 @@ class Process(Event):
         super().__init__(engine)
         self._generator = generator
         self._waiting_on: Event | None = None
+        # The resume callback, bound once: every wait appends it.
+        self._wake = self._resume
         if _tracing.ACTIVE:  # phase-level observability, never per event
             _tracing.current_tracer().count("processes_started")
         # Kick off the process at the current simulation time.
         bootstrap = Event(engine)
-        bootstrap.add_callback(self._resume)
+        bootstrap.add_callback(self._wake)
         bootstrap.succeed(None, priority=URGENT)
 
     @property
@@ -62,7 +64,7 @@ class Process(Event):
         waiting_on = self._waiting_on
         if waiting_on is not None:
             try:
-                waiting_on.callbacks.remove(self._resume)
+                waiting_on.callbacks.remove(self._wake)
             except ValueError:
                 pass
             self._waiting_on = None
@@ -74,38 +76,60 @@ class Process(Event):
                     and not waiting_on.processed):
                 waiting_on.cancel()
         failer = Event(self.engine)
-        failer.add_callback(self._resume)
+        failer.add_callback(self._wake)
         failer._triggered = True
         failer._ok = False
         failer._value = Interrupt(cause)
         self.engine._schedule(failer, delay=0.0, priority=URGENT)
 
     def _resume(self, event: Event) -> None:
+        # Every DES event that wakes a process lands here, so the common
+        # case is straight-line: step the generator and wait on the
+        # pending event it yields.  Anything else goes to _settle.
         self._waiting_on = None
-        to_throw = None if event.ok else event.value
-        while True:
+        try:
+            if event._ok:
+                target = self._generator.send(event._value)
+            else:
+                target = self._generator.throw(event._value)
+        except StopIteration as stop:
+            self.succeed(stop.value)
+            return
+        except BaseException as exc:
+            self._crash(exc)
+            return
+        if (isinstance(target, Event) and target is not self
+                and not target._processed and not target._dead):
+            self._waiting_on = target
+            target.callbacks.append(self._wake)
+        else:
+            self._settle(target)
+
+    def _settle(self, target: Any) -> None:
+        """The rare yields: a non-event or the process itself (thrown
+        back into the generator as a :class:`SimulationError`), or an
+        event already processed (resumes at once) or cancelled
+        (:meth:`Event.add_callback` raises)."""
+        while not isinstance(target, Event) or target is self:
+            if target is self:
+                error = SimulationError("process waited on itself")
+            else:
+                error = SimulationError(
+                    f"process yielded a non-event: {target!r}")
             try:
-                if to_throw is not None:
-                    target = self._generator.throw(to_throw)
-                else:
-                    target = self._generator.send(event.value)
+                target = self._generator.throw(error)
             except StopIteration as stop:
                 self.succeed(stop.value)
                 return
             except BaseException as exc:
-                if not self.callbacks:
-                    # Nobody is waiting on this process: surface the crash
-                    # instead of swallowing it.
-                    raise
-                self.fail(exc)
+                self._crash(exc)
                 return
-            if not isinstance(target, Event):
-                to_throw = SimulationError(
-                    f"process yielded a non-event: {target!r}")
-                continue
-            if target is self:
-                to_throw = SimulationError("process waited on itself")
-                continue
-            break
         self._waiting_on = target
-        target.add_callback(self._resume)
+        target.add_callback(self._wake)
+
+    def _crash(self, exc: BaseException) -> None:
+        if not self.callbacks:
+            # Nobody is waiting on this process: surface the crash
+            # instead of swallowing it.
+            raise exc
+        self.fail(exc)

@@ -13,8 +13,8 @@ import hashlib
 import math
 import random
 from bisect import bisect_left
-from functools import lru_cache
-from typing import Sequence
+from functools import lru_cache, partial
+from typing import Callable, Sequence
 
 
 def derive_seed(root_seed: int, name: str) -> int:
@@ -99,12 +99,19 @@ def lognormal_about(rng: random.Random, mean: float, cv: float) -> float:
     """Lognormal variate with arithmetic mean ``mean`` and coefficient of
     variation ``cv`` — the shape used for disk service times.
     """
+    return lognormal_sampler(rng, mean, cv)()
+
+
+def lognormal_sampler(rng: random.Random, mean: float,
+                      cv: float) -> Callable[[], float]:
+    """:func:`lognormal_about` as a zero-argument callable, with the
+    lognormal's parameters solved once (a disk draws one per request)."""
     if mean <= 0:
         raise ValueError("lognormal mean must be > 0")
     if cv < 0:
         raise ValueError("coefficient of variation must be >= 0")
     if cv == 0:
-        return mean
+        return lambda: mean
     sigma2 = math.log(1.0 + cv * cv)
     mu = math.log(mean) - sigma2 / 2.0
-    return rng.lognormvariate(mu, math.sqrt(sigma2))
+    return partial(rng.lognormvariate, mu, math.sqrt(sigma2))

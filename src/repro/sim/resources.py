@@ -20,7 +20,14 @@ class Request(Event):
     __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource"):
-        super().__init__(resource.engine)
+        # Set the slots directly: every CPU and disk claim is one.
+        self.engine = resource.engine
+        self.callbacks = []
+        self._value = None
+        self._ok = True
+        self._triggered = False
+        self._processed = False
+        self._dead = False
         self.resource = resource
 
     def __enter__(self) -> "Request":
@@ -56,6 +63,8 @@ class Resource:
         self._busy_time = 0.0
         self._last_change = engine.now
         self._wait_count = 0  # grants that had to queue first
+        #: Requests granted so far: each grant schedules one event.
+        self.grants = 0
 
     # -- introspection -----------------------------------------------------
 
@@ -92,21 +101,31 @@ class Resource:
     def request(self) -> Request:
         """Claim a slot; the returned event fires when the slot is granted."""
         request = Request(self)
-        if len(self._users) < self.capacity:
-            self._grant(request)
+        users = self._users
+        if len(users) < self.capacity:
+            self._accrue()
+            users.add(request)
+            self.grants += 1
+            request.succeed(request)
         else:
             self._queue.append(request)
         return request
 
     def release(self, request: Request) -> None:
         """Return a previously granted slot and wake the next waiter."""
-        if request in self._users:
+        users = self._users
+        if request in users:
+            # One accrual covers the release and every grant it makes:
+            # they all happen at this instant.
             self._accrue()
-            self._users.discard(request)
-            while self._queue and len(self._users) < self.capacity:
-                waiter = self._queue.popleft()
+            users.discard(request)
+            queue = self._queue
+            while queue and len(users) < self.capacity:
+                waiter = queue.popleft()
+                users.add(waiter)
                 self._wait_count += 1
-                self._grant(waiter)
+                self.grants += 1
+                waiter.succeed(waiter)
         else:
             # Cancelling a queued request is allowed and is a no-op if the
             # request is unknown (idempotent release).
@@ -115,13 +134,8 @@ class Resource:
             except ValueError:
                 pass
 
-    def _grant(self, request: Request) -> None:
-        self._accrue()
-        self._users.add(request)
-        request.succeed(request)
-
     def _accrue(self) -> None:
-        now = self.engine.now
+        now = self.engine._now
         self._busy_time += len(self._users) * (now - self._last_change)
         self._last_change = now
 

@@ -26,8 +26,8 @@ class Counter:
         self.count = 0.0
 
     def add(self, amount: float = 1.0) -> None:
-        """Increment the counter; negative amounts are rejected."""
-        if amount < 0:
+        """Increment the counter; negative and NaN amounts are rejected."""
+        if not amount >= 0:
             raise ValueError(f"counter {self.name!r} decremented by {amount}")
         self.count += amount
 

@@ -32,6 +32,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             engine.run()
 
+    @pytest.mark.parametrize("kind", ["user", "os"])
+    def test_nan_instructions_rejected(self, kind):
+        engine, scheduler = make()
+        execute = (scheduler.execute_user if kind == "user"
+                   else scheduler.execute_os)
+
+        def proc():
+            claim = scheduler.acquire()
+            yield claim
+            yield from execute(float("nan"))
+
+        engine.process(proc())
+        with pytest.raises(ValueError):
+            engine.run()
+        assert scheduler.user_instructions.count == 0.0
+        assert scheduler.os_instructions.count == 0.0
+
 
 class TestExecution:
     def test_user_segment_takes_instructions_times_spi(self):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.obs.metrics import disable_metrics, enable_metrics
 from repro.obs.tracing import disable_tracing, enable_tracing
 from repro.sim import AllOf, AnyOf, Engine, Interrupt, SimulationError
-from repro.sim.engine import NORMAL, URGENT
+from repro.sim.engine import NORMAL, URGENT, Timeout
 from repro.sim.stats import Counter
 
 
@@ -43,6 +43,14 @@ def test_ties_fire_in_creation_order():
 def test_negative_timeout_rejected():
     with pytest.raises(ValueError):
         Engine().timeout(-1.0)
+
+
+def test_nan_timeout_rejected():
+    # A NaN time compares false with everything and breaks heap order.
+    engine = Engine()
+    with pytest.raises(ValueError):
+        Timeout(engine, float("nan"))
+    assert engine.queue_stats()["scheduled"] == 0
 
 
 def test_run_until_stops_early_and_pins_clock():

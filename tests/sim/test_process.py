@@ -135,6 +135,42 @@ def test_yielding_non_event_raises_in_process():
     assert caught and "non-event" in caught[0]
 
 
+def test_waiting_on_itself_raises_in_process():
+    engine = Engine()
+    caught = []
+
+    def selfish():
+        try:
+            yield process
+        except SimulationError as exc:
+            caught.append(str(exc))
+
+    process = engine.process(selfish())
+    engine.run()
+    assert caught == ["process waited on itself"]
+
+
+def test_process_continues_after_a_rejected_yield():
+    # The error for a bad yield is thrown into the generator; one that
+    # catches it and then waits on a real event carries on normally.
+    engine = Engine()
+    trail = []
+
+    def recovering():
+        try:
+            yield "not an event"
+        except SimulationError:
+            trail.append(("caught", engine.now))
+        yield engine.timeout(2.0)
+        trail.append(("woke", engine.now))
+        return "done"
+
+    process = engine.process(recovering())
+    engine.run()
+    assert trail == [("caught", 0.0), ("woke", 2.0)]
+    assert process.value == "done"
+
+
 def test_unhandled_process_exception_propagates():
     engine = Engine()
 

@@ -26,6 +26,12 @@ class TestCounter:
         with pytest.raises(ValueError):
             Counter().add(-1)
 
+    def test_rejects_nan(self):
+        counter = Counter()
+        with pytest.raises(ValueError):
+            counter.add(float("nan"))
+        assert counter.count == 0.0
+
     def test_snapshot(self):
         c = Counter()
         c.add(4)
