@@ -78,14 +78,6 @@ class DatabaseEngine:
             return self.buffer_cache.touch_write(block_id)
         return self.buffer_cache.lookup(block_id)
 
-    def access_block(self, claim: Request, block_id: int, write: bool,
-                     stats: TransactionStats):
-        """:meth:`reference` then, on a miss, :meth:`read_miss`, as one
-        generator.  Returns the CPU claim held after the call."""
-        if self.reference(block_id, write, stats):
-            return claim
-        return (yield from self.read_miss(claim, block_id, write, stats))
-
     def read_miss(self, claim: Request, block_id: int, write: bool,
                   stats: TransactionStats):
         """The I/O dance after a :meth:`reference` miss: submit the read,

@@ -865,8 +865,7 @@ def run_sweep(warehouse_grid, processors: int,
 # ``run_many`` and ``run_telemetry`` keep their historical signatures
 # and return types because the committed perf harness
 # (benchmarks/perf/session.py) imports them and the figure experiments
-# call ``run_many``; ``sweep_telemetry`` is the name the resilience
-# tests import.  Each is one call into the driver.
+# call ``run_many``.  Each is one call into the driver.
 
 
 def _run_local(specs: Sequence[RunSpec], jobs: Optional[int],
@@ -902,14 +901,6 @@ def run_telemetry(specs: Sequence[RunSpec], jobs: Optional[int] = None,
     """:func:`run_points` on the local pool, traced."""
     return _run_local(specs, jobs, trace=True, use_cache=use_cache,
                       cache_dir=cache_dir, on_result=on_result)
-
-
-def sweep_telemetry(warehouse_grid, processors: int,
-                    jobs: Optional[int] = None, **sweep
-                    ) -> list[PointTelemetry]:
-    """:func:`run_sweep` on the local pool, traced."""
-    return run_sweep(warehouse_grid, processors, trace=True,
-                     executor=PoolExecutor(jobs), **sweep)
 
 
 # ----------------------------------------------------------------------

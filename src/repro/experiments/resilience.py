@@ -223,8 +223,10 @@ class SweepJournal:
     the lock automatically once the holder's process is gone (crash
     recovery needs no manual cleanup).  An acquired journal re-checks
     the lock on every ``record`` and refuses to append if ownership was
-    stolen.  Locking is opt-in — single-coordinator sweeps are
-    unaffected — but duplicate suppression is always on: re-recording a
+    stolen.  Both sweep drivers (:func:`repro.experiments.runner.sweep`
+    and :func:`repro.experiments.parallel.run_sweep`) hold the lock for
+    the whole sweep; a bare ``record`` on a journal nobody acquired
+    still appends.  Duplicate suppression is always on: re-recording a
     key with a bit-identical result is a no-op, so retried points never
     write twice.
     """

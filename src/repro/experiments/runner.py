@@ -360,31 +360,42 @@ def sweep(warehouse_grid, processors: int,
     or a path to one), every completed point is durably appended before
     the next one starts; a sweep killed mid-grid resumes from the
     journal and recomputes only the missing points, producing results
-    identical to an uninterrupted sweep.
+    identical to an uninterrupted sweep.  The sweep holds the journal's
+    owner lock throughout, like
+    :func:`repro.experiments.parallel.run_sweep`: a journal another
+    live coordinator owns raises
+    :class:`~repro.experiments.resilience.JournalOwnershipError` before
+    anything runs.
     """
-    if journal is not None and not isinstance(journal, SweepJournal):
-        journal = SweepJournal(journal)
-    completed = journal.load() if journal is not None else {}
-    results = []
-    for warehouses in warehouse_grid:
-        clients = (clients_fn(warehouses, processors)
-                   if clients_fn is not None else None)
-        resolved_clients = (clients if clients is not None
-                            else client_count(warehouses, processors))
-        key = configuration_key(machine, warehouses, resolved_clients,
-                                processors, settings, faults, workload)
-        cached = completed.get(key)
-        if cached is not None:
-            results.append(cached)
-            continue
-        result = run_configuration(
-            warehouses, processors, clients=clients, machine=machine,
-            settings=settings, use_cache=use_cache, faults=faults,
-            cache=cache, workload=workload)
+    if journal is not None:
+        if not isinstance(journal, SweepJournal):
+            journal = SweepJournal(journal)
+        journal.acquire()
+    try:
+        completed = journal.load() if journal is not None else {}
+        results = []
+        for warehouses in warehouse_grid:
+            clients = (clients_fn(warehouses, processors)
+                       if clients_fn is not None else None)
+            resolved_clients = (clients if clients is not None
+                                else client_count(warehouses, processors))
+            key = configuration_key(machine, warehouses, resolved_clients,
+                                    processors, settings, faults, workload)
+            cached = completed.get(key)
+            if cached is not None:
+                results.append(cached)
+                continue
+            result = run_configuration(
+                warehouses, processors, clients=clients, machine=machine,
+                settings=settings, use_cache=use_cache, faults=faults,
+                cache=cache, workload=workload)
+            if journal is not None:
+                journal.record(key, result)
+            results.append(result)
+        return results
+    finally:
         if journal is not None:
-            journal.record(key, result)
-        results.append(result)
-    return results
+            journal.release()
 
 
 def utilization_for(warehouses: int, processors: int, clients: int,

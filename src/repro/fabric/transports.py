@@ -44,7 +44,7 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.fabric.protocol import (
     HEADER_BYTES,
@@ -118,26 +118,31 @@ def worker_command(worker_id: str,
     return command
 
 
-class _FrameReaderThread(threading.Thread):
-    """Daemon thread decoding frames off a binary stream into a queue."""
+class _ReaderThread(threading.Thread):
+    """Daemon thread queueing the frames ``read_one()`` decodes.
 
-    def __init__(self, stream, frames: "queue.Queue",
-                 signer: Optional[FrameSigner] = None):
+    ``read_one`` returns the next frame, or ``None`` at EOF; the stdio
+    transport reads with :func:`read_frame`, the TCP transport with its
+    mid-frame-deadline socket reader.
+    """
+
+    def __init__(self, read_one: Callable[[], Optional[dict]],
+                 frames: "queue.Queue"):
         super().__init__(daemon=True, name="fabric-frame-reader")
-        self._stream = stream
+        self._read_one = read_one
         self._frames = frames
-        self._signer = signer
 
     def run(self) -> None:
         """Decode frames until EOF or a malformed frame, then stop.
 
-        A :class:`FrameError` is queued and the thread exits: once the
-        framing is out of sync nothing later on the channel can be
-        trusted, so the coordinator quarantines the worker anyway.
+        A :class:`FrameError` (bad or stalled frame) is queued and the
+        thread exits: once the framing is out of sync nothing later on
+        the channel can be trusted, so the coordinator quarantines the
+        worker anyway.
         """
         while True:
             try:
-                frame = read_frame(self._stream, signer=self._signer)
+                frame = self._read_one()
             except FrameError as error:
                 self._frames.put(error)
                 return
@@ -175,64 +180,6 @@ def _recv_exactly(sock: socket.socket, count: int,
     return bytes(data)
 
 
-class _SocketReaderThread(threading.Thread):
-    """Frame reader over a raw socket with a mid-frame read deadline.
-
-    Blocks indefinitely *between* frames (an idle worker is the
-    heartbeat machinery's problem, not the reader's), but once the
-    first byte of a frame arrives the remainder must land within
-    ``read_deadline_s`` — a peer that dies without FIN or trickles a
-    frame byte-by-byte surfaces as a :class:`FrameError` instead of
-    parking this thread (and the worker's coordinator-side state)
-    forever.
-    """
-
-    def __init__(self, sock: socket.socket, frames: "queue.Queue",
-                 signer: Optional[FrameSigner] = None,
-                 read_deadline_s: float = DEFAULT_READ_DEADLINE_S):
-        super().__init__(daemon=True, name="fabric-socket-reader")
-        self._sock = sock
-        self._frames = frames
-        self._signer = signer
-        self._read_deadline_s = read_deadline_s
-
-    def _read_one(self) -> Optional[dict]:
-        first = _recv_exactly(self._sock, 1, None)
-        if not first:
-            return None
-        deadline = time.monotonic() + self._read_deadline_s
-        header = first + _recv_exactly(self._sock, HEADER_BYTES - 1,
-                                       deadline)
-        if len(header) < HEADER_BYTES:
-            raise FrameError(f"truncated frame header ({len(header)} of "
-                             f"{HEADER_BYTES} bytes)")
-        length = int.from_bytes(header, "big")
-        if length <= 0 or length > MAX_FRAME_BYTES:
-            raise FrameError(f"frame length {length} outside "
-                             f"(0, {MAX_FRAME_BYTES}]")
-        payload = _recv_exactly(self._sock, length, deadline)
-        if len(payload) < length:
-            raise FrameError(f"truncated frame payload ({len(payload)} "
-                             f"of {length} bytes)")
-        return decode_frame(payload, signer=self._signer)
-
-    def run(self) -> None:
-        """Decode frames until EOF, a bad frame, or a stalled frame."""
-        while True:
-            try:
-                frame = self._read_one()
-            except FrameError as error:
-                self._frames.put(error)
-                return
-            except (OSError, ValueError):
-                self._frames.put(CHANNEL_CLOSED)
-                return
-            if frame is None:
-                self._frames.put(CHANNEL_CLOSED)
-                return
-            self._frames.put(frame)
-
-
 class WorkerTransport:
     """One framed channel to a worker, with bounded lifecycle control.
 
@@ -250,8 +197,8 @@ class WorkerTransport:
         self._send_broken = False
 
     # -- subclass surface ----------------------------------------------
-    def _read_stream(self):
-        """The binary stream frames are read from."""
+    def _read_one(self) -> Optional[dict]:
+        """Decode the next frame off the channel; ``None`` at EOF."""
         raise NotImplementedError
 
     def _write_stream(self):
@@ -269,9 +216,7 @@ class WorkerTransport:
     def start(self) -> None:
         """Start the reader thread (idempotent)."""
         if self._reader is None:
-            self._reader = _FrameReaderThread(self._read_stream(),
-                                              self._frames,
-                                              signer=self.signer)
+            self._reader = _ReaderThread(self._read_one, self._frames)
             self._reader.start()
 
     def send(self, message: dict) -> bool:
@@ -420,8 +365,8 @@ class StdioTransport(WorkerTransport):
         transport.issue_challenge()
         return transport
 
-    def _read_stream(self):
-        return self.process.stdout
+    def _read_one(self) -> Optional[dict]:
+        return read_frame(self.process.stdout, signer=self.signer)
 
     def _write_stream(self):
         return self.process.stdin
@@ -443,10 +388,14 @@ class TcpTransport(WorkerTransport):
 
     Built by :meth:`TcpListener.accept`; carries the socket plus (for
     locally launched workers) the child process handle so ``kill`` and
-    the bounded ``close`` work exactly as for stdio workers.  Reads go
-    through :class:`_SocketReaderThread`, whose mid-frame deadline
-    turns a half-open socket or a slow-loris peer into a quarantinable
-    :class:`FrameError` instead of a forever-blocked reader.
+    the bounded ``close`` work exactly as for stdio workers.
+
+    Reads block indefinitely *between* frames (an idle worker is the
+    heartbeat machinery's problem, not the reader's), but once the
+    first byte of a frame arrives the remainder must land within
+    ``read_deadline_s``: a peer that dies without FIN or trickles a
+    frame byte-by-byte surfaces as a quarantinable :class:`FrameError`
+    instead of parking the reader thread forever.
     """
 
     def __init__(self, name: str, sock: socket.socket,
@@ -464,16 +413,25 @@ class TcpTransport(WorkerTransport):
         self._tx = sock.makefile("wb")
         self.start()
 
-    def start(self) -> None:
-        """Start the deadline-aware socket reader (idempotent)."""
-        if self._reader is None:
-            self._reader = _SocketReaderThread(
-                self.sock, self._frames, signer=self.signer,
-                read_deadline_s=self._read_deadline_s)
-            self._reader.start()
-
-    def _read_stream(self):  # pragma: no cover - reader is socket-level
-        return self.sock
+    def _read_one(self) -> Optional[dict]:
+        first = _recv_exactly(self.sock, 1, None)
+        if not first:
+            return None
+        deadline = time.monotonic() + self._read_deadline_s
+        header = first + _recv_exactly(self.sock, HEADER_BYTES - 1,
+                                       deadline)
+        if len(header) < HEADER_BYTES:
+            raise FrameError(f"truncated frame header ({len(header)} of "
+                             f"{HEADER_BYTES} bytes)")
+        length = int.from_bytes(header, "big")
+        if length <= 0 or length > MAX_FRAME_BYTES:
+            raise FrameError(f"frame length {length} outside "
+                             f"(0, {MAX_FRAME_BYTES}]")
+        payload = _recv_exactly(self.sock, length, deadline)
+        if len(payload) < length:
+            raise FrameError(f"truncated frame payload ({len(payload)} "
+                             f"of {length} bytes)")
+        return decode_frame(payload, signer=self.signer)
 
     def _write_stream(self):
         return self._tx

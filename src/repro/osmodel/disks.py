@@ -164,8 +164,3 @@ class DiskArray:
         claim plus every service and outage timeout."""
         return self.timeouts + sum(
             disk.grants for disk in self._data_disks + self._log_disks)
-
-    @property
-    def total_queue_length(self) -> int:
-        """Requests queued or in service across all spindles."""
-        return sum(d.queue_length for d in self._data_disks + self._log_disks)

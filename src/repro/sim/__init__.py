@@ -7,11 +7,10 @@ a virtual clock through a binary heap of scheduled events.
 Public surface:
 
 - :class:`~repro.sim.engine.Engine` — the event loop, its event queue
-  (one binary heap with lazy cancellation) and the clock.
-- :class:`~repro.sim.engine.Event`, :class:`~repro.sim.engine.Timeout` —
-  waitable primitives.
-- :class:`~repro.sim.process.Process`, :class:`~repro.sim.process.Interrupt`
-  — generator-based processes.
+  (one binary heap) and the clock.
+- :class:`~repro.sim.engine.Event`, :class:`~repro.sim.engine.Timeout`,
+  :class:`~repro.sim.engine.AllOf` — waitable primitives.
+- :class:`~repro.sim.process.Process` — generator-based processes.
 - :class:`~repro.sim.resources.Resource`,
   :class:`~repro.sim.resources.Store`,
   :class:`~repro.sim.resources.Gate` — contention primitives.
@@ -19,8 +18,8 @@ Public surface:
 - :mod:`~repro.sim.stats` — time-weighted statistics helpers.
 """
 
-from repro.sim.engine import Engine, Event, Timeout, AllOf, AnyOf, SimulationError
-from repro.sim.process import Process, Interrupt
+from repro.sim.engine import Engine, Event, Timeout, AllOf, SimulationError
+from repro.sim.process import Process
 from repro.sim.resources import Resource, Store, Gate
 from repro.sim.randomness import RandomStreams
 from repro.sim.stats import TimeWeighted, Tally, Counter
@@ -30,10 +29,8 @@ __all__ = [
     "Event",
     "Timeout",
     "AllOf",
-    "AnyOf",
     "SimulationError",
     "Process",
-    "Interrupt",
     "Resource",
     "Store",
     "Gate",

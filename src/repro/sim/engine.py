@@ -6,18 +6,14 @@ priority, then scheduling order.  Each :class:`Event` carries a list of
 callbacks that fire when the event is processed;
 :class:`~repro.sim.process.Process` resumption is just another callback.
 The design mirrors simpy's core but is intentionally smaller: no
-real-time support, no nested environments.
-
-Cancellation is lazy: a :meth:`Event.cancel`-ed entry stays queued and
-is skipped when it reaches the top, and when dead entries outnumber
-live ones the heap is compacted in one pass.  This bounds the queue
-under workloads that schedule and abandon many timeouts (lock-wait
-deadlines, races between a completion and its timeout).
+real-time support, no nested environments, and only the waits the
+system model uses (timeouts, resource grants, store gets, gate levels,
+all-of conditions).  Every queued event is dispatched.
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, Optional
 
 from repro.obs import metrics as _metrics
@@ -25,7 +21,7 @@ from repro.obs import tracing as _tracing
 from repro.sim.stats import Counter
 
 #: Priority for events that must run before ordinary events at the same time
-#: (used internally for process interrupts).
+#: (used for process start-up).
 URGENT = 0
 #: Default event priority.
 NORMAL = 1
@@ -41,13 +37,11 @@ class Event:
     An event has three observable states: *pending* (created, not yet
     triggered), *triggered* (queued on the engine with a value), and
     *processed* (callbacks have run).  Processes wait on events by
-    yielding them.  A triggered event can be :meth:`cancel`-ed, which
-    removes it from the timeline without processing (lazy: the engine
-    skips it at pop time).
+    yielding them.
     """
 
     __slots__ = ("engine", "callbacks", "_value", "_ok", "_triggered",
-                 "_processed", "_dead")
+                 "_processed")
 
     def __init__(self, engine: "Engine"):
         self.engine = engine
@@ -56,7 +50,6 @@ class Event:
         self._ok: bool = True
         self._triggered = False
         self._processed = False
-        self._dead = False
 
     @property
     def triggered(self) -> bool:
@@ -67,11 +60,6 @@ class Event:
     def processed(self) -> bool:
         """True once the event's callbacks have run."""
         return self._processed
-
-    @property
-    def cancelled(self) -> bool:
-        """True once the event has been discarded via :meth:`cancel`."""
-        return self._dead
 
     @property
     def ok(self) -> bool:
@@ -106,34 +94,12 @@ class Event:
         self.engine._schedule(self, delay=0.0, priority=priority)
         return self
 
-    def cancel(self) -> None:
-        """Discard a triggered-but-unprocessed event from the timeline.
-
-        The scheduled entry stays queued but is skipped (and eventually
-        compacted away) by the engine — callbacks never run and the
-        clock never advances for it.  Cancelling twice is a no-op;
-        cancelling a processed event is an error, as is cancelling an
-        event that was never scheduled.
-        """
-        if self._processed:
-            raise SimulationError("cannot cancel a processed event")
-        if not self._triggered:
-            raise SimulationError("cannot cancel an untriggered event")
-        if self._dead:
-            return
-        self._dead = True
-        self.callbacks.clear()
-        self.engine._note_dead()
-
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Run ``callback(event)`` when the event is processed.
 
         If the event has already been processed the callback runs
-        immediately, so late waiters are never lost.  Waiting on a
-        cancelled event is an error: the callback could never fire.
+        immediately, so late waiters are never lost.
         """
-        if self._dead:
-            raise SimulationError("cannot wait on a cancelled event")
         if self._processed:
             callback(self)
         else:
@@ -146,8 +112,7 @@ class Event:
             callback(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = ("cancelled" if self._dead else
-                 "processed" if self._processed else
+        state = ("processed" if self._processed else
                  "triggered" if self._triggered else "pending")
         return f"<{type(self).__name__} {state}>"
 
@@ -169,13 +134,13 @@ class Timeout(Event):
         self._ok = True
         self._triggered = True
         self._processed = False
-        self._dead = False
         self.delay = delay
         engine._schedule(self, delay)
 
 
-class _Condition(Event):
-    """Base for AllOf/AnyOf: completes based on a set of child events."""
+class AllOf(Event):
+    """Completes when every child event has completed, with their values
+    by index; fails with the first child failure."""
 
     __slots__ = ("events", "_completed")
 
@@ -196,44 +161,10 @@ class _Condition(Event):
             self.fail(event.value)
             return
         self._completed += 1
-        if self._satisfied():
-            self.succeed(self._result())
+        if self._completed == len(self.events):
+            self.succeed({index: event.value
+                          for index, event in enumerate(self.events)})
 
-    def _satisfied(self) -> bool:
-        raise NotImplementedError
-
-    def _result(self) -> dict:
-        # Only children whose callbacks have run count as completed;
-        # Timeout events are "triggered" from creation, so the weaker
-        # check would leak still-pending timeouts into the result.
-        return {
-            index: event.value
-            for index, event in enumerate(self.events)
-            if event.processed and event.ok
-        }
-
-
-class AllOf(_Condition):
-    """Completes when every child event has completed."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._completed == len(self.events)
-
-
-class AnyOf(_Condition):
-    """Completes when at least one child event has completed."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._completed >= 1
-
-
-#: Dead entries tolerated before a compaction pass is considered; below
-#: this the bookkeeping cost outweighs the memory saved.
-_COMPACT_MIN_DEAD = 64
 
 _INF = float("inf")
 
@@ -260,9 +191,6 @@ class Engine:
         self._now = 0.0
         self._heap: list = []
         self._sequence = 0
-        self._dead = 0
-        self.skipped_dead = 0
-        self.compactions = 0
         self.max_depth = 0
 
     @property
@@ -290,10 +218,6 @@ class Engine:
         """Event completing when all ``events`` complete."""
         return AllOf(self, events)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event completing when any of ``events`` completes."""
-        return AnyOf(self, events)
-
     # -- the event queue ---------------------------------------------------
 
     def _schedule(self, event: Event, delay: float, priority: int = NORMAL) -> None:
@@ -303,62 +227,28 @@ class Engine:
         if len(heap) > self.max_depth:
             self.max_depth = len(heap)
 
-    def _note_dead(self) -> None:
-        """Record one cancellation; compacts when the dead dominate."""
-        self._dead += 1
-        if (self._dead >= _COMPACT_MIN_DEAD
-                and self._dead * 2 > len(self._heap)):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop every dead entry in one pass.  In place, so a dispatch
-        loop holding the heap keeps seeing the live one."""
-        heap = self._heap
-        queued = len(heap)
-        heap[:] = [entry for entry in heap if not entry[3]._dead]
-        heapify(heap)
-        self.skipped_dead += queued - len(heap)
-        self._dead = 0
-        self.compactions += 1
-
     def _dispatched(self) -> int:
-        return self._sequence - self.skipped_dead - len(self._heap)
+        return self._sequence - len(self._heap)
 
     def queue_stats(self) -> dict:
         """Event-queue counters (published by :func:`publish_scheduler_metrics`).
 
-        Once no cancelled entry is left queued, ``scheduled = dispatched
-        + skipped_dead + pending``.  ``max_depth`` is the longest the
-        heap has been, dead entries included.
+        ``scheduled = dispatched + pending``.  ``max_depth`` is the
+        longest the heap has been.
         """
         return {
             "scheduled": self._sequence,
             "dispatched": self._dispatched(),
-            "skipped_dead": self.skipped_dead,
-            "pending": len(self._heap) - self._dead,
+            "pending": len(self._heap),
             "max_depth": self.max_depth,
-            "compactions": self.compactions,
         }
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` when idle."""
         heap = self._heap
-        while heap and heap[0][3]._dead:
-            heappop(heap)
-            self._dead -= 1
-            self.skipped_dead += 1
         return heap[0][0] if heap else _INF
 
     # -- dispatch ----------------------------------------------------------
-
-    def step(self) -> None:
-        """Process exactly one event."""
-        self.peek()
-        if not self._heap:
-            raise SimulationError("step() on an empty schedule")
-        when, _priority, _seq, event = heappop(self._heap)
-        self._now = when
-        event._process()
 
     def run(self, until: Optional[float] = None,
             stop: Optional[tuple] = None) -> None:
@@ -395,16 +285,12 @@ class Engine:
     def _dispatch(self, until: Optional[float], stop: Optional[tuple]) -> None:
         # The DES hot loop: every event of a simulation passes through
         # here, so the per-event work is one counter compare, one
-        # deadline test, the heappop and the dead-entry skip.
+        # deadline test and the heappop.
         counter, target = stop or _NO_STOP
         limit = _INF if until is None else until
         heap = self._heap
         while counter.count < target and heap and heap[0][0] <= limit:
             when, _priority, _seq, event = heappop(heap)
-            if event._dead:
-                self._dead -= 1
-                self.skipped_dead += 1
-                continue
             self._now = when
             event._process()
         if until is not None and stop is None:
@@ -430,7 +316,7 @@ def publish_scheduler_metrics(engine: Engine,
     if not _metrics.ACTIVE:
         return
     stats = engine.queue_stats()
-    for field in ("scheduled", "dispatched", "skipped_dead", "compactions"):
+    for field in ("scheduled", "dispatched"):
         _metrics.inc(f"scheduler.{field}", stats[field])
     _metrics.gauge("scheduler.max_depth", stats["max_depth"])
     if census is not None:

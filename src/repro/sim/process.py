@@ -12,32 +12,19 @@ from __future__ import annotations
 from typing import Any, Generator
 
 from repro.obs import tracing as _tracing
-from repro.sim.engine import URGENT, Engine, Event, SimulationError, Timeout
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    The ``cause`` attribute carries whatever the interrupter supplied.
-    """
-
-    @property
-    def cause(self) -> Any:
-        """Human-readable blocking cause, for diagnostics."""
-        return self.args[0] if self.args else None
+from repro.sim.engine import URGENT, Engine, Event, SimulationError
 
 
 class Process(Event):
     """A running simulation process; completes when its generator returns."""
 
-    __slots__ = ("_generator", "_waiting_on", "_wake")
+    __slots__ = ("_generator", "_wake")
 
     def __init__(self, engine: Engine, generator: Generator):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise TypeError(f"process() needs a generator, got {generator!r}")
         super().__init__(engine)
         self._generator = generator
-        self._waiting_on: Event | None = None
         # The resume callback, bound once: every wait appends it.
         self._wake = self._resume
         if _tracing.ACTIVE:  # phase-level observability, never per event
@@ -52,41 +39,10 @@ class Process(Event):
         """True while the generator has not finished."""
         return not self.triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a finished process is an error; interrupting a process
-        that is waiting on an event detaches it from that event (the event
-        may still fire, but this process no longer reacts to it).
-        """
-        if self.triggered:
-            raise SimulationError("cannot interrupt a finished process")
-        waiting_on = self._waiting_on
-        if waiting_on is not None:
-            try:
-                waiting_on.callbacks.remove(self._wake)
-            except ValueError:
-                pass
-            self._waiting_on = None
-            # An interrupted sleep leaves its Timeout orphaned on the
-            # schedule: nobody waits on it anymore, so cancel it and let
-            # the engine's lazy-cancellation compaction reclaim the
-            # entry instead of carrying it until its deadline pops.
-            if (isinstance(waiting_on, Timeout) and not waiting_on.callbacks
-                    and not waiting_on.processed):
-                waiting_on.cancel()
-        failer = Event(self.engine)
-        failer.add_callback(self._wake)
-        failer._triggered = True
-        failer._ok = False
-        failer._value = Interrupt(cause)
-        self.engine._schedule(failer, delay=0.0, priority=URGENT)
-
     def _resume(self, event: Event) -> None:
         # Every DES event that wakes a process lands here, so the common
         # case is straight-line: step the generator and wait on the
         # pending event it yields.  Anything else goes to _settle.
-        self._waiting_on = None
         try:
             if event._ok:
                 target = self._generator.send(event._value)
@@ -99,8 +55,7 @@ class Process(Event):
             self._crash(exc)
             return
         if (isinstance(target, Event) and target is not self
-                and not target._processed and not target._dead):
-            self._waiting_on = target
+                and not target._processed):
             target.callbacks.append(self._wake)
         else:
             self._settle(target)
@@ -108,8 +63,7 @@ class Process(Event):
     def _settle(self, target: Any) -> None:
         """The rare yields: a non-event or the process itself (thrown
         back into the generator as a :class:`SimulationError`), or an
-        event already processed (resumes at once) or cancelled
-        (:meth:`Event.add_callback` raises)."""
+        event already processed (resumes at once)."""
         while not isinstance(target, Event) or target is self:
             if target is self:
                 error = SimulationError("process waited on itself")
@@ -124,7 +78,6 @@ class Process(Event):
             except BaseException as exc:
                 self._crash(exc)
                 return
-        self._waiting_on = target
         target.add_callback(self._wake)
 
     def _crash(self, exc: BaseException) -> None:

@@ -27,7 +27,6 @@ class Request(Event):
         self._ok = True
         self._triggered = False
         self._processed = False
-        self._dead = False
         self.resource = resource
 
     def __enter__(self) -> "Request":

@@ -122,37 +122,3 @@ class TimeWeighted:
         now = self._clock()
         self._area += self._value * (now - self._last)
         self._last = now
-
-
-class IntervalWatcher:
-    """Delta extractor over a set of counters, for round-robin sampling.
-
-    The EMON layer measures one event group at a time for a fixed interval;
-    this helper captures counter values at interval open and close and
-    reports the per-second rate.
-    """
-
-    def __init__(self, clock: Callable[[], float]):
-        self._clock = clock
-        self._open_values: dict[str, float] = {}
-        self._open_time: Optional[float] = None
-
-    def open(self, counters: dict[str, Counter]) -> None:
-        """Begin an interval: snapshot all counters and the clock."""
-        if self._open_time is not None:
-            raise RuntimeError("interval already open")
-        self._open_time = self._clock()
-        self._open_values = {name: c.snapshot() for name, c in counters.items()}
-
-    def close(self, counters: dict[str, Counter]) -> dict[str, float]:
-        """Return per-second rates for each watched counter."""
-        if self._open_time is None:
-            raise RuntimeError("interval not open")
-        elapsed = self._clock() - self._open_time
-        self._open_time = None
-        if elapsed <= 0:
-            return {name: 0.0 for name in self._open_values}
-        return {
-            name: (counters[name].snapshot() - value) / elapsed
-            for name, value in self._open_values.items()
-        }

@@ -33,6 +33,14 @@ def make_db(processors=2, cache_units=8, with_logwriter=True):
     return engine, scheduler, db
 
 
+def _access(db, claim, block_id, write, stats):
+    """One block access as ``client_process`` makes it: ``reference``,
+    then ``read_miss`` on a miss.  Returns the CPU claim held after."""
+    if not db.reference(block_id, write, stats):
+        claim = yield from db.read_miss(claim, block_id, write, stats)
+    return claim
+
+
 class TestAccessBlock:
     def test_hit_stays_on_cpu(self):
         engine, scheduler, db = make_db()
@@ -42,8 +50,7 @@ class TestAccessBlock:
         def proc():
             claim = scheduler.acquire()
             yield claim
-            claim = yield from db.access_block(claim, 42, write=False,
-                                               stats=stats)
+            claim = yield from _access(db, claim, 42, False, stats)
             scheduler.release(claim)
 
         engine.process(proc())
@@ -59,8 +66,7 @@ class TestAccessBlock:
         def proc():
             claim = scheduler.acquire()
             yield claim
-            claim = yield from db.access_block(claim, 42, write=False,
-                                               stats=stats)
+            claim = yield from _access(db, claim, 42, False, stats)
             scheduler.release(claim)
 
         engine.process(proc())
@@ -81,8 +87,7 @@ class TestAccessBlock:
         def proc():
             claim = scheduler.acquire()
             yield claim
-            claim = yield from db.access_block(claim, 42, write=True,
-                                               stats=stats)
+            claim = yield from _access(db, claim, 42, True, stats)
             scheduler.release(claim)
 
         engine.process(proc())
@@ -97,10 +102,8 @@ class TestAccessBlock:
         def proc():
             claim = scheduler.acquire()
             yield claim
-            claim = yield from db.access_block(claim, 1, write=True,
-                                               stats=stats)
-            claim = yield from db.access_block(claim, 2, write=False,
-                                               stats=stats)
+            claim = yield from _access(db, claim, 1, True, stats)
+            claim = yield from _access(db, claim, 2, False, stats)
             scheduler.release(claim)
 
         engine.process(proc())

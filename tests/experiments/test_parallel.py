@@ -14,7 +14,6 @@ from repro.experiments.parallel import (
     map_parallel,
     run_many,
     run_sweep,
-    sweep_telemetry,
 )
 from repro.experiments.resilience import SweepJournal
 from repro.experiments.runner import sweep
@@ -137,8 +136,9 @@ class TestMapParallel:
 class TestTelemetrySweep:
     def test_workers_ship_spans_and_results_stay_identical(
             self, tmp_path, serial_reference):
-        points = sweep_telemetry(GRID, PROCESSORS, settings=FAST_SETTINGS,
-                                 jobs=2, cache_dir=tmp_path / "cache")
+        points = run_sweep(GRID, PROCESSORS, settings=FAST_SETTINGS,
+                           trace=True, executor=PoolExecutor(2),
+                           cache_dir=tmp_path / "cache")
         # Bit-identity: the traced pool sweep returns exactly the
         # untraced serial results (DESIGN.md §9).
         assert canonical(p.result for p in points) == serial_reference
@@ -161,28 +161,31 @@ class TestTelemetrySweep:
 
         registry = metrics_module.enable_metrics()
         try:
-            sweep_telemetry(GRID, PROCESSORS, settings=FAST_SETTINGS,
-                            jobs=2, cache_dir=tmp_path / "cache")
+            run_sweep(GRID, PROCESSORS, settings=FAST_SETTINGS, trace=True,
+                      executor=PoolExecutor(2), cache_dir=tmp_path / "cache")
         finally:
             metrics_module.disable_metrics()
         assert registry.counters["runner.runs_finished"] == len(GRID)
         assert registry.counters["cache.misses"] == len(GRID)
 
     def test_cache_hits_skip_tracing_but_keep_manifest(self, tmp_path):
-        sweep_telemetry(GRID, PROCESSORS, settings=FAST_SETTINGS,
-                        jobs=1, cache_dir=tmp_path / "cache")
-        rerun = sweep_telemetry(GRID, PROCESSORS, settings=FAST_SETTINGS,
-                                jobs=1, cache_dir=tmp_path / "cache")
+        run_sweep(GRID, PROCESSORS, settings=FAST_SETTINGS, trace=True,
+                  executor=PoolExecutor(1), cache_dir=tmp_path / "cache")
+        rerun = run_sweep(GRID, PROCESSORS, settings=FAST_SETTINGS, trace=True,
+                          executor=PoolExecutor(1),
+                          cache_dir=tmp_path / "cache")
         for point in rerun:
             assert point.cache_hit
             assert point.manifest is not None  # the original run's
             assert point.trace == {}  # nothing simulated, nothing traced
 
     def test_serial_and_pool_telemetry_results_match(self, tmp_path):
-        serial = sweep_telemetry(GRID, PROCESSORS, settings=FAST_SETTINGS,
-                                 jobs=1, use_cache=False)
-        pooled = sweep_telemetry(GRID, PROCESSORS, settings=FAST_SETTINGS,
-                                 jobs=2, cache_dir=tmp_path / "cache")
+        serial = run_sweep(GRID, PROCESSORS, settings=FAST_SETTINGS,
+                           trace=True, executor=PoolExecutor(1),
+                           use_cache=False)
+        pooled = run_sweep(GRID, PROCESSORS, settings=FAST_SETTINGS,
+                           trace=True, executor=PoolExecutor(2),
+                           cache_dir=tmp_path / "cache")
         assert (canonical(p.result for p in serial)
                 == canonical(p.result for p in pooled))
 

@@ -402,18 +402,19 @@ class TestCacheQuarantineSurfacing:
         assert quarantines[0]["key"] == spec.key()
 
     def test_corrupt_entry_surfaces_in_sweep_report(self, tmp_path):
-        from repro.experiments.parallel import RunSpec, sweep_telemetry
+        from repro.experiments.parallel import (PoolExecutor, RunSpec,
+                                                run_sweep)
         from repro.obs.sweep_report import build_sweep_report
 
         cache_dir = tmp_path / "cache"
         grid = (10,)
         # Populate the cache, then corrupt the entry on disk.
-        sweep_telemetry(grid, 1, settings=FAST_SETTINGS, jobs=1,
-                        cache_dir=cache_dir)
+        run_sweep(grid, 1, settings=FAST_SETTINGS, trace=True,
+                  executor=PoolExecutor(1), cache_dir=cache_dir)
         spec = RunSpec(warehouses=10, processors=1, settings=FAST_SETTINGS)
         (cache_dir / f"{spec.key()}.json").write_text("{corrupt")
-        points = sweep_telemetry(grid, 1, settings=FAST_SETTINGS, jobs=1,
-                                 cache_dir=cache_dir)
+        points = run_sweep(grid, 1, settings=FAST_SETTINGS, trace=True,
+                           executor=PoolExecutor(1), cache_dir=cache_dir)
         text = build_sweep_report(points).to_markdown()
         assert "cache.quarantined" in text  # no longer silent
 
@@ -500,6 +501,20 @@ class TestJournalSplitBrain:
         with pytest.raises(JournalOwnershipError):
             journal.record("k2", result)
         assert list(SweepJournal(path).load()) == ["k1"]
+
+    def test_runner_sweep_refuses_a_journal_a_live_owner_holds(
+            self, tmp_path):
+        from repro.experiments.resilience import JournalOwnershipError
+
+        path = tmp_path / "sweep.jsonl"
+        SweepJournal(path).acquire("coord-a")
+        with pytest.raises(JournalOwnershipError, match="coord-a"):
+            sweep((10,), 1, settings=FAST_SETTINGS, use_cache=False,
+                  journal=path)
+        # Refused before the first point: nothing was appended.
+        assert not path.exists() or path.read_text() == ""
+        assert json.loads(path.with_name("sweep.jsonl.lock").read_text()
+                          )["owner"] == "coord-a"
 
     def test_unlocked_journals_still_append(self, tmp_path, result):
         # Locking is opt-in: the single-coordinator path is unchanged.

@@ -210,16 +210,13 @@ class TestSchedulerPublishing:
             engine = Engine()
             for delay in (1.0, 2.0, 3.0):
                 engine.timeout(delay)
-            engine.timeout(4.0).cancel()
             engine.run()
             publish_scheduler_metrics(engine)
         finally:
             disable_metrics()
         counters = registry.counters
-        assert counters["scheduler.scheduled"] == 4.0
+        assert counters["scheduler.scheduled"] == 3.0
         assert counters["scheduler.dispatched"] == 3.0
-        assert counters["scheduler.skipped_dead"] == 1.0
-        assert counters["scheduler.compactions"] == 0.0
         assert registry.gauges["scheduler.max_depth"] >= 3.0
 
     def test_publish_is_noop_when_disabled(self):

@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.experiments.configs import FAST_SETTINGS
-from repro.experiments.parallel import sweep_telemetry
+from repro.experiments.parallel import PoolExecutor, run_sweep
 from repro.experiments.records import ResultCache
 from repro.experiments.resilience import SweepJournal
 from repro.obs.snapshot import (
@@ -150,9 +150,9 @@ class TestReconstruction:
         root = tmp_path_factory.mktemp("snap")
         cache_dir = root / "cache"
         journal = SweepJournal(root / "sweep.jsonl")
-        points = sweep_telemetry([10, 25], 1, settings=FAST_SETTINGS,
-                                 jobs=1, cache_dir=cache_dir,
-                                 journal=journal)
+        points = run_sweep([10, 25], 1, settings=FAST_SETTINGS, trace=True,
+                           executor=PoolExecutor(1), cache_dir=cache_dir,
+                           journal=journal)
         return root, cache_dir, journal, points
 
     def test_from_cache_dir_matches_live_results(self, swept):
@@ -196,17 +196,19 @@ class TestReconstruction:
 
 
 class TestTelemetrySweepJournal:
-    """sweep_telemetry's journal resume path (the --snapshot + --resume
-    combination)."""
+    """A traced ``run_sweep``'s journal resume path (the --snapshot +
+    --resume combination)."""
 
     def test_resumed_points_carry_cached_manifests(self, tmp_path):
         journal = SweepJournal(tmp_path / "sweep.jsonl")
         cache_dir = tmp_path / "cache"
-        first = sweep_telemetry([10], 1, settings=FAST_SETTINGS, jobs=1,
-                                cache_dir=cache_dir, journal=journal)
+        first = run_sweep([10], 1, settings=FAST_SETTINGS, trace=True,
+                          executor=PoolExecutor(1), cache_dir=cache_dir,
+                          journal=journal)
         assert first[0].trace  # fresh point simulated and traced
-        resumed = sweep_telemetry([10], 1, settings=FAST_SETTINGS, jobs=1,
-                                  cache_dir=cache_dir, journal=journal)
+        resumed = run_sweep([10], 1, settings=FAST_SETTINGS, trace=True,
+                            executor=PoolExecutor(1), cache_dir=cache_dir,
+                            journal=journal)
         assert resumed[0].trace == {}  # journaled: nothing re-ran
         assert resumed[0].manifest is not None
         assert resumed[0].result.to_dict() == first[0].result.to_dict()

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.obs.metrics import disable_metrics, enable_metrics
 from repro.obs.tracing import disable_tracing, enable_tracing
-from repro.sim import AllOf, AnyOf, Engine, Interrupt, SimulationError
+from repro.sim import AllOf, Engine, SimulationError
 from repro.sim.engine import NORMAL, URGENT, Timeout
 from repro.sim.stats import Counter
 
@@ -151,11 +151,6 @@ def test_peek_reports_next_event_time():
     assert engine.peek() == 7.0
 
 
-def test_step_on_empty_schedule_raises():
-    with pytest.raises(SimulationError):
-        Engine().step()
-
-
 def test_all_of_waits_for_every_child():
     engine = Engine()
     children = [engine.timeout(d, value=d) for d in (1.0, 2.0, 3.0)]
@@ -167,36 +162,11 @@ def test_all_of_waits_for_every_child():
     assert combined.value == {0: 1.0, 1: 2.0, 2: 3.0}
 
 
-def test_any_of_fires_on_first_child():
-    engine = Engine()
-    children = [engine.timeout(d, value=d) for d in (4.0, 2.0)]
-    combined = AnyOf(engine, children)
-    done_at = []
-    combined.add_callback(lambda e: done_at.append(engine.now))
-    engine.run()
-    assert done_at == [2.0]
-    assert combined.value == {1: 2.0}
-
-
 def test_all_of_empty_completes_immediately():
     engine = Engine()
     combined = AllOf(engine, [])
     assert combined.triggered
     assert combined.value == {}
-
-
-def test_any_of_excludes_pending_pretriggered_timeouts():
-    # Timeouts count as "triggered" from creation; the AnyOf result must
-    # include only children whose callbacks actually ran, not every
-    # child that merely sits on the schedule.
-    engine = Engine()
-    slow = engine.timeout(10.0, value="slow")
-    fast = engine.timeout(1.0, value="fast")
-    combined = AnyOf(engine, [slow, fast])
-    engine.run(until=1.0)
-    assert combined.processed
-    assert slow.triggered and not slow.processed
-    assert combined.value == {1: "fast"}
 
 
 def test_all_of_accepts_already_processed_children():
@@ -257,27 +227,6 @@ class TestOrdering:
         engine.run(until=3.0)
         assert fired == ["due", "later"]
 
-    def test_peek_skips_dead_entries(self):
-        engine = Engine()
-        fired = []
-        _queue(engine, 1.0, NORMAL, "dead", fired).cancel()
-        _queue(engine, 2.0, NORMAL, "live", fired)
-        assert engine.peek() == 2.0
-        assert engine.queue_stats()["skipped_dead"] == 1
-        engine.run()
-        assert fired == ["live"]
-        assert engine.peek() == float("inf")
-
-    def test_step_skips_dead_entries(self):
-        engine = Engine()
-        fired = []
-        _queue(engine, 1.0, NORMAL, "dead", fired).cancel()
-        _queue(engine, 2.0, NORMAL, "live", fired)
-        engine.step()
-        assert fired == ["live"] and engine.now == 2.0
-        with pytest.raises(SimulationError):
-            engine.step()
-
 
 class TestStopCondition:
     def test_stops_before_the_next_event_once_target_reached(self):
@@ -310,102 +259,6 @@ class TestStopCondition:
         assert engine.queue_stats()["dispatched"] == 0
 
 
-class TestLazyCancellation:
-    def test_10k_cancelled_timeouts_bounded_queue(self):
-        engine = Engine()
-        survivor = engine.timeout(20_000.0, value="done")
-        for t in [engine.timeout(100.0 + i) for i in range(10_000)]:
-            t.cancel()
-        # Compaction must keep the dead from accumulating: without it the
-        # queue would sit at 10_001 entries until their deadlines pop.
-        stats = engine.queue_stats()
-        assert stats["pending"] == 1
-        assert stats["compactions"] >= 5
-        assert stats["skipped_dead"] + engine._dead == 10_000
-        assert len(engine._heap) <= 200
-        engine.run()
-        assert engine.now == 20_000.0
-        assert survivor.processed
-        final = engine.queue_stats()
-        assert final["skipped_dead"] == 10_000
-        assert final["pending"] == 0
-        assert final["dispatched"] == 1
-
-    def test_compaction_during_a_run_keeps_dispatching(self):
-        engine = Engine()
-        fired = []
-        doomed = [engine.timeout(50.0 + i) for i in range(200)]
-
-        def cancel_all(event):
-            for t in doomed:
-                t.cancel()
-            engine.timeout(1.0).add_callback(lambda e: fired.append(engine.now))
-
-        engine.timeout(1.0).add_callback(cancel_all)
-        engine.timeout(5.0).add_callback(lambda e: fired.append(engine.now))
-        engine.run()
-        assert engine.queue_stats()["compactions"] >= 1
-        assert fired == [2.0, 5.0]
-
-    def test_cancelled_timeout_never_fires(self):
-        engine = Engine()
-        fired = []
-        t = engine.timeout(5.0)
-        t.add_callback(fired.append)
-        t.cancel()
-        engine.run()
-        assert not fired
-        assert engine.now == 0.0       # clock never advanced for it
-        assert t.cancelled
-
-    def test_cancel_is_idempotent(self):
-        engine = Engine()
-        t = engine.timeout(1.0)
-        t.cancel()
-        t.cancel()
-        assert engine.queue_stats()["pending"] == 0
-
-    def test_cancel_untriggered_event_rejected(self):
-        engine = Engine()
-        with pytest.raises(SimulationError, match="untriggered"):
-            engine.event().cancel()
-
-    def test_cancel_processed_event_rejected(self):
-        engine = Engine()
-        t = engine.timeout(1.0)
-        engine.run()
-        with pytest.raises(SimulationError, match="processed"):
-            t.cancel()
-
-    def test_waiting_on_cancelled_event_rejected(self):
-        engine = Engine()
-        t = engine.timeout(1.0)
-        t.cancel()
-        with pytest.raises(SimulationError, match="cancelled"):
-            t.add_callback(lambda event: None)
-
-    def test_interrupted_sleep_reclaims_its_timeout(self):
-        engine = Engine()
-
-        def sleeper():
-            try:
-                yield engine.timeout(1000.0)
-            except Interrupt:
-                pass
-
-        def poker(victim):
-            yield engine.timeout(1.0)
-            victim.interrupt("wake")
-
-        victim = engine.process(sleeper())
-        engine.process(poker(victim))
-        engine.run()
-        # The orphaned 1000.0 timeout was cancelled, not carried: the
-        # clock stops at the interrupt, and nothing stays queued.
-        assert engine.now == 1.0
-        assert engine.queue_stats()["pending"] == 0
-
-
 # -- randomized schedules (property) -------------------------------------
 
 #: Coarse delay grid so randomized schedules collide on timestamps often
@@ -413,9 +266,6 @@ class TestLazyCancellation:
 _delays = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0])
 _jobs = st.lists(st.lists(_delays, min_size=1, max_size=5),
                  min_size=1, max_size=8)
-_interrupts = st.lists(
-    st.tuples(_delays, st.integers(min_value=0, max_value=7)),
-    max_size=4)
 
 
 class _CheckedEngine(Engine):
@@ -423,8 +273,8 @@ class _CheckedEngine(Engine):
 
     Each scheduled entry's ``(time, priority, sequence)`` key is
     remembered; when its event is processed, the key must be the
-    smallest among the live (uncancelled, unprocessed) entries, and
-    the clock must read its time.
+    smallest among the entries still queued, and the clock must read
+    its time.
     """
 
     def __init__(self):
@@ -439,65 +289,47 @@ class _CheckedEngine(Engine):
         event.callbacks.insert(0, lambda e: self._check(key))
 
     def _check(self, key):
-        live = [k for k, event in self.queued.items() if not event.cancelled]
-        assert key == min(live)
+        assert key == min(self.queued)
         assert self.now == key[0]
         del self.queued[key]
         self.dispatched.append(key)
 
 
-def _random_schedule(engine, jobs, interrupts):
-    """Sleepers plus an interrupting poker; returns the observable trace."""
+def _random_schedule(engine, jobs):
+    """One sleeper process per job; returns the observable trace."""
     trace = []
-    procs = []
 
     def sleeper(index, delays):
         for delay in delays:
-            try:
-                yield engine.timeout(delay)
-                trace.append(("slept", engine.now, index))
-            except Interrupt:
-                trace.append(("interrupted", engine.now, index))
+            yield engine.timeout(delay)
+            trace.append(("slept", engine.now, index))
 
     for index, delays in enumerate(jobs):
-        procs.append(engine.process(sleeper(index, delays)))
-
-    def poker(pokes):
-        for delay, victim_index in pokes:
-            yield engine.timeout(delay)
-            victim = procs[victim_index % len(procs)]
-            if victim.is_alive:
-                victim.interrupt("poke")
-                trace.append(("poked", engine.now, victim_index))
-
-    if interrupts:
-        engine.process(poker(interrupts))
+        engine.process(sleeper(index, delays))
     return trace
 
 
-@given(_jobs, _interrupts)
+@given(_jobs)
 @settings(max_examples=60, deadline=None)
-def test_dispatch_is_a_sorted_drain_and_the_ledger_balances(jobs, interrupts):
+def test_dispatch_is_a_sorted_drain_and_the_ledger_balances(jobs):
     engine = _CheckedEngine()
-    _random_schedule(engine, jobs, interrupts)
+    _random_schedule(engine, jobs)
     engine.run()
     stats = engine.queue_stats()
     assert stats["pending"] == 0
-    assert all(event.cancelled for event in engine.queued.values())
+    assert not engine.queued
     assert stats["dispatched"] == len(engine.dispatched)
-    assert stats["skipped_dead"] == len(engine.queued)
-    assert stats["scheduled"] == (stats["dispatched"] + stats["skipped_dead"]
-                                  + stats["pending"])
+    assert stats["scheduled"] == stats["dispatched"] + stats["pending"]
 
 
-@given(_jobs, _interrupts)
+@given(_jobs)
 @settings(max_examples=30, deadline=None)
-def test_observed_run_dispatches_like_a_plain_one(jobs, interrupts):
+def test_observed_run_dispatches_like_a_plain_one(jobs):
     plain = Engine()
-    plain_trace = _random_schedule(plain, jobs, interrupts)
+    plain_trace = _random_schedule(plain, jobs)
     plain.run()
     observed = Engine()
-    observed_trace = _random_schedule(observed, jobs, interrupts)
+    observed_trace = _random_schedule(observed, jobs)
     tracer = enable_tracing()
     registry = enable_metrics()
     try:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Engine, Interrupt, SimulationError
+from repro.sim import Engine, SimulationError
 
 
 def test_process_runs_and_returns_value():
@@ -86,38 +86,6 @@ def test_waiting_on_already_finished_process():
     boss_proc = engine.process(boss(worker_proc))
     engine.run()
     assert boss_proc.value == "early"
-
-
-def test_interrupt_wakes_blocked_process():
-    engine = Engine()
-    log = []
-
-    def sleeper():
-        try:
-            yield engine.timeout(100.0)
-        except Interrupt as interrupt:
-            log.append((engine.now, interrupt.cause))
-
-    def interrupter(target):
-        yield engine.timeout(5.0)
-        target.interrupt("wake up")
-
-    target = engine.process(sleeper())
-    engine.process(interrupter(target))
-    engine.run()
-    assert log == [(5.0, "wake up")]
-
-
-def test_interrupting_finished_process_raises():
-    engine = Engine()
-
-    def quick():
-        yield engine.timeout(1.0)
-
-    p = engine.process(quick())
-    engine.run()
-    with pytest.raises(SimulationError):
-        p.interrupt()
 
 
 def test_yielding_non_event_raises_in_process():

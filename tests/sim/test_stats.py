@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.stats import Counter, IntervalWatcher, Tally, TimeWeighted
+from repro.sim.stats import Counter, Tally, TimeWeighted
 
 
 class FakeClock:
@@ -99,35 +99,3 @@ class TestTimeWeighted:
         clock = FakeClock()
         tw = TimeWeighted(clock, initial=7.0)
         assert tw.mean() == 7.0
-
-
-class TestIntervalWatcher:
-    def test_rates_over_interval(self):
-        clock = FakeClock()
-        counters = {"reads": Counter(), "writes": Counter()}
-        watcher = IntervalWatcher(clock)
-        counters["reads"].add(5)
-        watcher.open(counters)
-        clock.t = 10.0
-        counters["reads"].add(30)
-        counters["writes"].add(10)
-        rates = watcher.close(counters)
-        assert rates == {"reads": pytest.approx(3.0), "writes": pytest.approx(1.0)}
-
-    def test_double_open_rejected(self):
-        watcher = IntervalWatcher(FakeClock())
-        watcher.open({})
-        with pytest.raises(RuntimeError):
-            watcher.open({})
-
-    def test_close_without_open_rejected(self):
-        with pytest.raises(RuntimeError):
-            IntervalWatcher(FakeClock()).close({})
-
-    def test_zero_elapsed_yields_zero_rates(self):
-        clock = FakeClock()
-        counters = {"x": Counter()}
-        watcher = IntervalWatcher(clock)
-        watcher.open(counters)
-        counters["x"].add(5)
-        assert watcher.close(counters) == {"x": 0.0}

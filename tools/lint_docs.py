@@ -24,7 +24,10 @@ new packages), run by the CI ``docs`` job:
   ``docs/API.md`` is a real package/module, every ``src/repro``
   subpackage has a module-map heading, and every ``repro.obs`` module
   has a backticked ``obs.<name>`` row — so a new observability module
-  (like ``obs.snapshot``/``obs.diff``) cannot land without API docs.
+  (like ``obs.snapshot``/``obs.diff``) cannot land without API docs;
+- every backticked CamelCase name in README.md and docs/API.md must be
+  a class defined under ``src/repro`` (found with ``ast``), so a doc row
+  cannot keep naming a deleted class.
 
 Exit status is the number of problems found (0 = clean), each printed
 as ``path:line: message``.
@@ -169,6 +172,42 @@ def check_cli_docs(repo: Path) -> list[str]:
                 problems.append(
                     f"src/repro/cli.py:{line}: subcommand {name!r} is not "
                     f"documented in {rel} (no 'repro {name}' mention)")
+    return problems
+
+
+#: An inline code span that is a CamelCase name, alone or followed by
+#: an attribute or a call: `Engine`, `SweepJournal.load()`.
+_CLASS_SPAN_RE = re.compile(
+    r"([A-Z][a-z0-9]+(?:[A-Z][A-Za-z0-9]*)*)(?:[.(].*)?")
+
+
+def source_classes(root: Path) -> set[str]:
+    """Every class name defined anywhere under ``root`` (via ``ast``)."""
+    return {node.name
+            for path in root.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ClassDef)}
+
+
+def check_class_names(repo: Path) -> list[str]:
+    """Stale-class findings: backticked CamelCase names in README.md
+    and docs/API.md that no class under ``src/repro`` defines, so a
+    row naming a deleted class cannot outlive it.  Fenced code blocks
+    are skipped."""
+    classes = source_classes(SOURCE_ROOT)
+    problems = []
+    for doc in (repo / "README.md", repo / "docs" / "API.md"):
+        if not doc.exists():  # pragma: no cover - repo invariant
+            continue
+        text = re.sub(r"```.*?```", lambda block: "\n" * block.group().count(
+            "\n"), doc.read_text(encoding="utf-8"), flags=re.DOTALL)
+        for span in re.finditer(r"`([^`\n]+)`", text):
+            match = _CLASS_SPAN_RE.fullmatch(span.group(1))
+            if match and match.group(1) not in classes:
+                line = text.count("\n", 0, span.start()) + 1
+                problems.append(
+                    f"{doc.relative_to(repo)}:{line}: `{match.group(1)}` "
+                    f"is not a class defined under src/repro")
     return problems
 
 
@@ -367,7 +406,7 @@ def main() -> int:
     problems = (check_docstrings(SOURCE_ROOT) + check_links(REPO)
                 + check_cli_docs(REPO) + check_design_sections(REPO)
                 + check_api_module_map(REPO) + check_obs_module_rows(REPO)
-                + check_workload_docs(REPO))
+                + check_workload_docs(REPO) + check_class_names(REPO))
     for problem in problems:
         print(problem)
     if problems:
@@ -375,7 +414,8 @@ def main() -> int:
     else:
         print("docs lint clean: docstrings present, links resolve, "
               "CLI verbs documented, DESIGN/API maps in sync, "
-              "workload scenarios and spec fields documented")
+              "workload scenarios and spec fields documented, "
+              "documented classes exist")
     return min(len(problems), 100)
 
 
