@@ -6,10 +6,7 @@
     python -m repro run -w 200 --faults plan.json   # ... on degraded hardware
     python -m repro sweep -p 4 --chart       # warehouse sweep (+ ASCII plot)
     python -m repro sweep -p 4 --resume      # checkpointed (kill-safe) sweep
-    python -m repro sweep -p 4 --workers 3   # distributed sweep over fabric workers
-    python -m repro sweep -p 4 --workers 3 --bind 0.0.0.0:7461 \\
-        --fabric-secret secret.txt           # multi-host sweep (remote workers)
-    python -m repro fabric-worker --connect host:7461 --fabric-secret secret.txt
+    python -m repro sweep -p 4 --workers 3   # sweep over stdio fabric workers
     python -m repro pivot -p 4 --metric cpi  # two-region fit and pivot
     python -m repro table1                   # the 90%-utilization search
     python -m repro variability -w 100 -p 4  # multi-seed error bars
@@ -44,17 +41,10 @@ DESIGN.md §8): per-point retry with deterministic backoff, pool
 self-healing on worker death, and the degradation timeline surfaced in
 sweep reports.  ``--retries N`` and ``--point-timeout S`` (on ``sweep``
 and ``report --sweep``) set its retry budget and per-point deadline.
-``--workers N`` (on ``sweep``) distributes the sweep across ``N``
-fabric worker processes over ``--transport`` stdio pipes or TCP
-sockets (:mod:`repro.fabric`) instead of the local pool: leases,
-heartbeat liveness, idempotent journal appends, and graceful fallback
-to the local pool when the fleet is lost.  ``--bind
-HOST:PORT`` turns the coordinator multi-host: no local fleet is
-spawned, and remote hosts join with ``repro fabric-worker --connect
-HOST:PORT`` (reconnecting with deterministic backoff if the channel
-drops).  ``--fabric-secret PATH`` (or ``REPRO_FABRIC_SECRET``) enables
-HMAC-SHA256 authenticated framing on both ends; forged or replayed
-frames are rejected without failing the sweep.
+``--workers N`` (on ``sweep``) runs the sweep on ``N`` fabric worker
+processes framed over stdio pipes (:mod:`repro.fabric`) instead of the
+local pool: leases, heartbeat liveness, idempotent journal appends,
+and graceful fallback to the local pool when the fleet is lost.
 
 ``report`` runs one configuration with tracing enabled
 (:mod:`repro.obs`) and writes a Markdown (optionally HTML) dashboard —
@@ -184,46 +174,9 @@ def _add_supervision(parser: argparse.ArgumentParser) -> None:
 
 def _add_fabric(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="distributed execution across N fabric worker "
-                             "processes (leases, heartbeats, requeue, "
-                             "local fallback; see DESIGN.md §8)")
-    parser.add_argument("--transport", choices=("stdio", "tcp"),
-                        default="stdio",
-                        help="fabric worker transport: stdio subprocess "
-                             "pipes (default) or local TCP sockets")
-    parser.add_argument("--bind", default=None, metavar="HOST:PORT",
-                        help="listen for external fabric workers (repro "
-                             "fabric-worker --connect) instead of spawning "
-                             "a local fleet; implies --transport tcp")
-    parser.add_argument("--fabric-secret", default=None, metavar="PATH",
-                        help="file holding the shared secret for "
-                             "HMAC-authenticated framing (default: "
-                             "$REPRO_FABRIC_SECRET if set)")
-
-
-def _parse_hostport(text: str, flag: str) -> tuple[str, int]:
-    """Validate a ``HOST:PORT`` flag value with single-line errors."""
-    host, sep, port_text = text.rpartition(":")
-    if not sep or not host:
-        raise SystemExit(f"{flag} expects HOST:PORT, got {text!r}")
-    try:
-        port = int(port_text)
-    except ValueError:
-        raise SystemExit(f"{flag} port must be an integer, "
-                         f"got {port_text!r}")
-    if not 0 <= port <= 65535:
-        raise SystemExit(f"{flag} port {port} is outside [0, 65535]")
-    return host, port
-
-
-def _fabric_secret(args) -> Optional[str]:
-    """The shared fabric secret from flags/env, or None (unsigned)."""
-    from repro.fabric import resolve_fabric_secret
-
-    try:
-        return resolve_fabric_secret(getattr(args, "fabric_secret", None))
-    except ValueError as error:
-        raise SystemExit(str(error))
+                        help="run on N stdio fabric worker processes "
+                             "(leases, heartbeats, requeue, local "
+                             "fallback; see DESIGN.md §8)")
 
 
 def _policy(args) -> SupervisorPolicy:
@@ -237,11 +190,9 @@ def _policy(args) -> SupervisorPolicy:
 def _executor(args):
     """The sweep's executor from CLI flags.
 
-    ``--workers N`` selects the distributed fabric; otherwise the local
-    pool over ``--jobs`` workers (which the driver runs in-process when
-    that is one worker).  ``--bind HOST:PORT`` makes the coordinator listen for
-    external ``repro fabric-worker`` processes (the bound address is
-    printed) instead of spawning a local fleet.
+    ``--workers N`` selects the fabric; otherwise the local pool over
+    ``--jobs`` workers (which the driver runs in-process when that is
+    one worker).
     """
     workers = getattr(args, "workers", None)
     if workers is None:
@@ -250,22 +201,7 @@ def _executor(args):
         raise SystemExit("--workers needs a positive worker count")
     from repro.fabric import FabricCoordinator, FabricPolicy
 
-    bind = getattr(args, "bind", None)
-    if bind is not None:
-        _parse_hostport(bind, "--bind")
-    secret = _fabric_secret(args)
-    transport = "tcp" if bind is not None else args.transport
-    coordinator = FabricCoordinator(fabric=FabricPolicy(
-        workers=workers, transport=transport, secret=secret, bind=bind))
-    if bind is not None:
-        try:
-            host, port = coordinator.listen().address
-        except OSError as error:
-            raise SystemExit(f"cannot bind {bind!r}: {error}")
-        auth = "authenticated" if secret else "UNAUTHENTICATED"
-        print(f"fabric: listening on {host}:{port} ({auth}); workers "
-              f"join with `repro fabric-worker --connect {host}:{port}`")
-    return coordinator
+    return FabricCoordinator(fabric=FabricPolicy(workers=workers))
 
 
 def cmd_run(args) -> int:
@@ -337,8 +273,7 @@ def _journal_path(args, faults: Optional[FaultPlan],
 
 #: Events every healthy sweep emits; the rest are degradations.
 _ROUTINE_EVENTS = frozenset({"fleet-started", "worker-ready",
-                             "worker-accepted", "lease-granted",
-                             "point-straggling"})
+                             "lease-granted", "point-straggling"})
 
 
 def _print_degradation(executor) -> None:
@@ -348,14 +283,6 @@ def _print_degradation(executor) -> None:
         states = ", ".join(f"{h.name}={h.state}({h.completed})"
                            for h in health)
         print(f"fabric: {len(health)} worker(s): {states}")
-        reconnects = sum(h.reconnects for h in health)
-        revalidated = sum(h.revalidated for h in health)
-        auth_rejected = sum(1 for e in executor.events
-                            if e["event"] == "worker-auth-rejected")
-        if reconnects or revalidated or auth_rejected:
-            print(f"fabric: {auth_rejected} auth rejection(s), "
-                  f"{reconnects} reconnect(s), "
-                  f"{revalidated} lease(s) revalidated")
     degraded = [e for e in executor.events
                 if e["event"] not in _ROUTINE_EVENTS]
     if degraded:
@@ -806,31 +733,6 @@ def cmd_docs(args) -> int:
     return 0
 
 
-def cmd_fabric_worker(args) -> int:
-    """``repro fabric-worker``: join a remote coordinator's fleet.
-
-    Dials the coordinator's ``--bind`` address, serves leases, and
-    rejoins (session token + lease re-validation, deterministic
-    jittered backoff) when the channel drops — up to
-    ``--max-reconnects`` attempts before giving up.
-    """
-    import os
-    import socket
-
-    from repro.fabric import FabricChaosPolicy, run_with_reconnect
-
-    host, port = _parse_hostport(args.connect, "--connect")
-    secret = _fabric_secret(args)
-    chaos = (FabricChaosPolicy.from_json(args.chaos)
-             if args.chaos else None)
-    worker_id = (args.worker_id
-                 or f"{socket.gethostname()}-{os.getpid()}")
-    return run_with_reconnect(f"{host}:{port}", worker_id,
-                              heartbeat_s=args.heartbeat, chaos=chaos,
-                              secret=secret,
-                              max_reconnects=args.max_reconnects)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The argparse command tree for ``python -m repro``."""
     parser = argparse.ArgumentParser(
@@ -1000,28 +902,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="fail (exit 1) on drift instead of "
                                   "rewriting (the CI doc-drift gate)")
     docs_parser.set_defaults(func=cmd_docs)
-
-    fw_parser = commands.add_parser(
-        "fabric-worker",
-        help="join a remote sweep coordinator as a fabric worker")
-    fw_parser.add_argument("--connect", required=True, metavar="HOST:PORT",
-                           help="the coordinator's --bind address")
-    fw_parser.add_argument("--worker-id", default=None,
-                           help="identity announced in the handshake "
-                                "(default: <hostname>-<pid>)")
-    fw_parser.add_argument("--fabric-secret", default=None, metavar="PATH",
-                           help="file holding the shared fabric secret "
-                                "(default: $REPRO_FABRIC_SECRET if set)")
-    fw_parser.add_argument("--heartbeat", type=float, default=0.25,
-                           metavar="S",
-                           help="seconds between heartbeat frames")
-    fw_parser.add_argument("--max-reconnects", type=int, default=10,
-                           metavar="N",
-                           help="rejoin attempts after a lost coordinator "
-                                "before giving up")
-    fw_parser.add_argument("--chaos", default=None,
-                           help="FabricChaosPolicy as JSON (test-only)")
-    fw_parser.set_defaults(func=cmd_fabric_worker)
 
     cache_parser = commands.add_parser("clear-cache",
                                        help="drop cached sweep results")

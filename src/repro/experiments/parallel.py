@@ -32,7 +32,7 @@ from this process as it completes, and merges everything in grid order.
 An :class:`Executor` is a small state machine the driver polls:
 :class:`PoolExecutor` (one ``ProcessPoolExecutor``, rebuilt when a
 worker dies) here, and :class:`~repro.fabric.coordinator.FabricCoordinator`
-(leases to worker processes over stdio or TCP).  Pool and fabric
+(leases to worker processes over stdio pipes).  Pool and fabric
 workers both run :func:`execute_point`, and both honour the one
 :class:`~repro.fabric.chaos.FabricChaosPolicy` for fault injection.
 
@@ -417,9 +417,7 @@ class SweepPoint:
     """Driver-side state of one sweep point across its attempts.
 
     Executors read ``spec``/``key``/``attempt``/``state`` and hand the
-    point back in their outcomes; only the driver changes its state
-    (and :meth:`dispatched`, which an executor may call when it
-    re-grants a point on its own, as a reconnecting fabric worker does).
+    point back in their outcomes; only the driver changes its state.
     """
 
     __slots__ = ("index", "spec", "key", "attempt", "state", "not_before",
@@ -821,11 +819,13 @@ def run_sweep(warehouse_grid, processors: int,
     :func:`repro.experiments.runner.sweep`.  With a ``journal`` the
     sweep holds the journal's owner lock throughout: a second live
     owner raises :class:`~repro.experiments.resilience.JournalOwnershipError`,
-    a dead owner's stale lock is broken.  Points already journaled are
-    reused without running (their manifests come from the cache; they
-    carry no trace, like any cache hit), the rest run and are journaled
-    from this process as they complete — one append stream, each point
-    exactly once, whichever executor computed it.
+    a dead owner's stale lock is broken, and a journal the caller
+    already acquired keeps the caller's token and release.  Points
+    already journaled are reused without running (their manifests come
+    from the cache; they carry no trace, like any cache hit), the rest
+    run and are journaled from this process as they complete — one
+    append stream, each point exactly once, whichever executor
+    computed it.
     """
     specs = [RunSpec(warehouses=warehouses, processors=processors,
                      clients=(clients_fn(warehouses, processors)
@@ -839,16 +839,13 @@ def run_sweep(warehouse_grid, processors: int,
         return run_points(specs, executor, **run)
     if not isinstance(journal, SweepJournal):
         journal = SweepJournal(journal)
-    journal.acquire()
-    try:
+    with journal.held():
         completed = journal.load()
         pending = [spec for spec in specs if spec.key() not in completed]
         fresh = run_points(
             pending, executor, **run,
             on_result=lambda spec, point: journal.record(spec.key(),
                                                          point.result))
-    finally:
-        journal.release()
     by_key = {point.spec.key(): point for point in fresh}
     cache = (ResultCache(Path(cache_dir)) if cache_dir is not None
              else default_cache())

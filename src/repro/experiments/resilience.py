@@ -28,8 +28,9 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.experiments.records import (
     SCHEMA_VERSION,
@@ -225,8 +226,9 @@ class SweepJournal:
     the lock on every ``record`` and refuses to append if ownership was
     stolen.  Both sweep drivers (:func:`repro.experiments.runner.sweep`
     and :func:`repro.experiments.parallel.run_sweep`) hold the lock for
-    the whole sweep; a bare ``record`` on a journal nobody acquired
-    still appends.  Duplicate suppression is always on: re-recording a
+    the whole sweep (:meth:`held`), reusing the caller's token when the
+    caller acquired it first; a bare ``record`` on a journal nobody
+    acquired still appends.  Duplicate suppression is always on: re-recording a
     key with a bit-identical result is a no-op, so retried points never
     write twice.
     """
@@ -324,6 +326,23 @@ class SweepJournal:
             except OSError:  # pragma: no cover - read-only journal dir
                 pass
         self.owner = None
+
+    @contextmanager
+    def held(self) -> Iterator["SweepJournal"]:
+        """Hold the owner lock for a block (what the sweep drivers use).
+
+        A journal the caller already acquired keeps the caller's token
+        (re-acquired, so a stolen lock still raises) and the caller's
+        release; otherwise a pid-derived token is taken on entry and
+        released on exit.
+        """
+        caller_held = self.owner is not None
+        self.acquire(self.owner)
+        try:
+            yield self
+        finally:
+            if not caller_held:
+                self.release()
 
     def _check_ownership(self) -> None:
         """Refuse to append when an acquired lock was stolen/broken."""

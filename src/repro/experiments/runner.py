@@ -29,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import os
 import time
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Optional, Union
 
@@ -365,13 +366,12 @@ def sweep(warehouse_grid, processors: int,
     :func:`repro.experiments.parallel.run_sweep`: a journal another
     live coordinator owns raises
     :class:`~repro.experiments.resilience.JournalOwnershipError` before
-    anything runs.
+    anything runs, and a journal the caller already acquired keeps the
+    caller's token and is left for the caller to release.
     """
-    if journal is not None:
-        if not isinstance(journal, SweepJournal):
-            journal = SweepJournal(journal)
-        journal.acquire()
-    try:
+    if journal is not None and not isinstance(journal, SweepJournal):
+        journal = SweepJournal(journal)
+    with journal.held() if journal is not None else nullcontext():
         completed = journal.load() if journal is not None else {}
         results = []
         for warehouses in warehouse_grid:
@@ -393,9 +393,6 @@ def sweep(warehouse_grid, processors: int,
                 journal.record(key, result)
             results.append(result)
         return results
-    finally:
-        if journal is not None:
-            journal.release()
 
 
 def utilization_for(warehouses: int, processors: int, clients: int,

@@ -13,29 +13,15 @@ The fabric faults fire in fabric workers:
   finished result for ``delay_s``: the coordinator must declare it dead
   on heartbeat timeout, re-lease the point, and then *deduplicate* the
   stale completion when it finally arrives;
-- ``corrupt`` — the worker emits a garbage frame before its result: the
-  coordinator must quarantine the worker, not the sweep;
+- ``corrupt`` — the worker emits a garbage frame in place of its
+  result: the coordinator must quarantine the worker, not the sweep;
 - ``duplicate`` — the worker sends its result frame twice: the second
   completion must be deduplicated, never double-journaled;
 - ``latency`` — the worker sleeps ``latency_s`` before sending the
   result: deadlines must tolerate slow links without spurious expiry;
-- ``halfopen`` — the worker stops reading and writing without closing
-  the socket (no FIN): the coordinator's heartbeat timeout, not a
-  blocked read, must surface the loss;
-- ``sloworis`` — the worker trickles a frame one byte at a time slower
-  than the transport's read deadline: the reader must declare the
-  frame stalled and quarantine the worker;
 - ``partition`` — asymmetric partition: the worker keeps *sending*
   heartbeats but stops *receiving* coordinator frames, so its lease
-  can never complete and the driver's deadline must expire it;
-- ``replay`` — the worker records its signed result frame and sends
-  the identical bytes again: on an authenticated channel the stale
-  sequence number must be rejected (``fabric.auth.rejected``) without
-  failing the sweep;
-- ``disconnect`` — the worker closes its socket after finishing the
-  point and exits with the reconnect status code: the
-  ``repro fabric-worker`` supervisor loop must dial back in, resume
-  its session by token, and carry on.
+  can never complete and the driver's deadline must expire it.
 
 Two more fire in pool and fabric workers alike:
 
@@ -62,11 +48,11 @@ from typing import Optional
 
 from repro.experiments.parallel import _unit_hash
 
-#: The fault kinds, in draw order.  New kinds only ever append, so a
-#: policy that uses only older kinds draws identically to before.
+#: The fault kinds, in draw order.  A kind's probability widens the
+#: cumulative draw only when it is nonzero, so adding or removing a
+#: kind leaves every policy that does not use it drawing as before.
 FABRIC_FAULTS = ("kill", "blackhole", "corrupt", "duplicate",
-                 "latency", "halfopen", "sloworis", "partition",
-                 "replay", "disconnect", "hang", "poison")
+                 "latency", "partition", "hang", "poison")
 
 
 @dataclass(frozen=True)
@@ -79,17 +65,13 @@ class FabricChaosPolicy:
     corrupt: float = 0.0
     duplicate: float = 0.0
     latency: float = 0.0
-    halfopen: float = 0.0
-    sloworis: float = 0.0
     partition: float = 0.0
-    replay: float = 0.0
-    disconnect: float = 0.0
     hang: float = 0.0
     poison: float = 0.0
     attempts: int = 1
     #: How long a blackholed worker sits on its finished result before
     #: sending it anyway (to exercise the dedup path), and how long a
-    #: hung, half-open or slow-loris worker stalls.
+    #: hung worker stalls.
     delay_s: float = 2.0
     #: Injected send delay for the ``latency`` fault.
     latency_s: float = 0.1

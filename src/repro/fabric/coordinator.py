@@ -19,11 +19,10 @@ fleet:
   condemns the *worker*, never the sweep: its lease fails back and the
   channel is closed with the bounded teardown ladder.
 - **Idempotent completion** — a duplicate completion (re-leased point
-  finishing twice, chaos replay) is counted and dropped, so the
+  finishing twice, chaos duplicate) is counted and dropped, so the
   journal the driver writes records every point exactly once.
-- **Handshake, auth and reconnect** — protocol-version handshake,
-  signed frames, and session tokens that let a rejoining worker
-  re-validate its in-flight lease (DESIGN.md §8).
+- **Handshake** — a worker speaking another protocol version is
+  rejected before it is leased anything.
 
 When every worker is lost or quarantined (or ``REPRO_SERIAL=1``
 forbids spawning), the coordinator is no longer usable and the driver
@@ -36,7 +35,6 @@ telemetry only.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -55,30 +53,19 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.records import ConfigResult, payload_checksum
 from repro.fabric.chaos import FabricChaosPolicy
-from repro.fabric.protocol import (
-    PROTOCOL_VERSION,
-    FrameAuthError,
-    FrameError,
-)
+from repro.fabric.protocol import PROTOCOL_VERSION, FrameError, encode_spec
 from repro.fabric.transports import (
     CHANNEL_CLOSED,
-    DEFAULT_READ_DEADLINE_S,
-    TcpListener,
     WorkerTransport,
     close_transports,
     launch_stdio_workers,
-    launch_tcp_workers,
 )
-from repro.obs import metrics as _metrics
 from repro.obs.manifest import RunManifest
-
-#: Transport names accepted by ``FabricPolicy.transport``.
-TRANSPORTS = ("stdio", "tcp")
 
 
 @dataclass(frozen=True)
 class FabricPolicy:
-    """Fabric-layer knobs: worker fleet shape, liveness, transports.
+    """Fabric-layer knobs: worker fleet size and liveness.
 
     Retries, backoff, point deadlines, the strike threshold and the
     polling tick are the driver's
@@ -88,40 +75,20 @@ class FabricPolicy:
     """
 
     workers: int = 2
-    transport: str = "stdio"
     heartbeat_s: float = 0.25
     heartbeat_timeout_s: float = 2.0
     handshake_timeout_s: float = 10.0
     close_timeout_s: float = 5.0
-    #: Shared secret enabling authenticated framing (``None`` = off).
-    secret: Optional[str] = None
-    #: ``host:port`` to bind the TCP listener on for *external* workers
-    #: (``repro fabric-worker --connect``); no local fleet is spawned.
-    bind: Optional[str] = None
-    #: Mid-frame read deadline on TCP channels (half-open detection).
-    read_deadline_s: float = DEFAULT_READ_DEADLINE_S
-    #: How long a bind-mode coordinator waits with zero usable workers
-    #: (fleet still joining, or rejoining after a partition) before
-    #: degrading to the local fallback.
-    accept_grace_s: float = 30.0
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("need at least one worker")
-        if self.transport not in TRANSPORTS:
-            raise ValueError(f"transport must be one of {TRANSPORTS}")
         if self.heartbeat_s <= 0 or self.heartbeat_timeout_s <= 0:
             raise ValueError("heartbeat intervals must be positive")
         if self.heartbeat_timeout_s <= self.heartbeat_s:
             raise ValueError("heartbeat_timeout_s must exceed heartbeat_s")
         if self.handshake_timeout_s <= 0:
             raise ValueError("timeouts must be positive")
-        if self.bind is not None and self.transport != "tcp":
-            raise ValueError("bind requires the tcp transport")
-        if self.read_deadline_s <= 0:
-            raise ValueError("read_deadline_s must be positive")
-        if self.accept_grace_s < 0:
-            raise ValueError("accept_grace_s must be >= 0")
 
 
 @dataclass
@@ -135,8 +102,6 @@ class WorkerHealth:
     completed: int = 0
     failures: int = 0
     duplicates: int = 0
-    reconnects: int = 0
-    revalidated: int = 0
 
 
 #: Worker states.  ``connecting`` → ``ready`` on handshake; ``ready`` ↔
@@ -154,7 +119,6 @@ class _WorkerRuntime(WorkerHealth):
                  handshake_timeout_s: float):
         super().__init__(name=transport.name)
         self.transport = transport
-        self.token: Optional[str] = None
         self.point = None
         self.last_beat = now
         self.last_strike = now
@@ -167,11 +131,11 @@ class _WorkerRuntime(WorkerHealth):
 
 
 class FabricCoordinator(Executor):
-    """Distributed executor for :class:`RunSpec` points over transports.
+    """Executor for :class:`RunSpec` points over stdio worker processes.
 
     Drive it with :func:`~repro.experiments.parallel.run_points` (or
     ``run_sweep``).  Pass prebuilt ``transports`` (tests), or let
-    ``fabric.workers``/``fabric.transport`` spawn the fleet each run.
+    ``fabric.workers`` size the fleet spawned each run.
     Points come back as :class:`PointTelemetry` stamped with the
     producing worker's id.
     """
@@ -186,17 +150,12 @@ class FabricCoordinator(Executor):
         self.fabric = fabric or FabricPolicy()
         self._given_transports = list(transports) if transports else None
         self._workers: list[_WorkerRuntime] = []
-        self._listener: Optional[TcpListener] = None
-        #: Session token → runtime, for reconnect rebinding.
-        self._tokens: dict[str, _WorkerRuntime] = {}
-        self._accept_counter = 0
         self._lease_counter = 0
         self._options: Optional[RunOptions] = None
-        #: Points leased this run, by key (results and resumes name keys).
+        #: Points leased this run, by key (results and errors name keys).
         self._by_key: dict[str, SweepPoint] = {}
         self._completed: set[str] = set()
         self._outcomes: list = []
-        self._grace_deadline: Optional[float] = None
 
     # ------------------------------------------------------------------
     # telemetry plumbing
@@ -208,76 +167,18 @@ class FabricCoordinator(Executor):
     # ------------------------------------------------------------------
     # fleet lifecycle
 
-    def listen(self) -> TcpListener:
-        """Bind (or return) the TCP accept socket.
-
-        Called eagerly by the CLI in ``--bind`` mode so the bound
-        address can be printed before the sweep starts; ``open`` calls
-        it lazily otherwise.  The listener carries the fabric secret
-        and read deadline to every accepted transport.
-        """
-        if self._listener is None:
-            host, port = "127.0.0.1", 0
-            if self.fabric.bind is not None:
-                host, _, port_text = self.fabric.bind.rpartition(":")
-                port = int(port_text)
-            self._listener = TcpListener(
-                host, port, secret=self.fabric.secret,
-                read_deadline_s=self.fabric.read_deadline_s)
-        return self._listener
-
     def _spawn(self, now: float) -> None:
-        chaos_json = self.chaos.to_json() if self.chaos is not None else None
         if self._given_transports is not None:
             transports = self._given_transports
-            for transport in transports:
-                # Prebuilt signed channels that were never challenged
-                # get their session nonce dealt now (idempotence guard:
-                # a challenge is always a signer's first send).
-                if (transport.signer is not None
-                        and transport.signer.send_seq == 0):
-                    transport.issue_challenge()
-        elif self.fabric.transport == "tcp":
-            listener = self.listen()
-            if self.fabric.bind is not None:
-                # Bind mode: no local fleet — external workers join via
-                # ``repro fabric-worker --connect`` and are accepted by
-                # ``_accept_pending`` as they dial in.
-                transports = []
-            else:
-                transports = launch_tcp_workers(
-                    self.fabric.workers, listener,
-                    heartbeat_s=self.fabric.heartbeat_s,
-                    chaos_json=chaos_json)
         else:
             transports = launch_stdio_workers(
                 self.fabric.workers, heartbeat_s=self.fabric.heartbeat_s,
-                chaos_json=chaos_json, secret=self.fabric.secret)
+                chaos_json=(self.chaos.to_json()
+                            if self.chaos is not None else None))
         self._workers = [
             _WorkerRuntime(transport, now, self.fabric.handshake_timeout_s)
             for transport in transports]
-        self._event("fleet-started", workers=len(self._workers),
-                    transport=self.fabric.transport,
-                    bind=self.fabric.bind)
-
-    def _accept_pending(self, now: float) -> None:
-        """Admit workers dialing in mid-sweep (joins and reconnects)."""
-        if self._listener is None:
-            return
-        while True:
-            self._accept_counter += 1
-            try:
-                transport = self._listener.poll_accept(
-                    name=f"joined-{self._accept_counter}")
-            except OSError:  # pragma: no cover - listener torn down
-                return
-            if transport is None:
-                self._accept_counter -= 1
-                return
-            runtime = _WorkerRuntime(transport, now,
-                                     self.fabric.handshake_timeout_s)
-            self._workers.append(runtime)
-            self._event("worker-accepted", worker=transport.name)
+        self._event("fleet-started", workers=len(self._workers))
 
     def _shutdown(self) -> None:
         for worker in self._workers:
@@ -285,9 +186,6 @@ class FabricCoordinator(Executor):
                 worker.transport.send({"type": "shutdown"})
         close_transports([worker.transport for worker in self._workers],
                          timeout_s=self.fabric.close_timeout_s)
-        if self._listener is not None:
-            self._listener.close()
-            self._listener = None
 
     def _usable_workers(self) -> list[_WorkerRuntime]:
         return [worker for worker in self._workers
@@ -341,26 +239,14 @@ class FabricCoordinator(Executor):
         self._by_key = {}
         self._completed = set()
         self._outcomes = []
-        self._grace_deadline = None
         self._workers = []
         if serial_forced() and self._given_transports is None:
             return  # REPRO_SERIAL forbids spawning worker processes
         self._spawn(time.monotonic())
 
     def usable(self) -> bool:
-        """True while a worker is usable (or joins may still arrive)."""
-        if self._usable_workers():
-            self._grace_deadline = None
-            return True
-        if self.fabric.bind is not None and self._listener is not None:
-            # Bind mode has no local fleet: external workers are still
-            # joining (or rejoining after a partition).  Wait out the
-            # accept grace before degrading.
-            now = time.monotonic()
-            if self._grace_deadline is None:
-                self._grace_deadline = now + self.fabric.accept_grace_s
-            return now < self._grace_deadline
-        return False
+        """True while a worker is usable."""
+        return bool(self._usable_workers())
 
     def slots(self) -> int:
         """Ready workers holding no lease."""
@@ -375,7 +261,7 @@ class FabricCoordinator(Executor):
         self._lease_counter += 1
         lease = {"type": "lease", "lease_id": f"L{self._lease_counter}",
                  "key": point.key, "attempt": point.attempt,
-                 "spec": _encode_spec(point.spec),
+                 "spec": encode_spec(point.spec),
                  "use_cache": self._options.use_cache,
                  "trace": self._options.trace}
         if self._options.cache_dir is not None:
@@ -390,11 +276,10 @@ class FabricCoordinator(Executor):
         return True
 
     def poll(self, timeout: float) -> list:
-        """Wait one tick, then admit joins, read frames, check liveness."""
+        """Wait one tick, then read frames and check liveness."""
         if not self._outcomes:
             time.sleep(timeout)
         now = time.monotonic()
-        self._accept_pending(now)
         self._poll_frames(now)
         self._scan_liveness(now)
         outcomes, self._outcomes = self._outcomes, []
@@ -469,82 +354,18 @@ class FabricCoordinator(Executor):
             self._reject(worker, f"protocol {message['protocol']} != "
                                  f"{PROTOCOL_VERSION}")
             return
-        token = message.get("token")
-        previous = (self._tokens.get(token)
-                    if isinstance(token, str) else None)
-        old_point = None
-        if previous is not None and previous is not worker:
-            if previous.state in ("quarantined", "rejected"):
-                self._reject(worker, f"resume refused: session was "
-                                     f"{previous.state}")
-                return
-            # The reconnecting worker supersedes its old channel: carry
-            # the counters across, drop the dead transport without a
-            # strike, and remember any lease it still nominally held.
-            if previous.state not in _TERMINAL_STATES:
-                previous.state = "lost"
-                self._event("worker-superseded", worker=previous.name)
-            old_point = previous.point
-            previous.point = None
-            previous.transport.close(timeout_s=self.fabric.close_timeout_s)
-            worker.completed = previous.completed
-            worker.failures = previous.failures
-            worker.duplicates = previous.duplicates
-            worker.revalidated = previous.revalidated
-            worker.reconnects = previous.reconnects + 1
-            self._event("worker-reconnected",
-                        worker=message["worker_id"],
-                        reconnects=worker.reconnects)
-            if _metrics.ACTIVE:
-                _metrics.inc("fabric.reconnect.attempts")
         worker.name = message["worker_id"]
         worker.transport.name = worker.name
         worker.host = message["host"]
         worker.pid = message["pid"]
-        if previous is not None:
-            worker.token = token
-        else:
-            worker.token = f"T{os.urandom(12).hex()}"
-        self._tokens[worker.token] = worker
         if not worker.transport.send({"type": "welcome",
-                                      "protocol": PROTOCOL_VERSION,
-                                      "token": worker.token}):
+                                      "protocol": PROTOCOL_VERSION}):
             self._lose(worker, "welcome send failed")
             return
         worker.state = "ready"
         worker.last_beat = now
         self._event("worker-ready", worker=worker.name, host=worker.host,
                     pid=worker.pid)
-        self._revalidate(worker, message.get("resuming"), old_point, now)
-
-    def _revalidate(self, worker: _WorkerRuntime, resuming,
-                    old_point, now: float) -> None:
-        """Re-validate a resumed worker's in-flight lease.
-
-        The worker claims it still holds a lease (its hello carried
-        ``resuming``) and will deliver the result momentarily.  When
-        the point is still open and un-leased, re-grant it — no
-        double-execution.  When it has finished or been re-leased
-        elsewhere, the incoming result simply dedups.  Any *other*
-        lease the old channel held fails back to the driver.
-        """
-        if isinstance(resuming, dict):
-            point = self._by_key.get(resuming.get("key"))
-            if (point is not None and not point.done
-                    and not any(peer.point is point
-                                for peer in self._workers)):
-                worker.point = point
-                point.dispatched(now)
-                worker.revalidated += 1
-                self._event("lease-revalidated", worker=worker.name,
-                            key=point.key, attempt=point.attempt)
-                if _metrics.ACTIVE:
-                    _metrics.inc("fabric.leases.revalidated")
-        if (old_point is not None and old_point.running
-                and not any(peer.point is old_point
-                            for peer in self._workers)):
-            self._fail(old_point, RuntimeError(
-                f"{worker.name}: lease orphaned by reconnect"))
 
     def _handle_result(self, worker: _WorkerRuntime, message: dict,
                        now: float) -> None:
@@ -587,14 +408,6 @@ class FabricCoordinator(Executor):
                     break
                 if item is CHANNEL_CLOSED:
                     self._lose(worker, "channel closed")
-                    break
-                if isinstance(item, FrameAuthError):
-                    # Forged, replayed, or cross-sweep frame: reject the
-                    # worker (its lease fails back), never the sweep.
-                    if _metrics.ACTIVE:
-                        _metrics.inc("fabric.auth.rejected")
-                    self._condemn(worker, "rejected",
-                                  "worker-auth-rejected", str(item))
                     break
                 if isinstance(item, FrameError):
                     self._quarantine(worker, f"malformed frame: {item}")
@@ -645,20 +458,25 @@ class FabricCoordinator(Executor):
                 self._strike(worker, "continued silence")
 
 
-def _encode_spec(spec: RunSpec) -> str:
-    """Late import shim so protocol stays import-light in the worker."""
-    from repro.fabric.protocol import encode_spec
-
-    return encode_spec(spec)
-
-
 # ----------------------------------------------------------------------
 # stable names over the driver
 #
 # ``fabric_run_many`` and ``fabric_run_telemetry`` keep their historical
 # signatures and return types because the committed perf harness
-# (benchmarks/perf/session.py) imports them.  Each is one call into the
-# driver.
+# (benchmarks/perf/session.py) imports them and passes
+# ``transport="stdio"``, the one transport left.  Each is one call into
+# the driver.
+
+
+def _coordinator(workers: int, transport: str,
+                 fabric: Optional[FabricPolicy],
+                 chaos: Optional[FabricChaosPolicy],
+                 coordinator: Optional[FabricCoordinator]
+                 ) -> FabricCoordinator:
+    if transport != "stdio":
+        raise ValueError(f"transport must be 'stdio', got {transport!r}")
+    return coordinator or FabricCoordinator(
+        fabric=fabric or FabricPolicy(workers=workers), chaos=chaos)
 
 
 def fabric_run_many(specs: Sequence[RunSpec],
@@ -673,10 +491,7 @@ def fabric_run_many(specs: Sequence[RunSpec],
                     ) -> list[ConfigResult]:
     """:func:`run_points` across the fabric, results only."""
     return [point.result for point in run_points(
-        specs, coordinator or FabricCoordinator(
-            fabric=fabric or FabricPolicy(workers=workers,
-                                          transport=transport),
-            chaos=chaos),
+        specs, _coordinator(workers, transport, fabric, chaos, coordinator),
         policy=policy, use_cache=use_cache, cache_dir=cache_dir,
         on_result=on_result and (
             lambda spec, point: on_result(spec, point.result)))]
@@ -693,17 +508,13 @@ def fabric_run_telemetry(specs: Sequence[RunSpec],
                          ) -> list[PointTelemetry]:
     """:func:`run_points` across the fabric, traced."""
     return run_points(
-        specs, coordinator or FabricCoordinator(
-            fabric=fabric or FabricPolicy(workers=workers,
-                                          transport=transport),
-            chaos=chaos),
+        specs, _coordinator(workers, transport, fabric, chaos, coordinator),
         policy=policy, trace=True, use_cache=use_cache, cache_dir=cache_dir)
 
 
 __all__ = [
     "FabricCoordinator",
     "FabricPolicy",
-    "TRANSPORTS",
     "WorkerHealth",
     "fabric_run_many",
     "fabric_run_telemetry",

@@ -7,33 +7,15 @@ message types below, and every required field of that type must be
 present with the right JSON shape — anything else raises
 :class:`FrameError`, which the coordinator treats as grounds to
 quarantine the *worker*, never to fail the sweep (DESIGN.md §8).
-
-**Authenticated framing** (DESIGN.md §8).  When both sides share a
-secret (``--fabric-secret`` file or ``REPRO_FABRIC_SECRET`` env; see
-:func:`resolve_fabric_secret`), every frame payload is prefixed with a
-32-byte HMAC-SHA256 signature computed by a per-connection
-:class:`FrameSigner` over ``nonce || sequence || body``.  The nonce is
-dealt by the coordinator in a ``challenge`` frame at connect time, so
-a frame captured from another sweep (different nonce) or replayed
-within a session (stale sequence) fails verification with
-:class:`FrameAuthError` — a single-line, non-crashing rejection.
-Without a secret the wire format is byte-identical to protocol v1
-unsigned frames.
+Frames travel over the stdin/stdout pipes of a worker the coordinator
+spawned itself, so they carry no authentication.
 
 Message types (required fields):
 
-- ``challenge`` (coordinator → worker, signed sessions only):
-  ``nonce`` — dealt before anything else; all later frames are signed
-  under it.
 - ``hello`` (worker → coordinator): ``worker_id``, ``protocol``,
   ``host``, ``pid`` — the handshake opener.  A ``protocol`` other than
-  :data:`PROTOCOL_VERSION` is rejected.  Optional ``token`` resumes a
-  previous session after a reconnect, and optional ``resuming``
-  (``{"lease_id", "key"}``) names a lease the worker still holds so
-  the coordinator can re-validate it instead of double-executing.
+  :data:`PROTOCOL_VERSION` is rejected.
 - ``welcome`` / ``reject`` (coordinator → worker): handshake close.
-  ``welcome`` carries a ``token`` the worker presents when
-  reconnecting.
 - ``lease`` (coordinator → worker): ``lease_id``, ``key``, ``attempt``,
   ``spec``, ``use_cache`` — one grant of one sweep point; the optional
   ``trace`` bool (absent = true) says whether the worker traces the
@@ -59,37 +41,26 @@ message *types* are not.
 from __future__ import annotations
 
 import base64
-import hashlib
-import hmac
 import json
-import os
 import pickle
-from pathlib import Path
-from typing import BinaryIO, Optional, Union
+from typing import BinaryIO, Optional
 
 #: Protocol generation carried in the ``hello`` handshake.  Bump on any
 #: incompatible frame-shape change so a stale worker is rejected at
-#: connect time instead of corrupting a sweep later.  v2 added the
-#: ``challenge`` auth handshake and the token/resume fields.
-PROTOCOL_VERSION = 2
+#: connect time instead of corrupting a sweep later.  v3 dropped the
+#: ``challenge`` auth handshake and the token/resume hello fields.
+PROTOCOL_VERSION = 3
 
 #: Bytes of big-endian frame-length header preceding every payload.
 HEADER_BYTES = 4
-
-#: Bytes of HMAC-SHA256 signature prefixed to signed frame payloads.
-SIGNATURE_BYTES = 32
 
 #: Upper bound on one frame's payload; anything larger is corruption
 #: (a full telemetry result is a few hundred KB).
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-#: Environment variable holding the shared fabric secret (literal).
-SECRET_ENV = "REPRO_FABRIC_SECRET"
-
 #: Required fields (name → JSON type) per message type.  ``None`` in a
 #: tuple means the field may also be null.
 MESSAGE_SCHEMAS: dict[str, dict[str, tuple]] = {
-    "challenge": {"nonce": (str,)},
     "hello": {"worker_id": (str,), "protocol": (int,), "host": (str,),
               "pid": (int,)},
     "welcome": {"protocol": (int,)},
@@ -106,87 +77,6 @@ MESSAGE_SCHEMAS: dict[str, dict[str, tuple]] = {
 
 class FrameError(ValueError):
     """A frame failed byte-level or schema-level validation."""
-
-
-class FrameAuthError(FrameError):
-    """A frame failed HMAC verification (forged, replayed, cross-sweep).
-
-    A subclass of :class:`FrameError` so every existing quarantine path
-    handles it, while the coordinator can still tell an authentication
-    rejection (``fabric.auth.rejected``) from plain corruption.
-    """
-
-
-class HandshakeError(RuntimeError):
-    """The protocol-version handshake failed (stale or foreign worker)."""
-
-
-def resolve_fabric_secret(path: Optional[Union[str, Path]] = None
-                          ) -> Optional[str]:
-    """The shared fabric secret, or ``None`` (unauthenticated framing).
-
-    ``path`` (the ``--fabric-secret`` flag) names a file whose stripped
-    contents are the secret; it takes precedence over the
-    :data:`SECRET_ENV` environment variable.  An unreadable or empty
-    secret file raises a single-line :class:`ValueError`.
-    """
-    if path:
-        try:
-            secret = Path(path).read_text(encoding="utf-8").strip()
-        except OSError as error:
-            raise ValueError(f"cannot read fabric secret file "
-                             f"{str(path)!r}: {error}")
-        if not secret:
-            raise ValueError(f"fabric secret file {str(path)!r} is empty")
-        return secret
-    secret = os.environ.get(SECRET_ENV)
-    return secret if secret else None
-
-
-class FrameSigner:
-    """Per-connection frame authentication state (one per channel side).
-
-    Holds the shared secret, the session nonce (empty until the
-    ``challenge`` frame deals one), and one monotonically increasing
-    sequence counter per direction.  The signature of the N-th frame a
-    side sends is ``HMAC-SHA256(secret, nonce || N || body)``, so:
-
-    - a peer without the secret cannot produce a valid signature;
-    - a frame recorded from another connection/sweep carries a
-      different nonce and fails verification (cross-sweep replay);
-    - a frame replayed within the session carries a stale sequence
-      number and fails verification (in-session replay).
-
-    Verification failures raise :class:`FrameAuthError`.  The send path
-    must already be serialized by the channel's send lock; the receive
-    path runs on the single reader thread.
-    """
-
-    def __init__(self, secret: str, nonce: str = ""):
-        self._key = secret.encode("utf-8")
-        self.nonce = nonce
-        self.send_seq = 0
-        self.recv_seq = 0
-
-    def _mac(self, seq: int, body: bytes) -> bytes:
-        message = (self.nonce.encode("utf-8")
-                   + seq.to_bytes(8, "big") + body)
-        return hmac.new(self._key, message, hashlib.sha256).digest()
-
-    def sign(self, body: bytes) -> bytes:
-        """Signature for the next outbound frame; advances the counter."""
-        signature = self._mac(self.send_seq, body)
-        self.send_seq += 1
-        return signature
-
-    def verify(self, signature: bytes, body: bytes) -> None:
-        """Check one inbound frame's signature; advances the counter."""
-        expected = self._mac(self.recv_seq, body)
-        if not hmac.compare_digest(signature, expected):
-            raise FrameAuthError(
-                f"frame signature rejected at seq {self.recv_seq} "
-                f"(wrong secret, replayed frame, or cross-sweep nonce)")
-        self.recv_seq += 1
 
 
 def validate_message(message: object) -> dict:
@@ -219,42 +109,20 @@ def validate_message(message: object) -> dict:
     return message
 
 
-def encode_frame(message: dict,
-                 signer: Optional[FrameSigner] = None) -> bytes:
-    """Validate and serialize one message to its on-wire frame bytes.
-
-    With a ``signer`` the payload is prefixed by its 32-byte HMAC and
-    the length header covers signature plus body.
-    """
+def encode_frame(message: dict) -> bytes:
+    """Validate and serialize one message to its on-wire frame bytes."""
     validate_message(message)
-    body = json.dumps(message, sort_keys=True).encode("utf-8")
-    payload = signer.sign(body) + body if signer is not None else body
+    payload = json.dumps(message, sort_keys=True).encode("utf-8")
     if len(payload) > MAX_FRAME_BYTES:
         raise FrameError(f"frame payload of {len(payload)} bytes exceeds "
                          f"the {MAX_FRAME_BYTES}-byte bound")
     return len(payload).to_bytes(HEADER_BYTES, "big") + payload
 
 
-def decode_frame(payload: bytes,
-                 signer: Optional[FrameSigner] = None) -> dict:
-    """Parse and schema-check one frame payload (sans length header).
-
-    With a ``signer`` the payload must lead with a valid 32-byte HMAC;
-    anything else raises :class:`FrameAuthError` before the body is
-    even parsed — unauthenticated bytes never reach the JSON decoder.
-    """
-    if signer is not None:
-        if len(payload) <= SIGNATURE_BYTES:
-            raise FrameAuthError(
-                f"signed frame of {len(payload)} bytes is too short to "
-                f"carry a {SIGNATURE_BYTES}-byte signature")
-        signature, body = (payload[:SIGNATURE_BYTES],
-                           payload[SIGNATURE_BYTES:])
-        signer.verify(signature, body)
-    else:
-        body = payload
+def decode_frame(payload: bytes) -> dict:
+    """Parse and schema-check one frame payload (sans length header)."""
     try:
-        message = json.loads(body.decode("utf-8"))
+        message = json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise FrameError(f"frame payload is not valid JSON: {error}")
     return validate_message(message)
@@ -273,15 +141,13 @@ def _read_exactly(stream: BinaryIO, count: int) -> bytes:
     return b"".join(chunks)
 
 
-def read_frame(stream: BinaryIO,
-               signer: Optional[FrameSigner] = None) -> Optional[dict]:
+def read_frame(stream: BinaryIO) -> Optional[dict]:
     """Read one frame from a binary stream.
 
     Returns the validated message, or ``None`` on a clean EOF (the peer
     closed between frames).  EOF *inside* a frame, an absurd length, or
     an undecodable payload raises :class:`FrameError` — the caller's cue
-    to quarantine the peer.  With a ``signer``, an invalid signature
-    raises :class:`FrameAuthError` instead.
+    to quarantine the peer.
     """
     header = _read_exactly(stream, HEADER_BYTES)
     if not header:
@@ -297,13 +163,12 @@ def read_frame(stream: BinaryIO,
     if len(payload) < length:
         raise FrameError(f"truncated frame payload ({len(payload)} of "
                          f"{length} bytes)")
-    return decode_frame(payload, signer=signer)
+    return decode_frame(payload)
 
 
-def write_frame(stream: BinaryIO, message: dict,
-                signer: Optional[FrameSigner] = None) -> None:
-    """Encode ``message`` (signed when a signer is given) and write it."""
-    stream.write(encode_frame(message, signer=signer))
+def write_frame(stream: BinaryIO, message: dict) -> None:
+    """Encode ``message`` and write it."""
+    stream.write(encode_frame(message))
     stream.flush()
 
 
@@ -328,22 +193,16 @@ def decode_spec(text: str):
 
 
 __all__ = [
-    "FrameAuthError",
     "FrameError",
-    "FrameSigner",
-    "HandshakeError",
     "HEADER_BYTES",
     "MAX_FRAME_BYTES",
     "MESSAGE_SCHEMAS",
     "PROTOCOL_VERSION",
-    "SECRET_ENV",
-    "SIGNATURE_BYTES",
     "decode_frame",
     "decode_spec",
     "encode_frame",
     "encode_spec",
     "read_frame",
-    "resolve_fabric_secret",
     "validate_message",
     "write_frame",
 ]

@@ -296,22 +296,15 @@ def worker_section(workers: Sequence) -> "ReportSection":
             worker.completed,
             worker.failures,
             worker.duplicates,
-            getattr(worker, "reconnects", 0),
-            getattr(worker, "revalidated", 0),
         ])
     return ReportSection(
         "Fabric workers",
         ["worker", "host", "pid", "state", "completed", "failures",
-         "duplicates", "reconnects", "revalidated"],
+         "duplicates"],
         rows,
         note="End-of-sweep worker fleet health; 'duplicates' counts "
              "completions deduplicated by the coordinator (re-leased "
-             "points finishing twice), 'reconnects' counts sessions "
-             "resumed over a fresh channel, and 'revalidated' counts "
-             "in-flight leases re-granted on resume instead of "
-             "double-executed (fabric.auth.rejected / "
-             "fabric.reconnect.attempts / fabric.leases.revalidated "
-             "in the metrics section).")
+             "points finishing twice).")
 
 
 def metrics_section(registry: MetricsRegistry) -> "ReportSection":

@@ -516,6 +516,30 @@ class TestJournalSplitBrain:
         assert json.loads(path.with_name("sweep.jsonl.lock").read_text()
                           )["owner"] == "coord-a"
 
+    @pytest.mark.parametrize("driver", ["runner.sweep", "run_sweep"])
+    def test_caller_held_journal_is_reused_not_refused(self, tmp_path,
+                                                       driver):
+        """A caller that holds the journal under its own token runs a
+        sweep on it: the driver reuses the token, appends, and leaves
+        the lock for the caller to release."""
+        from repro.experiments.parallel import run_sweep
+
+        path = tmp_path / "sweep.jsonl"
+        journal = SweepJournal(path)
+        journal.acquire("coordinator-1")
+        if driver == "runner.sweep":
+            sweep((10,), 1, settings=FAST_SETTINGS, use_cache=False,
+                  journal=journal)
+        else:
+            run_sweep((10,), 1, settings=FAST_SETTINGS, use_cache=False,
+                      journal=journal)
+        assert len(path.read_text().splitlines()) == 1
+        assert journal.owner == "coordinator-1"
+        assert json.loads(journal.lock_path.read_text()
+                          )["owner"] == "coordinator-1"
+        journal.release()
+        assert not journal.lock_path.exists()
+
     def test_unlocked_journals_still_append(self, tmp_path, result):
         # Locking is opt-in: the single-coordinator path is unchanged.
         journal = SweepJournal(tmp_path / "sweep.jsonl")

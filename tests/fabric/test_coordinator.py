@@ -30,7 +30,7 @@ FAST_POLICY = SupervisorPolicy(max_retries=3, base_backoff_s=0.01,
 
 
 def fast_fabric(**overrides):
-    defaults = dict(workers=2, transport="stdio", heartbeat_s=0.05,
+    defaults = dict(workers=2, heartbeat_s=0.05,
                     heartbeat_timeout_s=30.0, handshake_timeout_s=5.0)
     defaults.update(overrides)
     return FabricPolicy(**defaults)
@@ -63,9 +63,6 @@ class FakeTransport(WorkerTransport):
         self.dead = False
         self.push({"type": "hello", "worker_id": name,
                    "protocol": protocol, "host": "fake", "pid": 1})
-
-    def start(self):
-        """No reader thread: frames are pushed by the script."""
 
     def push(self, item):
         self._frames.put(item)
@@ -284,3 +281,7 @@ class TestDegradation:
         kinds = [e["event"] for e in coordinator.events]
         assert kinds[0] == "local-fallback"
         assert coordinator.worker_health() == []
+
+    def test_only_the_stdio_transport_is_accepted(self, specs):
+        with pytest.raises(ValueError, match="stdio"):
+            fabric_run_many(specs[:1], transport="tcp", use_cache=False)

@@ -42,9 +42,9 @@ def make_specs():
                     settings=FAST_SETTINGS) for w in GRID]
 
 
-def make_coordinator(workers=3, transport="stdio", chaos=None, **fabric):
-    defaults = dict(workers=workers, transport=transport,
-                    heartbeat_s=0.1, heartbeat_timeout_s=1.5)
+def make_coordinator(workers=3, chaos=None, **fabric):
+    defaults = dict(workers=workers, heartbeat_s=0.1,
+                    heartbeat_timeout_s=1.5)
     defaults.update(fabric)
     return FabricCoordinator(fabric=FabricPolicy(**defaults), chaos=chaos)
 
@@ -171,17 +171,6 @@ class TestTotalLoss:
         assert canonical(results) == serial_reference
         kinds = [e["event"] for e in coordinator.events]
         assert "worker-lost" in kinds and "local-fallback" in kinds
-        assert_fleet_reaped(coordinator)
-
-
-class TestTcpTransport:
-    def test_tcp_sweep_bit_identical(self, serial_reference):
-        coordinator = make_coordinator(workers=2, transport="tcp")
-        results = fabric_run_many(make_specs(), policy=FAST_POLICY,
-                                  use_cache=False, coordinator=coordinator)
-        assert canonical(results) == serial_reference
-        assert all(h.state == "ready"
-                   for h in coordinator.worker_health())
         assert_fleet_reaped(coordinator)
 
 

@@ -229,8 +229,8 @@ class TestWorkerTracks:
         ])
         assert section.title == "Fabric workers"
         assert section.rows[0] == ["worker-0", "hostA", 11, "ready",
-                                   3, 0, 1, 0, 0]
-        assert section.headers[-2:] == ["reconnects", "revalidated"]
+                                   3, 0, 1]
+        assert section.headers[-1] == "duplicates"
         assert section.rows[1][1] == "-" and section.rows[1][2] == "-"
 
     def test_degradation_executor_falls_back_to_worker_field(self):

@@ -1,12 +1,9 @@
 #!/usr/bin/env python3
 """CI fabric chaos smoke: distributed sweeps survive injected faults.
 
-Run by the ``fabric-chaos-smoke`` and ``fabric-partition-smoke`` CI
-jobs (and runnable locally):
+Run by the ``fabric-chaos-smoke`` CI job (and runnable locally):
 
     PYTHONPATH=src python tools/fabric_chaos_smoke.py --out /tmp/fabric
-    PYTHONPATH=src python tools/fabric_chaos_smoke.py \\
-        --scenario partition-replay --out /tmp/fabric
     PYTHONPATH=src python tools/fabric_chaos_smoke.py \\
         --scenario kill-resume --out /tmp/fabric
 
@@ -18,31 +15,24 @@ journal holds every point **exactly once**.  Scenarios:
 
 - ``kill`` (default) — three stdio workers, chaos SIGKILLs the worker
   holding the first point's lease; the point is re-leased.
-- ``partition-replay`` — an authenticated fleet where one point's lease
-  is dropped by an asymmetric partition (heartbeats keep flowing, only
-  the lease timeout recovers it) and another point's signed result
-  frame is replayed (the stale-sequence copy is rejected, the sweep is
-  not).
-- ``kill-resume`` — a real ``repro sweep --workers 3 --bind`` CLI
-  coordinator with three external ``repro fabric-worker --connect``
-  processes is SIGKILLed after its first journal append, then
-  relaunched with ``--resume``; the workers reconnect and the final
-  journal is exactly-once.
+- ``kill-resume`` — a real ``repro sweep --workers 3 --journal`` CLI
+  coordinator with three stdio workers is SIGKILLed after its first
+  journal append, then relaunched with ``--resume`` and a fresh fleet;
+  the final journal is exactly-once.
 
-Each scenario writes the per-worker degradation timeline (sweep report
-with fleet-health section), the raw event log, and the worker-health
-snapshot into ``--out`` for upload as a CI artifact.  Exit status 0
+``kill`` writes the per-worker degradation timeline (sweep report with
+fleet-health section), the raw event log, and the worker-health
+snapshot into ``--out`` for upload as a CI artifact; ``kill-resume``
+writes both coordinators' logs there.  Exit status 0
 means every assertion held.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import signal
-import socket
 import subprocess
 import sys
 import time
@@ -68,7 +58,6 @@ from repro.obs.sweep_report import build_sweep_report  # noqa: E402
 GRID = (10, 25)
 PROCESSORS = 1
 WORKERS = 3
-SECRET = "fabric-smoke-secret"
 
 FAST_POLICY = SupervisorPolicy(max_retries=3, base_backoff_s=0.01,
                                max_backoff_s=0.05, tick_s=0.02)
@@ -139,8 +128,8 @@ def scenario_kill(out: Path, golden_blob: str) -> list[str]:
     chaos = FabricChaosPolicy(seed=11, kill=1.0, attempts=1,
                               targets=(victim,))
     coordinator = FabricCoordinator(
-        fabric=FabricPolicy(workers=WORKERS, transport="stdio",
-                            heartbeat_s=0.1, heartbeat_timeout_s=1.5),
+        fabric=FabricPolicy(workers=WORKERS, heartbeat_s=0.1,
+                            heartbeat_timeout_s=1.5),
         chaos=chaos)
 
     policy = FAST_POLICY
@@ -172,128 +161,49 @@ def scenario_kill(out: Path, golden_blob: str) -> list[str]:
     return failures
 
 
-def scenario_partition_replay(out: Path, golden_blob: str) -> list[str]:
-    """Authenticated fleet under an asymmetric partition + a replayed
-    signed result frame."""
-    specs = make_specs()
-    partitioned, replayed = specs[0].key(), specs[1].key()
-    chaos = FabricChaosPolicy(seed=13, partition=0.5, replay=0.5,
-                              attempts=1, targets=(partitioned, replayed))
-    # partition=replay=0.5 over two targeted keys may draw the same
-    # fault twice; pin one of each by checking the draws up front.
-    draws = {key: chaos.action(key, 0) for key in (partitioned, replayed)}
-    seed = 13
-    while set(draws.values()) != {"partition", "replay"}:
-        seed += 1
-        chaos = FabricChaosPolicy(seed=seed, partition=0.5, replay=0.5,
-                                  attempts=1,
-                                  targets=(partitioned, replayed))
-        draws = {key: chaos.action(key, 0)
-                 for key in (partitioned, replayed)}
-    policy = dataclasses.replace(FAST_POLICY, point_timeout_s=0.5)
-    coordinator = FabricCoordinator(
-        fabric=FabricPolicy(workers=WORKERS, transport="tcp",
-                            heartbeat_s=0.1, heartbeat_timeout_s=1.5,
-                            secret=SECRET),
-        chaos=chaos)
-
-    print(f"[2/4] authenticated fabric sweep (seed {seed}): partition "
-          f"drops one lease, replay re-sends one signed result")
-    journal = out / "journal.jsonl"
-    results = [point.result for point in run_sweep(
-        GRID, PROCESSORS, settings=FAST_SETTINGS, use_cache=False,
-        journal=journal, executor=coordinator, policy=policy)]
-
-    print("[3/4] checking invariants")
-    failures: list[str] = []
-    check_common(failures, results, golden_blob, journal, specs)
-    kinds = {event["event"] for event in coordinator.events}
-    if "lease-expired" not in kinds:
-        failures.append(f"no lease-expired event (saw {sorted(kinds)})")
-    if "worker-auth-rejected" not in kinds:
-        failures.append(
-            f"no worker-auth-rejected event (saw {sorted(kinds)})")
-    check_reaped(failures, coordinator)
-
-    print("[4/4] writing per-worker degradation timeline")
-    write_timeline(out, "Fabric partition smoke — authenticated sweep "
-                   "under partition + replayed frame", coordinator)
-    return failures
-
-
 def scenario_kill_resume(out: Path, golden_blob: str) -> list[str]:
     """SIGKILL a real CLI coordinator mid-sweep; resume on the same
-    journal while external workers reconnect."""
+    journal with a fresh stdio fleet."""
     specs = make_specs()
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
     env["REPRO_CACHE_DIR"] = str(out / "cache")
-    env.pop("REPRO_FABRIC_SECRET", None)
-    secret_file = out / "secret.txt"
-    secret_file.write_text(SECRET + "\n")
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
     journal = out / "journal.jsonl"
     grid_text = ",".join(str(w) for w in GRID)
     coordinator_cmd = [
         sys.executable, "-m", "repro.cli", "sweep", "--fast",
         "-p", str(PROCESSORS), "--grid", grid_text, "--workers", "3",
-        "--bind", f"127.0.0.1:{port}", "--journal", str(journal),
-        "--fabric-secret", str(secret_file)]
+        "--journal", str(journal)]
 
-    print(f"[2/4] CLI coordinator on 127.0.0.1:{port}, 3 external "
-          f"fabric-worker processes; SIGKILL after first append")
+    print("[2/4] CLI coordinator with 3 stdio workers; SIGKILL after "
+          "first append")
     failures: list[str] = []
-    workers = []
-    worker_logs = []
-    try:
-        first = subprocess.Popen(coordinator_cmd, env=env,
-                                 stdout=subprocess.PIPE,
+    # A log file, not a pipe: the killed coordinator's orphaned workers
+    # inherit its stderr and would hold a pipe open.
+    with (out / "coordinator-first.log").open("wb") as log:
+        first = subprocess.Popen(coordinator_cmd, env=env, stdout=log,
                                  stderr=subprocess.STDOUT)
-        for index in range(3):
-            log = (out / f"worker-w{index}.log").open("wb")
-            worker_logs.append(log)
-            workers.append(subprocess.Popen(
-                [sys.executable, "-m", "repro.cli", "fabric-worker",
-                 "--connect", f"127.0.0.1:{port}",
-                 "--worker-id", f"w{index}",
-                 "--fabric-secret", str(secret_file),
-                 "--heartbeat", "0.1", "--max-reconnects", "20"],
-                env=env, stdout=log, stderr=subprocess.STDOUT))
         deadline = time.monotonic() + 120.0
         while time.monotonic() < deadline and not journal_keys(journal):
             if first.poll() is not None:
                 failures.append("coordinator exited before first append")
                 return failures
             time.sleep(0.01)
-        if not journal_keys(journal):
-            failures.append("no journal append within 120s")
-            return failures
         first.send_signal(signal.SIGKILL)
         first.wait(timeout=30.0)
-        (out / "coordinator-first.log").write_bytes(first.stdout.read())
+    if not journal_keys(journal):
+        failures.append("no journal append within 120s")
+        return failures
 
-        print("[3/4] resuming on the same journal; checking invariants")
-        second = subprocess.run(coordinator_cmd + ["--resume"], env=env,
-                                timeout=300, stdout=subprocess.PIPE,
-                                stderr=subprocess.STDOUT)
-        (out / "coordinator-resume.log").write_bytes(second.stdout)
-        if second.returncode != 0:
-            failures.append(f"resumed coordinator exited "
-                            f"{second.returncode}")
-        if b"local-fallback" in second.stdout:
-            failures.append("resumed sweep fell back to local execution "
-                            "(workers never reconnected)")
-    finally:
-        for process in workers:
-            try:
-                process.wait(timeout=15.0)
-            except subprocess.TimeoutExpired:
-                process.kill()
-                process.wait(timeout=10.0)
-        for log in worker_logs:
-            log.close()
+    print("[3/4] resuming on the same journal; checking invariants")
+    second = subprocess.run(coordinator_cmd + ["--resume"], env=env,
+                            timeout=300, stdout=subprocess.PIPE,
+                            stderr=subprocess.STDOUT)
+    (out / "coordinator-resume.log").write_bytes(second.stdout)
+    if second.returncode != 0:
+        failures.append(f"resumed coordinator exited {second.returncode}")
+    if b"local-fallback" in second.stdout:
+        failures.append("resumed sweep fell back to local execution")
 
     keys = journal_keys(journal)
     expected = sorted(spec.key() for spec in specs)
@@ -312,13 +222,12 @@ def scenario_kill_resume(out: Path, golden_blob: str) -> list[str]:
             failures.append(f"journal payload for {entry['key']} differs "
                             f"from serial golden")
 
-    print("[4/4] worker timelines in coordinator-*.log / worker-*.log")
+    print("[4/4] coordinator timelines in coordinator-*.log")
     return failures
 
 
 SCENARIOS = {
     "kill": scenario_kill,
-    "partition-replay": scenario_partition_replay,
     "kill-resume": scenario_kill_resume,
 }
 

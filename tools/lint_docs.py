@@ -26,8 +26,11 @@ new packages), run by the CI ``docs`` job:
   has a backticked ``obs.<name>`` row — so a new observability module
   (like ``obs.snapshot``/``obs.diff``) cannot land without API docs;
 - every backticked CamelCase name in README.md and docs/API.md must be
-  a class defined under ``src/repro`` (found with ``ast``), so a doc row
-  cannot keep naming a deleted class.
+  a class defined under ``src/repro`` (found with ``ast``), and in a
+  backticked ``Class.attr`` the attribute must be defined by that class
+  or an in-tree base (a ``def``, a class-level assignment, or a
+  ``self.attr`` assignment), so a doc row cannot keep naming a deleted
+  class or method.
 
 Exit status is the number of problems found (0 = clean), each printed
 as ``path:line: message``.
@@ -178,22 +181,97 @@ def check_cli_docs(repo: Path) -> list[str]:
 #: An inline code span that is a CamelCase name, alone or followed by
 #: an attribute or a call: `Engine`, `SweepJournal.load()`.
 _CLASS_SPAN_RE = re.compile(
-    r"([A-Z][a-z0-9]+(?:[A-Z][A-Za-z0-9]*)*)(?:[.(].*)?")
+    r"([A-Z][a-z0-9]+(?:[A-Z][A-Za-z0-9]*)*)(?:\.([A-Za-z_]\w*))?"
+    r"(?:[.(].*)?")
 
 
-def source_classes(root: Path) -> set[str]:
-    """Every class name defined anywhere under ``root`` (via ``ast``)."""
-    return {node.name
-            for path in root.rglob("*.py")
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-            if isinstance(node, ast.ClassDef)}
+def _assigned_names(target: ast.AST, owner: str) -> set[str]:
+    """Names bound by one assignment target: bare names for class-level
+    statements (``owner`` empty), ``self.<name>`` inside methods."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return set().union(*(_assigned_names(element, owner)
+                             for element in target.elts))
+    if not owner and isinstance(target, ast.Name):
+        return {target.id}
+    if (owner and isinstance(target, ast.Attribute)
+            and isinstance(target.value, ast.Name)
+            and target.value.id == owner):
+        return {target.attr}
+    return set()
+
+
+def _class_members(node: ast.ClassDef) -> set[str]:
+    """What one class body defines: methods, nested classes, class-level
+    assignments (dataclass fields, constants) and ``self.x`` writes."""
+    members = set()
+    for child in node.body:
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            members.add(child.name)
+        elif isinstance(child, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = (child.targets if isinstance(child, ast.Assign)
+                       else [child.target])
+            for target in targets:
+                members |= _assigned_names(target, "")
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and child.args.args:
+            owner = child.args.args[0].arg
+            for inner in ast.walk(child):
+                if isinstance(inner, (ast.Assign, ast.AnnAssign,
+                                      ast.AugAssign)):
+                    targets = (inner.targets if isinstance(inner, ast.Assign)
+                               else [inner.target])
+                    for target in targets:
+                        members |= _assigned_names(target, owner)
+    return members
+
+
+def source_classes(root: Path) -> dict[str, tuple[set[str], set[str]]]:
+    """Class name → (members, base names) for every class under
+    ``root`` (via ``ast``); same-named classes are merged."""
+    classes: dict[str, tuple[set[str], set[str]]] = {}
+    for path in root.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                members, bases = classes.setdefault(node.name,
+                                                    (set(), set()))
+                members |= _class_members(node)
+                bases |= {base.id if isinstance(base, ast.Name)
+                          else getattr(base, "attr", "")
+                          for base in node.bases}
+    return classes
+
+
+def class_defines(classes: dict, name: str, attr: str) -> bool:
+    """True when class ``name`` or an ancestor defines ``attr``.
+
+    An ancestor defined outside ``src/repro`` (``Exception``,
+    ``threading.Thread``, ...) cannot be inspected, so a class that has
+    one is given the benefit of the doubt.
+    """
+    seen, stack = set(), [name]
+    while stack:
+        current = stack.pop()
+        if current in seen:
+            continue
+        seen.add(current)
+        if current not in classes:
+            if current != "object":
+                return True
+            continue
+        members, bases = classes[current]
+        if attr in members:
+            return True
+        stack.extend(bases)
+    return False
 
 
 def check_class_names(repo: Path) -> list[str]:
-    """Stale-class findings: backticked CamelCase names in README.md
-    and docs/API.md that no class under ``src/repro`` defines, so a
-    row naming a deleted class cannot outlive it.  Fenced code blocks
-    are skipped."""
+    """Stale-name findings: backticked CamelCase names in README.md and
+    docs/API.md that no class under ``src/repro`` defines, and
+    backticked ``Class.attr`` spans whose class does not define the
+    attribute, so a row naming a deleted class or method cannot outlive
+    it.  Fenced code blocks are skipped."""
     classes = source_classes(SOURCE_ROOT)
     problems = []
     for doc in (repo / "README.md", repo / "docs" / "API.md"):
@@ -203,11 +281,18 @@ def check_class_names(repo: Path) -> list[str]:
             "\n"), doc.read_text(encoding="utf-8"), flags=re.DOTALL)
         for span in re.finditer(r"`([^`\n]+)`", text):
             match = _CLASS_SPAN_RE.fullmatch(span.group(1))
-            if match and match.group(1) not in classes:
-                line = text.count("\n", 0, span.start()) + 1
+            if not match:
+                continue
+            name, attr = match.group(1), match.group(2)
+            line = text.count("\n", 0, span.start()) + 1
+            if name not in classes:
                 problems.append(
-                    f"{doc.relative_to(repo)}:{line}: `{match.group(1)}` "
+                    f"{doc.relative_to(repo)}:{line}: `{name}` "
                     f"is not a class defined under src/repro")
+            elif attr and not class_defines(classes, name, attr):
+                problems.append(
+                    f"{doc.relative_to(repo)}:{line}: `{name}.{attr}` "
+                    f"is not defined by class {name} under src/repro")
     return problems
 
 
@@ -415,7 +500,7 @@ def main() -> int:
         print("docs lint clean: docstrings present, links resolve, "
               "CLI verbs documented, DESIGN/API maps in sync, "
               "workload scenarios and spec fields documented, "
-              "documented classes exist")
+              "documented classes and attributes exist")
     return min(len(problems), 100)
 
 
