@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.hw.cwalk import ffi, lib
+
 
 class BufferCache:
     """LRU cache of block units with dirty bits.
@@ -23,44 +25,56 @@ class BufferCache:
     update path (marks dirty).  Evictions return the victim so the engine
     can hand dirty ones to the database writer.
 
-    The LRU is exact and kept in two generations (DESIGN.md §11,
-    "Buffer-cache LRU").  ``_new`` holds, in recency order, every block
-    installed or hit since the last swap; ``_old`` is the generation
-    before it and never receives inserts, so every ``_old`` entry is
-    older than every ``_new`` entry and the LRU order is ``_old``'s
-    remaining entries followed by ``_new``.  Eviction walks a cursor
-    over ``_order``, the key list of ``_old`` taken at the swap,
-    skipping keys that have left it: each key is passed at most once per
-    generation, so eviction is amortised O(1).  (Taking the first key of
-    one dict instead walks every deleted slot at the dict's front.)
+    The LRU is exact and lives in the walk kernel (``lru_t`` in
+    ``repro/hw/_walk.c``; DESIGN.md §11, "Buffer-cache LRU"): a doubly
+    linked recency list over slots and an open-addressing table from
+    block id to slot, growing with the resident units, not with the
+    capacity.  ``c`` is the kernel state; the DES's block references
+    call ``lib.lru_lookup`` on it directly.  Block ids are ``uint64``.
     """
 
     def __init__(self, capacity_units: int):
         if capacity_units <= 0:
             raise ValueError("capacity must be positive")
         self.capacity_units = capacity_units
-        self._new: dict[int, bool] = {}  # block -> dirty; dict order = LRU
-        self._old: dict[int, bool] = {}  # previous generation, never grows
-        self._order: list[int] = []      # keys of _old at the swap
-        self._cursor = 0                 # next candidate victim in _order
-        self.hits = 0
-        self.misses = 0
-        self.dirty_evictions = 0
-        self.clean_evictions = 0
+        state = lib.lru_new(capacity_units)
+        if state == ffi.NULL:
+            raise MemoryError("cannot allocate the buffer cache")
+        self.c = ffi.gc(state, lib.lru_free)
+        self._victim = ffi.new("uint64_t *")
 
     def __contains__(self, block_id: int) -> bool:
-        return block_id in self._new or block_id in self._old
+        return lib.lru_contains(self.c, block_id)
 
     @property
     def resident_units(self) -> int:
         """Units currently cached."""
-        return len(self._new) + len(self._old)
+        return self.c.used
 
     @property
     def dirty_units(self) -> int:
         """Cached units with unwritten modifications."""
-        return (sum(1 for dirty in self._old.values() if dirty)
-                + sum(1 for dirty in self._new.values() if dirty))
+        return lib.lru_dirty_units(self.c)
+
+    @property
+    def hits(self) -> int:
+        """References that found their block resident."""
+        return self.c.hits
+
+    @property
+    def misses(self) -> int:
+        """References that did not."""
+        return self.c.misses
+
+    @property
+    def dirty_evictions(self) -> int:
+        """Evicted units that were dirty."""
+        return self.c.dirty_evictions
+
+    @property
+    def clean_evictions(self) -> int:
+        """Evicted units that were clean."""
+        return self.c.clean_evictions
 
     @property
     def hit_rate(self) -> float:
@@ -70,27 +84,11 @@ class BufferCache:
 
     def lookup(self, block_id: int) -> bool:
         """Reference a block; True on hit (refreshes recency)."""
-        new = self._new
-        dirty = new.pop(block_id, None)
-        if dirty is None:
-            dirty = self._old.pop(block_id, None)
-            if dirty is None:
-                self.misses += 1
-                return False
-        new[block_id] = dirty
-        self.hits += 1
-        return True
+        return lib.lru_lookup(self.c, block_id, 0)
 
     def touch_write(self, block_id: int) -> bool:
         """Reference a block for update, marking it dirty; True on hit."""
-        new = self._new
-        if (new.pop(block_id, None) is None
-                and self._old.pop(block_id, None) is None):
-            self.misses += 1
-            return False
-        new[block_id] = True
-        self.hits += 1
-        return True
+        return lib.lru_lookup(self.c, block_id, 1)
 
     def install(self, block_id: int, dirty: bool = False) -> Optional[tuple[int, bool]]:
         """Insert a block after a disk read.
@@ -98,70 +96,64 @@ class BufferCache:
         Returns the evicted ``(block_id, was_dirty)`` or None.  Installing
         a block that is already resident just refreshes it.
         """
-        new = self._new
-        was_dirty = new.pop(block_id, None)
-        if was_dirty is None:
-            was_dirty = self._old.pop(block_id, None)
-        if was_dirty is not None:
-            new[block_id] = was_dirty or dirty
+        result = lib.lru_install(self.c, block_id, dirty, self._victim)
+        if result <= 0:
+            if result < 0:
+                raise MemoryError("cannot grow the buffer cache")
             return None
-        victim = None
-        old = self._old
-        if len(new) + len(old) >= self.capacity_units:
-            if not old:
-                old = self._old = new
-                new = self._new = {}
-                self._order = list(old)
-                self._cursor = 0
-            order = self._order
-            cursor = self._cursor
-            while order[cursor] not in old:
-                cursor += 1
-            victim_id = order[cursor]
-            self._cursor = cursor + 1
-            victim_dirty = old.pop(victim_id)
-            victim = (victim_id, victim_dirty)
-            if victim_dirty:
-                self.dirty_evictions += 1
-            else:
-                self.clean_evictions += 1
-        new[block_id] = dirty
-        return victim
+        return self._victim[0], bool(result & lib.LRU_DIRTY)
+
+    def replay(self, codes) -> None:
+        """Reference every packed touch ``(block_id << 1) | write`` of
+        the ``uint64_t[]`` ``codes`` in order, installing each miss
+        (victims are dropped): the prewarm's plan replay, in one call."""
+        if lib.lru_replay(self.c, codes, len(codes)) < 0:
+            raise MemoryError("cannot grow the buffer cache")
 
     def clean(self, block_id: int) -> bool:
         """Mark a block clean (the database writer finished its write)."""
-        # Preserve recency: rewrite the dirty bit in place.
-        for generation in (self._new, self._old):
-            if block_id in generation:
-                generation[block_id] = False
-                return True
-        return False
+        return lib.lru_clean(self.c, block_id)
 
     def oldest_dirty(self, limit: int) -> list[int]:
         """Up to ``limit`` dirty blocks in LRU order (checkpoint targets)."""
-        # The checkpoint asks for every dirty block, so build the whole
-        # list in two comprehensions and cut it after.
-        result = [block_id for block_id, dirty in self._old.items() if dirty]
-        result += [block_id for block_id, dirty in self._new.items() if dirty]
-        return result[:limit]
+        limit = max(0, min(limit, self.c.used))
+        out = ffi.new("uint64_t[]", limit)
+        return ffi.unpack(out, lib.lru_oldest_dirty(self.c, limit, out))
 
     def reset_stats(self) -> None:
         """Zero the hit/miss counters (cache contents are kept)."""
-        self.hits = 0
-        self.misses = 0
-        self.dirty_evictions = 0
-        self.clean_evictions = 0
+        c = self.c
+        c.hits = c.misses = c.dirty_evictions = c.clean_evictions = 0
 
     def snapshot(self) -> dict[int, bool]:
         """A copy of the contents: block -> dirty, in LRU order."""
-        return {**self._old, **self._new}
+        count = self.c.used
+        ids = ffi.new("uint64_t[]", count)
+        dirty = ffi.new("_Bool[]", count)
+        lib.lru_snapshot(self.c, ids, dirty)
+        return dict(zip(ffi.unpack(ids, count), ffi.unpack(dirty, count)))
 
     def restore(self, state: dict[int, bool]) -> None:
         """Install a copy of a :meth:`snapshot` and zero the counters."""
         if len(state) > self.capacity_units:
             raise ValueError("snapshot exceeds the cache capacity")
-        self._new = dict(state)
-        self._old = {}
-        self._order = []
-        self._cursor = 0
-        self.reset_stats()
+        if lib.lru_load(self.c, ffi.new("uint64_t[]", list(state)),
+                        ffi.new("_Bool[]", list(state.values())),
+                        len(state)) < 0:
+            raise MemoryError("cannot grow the buffer cache")
+
+    def copy(self) -> "BufferCache":
+        """A cache of the same capacity holding a copy of the contents,
+        counters zeroed; :meth:`restore_from` installs it again."""
+        duplicate = BufferCache(self.capacity_units)
+        duplicate.restore_from(self)
+        return duplicate
+
+    def restore_from(self, source: "BufferCache") -> None:
+        """Make the contents a copy of ``source``'s, in the same order
+        with the same dirty bits, and zero the counters (a ``memcpy``
+        of the kernel state)."""
+        if source.resident_units > self.capacity_units:
+            raise ValueError("source exceeds the cache capacity")
+        if lib.lru_copy(self.c, source.c) < 0:
+            raise MemoryError("cannot grow the buffer cache")

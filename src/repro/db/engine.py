@@ -25,6 +25,7 @@ from repro.db.buffer_cache import BufferCache
 from repro.db.dbwriter import DbWriter
 from repro.db.locks import LockTable
 from repro.db.redo import RedoLog
+from repro.hw.cwalk import lib
 from repro.osmodel.disks import DiskArray
 from repro.osmodel.scheduler import Scheduler
 from repro.sim import Engine
@@ -43,6 +44,9 @@ class TransactionStats:
     committed: bool = False
 
 
+_lru_lookup = lib.lru_lookup
+
+
 class DatabaseEngine:
     """Buffer cache + locks + redo + writer behind one interface."""
 
@@ -53,6 +57,7 @@ class DatabaseEngine:
         self.scheduler = scheduler
         self.disks = disks
         self.buffer_cache = buffer_cache
+        self._lru = buffer_cache.c
         self.lock_table = lock_table
         self.redo = redo
         self.dbwriter = dbwriter
@@ -69,14 +74,15 @@ class DatabaseEngine:
         """Reference one block unit in the buffer cache; True on a hit.
 
         A plain call, not a generator: a hit costs no simulated time and
-        no event.  On a miss the caller runs :meth:`read_miss`.
+        no event.  On a miss the caller runs :meth:`read_miss`.  The
+        cache's ``lookup``/``touch_write`` are one kernel call, made
+        here without the wrapper.
         """
         self.logical_reads.count += 1
         stats.logical_reads += 1
         if write:
             stats.blocks_dirtied += 1
-            return self.buffer_cache.touch_write(block_id)
-        return self.buffer_cache.lookup(block_id)
+        return _lru_lookup(self._lru, block_id, write)
 
     def read_miss(self, claim: Request, block_id: int, write: bool,
                   stats: TransactionStats):

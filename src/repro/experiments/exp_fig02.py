@@ -19,6 +19,8 @@ from repro.experiments.configs import (
     RunnerSettings,
     client_count,
 )
+from repro.experiments import exp_system_figs
+from repro.experiments.exp_system_figs import SystemSweep
 from repro.experiments.parallel import RunSpec, run_many
 from repro.experiments.records import ConfigResult
 from repro.experiments.report import render_series, render_table
@@ -59,30 +61,34 @@ def classify(record: ConfigResult) -> str:
 def run(machine: MachineConfig = XEON_MP_QUAD,
         settings: RunnerSettings = DEFAULT_SETTINGS,
         processors=PROCESSOR_GRID,
-        jobs: Optional[int] = None) -> Fig02Result:
-    # The 1200W point runs with the 800W client ceiling (the paper's
-    # 26-disk array cannot hide more I/O anyway); that ceiling is the
-    # Table 1 default for the largest grid point, so the whole P x W
-    # grid — I/O-bound points included — fans out in one batch.
-    """Run the Figure 2 sweep grid and classify every point."""
-    specs = []
-    for p in processors:
-        for w in FULL_WAREHOUSE_GRID:
-            specs.append(RunSpec(warehouses=w, processors=p,
-                                 machine=machine, settings=settings))
-        specs.append(RunSpec(
-            warehouses=IO_BOUND_WAREHOUSES, processors=p,
-            clients=client_count(FULL_WAREHOUSE_GRID[-1], p),
-            machine=machine, settings=settings))
+        jobs: Optional[int] = None,
+        sweep: Optional[SystemSweep] = None) -> Fig02Result:
+    """Run the Figure 2 sweep grid and classify every point.
+
+    The grid points come from ``sweep``, a
+    :func:`repro.experiments.exp_system_figs.run` sweep over
+    ``FULL_WAREHOUSE_GRID`` run with the same machine and settings; by
+    default that sweep runs here.  Only the 1200W points run on top of
+    it, with the 800W client ceiling (the paper's 26-disk array cannot
+    hide more I/O anyway).
+    """
+    if sweep is None:
+        sweep = exp_system_figs.run(machine=machine, settings=settings,
+                                    processors=processors, jobs=jobs)
+    elif (sweep.warehouses != list(FULL_WAREHOUSE_GRID)
+            or not set(processors) <= set(sweep.by_processors)
+            or any(r.machine != machine.name
+                   for p in processors for r in sweep.by_processors[p])):
+        raise ValueError("the sweep must cover FULL_WAREHOUSE_GRID at "
+                         f"{list(processors)}P on {machine.name}")
+    specs = [RunSpec(warehouses=IO_BOUND_WAREHOUSES, processors=p,
+                     clients=client_count(FULL_WAREHOUSE_GRID[-1], p),
+                     machine=machine, settings=settings)
+             for p in processors]
     results = run_many(specs, jobs=jobs)
-    by_processors: dict[int, list[ConfigResult]] = {p: [] for p in processors}
-    io_points = {}
-    for spec, result in zip(specs, results):
-        if spec.warehouses == IO_BOUND_WAREHOUSES:
-            io_points[spec.processors] = result
-        else:
-            by_processors[spec.processors].append(result)
-    return Fig02Result(by_processors=by_processors, io_bound_point=io_points)
+    return Fig02Result(
+        by_processors={p: list(sweep.by_processors[p]) for p in processors},
+        io_bound_point=dict(zip(processors, results)))
 
 
 def render(result: Fig02Result) -> str:

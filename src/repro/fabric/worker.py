@@ -68,7 +68,12 @@ class _Heartbeat(threading.Thread):
         self.suppressed = False
 
     def run(self) -> None:
-        """Beat until stopped or the channel dies."""
+        """Beat until stopped; end the process when the channel dies.
+
+        A failed write means the coordinator is gone, so the point in
+        flight has no one to report to: exit at once with the lost
+        channel's code instead of finishing it.
+        """
         while not self._stop.wait(self._interval_s):
             if self.suppressed:
                 continue
@@ -77,7 +82,9 @@ class _Heartbeat(threading.Thread):
                     write_frame(self._stream,
                                 {"type": "heartbeat",
                                  "worker_id": self._worker_id})
-            except (OSError, ValueError):
+            except OSError:
+                os._exit(0)
+            except ValueError:
                 return
 
     def stop(self) -> None:

@@ -1,8 +1,10 @@
 /* The cache-walk kernel: LRU cache, TLB and predictor state, and the
- * three reference walks of repro.hw.hierarchy (DESIGN.md §13, "Compiled
+ * three reference walks of repro.hw.hierarchy (DESIGN.md §11, "Compiled
  * walk kernel"); then CPython's random stream and the samplers that
  * draw from it: the prewarm plans of repro.odb and the trace segments
- * of repro.hw.trace (DESIGN.md §13, "Compiled sampling").
+ * of repro.hw.trace (DESIGN.md §11, "Compiled sampling"); last, the
+ * SGA buffer cache of repro.db, which the DES and the prewarm replay
+ * share (DESIGN.md §11, "Buffer-cache LRU").
  *
  * Every reference, batched or single, goes through one probe per kind:
  * data_ref, fetch_ref, branch_ref.  The batched walks add only the
@@ -15,6 +17,8 @@
 
 #include <stddef.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 #include "_walk.h"
 
 #define COUNT(h, event, kernel) ((h)->counts[2 * (event) + (kernel)]++)
@@ -567,4 +571,300 @@ size_t gen_kernel_data(gen_t *g, size_t refs, size_t slab_refs,
         }
     }
     return n;
+}
+
+/* -- the SGA buffer cache ---------------------------------------------- */
+
+/* repro.db.buffer_cache: one exact LRU over block units with dirty
+ * bits.  Slots 1..used hold the resident blocks; slot 0 is the
+ * sentinel of the circular recency list, so next[0] is the least
+ * recently used slot and prev[0] the most.  `table` maps a block to
+ * its slot by open addressing (linear probing, 0 = empty, at most half
+ * full); a removal shifts the rest of its probe run back instead of
+ * leaving a tombstone.  A miss at capacity reuses the victim's slot, so
+ * slots never free up and the arrays grow with the resident units, not
+ * with the capacity. */
+
+#define LRU_MIN_SLOTS 64
+#define LRU_MAX_SLOTS 0xFFFFFFFEU
+
+static inline uint64_t lru_home(const lru_t *c, uint64_t id)
+{
+    return (id * 0x9E3779B97F4A7C15ULL) >> (64 - c->table_bits);
+}
+
+/* Table index holding `id`, or the empty entry ending its probe run. */
+static inline uint64_t lru_probe(const lru_t *c, uint64_t id)
+{
+    uint64_t mask = ((uint64_t)1 << c->table_bits) - 1;
+    uint64_t i = lru_home(c, id);
+    while (c->table[i] && c->ids[c->table[i]] != id)
+        i = (i + 1) & mask;
+    return i;
+}
+
+static inline void lru_unlink(lru_t *c, uint32_t s)
+{
+    c->next[c->prev[s]] = c->next[s];
+    c->prev[c->next[s]] = c->prev[s];
+}
+
+static inline void lru_push_mru(lru_t *c, uint32_t s)
+{
+    uint32_t last = c->prev[0];
+    c->next[last] = s;
+    c->prev[s] = last;
+    c->next[s] = 0;
+    c->prev[0] = s;
+}
+
+/* A reference to resident slot `s`: most recent now, dirty if written. */
+static inline void lru_hit(lru_t *c, uint32_t s, int write)
+{
+    if (c->prev[0] != s) {
+        lru_unlink(c, s);
+        lru_push_mru(c, s);
+    }
+    c->dirty[s] |= write != 0;
+}
+
+/* Empty table entry `i`, moving back every later entry of its probe run
+ * whose home does not lie cyclically in (i, j]. */
+static void lru_table_remove(lru_t *c, uint64_t i)
+{
+    uint64_t mask = ((uint64_t)1 << c->table_bits) - 1;
+    uint64_t j = i;
+    for (;;) {
+        uint64_t home;
+        j = (j + 1) & mask;
+        if (!c->table[j])
+            break;
+        home = lru_home(c, c->ids[c->table[j]]);
+        if (i < j ? (home <= i || home > j) : (home <= i && home > j)) {
+            c->table[i] = c->table[j];
+            i = j;
+        }
+    }
+    c->table[i] = 0;
+}
+
+static void lru_rehash(lru_t *c)
+{
+    memset(c->table, 0, ((size_t)1 << c->table_bits) * sizeof *c->table);
+    for (uint32_t s = 1; s <= c->used; ++s)
+        c->table[lru_probe(c, c->ids[s])] = s;
+}
+
+/* Grow to room for `slots` resident blocks, with a table at most half
+ * full; 0 on allocation failure, with the contents intact. */
+static int lru_reserve(lru_t *c, uint32_t slots)
+{
+    size_t n = (size_t)slots + 1;
+    uint32_t bits = c->table_bits;
+    void *grown;
+    if (slots <= c->slots)
+        return 1;
+    if (!(grown = realloc(c->ids, n * sizeof *c->ids)))
+        return 0;
+    c->ids = grown;
+    if (!(grown = realloc(c->prev, n * sizeof *c->prev)))
+        return 0;
+    c->prev = grown;
+    if (!(grown = realloc(c->next, n * sizeof *c->next)))
+        return 0;
+    c->next = grown;
+    if (!(grown = realloc(c->dirty, n)))
+        return 0;
+    c->dirty = grown;
+    while (((uint64_t)1 << bits) < 2 * (uint64_t)n)
+        bits++;
+    if (bits != c->table_bits) {
+        uint32_t *table = malloc(((size_t)1 << bits) * sizeof *table);
+        if (!table)
+            return 0;
+        free(c->table);
+        c->table = table;
+        c->table_bits = bits;
+        lru_rehash(c);
+    }
+    c->slots = slots;
+    return 1;
+}
+
+lru_t *lru_new(uint64_t capacity)
+{
+    lru_t *c = calloc(1, sizeof *c);
+    if (!c)
+        return NULL;
+    c->capacity = capacity;
+    c->table_bits = 1;
+    c->ids = calloc(1, sizeof *c->ids);
+    c->prev = calloc(1, sizeof *c->prev);
+    c->next = calloc(1, sizeof *c->next);
+    c->dirty = calloc(1, 1);
+    c->table = calloc(2, sizeof *c->table);
+    if (!c->ids || !c->prev || !c->next || !c->dirty || !c->table) {
+        lru_free(c);
+        return NULL;
+    }
+    return c;
+}
+
+void lru_free(lru_t *c)
+{
+    if (!c)
+        return;
+    free(c->ids);
+    free(c->prev);
+    free(c->next);
+    free(c->dirty);
+    free(c->table);
+    free(c);
+}
+
+_Bool lru_lookup(lru_t *c, uint64_t id, int write)
+{
+    uint32_t s = c->table[lru_probe(c, id)];
+    if (!s) {
+        c->misses++;
+        return 0;
+    }
+    lru_hit(c, s, write);
+    c->hits++;
+    return 1;
+}
+
+int lru_install(lru_t *c, uint64_t id, int dirty, uint64_t *victim)
+{
+    uint64_t i = lru_probe(c, id);
+    uint32_t s = c->table[i];
+    int result = 0;
+    if (s) {
+        lru_hit(c, s, dirty);
+        return 0;
+    }
+    if (c->used >= c->capacity) {
+        s = c->next[0];
+        *victim = c->ids[s];
+        result = LRU_EVICTED;
+        if (c->dirty[s]) {
+            result |= LRU_DIRTY;
+            c->dirty_evictions++;
+        } else {
+            c->clean_evictions++;
+        }
+        lru_table_remove(c, lru_probe(c, c->ids[s]));
+        lru_unlink(c, s);
+        i = lru_probe(c, id);
+    } else {
+        if (c->used == c->slots) {
+            uint64_t slots = 2 * (uint64_t)c->slots;
+            uint32_t bits = c->table_bits;
+            if (slots < LRU_MIN_SLOTS)
+                slots = LRU_MIN_SLOTS;
+            if (slots > c->capacity)
+                slots = c->capacity;
+            if (slots > LRU_MAX_SLOTS)
+                slots = LRU_MAX_SLOTS;
+            if (slots <= c->slots || !lru_reserve(c, (uint32_t)slots))
+                return -1;
+            if (c->table_bits != bits)
+                i = lru_probe(c, id);
+        }
+        s = ++c->used;
+    }
+    c->ids[s] = id;
+    c->dirty[s] = dirty != 0;
+    c->table[i] = s;
+    lru_push_mru(c, s);
+    return result;
+}
+
+int lru_replay(lru_t *c, const uint64_t *codes, size_t n)
+{
+    uint64_t victim;
+    for (size_t k = 0; k < n; ++k) {
+        uint64_t id = codes[k] >> 1;
+        int write = (int)(codes[k] & 1);
+        if (!lru_lookup(c, id, write) && lru_install(c, id, write, &victim) < 0)
+            return -1;
+    }
+    return 0;
+}
+
+_Bool lru_contains(const lru_t *c, uint64_t id)
+{
+    return c->table[lru_probe(c, id)] != 0;
+}
+
+_Bool lru_clean(lru_t *c, uint64_t id)
+{
+    uint32_t s = c->table[lru_probe(c, id)];
+    if (!s)
+        return 0;
+    c->dirty[s] = 0;
+    return 1;
+}
+
+uint64_t lru_dirty_units(const lru_t *c)
+{
+    uint64_t count = 0;
+    for (uint32_t s = 1; s <= c->used; ++s)
+        count += c->dirty[s];
+    return count;
+}
+
+size_t lru_oldest_dirty(const lru_t *c, size_t limit, uint64_t *out)
+{
+    size_t n = 0;
+    for (uint32_t s = c->next[0]; s && n < limit; s = c->next[s])
+        if (c->dirty[s])
+            out[n++] = c->ids[s];
+    return n;
+}
+
+size_t lru_snapshot(const lru_t *c, uint64_t *ids, _Bool *dirty)
+{
+    size_t n = 0;
+    for (uint32_t s = c->next[0]; s; s = c->next[s]) {
+        ids[n] = c->ids[s];
+        dirty[n++] = c->dirty[s];
+    }
+    return n;
+}
+
+int lru_load(lru_t *c, const uint64_t *ids, const _Bool *dirty, size_t n)
+{
+    if (n > c->capacity || n > LRU_MAX_SLOTS || !lru_reserve(c, (uint32_t)n))
+        return -1;
+    memset(c->table, 0, ((size_t)1 << c->table_bits) * sizeof *c->table);
+    c->next[0] = c->prev[0] = 0;
+    for (uint32_t s = 1; s <= n; ++s) {
+        c->ids[s] = ids[s - 1];
+        c->dirty[s] = dirty[s - 1];
+        c->table[lru_probe(c, c->ids[s])] = s;
+        lru_push_mru(c, s);
+    }
+    c->used = (uint32_t)n;
+    c->hits = c->misses = c->dirty_evictions = c->clean_evictions = 0;
+    return 0;
+}
+
+int lru_copy(lru_t *dst, const lru_t *src)
+{
+    size_t n = (size_t)src->used + 1;
+    if (src->used > dst->capacity || !lru_reserve(dst, src->slots))
+        return -1;
+    memcpy(dst->ids, src->ids, n * sizeof *dst->ids);
+    memcpy(dst->prev, src->prev, n * sizeof *dst->prev);
+    memcpy(dst->next, src->next, n * sizeof *dst->next);
+    memcpy(dst->dirty, src->dirty, n);
+    dst->used = src->used;
+    if (dst->table_bits == src->table_bits)
+        memcpy(dst->table, src->table,
+               ((size_t)1 << src->table_bits) * sizeof *dst->table);
+    else
+        lru_rehash(dst);
+    dst->hits = dst->misses = dst->dirty_evictions = dst->clean_evictions = 0;
+    return 0;
 }

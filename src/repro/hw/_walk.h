@@ -1,5 +1,5 @@
-/* Declarations of the compiled kernel (_walk.c): the cache walk and
- * the exact samplers.
+/* Declarations of the compiled kernel (_walk.c): the cache walk, the
+ * exact samplers and the buffer-cache LRU.
  *
  * This file is also the cffi cdef, so it holds only plain declarations:
  * no preprocessor lines, and array sizes written as literals.
@@ -122,3 +122,34 @@ void gen_code(gen_t *g, int kernel, uint64_t *run, size_t n);
 void gen_branches(gen_t *g, uint64_t *run, size_t n);
 size_t gen_kernel_data(gen_t *g, size_t refs, size_t slab_refs,
                        int64_t task_client, uint64_t *run);
+
+/* -- the SGA buffer cache ---------------------------------------------- */
+
+/* One exact LRU of block units with dirty bits (repro.db.buffer_cache).
+ * Slot 0 is the recency list's sentinel; slots 1..used hold blocks, in
+ * arrays of slots + 1 entries; table has 2^table_bits entries. */
+typedef struct {
+    uint64_t *ids;
+    uint32_t *prev, *next;
+    uint8_t *dirty;
+    uint32_t *table;
+    uint64_t capacity;
+    uint32_t used, slots, table_bits;
+    uint64_t hits, misses, dirty_evictions, clean_evictions;
+} lru_t;
+
+/* lru_install result bits. */
+enum { LRU_EVICTED = 1, LRU_DIRTY = 2 };
+
+lru_t *lru_new(uint64_t capacity);
+void lru_free(lru_t *c);
+_Bool lru_lookup(lru_t *c, uint64_t id, int write);
+int lru_install(lru_t *c, uint64_t id, int dirty, uint64_t *victim);
+int lru_replay(lru_t *c, const uint64_t *codes, size_t n);
+_Bool lru_contains(const lru_t *c, uint64_t id);
+_Bool lru_clean(lru_t *c, uint64_t id);
+uint64_t lru_dirty_units(const lru_t *c);
+size_t lru_oldest_dirty(const lru_t *c, size_t limit, uint64_t *out);
+size_t lru_snapshot(const lru_t *c, uint64_t *ids, _Bool *dirty);
+int lru_load(lru_t *c, const uint64_t *ids, const _Bool *dirty, size_t n);
+int lru_copy(lru_t *dst, const lru_t *src);

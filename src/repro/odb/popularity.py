@@ -104,7 +104,7 @@ def segment_write_fractions(
 
 def steady_state_fill(cache: BufferCache, space: BlockSpace,
                       profiles: tuple[TransactionProfile, ...] = STANDARD_PROFILES,
-                      rng: Random | None = None) -> int:
+                      ) -> int:
     """Install the most popular units up to cache capacity.
 
     Returns the number of units installed.  Per-warehouse units are
@@ -117,6 +117,8 @@ def steady_state_fill(cache: BufferCache, space: BlockSpace,
     dirty with its segment's write fraction — in steady state a unit
     near eviction has been written with that probability, so dirty
     evictions flow at the right rate from the first measured second.
+    The dirty bits draw from a fixed ``Random(0x5EED)``, so the fill
+    depends on the space, the profiles and the capacity alone.
 
     The cache must be empty (``ValueError`` otherwise); its contents are
     handed over with one :meth:`BufferCache.restore`, which also zeroes
@@ -124,8 +126,6 @@ def steady_state_fill(cache: BufferCache, space: BlockSpace,
     """
     if cache.resident_units:
         raise ValueError("steady_state_fill needs an empty cache")
-    if rng is None:
-        rng = Random(0x5EED)
     write_fractions = segment_write_fractions(profiles)
     selected: list[tuple[str, int, int]] = []  # (segment, index, copies)
     budget = cache.capacity_units
@@ -140,7 +140,7 @@ def steady_state_fill(cache: BufferCache, space: BlockSpace,
     # one by one would never refresh or evict: build the LRU-ordered
     # contents directly.  A unit's copies are one warehouse stride apart.
     stride = space.units_per_warehouse
-    random = rng.random
+    random = Random(0x5EED).random
     state: dict[int, bool] = {}
     for segment, index, copies in reversed(selected):
         dirty_prob = write_fractions.get(segment, 0.0)

@@ -40,17 +40,22 @@ from repro.sim.stats import Counter
 #: this size regardless of the block-unit resolution (DESIGN.md §6).
 PHYSICAL_BLOCK_BYTES = 8 * 1024
 
-#: ``(key, BufferCache.snapshot())`` of the most recent prewarm in this
-#: process, so fixed-point rounds and points that differ only in P, C,
-#: CPI or faults restore it instead of replaying (DESIGN.md §11,
-#: "Prewarm reuse").  One entry bounds the memory at one snapshot.
-_prewarm_memo: Optional[tuple[tuple, dict[int, bool]]] = None
+#: ``(key, BufferCache.copy())`` of the most recent steady-state fill
+#: in this process.  The fill reads W, ``unit_bytes``, the workload and
+#: the capacity, but not the seed, so a new seed at the same W reuses it
+#: (DESIGN.md §11, "Prewarm reuse").
+_fill_memo: Optional[tuple[tuple, BufferCache]] = None
+#: ``(key, BufferCache.copy())`` of the most recent whole prewarm, so
+#: fixed-point rounds and points that differ only in P, C, CPI or faults
+#: restore it instead of replaying.  One entry each bounds the memory at
+#: two kernel-state copies.
+_prewarm_memo: Optional[tuple[tuple, BufferCache]] = None
 
 
 def _clear_prewarm_memo() -> None:
-    """Forget the memoised prewarm (a test hook)."""
-    global _prewarm_memo
-    _prewarm_memo = None
+    """Forget the memoised fill and prewarm (a test hook)."""
+    global _fill_memo, _prewarm_memo
+    _fill_memo = _prewarm_memo = None
 
 
 @dataclass(frozen=True)
@@ -242,44 +247,52 @@ class OdbSystem:
         Stands in for the paper's 20-minute warm-up: an analytic
         popularity fill loads the cache to capacity with the hottest
         units (see :mod:`repro.odb.popularity`), then a short plan replay
-        freshens LRU recency with realistic access interleaving.
+        freshens LRU recency with realistic access interleaving.  The
+        plans are sampled in the walk kernel a buffer at a time, and
+        each buffer is replayed in one kernel call; the clock stands
+        still during prewarm, so a phased mix draws from one phase
+        throughout.
         """
-        from repro.odb.popularity import steady_state_fill
-
-        steady_state_fill(self.buffer_cache, self.space, self.mix.profiles)
-        # The plans are sampled in the walk kernel, a buffer at a time;
-        # the clock stands still during prewarm, so a phased mix draws
-        # from one phase throughout.
+        self._fill()
         cache = self.buffer_cache
-        lookup = cache.lookup
-        touch_write = cache.touch_write
-        install = cache.install
         for touches in self.sampler.sample_plans(
                 self.streams.stream("prewarm"), self.mix.active(),
                 self.config.warehouses, self.remote_touch_prob, plans):
-            for code in touches:
-                block_id = code >> 1
-                if code & 1:
-                    if not touch_write(block_id):
-                        install(block_id, True)
-                elif not lookup(block_id):
-                    install(block_id, False)
+            cache.replay(touches)
         cache.reset_stats()
+
+    def _fill(self) -> None:
+        """``steady_state_fill``, or a restore of the memoised fill when
+        every input it reads matches."""
+        from repro.odb.popularity import steady_state_fill
+
+        global _fill_memo
+        cache = self.buffer_cache
+        key = self._fill_key()
+        memo = _fill_memo
+        if memo is not None and memo[0] == key:
+            cache.restore_from(memo[1])
+            return
+        steady_state_fill(cache, self.space, self.mix.profiles)
+        _fill_memo = (key, cache.copy())
+
+    def _fill_key(self) -> tuple:
+        config = self.config
+        return (config.warehouses, config.unit_bytes, config.workload,
+                self.buffer_cache.capacity_units)
 
     def _prewarm_once(self, plans: int) -> bool:
         """:meth:`prewarm_buffer_cache`, or a restore of the memoised
         result when every input it reads matches; True on a restore."""
         global _prewarm_memo
-        config = self.config
-        key = (config.seed, config.warehouses, config.unit_bytes,
-               config.workload, self.remote_touch_prob,
-               self.buffer_cache.capacity_units, plans)
+        key = (self.config.seed, self.remote_touch_prob,
+               plans) + self._fill_key()
         memo = _prewarm_memo
         if memo is not None and memo[0] == key:
-            self.buffer_cache.restore(memo[1])
+            self.buffer_cache.restore_from(memo[1])
             return True
         self.prewarm_buffer_cache(plans)
-        _prewarm_memo = (key, self.buffer_cache.snapshot())
+        _prewarm_memo = (key, self.buffer_cache.copy())
         return False
 
     # -- measurement -----------------------------------------------------------

@@ -1,6 +1,5 @@
 """Differential test: BufferCache against a brute-force LRU reference."""
 
-from collections import OrderedDict
 from random import Random
 
 from hypothesis import given, settings
@@ -8,31 +7,7 @@ from hypothesis import strategies as st
 
 from repro.db.buffer_cache import BufferCache
 
-
-class ReferenceLru:
-    """An obviously-correct LRU with dirty bits."""
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self.entries: "OrderedDict[int, bool]" = OrderedDict()
-
-    def lookup(self, block: int, write: bool) -> bool:
-        if block in self.entries:
-            dirty = self.entries.pop(block)
-            self.entries[block] = dirty or write
-            return True
-        return False
-
-    def install(self, block: int, dirty: bool):
-        victim = None
-        if block not in self.entries and len(self.entries) >= self.capacity:
-            victim = self.entries.popitem(last=False)
-        if block in self.entries:
-            previous = self.entries.pop(block)
-            self.entries[block] = previous or dirty
-        else:
-            self.entries[block] = dirty
-        return victim
+from tests.db.reference_lru import ReferenceLru
 
 
 operations = st.lists(
@@ -77,21 +52,24 @@ def test_clean_never_disturbs_order(capacity, ops):
     assert list(cache.snapshot()) == list(reference.entries)
 
 
-def drive_miss_heavy(capacity: int, seed: int, length: int) -> int:
+def drive_miss_heavy(capacity: int, seed: int, length: int,
+                     span: int = 0, kinds: int = 20) -> None:
     """Replay a random miss-heavy sequence against both models.
 
-    Reads and writes draw from three times the capacity, interleaved
-    with ``clean``, ``oldest_dirty``, ``snapshot`` and ``restore``.
-    Returns the number of generation swaps the cache made.
+    Reads and writes draw from ``span`` block ids (three times the
+    capacity by default), interleaved with ``clean``, ``oldest_dirty``,
+    ``snapshot`` and ``restore``, each one ``kinds``-th of the
+    operations (a larger ``kinds`` adds reads and writes).
     """
     rng = Random(seed)
+    span = span or 3 * capacity
     cache = BufferCache(capacity)
     reference = ReferenceLru(capacity)
-    swaps = 0
-    order = cache._order
     for _ in range(length):
-        kind = rng.randrange(20)
-        block = rng.randrange(3 * capacity)
+        kind = rng.randrange(kinds)
+        if kind >= 20:
+            kind %= 16
+        block = rng.randrange(span)
         if kind < 16:
             write = kind >= 8
             hit = cache.touch_write(block) if write else cache.lookup(block)
@@ -112,13 +90,9 @@ def drive_miss_heavy(capacity: int, seed: int, length: int) -> int:
                 reference.entries.items())
         else:
             cache.restore(cache.snapshot())
-        if cache._order is not order:
-            order = cache._order
-            swaps += 1
     assert list(cache.snapshot().items()) == list(reference.entries.items())
     assert cache.resident_units == len(reference.entries)
     assert cache.dirty_units == sum(reference.entries.values())
-    return swaps
 
 
 @given(st.integers(min_value=1, max_value=200),
@@ -129,50 +103,50 @@ def test_miss_heavy_sequences_match_reference(capacity, seed, length):
     drive_miss_heavy(capacity, seed, length)
 
 
-def test_generation_swaps_happen_mid_sequence():
-    assert drive_miss_heavy(50, 1, 5000) >= 3
+def test_long_miss_heavy_run_over_wide_ids_matches_reference():
+    """120 000 operations on a 4 096-unit cache over ids up to 2**40:
+    the table grows, wraps its probe runs, and shifts entries back on
+    every eviction, all under the oracle's eye.  One operation in 500
+    reads or replaces the whole state."""
+    drive_miss_heavy(4096, 11, 120_000, span=2**40, kinds=2000)
 
 
-class CountedBlock(int):
-    """A block id that counts how often a dict hashes it."""
-
-    hashes = 0
-
-    def __hash__(self):
-        CountedBlock.hashes += 1
-        return int.__hash__(self)
-
-
-def test_eviction_cursor_is_amortised_constant():
-    """Over N evictions the victim cursor advances at most N plus the
-    number of hits that took a block out of the old generation, and the
-    evictions look at no more keys than that: none rescans entries that
-    have already left the old generation."""
-    capacity = 45_875
-    cache = BufferCache(capacity)
-    cache.restore({CountedBlock(block): block % 3 == 0
-                   for block in range(capacity)})
-    rng = Random(7)
-    evictions = old_hits = advance = swaps = 0
-    installs = install_hashes = 0
-    order, cursor = cache._order, cache._cursor
-    for _ in range(150_000):
-        block = CountedBlock(rng.randrange(2 * capacity))
-        old_hits += block in cache._old
+def test_long_run_over_colliding_ids_matches_reference():
+    """Ids a multiple of 2**40 apart share their low bits, so only the
+    hash's high bits tell them apart: long probe runs and back-shifts."""
+    rng = Random(5)
+    cache = BufferCache(4096)
+    reference = ReferenceLru(4096)
+    for _ in range(100_000):
+        block = rng.randrange(3 * 4096) << 40
         write = rng.random() < 0.3
         hit = cache.touch_write(block) if write else cache.lookup(block)
+        assert hit == reference.lookup(block, write)
         if not hit:
-            before = CountedBlock.hashes
-            evictions += cache.install(block, dirty=write) is not None
-            install_hashes += CountedBlock.hashes - before
-            installs += 1
-        if cache._order is not order:
-            order, cursor = cache._order, 0
-            swaps += 1
-        advance += cache._cursor - cursor
-        cursor = cache._cursor
-    assert swaps >= 2  # several generations went by
-    assert advance <= evictions + old_hits
-    # An install hashes its block at most four times (two pops, the
-    # insert, the victim's pop); everything else is the victim search.
-    assert install_hashes - 4 * installs <= evictions + old_hits
+            assert (cache.install(block, dirty=write)
+                    == reference.install(block, write))
+    assert list(cache.snapshot().items()) == list(reference.entries.items())
+
+
+def test_copy_and_restore_from_match_the_snapshot():
+    cache = BufferCache(4096)
+    rng = Random(3)
+    for _ in range(20_000):
+        block = rng.randrange(2**40)
+        if not cache.touch_write(block):
+            cache.install(block, dirty=rng.random() < 0.5)
+    copy = cache.copy()
+    assert list(copy.snapshot().items()) == list(cache.snapshot().items())
+    assert (copy.hits, copy.misses, copy.dirty_evictions,
+            copy.clean_evictions) == (0, 0, 0, 0)
+    # A bigger cache takes the copy too (its table is rebuilt), and the
+    # copy stays independent of both.
+    bigger = BufferCache(10_000)
+    for block in range(8000):
+        bigger.install(block)
+    bigger.restore_from(copy)
+    expected = list(copy.snapshot().items())
+    bigger.install(2**41, dirty=True)
+    cache.install(2**41 + 1)
+    assert list(copy.snapshot().items()) == expected
+    assert list(bigger.snapshot().items()) == expected + [(2**41, True)]

@@ -4,13 +4,17 @@ Uses synthetic ConfigResults shaped like a paper sweep, so no simulation
 runs; the simulated end-to-end versions live in the benchmarks.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.cpi_model import CpiBreakdown, CpiSolution
 from repro.experiments import exp_fig02, exp_modeling, exp_tables234
+from repro.experiments.configs import FULL_WAREHOUSE_GRID, client_count
 from repro.experiments.exp_system_figs import SystemSweep
 from repro.experiments import exp_system_figs, exp_processor_figs
 from repro.experiments.records import ConfigResult
+from repro.hw.machine import XEON_MP_QUAD
 from repro.hw.trace import MicroarchRates
 from repro.odb.system import SystemMetrics
 
@@ -122,6 +126,65 @@ class TestFig02Classification:
         assert exp_fig02.classify(balanced) == "balanced"
         io_bound = synthetic_record(1200, 4)
         assert exp_fig02.classify(io_bound) == "io-bound"
+
+
+def xeon_sweep_of(grid, processors=(1, 2, 4)) -> SystemSweep:
+    """A synthetic sweep whose records name the default machine."""
+    return SystemSweep(by_processors={
+        p: [replace(synthetic_record(w, p), machine=XEON_MP_QUAD.name)
+            for w in grid] for p in processors})
+
+
+class TestFig02FromSweep:
+    @pytest.fixture
+    def launched(self, monkeypatch):
+        launched = []
+
+        def run_many(specs, jobs=None):
+            launched.extend(specs)
+            return [synthetic_record(s.warehouses, s.processors)
+                    for s in specs]
+
+        monkeypatch.setattr(exp_fig02, "run_many", run_many)
+        return launched
+
+    def test_runs_only_the_io_bound_points(self, launched):
+        sweep = xeon_sweep_of(FULL_WAREHOUSE_GRID)
+        result = exp_fig02.run(sweep=sweep)
+        assert [(s.warehouses, s.processors, s.clients) for s in launched] \
+            == [(1200, p, client_count(FULL_WAREHOUSE_GRID[-1], p))
+                for p in (1, 2, 4)]
+        assert result.by_processors == sweep.by_processors
+        assert result.by_processors[4] is not sweep.by_processors[4]
+        assert result.regions(4)[1200] == "io-bound"
+
+    def test_builds_the_sweep_from_its_own_arguments(self, launched,
+                                                     monkeypatch):
+        calls = []
+
+        def sweep_run(**kwargs):
+            calls.append(kwargs)
+            return xeon_sweep_of(FULL_WAREHOUSE_GRID, kwargs["processors"])
+
+        monkeypatch.setattr(exp_system_figs, "run", sweep_run)
+        result = exp_fig02.run(processors=(2, 4), jobs=3)
+        assert calls == [dict(machine=XEON_MP_QUAD,
+                              settings=exp_fig02.DEFAULT_SETTINGS,
+                              processors=(2, 4), jobs=3)]
+        assert [s.processors for s in launched] == [2, 4]
+        assert sorted(result.by_processors) == [2, 4]
+
+    @pytest.mark.parametrize("sweep", [
+        xeon_sweep_of(GRID),
+        xeon_sweep_of(FULL_WAREHOUSE_GRID, processors=(1, 2)),
+        SystemSweep(by_processors={
+            p: [synthetic_record(w, p) for w in FULL_WAREHOUSE_GRID]
+            for p in (1, 2, 4)}),
+    ], ids=["other-grid", "missing-processors", "other-machine"])
+    def test_rejects_a_mismatched_sweep(self, launched, sweep):
+        with pytest.raises(ValueError, match="FULL_WAREHOUSE_GRID"):
+            exp_fig02.run(sweep=sweep)
+        assert launched == []
 
 
 class TestModeling:

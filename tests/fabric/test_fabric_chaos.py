@@ -4,6 +4,7 @@ fleet loss must all leave sweep results bit-identical to serial and the
 journal exactly-once — the PR's acceptance contract."""
 
 import json
+import subprocess
 
 import pytest
 
@@ -17,7 +18,17 @@ from repro.fabric import (
     fabric_run_many,
     fabric_run_telemetry,
 )
-from repro.fabric.transports import StdioTransport
+from repro.fabric.protocol import (
+    PROTOCOL_VERSION,
+    encode_spec,
+    read_frame,
+    write_frame,
+)
+from repro.fabric.transports import (
+    StdioTransport,
+    worker_command,
+    worker_environment,
+)
 
 GRID = (10, 25)
 PROCESSORS = 1
@@ -211,3 +222,36 @@ class TestTelemetry:
 
         aggregates = SweepTelemetry(points).phase_aggregates()
         assert {agg.worker for agg in aggregates} == workers
+
+
+class TestOrphanedWorker:
+    def test_worker_exits_when_its_coordinator_vanishes(self):
+        # A worker stalled in a point (chaos ``hang`` for a minute) only
+        # writes heartbeats; once the coordinator's pipe ends close, the
+        # next heartbeat fails and the worker must exit at once, not
+        # finish the point for no one.  The wait leaves room for a busy
+        # runner's scheduling, yet stays far below the minute-long hang.
+        heartbeat_s = 0.25
+        chaos = FabricChaosPolicy(hang=1.0, delay_s=60.0)
+        process = subprocess.Popen(
+            worker_command("worker-orphan", heartbeat_s=heartbeat_s,
+                           chaos_json=chaos.to_json()),
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            env=worker_environment())
+        try:
+            assert read_frame(process.stdout)["type"] == "hello"
+            write_frame(process.stdin,
+                        {"type": "welcome", "protocol": PROTOCOL_VERSION})
+            write_frame(process.stdin, {
+                "type": "lease", "lease_id": "lease-0", "key": "point-0",
+                "attempt": 0, "spec": encode_spec(make_specs()[0]),
+                "use_cache": False})
+            # The worker is alive in the hang, beating.
+            assert read_frame(process.stdout)["type"] == "heartbeat"
+            process.stdin.close()
+            process.stdout.close()
+            assert process.wait(timeout=5.0) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=10)

@@ -7,7 +7,8 @@ exactly the state their pure-Python formulations leave:
 - the prewarm plans against ``plan_transaction`` driven by
   ``TransactionMix.pick`` (the DES's own planner), for the standard mix
   and compiled custom workloads: the touch stream, the ``Random`` state
-  and the buffer cache's LRU snapshot;
+  and the buffer cache's LRU snapshot against the pure-Python prewarm
+  of ``tests/odb/reference_prewarm.py``;
 - the trace generator against ``tests/hw/reference_trace.py``: rates,
   counts, the coherence directory and the ``Random`` state, through
   ``run`` and direct ``run_transaction`` calls.
@@ -36,6 +37,7 @@ from repro.workload import compile_workload, workload_by_name
 from repro.workload.loader import parse_workload
 
 from tests.hw.reference_trace import ReferenceTraceGenerator
+from tests.odb.reference_prewarm import oracle_prewarm
 
 # -- the Mersenne Twister -------------------------------------------------
 
@@ -193,31 +195,13 @@ def _system(workload: str, warehouses: int, seed: int) -> OdbSystem:
                                workload=_WORKLOADS[workload]))
 
 
-def _oracle_prewarm(system: OdbSystem, plans: int) -> None:
-    """The Python prewarm: ``plans`` DES plans replayed into the cache."""
-    from repro.odb.popularity import steady_state_fill
-
-    steady_state_fill(system.buffer_cache, system.space, system.mix.profiles)
-    rng = system.streams.stream("prewarm")
-    cache = system.buffer_cache
-    for _ in range(plans):
-        plan = plan_transaction(rng, system.mix.pick(rng), system.sampler,
-                                system.config.warehouses,
-                                system.remote_touch_prob)
-        for block_id, write in plan.touches:
-            hit = cache.touch_write(block_id) if write else cache.lookup(block_id)
-            if not hit:
-                cache.install(block_id, dirty=write)
-    cache.reset_stats()
-
-
 @pytest.mark.parametrize("workload", sorted(_WORKLOADS))
-@pytest.mark.parametrize("warehouses", [1, 7, 100])
+@pytest.mark.parametrize("warehouses", [1, 7, 100, 1200])
 def test_prewarm_matches_python_plans(workload, warehouses):
     plans = 300
     compiled = _system(workload, warehouses, seed=warehouses)
     oracle = _system(workload, warehouses, seed=warehouses)
-    _oracle_prewarm(oracle, plans)
+    lru = oracle_prewarm(oracle, plans)
     # The touch stream itself, from an identically seeded stream.
     rng = Random(warehouses)
     sampled = Random(warehouses)
@@ -231,9 +215,10 @@ def test_prewarm_matches_python_plans(workload, warehouses):
     assert sampled.getstate() == rng.getstate()
     # The whole prewarm: LRU order, dirty bits, stats and stream state.
     compiled.prewarm_buffer_cache(plans)
-    assert (list(compiled.buffer_cache.snapshot().items())
-            == list(oracle.buffer_cache.snapshot().items()))
-    assert compiled.buffer_cache.dirty_units == oracle.buffer_cache.dirty_units
+    cache = compiled.buffer_cache
+    assert list(cache.snapshot().items()) == list(lru.entries.items())
+    assert cache.dirty_units == sum(lru.entries.values())
+    assert (cache.hits, cache.misses) == (0, 0)
     assert (compiled.streams.stream("prewarm").getstate()
             == oracle.streams.stream("prewarm").getstate())
 
@@ -243,10 +228,10 @@ def test_prewarm_remote_probability_edges(remote_prob):
     compiled = _system("standard", 20, seed=4)
     oracle = _system("standard", 20, seed=4)
     compiled.remote_touch_prob = oracle.remote_touch_prob = remote_prob
-    _oracle_prewarm(oracle, 200)
+    lru = oracle_prewarm(oracle, 200)
     compiled.prewarm_buffer_cache(200)
     assert (list(compiled.buffer_cache.snapshot().items())
-            == list(oracle.buffer_cache.snapshot().items()))
+            == list(lru.entries.items()))
     assert (compiled.streams.stream("prewarm").getstate()
             == oracle.streams.stream("prewarm").getstate())
 

@@ -15,9 +15,11 @@ from repro.faults import FaultPlan, TransientAborts
 from repro.hw.machine import GIB, ITANIUM2_QUAD, XEON_MP_QUAD
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
-from repro.odb import OdbConfig, OdbSystem
+from repro.odb import OdbConfig, OdbSystem, popularity
 from repro.odb.system import _clear_prewarm_memo
 from repro.workload import compile_workload, workload_by_name
+
+from tests.odb.reference_prewarm import oracle_prewarm
 
 
 def run(warehouses=25, clients=8, processors=2, **kwargs):
@@ -188,10 +190,10 @@ def memo_prewarm(**overrides):
 
 
 def fresh_prewarm(**overrides):
-    """The state a full prewarm replay of the varied base leaves."""
+    """The state a full prewarm of the varied base must leave, from the
+    pure-Python oracle, so no memo takes part."""
     system = OdbSystem(OdbConfig(**{**BASE, **overrides}))
-    system.prewarm_buffer_cache(PREWARM_PLANS)
-    return list(system.buffer_cache.snapshot().items())
+    return list(oracle_prewarm(system, PREWARM_PLANS).entries.items())
 
 
 class TestPrewarmReuse:
@@ -216,6 +218,24 @@ class TestPrewarmReuse:
         reused, state = memo_prewarm(**REUSE[variant])
         assert reused
         assert state == fresh_prewarm(**REUSE[variant])
+
+    def test_new_seed_reuses_the_fill_but_not_the_replay(self, monkeypatch):
+        fills = []
+        fill = popularity.steady_state_fill
+
+        def counted_fill(*args):
+            fills.append(args[1].warehouses)
+            return fill(*args)
+
+        monkeypatch.setattr(popularity, "steady_state_fill", counted_fill)
+        assert memo_prewarm() == (False, fresh_prewarm())
+        assert fills == [10]
+        reused, state = memo_prewarm(seed=43)
+        assert not reused and fills == [10]
+        assert state == fresh_prewarm(seed=43)
+        reused, state = memo_prewarm(warehouses=11, seed=43)
+        assert not reused and fills == [10, 11]
+        assert state == fresh_prewarm(warehouses=11, seed=43)
 
     def test_plan_count_is_part_of_the_key(self):
         memo_prewarm()
