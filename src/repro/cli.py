@@ -6,7 +6,6 @@
     python -m repro run -w 200 --faults plan.json   # ... on degraded hardware
     python -m repro sweep -p 4 --chart       # warehouse sweep (+ ASCII plot)
     python -m repro sweep -p 4 --resume      # checkpointed (kill-safe) sweep
-    python -m repro sweep -p 4 --workers 3   # sweep over stdio fabric workers
     python -m repro pivot -p 4 --metric cpi  # two-region fit and pivot
     python -m repro table1                   # the 90%-utilization search
     python -m repro variability -w 100 -p 4  # multi-seed error bars
@@ -41,10 +40,6 @@ DESIGN.md §8): per-point retry with deterministic backoff, pool
 self-healing on worker death, and the degradation timeline surfaced in
 sweep reports.  ``--retries N`` and ``--point-timeout S`` (on ``sweep``
 and ``report --sweep``) set its retry budget and per-point deadline.
-``--workers N`` (on ``sweep``) runs the sweep on ``N`` fabric worker
-processes framed over stdio pipes (:mod:`repro.fabric`) instead of the
-local pool: leases, heartbeat liveness, idempotent journal appends,
-and graceful fallback to the local pool when the fleet is lost.
 
 ``report`` runs one configuration with tracing enabled
 (:mod:`repro.obs`) and writes a Markdown (optionally HTML) dashboard —
@@ -172,36 +167,12 @@ def _add_supervision(parser: argparse.ArgumentParser) -> None:
                              "cancelled and retried)")
 
 
-def _add_fabric(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="run on N stdio fabric worker processes "
-                             "(leases, heartbeats, requeue, local "
-                             "fallback; see DESIGN.md §8)")
-
-
 def _policy(args) -> SupervisorPolicy:
     """The driver policy from ``--retries``/``--point-timeout``."""
     retries = getattr(args, "retries", None)
     return SupervisorPolicy(
         max_retries=retries if retries is not None else 3,
         point_timeout_s=getattr(args, "point_timeout", None))
-
-
-def _executor(args):
-    """The sweep's executor from CLI flags.
-
-    ``--workers N`` selects the fabric; otherwise the local pool over
-    ``--jobs`` workers (which the driver runs in-process when that is
-    one worker).
-    """
-    workers = getattr(args, "workers", None)
-    if workers is None:
-        return PoolExecutor(args.jobs)
-    if workers < 1:
-        raise SystemExit("--workers needs a positive worker count")
-    from repro.fabric import FabricCoordinator, FabricPolicy
-
-    return FabricCoordinator(fabric=FabricPolicy(workers=workers))
 
 
 def cmd_run(args) -> int:
@@ -271,18 +242,12 @@ def _journal_path(args, faults: Optional[FaultPlan],
     return root / f"{name}.jsonl"
 
 
-#: Events every healthy sweep emits; the rest are degradations.
-_ROUTINE_EVENTS = frozenset({"fleet-started", "worker-ready",
-                             "lease-granted", "point-straggling"})
+#: Events a healthy sweep may emit; the rest are degradations.
+_ROUTINE_EVENTS = frozenset({"point-straggling"})
 
 
-def _print_degradation(executor) -> None:
-    """Fleet health (fabric) and a one-line degradation summary."""
-    if executor.name == "fabric":
-        health = executor.worker_health()
-        states = ", ".join(f"{h.name}={h.state}({h.completed})"
-                           for h in health)
-        print(f"fabric: {len(health)} worker(s): {states}")
+def _print_degradation(executor: PoolExecutor) -> None:
+    """A one-line degradation summary, when the sweep degraded."""
     degraded = [e for e in executor.events
                 if e["event"] not in _ROUTINE_EVENTS]
     if degraded:
@@ -296,7 +261,7 @@ def cmd_sweep(args) -> int:
 
     ``--snapshot`` traces every point and freezes the sweep as a
     :class:`~repro.obs.snapshot.SweepSnapshot`; ``--resume``/``--journal``
-    checkpoint it, on whichever executor runs it.
+    checkpoint it; ``--jobs`` sizes the pool that runs it.
     """
     grid = _parse_grid(args.grid)
     faults = _faults(args)
@@ -309,7 +274,7 @@ def cmd_sweep(args) -> int:
     if journal is not None:
         done = len(journal.load())
         print(f"journal: {journal.path} ({done} point(s) already complete)")
-    executor = _executor(args)
+    executor = PoolExecutor(args.jobs)
     try:
         points = run_sweep(grid, args.processors, machine=_machine(args),
                            settings=_settings(args), faults=faults,
@@ -771,7 +736,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workload(sweep_parser)
     _add_jobs(sweep_parser)
     _add_supervision(sweep_parser)
-    _add_fabric(sweep_parser)
     sweep_parser.set_defaults(func=cmd_sweep)
 
     pivot_parser = commands.add_parser("pivot",

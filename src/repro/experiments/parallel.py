@@ -1,4 +1,4 @@
-"""One sweep driver over two executors: the in-process pool and the fabric.
+"""One sweep driver over the local process pool.
 
 Every (W, C, P) point is a fully seeded, deterministic computation: the
 seed tree (:class:`~repro.sim.randomness.RandomStreams`) is derived from
@@ -15,28 +15,25 @@ depend on *where* a point runs:
 - per-point state and attempts, deterministic backoff
   (:func:`backoff_delay`) and :class:`SweepFailure` once a point's
   retry budget (:class:`SupervisorPolicy`) is spent;
-- deadlines: at most :meth:`Executor.slots` points are in flight, so a
+- deadlines: at most :meth:`PoolExecutor.slots` points are in flight, so a
   point's ``point_timeout_s`` budget starts when it is dispatched, is
   flagged ``point-straggling`` at half and cancelled when spent;
 - completion dedup (a point completes once; late copies are dropped),
   the ``on_result`` hook and the metrics-registry merge;
-- the ``REPRO_SERIAL`` check and the degradation ladder: a fabric that
-  loses its fleet falls back to the local pool (``local-fallback``),
-  and a pool that keeps breaking falls back to in-process execution
+- the ``REPRO_SERIAL`` check and the one-rung degradation ladder: a
+  pool that keeps breaking falls back to in-process execution
   (``serial-fallback``).
 
 :func:`run_sweep` adds the journal on top: it takes the journal's owner
 lock, runs only the points the journal does not hold, records each one
 from this process as it completes, and merges everything in grid order.
 
-An :class:`Executor` is a small state machine the driver polls:
-:class:`PoolExecutor` (one ``ProcessPoolExecutor``, rebuilt when a
-worker dies) here, and :class:`~repro.fabric.coordinator.FabricCoordinator`
-(leases to worker processes over stdio pipes).  Pool and fabric
-workers both run :func:`execute_point`, and both honour the one
-:class:`~repro.fabric.chaos.FabricChaosPolicy` for fault injection.
+The :class:`PoolExecutor` is a small state machine the driver polls:
+one ``ProcessPoolExecutor``, rebuilt when a worker dies, whose workers
+run :func:`execute_point` under the test-only :class:`ChaosPolicy` and
+exit on their own when the driver's process dies.
 
-Safety rules that hold for every executor:
+Safety rules:
 
 - **Results are ordered by the input grid**, never by completion order.
 - **Workers share the result cache directory.**  ``ResultCache.store``
@@ -51,6 +48,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures import as_completed
@@ -148,9 +146,6 @@ class PointTelemetry:
     manifest: Optional[RunManifest] = None
     trace: Optional[dict] = None
     metrics: Optional[dict] = None
-    #: Fabric worker id that produced the point (:mod:`repro.fabric`);
-    #: empty when the point ran locally (pool or in-process).
-    worker: str = ""
 
     @property
     def label(self) -> str:
@@ -202,6 +197,71 @@ class ChaosError(RuntimeError):
     """A worker was poisoned by the chaos policy (test-only failure)."""
 
 
+#: The fault kinds, in draw order.  A kind widens the cumulative draw
+#: only when its probability is nonzero.
+CHAOS_FAULTS = ("kill", "hang", "poison")
+
+
+@dataclass(frozen=True)
+class ChaosPolicy:
+    """Seeded fault injector for the failure matrix (test-only).
+
+    Each ``(key, attempt)`` draws one fault deterministically, so every
+    chaos run replays identically:
+
+    - ``kill`` — the pool worker exits mid-point, breaking the pool,
+      which the driver rebuilds;
+    - ``hang`` — the worker stalls ``delay_s`` before running the
+      point, so the driver's ``point_timeout_s`` deadline must cancel
+      and retry it;
+    - ``poison`` — the point raises :class:`ChaosError`: the plain
+      retry path.
+
+    In the driver's own process all three degrade to
+    :class:`ChaosError` so the parent survives its own chaos.  Chaos
+    fires only on the first ``attempts`` attempts of a point, so any
+    retry budget ``>= attempts`` converges; ``targets`` scopes the
+    blast radius to specific cache keys.
+    """
+
+    seed: int = 0
+    kill: float = 0.0
+    hang: float = 0.0
+    poison: float = 0.0
+    attempts: int = 1
+    #: How long a hung worker stalls.
+    delay_s: float = 2.0
+    targets: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        for name in CHAOS_FAULTS:
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be a probability in [0, 1]")
+        if sum(getattr(self, name) for name in CHAOS_FAULTS) > 1.0 + 1e-9:
+            raise ValueError("fault probabilities must sum to <= 1")
+        if self.attempts < 0:
+            raise ValueError("attempts must be >= 0")
+        if self.delay_s < 0:
+            raise ValueError("delay_s must be >= 0")
+        object.__setattr__(self, "targets", tuple(self.targets))
+
+    def action(self, key: str, attempt: int) -> Optional[str]:
+        """The fault to inject for this (key, attempt), or None."""
+        if attempt >= self.attempts:
+            return None
+        if self.targets and key not in self.targets:
+            return None
+        # The salt predates this class; keeping it keeps every seed
+        # drawing the faults it always drew.
+        draw = _unit_hash("fabric-chaos", self.seed, key, attempt)
+        threshold = 0.0
+        for name in CHAOS_FAULTS:
+            threshold += getattr(self, name)
+            if draw < threshold:
+                return name
+        return None
+
+
 class SweepFailure(RuntimeError):
     """One point exhausted its retry budget; the sweep cannot complete.
 
@@ -230,7 +290,7 @@ class SupervisorPolicy:
     ``min(base_backoff_s * backoff_factor**(n-1), max_backoff_s)`` plus
     a deterministic jitter in ``[0, base_backoff_s)`` seeded from the
     spec key (:func:`backoff_delay`).  ``failure_threshold`` pool breaks
-    exhaust the pool, and as many strikes quarantine a fabric worker.
+    exhaust the pool.
     ``tick_s`` is the driver's polling interval.
     """
 
@@ -286,8 +346,7 @@ def execute_point(spec: RunSpec, cache_dir: Optional[str], use_cache: bool,
                   ) -> PointTelemetry:
     """Run one spec against an explicit cache directory.
 
-    The one function pool workers, fabric workers and the in-process
-    path all run.  Each process builds its own :class:`ResultCache`
+    The one function pool workers and the in-process path both run.  Each process builds its own :class:`ResultCache`
     handle on the shared directory, which is safe because ``store``
     publishes atomically; ``worker_count`` is stamped into the run's
     manifest.  With ``trace`` the run gets a *fresh* tracer and metrics
@@ -336,15 +395,38 @@ def execute_point(spec: RunSpec, cache_dir: Optional[str], use_cache: bool,
     )
 
 
+#: How often a pool worker checks that the process that started it is
+#: still alive.
+_PARENT_POLL_S = 0.2
+
+
+def _exit_with_parent() -> None:
+    """Pool initializer: exit the worker once its parent process dies.
+
+    A SIGKILLed driver never closes its pools, and each forked worker
+    holds the write end of its own call queue, so it would block on
+    that queue forever.  A daemon thread polls ``getppid``: the worker
+    is re-parented when its parent dies, and then exits at once.
+    """
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-parent",
+                     daemon=True).start()
+
+
 def _pool_worker(spec: RunSpec, cache_dir: Optional[str], use_cache: bool,
                  trace: bool, worker_count: int, attempt: int,
-                 chaos) -> PointTelemetry:
+                 chaos: Optional[ChaosPolicy]) -> PointTelemetry:
     """Pool worker: apply chaos (if armed), then run the point.
 
     Top-level so it pickles by reference.  ``kill`` exits the worker
     outright (breaking the pool), ``hang`` stalls it for the chaos
-    ``delay_s``, ``poison`` raises :class:`ChaosError`; the fabric-only
-    faults do nothing in a pool.
+    ``delay_s``, ``poison`` raises :class:`ChaosError`.
     """
     action = chaos.action(spec.key(), attempt) if chaos is not None else None
     if action == "kill":
@@ -407,7 +489,7 @@ def _kill_pool(pool: ProcessPoolExecutor,
 
 
 # ----------------------------------------------------------------------
-# the executor interface
+# the pool executor
 
 
 _WAITING, _RUNNING, _DONE = "waiting", "running", "done"
@@ -472,64 +554,47 @@ def _emit(events: list, prefix: str, kind: str, fields: dict) -> None:
         _metrics.emit(f"{prefix}-{kind}", **fields)
 
 
-class Executor:
-    """A place points run, as the driver sees it.
+class PoolExecutor:
+    """Points across one local ``ProcessPoolExecutor``.
 
     The driver calls ``open(options, points)`` once per run, then loops:
-    while the executor is ``usable()``, it ``submit(point)`` s at most
+    while the pool is ``usable()``, it ``submit(point)`` s at most
     ``slots()`` ready points (``submit`` returns False when the point
     did not start), collects ``poll(timeout)`` outcomes — ``(point,
     payload)`` on completion, ``(point, error)`` on failure — and
     ``cancel(point)`` s a point whose deadline passed (the failure
     arrives through a later ``poll``).  ``close()`` always runs last.
-    When the executor gives out, the driver emits :attr:`fallback_event`
-    and continues on :meth:`fallback` (``None`` = in-process).
-
-    ``events`` is the ordered degradation timeline — the executor's own
-    events plus the driver's (``point-retry``, ``point-straggling``,
-    fallbacks) — mirrored to ``<name>.*`` metrics counters and
-    ``<name>-*`` stream events when a registry is active.
-    """
-
-    name = "executor"
-    fallback_event = "serial-fallback"
-
-    def __init__(self, chaos=None):
-        #: Test-only :class:`~repro.fabric.chaos.FabricChaosPolicy`.
-        self.chaos = chaos
-        self.events: list[dict] = []
-
-    def _event(self, kind: str, **fields) -> None:
-        _emit(self.events, self.name, kind, fields)
-
-    def fallback(self) -> Optional["Executor"]:
-        """The next rung of the degradation ladder (None = in-process)."""
-        return None
-
-
-class PoolExecutor(Executor):
-    """Points across one local ``ProcessPoolExecutor``.
 
     A worker that dies (``BrokenProcessPool``) or a point that overstays
     its deadline (a hung worker cannot be interrupted individually)
     tears the whole pool down with :func:`_kill_pool`; every point in
     flight on it fails and is retried, and the pool is rebuilt on the
     next submit (``pool-rebuild``).  After ``failure_threshold`` such
-    breaks in one run the pool is exhausted and the driver finishes
-    in-process.
+    breaks in one run the pool is exhausted, and the driver emits
+    ``serial-fallback`` and finishes in-process.
+
+    ``events`` is the ordered degradation timeline — the pool's own
+    events plus the driver's (``point-retry``, ``point-straggling``,
+    ``serial-fallback``) — mirrored to ``pool.*`` metrics counters and
+    ``pool-*`` stream events when a registry is active.
     """
 
     name = "pool"
 
-    def __init__(self, jobs: Optional[int] = None, chaos=None):
-        super().__init__(chaos)
+    def __init__(self, jobs: Optional[int] = None,
+                 chaos: Optional[ChaosPolicy] = None):
         self.jobs = jobs
+        self.chaos = chaos
+        self.events: list[dict] = []
         self._width = 1
         self._pool: Optional[ProcessPoolExecutor] = None
         self._futures: dict = {}
         self._outcomes: list = []
         self._failures = 0
         self._options: Optional[RunOptions] = None
+
+    def _event(self, kind: str, **fields) -> None:
+        _emit(self.events, self.name, kind, fields)
 
     def open(self, options: RunOptions, points: int) -> None:
         """Size the pool for the run; the pool itself starts on submit."""
@@ -550,7 +615,8 @@ class PoolExecutor(Executor):
         options = self._options
         try:
             if self._pool is None:
-                self._pool = ProcessPoolExecutor(max_workers=self._width)
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self._width, initializer=_exit_with_parent)
             future = self._pool.submit(
                 _pool_worker, point.spec, options.cache_dir,
                 options.use_cache, options.trace, self._width,
@@ -630,7 +696,7 @@ class _Driver:
     """One run of :func:`run_points`: point state, ladder, timeline."""
 
     def __init__(self, specs: Sequence[RunSpec],
-                 executor: Optional[Executor], options: RunOptions,
+                 executor: Optional[PoolExecutor], options: RunOptions,
                  on_result: Optional[Callable]):
         self.options = options
         self.policy = options.policy
@@ -645,37 +711,30 @@ class _Driver:
     def _event(self, kind: str, **fields) -> None:
         _emit(self.events, self.prefix, kind, fields)
 
-    def run(self, executor: Optional[Executor]) -> list:
-        chaos = executor.chaos if executor is not None else None
-        while self.remaining and not self._in_process(executor):
-            if self._drive(executor):
-                break
-            self._event(executor.fallback_event, remaining=self.remaining,
-                        reason=f"{executor.name} exhausted")
-            executor = executor.fallback()
-            if executor is not None:
-                executor.events = self.events
-                chaos = executor.chaos
+    def run(self, executor: Optional[PoolExecutor]) -> list:
+        if (self.remaining and not self._in_process(executor)
+                and not self._drive(executor)):
+            self._event("serial-fallback", remaining=self.remaining,
+                        reason="pool exhausted")
         if self.remaining:
-            self._run_inline(chaos)
+            self._run_inline(executor.chaos if executor is not None
+                             else None)
         return self.results
 
-    def _in_process(self, executor: Optional[Executor]) -> bool:
-        """Whether the pending points run here instead of on ``executor``.
+    def _in_process(self, executor: Optional[PoolExecutor]) -> bool:
+        """Whether the pending points run here instead of on the pool.
 
         ``REPRO_SERIAL`` keeps a pool in-process.  So does a pool that
         would get one worker (``jobs=1``, or one pending point), unless
         a point deadline needs a worker the driver can kill.
         """
-        if not isinstance(executor, PoolExecutor):
-            return executor is None
-        if serial_forced():
+        if executor is None or serial_forced():
             return True
         return (min(effective_jobs(executor.jobs), self.remaining) <= 1
                 and self.policy.point_timeout_s is None)
 
-    def _drive(self, executor: Executor) -> bool:
-        """Run the pending points on ``executor``; False if it gave out."""
+    def _drive(self, executor: PoolExecutor) -> bool:
+        """Run the pending points on the pool; False if it gave out."""
         executor.open(self.options, self.remaining)
         try:
             while self.remaining:
@@ -691,7 +750,7 @@ class _Driver:
         finally:
             executor.close()
 
-    def _dispatch(self, executor: Executor) -> None:
+    def _dispatch(self, executor: PoolExecutor) -> None:
         free = executor.slots()
         now = time.monotonic()
         for point in self.points:
@@ -703,7 +762,7 @@ class _Driver:
                 point.dispatched(now)
                 free -= 1
 
-    def _scan_deadlines(self, executor: Executor) -> None:
+    def _scan_deadlines(self, executor: PoolExecutor) -> None:
         timeout = self.policy.point_timeout_s
         if timeout is None:
             return
@@ -747,7 +806,7 @@ class _Driver:
         if self.on_result is not None:
             self.on_result(point.spec, payload)
 
-    def _run_inline(self, chaos) -> None:
+    def _run_inline(self, chaos: Optional[ChaosPolicy]) -> None:
         """Finish in this process, grid order; chaos ``kill``/``hang``
         degrade to ``poison`` so the parent survives its own chaos."""
         options = self.options
@@ -770,7 +829,8 @@ class _Driver:
                 self._complete(point, payload)
 
 
-def run_points(specs: Sequence[RunSpec], executor: Optional[Executor] = None,
+def run_points(specs: Sequence[RunSpec],
+               executor: Optional[PoolExecutor] = None,
                *, policy: Optional[SupervisorPolicy] = None,
                trace: bool = False, use_cache: bool = True,
                cache_dir: Optional[Union[str, Path]] = None,
@@ -807,7 +867,7 @@ def run_sweep(warehouse_grid, processors: int,
               clients_fn=None, use_cache: bool = True,
               faults: Optional[FaultPlan] = None,
               workload: Optional[WorkloadSpec] = None, *,
-              executor: Optional[Executor] = None,
+              executor: Optional[PoolExecutor] = None,
               policy: Optional[SupervisorPolicy] = None,
               trace: bool = False,
               cache_dir: Optional[Union[str, Path]] = None,
@@ -824,8 +884,7 @@ def run_sweep(warehouse_grid, processors: int,
     already journaled are reused without running (their manifests come
     from the cache; they carry no trace, like any cache hit), the rest
     run and are journaled from this process as they complete — one
-    append stream, each point exactly once, whichever executor
-    computed it.
+    append stream, each point exactly once, wherever it was computed.
     """
     specs = [RunSpec(warehouses=warehouses, processors=processors,
                      clients=(clients_fn(warehouses, processors)
@@ -924,7 +983,8 @@ def map_parallel(fn: Callable[[T], R], items: Sequence[T],
     if workers <= 1:
         return [fn(item) for item in items]
     try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_exit_with_parent) as pool:
             futures = {pool.submit(_call_item, fn, item): index
                        for index, item in enumerate(items)}
             results: list[Optional[R]] = [None] * len(items)

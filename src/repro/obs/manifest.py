@@ -94,9 +94,10 @@ class RunManifest:
     platform: str = ""
     #: Pool width of the sweep this run belonged to (1 = serial).
     worker_count: int = 1
-    #: Fabric worker identity when the point ran on a remote worker
-    #: (:mod:`repro.fabric`); empty for local runs.  Descriptive, like
-    #: the host fields — never part of cache keys or comparisons.
+    #: Remote worker identity: always empty, as every point runs on the
+    #: driver's host; kept so that existing manifests load unchanged.
+    #: Descriptive, like the host fields — never part of cache keys or
+    #: comparisons.
     worker_id: str = ""
     worker_host: str = ""
     wall_time_s: float = 0.0

@@ -218,18 +218,18 @@ class SweepSnapshot:
                 costs[key] = {"wall_s": manifest.wall_time_s,
                               "cpu_s": manifest.cpu_time_s}
         aggregates = aggregate_phases(
-            [getattr(point, "trace", None) or {} for point in points],
-            workers=[getattr(point, "worker", "") or ""
-                     for point in points])
+            [getattr(point, "trace", None) or {} for point in points])
         flame = []
         timings = {}
-        for agg in sorted(aggregates, key=lambda a: (a.worker, a.name)):
-            flame.append({"name": agg.name, "worker": agg.worker,
+        for agg in sorted(aggregates, key=lambda a: a.name):
+            # Every point runs on this host: the ``worker`` key stays
+            # for format compatibility and is always empty.
+            flame.append({"name": agg.name, "worker": "",
                           "calls": agg.calls})
-            track = f"{agg.worker}/{agg.name}" if agg.worker else agg.name
-            timings[track] = {"wall_s": agg.wall_s, "self_s": agg.self_s,
-                              "cpu_s": agg.cpu_s,
-                              "max_wall_s": agg.max_wall_s}
+            timings[agg.name] = {"wall_s": agg.wall_s,
+                                 "self_s": agg.self_s,
+                                 "cpu_s": agg.cpu_s,
+                                 "max_wall_s": agg.max_wall_s}
         registry = MetricsRegistry()
         for point in points:
             if getattr(point, "metrics", None):

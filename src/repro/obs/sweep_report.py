@@ -37,16 +37,9 @@ if TYPE_CHECKING:
 
 @dataclass
 class PhaseAggregate:
-    """One span name's totals across every trace of a sweep.
-
-    ``worker`` scopes the row to the fabric worker that produced the
-    spans (empty for local execution): remote workers' clocks are not
-    comparable to the coordinator's, so their spans aggregate under
-    their own track instead of merging into one misleading total.
-    """
+    """One span name's totals across every trace of a sweep."""
 
     name: str
-    worker: str = ""
     calls: int = 0
     wall_s: float = 0.0
     cpu_s: float = 0.0
@@ -63,35 +56,22 @@ class PhaseAggregate:
         self.max_wall_s = max(self.max_wall_s, span.duration_s)
 
 
-def aggregate_phases(traces: Iterable[dict],
-                     workers: Optional[Iterable[str]] = None
-                     ) -> list[PhaseAggregate]:
+def aggregate_phases(traces: Iterable[dict]) -> list[PhaseAggregate]:
     """Fold serialized span trees into per-phase totals, slowest first.
 
-    ``workers``, when given, labels each trace with the fabric worker
-    that produced it; spans then aggregate per (worker, phase) so a
-    distributed sweep's flame table keeps each worker's time on its own
-    track.  Without it (or with empty labels) everything folds into the
-    local track, exactly as before.  Ties (identical totals, e.g.
-    all-zero fake clocks in tests) break by worker then name so the
-    aggregation is deterministic.
+    Ties (identical totals, e.g. all-zero fake clocks in tests) break
+    by name so the aggregation is deterministic.
     """
-    by_track: dict[tuple[str, str], PhaseAggregate] = {}
-    labels = list(workers) if workers is not None else None
-    for index, payload in enumerate(traces):
+    by_name: dict[str, PhaseAggregate] = {}
+    for payload in traces:
         if not payload:
             continue
-        worker = (labels[index]
-                  if labels is not None and index < len(labels) else "")
         for _depth, span in Tracer.from_dict(payload).walk():
-            track = (worker, span.name)
-            agg = by_track.get(track)
+            agg = by_name.get(span.name)
             if agg is None:
-                agg = by_track[track] = PhaseAggregate(span.name,
-                                                       worker=worker)
+                agg = by_name[span.name] = PhaseAggregate(span.name)
             agg.fold(span)
-    return sorted(by_track.values(),
-                  key=lambda a: (-a.wall_s, a.worker, a.name))
+    return sorted(by_name.values(), key=lambda a: (-a.wall_s, a.name))
 
 
 @dataclass
@@ -109,16 +89,9 @@ class SweepTelemetry:
         return registry
 
     def phase_aggregates(self) -> list[PhaseAggregate]:
-        """The sweep-wide flame table rows (slowest phase first).
-
-        Fabric points carry the producing worker's id; their spans
-        aggregate under that worker's track rather than merging into
-        the coordinator's.
-        """
+        """The sweep-wide flame table rows (slowest phase first)."""
         return aggregate_phases(
-            [getattr(point, "trace", None) or {} for point in self.points],
-            workers=[getattr(point, "worker", "") or ""
-                     for point in self.points])
+            [getattr(point, "trace", None) or {} for point in self.points])
 
 
 def _point_cost(manifest) -> tuple[Optional[float], Optional[float]]:
@@ -211,43 +184,30 @@ def phase_flame_section(aggregates: Sequence[PhaseAggregate]
     from repro.experiments.report import ReportSection
 
     total_self = sum(agg.self_s for agg in aggregates) or 1.0
-    distributed = any(agg.worker for agg in aggregates)
-    rows = []
-    for agg in aggregates:
-        row = [
-            agg.name,
-            agg.calls,
-            f"{agg.wall_s * 1000:.1f}",
-            f"{agg.self_s * 1000:.1f}",
-            f"{agg.cpu_s * 1000:.1f}",
-            f"{agg.max_wall_s * 1000:.1f}",
-            f"{agg.self_s / total_self:.0%}",
-        ]
-        if distributed:
-            row.insert(1, agg.worker or "local")
-        rows.append(row)
-    headers = ["phase", "calls", "wall ms", "self ms", "cpu ms",
-               "max ms", "self share"]
-    note = ("Aggregated over every traced point; 'self' is wall time "
-            "net of child spans, so the shares sum to ~100%.")
-    if distributed:
-        headers.insert(1, "worker")
-        note += (" Rows are per fabric worker: remote clocks are not "
-                 "comparable across hosts, so each worker keeps its "
-                 "own track.")
+    rows = [[
+        agg.name,
+        agg.calls,
+        f"{agg.wall_s * 1000:.1f}",
+        f"{agg.self_s * 1000:.1f}",
+        f"{agg.cpu_s * 1000:.1f}",
+        f"{agg.max_wall_s * 1000:.1f}",
+        f"{agg.self_s / total_self:.0%}",
+    ] for agg in aggregates]
     return ReportSection(
-        "Slowest phases across the sweep", headers, rows, note=note)
+        "Slowest phases across the sweep",
+        ["phase", "calls", "wall ms", "self ms", "cpu ms", "max ms",
+         "self share"], rows,
+        note="Aggregated over every traced point; 'self' is wall time "
+             "net of child spans, so the shares sum to ~100%.")
 
 
 def degradation_section(events: Sequence[dict]) -> "ReportSection":
     """The sweep's degradation timeline: retries, timeouts, fallbacks.
 
-    ``events`` is the executor's timeline,
-    :attr:`repro.experiments.parallel.Executor.events` (a
-    :class:`~repro.experiments.parallel.PoolExecutor` or
-    :class:`~repro.fabric.coordinator.FabricCoordinator`, including the
-    driver's own events) — ordered dicts with ``seq``/``event`` plus
-    event-specific fields.
+    ``events`` is the pool's timeline,
+    :attr:`repro.experiments.parallel.PoolExecutor.events` (including
+    the driver's own events) — ordered dicts with ``seq``/``event``
+    plus event-specific fields.
     An empty timeline renders as an empty-row section (dropped by
     :func:`build_sweep_report`).
     """
@@ -269,42 +229,9 @@ def degradation_section(events: Sequence[dict]) -> "ReportSection":
     return ReportSection(
         "Degradation timeline",
         ["#", "event", "point", "executor", "detail"], rows,
-        note="Driver, pool and fabric events in occurrence order: "
-             "retries, straggler flags, timeouts, pool rebuilds, "
-             "fallbacks, worker losses and quarantines.  The executor "
-             "column names the fabric worker involved.  An absent "
-             "section means the sweep ran clean.")
-
-
-def worker_section(workers: Sequence) -> "ReportSection":
-    """Per-worker fabric health: state, completions, failures.
-
-    ``workers`` is :meth:`repro.fabric.FabricCoordinator.worker_health`
-    — the fleet's end-of-sweep snapshot, one row per worker, after the
-    coordinator ran a sweep under
-    :func:`repro.experiments.parallel.run_points`.
-    """
-    from repro.experiments.report import ReportSection
-
-    rows = []
-    for worker in workers:
-        rows.append([
-            worker.name,
-            worker.host or "-",
-            worker.pid if worker.pid is not None else "-",
-            worker.state,
-            worker.completed,
-            worker.failures,
-            worker.duplicates,
-        ])
-    return ReportSection(
-        "Fabric workers",
-        ["worker", "host", "pid", "state", "completed", "failures",
-         "duplicates"],
-        rows,
-        note="End-of-sweep worker fleet health; 'duplicates' counts "
-             "completions deduplicated by the coordinator (re-leased "
-             "points finishing twice).")
+        note="Driver and pool events in occurrence order: retries, "
+             "straggler flags, timeouts, pool rebuilds and the serial "
+             "fallback.  An absent section means the sweep ran clean.")
 
 
 def metrics_section(registry: MetricsRegistry) -> "ReportSection":
@@ -329,20 +256,17 @@ def metrics_section(registry: MetricsRegistry) -> "ReportSection":
 
 def build_sweep_report(points: Sequence,
                        title: Optional[str] = None,
-                       events: Optional[Sequence[dict]] = None,
-                       workers: Optional[Sequence] = None
+                       events: Optional[Sequence[dict]] = None
                        ) -> "RunReport":
     """Assemble the sweep dashboard from telemetry points.
 
     ``points`` is what a traced
     :func:`repro.experiments.parallel.run_sweep` returns (``None``
     entries from skipped points are ignored).
-    ``events``, an executor's timeline (``Executor.events``), render
-    as the degradation timeline; ``workers`` (fabric
-    ``worker_health()`` snapshots) render as the fleet-health section.
-    Sections whose inputs are absent everywhere (no traces, no
-    manifests, no metrics, no events, no workers) are dropped rather
-    than rendered empty.
+    ``events``, the pool's timeline (``PoolExecutor.events``), render
+    as the degradation timeline.  Sections whose inputs are absent
+    everywhere (no traces, no manifests, no metrics, no events) are
+    dropped rather than rendered empty.
     """
     from repro.experiments.report import RunReport
 
@@ -368,8 +292,6 @@ def build_sweep_report(points: Sequence,
         report.sections.append(phase_flame_section(aggregates))
     if events:
         report.sections.append(degradation_section(events))
-    if workers:
-        report.sections.append(worker_section(workers))
     registry = telemetry.merged_metrics()
     if registry.counters or registry.gauges or registry.timings:
         report.sections.append(metrics_section(registry))
@@ -387,5 +309,4 @@ __all__ = [
     "degradation_section",
     "phase_flame_section",
     "metrics_section",
-    "worker_section",
 ]

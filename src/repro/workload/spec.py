@@ -5,8 +5,8 @@ built from block-touch rules with a parameter generator (zipf /
 uniform / fixed / append), over either the default ODB segment layout
 or a custom one, optionally modulated by a cyclic phase schedule (the
 paper's Figures 12-14 new-order / payment waves).  Everything here is
-a frozen dataclass so specs hash, pickle across process pools and the
-sweep fabric, and fingerprint stably into cache keys.
+a frozen dataclass so specs hash, pickle across process pools, and
+fingerprint stably into cache keys.
 
 Validation happens at construction: every ``__post_init__`` raises
 :class:`WorkloadSpecError` with a single actionable line naming the

@@ -1,12 +1,11 @@
-"""One failure matrix, every executor: the sweep driver's contract.
+"""One failure matrix, in-process and on the pool: the driver's contract.
 
 The same seeded chaos (a poisoned point, a killed worker, a hang past
-the point deadline) runs in-process, on the local pool and on stdio
-fabric workers; each must return results bit-identical to the serial
-oracle, journal every point exactly once and retry the same points.
-Also here: deadlines measure running points only, every journaled
-sweep holds the journal's owner lock, and an untraced fabric sweep
-ships no telemetry it would throw away.
+the point deadline) runs in-process and on the local pool; each must
+return results bit-identical to the serial oracle, journal every point
+exactly once and retry the same points.  Also here: deadlines measure
+running points only, and every journaled sweep holds the journal's
+owner lock.
 """
 
 import json
@@ -16,6 +15,7 @@ import pytest
 
 from repro.experiments.configs import FAST_SETTINGS
 from repro.experiments.parallel import (
+    ChaosPolicy,
     PoolExecutor,
     RunSpec,
     SupervisorPolicy,
@@ -25,8 +25,6 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.resilience import JournalOwnershipError, SweepJournal
 from repro.experiments.runner import sweep
-from repro.fabric import FabricChaosPolicy, FabricCoordinator, FabricPolicy
-from repro.fabric.transports import StdioTransport
 
 PROCESSORS = 1
 GRID = (10, 25, 40)
@@ -53,9 +51,8 @@ def three_fault_chaos(keys, delay_s):
     """The first seed whose attempt-0 draws give the three grid points
     one each of poison, kill and hang."""
     for seed in range(1000):
-        chaos = FabricChaosPolicy(seed=seed, kill=1 / 3, hang=1 / 3,
-                                  poison=1 / 3, attempts=1,
-                                  delay_s=delay_s)
+        chaos = ChaosPolicy(seed=seed, kill=1 / 3, hang=1 / 3,
+                            poison=1 / 3, attempts=1, delay_s=delay_s)
         if {chaos.action(key, 0) for key in keys} == {"poison", "kill",
                                                       "hang"}:
             return chaos
@@ -63,9 +60,9 @@ def three_fault_chaos(keys, delay_s):
 
 
 class TestFailureMatrixConformance:
-    """Poison, kill and hang past the deadline, on every executor."""
+    """Poison, kill and hang past the deadline, in-process and pooled."""
 
-    @pytest.mark.parametrize("where", ["in-process", "pool", "fabric"])
+    @pytest.mark.parametrize("where", ["in-process", "pool"])
     def test_same_chaos_same_contract(self, where, serial_reference,
                                       tmp_path, monkeypatch):
         keys = [RunSpec(warehouses=w, processors=PROCESSORS,
@@ -73,15 +70,9 @@ class TestFailureMatrixConformance:
         chaos = three_fault_chaos(keys, delay_s=5.0)
         policy = SupervisorPolicy(max_retries=3, base_backoff_s=0.01,
                                   max_backoff_s=0.05, point_timeout_s=4.0)
-        if where == "fabric":
-            executor = FabricCoordinator(
-                fabric=FabricPolicy(workers=3, heartbeat_s=0.1,
-                                    heartbeat_timeout_s=1.5),
-                chaos=chaos)
-        else:
-            if where == "in-process":
-                monkeypatch.setenv("REPRO_SERIAL", "1")
-            executor = PoolExecutor(jobs=1, chaos=chaos)
+        if where == "in-process":
+            monkeypatch.setenv("REPRO_SERIAL", "1")
+        executor = PoolExecutor(jobs=1, chaos=chaos)
         journal = tmp_path / "journal.jsonl"
         points = run_sweep(GRID, PROCESSORS, settings=FAST_SETTINGS,
                            executor=executor, policy=policy,
@@ -165,14 +156,14 @@ class TestJournalOwnership:
         assert not journal.lock_path.exists()  # broken, then released
         assert len(journal_keys(journal.path)) == 1
 
-    def test_snapshot_fabric_sweep_resumes_from_its_journal(
+    def test_snapshot_pool_sweep_resumes_from_its_journal(
             self, tmp_path, monkeypatch, capsys):
         from repro.cli import main
         from repro.obs.snapshot import SweepSnapshot
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         journal = tmp_path / "journal.jsonl"
-        base = ["sweep", "--fast", "-p", "1", "--workers", "2",
+        base = ["sweep", "--fast", "-p", "1", "--jobs", "2",
                 "--journal", str(journal)]
         assert main(base + ["--grid", "10",
                             "--snapshot", str(tmp_path / "a.json")]) == 0
@@ -183,41 +174,3 @@ class TestJournalOwnership:
         assert len(keys) == 2 and len(set(keys)) == 2
         assert len(SweepSnapshot.load(tmp_path / "b.json").points) == 2
 
-
-class TestUntracedFabric:
-    def test_untraced_sweep_ships_no_trace(self, tmp_path):
-        grid = (10, 25)
-        frames = []
-
-        def recording(transport):
-            poll = transport.poll
-
-            def wrapped():
-                items = poll()
-                frames.extend(item for item in items
-                              if isinstance(item, dict)
-                              and item.get("type") == "result")
-                return items
-
-            transport.poll = wrapped
-            return transport
-
-        coordinator = FabricCoordinator(
-            transports=[recording(StdioTransport.launch(
-                f"worker-{i}", heartbeat_s=0.1)) for i in range(2)],
-            fabric=FabricPolicy(workers=2, heartbeat_s=0.1,
-                                heartbeat_timeout_s=1.5))
-        points = run_points(
-            [RunSpec(warehouses=w, processors=PROCESSORS,
-                     settings=FAST_SETTINGS) for w in grid],
-            coordinator, use_cache=False)
-        assert (canonical(p.result for p in points)
-                == canonical(sweep(grid, PROCESSORS, settings=FAST_SETTINGS,
-                                   use_cache=False)))
-        assert len(frames) >= len(grid)
-        assert all("trace" not in f and "metrics" not in f for f in frames)
-        for point in points:
-            assert point.trace is None and point.metrics is None
-            assert point.worker.startswith("worker-")
-            assert point.manifest.worker_id == point.worker
-            assert point.manifest.worker_host

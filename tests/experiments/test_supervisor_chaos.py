@@ -10,6 +10,7 @@ import pytest
 from repro.experiments.configs import FAST_SETTINGS
 from repro.experiments.parallel import (
     ChaosError,
+    ChaosPolicy,
     PoolExecutor,
     RunSpec,
     SupervisorPolicy,
@@ -20,7 +21,6 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.resilience import SweepJournal
 from repro.experiments.runner import sweep
-from repro.fabric.chaos import FabricChaosPolicy as ChaosPolicy
 from repro.obs import metrics as metrics_module
 from repro.obs.sweep_report import build_sweep_report, degradation_section
 

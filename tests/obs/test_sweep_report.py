@@ -138,6 +138,19 @@ class TestSections:
         shares = [int(row[6].rstrip("%")) for row in section.rows]
         assert 95 <= sum(shares) <= 105
 
+    def test_degradation_executor_falls_back_to_worker_field(self):
+        from repro.obs.sweep_report import degradation_section
+
+        section = degradation_section([
+            {"seq": 0, "event": "worker-lost", "worker": "worker-2",
+             "reason": "channel closed"},
+            {"seq": 1, "event": "shard-failover", "shard": 1},
+        ])
+        assert section.headers[3] == "executor"
+        assert section.rows[0][3] == "worker-2"
+        assert section.rows[1][3] == 1
+        assert "worker=worker-2" not in section.rows[0][4]
+
 
 class TestBuildSweepReport:
     def test_all_sections_present_with_full_telemetry(self):
@@ -175,90 +188,6 @@ class TestBuildSweepReport:
     def test_explicit_title_wins(self):
         report = build_sweep_report([fake_point(10)], title="My sweep")
         assert report.title == "My sweep"
-
-
-class TestWorkerTracks:
-    """Fabric points keep per-worker flame tracks and fleet health."""
-
-    def test_aggregate_phases_separates_worker_tracks(self):
-        aggregates = aggregate_phases([fake_trace(), fake_trace()],
-                                      workers=["worker-0", "worker-1"])
-        tracks = {(agg.worker, agg.name) for agg in aggregates}
-        # Same phases, one track per worker — never merged.
-        assert ("worker-0", "run") in tracks
-        assert ("worker-1", "run") in tracks
-        by_track = {(agg.worker, agg.name): agg for agg in aggregates}
-        assert by_track[("worker-0", "run")].calls == 1
-
-    def test_missing_or_empty_labels_fold_into_local_track(self):
-        merged = aggregate_phases([fake_trace(), fake_trace()],
-                                  workers=["", ""])
-        assert {agg.worker for agg in merged} == {""}
-        assert {agg.name: agg.calls for agg in merged}["run"] == 2
-        # No labels at all behaves identically.
-        assert merged == aggregate_phases([fake_trace(), fake_trace()])
-
-    def test_flame_worker_column_only_when_distributed(self):
-        local = phase_flame_section(aggregate_phases([fake_trace()]))
-        assert "worker" not in local.headers
-        remote = phase_flame_section(
-            aggregate_phases([fake_trace()], workers=["worker-0"]))
-        assert remote.headers[1] == "worker"
-        assert all(row[1] == "worker-0" for row in remote.rows)
-
-    def test_sweep_telemetry_threads_point_workers(self):
-        import dataclasses
-
-        points = [dataclasses.replace(fake_point(10), worker="worker-0"),
-                  dataclasses.replace(fake_point(25), worker="worker-1")]
-        aggregates = SweepTelemetry(points).phase_aggregates()
-        assert ({agg.worker for agg in aggregates}
-                == {"worker-0", "worker-1"})
-
-    def test_worker_section_renders_fleet_health(self):
-        from repro.fabric.coordinator import WorkerHealth
-        from repro.obs.sweep_report import worker_section
-
-        section = worker_section([
-            WorkerHealth(name="worker-0", host="hostA", pid=11,
-                         state="ready", completed=3, failures=0,
-                         duplicates=1),
-            WorkerHealth(name="worker-1", host="", pid=None,
-                         state="lost", completed=0, failures=2,
-                         duplicates=0),
-        ])
-        assert section.title == "Fabric workers"
-        assert section.rows[0] == ["worker-0", "hostA", 11, "ready",
-                                   3, 0, 1]
-        assert section.headers[-1] == "duplicates"
-        assert section.rows[1][1] == "-" and section.rows[1][2] == "-"
-
-    def test_degradation_executor_falls_back_to_worker_field(self):
-        from repro.obs.sweep_report import degradation_section
-
-        section = degradation_section([
-            {"seq": 0, "event": "worker-lost", "worker": "worker-2",
-             "reason": "channel closed"},
-            {"seq": 1, "event": "shard-failover", "shard": 1},
-        ])
-        assert section.headers[3] == "executor"
-        assert section.rows[0][3] == "worker-2"
-        assert section.rows[1][3] == 1
-        assert "worker=worker-2" not in section.rows[0][4]
-
-    def test_build_sweep_report_includes_fleet_section(self):
-        from repro.fabric.coordinator import WorkerHealth
-
-        report = build_sweep_report(
-            [fake_point(10)],
-            workers=[WorkerHealth(name="worker-0", host="h", pid=1,
-                                  state="ready", completed=1, failures=0,
-                                  duplicates=0)])
-        titles = [section.title for section in report.sections]
-        assert "Fabric workers" in titles
-        # No fleet: the section is absent, exactly as before the fabric.
-        plain = build_sweep_report([fake_point(10)])
-        assert "Fabric workers" not in [s.title for s in plain.sections]
 
 
 class TestEdgeCases:

@@ -362,8 +362,7 @@ def check_api_module_map(repo: Path) -> list[str]:
     Two-way: every ``repro.*`` name on a ``###`` module-map heading
     must import-resolve to a package or module on disk, and every
     subpackage under ``src/repro`` must appear on some heading — so a
-    new subsystem (like ``repro.fabric``) cannot
-    land without an API.md entry.
+    new subsystem cannot land without an API.md entry.
     """
     api = repo / "docs" / "API.md"
     if not api.exists():  # pragma: no cover - repo invariant
