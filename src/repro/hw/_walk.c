@@ -1,10 +1,11 @@
-/* The cache-walk kernel: LRU cache, TLB and predictor state, and the
- * three reference walks of repro.hw.hierarchy (DESIGN.md §11, "Compiled
- * walk kernel"); then CPython's random stream and the samplers that
- * draw from it: the prewarm plans of repro.odb and the trace segments
- * of repro.hw.trace (DESIGN.md §11, "Compiled sampling"); last, the
- * SGA buffer cache of repro.db, which the DES and the prewarm replay
- * share (DESIGN.md §11, "Buffer-cache LRU").
+/* The cache-walk kernel: LRU cache, TLB and predictor state, the
+ * coherence directory, and the three reference walks of
+ * repro.hw.hierarchy (DESIGN.md §11, "Compiled walk kernel"); then
+ * CPython's random stream and the samplers that draw from it: the
+ * prewarm plans of repro.odb, and the trace segments and the
+ * transaction loop of repro.hw.trace (DESIGN.md §11, "Compiled
+ * sampling"); last, the SGA buffer cache of repro.db, which the DES and
+ * the prewarm share (DESIGN.md §11, "Buffer-cache LRU").
  *
  * Every reference, batched or single, goes through one probe per kind:
  * data_ref, fetch_ref, branch_ref.  The batched walks add only the
@@ -141,6 +142,176 @@ void predictor_flush(predictor_t *p)
         p->table[i] = 2;  /* weakly taken */
 }
 
+/* -- coherence directory --------------------------------------------- */
+
+/* repro.hw.coherence: write-invalidate, with a miss by a CPU on a line
+ * it lost to another CPU's write classified as a coherence miss.  A
+ * line's entry is never removed (an emptied one reads as absent), so
+ * the table only grows, doubling when it would pass half full. */
+
+#define DIR_MIN_BITS 8
+
+static inline uint64_t dir_home(uint64_t line, uint32_t bits)
+{
+    return (line * 0x9E3779B97F4A7C15ULL) >> (64 - bits);
+}
+
+/* The table index holding `line`, or the empty entry ending its run. */
+static inline uint64_t dir_probe(const dir_t *d, uint64_t line)
+{
+    uint64_t mask = ((uint64_t)1 << d->table_bits) - 1;
+    uint64_t i = dir_home(line, d->table_bits);
+    while (d->table[i].used && d->table[i].line != line)
+        i = (i + 1) & mask;
+    return i;
+}
+
+static int dir_grow(dir_t *d)
+{
+    uint32_t bits = d->table_bits + 1;
+    uint64_t size = (uint64_t)1 << bits, mask = size - 1;
+    dir_line_t *old = d->table, *table = calloc(size, sizeof *table);
+    if (!table)
+        return 0;
+    for (uint64_t k = 0; k < size / 2; ++k) {
+        uint64_t i;
+        if (!old[k].used)
+            continue;
+        i = dir_home(old[k].line, bits);
+        while (table[i].used)
+            i = (i + 1) & mask;
+        table[i] = old[k];
+    }
+    free(old);
+    d->table = table;
+    d->table_bits = bits;
+    return 1;
+}
+
+/* The entry of `line`, taken empty if new; NULL when the table cannot
+ * grow. */
+static inline dir_line_t *dir_entry(dir_t *d, uint64_t line)
+{
+    dir_line_t *e = d->table + dir_probe(d, line);
+    if (e->used)
+        return e;
+    if (2 * (d->lines + 1) > ((uint64_t)1 << d->table_bits)) {
+        if (!dir_grow(d))
+            return NULL;
+        e = d->table + dir_probe(d, line);
+    }
+    e->used = 1;
+    e->line = line;
+    e->sharers = e->stolen = 0;
+    e->owner = -1;
+    d->lines++;
+    return e;
+}
+
+dir_t *dir_new(uint32_t processors)
+{
+    dir_t *d = calloc(1, sizeof *d);
+    if (!d)
+        return NULL;
+    d->processors = processors;
+    d->table_bits = DIR_MIN_BITS;
+    d->table = calloc((size_t)1 << DIR_MIN_BITS, sizeof *d->table);
+    if (!d->table) {
+        free(d);
+        return NULL;
+    }
+    return d;
+}
+
+void dir_free(dir_t *d)
+{
+    if (!d)
+        return;
+    free(d->table);
+    free(d);
+}
+
+/* A read by `cpu`: 1 for a coherence miss, else 0; -1 when the table
+ * cannot grow.  A read miss on a line another CPU holds modified is an
+ * intervention (cache-to-cache supply) and demotes the owner. */
+int dir_read(dir_t *d, uint32_t cpu, uint64_t line, int was_miss)
+{
+    uint32_t bit = (uint32_t)1 << cpu;
+    dir_line_t *e = dir_entry(d, line);
+    int coherence = 0;
+    if (!e)
+        return -1;
+    if (was_miss) {
+        if (e->stolen & bit) {
+            e->stolen &= ~bit;
+            d->coherence_misses++;
+            coherence = 1;
+        }
+        if (e->owner >= 0 && (uint32_t)e->owner != cpu) {
+            d->interventions++;
+            e->owner = -1;
+        }
+    }
+    e->sharers |= bit;
+    return coherence;
+}
+
+/* A write by `cpu`: the other sharers lose the line (their L2 and L3
+ * copies too, when attached).  Returns the coherence-miss flag in bit 0
+ * and the invalidated CPUs' mask above it; -1 when the table cannot
+ * grow. */
+int64_t dir_write(dir_t *d, uint32_t cpu, uint64_t line, int was_miss)
+{
+    uint32_t bit = (uint32_t)1 << cpu, remote;
+    dir_line_t *e = dir_entry(d, line);
+    int coherence = 0;
+    if (!e)
+        return -1;
+    if (was_miss && (e->stolen & bit)) {
+        e->stolen &= ~bit;
+        d->coherence_misses++;
+        coherence = 1;
+    }
+    remote = e->sharers & ~bit;
+    if (remote) {
+        e->stolen |= remote;
+        for (uint32_t other = 0; other < d->processors; ++other) {
+            if (!(remote >> other & 1))
+                continue;
+            d->invalidations++;
+            if (d->l2[other]) {
+                cache_invalidate(d->l2[other], line);
+                cache_invalidate(d->l3[other], line);
+            }
+        }
+    }
+    if (e->owner >= 0 && (uint32_t)e->owner != cpu)
+        d->interventions++;
+    e->sharers = bit;
+    e->owner = (int32_t)cpu;
+    return (int64_t)remote << 1 | coherence;
+}
+
+/* A capacity eviction from `cpu`: not a theft, so a later miss on the
+ * line is no coherence miss.  A line `cpu` does not hold is left as is. */
+void dir_evict(dir_t *d, uint32_t cpu, uint64_t line)
+{
+    uint32_t bit = (uint32_t)1 << cpu;
+    dir_line_t *e = d->table + dir_probe(d, line);
+    if (!e->used || !e->sharers)
+        return;
+    e->sharers &= ~bit;
+    if (e->owner == (int32_t)cpu)
+        e->owner = -1;
+    e->stolen &= ~bit;
+}
+
+uint32_t dir_sharers(const dir_t *d, uint64_t line)
+{
+    const dir_line_t *e = d->table + dir_probe(d, line);
+    return e->used ? e->sharers : 0;
+}
+
 /* -- the three probes ------------------------------------------------ */
 
 /* A fill from L3 after an L2 miss; returns 1 when L3 missed too.  The
@@ -196,6 +367,29 @@ static inline int data_ref(hier_t *h, uint64_t address, int write,
     return L2_MISSED | (l3_fill(h, line, write, kernel) ? L3_MISSED : 0);
 }
 
+/* A data reference that may be shared: after the probe, a shared one
+ * on a CPU with a directory goes through it, and a coherence miss is
+ * counted.  Returns the probe's bits, or -1 when the directory cannot
+ * grow.  The directory changes only the other CPUs' caches, so it can
+ * never change this CPU's walk, hit streak included. */
+static inline int shared_ref(hier_t *h, uint64_t address, int write,
+                             int kernel, int shared, uint64_t *last_page,
+                             uint64_t *last_line)
+{
+    int missed = data_ref(h, address, write, kernel, last_page, last_line);
+    if (shared && h->dir) {
+        uint64_t line = address >> h->l2->line_shift;
+        int l3_missed = (missed & L3_MISSED) != 0;
+        int64_t result = write ? dir_write(h->dir, h->cpu, line, l3_missed)
+                               : dir_read(h->dir, h->cpu, line, l3_missed);
+        if (result < 0)
+            return -1;
+        if (result & 1)
+            COUNT(h, EV_COHERENCE_MISSES, kernel);
+    }
+    return missed;
+}
+
 /* One instruction fetch; returns 1 on a TC miss, which fills through
  * L2/L3 like a data read. */
 static inline int fetch_ref(hier_t *h, uint64_t address, int kernel,
@@ -235,9 +429,11 @@ static inline int branch_ref(hier_t *h, uint64_t pc, int taken, int kernel)
 
 /* -- single references ----------------------------------------------- */
 
-int hier_data(hier_t *h, uint64_t address, int write, int kernel)
+int hier_data(hier_t *h, uint64_t address, int write, int kernel,
+              int shared)
 {
-    return data_ref(h, address, write != 0, kernel != 0, NULL, NULL);
+    return shared_ref(h, address, write != 0, kernel != 0, shared, NULL,
+                      NULL);
 }
 
 int hier_fetch(hier_t *h, uint64_t address, int kernel)
@@ -252,17 +448,11 @@ int hier_branch(hier_t *h, uint64_t pc, int taken, int kernel)
 
 /* -- walks ----------------------------------------------------------- */
 
-/* Walk packed data references (address << 2 | write << 1 | shared).
- * With `record_shared`, the shared references are compacted to the
- * front of `run`, in order, with the shared bit replaced by the
- * reference's L3-miss flag, for the caller's coherence directory; the
- * return value is their count.  A write position never passes the read
- * position, so no unread entry is overwritten. */
-size_t walk_data(hier_t *h, uint64_t *run, size_t n, int kernel,
-                 int record_shared)
+/* Walk packed data references (address << 2 | write << 1 | shared);
+ * 0, or -1 when the directory cannot grow. */
+int walk_data(hier_t *h, const uint64_t *run, size_t n, int kernel)
 {
     uint64_t last_page, last_line;
-    size_t shared = 0;
     if (n == 0)
         return 0;
     /* Streak seeds the first reference cannot match. */
@@ -271,12 +461,11 @@ size_t walk_data(hier_t *h, uint64_t *run, size_t n, int kernel,
     kernel = kernel != 0;
     for (size_t k = 0; k < n; ++k) {
         uint64_t code = run[k];
-        int missed = data_ref(h, code >> 2, (code >> 1) & 1, kernel,
-                              &last_page, &last_line);
-        if (record_shared && (code & 1))
-            run[shared++] = (code & ~(uint64_t)1) | ((missed & L3_MISSED) != 0);
+        if (shared_ref(h, code >> 2, (code >> 1) & 1, kernel, code & 1,
+                       &last_page, &last_line) < 0)
+            return -1;
     }
-    return shared;
+    return 0;
 }
 
 void walk_fetch(hier_t *h, const uint64_t *run, size_t n, int kernel)
@@ -394,11 +583,15 @@ uint32_t mt_randbelow(mt_t *mt, uint32_t n)
     return n ? rand_below(mt, n) : 0;
 }
 
-/* Knuth's Poisson count against threshold = exp(-mean), mean > 0. */
+/* Knuth's Poisson count against threshold = exp(-mean); a threshold
+ * above 1 stands for a mean <= 0 and draws nothing. */
 uint32_t mt_poisson(mt_t *mt, double threshold)
 {
     uint32_t count = 0;
-    double product = rand_u(mt);
+    double product;
+    if (threshold > 1.0)
+        return 0;
+    product = rand_u(mt);
     while (product > threshold) {
         count++;
         product *= rand_u(mt);
@@ -453,6 +646,8 @@ size_t sample_plans(mt_t *mt, const double *mix_cdf, uint32_t types,
 #define CODE_LINE 64
 #define HOT_BASE 0
 #define WARM_BASE ((uint64_t)1 << 24)
+#define PRIVATE_BASE ((uint64_t)1 << 25)
+#define KERNEL_SYNC_BASE ((uint64_t)7 << 26)
 #define KERNEL_DATA_BASE ((uint64_t)1 << 28)
 #define KERNEL_COLD_BASE ((uint64_t)1 << 29)
 #define KERNEL_TASK_BASE ((uint64_t)3 << 28)
@@ -571,6 +766,104 @@ size_t gen_kernel_data(gen_t *g, size_t refs, size_t slab_refs,
         }
     }
     return n;
+}
+
+/* -- the trace transaction loop --------------------------------------- */
+
+/* A kernel burst on `h` (gen_kernel_data's references, then the burst's
+ * kernel code); 0, or -1 when the directory cannot grow. */
+static int kernel_burst(gen_t *g, hier_t *h, size_t refs, size_t slab_refs,
+                        int64_t task_client)
+{
+    size_t n = gen_kernel_data(g, refs, slab_refs, task_client, g->buffer);
+    if (walk_data(h, g->buffer, n, 1) < 0)
+        return -1;
+    gen_code(g, 1, g->buffer, g->burst_code_refs);
+    walk_fetch(h, g->buffer, g->burst_code_refs, 1);
+    return 0;
+}
+
+/* An address-space switch: the DTLB is flushed. */
+static inline void context_switch(hier_t *h)
+{
+    cache_flush(h->dtlb);
+    h->counts[2 * EV_CONTEXT_SWITCHES]++;
+}
+
+/* One transaction's reference stream on `cpu` for `client`.  The user
+ * work is split into segments separated by I/O waits; each I/O makes a
+ * kernel burst and, while switches remain, a context switch.  The
+ * switches left over are contention-driven (lock waits): scheduler
+ * work, the incoming process's task state, and the contended wait-queue
+ * lines, written from whichever CPU blocks.  Each segment is filled
+ * into the buffer and walked in place.  0, or -1 when the directory
+ * cannot grow. */
+int trace_transaction(gen_t *g, uint32_t cpu, uint32_t client)
+{
+    mt_t *mt = &g->mt;
+    hier_t *h = g->cpus[cpu];
+    uint64_t *buffer = g->buffer;
+    uint64_t private_base = PRIVATE_BASE
+                            + (uint64_t)client * g->private_lines * 2 * LINE;
+    uint32_t user_left = g->user_refs, code_left = g->code_refs;
+    uint32_t branches_left = g->branches;
+    uint32_t reads, switches, segments;
+    g->recent_len = 0;
+    reads = mt_poisson(mt, g->reads_threshold);
+    switches = mt_poisson(mt, g->switches_threshold);
+    segments = reads + 1;
+    for (uint32_t segment = 0; segment < segments; ++segment) {
+        uint32_t left = segments - segment;
+        uint32_t share = user_left / left, code_share = code_left / left;
+        uint32_t branch_share = branches_left / left;
+        gen_user_data(g, private_base, buffer, share);
+        if (walk_data(h, buffer, share, 0) < 0)
+            return -1;
+        gen_code(g, 0, buffer, code_share);
+        walk_fetch(h, buffer, code_share, 0);
+        gen_branches(g, buffer, branch_share);
+        walk_branch(h, buffer, branch_share, 0);
+        user_left -= share;
+        code_left -= code_share;
+        branches_left -= branch_share;
+        if (segment < reads) {
+            uint32_t next_client = rand_below(mt, g->clients);
+            if (kernel_burst(g, h, g->io_refs, g->io_slab_refs,
+                             switches ? (int64_t)next_client : -1) < 0)
+                return -1;
+            if (switches) {
+                context_switch(h);
+                switches--;
+            }
+        }
+    }
+    if (kernel_burst(g, h, g->base_refs, 0, -1) < 0)
+        return -1;
+    for (; switches; --switches) {
+        if (kernel_burst(g, h, g->cs_refs, 0, rand_below(mt, g->clients)) < 0)
+            return -1;
+        for (uint32_t k = 0; k < g->sync_refs_per_cs; ++k) {
+            uint64_t address = KERNEL_SYNC_BASE
+                               + (uint64_t)rand_below(mt, g->sync_lines) * LINE;
+            if (shared_ref(h, address, rand_u(mt) < 0.5, 1, 1, NULL,
+                           NULL) < 0)
+                return -1;
+        }
+        context_switch(h);
+    }
+    return 0;
+}
+
+/* `transactions` transactions round-robin over the clients, each client
+ * on its home CPU (client % processors). */
+int trace_run(gen_t *g, uint64_t transactions)
+{
+    for (uint64_t index = 0; index < transactions; ++index) {
+        uint32_t client = (uint32_t)(index % g->clients);
+        if (trace_transaction(g, client % g->processors, client) < 0)
+            return -1;
+    }
+    return 0;
 }
 
 /* -- the SGA buffer cache ---------------------------------------------- */
@@ -866,5 +1159,30 @@ int lru_copy(lru_t *dst, const lru_t *src)
     else
         lru_rehash(dst);
     dst->hits = dst->misses = dst->dirty_evictions = dst->clean_evictions = 0;
+    return 0;
+}
+
+/* repro.odb.popularity.steady_state_fill into an empty cache: row r
+ * installs copies[r] units stride apart from bases[r], in order, each
+ * dirty when its draw from `mt` falls below dirty_probs[r].  The units
+ * are distinct and fit, so every install is a miss that appends to the
+ * recent end.  The counters end zeroed; -1 when the cache is not empty,
+ * the units do not fit, or it cannot grow. */
+int lru_fill(lru_t *c, mt_t *mt, const uint64_t *bases,
+             const uint64_t *copies, const double *dirty_probs, size_t rows,
+             uint64_t stride)
+{
+    uint64_t total = 0, victim;
+    for (size_t r = 0; r < rows; ++r)
+        total += copies[r];
+    if (c->used || total > c->capacity || total > LRU_MAX_SLOTS
+        || !lru_reserve(c, (uint32_t)total))
+        return -1;
+    for (size_t r = 0; r < rows; ++r)
+        for (uint64_t k = 0; k < copies[r]; ++k)
+            if (lru_install(c, bases[r] + k * stride,
+                            rand_u(mt) < dirty_probs[r], &victim) < 0)
+                return -1;
+    c->hits = c->misses = c->dirty_evictions = c->clean_evictions = 0;
     return 0;
 }

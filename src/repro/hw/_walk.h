@@ -1,5 +1,6 @@
-/* Declarations of the compiled kernel (_walk.c): the cache walk, the
- * exact samplers and the buffer-cache LRU.
+/* Declarations of the compiled kernel (_walk.c): the cache walk and the
+ * coherence directory, the exact samplers and the trace transaction
+ * loop, and the buffer-cache LRU.
  *
  * This file is also the cffi cdef, so it holds only plain declarations:
  * no preprocessor lines, and array sizes written as literals.
@@ -32,12 +33,39 @@ enum {
     EV_L3_WRITEBACKS, EV_COHERENCE_MISSES, EV_CONTEXT_SWITCHES
 };
 
+/* One line of the coherence directory: the CPUs holding it, the CPUs
+ * that lost it to a remote write since they last held it, and the CPU
+ * holding it modified (-1 for none).  `used` marks a taken entry. */
+typedef struct {
+    uint64_t line;
+    uint32_t sharers, stolen;
+    int32_t owner;
+    uint32_t used;
+} dir_line_t;
+
+/* The write-invalidate directory over at most 32 CPUs
+ * (repro.hw.coherence): an open-addressing table of 2^table_bits lines,
+ * at most half full.  l2[cpu]/l3[cpu], when set, are the caches a
+ * remote write invalidates. */
+typedef struct {
+    dir_line_t *table;
+    uint32_t table_bits, processors;
+    uint64_t lines;
+    cache_t *l2[32];
+    cache_t *l3[32];
+    uint64_t invalidations, interventions, coherence_misses;
+} dir_t;
+
 /* One CPU's private stack.  counts[2 * event + kernel] holds the split
- * counts; counts[2 * EV_CONTEXT_SWITCHES] the context switches. */
+ * counts; counts[2 * EV_CONTEXT_SWITCHES] the context switches.  With a
+ * directory (dir), shared data references are this CPU's (cpu) traffic
+ * on it. */
 typedef struct {
     cache_t *dtlb, *tc, *l2, *l3;
     predictor_t *predictor;
     uint64_t counts[21];
+    dir_t *dir;
+    uint32_t cpu;
 } hier_t;
 
 /* cache_access result bits. */
@@ -54,12 +82,19 @@ uint64_t cache_flush(cache_t *c);
 int predict(predictor_t *p, uint64_t pc, int taken);
 void predictor_flush(predictor_t *p);
 
-int hier_data(hier_t *h, uint64_t address, int write, int kernel);
+dir_t *dir_new(uint32_t processors);
+void dir_free(dir_t *d);
+int dir_read(dir_t *d, uint32_t cpu, uint64_t line, int was_miss);
+int64_t dir_write(dir_t *d, uint32_t cpu, uint64_t line, int was_miss);
+void dir_evict(dir_t *d, uint32_t cpu, uint64_t line);
+uint32_t dir_sharers(const dir_t *d, uint64_t line);
+
+int hier_data(hier_t *h, uint64_t address, int write, int kernel,
+              int shared);
 int hier_fetch(hier_t *h, uint64_t address, int kernel);
 int hier_branch(hier_t *h, uint64_t pc, int taken, int kernel);
 
-size_t walk_data(hier_t *h, uint64_t *run, size_t n, int kernel,
-                 int record_shared);
+int walk_data(hier_t *h, const uint64_t *run, size_t n, int kernel);
 void walk_fetch(hier_t *h, const uint64_t *run, size_t n, int kernel);
 void walk_branch(hier_t *h, const uint64_t *run, size_t n, int kernel);
 
@@ -100,7 +135,9 @@ enum {
     CDF_KERNEL_CODE, CDF_HOT_BLOCK
 };
 
-/* The synthetic reference stream's sampler (repro.hw.trace). */
+/* The synthetic reference stream (repro.hw.trace): its sampler, and
+ * the transaction loop that walks it through `cpus`, one run at a time
+ * in `buffer`.  The thresholds are mt_poisson's. */
 typedef struct {
     mt_t mt;
     const double *cdf[7];
@@ -114,6 +151,13 @@ typedef struct {
     uint64_t slab_seq;
     uint64_t recent[24];
     uint32_t recent_len;
+    hier_t **cpus;
+    uint64_t *buffer;
+    uint32_t processors, clients, private_lines;
+    double reads_threshold, switches_threshold;
+    uint32_t user_refs, code_refs, branches;
+    uint32_t io_refs, io_slab_refs, base_refs, cs_refs, burst_code_refs;
+    uint32_t sync_lines, sync_refs_per_cs;
 } gen_t;
 
 void gen_user_data(gen_t *g, uint64_t private_base, uint64_t *run,
@@ -122,6 +166,8 @@ void gen_code(gen_t *g, int kernel, uint64_t *run, size_t n);
 void gen_branches(gen_t *g, uint64_t *run, size_t n);
 size_t gen_kernel_data(gen_t *g, size_t refs, size_t slab_refs,
                        int64_t task_client, uint64_t *run);
+int trace_transaction(gen_t *g, uint32_t cpu, uint32_t client);
+int trace_run(gen_t *g, uint64_t transactions);
 
 /* -- the SGA buffer cache ---------------------------------------------- */
 
@@ -153,3 +199,6 @@ size_t lru_oldest_dirty(const lru_t *c, size_t limit, uint64_t *out);
 size_t lru_snapshot(const lru_t *c, uint64_t *ids, _Bool *dirty);
 int lru_load(lru_t *c, const uint64_t *ids, const _Bool *dirty, size_t n);
 int lru_copy(lru_t *dst, const lru_t *src);
+int lru_fill(lru_t *c, mt_t *mt, const uint64_t *bases,
+             const uint64_t *copies, const double *dirty_probs, size_t rows,
+             uint64_t stride);

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.hw.branch import BimodalPredictor
 from repro.hw.cache import SetAssociativeCache
-from repro.hw.coherence import CoherenceDirectory
+from repro.hw.coherence import CoherenceDirectory, _grown
 from repro.hw.cwalk import ffi, lib
 from repro.hw.machine import CacheConfig, MachineConfig
 from repro.hw.tlb import Tlb
@@ -142,7 +142,7 @@ class CpuHierarchy:
 
     def data_access(self, address: int, write: bool, kernel: bool) -> tuple[bool, bool]:
         """One data reference; returns ``(l2_missed, l3_missed)``."""
-        result = lib.hier_data(self._c, address, write, kernel)
+        result = lib.hier_data(self._c, address, write, kernel, False)
         return bool(result & lib.L2_MISSED), bool(result & lib.L3_MISSED)
 
     def fetch(self, address: int, kernel: bool) -> bool:
@@ -171,9 +171,12 @@ class CpuHierarchy:
 class SmpHierarchy:
     """``P`` private hierarchies kept coherent by one directory.
 
-    Addresses are unsigned, and a packed run entry must fit 64 bits:
-    a negative or oversized one raises :class:`OverflowError` before
-    any state changes.
+    With more than one CPU, every CPU's kernel state points at the
+    directory (``hier_t.dir``), so a shared data reference goes through
+    it inside the walk, and the directory invalidates the other CPUs'
+    L2 and L3 copies itself.  Addresses are unsigned, and a packed run
+    entry must fit 64 bits: a negative or oversized one raises
+    :class:`OverflowError` before any state changes.
     """
 
     def __init__(self, machine: MachineConfig, processors: int, scale: int = 1):
@@ -183,20 +186,21 @@ class SmpHierarchy:
         self.machine = machine
         self.processors = processors
         self.cpus = [CpuHierarchy(machine, cpu, scale) for cpu in range(processors)]
-        self.directory = CoherenceDirectory(processors, self._invalidate)
-        self._line_shift = self.cpus[0].l3.config.line_bytes.bit_length() - 1
+        self.directory = CoherenceDirectory(processors)
         self._states = [hierarchy._c for hierarchy in self.cpus]
-
-    def _invalidate(self, cpu: int, line: int) -> None:
-        self.cpus[cpu].invalidate_data_line(line)
+        if processors > 1:
+            for hierarchy in self.cpus:
+                self.directory.attach(hierarchy.cpu, hierarchy.l2,
+                                      hierarchy.l3)
+                hierarchy._c.dir = self.directory._c
+                hierarchy._c.cpu = hierarchy.cpu
+                hierarchy._directory = self.directory  # the kernel points into it
 
     def data_access(self, cpu: int, address: int, write: bool, kernel: bool,
                     shared: bool = False) -> None:
         """A data reference on ``cpu``; ``shared`` lines engage coherence."""
-        l3_missed = self.cpus[cpu].data_access(address, write, kernel)[1]
-        if shared and self.processors > 1:
-            self._replay(cpu, [(address << 2) | (2 if write else 0) | l3_missed],
-                         1, kernel)
+        _grown(lib.hier_data(self._states[cpu], address, write, kernel,
+                             shared))
 
     def fetch(self, cpu: int, address: int, kernel: bool) -> None:
         """An instruction fetch on ``cpu`` (code is read-shared: no coherence)."""
@@ -208,23 +212,19 @@ class SmpHierarchy:
 
     # -- batched reference walks --------------------------------------------
     #
-    # The trace generator's fast path (DESIGN.md §11): one call walks a
-    # whole run of references in the compiled kernel, through the same
-    # probes as the single-reference methods above, so a run leaves
-    # exactly the state and counts of issuing its references one at a
-    # time.  ``kernel`` is constant per run: the generator batches at
-    # segment granularity (a user segment or a kernel burst).  A run is
-    # a list of ints or a ``uint64_t[]`` cdata, such as a slice of the
-    # generator's buffer, which is walked in place.
+    # One call walks a whole run of references in the compiled kernel,
+    # through the same probes as the single-reference methods above, so
+    # a run leaves exactly the state and counts of issuing its
+    # references one at a time (DESIGN.md §11).  ``kernel`` is constant
+    # per run.  A run is a list of ints or a ``uint64_t[]`` cdata, which
+    # is walked in place.  The trace generator's transaction loop walks
+    # its segments inside the kernel, not through these.
 
     def access_run(self, cpu: int, run, kernel: bool) -> None:
         """Walk packed data references ``(address << 2) | write << 1 |
-        shared`` on ``cpu`` in one pass (a cdata run is overwritten)."""
-        codes = _codes(run)
-        shared = lib.walk_data(self._states[cpu], codes, len(run), kernel,
-                               self.processors > 1)
-        if shared:
-            self._replay(cpu, codes, shared, kernel)
+        shared`` on ``cpu`` in one pass."""
+        _grown(lib.walk_data(self._states[cpu], _codes(run), len(run),
+                             kernel))
 
     def fetch_run(self, cpu: int, run, kernel: bool) -> None:
         """Walk a run of instruction-fetch byte addresses in one pass."""
@@ -233,28 +233,6 @@ class SmpHierarchy:
     def branch_run(self, cpu: int, run, kernel: bool) -> None:
         """Walk packed branches ``(site << 1) | taken`` in one pass."""
         lib.walk_branch(self._states[cpu], _codes(run), len(run), kernel)
-
-    def _replay(self, cpu: int, codes, count: int, kernel: bool) -> None:
-        """Drive the directory with ``cpu``'s shared data references.
-
-        ``codes[:count]`` are ``(address << 2) | write << 1 | l3_missed``,
-        in walk order.  Replaying them after the walk is exact: the
-        directory only invalidates *other* CPUs' lines, so nothing it
-        does can change this CPU's walk.
-        """
-        note_read = self.directory.note_read
-        note_write = self.directory.note_write
-        shift = self._line_shift + 2
-        misses = 0
-        for index in range(count):
-            code = codes[index]
-            if code & 2:
-                misses += note_write(cpu, code >> shift, code & 1)
-            else:
-                misses += note_read(cpu, code >> shift, code & 1)
-        if misses:
-            self._states[cpu].counts[
-                2 * lib.EV_COHERENCE_MISSES + bool(kernel)] += misses
 
     def context_switch(self, cpu: int) -> None:
         """Apply context-switch perturbation to TLBs and caches."""

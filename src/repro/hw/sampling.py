@@ -27,6 +27,12 @@ _WORDS = 624
 RANDBELOW_LIMIT = 1 << 32
 
 
+def poisson_threshold(mean: float) -> float:
+    """The kernel's Poisson threshold for ``mean``: ``exp(-mean)``, or 2
+    for ``mean <= 0``, which draws nothing."""
+    return math.exp(-mean) if mean > 0 else 2.0
+
+
 def check_bound(name: str, n: int) -> None:
     """Reject a ``randrange`` bound the kernel cannot draw below."""
     if not 0 < n < RANDBELOW_LIMIT:
@@ -95,4 +101,4 @@ class Mersenne:
         """A small-mean Poisson count (Knuth's method): no draw for
         ``mean <= 0``, else uniforms multiplied until the product falls
         to ``exp(-mean)``."""
-        return lib.mt_poisson(self.c, math.exp(-mean)) if mean > 0 else 0
+        return lib.mt_poisson(self.c, poisson_threshold(mean))

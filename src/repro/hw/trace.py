@@ -38,18 +38,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.hw.coherence import _grown
 from repro.hw.cwalk import ffi, lib
 from repro.hw.hierarchy import HierarchyCounts, SmpHierarchy
 from repro.hw.machine import MachineConfig
-from repro.hw.sampling import Mersenne, check_bound, zipf_array
+from repro.hw.sampling import (
+    RANDBELOW_LIMIT,
+    Mersenne,
+    check_bound,
+    poisson_threshold,
+    zipf_array,
+)
 from repro.sim.randomness import RandomStreams
-
-# Region base addresses the Python side uses (byte addresses).  The
-# rest of the address map lives beside the samplers in ``_walk.c``.
-_PRIVATE_BASE = 1 << 25
-_KERNEL_SYNC_BASE = 7 << 26
-
-_LINE = 128  # L2/L3 line size in bytes (both machines)
 
 
 @dataclass(frozen=True)
@@ -183,12 +183,13 @@ class MicroarchRates:
 class TraceGenerator:
     """Drives an :class:`SmpHierarchy` with the synthetic stream.
 
-    The stream is sampled in the walk kernel (DESIGN.md §11, "Compiled
-    sampling"): a ``gen_t`` holds the ``trace`` stream's Mersenne
-    Twister state, the Zipf CDFs and the stream parameters, and fills
-    one segment's run at a time into a buffer that goes to the walk
-    as it is.  The ``Random`` stream is handed to the kernel and back
-    once per :meth:`run` or :meth:`run_transaction` call.
+    The stream is sampled and walked in the walk kernel (DESIGN.md §11,
+    "Compiled sampling"): a ``gen_t`` holds the ``trace`` stream's
+    Mersenne Twister state, the Zipf CDFs, the stream parameters and
+    the CPUs' kernel state of :attr:`smp`, and its transaction loop
+    fills each segment into a buffer and walks it there.  The
+    ``Random`` stream is handed to the kernel and back once per
+    :meth:`run` or :meth:`run_transaction` call.
     """
 
     def __init__(self, machine: MachineConfig, profile: TraceProfile,
@@ -216,8 +217,16 @@ class TraceGenerator:
                   (p.user_code_lines, p.code_skew),
                   (p.kernel_code_lines, p.code_skew),
                   (p.hot_blocks_per_warehouse, p.block_skew))
-        # The gen_t points into these arrays.
+        # The gen_t points into these arrays and into self.smp's state.
         self._cdfs = [zipf_array(n, skew) for n, skew in shapes]
+        self._cpus = ffi.new("hier_t *[]", self.smp._states)
+        # One run buffer, as long as the longest segment or burst; each
+        # run is walked before the next is filled.
+        self._buffer = ffi.new("uint64_t[]", max(
+            p.user_refs_per_txn, p.code_refs_per_txn, p.branches_per_txn,
+            p.os_code_refs_per_burst, p.os_base_refs,
+            p.os_refs_per_io + p.os_slab_refs_per_io + p.os_task_refs_per_cs,
+            p.os_refs_per_cs + p.os_task_refs_per_cs))
         p_hot_warm = p.p_hot + p.p_warm
         self._gen = ffi.new("gen_t *", {
             "cdf": self._cdfs,
@@ -238,104 +247,46 @@ class TraceGenerator:
             "slab_pool_lines": p.os_slab_pool_lines,
             "task_lines_per_client": p.os_task_lines_per_client,
             "task_refs_per_cs": p.os_task_refs_per_cs,
+            "cpus": self._cpus,
+            "buffer": self._buffer,
+            "processors": profile.processors,
+            "clients": profile.clients,
+            "private_lines": p.private_lines,
+            "reads_threshold": poisson_threshold(profile.reads_per_txn),
+            "switches_threshold": poisson_threshold(
+                profile.context_switches_per_txn),
+            "user_refs": p.user_refs_per_txn,
+            "code_refs": p.code_refs_per_txn,
+            "branches": p.branches_per_txn,
+            "io_refs": p.os_refs_per_io,
+            "io_slab_refs": p.os_slab_refs_per_io,
+            "base_refs": p.os_base_refs,
+            "cs_refs": p.os_refs_per_cs,
+            "burst_code_refs": p.os_code_refs_per_burst,
+            "sync_lines": p.os_sync_lines,
+            "sync_refs_per_cs": p.os_sync_refs_per_cs,
         })
         self._mt = Mersenne(ffi.addressof(self._gen, "mt"))
-        # One run buffer, as long as the longest segment or burst; each
-        # run is walked before the next is filled.
-        self._buffer = ffi.new("uint64_t[]", max(
-            p.user_refs_per_txn, p.code_refs_per_txn, p.branches_per_txn,
-            p.os_code_refs_per_burst, p.os_base_refs,
-            p.os_refs_per_io + p.os_slab_refs_per_io + p.os_task_refs_per_cs,
-            p.os_refs_per_cs + p.os_task_refs_per_cs))
-
-    # -- stream segments ----------------------------------------------------
-
-    # A transaction runs as a sequence of segments (user data, user
-    # code, branches, kernel bursts).  Each one is two calls: a kernel
-    # fill draws its references in exactly the order of the original
-    # per-access Python formulation (``tests/hw/reference_trace.py``)
-    # into the run buffer, and one walk call
-    # (:meth:`repro.hw.hierarchy.SmpHierarchy.access_run` and friends)
-    # replays that slice of the buffer through the cache models.  Both
-    # keep the reference order, so every count is bit-identical to the
-    # per-access path.
-
-    def _kernel_burst(self, cpu: int, refs: int, slab_refs: int = 0,
-                      task_client: int = -1) -> None:
-        buffer = self._buffer
-        count = lib.gen_kernel_data(self._gen, refs, slab_refs, task_client,
-                                    buffer)
-        if count:
-            self.smp.access_run(cpu, buffer[0:count], True)
-        count = self.params.os_code_refs_per_burst
-        if count:
-            lib.gen_code(self._gen, True, buffer, count)
-            self.smp.fetch_run(cpu, buffer[0:count], True)
 
     # -- driving ------------------------------------------------------------
 
+    # A transaction runs in the kernel (``trace_transaction`` in
+    # ``_walk.c``) as a sequence of segments: user data, user code,
+    # branches, kernel bursts, context switches.  Each segment is
+    # filled into the run buffer, drawing in exactly the order of the
+    # per-access Python formulation (``tests/hw/reference_trace.py``),
+    # and walked there through the cache models, so every count is
+    # bit-identical to that path.
+
     def run_transaction(self, cpu: int, client: int) -> None:
         """Simulate one transaction's reference stream on ``cpu``."""
+        if not 0 <= cpu < self.profile.processors:
+            raise ValueError(
+                f"cpu {cpu} out of range (P={self.profile.processors})")
+        if not 0 <= client < RANDBELOW_LIMIT:
+            raise ValueError(f"client must be in 0..2**32-1, got {client}")
         with self._mt.borrowed(self._rng):
-            self._transaction(cpu, client)
-
-    def _transaction(self, cpu: int, client: int) -> None:
-        p = self.params
-        gen = self._gen
-        mt = self._mt.c
-        buffer = self._buffer
-        smp = self.smp
-        profile = self.profile
-        gen.recent_len = 0
-        reads = self._mt.poisson(profile.reads_per_txn)
-        switches = self._mt.poisson(profile.context_switches_per_txn)
-        private_base = _PRIVATE_BASE + client * (p.private_lines * 2) * _LINE
-        # Split the user work into segments separated by I/O waits; each
-        # I/O produces a kernel burst and each switch flushes the DTLB.
-        segments = reads + 1
-        user_refs_left = p.user_refs_per_txn
-        code_refs_left = p.code_refs_per_txn
-        branches_left = p.branches_per_txn
-        switches_left = switches
-        for segment in range(segments):
-            share = user_refs_left // (segments - segment)
-            code_share = code_refs_left // (segments - segment)
-            branch_share = branches_left // (segments - segment)
-            if share:
-                lib.gen_user_data(gen, private_base, buffer, share)
-                smp.access_run(cpu, buffer[0:share], False)
-            if code_share:
-                lib.gen_code(gen, False, buffer, code_share)
-                smp.fetch_run(cpu, buffer[0:code_share], False)
-            if branch_share:
-                lib.gen_branches(gen, buffer, branch_share)
-                smp.branch_run(cpu, buffer[0:branch_share], False)
-            user_refs_left -= share
-            code_refs_left -= code_share
-            branches_left -= branch_share
-            if segment < reads:
-                next_client = lib.mt_randbelow(mt, profile.clients)
-                self._kernel_burst(cpu, p.os_refs_per_io,
-                                   slab_refs=p.os_slab_refs_per_io,
-                                   task_client=next_client
-                                   if switches_left > 0 else -1)
-                if switches_left > 0:
-                    smp.context_switch(cpu)
-                    switches_left -= 1
-        self._kernel_burst(cpu, p.os_base_refs)
-        for _ in range(switches_left):
-            # Contention-driven switches (lock waits): scheduler work, the
-            # incoming process's task state, and the contended wait-queue
-            # structures, which bounce between CPUs.
-            self._kernel_burst(cpu, p.os_refs_per_cs,
-                               task_client=lib.mt_randbelow(
-                                   mt, profile.clients))
-            for _ in range(p.os_sync_refs_per_cs):
-                address = (_KERNEL_SYNC_BASE
-                           + lib.mt_randbelow(mt, p.os_sync_lines) * _LINE)
-                smp.data_access(cpu, address, write=lib.mt_random(mt) < 0.5,
-                                kernel=True, shared=True)
-            smp.context_switch(cpu)
+            _grown(lib.trace_transaction(self._gen, cpu, client))
 
     def run(self, transactions: int, warmup: int = 0) -> MicroarchRates:
         """Run ``transactions`` transactions round-robin over clients.
@@ -346,15 +297,10 @@ class TraceGenerator:
         (Section 5.2).  ``warmup`` transactions run first and their
         counts are discarded, mirroring the paper's 20-minute warm-up.
         """
-        profile = self.profile
         with self._mt.borrowed(self._rng):
-            for index in range(warmup):
-                client = index % profile.clients
-                self._transaction(client % profile.processors, client)
+            _grown(lib.trace_run(self._gen, max(0, warmup)))
             self._reset_counts()
-            for index in range(transactions):
-                client = index % profile.clients
-                self._transaction(client % profile.processors, client)
+            _grown(lib.trace_run(self._gen, max(0, transactions)))
         return self.rates()
 
     def _reset_counts(self) -> None:
@@ -419,4 +365,3 @@ class TraceGenerator:
         )
         rates.validate()
         return rates
-

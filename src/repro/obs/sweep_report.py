@@ -217,18 +217,16 @@ def degradation_section(events: Sequence[dict]) -> "ReportSection":
     for event in events:
         detail = ", ".join(
             f"{name}={value}" for name, value in sorted(event.items())
-            if name not in ("seq", "event", "key", "shard", "worker"))
+            if name not in ("seq", "event", "key"))
         rows.append([
             event.get("seq", "-"),
             event.get("event", "-"),
-            event.get("key", event.get("source", "-")),
-            event.get("shard",
-                      event.get("worker", event.get("target", "-"))),
+            event.get("key", "-"),
             detail or "-",
         ])
     return ReportSection(
         "Degradation timeline",
-        ["#", "event", "point", "executor", "detail"], rows,
+        ["#", "event", "point", "detail"], rows,
         note="Driver and pool events in occurrence order: retries, "
              "straggler flags, timeouts, pool rebuilds and the serial "
              "fallback.  An absent section means the sweep ran clean.")

@@ -120,9 +120,9 @@ def steady_state_fill(cache: BufferCache, space: BlockSpace,
     The dirty bits draw from a fixed ``Random(0x5EED)``, so the fill
     depends on the space, the profiles and the capacity alone.
 
-    The cache must be empty (``ValueError`` otherwise); its contents are
-    handed over with one :meth:`BufferCache.restore`, which also zeroes
-    its counters.
+    The cache must be empty (``ValueError`` otherwise); it is filled in
+    one kernel call (:meth:`BufferCache.fill`), which also zeroes its
+    counters.
     """
     if cache.resident_units:
         raise ValueError("steady_state_fill needs an empty cache")
@@ -137,18 +137,13 @@ def steady_state_fill(cache: BufferCache, space: BlockSpace,
         selected.append((unit.segment, unit.index, copies))
         budget -= copies
     # The units are distinct and fit the empty cache, so installing them
-    # one by one would never refresh or evict: build the LRU-ordered
-    # contents directly.  A unit's copies are one warehouse stride apart.
-    stride = space.units_per_warehouse
-    random = Random(0x5EED).random
-    state: dict[int, bool] = {}
-    for segment, index, copies in reversed(selected):
-        dirty_prob = write_fractions.get(segment, 0.0)
-        base = space.block_id(segment, 0, index)
-        for warehouse in range(copies):
-            state[base + warehouse * stride] = random() < dirty_prob
-    cache.restore(state)
-    return len(state)
+    # one by one never refreshes or evicts: the kernel appends them in
+    # order.  A unit's copies are one warehouse stride apart.
+    cache.fill([(space.block_id(segment, 0, index), copies,
+                 write_fractions.get(segment, 0.0))
+                for segment, index, copies in reversed(selected)],
+               space.units_per_warehouse, Random(0x5EED))
+    return cache.resident_units
 
 
 def expected_hit_rate(space: BlockSpace, capacity_units: int,

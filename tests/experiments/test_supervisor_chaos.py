@@ -152,9 +152,9 @@ class TestPoolSelfHealing:
         assert sorted(completed) == sorted(s.key() for s in make_specs())
 
 
-class TestShardFailover:
-    def test_all_shards_failed_falls_back_to_serial(self, tmp_path,
-                                                    serial_reference):
+class TestPoolExhaustion:
+    def test_exhausted_pool_falls_back_to_serial(self, tmp_path,
+                                                 serial_reference):
         # Chaos kills first attempts of everything and the threshold is
         # 1: the pool is exhausted by the first kill, and the driver
         # must still finish the sweep in-process (where kill degrades to
@@ -185,8 +185,8 @@ class TestTimeouts:
 
 
 class TestSupervisedSweep:
-    def test_journal_is_the_merge_point_across_shards(self, tmp_path,
-                                                      serial_reference):
+    def test_journal_records_each_point_once(self, tmp_path,
+                                             serial_reference):
         # Every first attempt kills its worker: the pool is rebuilt and
         # the journal still records each point once, from this process.
         journal_path = tmp_path / "sweep.jsonl"
@@ -206,8 +206,8 @@ class TestSupervisedSweep:
         assert journal_path.read_text().count("\n") == lines
         assert canonical(second) == canonical(first)
 
-    def test_sweep_parallel_routes_through_supervisor(self, tmp_path,
-                                                      serial_reference):
+    def test_run_sweep_retries_poisoned_points(self, tmp_path,
+                                               serial_reference):
         pool = PoolExecutor(jobs=2, chaos=ChaosPolicy(poison=1.0, attempts=1))
         results = sweep_pool(pool, tmp_path)
         assert canonical(results) == serial_reference
@@ -256,12 +256,14 @@ class TestDegradationTelemetry:
         section = degradation_section([
             {"seq": 0, "event": "point-retry", "key": "k", "attempt": 1,
              "backoff_s": 0.01, "error": "ChaosError('x')"},
-            {"seq": 1, "event": "shard-failover", "key": "k",
-             "source": "sick", "target": "healthy"},
+            {"seq": 1, "event": "point-timeout", "key": "k", "attempt": 2,
+             "timeout_s": 1.0},
         ])
         assert len(section.rows) == 2
         assert section.rows[0][1] == "point-retry"
-        assert "attempt=1" in section.rows[0][4]
+        assert section.rows[0][2] == "k"
+        assert "attempt=1" in section.rows[0][3]
+        assert section.rows[1][3] == "attempt=2, timeout_s=1.0"
 
     def test_supervised_telemetry_merges_into_parent_registry(
             self, tmp_path):
@@ -311,8 +313,8 @@ class TestSerialEnvWithShards:
         assert effective_jobs(8) == 1
         assert effective_jobs(None) == 1
 
-    def test_sharded_supervisor_completes_serially(self, monkeypatch,
-                                                   serial_reference):
+    def test_serial_env_sweeps_in_process(self, monkeypatch,
+                                          serial_reference):
         monkeypatch.setenv("REPRO_SERIAL", "1")
         pool = PoolExecutor(jobs=8)
         results = [point.result for point in run_points(

@@ -4,17 +4,18 @@ This is the hardware model as it was before the walk moved into C
 (``repro/hw/_walk.c``), unchanged but for the class names: one dict per
 set whose insertion order is the LRU order, the per-reference
 ``data_access``/``fetch``/``branch`` bodies, and the hand-inlined
-``access_run``/``fetch_run``/``branch_run`` loops with the directory
-driven inside the walk.  ``test_walk_kernel.py`` replays the same
+``access_run``/``fetch_run``/``branch_run`` loops with the dict-based
+directory of ``reference_coherence.py`` driven inside the walk.  ``test_walk_kernel.py`` replays the same
 streams through both and compares every observable.
 """
 
 from __future__ import annotations
 
 from repro.hw.cache import AccessResult
-from repro.hw.coherence import CoherenceDirectory
 from repro.hw.hierarchy import HierarchyCounts, scaled_cache_config
 from repro.hw.machine import CacheConfig, MachineConfig, TlbConfig
+
+from tests.hw.reference_coherence import ReferenceDirectory
 
 
 # Shared immutable results for the two allocation-free outcomes.  A
@@ -386,7 +387,7 @@ class ReferenceSmp:
         self.machine = machine
         self.processors = processors
         self.cpus = [ReferenceCpu(machine, cpu, scale) for cpu in range(processors)]
-        self.directory = CoherenceDirectory(processors, self._invalidate)
+        self.directory = ReferenceDirectory(processors, self._invalidate)
         self._line_shift = self.cpus[0].l3.config.line_bytes.bit_length() - 1
 
     def _invalidate(self, cpu: int, line: int) -> None:

@@ -1,14 +1,20 @@
-"""The pure-Python trace-stream sampler, kept as the oracle for the
-compiled one.
+"""The trace generator's Python formulations, kept as oracles for the
+compiled transaction loop.
 
-This is :class:`repro.hw.trace.TraceGenerator`'s stream generation as
-it was before the sampling moved into the walk kernel
-(``repro/hw/_walk.c``), unchanged but for the class name: every draw is
-a ``random.Random`` call in Python, in the order the compiled samplers
-must reproduce.  It drives the same :class:`~repro.hw.hierarchy.SmpHierarchy`
-and shares the program's rate conversion, so ``test_compiled_sampling.py``
-can compare rates, counts, directory state and the ``Random`` state
-left behind.
+:class:`ReferenceTraceGenerator` is :class:`repro.hw.trace.TraceGenerator`'s
+stream generation as it was before the sampling moved into the walk
+kernel (``repro/hw/_walk.c``), unchanged but for the class name: every
+draw is a ``random.Random`` call in Python, in the order the compiled
+samplers must reproduce.  It drives the same
+:class:`~repro.hw.hierarchy.SmpHierarchy` and shares the program's rate
+conversion, so ``test_compiled_sampling.py`` can compare rates, counts,
+directory state and the ``Random`` state left behind.
+
+:class:`SegmentTraceGenerator` is the step between the two: the
+transaction loop in Python, as it was before it moved into the kernel,
+with each segment filled by the compiled samplers and walked through
+``self.smp``'s batched walks, so ``test_walk_kernel.py`` can point it at
+the pure-Python hierarchy.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 
+from repro.hw.cwalk import lib
 from repro.hw.trace import MicroarchRates, TraceGenerator
 from repro.sim.randomness import zipf_cdf
 
@@ -274,3 +281,89 @@ def _poisson(rng, mean: float) -> int:
         count += 1
         product *= rng.random()
     return count
+
+
+class SegmentTraceGenerator(TraceGenerator):
+    """The transaction loop in Python over the compiled segment fills:
+    one fill and one batched walk of ``self.smp`` per segment."""
+
+    def _kernel_burst(self, cpu: int, refs: int, slab_refs: int = 0,
+                      task_client: int = -1) -> None:
+        buffer = self._buffer
+        count = lib.gen_kernel_data(self._gen, refs, slab_refs, task_client,
+                                    buffer)
+        if count:
+            self.smp.access_run(cpu, buffer[0:count], True)
+        count = self.params.os_code_refs_per_burst
+        if count:
+            lib.gen_code(self._gen, True, buffer, count)
+            self.smp.fetch_run(cpu, buffer[0:count], True)
+
+    def run_transaction(self, cpu: int, client: int) -> None:
+        with self._mt.borrowed(self._rng):
+            self._transaction(cpu, client)
+
+    def _transaction(self, cpu: int, client: int) -> None:
+        p = self.params
+        gen = self._gen
+        mt = self._mt.c
+        buffer = self._buffer
+        smp = self.smp
+        profile = self.profile
+        gen.recent_len = 0
+        reads = self._mt.poisson(profile.reads_per_txn)
+        switches = self._mt.poisson(profile.context_switches_per_txn)
+        private_base = _PRIVATE_BASE + client * (p.private_lines * 2) * _LINE
+        segments = reads + 1
+        user_refs_left = p.user_refs_per_txn
+        code_refs_left = p.code_refs_per_txn
+        branches_left = p.branches_per_txn
+        switches_left = switches
+        for segment in range(segments):
+            share = user_refs_left // (segments - segment)
+            code_share = code_refs_left // (segments - segment)
+            branch_share = branches_left // (segments - segment)
+            if share:
+                lib.gen_user_data(gen, private_base, buffer, share)
+                smp.access_run(cpu, buffer[0:share], False)
+            if code_share:
+                lib.gen_code(gen, False, buffer, code_share)
+                smp.fetch_run(cpu, buffer[0:code_share], False)
+            if branch_share:
+                lib.gen_branches(gen, buffer, branch_share)
+                smp.branch_run(cpu, buffer[0:branch_share], False)
+            user_refs_left -= share
+            code_refs_left -= code_share
+            branches_left -= branch_share
+            if segment < reads:
+                next_client = lib.mt_randbelow(mt, profile.clients)
+                self._kernel_burst(cpu, p.os_refs_per_io,
+                                   slab_refs=p.os_slab_refs_per_io,
+                                   task_client=next_client
+                                   if switches_left > 0 else -1)
+                if switches_left > 0:
+                    smp.context_switch(cpu)
+                    switches_left -= 1
+        self._kernel_burst(cpu, p.os_base_refs)
+        for _ in range(switches_left):
+            self._kernel_burst(cpu, p.os_refs_per_cs,
+                               task_client=lib.mt_randbelow(
+                                   mt, profile.clients))
+            for _ in range(p.os_sync_refs_per_cs):
+                address = (_KERNEL_SYNC_BASE
+                           + lib.mt_randbelow(mt, p.os_sync_lines) * _LINE)
+                smp.data_access(cpu, address, write=lib.mt_random(mt) < 0.5,
+                                kernel=True, shared=True)
+            smp.context_switch(cpu)
+
+    def run(self, transactions: int, warmup: int = 0) -> MicroarchRates:
+        profile = self.profile
+        with self._mt.borrowed(self._rng):
+            for index in range(warmup):
+                client = index % profile.clients
+                self._transaction(client % profile.processors, client)
+            self._reset_counts()
+            for index in range(transactions):
+                client = index % profile.clients
+                self._transaction(client % profile.processors, client)
+        return self.rates()

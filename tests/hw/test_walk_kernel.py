@@ -5,7 +5,8 @@ any chunk size, single references interleaved, DTLB flushes, remote
 invalidations, on 1, 2 and 4 CPUs, Xeon and Itanium geometry at
 ``micro_scale`` 1 and 8) and must end with the same state: every set in
 LRU order with its dirty bits, every cache and TLB statistic, the
-predictor tables, the Table 2 counts and the coherence directory.  The
+predictor tables, the Table 2 counts and the coherence directory (the
+compiled one against the dict oracle of ``reference_coherence.py``).  The
 rest of the file covers the kernel's guards (unsigned inputs, edge
 geometries) and its build-once loader.
 """
@@ -36,6 +37,7 @@ from tests.hw.reference_hierarchy import (
     ReferenceSmp,
     ReferenceTlb,
 )
+from tests.hw.reference_trace import SegmentTraceGenerator
 
 MACHINES = {"xeon": XEON_MP_QUAD, "itanium": ITANIUM2_QUAD}
 _STATS = ("accesses", "hits", "misses", "evictions", "writebacks",
@@ -152,15 +154,16 @@ def test_kernel_matches_reference(machine, scale, processors, max_chunk, seed):
 
 @pytest.mark.parametrize("processors", [1, 4])
 def test_trace_generator_matches_reference(processors, monkeypatch):
-    # A whole warm-up plus measured round, the hierarchy swapped for the
-    # reference model: every count and rate must agree.
+    # A whole warm-up plus measured round of the compiled transaction
+    # loop, against the Python loop over the reference model: every
+    # count and rate must agree.
     monkeypatch.setattr(ReferenceCpu, "reset_counts", lambda self: setattr(
         self, "counts", HierarchyCounts()), raising=False)
     profile = TraceProfile(warehouses=50, processors=processors, clients=16,
                            user_ipx=1e6, os_ipx=2e5, reads_per_txn=8,
                            context_switches_per_txn=3)
     generator = TraceGenerator(XEON_MP_QUAD, profile, RandomStreams(5))
-    oracle = TraceGenerator(XEON_MP_QUAD, profile, RandomStreams(5))
+    oracle = SegmentTraceGenerator(XEON_MP_QUAD, profile, RandomStreams(5))
     oracle.smp = ReferenceSmp(XEON_MP_QUAD, processors,
                               oracle.params.micro_scale)
     assert generator.run(30, warmup=20) == oracle.run(30, warmup=20)

@@ -138,18 +138,19 @@ class TestSections:
         shares = [int(row[6].rstrip("%")) for row in section.rows]
         assert 95 <= sum(shares) <= 105
 
-    def test_degradation_executor_falls_back_to_worker_field(self):
+    def test_degradation_detail_carries_every_other_field(self):
         from repro.obs.sweep_report import degradation_section
 
         section = degradation_section([
-            {"seq": 0, "event": "worker-lost", "worker": "worker-2",
-             "reason": "channel closed"},
-            {"seq": 1, "event": "shard-failover", "shard": 1},
+            {"seq": 0, "event": "pool-rebuild", "failures": 2,
+             "detail": "worker died"},
+            {"seq": 1, "event": "serial-fallback", "remaining": 3,
+             "reason": "pool exhausted"},
         ])
-        assert section.headers[3] == "executor"
-        assert section.rows[0][3] == "worker-2"
-        assert section.rows[1][3] == 1
-        assert "worker=worker-2" not in section.rows[0][4]
+        assert section.headers == ["#", "event", "point", "detail"]
+        assert section.rows[0] == [0, "pool-rebuild", "-",
+                                   "detail=worker died, failures=2"]
+        assert section.rows[1][3] == "reason=pool exhausted, remaining=3"
 
 
 class TestBuildSweepReport:

@@ -13,6 +13,7 @@ from repro.odb.popularity import (
     unit_popularities,
 )
 from repro.odb.schema import OdbSchema
+from repro.odb.transactions import STANDARD_PROFILES
 from repro.workload import compile_workload, workload_by_name
 
 
@@ -128,6 +129,70 @@ class TestBulkFillMatchesInstallLoop:
         assert list(bulk.snapshot().items()) == list(
             reference.snapshot().items())
         assert (bulk.hits, bulk.misses) == (0, 0)
+
+
+def dict_fill(cache, space, profiles):
+    """The fill in Python, as it was before it moved into the kernel:
+    the LRU-ordered contents built as a dict with ``Random(0x5EED)``
+    dirty draws, handed over with one ``restore``."""
+    write_fractions = segment_write_fractions(profiles)
+    selected = []
+    budget = cache.capacity_units
+    for unit in unit_popularities(space, profiles):
+        if budget <= 0:
+            break
+        copies = min(space.warehouses if unit.per_warehouse else 1, budget)
+        selected.append((unit.segment, unit.index, copies))
+        budget -= copies
+    stride = space.units_per_warehouse
+    random = Random(0x5EED).random
+    state = {}
+    for segment, index, copies in reversed(selected):
+        dirty_prob = write_fractions.get(segment, 0.0)
+        base = space.block_id(segment, 0, index)
+        for warehouse in range(copies):
+            state[base + warehouse * stride] = random() < dirty_prob
+    cache.restore(state)
+    return len(state)
+
+
+class TestKernelFillMatchesDictFill:
+    @pytest.mark.parametrize("warehouses", [1, 100, 800, 1200])
+    @pytest.mark.parametrize("workload", [
+        "odb-standard", "banking", "key-value", "order-entry-burst"])
+    def test_same_order_and_dirty_bits(self, workload, warehouses):
+        system = OdbSystem(OdbConfig(
+            warehouses=warehouses, clients=4, processors=1,
+            workload=compile_workload(workload_by_name(workload))))
+        capacity = system.buffer_cache.capacity_units
+        profiles = system.mix.profiles
+        kernel, oracle = BufferCache(capacity), BufferCache(capacity)
+        kernel.install(1)
+        kernel.lookup(2)
+        kernel.restore({})  # empty again, counters zeroed
+        installed = steady_state_fill(kernel, system.space, profiles)
+        assert installed == dict_fill(oracle, system.space, profiles)
+        assert list(kernel.snapshot().items()) == list(
+            oracle.snapshot().items())
+        assert kernel.dirty_units == oracle.dirty_units > 0
+        assert (kernel.hits, kernel.misses) == (0, 0)
+
+    @pytest.mark.parametrize("capacity", [1, 7, 5000])
+    def test_partial_tiers(self, capacity):
+        space = space_for(warehouses=50)
+        kernel, oracle = BufferCache(capacity), BufferCache(capacity)
+        assert (steady_state_fill(kernel, space)
+                == dict_fill(oracle, space, STANDARD_PROFILES) == capacity)
+        assert list(kernel.snapshot().items()) == list(
+            oracle.snapshot().items())
+
+    def test_fill_rejects_what_does_not_fit(self):
+        cache = BufferCache(10)
+        with pytest.raises(ValueError, match="capacity"):
+            cache.fill([(0, 6, 0.5), (100, 5, 0.5)], 1, Random(1))
+        assert cache.resident_units == 0
+        cache.fill([], 1, Random(1))
+        assert cache.resident_units == 0
 
 
 class TestExpectedHitRate:
