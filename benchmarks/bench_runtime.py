@@ -10,7 +10,8 @@ this one pins *how long* computing it takes::
 Each mode times three things, always uncached:
 
 - one canonical single-configuration run (DES + trace + CPI fixed point);
-- a small warehouse sweep executed serially;
+- a small warehouse sweep executed serially (:func:`run_sweep` with no
+  executor: in this process);
 - the same sweep through :func:`repro.experiments.parallel.run_sweep` on the local pool.
 
 Results land in ``benchmarks/BENCH_runtime.json``.  ``--check`` compares
@@ -44,7 +45,7 @@ from repro.experiments.parallel import (  # noqa: E402
     PoolExecutor,
     run_sweep,
 )
-from repro.experiments.runner import run_configuration, sweep  # noqa: E402
+from repro.experiments.runner import run_configuration  # noqa: E402
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent / "BENCH_runtime.json"
 DEFAULT_BASELINE = (Path(__file__).resolve().parent
@@ -111,8 +112,8 @@ def time_single(spec: dict, repeats: int = 3) -> float:
 
 def time_sweep_serial(spec: dict) -> float:
     start = time.perf_counter()
-    sweep(spec["grid"], spec["processors"], settings=spec["settings"],
-          use_cache=False)
+    run_sweep(spec["grid"], spec["processors"], settings=spec["settings"],
+              use_cache=False)
     return time.perf_counter() - start
 
 

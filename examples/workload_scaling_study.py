@@ -12,7 +12,7 @@ Run:  python examples/workload_scaling_study.py
 from repro.core.pivot import pivot_point, representative_configuration
 from repro.experiments.configs import RunnerSettings
 from repro.experiments.report import render_series
-from repro.experiments.runner import sweep
+from repro.experiments.parallel import run_sweep
 
 GRID = (10, 25, 50, 100, 150, 200, 400, 800)
 SETTINGS = RunnerSettings(warmup_txns=300, measure_txns=1500,
@@ -23,7 +23,8 @@ SETTINGS = RunnerSettings(warmup_txns=300, measure_txns=1500,
 def main() -> None:
     print(f"Sweeping W over {GRID} at 4P (a few minutes, cached after "
           "the first run)...\n")
-    records = sweep(GRID, 4, settings=SETTINGS)
+    records = [point.result for point in run_sweep(GRID, 4,
+                                                   settings=SETTINGS)]
 
     warehouses = [r.warehouses for r in records]
     cpi = [r.cpi.cpi for r in records]

@@ -8,12 +8,18 @@ the client count, so a coarse doubling phase followed by a binary search
 finds the smallest client count that reaches the target — or reports the
 best achievable utilization when even the maximum client count cannot
 reach it (the I/O-bound regime).
+
+The search is a generator (:func:`saturation_search`) that yields the
+next client count to measure and receives its utilization, so a caller
+can advance many searches in lockstep and measure each round's probes
+together; :func:`clients_for_utilization` drives one search with a
+``measure`` callable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Generator
 
 
 @dataclass(frozen=True)
@@ -30,48 +36,65 @@ class SaturationResult:
         return f"{self.clients} clients @ {self.utilization:.0%}{marker}"
 
 
-def clients_for_utilization(measure: Callable[[int], float],
-                            target: float = 0.90,
-                            minimum: int = 1, maximum: int = 80,
-                            ) -> SaturationResult:
-    """Smallest client count whose measured utilization reaches ``target``.
+def saturation_search(target: float = 0.90, minimum: int = 1,
+                      maximum: int = 80
+                      ) -> Generator[int, float, SaturationResult]:
+    """The search for the smallest client count reaching ``target``.
 
-    ``measure(clients)`` runs the configuration and returns CPU
-    utilization in [0, 1].  When even ``maximum`` clients cannot reach
-    the target, the result carries ``reached_target=False`` and the
-    utilization at ``maximum`` — that is the paper's criterion for an
-    I/O-bound configuration (the 1200W column it excludes).
+    Yields each client count to measure (never the same count twice)
+    and expects that count's CPU utilization in [0, 1] back through
+    ``send``; returns the :class:`SaturationResult` (as
+    ``StopIteration.value``).  When even ``maximum`` clients cannot
+    reach the target, the result carries ``reached_target=False`` and
+    the utilization at ``maximum`` — that is the paper's criterion for
+    an I/O-bound configuration (the 1200W column it excludes).
     """
     if not 0.0 < target <= 1.0:
         raise ValueError("target must be in (0, 1]")
     if minimum < 1 or maximum < minimum:
         raise ValueError("need 1 <= minimum <= maximum")
-    evaluations = 0
-    cache: dict[int, float] = {}
+    measured: dict[int, float] = {}
 
-    def run(clients: int) -> float:
-        nonlocal evaluations
-        if clients not in cache:
-            cache[clients] = measure(clients)
-            evaluations += 1
-        return cache[clients]
+    def run(clients: int):
+        if clients not in measured:
+            measured[clients] = yield clients
+        return measured[clients]
 
     # Doubling phase: find an upper bracket that reaches the target.
     upper = minimum
-    while run(upper) < target:
+    while (yield from run(upper)) < target:
         if upper >= maximum:
-            return SaturationResult(clients=maximum, utilization=run(maximum),
+            return SaturationResult(clients=maximum,
+                                    utilization=(yield from run(maximum)),
                                     reached_target=False,
-                                    evaluations=evaluations)
+                                    evaluations=len(measured))
         upper = min(maximum, upper * 2)
     # Binary search for the smallest satisfying count in (lo, upper].
     lo = minimum
     hi = upper
     while lo < hi:
         mid = (lo + hi) // 2
-        if run(mid) >= target:
+        if (yield from run(mid)) >= target:
             hi = mid
         else:
             lo = mid + 1
-    return SaturationResult(clients=hi, utilization=run(hi),
-                            reached_target=True, evaluations=evaluations)
+    return SaturationResult(clients=hi, utilization=(yield from run(hi)),
+                            reached_target=True, evaluations=len(measured))
+
+
+def clients_for_utilization(measure: Callable[[int], float],
+                            target: float = 0.90,
+                            minimum: int = 1, maximum: int = 80,
+                            ) -> SaturationResult:
+    """:func:`saturation_search` for one configuration.
+
+    ``measure(clients)`` runs the configuration and returns its CPU
+    utilization in [0, 1].
+    """
+    search = saturation_search(target, minimum, maximum)
+    try:
+        clients = next(search)
+        while True:
+            clients = search.send(measure(clients))
+    except StopIteration as stop:
+        return stop.value

@@ -20,7 +20,7 @@ from repro.experiments.configs import (
     client_count,
 )
 from repro.experiments.records import ConfigResult, ResultCache
-from repro.experiments.runner import run_configuration, sweep
+from repro.experiments.runner import run_configuration
 
 __all__ = [
     "FULL_WAREHOUSE_GRID",
@@ -31,5 +31,4 @@ __all__ = [
     "ConfigResult",
     "ResultCache",
     "run_configuration",
-    "sweep",
 ]

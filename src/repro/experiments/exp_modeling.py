@@ -16,13 +16,12 @@ from repro.core.pivot import (
 from repro.experiments.configs import (
     DEFAULT_SETTINGS,
     FULL_WAREHOUSE_GRID,
-    PROCESSOR_GRID,
     RunnerSettings,
 )
+from repro.experiments.parallel import RunSpec, run_many
 from repro.experiments.records import ConfigResult
 from repro.experiments.report import render_table
-from repro.experiments.runner import sweep
-from repro.hw.machine import ITANIUM2_QUAD, MachineConfig, XEON_MP_QUAD
+from repro.hw.machine import ITANIUM2_QUAD, XEON_MP_QUAD
 
 #: The paper's Table 5 pivot points, for side-by-side comparison.
 PAPER_TABLE5 = {
@@ -55,16 +54,6 @@ def analyze(records_by_p: dict[int, list[ConfigResult]]) -> ModelingResult:
             metric="mpi", processors=p)
     return ModelingResult(cpi_analyses=cpi_analyses,
                           mpi_analyses=mpi_analyses, records=records_by_p)
-
-
-def run(machine: MachineConfig = XEON_MP_QUAD,
-        settings: RunnerSettings = DEFAULT_SETTINGS,
-        processors=PROCESSOR_GRID,
-        warehouses=FULL_WAREHOUSE_GRID) -> ModelingResult:
-    """Fit the two-regime models over a warehouse sweep (Fig. 19 inputs)."""
-    records = {p: sweep(warehouses, p, machine=machine, settings=settings)
-               for p in processors}
-    return analyze(records)
 
 
 def render_fig17_18(result: ModelingResult, processors: int = 4) -> str:
@@ -127,14 +116,17 @@ def run_fig19(settings: RunnerSettings = DEFAULT_SETTINGS,
     This is a documented divergence from the paper, whose measured
     Itanium2 pivot stayed near the Xeon's (118W) — see EXPERIMENTS.md.
     """
-    xeon_records = sweep(warehouses, processors, machine=XEON_MP_QUAD,
-                         settings=settings)
+    extended = tuple(warehouses) + (1200, 1600, 2400)
+    records = run_many(
+        [RunSpec(w, processors, machine=XEON_MP_QUAD, settings=settings)
+         for w in warehouses]
+        + [RunSpec(w, processors, machine=ITANIUM2_QUAD, settings=settings)
+           for w in extended])
+    xeon_records = records[:len(warehouses)]
+    itanium_records = records[len(warehouses):]
     xeon = pivot_point([r.warehouses for r in xeon_records],
                        [r.cpi.cpi for r in xeon_records],
                        metric="cpi", processors=processors)
-    extended = tuple(warehouses) + (1200, 1600, 2400)
-    itanium_records = sweep(extended, processors, machine=ITANIUM2_QUAD,
-                            settings=settings)
     itanium = pivot_point([r.warehouses for r in itanium_records],
                           [r.cpi.cpi for r in itanium_records],
                           metric="cpi", processors=processors)

@@ -11,16 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.saturation import SaturationResult, clients_for_utilization
+from repro.core.saturation import SaturationResult, saturation_search
 from repro.experiments.configs import (
     DEFAULT_SETTINGS,
     PROCESSOR_GRID,
     RunnerSettings,
     TABLE1_WAREHOUSES,
 )
-from repro.experiments.parallel import map_parallel
+from repro.experiments.parallel import RunSpec, run_many
 from repro.experiments.report import render_table
-from repro.experiments.runner import utilization_for
 from repro.hw.machine import MachineConfig, XEON_MP_QUAD
 
 #: The paper's Table 1, for side-by-side comparison.
@@ -43,32 +42,40 @@ class Table1Result:
         return self.entries[(processors, warehouses)].clients
 
 
-def _solve_cell(cell: tuple) -> SaturationResult:
-    """One (P, W) saturation search (top-level: picklable pool work).
-
-    The search is inherently sequential — each probe's client count
-    depends on the previous utilization — so the parallel grain is the
-    whole cell, not the probe.
-    """
-    p, w, machine, settings, target, max_clients = cell
-    return clients_for_utilization(
-        lambda c: utilization_for(w, p, c, machine=machine,
-                                  settings=settings),
-        target=target, maximum=max_clients)
-
-
 def run(machine: MachineConfig = XEON_MP_QUAD,
         settings: RunnerSettings = DEFAULT_SETTINGS,
         warehouses=TABLE1_WAREHOUSES, processors=PROCESSOR_GRID,
         target: float = 0.90, max_clients: int = 96,
         jobs: Optional[int] = None) -> Table1Result:
-    """Run the Table 1 saturation search over the (P, W) grid."""
-    cells = [(p, w, machine, settings, target, max_clients)
-             for p in processors for w in warehouses]
-    solved = map_parallel(_solve_cell, cells, jobs=jobs)
-    entries = {(p, w): result
-               for (p, w, *_), result in zip(cells, solved)}
-    return Table1Result(entries=entries, target=target)
+    """Run the Table 1 saturation search over the (P, W) grid.
+
+    Each cell's search is sequential — a probe's client count depends
+    on the previous utilization — so the cells advance in lockstep:
+    every round runs all pending probes as one :func:`run_many` call.
+    """
+    searches = {(p, w): saturation_search(target, maximum=max_clients)
+                for p in processors for w in warehouses}
+    probes = {cell: next(search) for cell, search in searches.items()}
+    entries: dict[tuple[int, int], SaturationResult] = {}
+    while probes:
+        # Biggest probes first, so a round does not end on one worker
+        # running a large point alone, and one W's probes side by side,
+        # so a worker can reuse the prewarm it just built.
+        cells = sorted(probes, key=lambda cell: (-cell[1], -probes[cell]))
+        results = run_many(
+            [RunSpec(w, p, clients=probes[(p, w)], machine=machine,
+                     settings=settings)
+             for p, w in cells], jobs=jobs)
+        pending = {}
+        for cell, result in zip(cells, results):
+            try:
+                pending[cell] = searches[cell].send(
+                    result.system.cpu_utilization)
+            except StopIteration as stop:
+                entries[cell] = stop.value
+        probes = pending
+    return Table1Result(entries={cell: entries[cell] for cell in searches},
+                        target=target)
 
 
 def render(result: Table1Result) -> str:

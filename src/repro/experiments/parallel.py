@@ -51,11 +51,10 @@ import os
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures import as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence, TypeVar, Union
+from typing import Callable, Optional, Sequence, Union
 
 from repro.experiments.configs import (
     DEFAULT_SETTINGS,
@@ -76,9 +75,6 @@ from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
 from repro.obs.manifest import RunManifest
 from repro.workload import WorkloadSpec
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 #: Environment variable forcing every parallel entry point serial.
 SERIAL_ENV = "REPRO_SERIAL"
@@ -875,11 +871,11 @@ def run_sweep(warehouse_grid, processors: int,
               ) -> list[PointTelemetry]:
     """A warehouse sweep through :func:`run_points`, with a journal.
 
-    Results are bit-identical to the serial
-    :func:`repro.experiments.runner.sweep`.  With a ``journal`` the
-    sweep holds the journal's owner lock throughout: a second live
-    owner raises :class:`~repro.experiments.resilience.JournalOwnershipError`,
-    a dead owner's stale lock is broken, and a journal the caller
+    ``executor=None`` runs the sweep in this process.  With a
+    ``journal`` the sweep holds the journal's owner lock throughout: a
+    second live owner raises
+    :class:`~repro.experiments.resilience.JournalOwnershipError`, a
+    dead owner's stale lock is broken, and a journal the caller
     already acquired keeps the caller's token and release.  Points
     already journaled are reused without running (their manifests come
     from the cache; they carry no trace, like any cache hit), the rest
@@ -958,38 +954,3 @@ def run_telemetry(specs: Sequence[RunSpec], jobs: Optional[int] = None,
     return _run_local(specs, jobs, trace=True, use_cache=use_cache,
                       cache_dir=cache_dir, on_result=on_result)
 
-
-# ----------------------------------------------------------------------
-# generic fan-out
-
-
-def _call_item(fn: Callable[[T], R], item: T) -> R:
-    """Pool worker for :func:`map_parallel` (top-level, picklable)."""
-    return fn(item)
-
-
-def map_parallel(fn: Callable[[T], R], items: Sequence[T],
-                 jobs: Optional[int] = None) -> list[R]:
-    """``[fn(item) for item in items]`` across a process pool.
-
-    ``fn`` must be a top-level function and each item picklable; item
-    order is preserved.  Used for coarse-grained independent work that
-    is not a single configuration run — e.g. Table 1's per-(P, W)
-    saturation searches, each of which is internally sequential.
-    Degrades to the list comprehension on ``REPRO_SERIAL=1``, one CPU,
-    or pool breakage.
-    """
-    workers = min(effective_jobs(jobs), len(items)) if items else 1
-    if workers <= 1:
-        return [fn(item) for item in items]
-    try:
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_exit_with_parent) as pool:
-            futures = {pool.submit(_call_item, fn, item): index
-                       for index, item in enumerate(items)}
-            results: list[Optional[R]] = [None] * len(items)
-            for future in as_completed(futures):
-                results[futures[future]] = future.result()
-            return results  # type: ignore[return-value]
-    except (BrokenProcessPool, OSError):
-        return [fn(item) for item in items]

@@ -193,7 +193,8 @@ def _fsync_dir(path: Path) -> None:
 
 
 class SweepJournal:
-    """Append-only JSONL checkpoint for :func:`repro.experiments.runner.sweep`.
+    """Append-only JSONL checkpoint of a sweep
+    (:func:`repro.experiments.parallel.run_sweep`).
 
     One line per completed configuration::
 
@@ -224,11 +225,10 @@ class SweepJournal:
     the lock automatically once the holder's process is gone (crash
     recovery needs no manual cleanup).  An acquired journal re-checks
     the lock on every ``record`` and refuses to append if ownership was
-    stolen.  Both sweep drivers (:func:`repro.experiments.runner.sweep`
-    and :func:`repro.experiments.parallel.run_sweep`) hold the lock for
-    the whole sweep (:meth:`held`), reusing the caller's token when the
-    caller acquired it first; a bare ``record`` on a journal nobody
-    acquired still appends.  Duplicate suppression is always on: re-recording a
+    stolen.  :func:`~repro.experiments.parallel.run_sweep` holds the
+    lock for the whole sweep (:meth:`held`), reusing the caller's token
+    when the caller acquired it first; a bare ``record`` on a journal
+    nobody acquired still appends.  Duplicate suppression is always on: re-recording a
     key with a bit-identical result is a no-op, so retried points never
     write twice.
     """

@@ -16,12 +16,11 @@ Resilience (see :mod:`repro.experiments.resilience`): every iterate
 passes a :class:`~repro.experiments.resilience.ConvergenceGuard`
 (NaN/oscillation detection with a damping fallback, raising a
 structured ``ConvergenceError`` when the fixed point diverges), an
-optional wall-clock watchdog bounds each configuration, and
-:func:`sweep` checkpoints completed points to a
-:class:`~repro.experiments.resilience.SweepJournal` so a killed sweep
-resumes instead of restarting.  A :class:`~repro.faults.FaultPlan` can
-be threaded through to run the same configuration on a degraded
-substrate; faulted results are cached under a separate key.
+optional wall-clock watchdog bounds each configuration, and a
+:class:`~repro.faults.FaultPlan` can be threaded through to run the same
+configuration on a degraded substrate; faulted results are cached under
+a separate key.  Running more than one configuration — sweeps, their
+journal and resume — is :mod:`repro.experiments.parallel`'s job.
 """
 
 from __future__ import annotations
@@ -29,9 +28,8 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from contextlib import nullcontext
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 from repro.core.cpi_model import solve_cpi
 from repro.core.ironlaw import tps as ironlaw_tps
@@ -41,11 +39,7 @@ from repro.experiments.configs import (
     client_count,
 )
 from repro.experiments.records import ConfigResult, ResultCache
-from repro.experiments.resilience import (
-    ConvergenceGuard,
-    SweepJournal,
-    WatchdogTimeout,
-)
+from repro.experiments.resilience import ConvergenceGuard, WatchdogTimeout
 from repro.faults import FaultPlan, publish_fault_metrics
 from repro.hw.machine import MachineConfig, XEON_MP_QUAD
 from repro.hw.trace import TraceGenerator, TraceProfile
@@ -346,73 +340,3 @@ def run_configuration(warehouses: int, processors: int,
                       cpu_s=manifest.cpu_time_s)
     return result
 
-
-def sweep(warehouse_grid, processors: int,
-          machine: MachineConfig = XEON_MP_QUAD,
-          settings: RunnerSettings = DEFAULT_SETTINGS,
-          clients_fn=None, use_cache: bool = True,
-          faults: Optional[FaultPlan] = None,
-          journal: Optional[Union[SweepJournal, str]] = None,
-          cache: Optional[ResultCache] = None,
-          workload: Optional[WorkloadSpec] = None) -> list[ConfigResult]:
-    """Run a warehouse sweep at a fixed processor count.
-
-    With ``journal`` (a :class:`~repro.experiments.resilience.SweepJournal`
-    or a path to one), every completed point is durably appended before
-    the next one starts; a sweep killed mid-grid resumes from the
-    journal and recomputes only the missing points, producing results
-    identical to an uninterrupted sweep.  The sweep holds the journal's
-    owner lock throughout, like
-    :func:`repro.experiments.parallel.run_sweep`: a journal another
-    live coordinator owns raises
-    :class:`~repro.experiments.resilience.JournalOwnershipError` before
-    anything runs, and a journal the caller already acquired keeps the
-    caller's token and is left for the caller to release.
-    """
-    if journal is not None and not isinstance(journal, SweepJournal):
-        journal = SweepJournal(journal)
-    with journal.held() if journal is not None else nullcontext():
-        completed = journal.load() if journal is not None else {}
-        results = []
-        for warehouses in warehouse_grid:
-            clients = (clients_fn(warehouses, processors)
-                       if clients_fn is not None else None)
-            resolved_clients = (clients if clients is not None
-                                else client_count(warehouses, processors))
-            key = configuration_key(machine, warehouses, resolved_clients,
-                                    processors, settings, faults, workload)
-            cached = completed.get(key)
-            if cached is not None:
-                results.append(cached)
-                continue
-            result = run_configuration(
-                warehouses, processors, clients=clients, machine=machine,
-                settings=settings, use_cache=use_cache, faults=faults,
-                cache=cache, workload=workload)
-            if journal is not None:
-                journal.record(key, result)
-            results.append(result)
-        return results
-
-
-def utilization_for(warehouses: int, processors: int, clients: int,
-                    machine: MachineConfig = XEON_MP_QUAD,
-                    settings: RunnerSettings = DEFAULT_SETTINGS,
-                    faults: Optional[FaultPlan] = None,
-                    cache: Optional[ResultCache] = None,
-                    workload: Optional[WorkloadSpec] = None) -> float:
-    """CPU utilization at a specific client count (for the Table 1 search).
-
-    Runs the full coupled iteration via :func:`run_configuration`: CPI
-    feedback matters for utilization (a higher CPI stretches CPU bursts
-    and hides more I/O), and the result cache makes the repeated probes
-    of the saturation search cheap.  ``faults`` threads a
-    :class:`~repro.faults.FaultPlan` through to the run — a saturation
-    search on a degraded substrate caches under the fault-specific key,
-    exactly like :func:`run_configuration`.
-    """
-    result = run_configuration(warehouses, processors, clients=clients,
-                               machine=machine, settings=settings,
-                               use_cache=True, faults=faults, cache=cache,
-                               workload=workload)
-    return result.system.cpu_utilization

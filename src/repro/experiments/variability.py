@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.experiments.configs import DEFAULT_SETTINGS, RunnerSettings
+from repro.experiments.parallel import RunSpec, run_many
 from repro.experiments.records import ConfigResult
-from repro.experiments.runner import run_configuration
 from repro.hw.machine import MachineConfig, XEON_MP_QUAD
 
 #: Metrics extracted by default: name -> getter over ConfigResult.
@@ -105,22 +105,24 @@ def measure_variability(warehouses: int, processors: int,
                         settings: RunnerSettings = DEFAULT_SETTINGS,
                         metrics: dict[str, Callable[[ConfigResult], float]]
                         | None = None) -> VariabilityReport:
-    """Run one configuration under several seeds and summarize."""
+    """Run one configuration under several seeds and summarize.
+
+    The seeds run as one :func:`~repro.experiments.parallel.run_many`
+    call on the default pool (in-process under ``REPRO_SERIAL``).
+    """
     if not seeds:
         raise ValueError("need at least one seed")
     if metrics is None:
         metrics = DEFAULT_METRICS
-    samples: dict[str, list[float]] = {name: [] for name in metrics}
-    for seed in seeds:
-        seeded = dataclasses.replace(settings, seed=seed)
-        result = run_configuration(warehouses, processors, machine=machine,
-                                   settings=seeded)
-        for name, getter in metrics.items():
-            samples[name].append(getter(result))
+    results = run_many([RunSpec(warehouses, processors, machine=machine,
+                                settings=dataclasses.replace(settings,
+                                                             seed=seed))
+                        for seed in seeds])
     return VariabilityReport(
         warehouses=warehouses,
         processors=processors,
         seeds=tuple(seeds),
-        metrics={name: MetricVariability(name, tuple(values))
-                 for name, values in samples.items()},
+        metrics={name: MetricVariability(
+                     name, tuple(getter(result) for result in results))
+                 for name, getter in metrics.items()},
     )

@@ -208,8 +208,8 @@ class TraceGenerator:
                 ("os_task_lines_per_client", p.os_task_lines_per_client),
                 ("os_sync_lines", p.os_sync_lines)):
             check_bound(name, bound)
-        self.smp = SmpHierarchy(machine, profile.processors,
-                                scale=params.micro_scale)
+        self._smp = SmpHierarchy(machine, profile.processors,
+                                 scale=params.micro_scale)
         self._rng = streams.stream("trace")
         shapes = ((p.hot_lines, p.hot_skew), (p.warm_lines, p.warm_skew),
                   (p.private_lines, 0.4),
@@ -217,9 +217,9 @@ class TraceGenerator:
                   (p.user_code_lines, p.code_skew),
                   (p.kernel_code_lines, p.code_skew),
                   (p.hot_blocks_per_warehouse, p.block_skew))
-        # The gen_t points into these arrays and into self.smp's state.
+        # The gen_t points into these arrays and into self._smp's state.
         self._cdfs = [zipf_array(n, skew) for n, skew in shapes]
-        self._cpus = ffi.new("hier_t *[]", self.smp._states)
+        self._cpus = ffi.new("hier_t *[]", self._smp._states)
         # One run buffer, as long as the longest segment or burst; each
         # run is walked before the next is filled.
         self._buffer = ffi.new("uint64_t[]", max(
@@ -267,6 +267,12 @@ class TraceGenerator:
             "sync_refs_per_cs": p.os_sync_refs_per_cs,
         })
         self._mt = Mersenne(ffi.addressof(self._gen, "mt"))
+
+    @property
+    def smp(self) -> SmpHierarchy:
+        """The hierarchy the kernel walks.  Read-only: the ``gen_t``
+        points into the state of the one built with the generator."""
+        return self._smp
 
     # -- driving ------------------------------------------------------------
 

@@ -21,8 +21,8 @@ from random import Random
 
 from repro.db.blocks import BlockSpace
 from repro.db.buffer_cache import BufferCache
+from repro.hw.analytic import zipf_popularities
 from repro.odb.transactions import TransactionProfile, STANDARD_PROFILES
-from repro.sim.randomness import zipf_cdf
 
 
 @dataclass(frozen=True)
@@ -33,14 +33,6 @@ class UnitPopularity:
     index: int
     rate: float
     per_warehouse: bool
-
-
-def _zipf_weights(n: int, skew: float) -> list[float]:
-    cdf = zipf_cdf(n, skew)
-    weights = [cdf[0]]
-    for previous, current in zip(cdf, cdf[1:]):
-        weights.append(current - previous)
-    return weights
 
 
 def unit_popularities(
@@ -65,10 +57,10 @@ def unit_popularities(
                 indices = [spec.fixed_index % segment.units]
             elif spec.append_hot:
                 window = max(4, segment.units // 50)
-                weights = _zipf_weights(window, 1.2)
+                weights = zipf_popularities(window, 1.2)
                 indices = range(window)
             else:
-                weights = _zipf_weights(segment.units, spec.skew)
+                weights = zipf_popularities(segment.units, spec.skew)
                 indices = range(segment.units)
             if segment.per_warehouse:
                 touch_rate /= space.warehouses

@@ -15,14 +15,14 @@ Public surface:
   :class:`~repro.sim.resources.Store`,
   :class:`~repro.sim.resources.Gate` — contention primitives.
 - :mod:`~repro.sim.randomness` — named, independently seeded RNG streams.
-- :mod:`~repro.sim.stats` — time-weighted statistics helpers.
+- :mod:`~repro.sim.stats` — event counters and observation tallies.
 """
 
 from repro.sim.engine import Engine, Event, Timeout, AllOf, SimulationError
 from repro.sim.process import Process
 from repro.sim.resources import Resource, Store, Gate
 from repro.sim.randomness import RandomStreams
-from repro.sim.stats import TimeWeighted, Tally, Counter
+from repro.sim.stats import Tally, Counter
 
 __all__ = [
     "Engine",
@@ -35,7 +35,6 @@ __all__ = [
     "Store",
     "Gate",
     "RandomStreams",
-    "TimeWeighted",
     "Tally",
     "Counter",
 ]

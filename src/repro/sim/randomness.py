@@ -12,9 +12,8 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from bisect import bisect_left
 from functools import lru_cache, partial
-from typing import Callable, Sequence
+from typing import Callable
 
 
 def derive_seed(root_seed: int, name: str) -> int:
@@ -75,37 +74,12 @@ def zipf_cdf(n: int, skew: float) -> tuple[float, ...]:
     return tuple(cdf)
 
 
-def sample_cdf(rng: random.Random, cdf: Sequence[float]) -> int:
-    """Sample an index ``0..len(cdf)-1`` from a cumulative distribution.
-
-    ``bisect_left`` finds the first index whose cumulative value is
-    >= the uniform draw — the same index the textbook binary search
-    returns, at C speed.  Exactly one ``rng.random()`` draw, so the
-    stream position stays identical to the scan it replaced.
-    """
-    return bisect_left(cdf, rng.random())
-
-
-def exponential(rng: random.Random, mean: float) -> float:
-    """Exponential variate with the given mean (0 mean -> always 0)."""
-    if mean < 0:
-        raise ValueError("exponential mean must be >= 0")
-    if mean == 0:
-        return 0.0
-    return rng.expovariate(1.0 / mean)
-
-
-def lognormal_about(rng: random.Random, mean: float, cv: float) -> float:
-    """Lognormal variate with arithmetic mean ``mean`` and coefficient of
-    variation ``cv`` — the shape used for disk service times.
-    """
-    return lognormal_sampler(rng, mean, cv)()
-
-
 def lognormal_sampler(rng: random.Random, mean: float,
                       cv: float) -> Callable[[], float]:
-    """:func:`lognormal_about` as a zero-argument callable, with the
-    lognormal's parameters solved once (a disk draws one per request)."""
+    """A zero-argument sampler of lognormal variates with arithmetic
+    mean ``mean`` and coefficient of variation ``cv`` — the shape used
+    for disk service times; the lognormal's parameters are solved once
+    (a disk draws one per request)."""
     if mean <= 0:
         raise ValueError("lognormal mean must be > 0")
     if cv < 0:

@@ -1,19 +1,16 @@
 """Statistics helpers for simulation outputs.
 
-Three shapes of measurement recur throughout the system model:
+Two shapes of measurement recur throughout the system model:
 
 - :class:`Counter` — monotonically increasing event counts (transactions
   committed, context switches, disk reads) with support for interval
   snapshots, which is what the EMON sampling layer consumes.
 - :class:`Tally` — mean/variance over discrete observations (latencies).
-- :class:`TimeWeighted` — mean of a piecewise-constant signal over time
-  (run-queue length, number of busy CPUs).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
 
 
 class Counter:
@@ -75,50 +72,3 @@ class Tally:
         """Sample standard deviation of the observations."""
         return math.sqrt(self.variance)
 
-
-class TimeWeighted:
-    """Time-weighted average of a piecewise-constant signal.
-
-    The signal's value changes are reported through :meth:`set`; the
-    integral is accrued lazily against a clock callable so the class does
-    not depend on the engine directly.
-    """
-
-    __slots__ = ("name", "_clock", "_value", "_last", "_area", "_start")
-
-    def __init__(self, clock: Callable[[], float], initial: float = 0.0,
-                 name: str = ""):
-        self.name = name
-        self._clock = clock
-        self._value = initial
-        self._start = clock()
-        self._last = self._start
-        self._area = 0.0
-
-    @property
-    def value(self) -> float:
-        """Current signal value."""
-        return self._value
-
-    def set(self, value: float) -> None:
-        """Change the signal value at the current time."""
-        self._accrue()
-        self._value = value
-
-    def adjust(self, delta: float) -> None:
-        """Increment/decrement the signal value at the current time."""
-        self.set(self._value + delta)
-
-    def mean(self, until: Optional[float] = None) -> float:
-        """Time-weighted mean from creation until ``until`` (default now)."""
-        self._accrue()
-        end = self._clock() if until is None else until
-        elapsed = end - self._start
-        if elapsed <= 0:
-            return self._value
-        return self._area / elapsed
-
-    def _accrue(self) -> None:
-        now = self._clock()
-        self._area += self._value * (now - self._last)
-        self._last = now

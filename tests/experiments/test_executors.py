@@ -24,15 +24,10 @@ from repro.experiments.parallel import (
     run_sweep,
 )
 from repro.experiments.resilience import JournalOwnershipError, SweepJournal
-from repro.experiments.runner import sweep
+from tests.experiments.serial_oracle import canonical, serial_results
 
 PROCESSORS = 1
 GRID = (10, 25, 40)
-
-
-def canonical(results):
-    """Byte-exact serialization, the determinism contract's currency."""
-    return [json.dumps(r.to_dict(), sort_keys=True) for r in results]
 
 
 def journal_keys(path):
@@ -43,8 +38,7 @@ def journal_keys(path):
 
 @pytest.fixture(scope="module")
 def serial_reference():
-    return canonical(sweep(GRID, PROCESSORS, settings=FAST_SETTINGS,
-                           use_cache=False))
+    return canonical(serial_results(GRID, PROCESSORS))
 
 
 def three_fault_chaos(keys, delay_s):

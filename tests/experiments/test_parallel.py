@@ -1,8 +1,6 @@
 """Tests for the local pool behind the sweep driver: determinism, journal
 serialization, and graceful degradation to the serial path."""
 
-import json
-
 import pytest
 
 from repro.experiments import parallel as parallel_module
@@ -11,20 +9,14 @@ from repro.experiments.parallel import (
     PoolExecutor,
     RunSpec,
     effective_jobs,
-    map_parallel,
     run_many,
     run_sweep,
 )
 from repro.experiments.resilience import SweepJournal
-from repro.experiments.runner import sweep
+from tests.experiments.serial_oracle import canonical, serial_results
 
 GRID = (10, 25)
 PROCESSORS = 1
-
-
-def canonical(results):
-    """Byte-exact serialization, the determinism contract's currency."""
-    return [json.dumps(r.to_dict(), sort_keys=True) for r in results]
 
 
 def sweep_results(grid, jobs=None, **kwargs):
@@ -36,8 +28,7 @@ def sweep_results(grid, jobs=None, **kwargs):
 
 @pytest.fixture()
 def serial_reference():
-    return canonical(sweep(GRID, PROCESSORS, settings=FAST_SETTINGS,
-                           use_cache=False))
+    return canonical(serial_results(GRID, PROCESSORS))
 
 
 class ExplodingPool:
@@ -118,19 +109,6 @@ class TestFallback:
                          settings=FAST_SETTINGS) for w in GRID]
         results = run_many(specs, jobs=2, cache_dir=tmp_path / "cache")
         assert canonical(results) == serial_reference
-
-    def test_map_parallel_fallback_preserves_order(self, monkeypatch):
-        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor",
-                            ExplodingPool)
-        assert map_parallel(abs, [-3, 2, -1], jobs=4) == [3, 2, 1]
-
-
-class TestMapParallel:
-    def test_preserves_item_order(self):
-        assert map_parallel(abs, [-5, 4, -3], jobs=2) == [5, 4, 3]
-
-    def test_empty_items(self):
-        assert map_parallel(abs, [], jobs=2) == []
 
 
 class TestTelemetrySweep:

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.experiments.configs import FAST_SETTINGS
+from repro.experiments.parallel import run_sweep
 from repro.experiments.records import (
     SCHEMA_VERSION,
     ConfigResult,
@@ -25,9 +26,9 @@ from repro.experiments.runner import (
     configuration_key,
     run_configuration,
     settings_fingerprint,
-    sweep,
 )
 from repro.faults import DiskDegradation, FaultPlan
+from tests.experiments.serial_oracle import serial_results
 
 
 @pytest.fixture(scope="module")
@@ -151,18 +152,22 @@ class TestSweepJournal:
 
     def test_kill_and_resume_matches_uninterrupted(self, tmp_path,
                                                    monkeypatch):
-        import repro.experiments.runner as runner_module
+        import repro.experiments.parallel as parallel_module
 
         grid = (10, 25, 50)
 
         def clients_fn(w, p):
             return 2
 
-        uninterrupted = sweep(grid, 1, settings=FAST_SETTINGS,
-                              clients_fn=clients_fn, use_cache=False)
+        def sweep(journal):
+            return [point.result for point in run_sweep(
+                grid, 1, settings=FAST_SETTINGS, clients_fn=clients_fn,
+                use_cache=False, journal=journal)]
+
+        uninterrupted = serial_results(grid, 1, clients=2)
 
         calls = {"n": 0}
-        original = runner_module.run_configuration
+        original = parallel_module.run_configuration
 
         def killed_mid_grid(*args, **kwargs):
             calls["n"] += 1
@@ -171,18 +176,15 @@ class TestSweepJournal:
             return original(*args, **kwargs)
 
         journal = SweepJournal(tmp_path / "sweep.jsonl")
-        monkeypatch.setattr(runner_module, "run_configuration",
+        monkeypatch.setattr(parallel_module, "run_configuration",
                             killed_mid_grid)
         with pytest.raises(KeyboardInterrupt):
-            sweep(grid, 1, settings=FAST_SETTINGS, clients_fn=clients_fn,
-                  use_cache=False, journal=journal)
-        monkeypatch.setattr(runner_module, "run_configuration", original)
+            sweep(journal)
+        monkeypatch.setattr(parallel_module, "run_configuration", original)
 
         # Two points survived the kill; resume recomputes only the third.
         assert len(journal.load()) == 2
-        resumed = sweep(grid, 1, settings=FAST_SETTINGS,
-                        clients_fn=clients_fn, use_cache=False,
-                        journal=journal)
+        resumed = sweep(journal)
         assert resumed == uninterrupted
         assert len(journal.load()) == 3
 
@@ -502,36 +504,28 @@ class TestJournalSplitBrain:
             journal.record("k2", result)
         assert list(SweepJournal(path).load()) == ["k1"]
 
-    def test_runner_sweep_refuses_a_journal_a_live_owner_holds(
+    def test_in_process_sweep_refuses_a_journal_a_live_owner_holds(
             self, tmp_path):
         from repro.experiments.resilience import JournalOwnershipError
 
         path = tmp_path / "sweep.jsonl"
         SweepJournal(path).acquire("coord-a")
         with pytest.raises(JournalOwnershipError, match="coord-a"):
-            sweep((10,), 1, settings=FAST_SETTINGS, use_cache=False,
-                  journal=path)
+            run_sweep((10,), 1, settings=FAST_SETTINGS, use_cache=False,
+                      journal=path)
         # Refused before the first point: nothing was appended.
         assert not path.exists() or path.read_text() == ""
         assert json.loads(path.with_name("sweep.jsonl.lock").read_text()
                           )["owner"] == "coord-a"
 
-    @pytest.mark.parametrize("driver", ["runner.sweep", "run_sweep"])
-    def test_caller_held_journal_is_reused_not_refused(self, tmp_path,
-                                                       driver):
+    def test_caller_held_journal_is_reused_not_refused(self, tmp_path):
         """A caller that holds the journal under its own token runs a
         sweep on it: the driver reuses the token, appends, and leaves
         the lock for the caller to release."""
-        from repro.experiments.parallel import run_sweep
-
         path = tmp_path / "sweep.jsonl"
         journal = SweepJournal(path)
         journal.acquire("coordinator-1")
-        if driver == "runner.sweep":
-            sweep((10,), 1, settings=FAST_SETTINGS, use_cache=False,
-                  journal=journal)
-        else:
-            run_sweep((10,), 1, settings=FAST_SETTINGS, use_cache=False,
+        run_sweep((10,), 1, settings=FAST_SETTINGS, use_cache=False,
                       journal=journal)
         assert len(path.read_text().splitlines()) == 1
         assert journal.owner == "coordinator-1"

@@ -8,19 +8,25 @@ harness and EXPERIMENTS.md.
 import pytest
 
 from repro.experiments.configs import FAST_SETTINGS
-from repro.experiments.runner import run_configuration, sweep
+from repro.experiments.parallel import run_sweep
+from repro.experiments.runner import run_configuration
 
 GRID = (10, 50, 150, 400, 800)
 
 
+def sweep(processors):
+    return [point.result for point in run_sweep(GRID, processors,
+                                                settings=FAST_SETTINGS)]
+
+
 @pytest.fixture(scope="module")
 def sweep_4p():
-    return sweep(GRID, 4, settings=FAST_SETTINGS)
+    return sweep(4)
 
 
 @pytest.fixture(scope="module")
 def sweep_1p():
-    return sweep(GRID, 1, settings=FAST_SETTINGS)
+    return sweep(1)
 
 
 def series(records, getter):

@@ -1,14 +1,14 @@
 """Tests for runner utilities: fingerprints, sweep plumbing, caching."""
 
-import pytest
+from repro.experiments.configs import FAST_SETTINGS
+from repro.experiments.parallel import run_sweep
+from repro.experiments.runner import run_configuration, settings_fingerprint
 
-from repro.experiments.configs import FAST_SETTINGS, RunnerSettings
-from repro.experiments.runner import (
-    run_configuration,
-    settings_fingerprint,
-    sweep,
-    utilization_for,
-)
+
+def sweep(grid, processors, **kwargs):
+    """An in-process :func:`run_sweep` at FAST fidelity, results only."""
+    return [point.result for point in run_sweep(
+        grid, processors, settings=FAST_SETTINGS, **kwargs)]
 
 
 class TestSettingsFingerprint:
@@ -34,24 +34,18 @@ class TestSettingsFingerprint:
 
 class TestSweepPlumbing:
     def test_sweep_respects_clients_fn(self):
-        records = sweep((10, 50), 2, settings=FAST_SETTINGS,
-                        clients_fn=lambda w, p: 3)
+        records = sweep((10, 50), 2, clients_fn=lambda w, p: 3)
         assert all(r.clients == 3 for r in records)
 
     def test_sweep_defaults_to_client_table(self):
         from repro.experiments.configs import client_count
 
-        records = sweep((10,), 2, settings=FAST_SETTINGS)
+        records = sweep((10,), 2)
         assert records[0].clients == client_count(10, 2)
 
     def test_sweep_preserves_grid_order(self):
-        records = sweep((50, 10), 1, settings=FAST_SETTINGS)
+        records = sweep((50, 10), 1)
         assert [r.warehouses for r in records] == [50, 10]
-
-    def test_utilization_for_matches_run(self):
-        util = utilization_for(10, 1, clients=2, settings=FAST_SETTINGS)
-        record = run_configuration(10, 1, clients=2, settings=FAST_SETTINGS)
-        assert util == pytest.approx(record.system.cpu_utilization)
 
 
 class TestCachingBehavior:
@@ -114,6 +108,12 @@ class TestCachingBehavior:
             set_default_cache(None)
 
 
+def utilization(**kwargs):
+    """CPU utilization of W=10 C=2 P=1, the Table 1 search's probe."""
+    return run_configuration(10, 1, clients=2, settings=FAST_SETTINGS,
+                             **kwargs).system.cpu_utilization
+
+
 class TestUtilizationFaults:
     def test_faults_thread_through_to_cache_key(self, tmp_path):
         from repro.experiments.records import ResultCache
@@ -122,10 +122,8 @@ class TestUtilizationFaults:
         plan = FaultPlan(seed=1, disks=(
             DiskDegradation(disk=-1, latency_factor=4.0),))
         cache = ResultCache(directory=tmp_path)
-        healthy = utilization_for(10, 1, clients=2, settings=FAST_SETTINGS,
-                                  cache=cache)
-        degraded = utilization_for(10, 1, clients=2, settings=FAST_SETTINGS,
-                                   faults=plan, cache=cache)
+        healthy = utilization(cache=cache)
+        degraded = utilization(faults=plan, cache=cache)
         assert 0.0 <= healthy <= 1.0 and 0.0 <= degraded <= 1.0
         # Healthy and faulted runs cache under distinct keys: the faulted
         # entry carries the plan fingerprint suffix.  (Each entry also
@@ -141,10 +139,8 @@ class TestUtilizationFaults:
 
         plan = FaultPlan(seed=1, disks=(
             DiskDegradation(disk=-1, latency_factor=4.0),))
-        first = utilization_for(10, 1, clients=2, settings=FAST_SETTINGS,
-                                faults=plan,
-                                cache=ResultCache(directory=tmp_path / "a"))
-        second = utilization_for(10, 1, clients=2, settings=FAST_SETTINGS,
-                                 faults=plan,
-                                 cache=ResultCache(directory=tmp_path / "b"))
+        first = utilization(faults=plan,
+                            cache=ResultCache(directory=tmp_path / "a"))
+        second = utilization(faults=plan,
+                             cache=ResultCache(directory=tmp_path / "b"))
         assert first == second

@@ -20,9 +20,9 @@ from repro.experiments.parallel import (
     run_sweep,
 )
 from repro.experiments.resilience import SweepJournal
-from repro.experiments.runner import sweep
 from repro.obs import metrics as metrics_module
 from repro.obs.sweep_report import build_sweep_report, degradation_section
+from tests.experiments.serial_oracle import canonical, serial_results
 
 GRID = (10, 25)
 PROCESSORS = 1
@@ -33,15 +33,9 @@ FAST_POLICY = SupervisorPolicy(max_retries=3, base_backoff_s=0.01,
                                max_backoff_s=0.05, tick_s=0.02)
 
 
-def canonical(results):
-    """Byte-exact serialization, the determinism contract's currency."""
-    return [json.dumps(r.to_dict(), sort_keys=True) for r in results]
-
-
 @pytest.fixture(scope="module")
 def serial_reference():
-    return canonical(sweep(GRID, PROCESSORS, settings=FAST_SETTINGS,
-                           use_cache=False))
+    return canonical(serial_results(GRID, PROCESSORS))
 
 
 def make_specs():

@@ -285,7 +285,15 @@ def _poisson(rng, mean: float) -> int:
 
 class SegmentTraceGenerator(TraceGenerator):
     """The transaction loop in Python over the compiled segment fills:
-    one fill and one batched walk of ``self.smp`` per segment."""
+    one fill and one batched walk of ``self.smp`` per segment.
+
+    Its ``smp`` is assignable, unlike the compiled generator's: the
+    Python loop walks whatever hierarchy it holds, so a test can swap
+    in a ``ReferenceSmp``."""
+
+    @TraceGenerator.smp.setter
+    def smp(self, hierarchy) -> None:
+        self._smp = hierarchy
 
     def _kernel_burst(self, cpu: int, refs: int, slab_refs: int = 0,
                       task_client: int = -1) -> None:

@@ -138,6 +138,15 @@ class TestCounts:
         assert counts.data_refs.kernel > 0
         assert counts.context_switches > 0
 
+    def test_hierarchy_cannot_be_swapped(self):
+        # The kernel walks the hierarchy built with the generator; a
+        # reassigned ``smp`` would leave run() and counts() on two
+        # different hierarchies.
+        generator = TraceGenerator(XEON_MP_QUAD, profile(), RandomStreams(3))
+        with pytest.raises(AttributeError):
+            generator.smp = TraceGenerator(
+                XEON_MP_QUAD, profile(), RandomStreams(4)).smp
+
 
 class TestPoisson:
     def test_zero_mean(self):

@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from repro.sim.randomness import (
     RandomStreams,
     derive_seed,
-    exponential,
-    lognormal_about,
-    sample_cdf,
+    lognormal_sampler,
     zipf_cdf,
 )
 
@@ -90,61 +88,31 @@ class TestZipf:
         assert all(0.0 <= p <= 1.0 + 1e-12 for p in cdf)
 
 
-class TestSampleCdf:
-    def test_indexes_in_range(self):
-        rng = RandomStreams(1).stream("s")
-        cdf = zipf_cdf(10, 1.0)
-        samples = [sample_cdf(rng, cdf) for _ in range(500)]
-        assert all(0 <= s < 10 for s in samples)
-
-    def test_skewed_cdf_prefers_head(self):
-        rng = RandomStreams(1).stream("s")
-        cdf = zipf_cdf(100, 1.5)
-        samples = [sample_cdf(rng, cdf) for _ in range(2000)]
-        head = sum(1 for s in samples if s < 5)
-        assert head / len(samples) > 0.5
-
-    def test_degenerate_single_entry(self):
-        rng = RandomStreams(1).stream("s")
-        assert sample_cdf(rng, [1.0]) == 0
-
-
 class TestDistributions:
-    def test_exponential_mean(self):
-        rng = RandomStreams(3).stream("exp")
-        samples = [exponential(rng, 4.0) for _ in range(20000)]
-        assert sum(samples) / len(samples) == pytest.approx(4.0, rel=0.05)
-
-    def test_exponential_zero_mean(self):
-        rng = RandomStreams(3).stream("exp")
-        assert exponential(rng, 0.0) == 0.0
-
-    def test_exponential_negative_mean_rejected(self):
-        rng = RandomStreams(3).stream("exp")
-        with pytest.raises(ValueError):
-            exponential(rng, -1.0)
-
     def test_lognormal_mean_and_positivity(self):
         rng = RandomStreams(3).stream("ln")
-        samples = [lognormal_about(rng, 5.0, 0.5) for _ in range(20000)]
+        draw = lognormal_sampler(rng, 5.0, 0.5)
+        samples = [draw() for _ in range(20000)]
         assert all(s > 0 for s in samples)
         assert sum(samples) / len(samples) == pytest.approx(5.0, rel=0.05)
 
     def test_lognormal_zero_cv_is_deterministic(self):
         rng = RandomStreams(3).stream("ln")
-        assert lognormal_about(rng, 5.0, 0.0) == 5.0
+        assert lognormal_sampler(rng, 5.0, 0.0)() == 5.0
 
     def test_lognormal_validation(self):
         rng = RandomStreams(3).stream("ln")
         with pytest.raises(ValueError):
-            lognormal_about(rng, 0.0, 0.5)
+            lognormal_sampler(rng, 0.0, 0.5)
         with pytest.raises(ValueError):
-            lognormal_about(rng, 1.0, -0.5)
+            lognormal_sampler(rng, 1.0, -0.5)
 
     def test_lognormal_cv_controls_spread(self):
         rng = RandomStreams(3).stream("ln")
-        tight = [lognormal_about(rng, 5.0, 0.1) for _ in range(5000)]
-        wide = [lognormal_about(rng, 5.0, 1.0) for _ in range(5000)]
+        tight = lognormal_sampler(rng, 5.0, 0.1)
+        wide = lognormal_sampler(rng, 5.0, 1.0)
+        tight = [tight() for _ in range(5000)]
+        wide = [wide() for _ in range(5000)]
 
         def stdev(xs):
             m = sum(xs) / len(xs)

@@ -4,15 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.stats import Counter, Tally, TimeWeighted
-
-
-class FakeClock:
-    def __init__(self):
-        self.t = 0.0
-
-    def __call__(self):
-        return self.t
+from repro.sim.stats import Counter, Tally
 
 
 class TestCounter:
@@ -70,32 +62,3 @@ class TestTally:
             t.record(v)
         assert t.variance >= -1e-9
 
-
-class TestTimeWeighted:
-    def test_constant_signal(self):
-        clock = FakeClock()
-        tw = TimeWeighted(clock, initial=3.0)
-        clock.t = 10.0
-        assert tw.mean() == pytest.approx(3.0)
-
-    def test_step_signal(self):
-        clock = FakeClock()
-        tw = TimeWeighted(clock, initial=0.0)
-        clock.t = 4.0
-        tw.set(10.0)
-        clock.t = 8.0
-        # 4s at 0 plus 4s at 10 -> mean 5.
-        assert tw.mean() == pytest.approx(5.0)
-
-    def test_adjust_is_relative(self):
-        clock = FakeClock()
-        tw = TimeWeighted(clock, initial=2.0)
-        tw.adjust(+3.0)
-        assert tw.value == 5.0
-        tw.adjust(-4.0)
-        assert tw.value == 1.0
-
-    def test_zero_elapsed_returns_current_value(self):
-        clock = FakeClock()
-        tw = TimeWeighted(clock, initial=7.0)
-        assert tw.mean() == 7.0

@@ -7,7 +7,9 @@ Run by the ``chaos-smoke`` CI job (and runnable locally):
     PYTHONPATH=src python tools/chaos_smoke.py \
         --scenario kill-resume --out /tmp/chaos-kill-resume
 
-Each scenario computes a small serial golden sweep first.
+Each scenario first computes a small serial golden: the plain
+``run_configuration`` loop of ``tests/experiments/serial_oracle.py``
+that the test suite's determinism checks compare against too.
 
 ``kill`` (default) re-runs the same grid through the sweep driver on
 one two-worker :class:`repro.experiments.parallel.PoolExecutor` while a
@@ -48,6 +50,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
+sys.path.insert(0, str(REPO))
 
 from repro.experiments.configs import FAST_SETTINGS  # noqa: E402
 from repro.experiments.parallel import (  # noqa: E402
@@ -57,9 +60,9 @@ from repro.experiments.parallel import (  # noqa: E402
     SupervisorPolicy,
     run_points,
 )
-from repro.experiments.runner import sweep  # noqa: E402
 from repro.obs import metrics as metrics_module  # noqa: E402
 from repro.obs.sweep_report import build_sweep_report  # noqa: E402
+from tests.experiments.serial_oracle import serial_results  # noqa: E402
 
 GRID = (10, 25)
 #: Long enough that the kill lands mid-sweep.
@@ -73,8 +76,8 @@ def canonical(results) -> str:
 
 
 def golden_sweep(grid) -> list:
-    print(f"[1/4] serial golden sweep: W={grid} P={PROCESSORS}")
-    return sweep(grid, PROCESSORS, settings=FAST_SETTINGS, use_cache=False)
+    print(f"[1/4] serial golden: W={grid} P={PROCESSORS}")
+    return serial_results(grid, PROCESSORS)
 
 
 def scenario_kill(out: Path) -> list[str]:
