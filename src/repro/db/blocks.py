@@ -65,16 +65,6 @@ class BlockSpace:
         self.units_per_warehouse = offset
         self._segments = {s.name: s for s in segments}
 
-    @property
-    def total_units(self) -> int:
-        """Total buffer-unit count across all segments."""
-        return self.global_units + self.warehouses * self.units_per_warehouse
-
-    @property
-    def total_bytes(self) -> int:
-        """Total bytes across all segments."""
-        return self.total_units * self.unit_bytes
-
     def segment(self, name: str) -> Segment:
         """Look up one named segment; raises ``KeyError`` with the known names."""
         try:
@@ -101,23 +91,3 @@ class BlockSpace:
         return (self.global_units
                 + warehouse * self.units_per_warehouse
                 + self._wh_offsets[segment_name] + index)
-
-    def owner_of(self, block_id: int) -> tuple[str, int, int]:
-        """Inverse mapping: ``(segment_name, warehouse, index)``.
-
-        Global segments report warehouse ``-1``.
-        """
-        if not 0 <= block_id < self.total_units:
-            raise ValueError(f"block id {block_id} out of range")
-        if block_id < self.global_units:
-            for segment in self._global_segments:
-                offset = self._global_offsets[segment.name]
-                if offset <= block_id < offset + segment.units:
-                    return segment.name, -1, block_id - offset
-        relative = block_id - self.global_units
-        warehouse, within = divmod(relative, self.units_per_warehouse)
-        for segment in self._wh_segments:
-            offset = self._wh_offsets[segment.name]
-            if offset <= within < offset + segment.units:
-                return segment.name, warehouse, within - offset
-        raise AssertionError("unreachable: dense layout covers all ids")

@@ -21,10 +21,10 @@ from repro.hw.sampling import Mersenne
 class BufferCache:
     """LRU cache of block units with dirty bits.
 
-    ``lookup`` is the read path (returns a hit flag without installing),
-    ``install`` the fill path after a disk read, ``touch_write`` the
-    update path (marks dirty).  Evictions return the victim so the engine
-    can hand dirty ones to the database writer.
+    The DES references blocks in the kernel (``lib.lru_lookup`` on
+    ``c``, read or write); ``install`` is the fill path after a disk
+    read, and returns the victim so the engine can hand a dirty one to
+    the database writer.
 
     The LRU is exact and lives in the walk kernel (``lru_t`` in
     ``repro/hw/_walk.c``; DESIGN.md §11, "Buffer-cache LRU"): a doubly
@@ -53,11 +53,6 @@ class BufferCache:
         return self.c.used
 
     @property
-    def dirty_units(self) -> int:
-        """Cached units with unwritten modifications."""
-        return lib.lru_dirty_units(self.c)
-
-    @property
     def hits(self) -> int:
         """References that found their block resident."""
         return self.c.hits
@@ -76,20 +71,6 @@ class BufferCache:
     def clean_evictions(self) -> int:
         """Evicted units that were clean."""
         return self.c.clean_evictions
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from cache so far."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def lookup(self, block_id: int) -> bool:
-        """Reference a block; True on hit (refreshes recency)."""
-        return lib.lru_lookup(self.c, block_id, 0)
-
-    def touch_write(self, block_id: int) -> bool:
-        """Reference a block for update, marking it dirty; True on hit."""
-        return lib.lru_lookup(self.c, block_id, 1)
 
     def install(self, block_id: int, dirty: bool = False) -> Optional[tuple[int, bool]]:
         """Insert a block after a disk read.
@@ -151,15 +132,6 @@ class BufferCache:
         dirty = ffi.new("_Bool[]", count)
         lib.lru_snapshot(self.c, ids, dirty)
         return dict(zip(ffi.unpack(ids, count), ffi.unpack(dirty, count)))
-
-    def restore(self, state: dict[int, bool]) -> None:
-        """Install a copy of a :meth:`snapshot` and zero the counters."""
-        if len(state) > self.capacity_units:
-            raise ValueError("snapshot exceeds the cache capacity")
-        if lib.lru_load(self.c, ffi.new("uint64_t[]", list(state)),
-                        ffi.new("_Bool[]", list(state.values())),
-                        len(state)) < 0:
-            raise MemoryError("cannot grow the buffer cache")
 
     def copy(self) -> "BufferCache":
         """A cache of the same capacity holding a copy of the contents,

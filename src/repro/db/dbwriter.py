@@ -29,11 +29,6 @@ class DbWriter:
         self.enqueued = Counter("dbwriter-enqueued")
         self.written = Counter("dbwriter-written")
 
-    @property
-    def backlog(self) -> int:
-        """Dirty units queued and not yet written back."""
-        return self._queue.size
-
     def enqueue(self, block_id: int) -> None:
         """Hand a dirty-evicted block to the writer (non-blocking)."""
         self.enqueued.count += 1

@@ -75,8 +75,8 @@ class DatabaseEngine:
 
         A plain call, not a generator: a hit costs no simulated time and
         no event.  On a miss the caller runs :meth:`read_miss`.  The
-        cache's ``lookup``/``touch_write`` are one kernel call, made
-        here without the wrapper.
+        lookup (read or write) is one kernel call, ``lru_lookup`` on the
+        cache's kernel state.
         """
         self.logical_reads.count += 1
         stats.logical_reads += 1

@@ -41,10 +41,6 @@ class _RwLock:
         self._queue: deque[tuple[Mode, object, Event]] = deque()
 
     @property
-    def queue_length(self) -> int:
-        return len(self._queue)
-
-    @property
     def held(self) -> bool:
         return bool(self.shared_holders) or self.exclusive_holder is not None
 
@@ -175,13 +171,3 @@ class LockTable:
         for key in held:
             self._locks[key].release(owner)
         return len(held)
-
-    @property
-    def held_count(self) -> int:
-        """Locks currently granted."""
-        return sum(len(keys) for keys in self._held.values())
-
-    @property
-    def waiting_count(self) -> int:
-        """Processes currently blocked on a lock."""
-        return sum(lock.queue_length for lock in self._locks.values())

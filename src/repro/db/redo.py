@@ -43,11 +43,6 @@ class RedoLog:
         """Highest redo sequence number durably flushed."""
         return self._flushed.level
 
-    @property
-    def pending_count(self) -> int:
-        """Appended-but-unflushed transaction count."""
-        return self._next_sequence - int(self._flushed.level)
-
     def append(self, redo_bytes: float | None = None) -> int:
         """Append one transaction's redo; returns its commit sequence."""
         self._next_sequence += 1

@@ -73,20 +73,13 @@ def default_cache() -> ResultCache:
 
     Created on first use; the ``REPRO_CACHE_DIR`` environment variable
     (read at creation time) overrides the repository-default directory,
-    which is how pool workers inherit a redirected cache.  Replace or
-    reset it with :func:`set_default_cache`.
+    which is how pool workers inherit a redirected cache.
     """
     global _CACHE
     if _CACHE is None:
         directory = os.environ.get("REPRO_CACHE_DIR")
         _CACHE = ResultCache(Path(directory) if directory else None)
     return _CACHE
-
-
-def set_default_cache(cache: Optional[ResultCache]) -> None:
-    """Replace the process-wide cache (``None`` re-derives it lazily)."""
-    global _CACHE
-    _CACHE = cache
 
 
 def settings_fingerprint(settings: RunnerSettings) -> str:

@@ -233,15 +233,6 @@ class FaultPlan:
         canonical = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.blake2b(canonical.encode(), digest_size=6).hexdigest()
 
-    # -- convenience queries -------------------------------------------------
-
-    @property
-    def injects_anything(self) -> bool:
-        """Whether the plan perturbs the run at all."""
-        return bool(self.disks or self.log_stalls or self.lock_storms
-                    or (self.aborts is not None
-                        and self.aborts.probability > 0))
-
 
 # -- runtime models ----------------------------------------------------------
 

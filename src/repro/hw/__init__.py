@@ -33,7 +33,7 @@ from repro.hw.machine import (
     XEON_MP_QUAD,
     machine_by_name,
 )
-from repro.hw.cache import AccessResult, SetAssociativeCache
+from repro.hw.cache import SetAssociativeCache
 from repro.hw.tlb import Tlb
 from repro.hw.branch import BimodalPredictor
 from repro.hw.bus import BusModel
@@ -60,7 +60,6 @@ __all__ = [
     "ITANIUM2_QUAD",
     "XEON_MP_QUAD",
     "machine_by_name",
-    "AccessResult",
     "SetAssociativeCache",
     "Tlb",
     "BimodalPredictor",

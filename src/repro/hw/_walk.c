@@ -7,12 +7,14 @@
  * sampling"); last, the SGA buffer cache of repro.db, which the DES and
  * the prewarm share (DESIGN.md §11, "Buffer-cache LRU").
  *
- * Every reference, batched or single, goes through one probe per kind:
- * data_ref, fetch_ref, branch_ref.  The batched walks add only the
- * hit-streak shortcut, which skips the set scan when a reference
- * repeats the page or line of the reference before it: that entry is
- * already the most recent of its set, so moving it there is a no-op.
- * All arithmetic is unsigned 64-bit; the Python layer rejects negative
+ * Every reference goes through a walk (walk_data, walk_fetch,
+ * walk_branch), and every walk through one probe per kind: data_ref,
+ * fetch_ref, branch_ref.  The probes carry the walk's hit streak, which
+ * skips the set scan when a reference repeats the page or line of the
+ * reference before it: that entry is already the most recent of its
+ * set, so moving it there is a no-op.  A walk seeds the streak with
+ * values its first reference cannot match, so a one-reference walk is a
+ * plain probe.  All arithmetic is unsigned 64-bit; cffi rejects negative
  * and oversized values before they get here.
  */
 
@@ -82,12 +84,6 @@ int cache_access(cache_t *c, uint64_t line, int write, uint64_t *victim)
     return result;
 }
 
-int cache_contains(const cache_t *c, uint64_t line)
-{
-    uint64_t set = line % c->num_sets;
-    return find_slot(c->tags + set * c->ways, c->fill[set], line) >= 0;
-}
-
 int cache_invalidate(cache_t *c, uint64_t line)
 {
     uint64_t set = line % c->num_sets;
@@ -102,19 +98,14 @@ int cache_invalidate(cache_t *c, uint64_t line)
     return 1;
 }
 
-uint64_t cache_resident(const cache_t *c)
-{
-    uint64_t resident = 0;
-    for (uint64_t set = 0; set < c->num_sets; ++set)
-        resident += c->fill[set];
-    return resident;
-}
-
+/* Empty the cache; returns the lines it held. */
 uint64_t cache_flush(cache_t *c)
 {
-    uint64_t resident = cache_resident(c);
-    for (uint64_t set = 0; set < c->num_sets; ++set)
+    uint64_t resident = 0;
+    for (uint64_t set = 0; set < c->num_sets; ++set) {
+        resident += c->fill[set];
         c->fill[set] = 0;
+    }
     return resident;
 }
 
@@ -292,26 +283,6 @@ int64_t dir_write(dir_t *d, uint32_t cpu, uint64_t line, int was_miss)
     return (int64_t)remote << 1 | coherence;
 }
 
-/* A capacity eviction from `cpu`: not a theft, so a later miss on the
- * line is no coherence miss.  A line `cpu` does not hold is left as is. */
-void dir_evict(dir_t *d, uint32_t cpu, uint64_t line)
-{
-    uint32_t bit = (uint32_t)1 << cpu;
-    dir_line_t *e = d->table + dir_probe(d, line);
-    if (!e->used || !e->sharers)
-        return;
-    e->sharers &= ~bit;
-    if (e->owner == (int32_t)cpu)
-        e->owner = -1;
-    e->stolen &= ~bit;
-}
-
-uint32_t dir_sharers(const dir_t *d, uint64_t line)
-{
-    const dir_line_t *e = d->table + dir_probe(d, line);
-    return e->used ? e->sharers : 0;
-}
-
 /* -- the three probes ------------------------------------------------ */
 
 /* A fill from L3 after an L2 miss; returns 1 when L3 missed too.  The
@@ -330,8 +301,8 @@ static inline int l3_fill(hier_t *h, uint64_t line, int write, int kernel)
     return 1;
 }
 
-/* One data reference.  `last_page`/`last_line` carry the hit streak of
- * a walk; NULL for a single reference. */
+/* One data reference.  `last_page`/`last_line` carry the walk's hit
+ * streak. */
 static inline int data_ref(hier_t *h, uint64_t address, int write,
                            int kernel, uint64_t *last_page,
                            uint64_t *last_line)
@@ -341,16 +312,15 @@ static inline int data_ref(hier_t *h, uint64_t address, int write,
     uint64_t page = address >> tlb->line_shift;
     uint64_t line = address >> l2->line_shift;  /* L2 and L3 share it */
     COUNT(h, EV_DATA_REFS, kernel);
-    if (last_page && page == *last_page) {
+    if (page == *last_page) {
         tlb->accesses++;
         tlb->hits++;
     } else {
-        if (last_page)
-            *last_page = page;
+        *last_page = page;
         if (!(cache_access(tlb, page, 0, &victim) & ACCESS_HIT))
             COUNT(h, EV_TLB_MISSES, kernel);
     }
-    if (last_line && line == *last_line) {
+    if (line == *last_line) {
         l2->accesses++;
         l2->hits++;
         if (write) {
@@ -359,8 +329,7 @@ static inline int data_ref(hier_t *h, uint64_t address, int write,
         }
         return 0;
     }
-    if (last_line)
-        *last_line = line;
+    *last_line = line;
     if (cache_access(l2, line, write, &victim) & ACCESS_HIT)
         return 0;
     COUNT(h, EV_L2_MISSES, kernel);
@@ -400,13 +369,12 @@ static inline int fetch_ref(hier_t *h, uint64_t address, int kernel,
     uint64_t tc_line = address >> tc->line_shift;
     uint64_t line = address >> h->l2->line_shift;
     COUNT(h, EV_CODE_REFS, kernel);
-    if (last_tc && tc_line == *last_tc) {
+    if (tc_line == *last_tc) {
         tc->accesses++;
         tc->hits++;
         return 0;
     }
-    if (last_tc)
-        *last_tc = tc_line;
+    *last_tc = tc_line;
     if (cache_access(tc, tc_line, 0, &victim) & ACCESS_HIT)
         return 0;
     COUNT(h, EV_TC_MISSES, kernel);
@@ -425,25 +393,6 @@ static inline int branch_ref(hier_t *h, uint64_t pc, int taken, int kernel)
     if (!correct)
         COUNT(h, EV_MISPREDICTS, kernel);
     return correct;
-}
-
-/* -- single references ----------------------------------------------- */
-
-int hier_data(hier_t *h, uint64_t address, int write, int kernel,
-              int shared)
-{
-    return shared_ref(h, address, write != 0, kernel != 0, shared, NULL,
-                      NULL);
-}
-
-int hier_fetch(hier_t *h, uint64_t address, int kernel)
-{
-    return fetch_ref(h, address, kernel != 0, NULL);
-}
-
-int hier_branch(hier_t *h, uint64_t pc, int taken, int kernel)
-{
-    return branch_ref(h, pc, taken != 0, kernel != 0);
 }
 
 /* -- walks ----------------------------------------------------------- */
@@ -845,10 +794,10 @@ int trace_transaction(gen_t *g, uint32_t cpu, uint32_t client)
         for (uint32_t k = 0; k < g->sync_refs_per_cs; ++k) {
             uint64_t address = KERNEL_SYNC_BASE
                                + (uint64_t)rand_below(mt, g->sync_lines) * LINE;
-            if (shared_ref(h, address, rand_u(mt) < 0.5, 1, 1, NULL,
-                           NULL) < 0)
-                return -1;
+            buffer[k] = (address << 2) | write_bit(g, 0.5) | 1;
         }
+        if (walk_data(h, buffer, g->sync_refs_per_cs, 1) < 0)
+            return -1;
         context_switch(h);
     }
     return 0;
@@ -1097,14 +1046,6 @@ _Bool lru_clean(lru_t *c, uint64_t id)
         return 0;
     c->dirty[s] = 0;
     return 1;
-}
-
-uint64_t lru_dirty_units(const lru_t *c)
-{
-    uint64_t count = 0;
-    for (uint32_t s = 1; s <= c->used; ++s)
-        count += c->dirty[s];
-    return count;
 }
 
 size_t lru_oldest_dirty(const lru_t *c, size_t limit, uint64_t *out)

@@ -70,13 +70,11 @@ typedef struct {
 
 /* cache_access result bits. */
 enum { ACCESS_HIT = 1, ACCESS_EVICTED = 2, ACCESS_WRITEBACK = 4 };
-/* hier_data result bits. */
+/* data_ref result bits. */
 enum { L2_MISSED = 1, L3_MISSED = 2 };
 
 int cache_access(cache_t *c, uint64_t line, int write, uint64_t *victim);
-int cache_contains(const cache_t *c, uint64_t line);
 int cache_invalidate(cache_t *c, uint64_t line);
-uint64_t cache_resident(const cache_t *c);
 uint64_t cache_flush(cache_t *c);
 
 int predict(predictor_t *p, uint64_t pc, int taken);
@@ -86,13 +84,6 @@ dir_t *dir_new(uint32_t processors);
 void dir_free(dir_t *d);
 int dir_read(dir_t *d, uint32_t cpu, uint64_t line, int was_miss);
 int64_t dir_write(dir_t *d, uint32_t cpu, uint64_t line, int was_miss);
-void dir_evict(dir_t *d, uint32_t cpu, uint64_t line);
-uint32_t dir_sharers(const dir_t *d, uint64_t line);
-
-int hier_data(hier_t *h, uint64_t address, int write, int kernel,
-              int shared);
-int hier_fetch(hier_t *h, uint64_t address, int kernel);
-int hier_branch(hier_t *h, uint64_t pc, int taken, int kernel);
 
 int walk_data(hier_t *h, const uint64_t *run, size_t n, int kernel);
 void walk_fetch(hier_t *h, const uint64_t *run, size_t n, int kernel);
@@ -194,7 +185,6 @@ int lru_install(lru_t *c, uint64_t id, int dirty, uint64_t *victim);
 int lru_replay(lru_t *c, const uint64_t *codes, size_t n);
 _Bool lru_contains(const lru_t *c, uint64_t id);
 _Bool lru_clean(lru_t *c, uint64_t id);
-uint64_t lru_dirty_units(const lru_t *c);
 size_t lru_oldest_dirty(const lru_t *c, size_t limit, uint64_t *out);
 size_t lru_snapshot(const lru_t *c, uint64_t *ids, _Bool *dirty);
 int lru_load(lru_t *c, const uint64_t *ids, const _Bool *dirty, size_t n);

@@ -1,31 +1,11 @@
-"""Analytical cache-miss models.
+"""The Zipf popularity vector of the workload model.
 
-Closed-form companions to the trace-driven simulation: fast, noiseless
-predictions of steady-state miss behavior under the independent
-reference model (IRM).  They serve two purposes:
-
-- **cross-checks** — the simulated caches should agree with the IRM
-  prediction for IRM-like streams (tested in ``tests/hw``);
-- **speed** — design-space sweeps (e.g. "L3 size vs MPI" over dozens of
-  points) can run in microseconds instead of simulating traces.
-
-Models:
-
-- :func:`irm_hit_rate` — hit rate of an LRU-approximating cache of
-  ``capacity`` lines under an arbitrary popularity distribution, via
-  Che's approximation (the characteristic-time method), which is
-  accurate for LRU across skews.
-- :func:`zipf_popularities` — the popularity vector used throughout the
-  workload model.
-- :func:`working_set_miss_rate` — the two-regime formula behind the
-  paper's cached/scaled intuition: fully resident below capacity,
-  popularity-tail misses above.
+:func:`zipf_popularities` turns :func:`~repro.sim.randomness.zipf_cdf`
+into per-item probabilities; the buffer-cache popularity ranking of
+:mod:`repro.odb.popularity` is built on it.
 """
 
 from __future__ import annotations
-
-import math
-from typing import Sequence
 
 from repro.sim.randomness import zipf_cdf
 
@@ -37,101 +17,3 @@ def zipf_popularities(n: int, skew: float) -> list[float]:
     for previous, current in zip(cdf, cdf[1:]):
         out.append(current - previous)
     return out
-
-
-def che_characteristic_time(popularities: Sequence[float],
-                            capacity: int,
-                            tolerance: float = 1e-9,
-                            max_iterations: int = 200) -> float:
-    """Solve Che's fixed point: sum_i (1 - e^{-p_i T}) = capacity.
-
-    ``T`` is the characteristic time (in references) a line survives in
-    an LRU cache of ``capacity`` lines under IRM traffic.
-    """
-    if capacity <= 0:
-        raise ValueError("capacity must be positive")
-    if not popularities:
-        raise ValueError("need a popularity distribution")
-    if capacity >= len(popularities):
-        return math.inf
-    total = sum(popularities)
-    if total <= 0:
-        raise ValueError("popularities must have positive mass")
-    probabilities = [p / total for p in popularities]
-
-    def occupancy(t: float) -> float:
-        return sum(1.0 - math.exp(-p * t) for p in probabilities)
-
-    low, high = 0.0, float(capacity)
-    while occupancy(high) < capacity:
-        high *= 2.0
-        if high > 1e18:  # pragma: no cover - defensive
-            return math.inf
-    for _ in range(max_iterations):
-        mid = 0.5 * (low + high)
-        if occupancy(mid) < capacity:
-            low = mid
-        else:
-            high = mid
-        if high - low < tolerance * max(1.0, high):
-            break
-    return 0.5 * (low + high)
-
-
-def irm_hit_rate(popularities: Sequence[float], capacity: int) -> float:
-    """Steady-state LRU hit rate under IRM, by Che's approximation.
-
-    ``hit = sum_i p_i (1 - e^{-p_i T})`` with T the characteristic time.
-    """
-    if capacity <= 0:
-        return 0.0
-    if capacity >= len(popularities):
-        return 1.0
-    total = sum(popularities)
-    probabilities = [p / total for p in popularities]
-    t = che_characteristic_time(probabilities, capacity)
-    if math.isinf(t):
-        return 1.0
-    return sum(p * (1.0 - math.exp(-p * t)) for p in probabilities)
-
-
-def working_set_miss_rate(working_set_lines: float, capacity_lines: int,
-                          hot_fraction: float = 0.0) -> float:
-    """The cached/scaled two-regime intuition as a formula.
-
-    A fraction ``hot_fraction`` of references go to always-resident
-    structures; the remainder spread uniformly over a working set.  The
-    miss rate is 0 while the working set fits, then grows like
-    ``1 - capacity/ws`` toward the ``1 - hot_fraction`` asymptote — the
-    saturation the paper measures at ~60%.
-    """
-    if capacity_lines <= 0:
-        raise ValueError("capacity must be positive")
-    if working_set_lines < 0:
-        raise ValueError("working set must be >= 0")
-    if not 0.0 <= hot_fraction <= 1.0:
-        raise ValueError("hot_fraction must be in [0, 1]")
-    if working_set_lines <= capacity_lines:
-        return 0.0
-    cold = 1.0 - hot_fraction
-    return cold * (1.0 - capacity_lines / working_set_lines)
-
-
-def mpi_prediction(warehouses: int, lines_per_warehouse: float,
-                   capacity_lines: int, refs_per_instruction: float,
-                   hot_fraction: float = 0.4) -> float:
-    """Analytic L3 MPI vs warehouses — the Figure 13 curve in one line.
-
-    A design-space convenience: the knee sits where
-    ``warehouses * lines_per_warehouse`` crosses ``capacity_lines`` and
-    scales *linearly with cache capacity* under this model — which is
-    exactly the capacity-proportional pivot shift the Figure 19
-    reproduction documents as its divergence from the measured machine.
-    """
-    if warehouses <= 0 or lines_per_warehouse <= 0:
-        raise ValueError("workload dimensions must be positive")
-    if refs_per_instruction <= 0:
-        raise ValueError("refs_per_instruction must be positive")
-    miss_rate = working_set_miss_rate(
-        warehouses * lines_per_warehouse, capacity_lines, hot_fraction)
-    return miss_rate * refs_per_instruction

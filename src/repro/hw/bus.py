@@ -80,7 +80,3 @@ class BusModel:
         rate = processors * (mpi / cpi) * (1.0 + writeback_ratio)
         return BusLoad(utilization=self.utilization(rate),
                        transactions_per_cycle=rate)
-
-    def excess_time(self, utilization: float) -> float:
-        """IOQ time above the unloaded baseline (the Table 4 delta term)."""
-        return self.transaction_time(utilization) - self.config.base_transaction_cycles

@@ -57,13 +57,6 @@ class SplitCount:
         """User + OS total."""
         return self.user + self.kernel
 
-    def add(self, kernel: bool, amount: int = 1) -> None:
-        """Accumulate into the user or OS bucket."""
-        if kernel:
-            self.kernel += amount
-        else:
-            self.user += amount
-
 
 @dataclass
 class HierarchyCounts:
@@ -140,33 +133,6 @@ class CpuHierarchy:
         """Zero the Table 2 counts (cache contents are kept)."""
         self._c.counts = [0] * _COUNT_SLOTS
 
-    def data_access(self, address: int, write: bool, kernel: bool) -> tuple[bool, bool]:
-        """One data reference; returns ``(l2_missed, l3_missed)``."""
-        result = lib.hier_data(self._c, address, write, kernel, False)
-        return bool(result & lib.L2_MISSED), bool(result & lib.L3_MISSED)
-
-    def fetch(self, address: int, kernel: bool) -> bool:
-        """One instruction-fetch reference; returns True on a TC miss.
-
-        A TC miss is filled from L2/L3, so code misses contribute to the
-        unified cache traffic as on the real machine.
-        """
-        return bool(lib.hier_fetch(self._c, address, kernel))
-
-    def branch(self, pc: int, taken: bool, kernel: bool) -> bool:
-        """One conditional branch; returns True when predicted correctly."""
-        return bool(lib.hier_branch(self._c, pc, taken, kernel))
-
-    def context_switch(self) -> None:
-        """Address-space switch: the DTLB is flushed."""
-        self.dtlb.flush()
-        self._c.counts[_CONTEXT_SWITCHES] += 1
-
-    def invalidate_data_line(self, line: int) -> None:
-        """Coherence invalidation of a (L2/L3-sized) line id."""
-        self.l2.invalidate_line(line)
-        self.l3.invalidate_line(line)
-
 
 class SmpHierarchy:
     """``P`` private hierarchies kept coherent by one directory.
@@ -196,29 +162,23 @@ class SmpHierarchy:
                 hierarchy._c.cpu = hierarchy.cpu
                 hierarchy._directory = self.directory  # the kernel points into it
 
-    def data_access(self, cpu: int, address: int, write: bool, kernel: bool,
-                    shared: bool = False) -> None:
-        """A data reference on ``cpu``; ``shared`` lines engage coherence."""
-        _grown(lib.hier_data(self._states[cpu], address, write, kernel,
-                             shared))
-
-    def fetch(self, cpu: int, address: int, kernel: bool) -> None:
-        """An instruction fetch on ``cpu`` (code is read-shared: no coherence)."""
-        self.cpus[cpu].fetch(address, kernel)
-
-    def branch(self, cpu: int, pc: int, taken: bool, kernel: bool) -> None:
-        """Run one branch through the predictor, counting the outcome."""
-        self.cpus[cpu].branch(pc, taken, kernel)
-
-    # -- batched reference walks --------------------------------------------
+    # -- reference walks ----------------------------------------------------
     #
     # One call walks a whole run of references in the compiled kernel,
-    # through the same probes as the single-reference methods above, so
-    # a run leaves exactly the state and counts of issuing its
+    # and a run leaves exactly the state and counts of walking its
     # references one at a time (DESIGN.md §11).  ``kernel`` is constant
     # per run.  A run is a list of ints or a ``uint64_t[]`` cdata, which
     # is walked in place.  The trace generator's transaction loop walks
-    # its segments inside the kernel, not through these.
+    # its segments inside the kernel, not through these: no program path
+    # calls them, and they stay because the perf ledger's walk probe
+    # (benchmarks/perf/walkprobe.py) wraps them by name.
+
+    def data_access(self, cpu: int, address: int, write: bool, kernel: bool,
+                    shared: bool = False) -> None:
+        """A data reference on ``cpu`` (a one-reference walk); ``shared``
+        lines engage coherence."""
+        _grown(lib.walk_data(self._states[cpu], ffi.new(
+            "uint64_t[]", [(address << 2) | write << 1 | shared]), 1, kernel))
 
     def access_run(self, cpu: int, run, kernel: bool) -> None:
         """Walk packed data references ``(address << 2) | write << 1 |
@@ -233,10 +193,6 @@ class SmpHierarchy:
     def branch_run(self, cpu: int, run, kernel: bool) -> None:
         """Walk packed branches ``(site << 1) | taken`` in one pass."""
         lib.walk_branch(self._states[cpu], _codes(run), len(run), kernel)
-
-    def context_switch(self, cpu: int) -> None:
-        """Apply context-switch perturbation to TLBs and caches."""
-        self.cpus[cpu].context_switch()
 
     def merged_counts(self) -> HierarchyCounts:
         """Sum of all CPUs' event counts."""

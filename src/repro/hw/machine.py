@@ -173,10 +173,6 @@ class MachineConfig:
         return replace(self, name=f"{self.name}/disks={count}",
                        disks=replace(self.disks, count=count))
 
-    def with_processors(self, max_processors: int) -> "MachineConfig":
-        """A copy allowing a different processor ceiling."""
-        return replace(self, max_processors=max_processors)
-
 
 GIB = 1024**3
 

@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from functools import lru_cache
 from random import Random
 
-from repro.hw.cwalk import ffi, lib
+from repro.hw.cwalk import ffi
 from repro.sim.randomness import zipf_cdf
 
 _WORDS = 624
@@ -81,24 +81,3 @@ class Mersenne:
             yield self
         finally:
             self.store(rng)
-
-    def random(self) -> float:
-        """``Random.random()``."""
-        return lib.mt_random(self.c)
-
-    def getrandbits(self, k: int) -> int:
-        """``Random.getrandbits(k)`` for ``0 <= k <= 32``."""
-        if not 0 <= k <= 32:
-            raise ValueError(f"getrandbits takes 0..32 bits here, got {k}")
-        return lib.mt_getrandbits(self.c, k)
-
-    def randbelow(self, n: int) -> int:
-        """``Random.randrange(n)`` for ``1 <= n < 2**32``."""
-        check_bound("randrange bound", n)
-        return lib.mt_randbelow(self.c, n)
-
-    def poisson(self, mean: float) -> int:
-        """A small-mean Poisson count (Knuth's method): no draw for
-        ``mean <= 0``, else uniforms multiplied until the product falls
-        to ``exp(-mean)``."""
-        return lib.mt_poisson(self.c, poisson_threshold(mean))

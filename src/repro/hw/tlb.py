@@ -17,37 +17,9 @@ class Tlb:
 
     def __init__(self, config: TlbConfig):
         self.config = config
-        cache_config = CacheConfig(
+        self._cache = SetAssociativeCache(CacheConfig(
             name="TLB",
             size_bytes=config.entries * config.page_bytes,
             line_bytes=config.page_bytes,
             associativity=config.associativity,
-        )
-        self._cache = SetAssociativeCache(cache_config)
-
-    def access(self, address: int) -> bool:
-        """Translate ``address``; returns True on TLB hit."""
-        return self._cache.access_hit(address)
-
-    def flush(self) -> int:
-        """Full TLB flush (address-space switch); returns entries dropped."""
-        return self._cache.flush()
-
-    @property
-    def accesses(self) -> int:
-        """Translations attempted so far."""
-        return self._cache.accesses
-
-    @property
-    def misses(self) -> int:
-        """Translations that missed the TLB."""
-        return self._cache.misses
-
-    @property
-    def miss_rate(self) -> float:
-        """misses / accesses (0 before any access)."""
-        return self._cache.miss_rate
-
-    def reset_stats(self) -> None:
-        """Zero the access/miss counters (entries are kept)."""
-        self._cache.reset_stats()
+        ))

@@ -220,13 +220,13 @@ class TraceGenerator:
         # The gen_t points into these arrays and into self._smp's state.
         self._cdfs = [zipf_array(n, skew) for n, skew in shapes]
         self._cpus = ffi.new("hier_t *[]", self._smp._states)
-        # One run buffer, as long as the longest segment or burst; each
-        # run is walked before the next is filled.
+        # One run buffer, as long as the longest segment, burst or batch
+        # of sync references; each run is walked before the next is filled.
         self._buffer = ffi.new("uint64_t[]", max(
             p.user_refs_per_txn, p.code_refs_per_txn, p.branches_per_txn,
             p.os_code_refs_per_burst, p.os_base_refs,
             p.os_refs_per_io + p.os_slab_refs_per_io + p.os_task_refs_per_cs,
-            p.os_refs_per_cs + p.os_task_refs_per_cs))
+            p.os_refs_per_cs + p.os_task_refs_per_cs, p.os_sync_refs_per_cs))
         p_hot_warm = p.p_hot + p.p_warm
         self._gen = ffi.new("gen_t *", {
             "cdf": self._cdfs,

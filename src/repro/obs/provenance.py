@@ -74,14 +74,6 @@ class EmonProvenance:
     records: tuple[CounterProvenance, ...]
     provenance_version: int = PROVENANCE_VERSION
 
-    def record_for(self, metric: str) -> CounterProvenance:
-        """Look up one record by metric name."""
-        for record in self.records:
-            if record.metric == metric:
-                return record
-        known = ", ".join(r.metric for r in self.records)
-        raise KeyError(f"no provenance for {metric!r}; known: {known}")
-
     def rows(self) -> list[list]:
         """Table rows: metric, value, formula, events, EMON names, cost."""
         rows = []

@@ -48,11 +48,6 @@ class TransactionMix:
         known = ", ".join(p.name for p in self.profiles)
         raise KeyError(f"unknown transaction {name!r}; known: {known}")
 
-    def share_of(self, name: str) -> float:
-        """Normalized weight of one transaction type."""
-        total = sum(p.weight for p in self.profiles)
-        return self.by_name(name).weight / total
-
 
 class PhasedTransactionMix(TransactionMix):
     """A mix whose weights cycle through phases over simulated time.

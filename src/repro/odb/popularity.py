@@ -136,29 +136,3 @@ def steady_state_fill(cache: BufferCache, space: BlockSpace,
                 for segment, index, copies in reversed(selected)],
                space.units_per_warehouse, Random(0x5EED))
     return cache.resident_units
-
-
-def expected_hit_rate(space: BlockSpace, capacity_units: int,
-                      profiles: tuple[TransactionProfile, ...] = STANDARD_PROFILES,
-                      ) -> float:
-    """IRM-predicted buffer hit rate for a given capacity.
-
-    The mass of the popularity distribution covered by the top
-    ``capacity_units`` units.  Useful as an analytic cross-check of the
-    simulated steady state (they agree up to LRU-vs-IRM error).
-    """
-    if capacity_units <= 0:
-        return 0.0
-    populations = unit_popularities(space, profiles)
-    total = sum(u.rate * (space.warehouses if u.per_warehouse else 1)
-                for u in populations)
-    covered = 0.0
-    budget = capacity_units
-    for unit in populations:
-        if budget <= 0:
-            break
-        copies = space.warehouses if unit.per_warehouse else 1
-        take = min(copies, budget)
-        covered += unit.rate * take
-        budget -= take
-    return covered / total if total else 0.0

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from repro.db.blocks import BlockSpace, Segment
 
 WAREHOUSE_BYTES = 100 * 1024 * 1024
-DISTRICTS_PER_WAREHOUSE = 10
-CUSTOMERS_PER_DISTRICT = 3000
 LOG_FILE_BYTES = 25 * 1024**3
 LOG_FILE_COUNT = 2
 ITEM_CATALOG_BYTES = 8 * 1024 * 1024
@@ -67,22 +65,3 @@ class OdbSchema:
         return BlockSpace(self.warehouses, odb_segments(self.unit_bytes),
                           self.unit_bytes)
 
-    @property
-    def districts(self) -> int:
-        """District count (warehouses x 10, per TPC-C)."""
-        return self.warehouses * DISTRICTS_PER_WAREHOUSE
-
-    @property
-    def customers(self) -> int:
-        """Customer count (districts x 3000, per TPC-C)."""
-        return self.districts * CUSTOMERS_PER_DISTRICT
-
-    @property
-    def data_bytes(self) -> int:
-        """Total table+index bytes (excluding the redo logs)."""
-        return (self.warehouses * WAREHOUSE_BYTES) + ITEM_CATALOG_BYTES
-
-    def working_set_units(self) -> int:
-        """Block units the workload can touch (the working set scales
-        linearly with warehouses — Section 4.1)."""
-        return self.build_block_space().total_units

@@ -52,12 +52,6 @@ _fill_memo: Optional[tuple[tuple, BufferCache]] = None
 _prewarm_memo: Optional[tuple[tuple, BufferCache]] = None
 
 
-def _clear_prewarm_memo() -> None:
-    """Forget the memoised fill and prewarm (a test hook)."""
-    global _fill_memo, _prewarm_memo
-    _fill_memo = _prewarm_memo = None
-
-
 @dataclass(frozen=True)
 class OdbConfig:
     """One OLTP configuration point: (W, C, P) plus the machine."""
@@ -96,12 +90,6 @@ class OdbConfig:
             raise ValueError("buffer_cache_fraction must be in (0, 1]")
         if self.user_cpi <= 0 or self.os_cpi <= 0:
             raise ValueError("CPI values must be positive")
-
-    def with_cpi(self, user_cpi: float, os_cpi: float) -> "OdbConfig":
-        """Copy of the config with replaced user/OS CPI values."""
-        import dataclasses
-
-        return dataclasses.replace(self, user_cpi=user_cpi, os_cpi=os_cpi)
 
 
 @dataclass(frozen=True)

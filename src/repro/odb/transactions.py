@@ -154,20 +154,6 @@ STANDARD_PROFILES: tuple[TransactionProfile, ...] = (
 )
 
 
-def mean_user_instructions(
-        profiles: tuple[TransactionProfile, ...] = STANDARD_PROFILES) -> float:
-    """Mix-weighted mean user path length."""
-    total_weight = sum(p.weight for p in profiles)
-    return sum(p.weight * p.user_instructions for p in profiles) / total_weight
-
-
-def mean_redo_bytes(
-        profiles: tuple[TransactionProfile, ...] = STANDARD_PROFILES) -> float:
-    """Mix-weighted mean redo volume (the paper's ~6 KB)."""
-    total_weight = sum(p.weight for p in profiles)
-    return sum(p.weight * p.redo_bytes for p in profiles) / total_weight
-
-
 def abort_weight(profile: TransactionProfile) -> float:
     """Relative transient-abort likelihood of a transaction type.
 

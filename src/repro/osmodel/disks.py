@@ -140,25 +140,6 @@ class DiskArray:
             latency.record(request.latency_s)
         return request
 
-    # -- statistics ----------------------------------------------------------
-
-    def data_utilization(self, elapsed: float | None = None) -> float:
-        """Mean busy fraction across the data disks."""
-        if elapsed is None:
-            elapsed = self.engine.now
-        if elapsed <= 0:
-            return 0.0
-        busy = sum(disk.busy_time() for disk in self._data_disks)
-        return busy / (self.data_disk_count * elapsed)
-
-    def max_data_utilization(self, elapsed: float | None = None) -> float:
-        """Busy fraction of the hottest data disk (saturation indicator)."""
-        if elapsed is None:
-            elapsed = self.engine.now
-        if elapsed <= 0:
-            return 0.0
-        return max(disk.busy_time() for disk in self._data_disks) / elapsed
-
     def events(self) -> int:
         """DES events the array has scheduled: every grant of a disk
         claim plus every service and outage timeout."""

@@ -41,19 +41,3 @@ class KernelCosts:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
 
-    def os_instructions_per_txn(self, reads: float, writes: float,
-                                switches: float,
-                                log_flush_share: float = 1.0) -> float:
-        """Expected OS instructions for one transaction.
-
-        ``log_flush_share`` is the fraction of a log flush attributable
-        to one transaction (group commit amortizes a flush over all the
-        transactions it covers).
-        """
-        if min(reads, writes, switches, log_flush_share) < 0:
-            raise ValueError("rates must be >= 0")
-        return (self.base_per_txn
-                + reads * (self.io_submit + self.io_complete)
-                + writes * self.write_submit
-                + switches * self.context_switch
-                + log_flush_share * self.log_flush)

@@ -107,13 +107,6 @@ class Scheduler:
         """Mean busy fraction across all CPUs since t=0 (or over elapsed)."""
         return self.cpus.utilization(elapsed)
 
-    def busy_split(self) -> tuple[float, float]:
-        """(user, os) shares of busy time; zeros when never busy."""
-        busy = self.user_busy_s + self.os_busy_s
-        if busy <= 0:
-            return 0.0, 0.0
-        return self.user_busy_s / busy, self.os_busy_s / busy
-
     def snapshot(self) -> dict[str, float]:
         """Counter snapshot for interval-delta measurement (EMON)."""
         return {

@@ -243,11 +243,6 @@ class Engine:
             "max_depth": self.max_depth,
         }
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` when idle."""
-        heap = self._heap
-        return heap[0][0] if heap else _INF
-
     # -- dispatch ----------------------------------------------------------
 
     def run(self, until: Optional[float] = None,

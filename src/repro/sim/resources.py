@@ -61,26 +61,10 @@ class Resource:
         self._queue: Deque[Request] = deque()
         self._busy_time = 0.0
         self._last_change = engine.now
-        self._wait_count = 0  # grants that had to queue first
         #: Requests granted so far: each grant schedules one event.
         self.grants = 0
 
     # -- introspection -----------------------------------------------------
-
-    @property
-    def in_use(self) -> int:
-        """Number of currently granted slots."""
-        return len(self._users)
-
-    @property
-    def queue_length(self) -> int:
-        """Number of requests waiting for a slot."""
-        return len(self._queue)
-
-    @property
-    def wait_count(self) -> int:
-        """How many grants were delayed behind other users."""
-        return self._wait_count
 
     def busy_time(self) -> float:
         """Integral of in-use slot count over time, up to now."""
@@ -122,7 +106,6 @@ class Resource:
             while queue and len(users) < self.capacity:
                 waiter = queue.popleft()
                 users.add(waiter)
-                self._wait_count += 1
                 self.grants += 1
                 waiter.succeed(waiter)
         else:
@@ -157,11 +140,6 @@ class Store:
     def size(self) -> int:
         """Number of items currently buffered."""
         return len(self._items)
-
-    @property
-    def waiting_getters(self) -> int:
-        """Number of processes blocked in ``get``."""
-        return len(self._getters)
 
     def put(self, item: Any) -> None:
         """Add ``item``; wakes the oldest blocked getter, if any."""

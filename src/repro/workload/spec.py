@@ -316,10 +316,3 @@ class WorkloadSpec:
         return hashlib.blake2b(canonical.encode(),
                                digest_size=6).hexdigest()
 
-    def transaction_by_name(self, name: str) -> TransactionSpec:
-        """The named transaction spec; raises ``KeyError`` if unknown."""
-        for txn in self.transactions:
-            if txn.name == name:
-                return txn
-        known = ", ".join(t.name for t in self.transactions)
-        raise KeyError(f"unknown transaction {name!r}; known: {known}")

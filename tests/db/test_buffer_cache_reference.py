@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from repro.db.buffer_cache import BufferCache
 
-from tests.db.reference_lru import ReferenceLru
+from tests.db.reference_lru import (
+    ReferenceLru,
+    dirty_units,
+    lookup,
+    restore,
+    touch_write,
+)
 
 
 operations = st.lists(
@@ -21,7 +27,7 @@ def test_buffer_cache_matches_reference(capacity, ops):
     cache = BufferCache(capacity)
     reference = ReferenceLru(capacity)
     for block, write in ops:
-        hit = cache.touch_write(block) if write else cache.lookup(block)
+        hit = touch_write(cache, block) if write else lookup(cache, block)
         ref_hit = reference.lookup(block, write)
         assert hit == ref_hit, f"hit mismatch on block {block}"
         if not hit:
@@ -38,7 +44,7 @@ def test_clean_never_disturbs_order(capacity, ops):
     cache = BufferCache(capacity)
     reference = ReferenceLru(capacity)
     for index, (block, write) in enumerate(ops):
-        hit = cache.touch_write(block) if write else cache.lookup(block)
+        hit = touch_write(cache, block) if write else lookup(cache, block)
         reference.lookup(block, write)
         if not hit:
             cache.install(block, dirty=write)
@@ -72,7 +78,7 @@ def drive_miss_heavy(capacity: int, seed: int, length: int,
         block = rng.randrange(span)
         if kind < 16:
             write = kind >= 8
-            hit = cache.touch_write(block) if write else cache.lookup(block)
+            hit = touch_write(cache, block) if write else lookup(cache, block)
             assert hit == reference.lookup(block, write)
             if not hit:
                 victim = cache.install(block, dirty=write)
@@ -89,10 +95,10 @@ def drive_miss_heavy(capacity: int, seed: int, length: int,
             assert list(cache.snapshot().items()) == list(
                 reference.entries.items())
         else:
-            cache.restore(cache.snapshot())
+            restore(cache, cache.snapshot())
     assert list(cache.snapshot().items()) == list(reference.entries.items())
     assert cache.resident_units == len(reference.entries)
-    assert cache.dirty_units == sum(reference.entries.values())
+    assert dirty_units(cache) == sum(reference.entries.values())
 
 
 @given(st.integers(min_value=1, max_value=200),
@@ -120,7 +126,7 @@ def test_long_run_over_colliding_ids_matches_reference():
     for _ in range(100_000):
         block = rng.randrange(3 * 4096) << 40
         write = rng.random() < 0.3
-        hit = cache.touch_write(block) if write else cache.lookup(block)
+        hit = touch_write(cache, block) if write else lookup(cache, block)
         assert hit == reference.lookup(block, write)
         if not hit:
             assert (cache.install(block, dirty=write)
@@ -133,7 +139,7 @@ def test_copy_and_restore_from_match_the_snapshot():
     rng = Random(3)
     for _ in range(20_000):
         block = rng.randrange(2**40)
-        if not cache.touch_write(block):
+        if not touch_write(cache, block):
             cache.install(block, dirty=rng.random() < 0.5)
     copy = cache.copy()
     assert list(copy.snapshot().items()) == list(cache.snapshot().items())

@@ -13,6 +13,8 @@ from repro.osmodel.scheduler import Scheduler
 from repro.sim import Engine
 from repro.sim.randomness import RandomStreams
 
+from tests.db.reference_lru import dirty_units
+
 
 def make_db(processors=2, cache_units=8, with_logwriter=True):
     engine = Engine()
@@ -92,7 +94,7 @@ class TestAccessBlock:
 
         engine.process(proc())
         engine.run(until=1.0)
-        assert db.buffer_cache.dirty_units == 1
+        assert dirty_units(db.buffer_cache) == 1
         assert stats.blocks_dirtied == 1
 
     def test_dirty_eviction_reaches_dbwriter(self):
@@ -201,7 +203,7 @@ class TestCommit:
         engine.run(until=1.0)
         assert stats.committed
         assert db.transactions.count == 1
-        assert db.lock_table.held_count == 0
+        assert not db.lock_table.holds("t1", ("wh", 0))
         assert db.redo.flushes.count >= 1
 
     def test_commit_custom_redo_bytes(self):
@@ -231,5 +233,5 @@ class TestCommit:
 
         engine.process(proc())
         engine.run(until=1.0)
-        assert db.lock_table.held_count == 0
+        assert not db.lock_table.holds("t1", ("wh", 0))
         assert db.transactions.count == 0

@@ -66,12 +66,14 @@ class TestLockTable:
         def proc():
             yield from locks.acquire("t1", ("wh", 0))
             yield from locks.acquire("t1", ("dist", 0))
-            assert locks.held_count == 2
+            assert locks.holds("t1", ("wh", 0))
+            assert locks.holds("t1", ("dist", 0))
             assert locks.release_all("t1") == 2
 
         engine.process(proc())
         engine.run()
-        assert locks.held_count == 0
+        assert not locks.holds("t1", ("wh", 0))
+        assert not locks.holds("t1", ("dist", 0))
 
     def test_release_all_unknown_owner(self):
         locks = LockTable(Engine())
@@ -130,7 +132,7 @@ class TestLockTable:
         engine.process(contender("a"))
         engine.process(contender("b"))
         engine.run(until=5.0)
-        assert locks.waiting_count == 2
+        assert len(locks._locks["k"]._queue) == 2
 
 
 class TestSharedExclusiveModes:
@@ -283,4 +285,5 @@ class TestSharedExclusiveModes:
 
         engine.process(proc())
         engine.run()
-        assert locks.held_count == 0
+        assert not locks.holds("o", "s-key")
+        assert not locks.holds("o", "x-key")

@@ -11,6 +11,8 @@ from repro.osmodel.scheduler import Scheduler
 from repro.sim import Engine
 from repro.sim.randomness import RandomStreams
 
+from tests.db.reference_lru import dirty_units, touch_write
+
 
 def make_world(processors=2):
     engine = Engine()
@@ -27,7 +29,7 @@ class TestRedoLog:
         redo = RedoLog(Engine())
         assert redo.append() == 1
         assert redo.append() == 2
-        assert redo.pending_count == 2
+        assert redo.pending_sequence - redo.flushed_sequence == 2
 
     def test_bytes_accounting_default_and_custom(self):
         redo = RedoLog(Engine(), bytes_per_txn=6144)
@@ -115,7 +117,7 @@ class TestDbWriter:
         engine.run(until=1.0)
         assert writer.written.count == 8
         assert disks.writes.count == 8
-        assert writer.backlog == 0
+        assert writer.enqueued.count == writer.written.count
 
     def test_batch_size_validation(self):
         engine, scheduler, disks = make_world()
@@ -139,7 +141,7 @@ class TestDbWriter:
         engine.process(writer.process())
         engine.process(writer.checkpoint_process(cache, interval_s=0.01))
         engine.run(until=0.2)
-        assert cache.dirty_units == 0
+        assert dirty_units(cache) == 0
         assert writer.written.count == 3  # blocks 0, 2, 4
 
     def test_checkpoint_rewrites_redirtied_hot_block(self):
@@ -151,7 +153,7 @@ class TestDbWriter:
         def redirty():
             while True:
                 yield engine.timeout(0.02)
-                cache.touch_write(0)
+                touch_write(cache, 0)
 
         engine.process(redirty())
         engine.process(writer.process())

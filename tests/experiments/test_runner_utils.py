@@ -84,28 +84,22 @@ class TestCachingBehavior:
         assert not default_dir.exists()
 
     def test_default_cache_honors_env_dir(self, tmp_path, monkeypatch):
-        from repro.experiments.records import ResultCache
-        from repro.experiments.runner import default_cache, set_default_cache
+        from repro.experiments import runner
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env-cache"))
-        set_default_cache(None)  # force lazy re-derivation under the env
-        try:
-            cache = default_cache()
-            assert cache.directory == tmp_path / "env-cache"
-            assert default_cache() is cache  # created once, then reused
-        finally:
-            set_default_cache(None)
+        # force lazy re-derivation under the env
+        monkeypatch.setattr(runner, "_CACHE", None)
+        cache = runner.default_cache()
+        assert cache.directory == tmp_path / "env-cache"
+        assert runner.default_cache() is cache  # created once, then reused
 
-    def test_set_default_cache_installs_instance(self, tmp_path):
+    def test_set_default_cache_installs_instance(self, tmp_path, monkeypatch):
+        from repro.experiments import runner
         from repro.experiments.records import ResultCache
-        from repro.experiments.runner import default_cache, set_default_cache
 
         mine = ResultCache(directory=tmp_path)
-        set_default_cache(mine)
-        try:
-            assert default_cache() is mine
-        finally:
-            set_default_cache(None)
+        monkeypatch.setattr(runner, "_CACHE", mine)
+        assert runner.default_cache() is mine
 
 
 def utilization(**kwargs):

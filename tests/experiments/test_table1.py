@@ -11,7 +11,8 @@ import pytest
 from repro.core.saturation import clients_for_utilization
 from repro.experiments import exp_table1
 from repro.experiments.configs import FAST_SETTINGS
-from repro.experiments.runner import run_configuration, set_default_cache
+from repro.experiments import runner
+from repro.experiments.runner import run_configuration
 
 PROCESSORS = (1, 2)
 WAREHOUSES = (10, 50)
@@ -37,9 +38,8 @@ def fresh_cache(tmp_path, monkeypatch):
     """An empty default cache here and in pool workers, so every probe
     is computed rather than loaded."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    set_default_cache(None)
-    yield
-    set_default_cache(None)
+    # None re-derives the default cache lazily under the environment.
+    monkeypatch.setattr(runner, "_CACHE", None)
 
 
 @pytest.mark.parametrize("where", ["in-process", "pool"])

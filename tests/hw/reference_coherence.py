@@ -89,27 +89,6 @@ class ReferenceDirectory:
         self._modified[line] = cpu
         return is_coherence_miss
 
-    def note_eviction(self, cpu: int, line: int) -> None:
-        """A line silently left ``cpu``'s hierarchy (capacity eviction)."""
-        self._check_cpu(cpu)
-        mask = self._sharers.get(line)
-        if mask is None:
-            return
-        mask &= ~(1 << cpu)
-        if mask:
-            self._sharers[line] = mask
-        else:
-            del self._sharers[line]
-        if self._modified.get(line) == cpu:
-            del self._modified[line]
-        # A capacity eviction is not a theft: do not classify a later miss
-        # on this line as a coherence miss.
-        self._stolen[cpu].discard(line)
-
-    def sharer_count(self, line: int) -> int:
-        """Number of CPUs currently holding ``line``."""
-        return bin(self._sharers.get(line, 0)).count("1")
-
     def _check_cpu(self, cpu: int) -> None:
         if not 0 <= cpu < self.processors:
             raise ValueError(f"cpu {cpu} out of range (P={self.processors})")

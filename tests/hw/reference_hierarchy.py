@@ -11,11 +11,19 @@ streams through both and compares every observable.
 
 from __future__ import annotations
 
-from repro.hw.cache import AccessResult
-from repro.hw.hierarchy import HierarchyCounts, scaled_cache_config
+from repro.hw.hierarchy import HierarchyCounts, SplitCount, scaled_cache_config
 from repro.hw.machine import CacheConfig, MachineConfig, TlbConfig
 
+from tests.hw.kernel_driver import AccessResult
 from tests.hw.reference_coherence import ReferenceDirectory
+
+
+def _add(split: SplitCount, kernel: bool) -> None:
+    """Count one event into the user or OS bucket."""
+    if kernel:
+        split.kernel += 1
+    else:
+        split.user += 1
 
 
 # Shared immutable results for the two allocation-free outcomes.  A
@@ -287,7 +295,7 @@ class ReferenceCpu:
         self._tc_hit = self.tc.access_hit
 
     # The three per-reference entry points below increment SplitCount
-    # buckets inline instead of via SplitCount.add(): together they run
+    # buckets inline instead of via _add(): together they run
     # several million times per configuration, and the method-call
     # overhead was a measurable share of the trace simulation.
 
@@ -321,7 +329,7 @@ class ReferenceCpu:
         else:
             misses.user += 1
         if l3_result.writeback:
-            counts.l3_writebacks.add(kernel)
+            _add(counts.l3_writebacks, kernel)
         if l3_result.evicted_line is not None:
             # Inclusive hierarchy: an L3 eviction drops the L2 copy too.
             self._l2_invalidate(l3_result.evicted_line)
@@ -341,14 +349,14 @@ class ReferenceCpu:
             refs.user += 1
         if self._tc_hit(address):
             return False
-        counts.tc_misses.add(kernel)
+        _add(counts.tc_misses, kernel)
         if not self._l2_hit(address):
-            counts.l2_misses.add(kernel)
+            _add(counts.l2_misses, kernel)
             l3_result = self._l3_access(address)
             if not l3_result.hit:
-                counts.l3_misses.add(kernel)
+                _add(counts.l3_misses, kernel)
                 if l3_result.writeback:
-                    counts.l3_writebacks.add(kernel)
+                    _add(counts.l3_writebacks, kernel)
                 if l3_result.evicted_line is not None:
                     self._l2_invalidate(l3_result.evicted_line)
         return True
@@ -363,7 +371,7 @@ class ReferenceCpu:
             refs.user += 1
         correct = self.predictor.predict_and_update(pc, taken)
         if not correct:
-            counts.mispredicts.add(kernel)
+            _add(counts.mispredicts, kernel)
         return correct
 
     def context_switch(self) -> None:
@@ -406,7 +414,7 @@ class ReferenceSmp:
         else:
             coherence_miss = self.directory.note_read(cpu, line, l3_miss)
         if coherence_miss:
-            hierarchy.counts.coherence_misses.add(kernel)
+            _add(hierarchy.counts.coherence_misses, kernel)
 
     def fetch(self, cpu: int, address: int, kernel: bool) -> None:
         """An instruction fetch on ``cpu`` (code is read-shared: no coherence)."""

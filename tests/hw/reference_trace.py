@@ -3,9 +3,10 @@ compiled transaction loop.
 
 :class:`ReferenceTraceGenerator` is :class:`repro.hw.trace.TraceGenerator`'s
 stream generation as it was before the sampling moved into the walk
-kernel (``repro/hw/_walk.c``), unchanged but for the class name: every
-draw is a ``random.Random`` call in Python, in the order the compiled
-samplers must reproduce.  It drives the same
+kernel (``repro/hw/_walk.c``), unchanged but for the class name and its
+context switches (``kernel_driver.context_switch``): every draw is a
+``random.Random`` call in Python, in the order the compiled samplers
+must reproduce.  It drives the same
 :class:`~repro.hw.hierarchy.SmpHierarchy` and shares the program's rate
 conversion, so ``test_compiled_sampling.py`` can compare rates, counts,
 directory state and the ``Random`` state left behind.
@@ -25,6 +26,8 @@ from bisect import bisect_left
 from repro.hw.cwalk import lib
 from repro.hw.trace import MicroarchRates, TraceGenerator
 from repro.sim.randomness import zipf_cdf
+
+from tests.hw import kernel_driver
 
 # Region base addresses (byte addresses; regions far apart).
 _HOT_BASE = 0
@@ -241,7 +244,7 @@ class ReferenceTraceGenerator(TraceGenerator):
                                    task_client=next_client
                                    if switches_left > 0 else None)
                 if switches_left > 0:
-                    self.smp.context_switch(cpu)
+                    kernel_driver.context_switch(self.smp.cpus[cpu])
                     switches_left -= 1
         self._kernel_burst(cpu, p.os_base_refs)
         for _ in range(switches_left):
@@ -255,7 +258,7 @@ class ReferenceTraceGenerator(TraceGenerator):
                            + rng.randrange(p.os_sync_lines) * _LINE)
                 self.smp.data_access(cpu, address, write=rng.random() < 0.5,
                                      kernel=True, shared=True)
-            self.smp.context_switch(cpu)
+            kernel_driver.context_switch(self.smp.cpus[cpu])
 
 
     def run(self, transactions: int, warmup: int = 0) -> MicroarchRates:
@@ -319,8 +322,9 @@ class SegmentTraceGenerator(TraceGenerator):
         smp = self.smp
         profile = self.profile
         gen.recent_len = 0
-        reads = self._mt.poisson(profile.reads_per_txn)
-        switches = self._mt.poisson(profile.context_switches_per_txn)
+        reads = kernel_driver.poisson(self._mt, profile.reads_per_txn)
+        switches = kernel_driver.poisson(self._mt,
+                                         profile.context_switches_per_txn)
         private_base = _PRIVATE_BASE + client * (p.private_lines * 2) * _LINE
         segments = reads + 1
         user_refs_left = p.user_refs_per_txn

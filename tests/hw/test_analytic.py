@@ -1,5 +1,5 @@
-"""Tests for the analytical cache models, including a differential
-check against the set-associative simulator on IRM traffic."""
+"""Tests for Che's approximation of LRU under IRM traffic, including a
+differential check of the compiled set-associative cache against it."""
 
 import math
 from bisect import bisect_left
@@ -8,16 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hw.analytic import (
-    che_characteristic_time,
-    irm_hit_rate,
-    mpi_prediction,
-    working_set_miss_rate,
-    zipf_popularities,
-)
+from repro.hw.analytic import zipf_popularities
 from repro.hw.cache import SetAssociativeCache
 from repro.hw.machine import CacheConfig
 from repro.sim.randomness import RandomStreams, zipf_cdf
+
+from tests.hw import kernel_driver
+from tests.hw.reference_analytic import che_characteristic_time, irm_hit_rate
 
 
 class TestCheApproximation:
@@ -72,11 +69,11 @@ class TestDifferentialAgainstSimulator:
         rng = RandomStreams(seed).stream("irm")
         cdf = zipf_cdf(n, skew)
         for _ in range(refs // 3):  # warm-up
-            cache.access(bisect_left(cdf, rng.random()) * 64)
-        cache.reset_stats()
-        for _ in range(refs):
-            cache.access(bisect_left(cdf, rng.random()) * 64)
-        return 1.0 - cache.miss_rate
+            kernel_driver.access(cache, bisect_left(cdf, rng.random()) * 64)
+        hits = sum(kernel_driver.access(
+            cache, bisect_left(cdf, rng.random()) * 64).hit
+            for _ in range(refs))
+        return hits / refs
 
     @pytest.mark.parametrize("skew,capacity", [(0.6, 64), (1.0, 64),
                                                (0.8, 128)])
@@ -85,52 +82,3 @@ class TestDifferentialAgainstSimulator:
         simulated = self.simulate_hit_rate(n, skew, capacity)
         predicted = irm_hit_rate(zipf_popularities(n, skew), capacity)
         assert simulated == pytest.approx(predicted, abs=0.03)
-
-
-class TestWorkingSetModel:
-    def test_zero_below_capacity(self):
-        assert working_set_miss_rate(100, 200) == 0.0
-        assert working_set_miss_rate(200, 200) == 0.0
-
-    def test_grows_above_capacity(self):
-        small = working_set_miss_rate(400, 200)
-        large = working_set_miss_rate(4000, 200)
-        assert 0 < small < large < 1
-
-    def test_saturates_at_cold_fraction(self):
-        rate = working_set_miss_rate(1e12, 200, hot_fraction=0.4)
-        assert rate == pytest.approx(0.6, abs=1e-6)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            working_set_miss_rate(100, 0)
-        with pytest.raises(ValueError):
-            working_set_miss_rate(-1, 10)
-        with pytest.raises(ValueError):
-            working_set_miss_rate(100, 10, hot_fraction=2.0)
-
-
-class TestMpiPrediction:
-    def test_knee_at_capacity_crossing(self):
-        capacity = 1200
-        lines_per_warehouse = 6.0
-        below = mpi_prediction(100, lines_per_warehouse, capacity, 0.02)
-        above = mpi_prediction(400, lines_per_warehouse, capacity, 0.02)
-        assert below == 0.0  # 600 lines < capacity
-        assert above > 0.0
-
-    def test_knee_scales_with_capacity(self):
-        # The documented Figure 19 divergence, stated as a property.
-        def knee(capacity):
-            w = 1
-            while mpi_prediction(w, 6.0, capacity, 0.02) == 0.0:
-                w += 1
-            return w
-
-        assert knee(2400) == pytest.approx(2 * knee(1200), abs=2)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            mpi_prediction(0, 6.0, 100, 0.02)
-        with pytest.raises(ValueError):
-            mpi_prediction(10, 6.0, 100, 0.0)

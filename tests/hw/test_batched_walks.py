@@ -1,13 +1,13 @@
-"""Bit-identity of the batched reference walks vs the per-access path.
+"""Bit-identity of the batched reference walks vs one-reference walks.
 
-``SmpHierarchy.access_run`` / ``fetch_run`` / ``branch_run`` are the
-trace generator's fast path; their contract (see the comment block in
+``SmpHierarchy.access_run`` / ``fetch_run`` / ``branch_run`` walk a
+whole run in one kernel call; their contract (see the comment block in
 :mod:`repro.hw.hierarchy`) is that walking a run leaves *exactly* the
 state and counters that issuing the same references one at a time
 would.  These tests replay identical randomized streams through two
-hierarchies — one per-access, one batched — and compare everything
-observable: split counts, cache statistics, raw set contents, and the
-coherence directory.
+hierarchies — one a reference at a time, one in runs — and compare
+everything observable: split counts, cache statistics, raw set
+contents, predictor tables, and the coherence directory.
 """
 
 from random import Random
@@ -16,6 +16,7 @@ import pytest
 
 from repro.hw.hierarchy import SmpHierarchy
 from repro.hw.machine import XEON_MP_QUAD
+from tests.hw import kernel_driver
 
 _PROCESSORS = 2
 _SCALE = 1
@@ -37,6 +38,7 @@ def _data_stream(seed, count=4000, lines=900):
                        rng.random() < 0.3, rng.random() < 0.4))
     return stream
 
+
 def _chunks(stream, rng):
     """Split a stream into randomly sized batches (1..64 references)."""
     index = 0
@@ -46,6 +48,11 @@ def _chunks(stream, rng):
         index += size
 
 
+def _packed(refs):
+    return [(address << 2) | (write << 1) | shared
+            for address, write, shared in refs]
+
+
 def _assert_same_state(reference, batched):
     assert (batched.merged_counts().as_counter_dict()
             == reference.merged_counts().as_counter_dict())
@@ -53,22 +60,21 @@ def _assert_same_state(reference, batched):
         for name in ("tc", "l2", "l3"):
             ref_cache = getattr(ref_cpu, name)
             bat_cache = getattr(bat_cpu, name)
-            assert bat_cache._sets == ref_cache._sets, name
-            for stat in ("accesses", "hits", "misses", "evictions",
-                         "writebacks", "invalidations"):
-                assert (getattr(bat_cache, stat)
-                        == getattr(ref_cache, stat)), f"{name}.{stat}"
-        assert bat_cpu.dtlb._cache._sets == ref_cpu.dtlb._cache._sets
-        assert bat_cpu.dtlb._cache.hits == ref_cpu.dtlb._cache.hits
-        assert bat_cpu.dtlb._cache.misses == ref_cpu.dtlb._cache.misses
-        assert bat_cpu.predictor._table == ref_cpu.predictor._table
-        assert bat_cpu.predictor.predictions == ref_cpu.predictor.predictions
-        assert (bat_cpu.predictor.mispredictions
-                == ref_cpu.predictor.mispredictions)
+            assert (kernel_driver.sets(bat_cache)
+                    == kernel_driver.sets(ref_cache)), name
+            assert (kernel_driver.stats(bat_cache)
+                    == kernel_driver.stats(ref_cache)), name
+        assert (kernel_driver.sets(bat_cpu.dtlb._cache)
+                == kernel_driver.sets(ref_cpu.dtlb._cache))
+        assert (kernel_driver.stats(bat_cpu.dtlb._cache)
+                == kernel_driver.stats(ref_cpu.dtlb._cache))
+        assert (kernel_driver.table(bat_cpu.predictor)
+                == kernel_driver.table(ref_cpu.predictor))
     ref_dir, bat_dir = reference.directory, batched.directory
     assert bat_dir.coherence_misses == ref_dir.coherence_misses
     assert bat_dir.invalidations == ref_dir.invalidations
     assert bat_dir.interventions == ref_dir.interventions
+    assert kernel_driver.tables(bat_dir) == kernel_driver.tables(ref_dir)
 
 
 @pytest.mark.parametrize("kernel", [False, True])
@@ -88,11 +94,7 @@ def test_access_run_matches_per_access(seed, kernel):
                 reference.data_access(cpu, address, write, kernel,
                                       shared=shared)
             if refs:
-                batched.access_run(
-                    cpu,
-                    [(address << 2) | (write << 1) | shared
-                     for address, write, shared in refs],
-                    kernel)
+                batched.access_run(cpu, _packed(refs), kernel)
     _assert_same_state(reference, batched)
 
 
@@ -104,8 +106,7 @@ def test_access_run_interleaved_coherence(kernel):
     stream = _data_stream(seed=7, count=1500, lines=200)
     for cpu, address, write, shared in stream:
         reference.data_access(cpu, address, write, kernel, shared=shared)
-        batched.access_run(
-            cpu, [(address << 2) | (write << 1) | shared], kernel)
+        batched.access_run(cpu, _packed([(address, write, shared)]), kernel)
     _assert_same_state(reference, batched)
 
 
@@ -119,7 +120,7 @@ def test_fetch_run_matches_per_fetch(seed, kernel):
                rng.randrange(1200) * line_bytes)
               for _ in range(4000)]
     for cpu, address in stream:
-        reference.fetch(cpu, address, kernel)
+        kernel_driver.fetch(reference.cpus[cpu], address, kernel)
     for chunk in _chunks(stream, Random(seed + 100)):
         for cpu in range(_PROCESSORS):
             run = [address for c, address in chunk if c == cpu]
@@ -137,7 +138,7 @@ def test_branch_run_matches_per_branch(seed, kernel):
                rng.random() < 0.6)
               for _ in range(6000)]
     for cpu, site, taken in stream:
-        reference.branch(cpu, site, taken, kernel)
+        kernel_driver.branch(reference.cpus[cpu], site, taken, kernel)
     for chunk in _chunks(stream, Random(seed + 100)):
         for cpu in range(_PROCESSORS):
             run = [(site << 1) | taken
@@ -162,14 +163,16 @@ def test_mixed_walks_share_state_with_mixed_singles():
                 reference.data_access(cpu, address, write, False,
                                       shared=shared)
             if refs:
-                batched.access_run(
-                    cpu,
-                    [(address << 2) | (write << 1) | shared
-                     for address, write, shared in refs],
-                    False)
+                batched.access_run(cpu, _packed(refs), False)
         cpu = rng.randrange(_PROCESSORS)
         fetches = [rng.randrange(400) * line_bytes for _ in range(80)]
         for address in fetches:
-            reference.fetch(cpu, address, True)
+            kernel_driver.fetch(reference.cpus[cpu], address, True)
         batched.fetch_run(cpu, fetches, True)
+        branches = [(rng.randrange(500) << 1) | (rng.random() < 0.5)
+                    for _ in range(40)]
+        for code in branches:
+            kernel_driver.branch(reference.cpus[cpu], code >> 1, code & 1,
+                                 False)
+        batched.branch_run(cpu, branches, False)
     _assert_same_state(reference, batched)

@@ -1,4 +1,5 @@
-"""Tests for the set-associative cache model."""
+"""Tests for the set-associative cache model, one access at a time
+through the kernel (``tests/hw/kernel_driver.py``)."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,16 @@ from hypothesis import strategies as st
 
 from repro.hw.cache import SetAssociativeCache
 from repro.hw.machine import CacheConfig
+
+from tests.hw.kernel_driver import (
+    access,
+    flush,
+    invalidate_line,
+    line_of,
+    resident_lines,
+    sets,
+    stats,
+)
 
 
 def make_cache(size=1024, line=64, ways=2):
@@ -30,101 +41,103 @@ class TestGeometry:
 class TestBasicBehavior:
     def test_first_access_misses_second_hits(self):
         cache = make_cache()
-        assert not cache.access(0x100).hit
-        assert cache.access(0x100).hit
+        assert not access(cache, 0x100).hit
+        assert access(cache, 0x100).hit
 
     def test_same_line_different_bytes_hit(self):
         cache = make_cache(line=64)
-        cache.access(0x100)
-        assert cache.access(0x13F).hit  # same 64B line
-        assert not cache.access(0x140).hit  # next line
+        access(cache, 0x100)
+        assert access(cache, 0x13F).hit  # same 64B line
+        assert not access(cache, 0x140).hit  # next line
 
     def test_lru_eviction_within_set(self):
         cache = make_cache(size=256, line=64, ways=2)  # 2 sets
         # Three lines mapping to set 0 (stride = num_sets * line = 128).
         a, b, c = 0x000, 0x080, 0x100
-        cache.access(a)
-        cache.access(b)
-        result = cache.access(c)  # evicts a (LRU)
-        assert result.evicted_line == cache.line_of(a)
-        assert not cache.access(a).hit  # a was evicted; this refill evicts b
-        assert cache.access(c).hit  # c stayed resident throughout
+        access(cache, a)
+        access(cache, b)
+        result = access(cache, c)  # evicts a (LRU)
+        assert result.evicted_line == line_of(cache, a)
+        assert not access(cache, a).hit  # a was evicted; this refill evicts b
+        assert access(cache, c).hit  # c stayed resident throughout
 
     def test_hit_refreshes_lru(self):
         cache = make_cache(size=256, line=64, ways=2)
         a, b, c = 0x000, 0x080, 0x100
-        cache.access(a)
-        cache.access(b)
-        cache.access(a)  # refresh a; b becomes LRU
-        result = cache.access(c)
-        assert result.evicted_line == cache.line_of(b)
+        access(cache, a)
+        access(cache, b)
+        access(cache, a)  # refresh a; b becomes LRU
+        result = access(cache, c)
+        assert result.evicted_line == line_of(cache, b)
 
     def test_writeback_only_for_dirty_victims(self):
         cache = make_cache(size=256, line=64, ways=2)
         a, b, c, d = 0x000, 0x080, 0x100, 0x180
-        cache.access(a, write=True)
-        cache.access(b, write=False)
-        result = cache.access(c)  # evicts dirty a
+        access(cache, a, write=True)
+        access(cache, b, write=False)
+        result = access(cache, c)  # evicts dirty a
         assert result.writeback
-        result = cache.access(d)  # evicts clean b
+        result = access(cache, d)  # evicts clean b
         assert not result.writeback
-        assert cache.writebacks == 1
+        assert stats(cache)["writebacks"] == 1
 
     def test_write_hit_marks_dirty(self):
         cache = make_cache(size=256, line=64, ways=2)
         a, b, c = 0x000, 0x080, 0x100
-        cache.access(a, write=False)
-        cache.access(a, write=True)  # dirty via hit
-        cache.access(b)
-        result = cache.access(c)  # evicts a
+        access(cache, a, write=False)
+        access(cache, a, write=True)  # dirty via hit
+        access(cache, b)
+        result = access(cache, c)  # evicts a
         assert result.writeback
 
 
 class TestInvalidate:
     def test_invalidate_removes_line(self):
         cache = make_cache()
-        cache.access(0x100)
-        assert cache.invalidate(0x100)
-        assert not cache.access(0x100).hit
-        assert cache.invalidations == 1
+        access(cache, 0x100)
+        assert invalidate_line(cache, line_of(cache, 0x100))
+        assert not access(cache, 0x100).hit
+        assert stats(cache)["invalidations"] == 1
 
     def test_invalidate_absent_line_is_noop(self):
         cache = make_cache()
-        assert not cache.invalidate(0x500)
-        assert cache.invalidations == 0
+        assert not invalidate_line(cache, line_of(cache, 0x500))
+        assert stats(cache)["invalidations"] == 0
 
     def test_invalidate_line_by_id(self):
         cache = make_cache()
-        cache.access(0x100)
-        assert cache.invalidate_line(cache.line_of(0x100))
+        access(cache, 0x100)
+        assert invalidate_line(cache, 0x100 >> 6)
+        assert sets(cache)[(0x100 >> 6) % cache.config.num_sets] == {}
 
 
 class TestStats:
     def test_miss_rate(self):
         cache = make_cache()
-        cache.access(0x0)
-        cache.access(0x0)
-        cache.access(0x0)
-        cache.access(0x1000)
-        assert cache.miss_rate == pytest.approx(0.5)
+        access(cache, 0x0)
+        access(cache, 0x0)
+        access(cache, 0x0)
+        access(cache, 0x1000)
+        counters = stats(cache)
+        assert counters["misses"] / counters["accesses"] == pytest.approx(0.5)
 
     def test_reset_stats_keeps_contents(self):
         cache = make_cache()
-        cache.access(0x100)
-        cache.reset_stats()
-        assert cache.accesses == 0
-        assert cache.access(0x100).hit  # contents survived
+        access(cache, 0x100)
+        cache._c.accesses = 0
+        assert stats(cache)["accesses"] == 0
+        assert access(cache, 0x100).hit  # contents survived
 
     def test_flush_empties(self):
         cache = make_cache()
-        cache.access(0x100)
-        cache.access(0x200)
-        assert cache.flush() == 2
-        assert cache.resident_lines == 0
-        assert not cache.access(0x100).hit
+        access(cache, 0x100)
+        access(cache, 0x200)
+        assert flush(cache) == 2
+        assert resident_lines(cache) == 0
+        assert not access(cache, 0x100).hit
 
     def test_miss_rate_zero_without_accesses(self):
-        assert make_cache().miss_rate == 0.0
+        assert stats(make_cache())["misses"] == 0
 
 
 class TestProperties:
@@ -134,9 +147,9 @@ class TestProperties:
     def test_occupancy_never_exceeds_capacity(self, addresses):
         cache = make_cache(size=512, line=64, ways=2)
         for address in addresses:
-            cache.access(address)
-        assert cache.resident_lines <= cache.config.total_lines
-        for cache_set in cache._sets:
+            access(cache, address)
+        assert resident_lines(cache) <= cache.config.total_lines
+        for cache_set in sets(cache):
             assert len(cache_set) <= cache.config.associativity
 
     @given(st.lists(st.integers(min_value=0, max_value=1 << 16), min_size=1,
@@ -145,9 +158,12 @@ class TestProperties:
     def test_counters_are_consistent(self, addresses):
         cache = make_cache(size=512, line=64, ways=2)
         for address in addresses:
-            cache.access(address, write=address % 3 == 0)
-        assert cache.hits + cache.misses == cache.accesses == len(addresses)
-        assert cache.writebacks <= cache.evictions <= cache.misses
+            access(cache, address, write=address % 3 == 0)
+        counters = stats(cache)
+        assert (counters["hits"] + counters["misses"] == counters["accesses"]
+                == len(addresses))
+        assert (counters["writebacks"] <= counters["evictions"]
+                <= counters["misses"])
 
     @given(st.lists(st.integers(min_value=0, max_value=1 << 16), min_size=1,
                     max_size=200))
@@ -156,8 +172,8 @@ class TestProperties:
         # Immediately repeating any access must hit (LRU keeps the MRU line).
         cache = make_cache(size=512, line=64, ways=2)
         for address in addresses:
-            cache.access(address)
-            assert cache.access(address).hit
+            access(cache, address)
+            assert access(cache, address).hit
 
     @given(st.integers(min_value=1, max_value=8),
            st.lists(st.integers(min_value=0, max_value=1 << 14), min_size=50,
@@ -169,6 +185,6 @@ class TestProperties:
         small = SetAssociativeCache(CacheConfig("s", 64 * 8, 64, 8))
         large = SetAssociativeCache(CacheConfig("l", 64 * 32, 64, 32))
         for address in addresses:
-            small.access(address)
-            large.access(address)
-        assert large.misses <= small.misses
+            access(small, address)
+            access(large, address)
+        assert stats(large)["misses"] <= stats(small)["misses"]

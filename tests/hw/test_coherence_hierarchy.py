@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.hw.cache import SetAssociativeCache
 from repro.hw.coherence import CoherenceDirectory
 from repro.hw.hierarchy import (
     CpuHierarchy,
@@ -10,61 +11,71 @@ from repro.hw.hierarchy import (
 )
 from repro.hw.machine import CacheConfig, XEON_MP_QUAD
 
+from tests.hw import kernel_driver
+
+
+def _sharers(directory, line: int) -> int:
+    """Number of CPUs the directory lists as holding ``line``."""
+    return bin(kernel_driver.tables(directory)[0].get(line, 0)).count("1")
+
+
+def _attached(processors: int, lines):
+    """A directory whose CPUs' L2 and L3 all hold ``lines``."""
+    directory = CoherenceDirectory(processors)
+    caches = []
+    for cpu in range(processors):
+        l2, l3 = (SetAssociativeCache(CacheConfig(name, size, 128, 4))
+                  for name, size in (("L2", 4096), ("L3", 16384)))
+        for line in lines:
+            kernel_driver.access(l3, line * 128)
+            kernel_driver.access(l2, line * 128)
+        directory.attach(cpu, l2, l3)
+        caches.append((l2, l3))
+    return directory, caches
+
+
+def _holds(caches, line: int) -> list[bool]:
+    """Per CPU, whether its L2 and L3 still hold ``line``."""
+    return [all(line in kernel_driver.sets(cache)[line % cache.config.num_sets]
+                for cache in pair) for pair in caches]
+
 
 class TestCoherenceDirectory:
     def test_write_invalidates_remote_sharers(self):
-        invalidated = []
-        directory = CoherenceDirectory(
-            2, lambda cpu, line: invalidated.append((cpu, line)))
-        directory.note_read(0, line=7, was_miss=True)
-        directory.note_read(1, line=7, was_miss=True)
-        assert directory.sharer_count(7) == 2
-        directory.note_write(0, line=7, was_miss=False)
-        assert invalidated == [(1, 7)]
+        directory, caches = _attached(2, [7])
+        kernel_driver.read(directory, 0, line=7, was_miss=True)
+        kernel_driver.read(directory, 1, line=7, was_miss=True)
+        assert _sharers(directory, 7) == 2
+        kernel_driver.write(directory, 0, line=7, was_miss=False)
+        assert _holds(caches, 7) == [True, False]
         assert directory.invalidations == 1
-        assert directory.sharer_count(7) == 1
+        assert _sharers(directory, 7) == 1
 
     def test_miss_after_theft_is_coherence_miss(self):
         directory = CoherenceDirectory(2)
-        directory.note_read(1, line=3, was_miss=True)
-        directory.note_write(0, line=3, was_miss=True)  # steals from cpu1
-        assert directory.note_read(1, line=3, was_miss=True)
+        kernel_driver.read(directory, 1, line=3, was_miss=True)
+        # cpu 0 steals the line from cpu 1
+        kernel_driver.write(directory, 0, line=3, was_miss=True)
+        assert kernel_driver.read(directory, 1, line=3, was_miss=True)
         assert directory.coherence_misses == 1
-
-    def test_miss_after_capacity_eviction_is_not_coherence(self):
-        directory = CoherenceDirectory(2)
-        directory.note_read(1, line=3, was_miss=True)
-        directory.note_write(0, line=3, was_miss=True)
-        directory.note_eviction(1, line=3)
-        assert not directory.note_read(1, line=3, was_miss=True)
-        assert directory.coherence_misses == 0
 
     def test_read_of_remote_modified_is_intervention(self):
         directory = CoherenceDirectory(2)
-        directory.note_write(0, line=9, was_miss=True)
-        directory.note_read(1, line=9, was_miss=True)
+        kernel_driver.write(directory, 0, line=9, was_miss=True)
+        kernel_driver.read(directory, 1, line=9, was_miss=True)
         assert directory.interventions == 1
 
     def test_own_write_does_not_self_invalidate(self):
-        invalidated = []
-        directory = CoherenceDirectory(
-            2, lambda cpu, line: invalidated.append((cpu, line)))
-        directory.note_read(0, line=5, was_miss=True)
-        directory.note_write(0, line=5, was_miss=False)
-        assert invalidated == []
-
-    def test_eviction_clears_ownership(self):
-        directory = CoherenceDirectory(2)
-        directory.note_write(0, line=4, was_miss=True)
-        directory.note_eviction(0, line=4)
-        assert directory.sharer_count(4) == 0
-        directory.note_read(1, line=4, was_miss=True)
-        assert directory.interventions == 0
+        directory, caches = _attached(2, [5])
+        kernel_driver.read(directory, 0, line=5, was_miss=True)
+        kernel_driver.write(directory, 0, line=5, was_miss=False)
+        assert _holds(caches, 5) == [True, True]
+        assert directory.invalidations == 0
 
     def test_cpu_range_validated(self):
-        directory = CoherenceDirectory(2)
+        directory, ((l2, l3), _) = _attached(2, [])
         with pytest.raises(ValueError):
-            directory.note_read(5, line=1, was_miss=False)
+            directory.attach(5, l2, l3)
         with pytest.raises(ValueError):
             CoherenceDirectory(0)
 
@@ -91,50 +102,50 @@ class TestScaledCacheConfig:
 class TestCpuHierarchy:
     def test_data_miss_chain(self):
         cpu = CpuHierarchy(XEON_MP_QUAD, cpu=0, scale=8)
-        l2_miss, l3_miss = cpu.data_access(0x10000, write=False, kernel=False)
-        assert l2_miss and l3_miss
-        l2_miss, l3_miss = cpu.data_access(0x10000, write=False, kernel=False)
-        assert not l2_miss and not l3_miss
+        kernel_driver.data_ref(cpu, 0x10000, write=False, kernel=False)
+        assert cpu.counts.l2_misses.user == cpu.counts.l3_misses.user == 1
+        kernel_driver.data_ref(cpu, 0x10000, write=False, kernel=False)
         assert cpu.counts.l2_misses.user == 1
         assert cpu.counts.l3_misses.user == 1
         assert cpu.counts.data_refs.user == 2
 
     def test_kernel_counts_split(self):
         cpu = CpuHierarchy(XEON_MP_QUAD, cpu=0, scale=8)
-        cpu.data_access(0x1000, write=False, kernel=True)
-        cpu.data_access(0x2000, write=False, kernel=False)
+        kernel_driver.data_ref(cpu, 0x1000, write=False, kernel=True)
+        kernel_driver.data_ref(cpu, 0x2000, write=False, kernel=False)
         assert cpu.counts.data_refs.kernel == 1
         assert cpu.counts.data_refs.user == 1
         assert cpu.counts.data_refs.total == 2
 
     def test_l2_hit_after_l3_fill(self):
         cpu = CpuHierarchy(XEON_MP_QUAD, cpu=0, scale=8)
-        cpu.data_access(0x40, write=False, kernel=False)
+        kernel_driver.data_ref(cpu, 0x40, write=False, kernel=False)
         # Second access hits L2 without touching L3 counters.
         before = cpu.counts.l3_misses.total
-        cpu.data_access(0x40, write=False, kernel=False)
+        kernel_driver.data_ref(cpu, 0x40, write=False, kernel=False)
         assert cpu.counts.l3_misses.total == before
 
     def test_fetch_counts_tc_misses(self):
         cpu = CpuHierarchy(XEON_MP_QUAD, cpu=0, scale=8)
-        assert cpu.fetch(0x100, kernel=False)  # cold: TC miss
-        assert not cpu.fetch(0x100, kernel=False)
+        kernel_driver.fetch(cpu, 0x100, kernel=False)  # cold: TC miss
+        assert cpu.counts.tc_misses.user == 1
+        kernel_driver.fetch(cpu, 0x100, kernel=False)
         assert cpu.counts.tc_misses.user == 1
         assert cpu.counts.code_refs.user == 2
 
     def test_context_switch_flushes_dtlb(self):
         cpu = CpuHierarchy(XEON_MP_QUAD, cpu=0, scale=8)
-        cpu.data_access(0x5000, write=False, kernel=False)
+        kernel_driver.data_ref(cpu, 0x5000, write=False, kernel=False)
         misses_before = cpu.counts.tlb_misses.total
-        cpu.context_switch()
-        cpu.data_access(0x5000, write=False, kernel=False)
+        kernel_driver.context_switch(cpu)
+        kernel_driver.data_ref(cpu, 0x5000, write=False, kernel=False)
         assert cpu.counts.tlb_misses.total == misses_before + 1
         assert cpu.counts.context_switches == 1
 
     def test_branch_counting(self):
         cpu = CpuHierarchy(XEON_MP_QUAD, cpu=0, scale=8)
         for _ in range(10):
-            cpu.branch(pc=3, taken=True, kernel=False)
+            kernel_driver.branch(cpu, pc=3, taken=True, kernel=False)
         assert cpu.counts.branches.user == 10
         assert cpu.counts.mispredicts.user <= 10
 
@@ -173,8 +184,8 @@ class TestSmpHierarchy:
         smp = SmpHierarchy(XEON_MP_QUAD, processors=2, scale=8)
         smp.data_access(0, 0x100, write=False, kernel=False)
         smp.data_access(1, 0x200, write=False, kernel=True)
-        smp.fetch(0, 0x300, kernel=False)
-        smp.context_switch(1)
+        kernel_driver.fetch(smp.cpus[0], 0x300, kernel=False)
+        kernel_driver.context_switch(smp.cpus[1])
         merged = smp.merged_counts()
         assert merged.data_refs.total == 2
         assert merged.data_refs.kernel == 1

@@ -36,6 +36,8 @@ from repro.sim.randomness import RandomStreams
 from repro.workload import compile_workload, workload_by_name
 from repro.workload.loader import parse_workload
 
+from tests.db.reference_lru import dirty_units
+from tests.hw import kernel_driver
 from tests.hw.reference_trace import ReferenceTraceGenerator
 from tests.odb.reference_prewarm import oracle_prewarm
 
@@ -59,10 +61,10 @@ def _python_draw(rng: Random, kind: str, arg: int):
 
 def _kernel_draw(mt: Mersenne, kind: str, arg: int):
     if kind == "random":
-        return mt.random()
+        return kernel_driver.random(mt)
     if kind == "bits":
-        return mt.getrandbits(arg)
-    return mt.randbelow(arg)
+        return kernel_driver.getrandbits(mt, arg)
+    return kernel_driver.randbelow(mt, arg)
 
 
 @given(seed=st.integers(0, 2 ** 64), draws=st.lists(_draw, min_size=1,
@@ -94,9 +96,11 @@ def test_fresh_seed_crosses_many_regenerations():
     expected, borrowed = Random(7), Random(7)
     with Mersenne().borrowed(borrowed) as mt:
         for index in range(5000):
-            assert mt.random() == expected.random()
-            assert mt.getrandbits(index % 33) == expected.getrandbits(index % 33)
-            assert mt.randbelow(index + 1) == expected.randrange(index + 1)
+            assert kernel_driver.random(mt) == expected.random()
+            assert (kernel_driver.getrandbits(mt, index % 33)
+                    == expected.getrandbits(index % 33))
+            assert (kernel_driver.randbelow(mt, index + 1)
+                    == expected.randrange(index + 1))
     assert borrowed.getstate() == expected.getstate()
 
 
@@ -105,7 +109,7 @@ def test_gauss_state_survives_the_handoff():
     expected.gauss(0.0, 1.0)
     borrowed.gauss(0.0, 1.0)
     with Mersenne().borrowed(borrowed) as mt:
-        mt.random()
+        kernel_driver.random(mt)
     expected.random()
     assert borrowed.getstate() == expected.getstate()
     assert borrowed.gauss(0.0, 1.0) == expected.gauss(0.0, 1.0)
@@ -118,11 +122,11 @@ def test_out_of_range_bounds_rejected_before_the_kernel(bound):
     mt = Mersenne()
     mt.load(rng)
     with pytest.raises(ValueError, match="randrange bound"):
-        mt.randbelow(bound)
+        kernel_driver.randbelow(mt, bound)
     mt.store(rng)
     assert rng.getstate() == before
     with pytest.raises(ValueError, match="getrandbits"):
-        mt.getrandbits(33)
+        kernel_driver.getrandbits(mt, 33)
 
 
 @pytest.mark.parametrize("field", ["warehouses", "clients"])
@@ -217,7 +221,7 @@ def test_prewarm_matches_python_plans(workload, warehouses):
     compiled.prewarm_buffer_cache(plans)
     cache = compiled.buffer_cache
     assert list(cache.snapshot().items()) == list(lru.entries.items())
-    assert cache.dirty_units == sum(lru.entries.values())
+    assert dirty_units(cache) == sum(lru.entries.values())
     assert (cache.hits, cache.misses) == (0, 0)
     assert (compiled.streams.stream("prewarm").getstate()
             == oracle.streams.stream("prewarm").getstate())
@@ -266,9 +270,9 @@ def assert_same_generator(generator, oracle) -> None:
     assert generator.rates() == oracle.rates()
     assert generator._rng.getstate() == oracle._rng.getstate()
     directory, reference = generator.smp.directory, oracle.smp.directory
-    for name in ("invalidations", "interventions", "coherence_misses",
-                 "_sharers", "_modified", "_stolen"):
+    for name in ("invalidations", "interventions", "coherence_misses"):
         assert getattr(directory, name) == getattr(reference, name), name
+    assert kernel_driver.tables(directory) == kernel_driver.tables(reference)
 
 
 @given(processors=st.sampled_from([1, 2, 4]),

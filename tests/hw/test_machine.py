@@ -76,9 +76,6 @@ class TestDerivedConfigs:
         assert more.disks.count == 52
         assert more.disks.service_time_s == XEON_MP_QUAD.disks.service_time_s
 
-    def test_with_processors(self):
-        assert XEON_MP_QUAD.with_processors(8).max_processors == 8
-
 
 class TestValidation:
     def test_cache_geometry(self):

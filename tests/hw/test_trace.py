@@ -19,11 +19,13 @@ from repro.hw import (
 from repro.hw.sampling import Mersenne
 from repro.sim.randomness import RandomStreams
 
+from tests.hw import kernel_driver
+
 
 def _poisson(rng, mean):
     """One draw of the compiled Poisson sampler from ``rng``'s stream."""
     with Mersenne().borrowed(rng) as mt:
-        return mt.poisson(mean)
+        return kernel_driver.poisson(mt, mean)
 
 
 def profile(warehouses=100, processors=4, clients=32, reads=3.0, switches=5.0):

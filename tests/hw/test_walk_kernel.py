@@ -1,14 +1,18 @@
 """The compiled walk kernel against the pure-Python reference model.
 
-Both models take the same randomized operation streams (batched runs of
-any chunk size, single references interleaved, DTLB flushes, remote
-invalidations, on 1, 2 and 4 CPUs, Xeon and Itanium geometry at
-``micro_scale`` 1 and 8) and must end with the same state: every set in
-LRU order with its dirty bits, every cache and TLB statistic, the
-predictor tables, the Table 2 counts and the coherence directory (the
-compiled one against the dict oracle of ``reference_coherence.py``).  The
-rest of the file covers the kernel's guards (unsigned inputs, edge
-geometries) and its build-once loader.
+Both models take the same randomized operation streams (runs of any
+length down to one reference, same-line write streaks, shared references
+right after another CPU's write, DTLB flushes and remote invalidations,
+on 1, 2 and 4 CPUs, Xeon and Itanium geometry at ``micro_scale`` 1 and
+8).  The compiled model walks every reference in a run, with its hit
+streak; the reference replays each run either as a run or one reference
+at a time, so a run must leave exactly the state of its references
+walked singly.  Both must end with the same state: every set in LRU
+order with its dirty bits, every cache and TLB statistic, the predictor
+tables, the Table 2 counts and the coherence directory (the compiled one
+against the dict oracle of ``reference_coherence.py``).  The rest of the
+file covers the kernel's guards (unsigned inputs, edge geometries) and
+its build-once loader.
 """
 
 import os
@@ -30,6 +34,7 @@ from repro.hw.tlb import Tlb
 from repro.hw.trace import TraceGenerator, TraceProfile
 from repro.sim.randomness import RandomStreams
 
+from tests.hw import kernel_driver
 from tests.hw.reference_hierarchy import (
     ReferenceCache,
     ReferenceCpu,
@@ -40,18 +45,13 @@ from tests.hw.reference_hierarchy import (
 from tests.hw.reference_trace import SegmentTraceGenerator
 
 MACHINES = {"xeon": XEON_MP_QUAD, "itanium": ITANIUM2_QUAD}
-_STATS = ("accesses", "hits", "misses", "evictions", "writebacks",
-          "invalidations")
-
-
-def _ordered(cache) -> list:
-    return [list(cache_set.items()) for cache_set in cache._sets]
 
 
 def assert_same_cache(cache, reference) -> None:
-    assert _ordered(cache) == _ordered(reference)
-    for stat in _STATS:
-        assert getattr(cache, stat) == getattr(reference, stat), stat
+    assert ([list(entries.items()) for entries in kernel_driver.sets(cache)]
+            == [list(entries.items()) for entries in reference._sets])
+    assert kernel_driver.stats(cache) == {
+        name: getattr(reference, name) for name in kernel_driver.STATS}
 
 
 def assert_same_state(smp: SmpHierarchy, reference: ReferenceSmp) -> None:
@@ -61,13 +61,15 @@ def assert_same_state(smp: SmpHierarchy, reference: ReferenceSmp) -> None:
         for name in ("tc", "l2", "l3"):
             assert_same_cache(getattr(cpu, name), getattr(ref_cpu, name))
         assert_same_cache(cpu.dtlb._cache, ref_cpu.dtlb._cache)
-        assert cpu.predictor._table == ref_cpu.predictor._table
-        assert cpu.predictor.predictions == ref_cpu.predictor.predictions
-        assert cpu.predictor.mispredictions == ref_cpu.predictor.mispredictions
+        predictor, ref_predictor = cpu.predictor, ref_cpu.predictor
+        assert kernel_driver.table(predictor) == ref_predictor._table
+        assert predictor._c.predictions == ref_predictor.predictions
+        assert predictor._c.mispredictions == ref_predictor.mispredictions
     directory, ref_directory = smp.directory, reference.directory
-    for name in ("invalidations", "interventions", "coherence_misses",
-                 "_sharers", "_modified", "_stolen"):
+    for name in ("invalidations", "interventions", "coherence_misses"):
         assert getattr(directory, name) == getattr(ref_directory, name), name
+    assert (kernel_driver.tables(directory)
+            == kernel_driver.reference_tables(ref_directory))
 
 
 # -- randomized streams ---------------------------------------------------
@@ -86,6 +88,10 @@ def _address(rng: Random, last: int) -> int:
     return (1 << 62) - 128 - rng.randrange(1 << 16) * 64
 
 
+def _data(address: int, write: bool, shared: bool) -> int:
+    return (address << 2) | write << 1 | shared
+
+
 def _operations(seed: int, processors: int, max_chunk: int, count: int):
     """The same operation list for both models."""
     rng = Random(seed)
@@ -100,8 +106,8 @@ def _operations(seed: int, processors: int, max_chunk: int, count: int):
             run = []
             for _ in range(size):
                 last = _address(rng, last)
-                run.append((last << 2) | (rng.random() < 0.35) << 1
-                           | (rng.random() < 0.5))
+                run.append(_data(last, rng.random() < 0.35,
+                                 rng.random() < 0.5))
             ops.append(("access_run", cpu, run, kernel))
         elif kind < 0.6:
             ops.append(("fetch_run", cpu,
@@ -110,15 +116,33 @@ def _operations(seed: int, processors: int, max_chunk: int, count: int):
             ops.append(("branch_run", cpu,
                         [(rng.randrange(6000) << 1) | (rng.random() < 0.6)
                          for _ in range(size)], kernel))
-        elif kind < 0.82:
+        elif kind < 0.78:
             last = _address(rng, last)
-            ops.append(("data_access", cpu, last, rng.random() < 0.35, kernel,
-                        rng.random() < 0.5))
-        elif kind < 0.87:
-            ops.append(("fetch", cpu, _address(rng, -1), kernel))
+            ops.append(("access_run", cpu, [_data(
+                last, rng.random() < 0.35, rng.random() < 0.5)], kernel))
+        elif kind < 0.82:
+            # A streak on one line (and page) whose later references
+            # write: the streak sets the dirty bit without a set scan.
+            last = _address(rng, last)
+            line = last - last % 128
+            shared = rng.random() < 0.5
+            ops.append(("access_run", cpu, [_data(line, False, shared)] + [
+                _data(line + rng.randrange(128), rng.random() < 0.7, shared)
+                for _ in range(size)], kernel))
+        elif kind < 0.86:
+            # Another CPU writes a shared line, then this CPU references
+            # it: the directory invalidates this CPU's copy first.
+            last = _address(rng, last)
+            other = rng.randrange(processors)
+            ops.append(("access_run", other, [_data(last, True, True)],
+                        kernel))
+            ops.append(("access_run", cpu, [_data(
+                last + rng.randrange(8), rng.random() < 0.3, True)], kernel))
+        elif kind < 0.88:
+            ops.append(("fetch_run", cpu, [_address(rng, -1)], kernel))
         elif kind < 0.92:
-            ops.append(("branch", cpu, rng.randrange(1 << 40),
-                        rng.random() < 0.5, kernel))
+            ops.append(("branch_run", cpu, [
+                rng.randrange(1 << 40) << 1 | (rng.random() < 0.5)], kernel))
         elif kind < 0.96:
             ops.append(("context_switch", cpu))
         else:
@@ -126,29 +150,55 @@ def _operations(seed: int, processors: int, max_chunk: int, count: int):
     return ops
 
 
-def _apply(smp, ops) -> None:
+def _apply(smp: SmpHierarchy, ops) -> None:
+    """The compiled model: every run walked whole."""
     for name, cpu, *args in ops:
-        if name == "invalidate":
-            smp.cpus[cpu].invalidate_data_line(*args)
+        if name == "context_switch":
+            kernel_driver.context_switch(smp.cpus[cpu])
+        elif name == "invalidate":
+            kernel_driver.invalidate_data_line(smp.cpus[cpu], *args)
         else:
             getattr(smp, name)(cpu, *args)
+
+
+def _replay(reference: ReferenceSmp, ops, singles: bool) -> None:
+    """The reference: runs walked whole, or one reference at a time."""
+    for name, cpu, *args in ops:
+        if name == "context_switch":
+            reference.context_switch(cpu)
+        elif name == "invalidate":
+            reference.cpus[cpu].invalidate_data_line(*args)
+        elif not singles:
+            getattr(reference, name)(cpu, *args)
+        else:
+            run, kernel = args
+            for code in run:
+                if name == "access_run":
+                    reference.data_access(cpu, code >> 2, bool(code & 2),
+                                          kernel, shared=bool(code & 1))
+                elif name == "fetch_run":
+                    reference.fetch(cpu, code, kernel)
+                else:
+                    reference.branch(cpu, code >> 1, bool(code & 1), kernel)
 
 
 @given(machine=st.sampled_from(sorted(MACHINES)),
        scale=st.sampled_from([1, 8]),
        processors=st.sampled_from([1, 2, 4]),
        max_chunk=st.integers(min_value=1, max_value=64),
+       singles=st.booleans(),
        seed=st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=40, deadline=None)
-def test_kernel_matches_reference(machine, scale, processors, max_chunk, seed):
+def test_kernel_matches_reference(machine, scale, processors, max_chunk,
+                                  singles, seed):
     smp = SmpHierarchy(MACHINES[machine], processors, scale)
     reference = ReferenceSmp(MACHINES[machine], processors, scale)
     ops = _operations(seed, processors, max_chunk, count=120)
     _apply(smp, ops[:60])
-    _apply(reference, ops[:60])
+    _replay(reference, ops[:60], singles)
     assert_same_state(smp, reference)
     _apply(smp, ops[60:])
-    _apply(reference, ops[60:])
+    _replay(reference, ops[60:], singles)
     assert_same_state(smp, reference)
 
 
@@ -179,8 +229,8 @@ def test_trace_generator_matches_reference(processors, monkeypatch):
     lambda smp: smp.fetch_run(0, [64, -64], False),
     lambda smp: smp.branch_run(0, [6, -1], True),
     lambda smp: smp.data_access(0, -128, False, False),
-    lambda smp: smp.fetch(0, -1, True),
-    lambda smp: smp.branch(0, -3, True, False),
+    lambda smp: smp.data_access(1, 1 << 62, True, True, shared=True),
+    lambda smp: smp.branch_run(1, [1 << 64], False),
 ])
 def test_out_of_range_references_raise_before_any_change(call):
     smp = SmpHierarchy(XEON_MP_QUAD, 2, 8)
@@ -191,12 +241,13 @@ def test_out_of_range_references_raise_before_any_change(call):
 
 
 def test_out_of_range_component_inputs_raise():
+    cache = SetAssociativeCache(CacheConfig("c", 1024, 64, 2))
     with pytest.raises(OverflowError):
-        SetAssociativeCache(CacheConfig("c", 1024, 64, 2)).access(-1)
+        kernel_driver.access(cache, -1)
     with pytest.raises(OverflowError):
-        SetAssociativeCache(CacheConfig("c", 1024, 64, 2)).invalidate_line(-1)
+        kernel_driver.invalidate_line(cache, -1)
     with pytest.raises(OverflowError):
-        BimodalPredictor(8).predict_and_update(-1, True)
+        kernel_driver.predict(BimodalPredictor(8), -1, True)
 
 
 def test_empty_runs_change_nothing():
@@ -213,9 +264,10 @@ def test_single_set_tlb_matches_reference(entries):
     rng = Random(entries)
     for _ in range(3000):
         address = rng.randrange(entries * 2) * 4096 + rng.randrange(4096)
-        assert tlb.access(address) == reference.access(address)
+        assert (kernel_driver.translate(tlb, address)
+                == reference.access(address))
     assert_same_cache(tlb._cache, reference._cache)
-    assert tlb.flush() == reference.flush() == entries
+    assert kernel_driver.flush(tlb._cache) == reference.flush() == entries
 
 
 @pytest.mark.parametrize("sets,ways", [(1, 1), (3, 2), (192, 8), (5, 128)])
@@ -226,12 +278,14 @@ def test_cache_access_results_match_reference(sets, ways):
     for _ in range(2000):
         address = rng.randrange(sets * ways * 3) * 64
         if rng.random() < 0.05:
-            assert cache.invalidate(address) == reference.invalidate(address)
+            assert (kernel_driver.invalidate_line(cache, address >> 6)
+                    == reference.invalidate(address))
         else:
             write = rng.random() < 0.4
-            assert cache.access(address, write) == reference.access(address, write)
+            assert (kernel_driver.access(cache, address, write)
+                    == reference.access(address, write))
     assert_same_cache(cache, reference)
-    assert cache.resident_lines == reference.resident_lines
+    assert kernel_driver.resident_lines(cache) == reference.resident_lines
 
 
 def test_one_entry_predictor_matches_reference():
@@ -239,12 +293,12 @@ def test_one_entry_predictor_matches_reference():
     rng = Random(1)
     for _ in range(500):
         pc, taken = rng.randrange(1 << 63), rng.random() < 0.7
-        assert (predictor.predict_and_update(pc, taken)
+        assert (kernel_driver.predict(predictor, pc, taken)
                 == reference.predict_and_update(pc, taken))
-    assert predictor._table == reference._table
-    assert predictor.mispredictions == reference.mispredictions
-    predictor.flush()
-    assert predictor._table == [2]
+    assert kernel_driver.table(predictor) == reference._table
+    assert predictor._c.mispredictions == reference.mispredictions
+    kernel_driver.predictor_flush(predictor)
+    assert kernel_driver.table(predictor) == [2]
 
 
 # -- the loader -------------------------------------------------------------

@@ -7,7 +7,6 @@ import pytest
 from repro.db.buffer_cache import BufferCache
 from repro.odb import OdbConfig, OdbSystem
 from repro.odb.popularity import (
-    expected_hit_rate,
     segment_write_fractions,
     steady_state_fill,
     unit_popularities,
@@ -15,6 +14,9 @@ from repro.odb.popularity import (
 from repro.odb.schema import OdbSchema
 from repro.odb.transactions import STANDARD_PROFILES
 from repro.workload import compile_workload, workload_by_name
+
+from tests.db.reference_blocks import total_units
+from tests.db.reference_lru import dirty_units, lookup, restore
 
 
 def space_for(warehouses=10):
@@ -65,7 +67,7 @@ class TestSteadyStateFill:
         touchable = sum(space.warehouses if u.per_warehouse else 1
                         for u in unit_popularities(space))
         assert installed == touchable
-        assert installed < space.total_units
+        assert installed < total_units(space)
 
     def test_hot_units_resident_after_fill(self):
         space = space_for(warehouses=50)
@@ -152,7 +154,7 @@ def dict_fill(cache, space, profiles):
         base = space.block_id(segment, 0, index)
         for warehouse in range(copies):
             state[base + warehouse * stride] = random() < dirty_prob
-    cache.restore(state)
+    restore(cache, state)
     return len(state)
 
 
@@ -168,13 +170,13 @@ class TestKernelFillMatchesDictFill:
         profiles = system.mix.profiles
         kernel, oracle = BufferCache(capacity), BufferCache(capacity)
         kernel.install(1)
-        kernel.lookup(2)
-        kernel.restore({})  # empty again, counters zeroed
+        lookup(kernel, 2)
+        restore(kernel, {})  # empty again, counters zeroed
         installed = steady_state_fill(kernel, system.space, profiles)
         assert installed == dict_fill(oracle, system.space, profiles)
         assert list(kernel.snapshot().items()) == list(
             oracle.snapshot().items())
-        assert kernel.dirty_units == oracle.dirty_units > 0
+        assert dirty_units(kernel) == dirty_units(oracle) > 0
         assert (kernel.hits, kernel.misses) == (0, 0)
 
     @pytest.mark.parametrize("capacity", [1, 7, 5000])
@@ -193,23 +195,3 @@ class TestKernelFillMatchesDictFill:
         assert cache.resident_units == 0
         cache.fill([], 1, Random(1))
         assert cache.resident_units == 0
-
-
-class TestExpectedHitRate:
-    def test_full_capacity_hits_everything(self):
-        space = space_for(warehouses=2)
-        assert expected_hit_rate(space, space.total_units) == pytest.approx(1.0)
-
-    def test_zero_capacity(self):
-        assert expected_hit_rate(space_for(), 0) == 0.0
-
-    def test_monotone_in_capacity(self):
-        space = space_for(warehouses=30)
-        rates = [expected_hit_rate(space, c) for c in (1000, 5000, 20000)]
-        assert rates[0] < rates[1] < rates[2]
-
-    def test_decreases_with_warehouses_at_fixed_capacity(self):
-        capacity = 20_000
-        small = expected_hit_rate(space_for(20), capacity)
-        large = expected_hit_rate(space_for(200), capacity)
-        assert large < small

@@ -3,12 +3,12 @@
 import pytest
 
 from repro.odb.schema import (
-    DISTRICTS_PER_WAREHOUSE,
-    CUSTOMERS_PER_DISTRICT,
     OdbSchema,
     WAREHOUSE_BYTES,
     odb_segments,
 )
+
+from tests.db.reference_blocks import owner_of, total_units
 
 
 class TestSegments:
@@ -45,26 +45,23 @@ class TestSegments:
 
 
 class TestOdbSchema:
-    def test_row_counts(self):
-        schema = OdbSchema(warehouses=7)
-        assert schema.districts == 7 * DISTRICTS_PER_WAREHOUSE
-        assert schema.customers == schema.districts * CUSTOMERS_PER_DISTRICT
-
     def test_data_bytes_scale_linearly(self):
-        small = OdbSchema(warehouses=10).data_bytes
-        large = OdbSchema(warehouses=100).data_bytes
-        assert large > 9 * small
+        def data_bytes(warehouses):
+            space = OdbSchema(warehouses).build_block_space()
+            return total_units(space) * space.unit_bytes
+
+        assert data_bytes(100) > 9 * data_bytes(10)
 
     def test_block_space_round_trip(self):
         schema = OdbSchema(warehouses=3)
         space = schema.build_block_space()
         assert space.warehouses == 3
         block = space.block_id("stock", 2, 0)
-        assert space.owner_of(block)[0] == "stock"
+        assert owner_of(space, block)[0] == "stock"
 
     def test_working_set_grows_linearly_with_warehouses(self):
-        w10 = OdbSchema(10).working_set_units()
-        w100 = OdbSchema(100).working_set_units()
+        w10 = total_units(OdbSchema(10).build_block_space())
+        w100 = total_units(OdbSchema(100).build_block_space())
         # Linear growth modulo the fixed global item segment.
         assert w100 > 9 * w10 * 0.9
 

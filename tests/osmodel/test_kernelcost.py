@@ -16,25 +16,3 @@ class TestKernelCosts:
     def test_negative_cost_rejected(self):
         with pytest.raises(ValueError):
             KernelCosts(context_switch=-1)
-
-    def test_per_txn_composition(self):
-        costs = KernelCosts(context_switch=100, io_submit=200, io_complete=50,
-                            write_submit=30, log_flush=40, base_per_txn=1000)
-        total = costs.os_instructions_per_txn(
-            reads=2, writes=3, switches=4, log_flush_share=0.5)
-        assert total == 1000 + 2 * 250 + 3 * 30 + 4 * 100 + 0.5 * 40
-
-    def test_zero_activity_is_base_plus_flush(self):
-        costs = KernelCosts()
-        total = costs.os_instructions_per_txn(reads=0, writes=0, switches=0)
-        assert total == costs.base_per_txn + costs.log_flush
-
-    def test_os_instructions_grow_with_io(self):
-        costs = KernelCosts()
-        quiet = costs.os_instructions_per_txn(reads=0, writes=0, switches=1)
-        busy = costs.os_instructions_per_txn(reads=8, writes=4, switches=9)
-        assert busy > 2 * quiet
-
-    def test_rate_validation(self):
-        with pytest.raises(ValueError):
-            KernelCosts().os_instructions_per_txn(reads=-1, writes=0, switches=0)

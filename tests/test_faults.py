@@ -87,17 +87,14 @@ class TestSerialization:
     def test_empty_plan_roundtrip(self):
         plan = FaultPlan()
         assert FaultPlan.from_json(plan.to_json()) == plan
-        assert not plan.injects_anything
+        assert not (plan.disks or plan.log_stalls or plan.lock_storms
+                    or plan.aborts)
 
     def test_fingerprint_stable_and_sensitive(self):
         plan = self.make_plan()
         assert plan.fingerprint() == self.make_plan().fingerprint()
         other = FaultPlan(seed=10)
         assert plan.fingerprint() != other.fingerprint()
-
-    def test_injects_anything(self):
-        assert self.make_plan().injects_anything
-        assert not FaultPlan(aborts=TransientAborts(0.0)).injects_anything
 
 
 class TestDiskFaultModel:

@@ -173,7 +173,3 @@ class TestWorkloadSpec:
         assert spec.fingerprint() != heavier.fingerprint()
         assert len(spec.fingerprint()) == 12
 
-    def test_transaction_by_name_error_lists_known(self):
-        spec = WorkloadSpec("w", (_txn(name="pay"),))
-        with pytest.raises(KeyError, match="refund.*pay"):
-            spec.transaction_by_name("refund")
