@@ -44,9 +44,6 @@ class BufferCache:
         self.c = ffi.gc(state, lib.lru_free)
         self._victim = ffi.new("uint64_t *")
 
-    def __contains__(self, block_id: int) -> bool:
-        return lib.lru_contains(self.c, block_id)
-
     @property
     def resident_units(self) -> int:
         """Units currently cached."""
@@ -61,16 +58,6 @@ class BufferCache:
     def misses(self) -> int:
         """References that did not."""
         return self.c.misses
-
-    @property
-    def dirty_evictions(self) -> int:
-        """Evicted units that were dirty."""
-        return self.c.dirty_evictions
-
-    @property
-    def clean_evictions(self) -> int:
-        """Evicted units that were clean."""
-        return self.c.clean_evictions
 
     def install(self, block_id: int, dirty: bool = False) -> Optional[tuple[int, bool]]:
         """Insert a block after a disk read.
@@ -124,14 +111,6 @@ class BufferCache:
         """Zero the hit/miss counters (cache contents are kept)."""
         c = self.c
         c.hits = c.misses = c.dirty_evictions = c.clean_evictions = 0
-
-    def snapshot(self) -> dict[int, bool]:
-        """A copy of the contents: block -> dirty, in LRU order."""
-        count = self.c.used
-        ids = ffi.new("uint64_t[]", count)
-        dirty = ffi.new("_Bool[]", count)
-        lib.lru_snapshot(self.c, ids, dirty)
-        return dict(zip(ffi.unpack(ids, count), ffi.unpack(dirty, count)))
 
     def copy(self) -> "BufferCache":
         """A cache of the same capacity holding a copy of the contents,

@@ -225,11 +225,19 @@ def run_configuration(warehouses: int, processors: int,
                     workload=compiled,
                 )
                 with _tracing.span("system-des") as span:
-                    system_metrics = OdbSystem(config).run(
+                    system = OdbSystem(config)
+                    system_metrics = system.run(
                         warmup_txns=settings.warmup_txns,
                         measure_txns=settings.measure_txns,
                         time_limit_s=settings.time_limit_s,
                     )
+                    # The finished round is a web of cycles (processes,
+                    # their frames, the model, the queues); closing its
+                    # engine frees it by reference counting now, not at
+                    # the collector's next pass (a gc.collect() here
+                    # would cost milliseconds per round).
+                    system.engine.close()
+                    del system
                     if span is not None:
                         span.count("transactions",
                                    system_metrics.transactions)

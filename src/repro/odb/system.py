@@ -185,7 +185,10 @@ class OdbSystem:
         if self.workload is not None:
             # The phase clock reads simulated time lazily, so a schedule
             # follows the engine without the mix holding engine state.
-            self.mix = self.workload.build_mix(clock=lambda: self.engine.now)
+            # It closes over the engine, not the system, so the system
+            # is no cycle and a closed round is freed by refcount.
+            engine = self.engine
+            self.mix = self.workload.build_mix(clock=lambda: engine.now)
         else:
             self.mix = TransactionMix()
         self.sampler = _SegmentSampler(self.space)

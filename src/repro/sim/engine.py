@@ -9,16 +9,51 @@ The design mirrors simpy's core but is intentionally smaller: no
 real-time support, no nested environments, and only the waits the
 system model uses (timeouts, resource grants, store gets, gate levels,
 all-of conditions).  Every queued event is dispatched.
+
+The event queue, the dispatch loop, :class:`Event`, :class:`Timeout`,
+the resource ``Request`` and process resumption are compiled: they live
+in ``_des.c``, built once on first import by :func:`repro.cbuild.load`
+into this package's ``__pycache__``.  A failed build raises
+:class:`ImportError`; there is no other implementation.  This module
+adds the Python side: :meth:`Engine.run`'s checks and per-run tracing,
+:meth:`Engine.queue_stats`, :class:`AllOf` and
+:func:`publish_scheduler_metrics`.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
-from typing import Any, Callable, Iterable, Optional
+from pathlib import Path
+from typing import Iterable, Optional
 
+from repro import cbuild
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
-from repro.sim.stats import Counter
+
+_SOURCE = Path(__file__).resolve().with_name("_des.c")
+
+
+def _build(_name: str, scratch: Path) -> str:
+    from setuptools import Distribution, Extension
+
+    distribution = Distribution({"ext_modules": [Extension(
+        "_des", sources=[str(_SOURCE)], extra_compile_args=["-O2"])]})
+    command = distribution.get_command_obj("build_ext")
+    command.build_lib = command.build_temp = str(scratch)
+    distribution.run_command("build_ext")
+    [built] = command.get_outputs()
+    return built
+
+
+def _kernel(cache_dir: Path = _SOURCE.parent / "__pycache__"):
+    """The compiled event kernel, building it into ``cache_dir`` once."""
+    return cbuild.load(
+        cbuild.build_name("_repro_des_", (_SOURCE,)), _build, cache_dir,
+        "repro.sim could not build its compiled event kernel: it needs "
+        "setuptools and a C compiler (cc/gcc) with the Python headers",
+        module="repro.sim._des")
+
+
+_des = _kernel()
 
 #: Priority for events that must run before ordinary events at the same time
 #: (used for process start-up).
@@ -26,116 +61,9 @@ URGENT = 0
 #: Default event priority.
 NORMAL = 1
 
-
-class SimulationError(RuntimeError):
-    """Raised for kernel misuse (double trigger, running a dead engine...)."""
-
-
-class Event:
-    """A waitable, one-shot occurrence on the simulation timeline.
-
-    An event has three observable states: *pending* (created, not yet
-    triggered), *triggered* (queued on the engine with a value), and
-    *processed* (callbacks have run).  Processes wait on events by
-    yielding them.
-    """
-
-    __slots__ = ("engine", "callbacks", "_value", "_ok", "_triggered",
-                 "_processed")
-
-    def __init__(self, engine: "Engine"):
-        self.engine = engine
-        self.callbacks: list[Callable[["Event"], None]] = []
-        self._value: Any = None
-        self._ok: bool = True
-        self._triggered = False
-        self._processed = False
-
-    @property
-    def triggered(self) -> bool:
-        """True once the event has been scheduled with a value."""
-        return self._triggered
-
-    @property
-    def processed(self) -> bool:
-        """True once the event's callbacks have run."""
-        return self._processed
-
-    @property
-    def ok(self) -> bool:
-        """False when the event carries a failure (an exception value)."""
-        return self._ok
-
-    @property
-    def value(self) -> Any:
-        """The value the event was triggered with."""
-        if not self._triggered:
-            raise SimulationError("value read from an untriggered event")
-        return self._value
-
-    def succeed(self, value: Any = None, priority: int = NORMAL) -> "Event":
-        """Trigger the event successfully with ``value``."""
-        if self._triggered:
-            raise SimulationError("event triggered twice")
-        self._triggered = True
-        self._value = value
-        self.engine._schedule(self, 0.0, priority)
-        return self
-
-    def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
-        """Trigger the event with an exception to raise in waiters."""
-        if self._triggered:
-            raise SimulationError("event triggered twice")
-        if not isinstance(exception, BaseException):
-            raise TypeError("fail() requires an exception instance")
-        self._triggered = True
-        self._ok = False
-        self._value = exception
-        self.engine._schedule(self, delay=0.0, priority=priority)
-        return self
-
-    def add_callback(self, callback: Callable[["Event"], None]) -> None:
-        """Run ``callback(event)`` when the event is processed.
-
-        If the event has already been processed the callback runs
-        immediately, so late waiters are never lost.
-        """
-        if self._processed:
-            callback(self)
-        else:
-            self.callbacks.append(callback)
-
-    def _process(self) -> None:
-        self._processed = True
-        callbacks, self.callbacks = self.callbacks, []
-        for callback in callbacks:
-            callback(self)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = ("processed" if self._processed else
-                 "triggered" if self._triggered else "pending")
-        return f"<{type(self).__name__} {state}>"
-
-
-class Timeout(Event):
-    """An event that fires ``delay`` time units after creation."""
-
-    __slots__ = ("delay",)
-
-    def __init__(self, engine: "Engine", delay: float, value: Any = None):
-        # The DES's most common event: the slots are set here directly
-        # rather than through Event.__init__.  ``not delay >= 0`` also
-        # rejects NaN, which would break the heap order.
-        if not delay >= 0:
-            raise ValueError(f"negative timeout delay: {delay}")
-        self.engine = engine
-        self.callbacks = []
-        self._value = value
-        self._ok = True
-        self._triggered = True
-        self._processed = False
-        self.delay = delay
-        engine._schedule(self, delay)
+SimulationError = _des.SimulationError
+Event = _des.Event
+Timeout = _des.Timeout
 
 
 class AllOf(Event):
@@ -155,7 +83,7 @@ class AllOf(Event):
             event.add_callback(self._on_child)
 
     def _on_child(self, event: Event) -> None:
-        if self._triggered:
+        if self.triggered:
             return
         if not event.ok:
             self.fail(event.value)
@@ -166,16 +94,11 @@ class AllOf(Event):
                           for index, event in enumerate(self.events)})
 
 
-_INF = float("inf")
-
-
-#: The stop condition of a :meth:`Engine.run` without one: a counter
-#: that never reaches its target.
-_NO_STOP = (Counter("never"), _INF)
-
-
-class Engine:
+class Engine(_des.Engine):
     """The simulation event loop and its event queue.
+
+    ``now`` (also ``_now``) is the clock; ``timeout(delay, value=None)``
+    and ``event()`` create events.
 
     >>> engine = Engine()
     >>> def proc(engine):
@@ -188,25 +111,25 @@ class Engine:
     """
 
     def __init__(self) -> None:
-        self._now = 0.0
-        self._heap: list = []
-        self._sequence = 0
-        self.max_depth = 0
+        super().__init__()
+        #: The resources built on this engine (see :meth:`close`).
+        self._resources: list = []
 
-    @property
-    def now(self) -> float:
-        """Current simulation time."""
-        return self._now
+    def close(self) -> None:
+        """End the simulation for good.
 
-    # -- event factories ---------------------------------------------------
-
-    def event(self) -> Event:
-        """Create a pending event to be triggered manually."""
-        return Event(self)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event firing ``delay`` from now."""
-        return Timeout(self, delay, value)
+        Closes every unfinished process's generator and forgets its
+        waiters, drops the pending events, and drops every claim on the
+        engine's resources.  A finished simulation is a web of cycles
+        (processes, their generators' frames, the model those frames
+        hold, resource queues, the event queue); closing it lets
+        reference counting free it at once instead of leaving it to the
+        cyclic garbage collector.
+        """
+        super().close()
+        for resource in self._resources:
+            resource.close()
+        self._resources.clear()
 
     def process(self, generator) -> "Process":
         """Register a generator as a simulation process."""
@@ -218,17 +141,8 @@ class Engine:
         """Event completing when all ``events`` complete."""
         return AllOf(self, events)
 
-    # -- the event queue ---------------------------------------------------
-
-    def _schedule(self, event: Event, delay: float, priority: int = NORMAL) -> None:
-        sequence = self._sequence = self._sequence + 1
-        heap = self._heap
-        heappush(heap, (self._now + delay, priority, sequence, event))
-        if len(heap) > self.max_depth:
-            self.max_depth = len(heap)
-
     def _dispatched(self) -> int:
-        return self._sequence - len(self._heap)
+        return self._sequence - self._pending
 
     def queue_stats(self) -> dict:
         """Event-queue counters (published by :func:`publish_scheduler_metrics`).
@@ -239,11 +153,9 @@ class Engine:
         return {
             "scheduled": self._sequence,
             "dispatched": self._dispatched(),
-            "pending": len(self._heap),
+            "pending": self._pending,
             "max_depth": self.max_depth,
         }
-
-    # -- dispatch ----------------------------------------------------------
 
     def run(self, until: Optional[float] = None,
             stop: Optional[tuple] = None) -> None:
@@ -276,20 +188,6 @@ class Engine:
         _metrics.inc("engine.runs")
         _metrics.inc("engine.events", events)
         _metrics.inc("engine.sim_time_s", self._now - started_at)
-
-    def _dispatch(self, until: Optional[float], stop: Optional[tuple]) -> None:
-        # The DES hot loop: every event of a simulation passes through
-        # here, so the per-event work is one counter compare, one
-        # deadline test and the heappop.
-        counter, target = stop or _NO_STOP
-        limit = _INF if until is None else until
-        heap = self._heap
-        while counter.count < target and heap and heap[0][0] <= limit:
-            when, _priority, _seq, event = heappop(heap)
-            self._now = when
-            event._process()
-        if until is not None and stop is None:
-            self._now = until
 
 
 def publish_scheduler_metrics(engine: Engine,

@@ -11,29 +11,11 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Optional
 
-from repro.sim.engine import Engine, Event, SimulationError
+from repro.sim.engine import Engine, Event, SimulationError, _des
 
-
-class Request(Event):
-    """A pending or granted claim on a :class:`Resource` slot."""
-
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: "Resource"):
-        # Set the slots directly: every CPU and disk claim is one.
-        self.engine = resource.engine
-        self.callbacks = []
-        self._value = None
-        self._ok = True
-        self._triggered = False
-        self._processed = False
-        self.resource = resource
-
-    def __enter__(self) -> "Request":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.resource.release(self)
+#: A pending or granted claim on a :class:`Resource` slot (compiled, with
+#: the events): ``Request(resource)``; ``with request:`` releases it.
+Request = _des.Request
 
 
 class Resource:
@@ -63,6 +45,7 @@ class Resource:
         self._last_change = engine.now
         #: Requests granted so far: each grant schedules one event.
         self.grants = 0
+        engine._resources.append(self)
 
     # -- introspection -----------------------------------------------------
 
@@ -115,6 +98,13 @@ class Resource:
                 self._queue.remove(request)
             except ValueError:
                 pass
+
+    def close(self) -> None:
+        """Drop every claim, granted and queued (:meth:`Engine.close`):
+        a claim refers to its resource, so a held or queued one is a
+        cycle."""
+        self._users.clear()
+        self._queue.clear()
 
     def _accrue(self) -> None:
         now = self.engine._now

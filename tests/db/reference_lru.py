@@ -3,9 +3,11 @@
 ``tests/db/test_buffer_cache_reference.py`` drives it beside
 :class:`~repro.db.buffer_cache.BufferCache` operation by operation, and
 ``tests/odb/reference_prewarm.py`` replays the whole prewarm into it.
-:func:`lookup`, :func:`touch_write`, :func:`dirty_units` and
-:func:`restore` drive one ``BufferCache`` at a time, through the kernel
-calls the DES and the prewarm make in bulk.
+:func:`lookup`, :func:`touch_write`, :func:`contains`,
+:func:`snapshot`, :func:`dirty_units` and :func:`restore` drive or read
+one ``BufferCache`` at a time, through the kernel calls the DES and the
+prewarm make in bulk; its eviction counters are ``cache.c``'s
+``dirty_evictions`` and ``clean_evictions``.
 """
 
 from collections import OrderedDict
@@ -24,14 +26,30 @@ def touch_write(cache, block: int) -> bool:
     return lib.lru_lookup(cache.c, block, 1)
 
 
+def contains(cache, block: int) -> bool:
+    """True when ``block`` is resident in a ``BufferCache`` (no recency
+    change)."""
+    return lib.lru_contains(cache.c, block)
+
+
+def snapshot(cache) -> dict:
+    """A copy of a ``BufferCache``'s contents: block -> dirty, in LRU
+    order."""
+    count = cache.c.used
+    ids = ffi.new("uint64_t[]", count)
+    dirty = ffi.new("_Bool[]", count)
+    lib.lru_snapshot(cache.c, ids, dirty)
+    return dict(zip(ffi.unpack(ids, count), ffi.unpack(dirty, count)))
+
+
 def dirty_units(cache) -> int:
     """Cached units of a ``BufferCache`` with unwritten modifications."""
-    return sum(cache.snapshot().values())
+    return sum(snapshot(cache).values())
 
 
 def restore(cache, state: dict) -> None:
-    """Load a ``BufferCache.snapshot()`` into ``cache``, in its LRU order
-    with its dirty bits, and zero the counters."""
+    """Load a :func:`snapshot` into ``cache``, in its LRU order with its
+    dirty bits, and zero the counters."""
     if len(state) > cache.capacity_units:
         raise ValueError("snapshot exceeds the cache capacity")
     if lib.lru_load(cache.c, ffi.new("uint64_t[]", list(state)),

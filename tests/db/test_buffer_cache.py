@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from repro.db.buffer_cache import BufferCache
 
 from tests.db.reference_lru import (
+    contains,
     dirty_units,
     lookup,
     restore,
+    snapshot,
     touch_write,
 )
 
@@ -29,8 +31,8 @@ class TestBasics:
     def test_contains(self):
         cache = BufferCache(4)
         cache.install(5)
-        assert 5 in cache
-        assert 6 not in cache
+        assert contains(cache, 5)
+        assert not contains(cache, 6)
 
     def test_touch_write_marks_dirty(self):
         cache = BufferCache(4)
@@ -57,7 +59,8 @@ class TestEviction:
         cache.install(2)
         victim = cache.install(3)
         assert victim == (1, False)
-        assert 1 not in cache and 2 in cache and 3 in cache
+        assert not contains(cache, 1)
+        assert contains(cache, 2) and contains(cache, 3)
 
     def test_lookup_refreshes_recency(self):
         cache = BufferCache(2)
@@ -72,14 +75,14 @@ class TestEviction:
         cache.install(1, dirty=True)
         victim = cache.install(2)
         assert victim == (1, True)
-        assert cache.dirty_evictions == 1
-        assert cache.clean_evictions == 0
+        assert cache.c.dirty_evictions == 1
+        assert cache.c.clean_evictions == 0
 
     def test_clean_victim_counted(self):
         cache = BufferCache(1)
         cache.install(1)
         cache.install(2)
-        assert cache.clean_evictions == 1
+        assert cache.c.clean_evictions == 1
 
 
 class TestWriterInterface:
@@ -123,7 +126,7 @@ class TestStats:
         lookup(cache, 1)
         cache.reset_stats()
         assert cache.hits == 0
-        assert 1 in cache
+        assert contains(cache, 1)
 
     def test_empty_hit_rate(self):
         assert BufferCache(4).hits == BufferCache(4).misses == 0
@@ -141,37 +144,37 @@ class TestSnapshotRestore:
         return cache
 
     def test_restore_keeps_order_and_dirty_bits(self):
-        snapshot = self.used_cache().snapshot()
-        assert list(snapshot.items()) == [(4, False), (3, True), (2, False)]
+        state = snapshot(self.used_cache())
+        assert list(state.items()) == [(4, False), (3, True), (2, False)]
         cache = BufferCache(3)
-        restore(cache, snapshot)
-        assert list(cache.snapshot().items()) == list(snapshot.items())
+        restore(cache, state)
+        assert list(snapshot(cache).items()) == list(state.items())
         assert cache.oldest_dirty(3) == [3]
 
     def test_restore_zeroes_counters(self):
         source = self.used_cache()
-        assert source.hits and source.misses and source.clean_evictions
+        assert source.hits and source.misses and source.c.clean_evictions
         cache = self.used_cache()
-        restore(cache, source.snapshot())
-        assert (cache.hits, cache.misses, cache.dirty_evictions,
-                cache.clean_evictions) == (0, 0, 0, 0)
+        restore(cache, snapshot(source))
+        assert (cache.hits, cache.misses, cache.c.dirty_evictions,
+                cache.c.clean_evictions) == (0, 0, 0, 0)
 
     def test_live_cache_does_not_alias_the_snapshot(self):
         source = self.used_cache()
-        snapshot = source.snapshot()
-        expected = list(snapshot.items())
+        state = snapshot(source)
+        expected = list(state.items())
         source.install(7, dirty=True)
         cache = BufferCache(3)
-        restore(cache, snapshot)
+        restore(cache, state)
         lookup(cache, 4)
         touch_write(cache, 2)
         cache.install(8)
         cache.clean(3)
-        assert list(snapshot.items()) == expected
+        assert list(state.items()) == expected
 
     def test_restore_rejects_oversized_state(self):
         with pytest.raises(ValueError):
-            restore(BufferCache(2), self.used_cache().snapshot())
+            restore(BufferCache(2), snapshot(self.used_cache()))
 
 
 class TestProperties:
@@ -194,7 +197,7 @@ class TestProperties:
         for block in blocks:
             if not lookup(cache, block):
                 cache.install(block)
-            assert block in cache
+            assert contains(cache, block)
 
     @given(st.lists(st.tuples(st.integers(0, 40), st.booleans()),
                     min_size=1, max_size=300))

@@ -12,6 +12,7 @@ from tests.db.reference_lru import (
     dirty_units,
     lookup,
     restore,
+    snapshot,
     touch_write,
 )
 
@@ -35,7 +36,7 @@ def test_buffer_cache_matches_reference(capacity, ops):
             ref_victim = reference.install(block, write)
             assert victim == ref_victim, f"victim mismatch on block {block}"
     # Final state identical: same residents, same dirty bits, same order.
-    assert list(cache.snapshot().items()) == list(reference.entries.items())
+    assert list(snapshot(cache).items()) == list(reference.entries.items())
 
 
 @given(st.integers(min_value=1, max_value=10), operations)
@@ -55,7 +56,7 @@ def test_clean_never_disturbs_order(capacity, ops):
             if dirty:
                 cache.clean(dirty[0])
                 reference.entries[dirty[0]] = False
-    assert list(cache.snapshot()) == list(reference.entries)
+    assert list(snapshot(cache)) == list(reference.entries)
 
 
 def drive_miss_heavy(capacity: int, seed: int, length: int,
@@ -92,11 +93,11 @@ def drive_miss_heavy(capacity: int, seed: int, length: int,
             dirty = [b for b, d in reference.entries.items() if d][:limit]
             assert cache.oldest_dirty(limit) == dirty
         elif kind == 18:
-            assert list(cache.snapshot().items()) == list(
+            assert list(snapshot(cache).items()) == list(
                 reference.entries.items())
         else:
-            restore(cache, cache.snapshot())
-    assert list(cache.snapshot().items()) == list(reference.entries.items())
+            restore(cache, snapshot(cache))
+    assert list(snapshot(cache).items()) == list(reference.entries.items())
     assert cache.resident_units == len(reference.entries)
     assert dirty_units(cache) == sum(reference.entries.values())
 
@@ -131,7 +132,7 @@ def test_long_run_over_colliding_ids_matches_reference():
         if not hit:
             assert (cache.install(block, dirty=write)
                     == reference.install(block, write))
-    assert list(cache.snapshot().items()) == list(reference.entries.items())
+    assert list(snapshot(cache).items()) == list(reference.entries.items())
 
 
 def test_copy_and_restore_from_match_the_snapshot():
@@ -142,17 +143,17 @@ def test_copy_and_restore_from_match_the_snapshot():
         if not touch_write(cache, block):
             cache.install(block, dirty=rng.random() < 0.5)
     copy = cache.copy()
-    assert list(copy.snapshot().items()) == list(cache.snapshot().items())
-    assert (copy.hits, copy.misses, copy.dirty_evictions,
-            copy.clean_evictions) == (0, 0, 0, 0)
+    assert list(snapshot(copy).items()) == list(snapshot(cache).items())
+    assert (copy.hits, copy.misses, copy.c.dirty_evictions,
+            copy.c.clean_evictions) == (0, 0, 0, 0)
     # A bigger cache takes the copy too (its table is rebuilt), and the
     # copy stays independent of both.
     bigger = BufferCache(10_000)
     for block in range(8000):
         bigger.install(block)
     bigger.restore_from(copy)
-    expected = list(copy.snapshot().items())
+    expected = list(snapshot(copy).items())
     bigger.install(2**41, dirty=True)
     cache.install(2**41 + 1)
-    assert list(copy.snapshot().items()) == expected
-    assert list(bigger.snapshot().items()) == expected + [(2**41, True)]
+    assert list(snapshot(copy).items()) == expected
+    assert list(snapshot(bigger).items()) == expected + [(2**41, True)]

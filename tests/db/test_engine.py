@@ -13,7 +13,7 @@ from repro.osmodel.scheduler import Scheduler
 from repro.sim import Engine
 from repro.sim.randomness import RandomStreams
 
-from tests.db.reference_lru import dirty_units
+from tests.db.reference_lru import contains, dirty_units
 
 
 def make_db(processors=2, cache_units=8, with_logwriter=True):
@@ -76,7 +76,7 @@ class TestAccessBlock:
         assert stats.physical_reads == 1
         assert db.disks.reads.count == 1
         assert scheduler.context_switches.count == 1
-        assert 42 in db.buffer_cache
+        assert contains(db.buffer_cache, 42)
         # I/O submit and completion kernel paths were charged.
         assert scheduler.os_instructions.count >= (
             scheduler.costs.io_submit + scheduler.costs.io_complete

@@ -1,8 +1,11 @@
 """Tests for runner utilities: fingerprints, sweep plumbing, caching."""
 
+import pytest
+
 from repro.experiments.configs import FAST_SETTINGS
 from repro.experiments.parallel import run_sweep
 from repro.experiments.runner import run_configuration, settings_fingerprint
+from repro.workload import workload_by_name
 
 
 def sweep(grid, processors, **kwargs):
@@ -138,3 +141,41 @@ class TestUtilizationFaults:
         second = utilization(faults=plan,
                              cache=ResultCache(directory=tmp_path / "b"))
         assert first == second
+
+
+class TestRoundTeardown:
+    @pytest.mark.parametrize("workload", [None, "order-entry-burst"])
+    def test_each_rounds_engine_is_freed_without_the_collector(
+            self, workload, tmp_path, monkeypatch):
+        # A finished round is freed by reference counting: its engine
+        # is gone as soon as the round is, with the cyclic collector
+        # off throughout.  A phased workload's clock reads the engine.
+        import gc
+        import weakref
+
+        import repro.experiments.runner as runner_module
+        from repro.experiments.records import ResultCache
+        from repro.odb.system import OdbSystem
+
+        engines = []
+
+        class Watched(OdbSystem):
+            def run(self, *args, **kwargs):
+                for probe in engines:
+                    assert probe() is None
+                engines.append(weakref.ref(self.engine))
+                return super().run(*args, **kwargs)
+
+        monkeypatch.setattr(runner_module, "OdbSystem", Watched)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            run_configuration(
+                10, 1, clients=2, settings=FAST_SETTINGS, use_cache=False,
+                cache=ResultCache(directory=tmp_path),
+                workload=workload and workload_by_name(workload))
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(engines) == FAST_SETTINGS.fixed_point_rounds
+        assert all(probe() is None for probe in engines)

@@ -36,7 +36,7 @@ from repro.sim.randomness import RandomStreams
 from repro.workload import compile_workload, workload_by_name
 from repro.workload.loader import parse_workload
 
-from tests.db.reference_lru import dirty_units
+from tests.db.reference_lru import dirty_units, snapshot
 from tests.hw import kernel_driver
 from tests.hw.reference_trace import ReferenceTraceGenerator
 from tests.odb.reference_prewarm import oracle_prewarm
@@ -220,7 +220,7 @@ def test_prewarm_matches_python_plans(workload, warehouses):
     # The whole prewarm: LRU order, dirty bits, stats and stream state.
     compiled.prewarm_buffer_cache(plans)
     cache = compiled.buffer_cache
-    assert list(cache.snapshot().items()) == list(lru.entries.items())
+    assert list(snapshot(cache).items()) == list(lru.entries.items())
     assert dirty_units(cache) == sum(lru.entries.values())
     assert (cache.hits, cache.misses) == (0, 0)
     assert (compiled.streams.stream("prewarm").getstate()
@@ -234,7 +234,7 @@ def test_prewarm_remote_probability_edges(remote_prob):
     compiled.remote_touch_prob = oracle.remote_touch_prob = remote_prob
     lru = oracle_prewarm(oracle, 200)
     compiled.prewarm_buffer_cache(200)
-    assert (list(compiled.buffer_cache.snapshot().items())
+    assert (list(snapshot(compiled.buffer_cache).items())
             == list(lru.entries.items()))
     assert (compiled.streams.stream("prewarm").getstate()
             == oracle.streams.stream("prewarm").getstate())

@@ -1,11 +1,13 @@
-"""The DES dispatch stream, pinned event by event.
+"""The DES dispatch stream, pinned resume by resume.
 
-Every dispatched event is recorded as ``(now.hex(), priority,
-sequence)``: its exact time, its priority and its scheduling order.
-The digests below pin that stream for a healthy W=100 P=4 system and
-for a faulted one (transient aborts, a disk outage, a log stall), so a
-change that makes the DES cheaper per event must leave every event —
-when it fires, in what order, and how many there are — untouched.
+Every process resume is recorded as ``(now.hex(), process, scheduled)``:
+its exact time, the ordinal of the process it wakes, and how many
+events the engine had scheduled when it woke.  The digests below pin
+that stream, with the engine's final scheduled and dispatched counts,
+for a healthy W=100 P=4 system and for a faulted one (transient
+aborts, a disk outage, a log stall), so a change that makes the DES
+cheaper per event must leave every wake-up — when it happens, in what
+order, and how many events lie between two of them — untouched.
 The fault paths matter here because the benchmark ledger never runs
 them.
 
@@ -17,7 +19,7 @@ import hashlib
 
 from repro.faults import DiskDegradation, FaultPlan, LogStall, TransientAborts
 from repro.odb import OdbConfig, OdbSystem
-from repro.sim.engine import NORMAL, Engine, Event
+from tests.sim.recording import record_resumes
 
 #: Outage and stall windows fall inside the ~0.4 s the faulted run lasts.
 FAULTS = FaultPlan(
@@ -29,35 +31,27 @@ FAULTS = FaultPlan(
 )
 
 HEALTHY_DIGEST = (
-    12406,
-    "8ed1a3b0f4dbb0abfcf6c3360a4197eb9a8a299243f3614fe8186fc356d95ec0")
+    12025, 12426, 12406,
+    "ae4de964f59850e5f1b07021dd9746eca55159e271d708a76927de0fe2c53141")
 FAULTED_DIGEST = (
-    12857,
-    "8df2de7867e11fd3afa2a6b21a5b1145a2a26eed4004d4950f34a4836d6a6781")
+    12484, 12874, 12857,
+    "fd85dc943877cc6229d1e8c95a67a68a5c4e3bc721a42c33de3ee58ee0a26f39")
 
 
 def _dispatch_digest(monkeypatch, faults):
-    keys = {}
     stream = []
-    schedule = Engine._schedule
-    process = Event._process
 
-    def scheduling(engine, event, delay, priority=NORMAL):
-        schedule(engine, event, delay, priority)
-        keys[event] = (priority, engine._sequence)
+    def recording(engine, ordinal):
+        scheduled = engine.queue_stats()["scheduled"]
+        stream.append(f"{engine.now.hex()} {ordinal} {scheduled}")
 
-    def recording(event):
-        priority, sequence = keys.pop(event)
-        stream.append(f"{event.engine.now.hex()} {priority} {sequence}")
-        process(event)
-
-    monkeypatch.setattr(Engine, "_schedule", scheduling)
-    monkeypatch.setattr(Event, "_process", recording)
+    record_resumes(monkeypatch, recording)
     system = OdbSystem(OdbConfig(warehouses=100, clients=21, processors=4,
                                  faults=faults))
     system.run(warmup_txns=50, measure_txns=250, prewarm_plans=1000)
+    stats = system.engine.queue_stats()
     digest = hashlib.sha256("\n".join(stream).encode()).hexdigest()
-    return len(stream), digest
+    return len(stream), stats["scheduled"], stats["dispatched"], digest
 
 
 def test_healthy_dispatch_stream_is_pinned(monkeypatch):

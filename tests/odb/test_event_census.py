@@ -2,7 +2,7 @@
 
 from repro.obs.metrics import disable_metrics, enable_metrics
 from repro.odb import OdbConfig, OdbSystem
-from repro.sim.engine import NORMAL, Engine
+from repro.sim import resources
 from repro.sim.resources import Request
 
 KINDS = ("cpu_burst", "cpu_claim", "disk", "other")
@@ -36,17 +36,20 @@ def test_census_kinds_sum_to_scheduled_with_the_roadmap_shares():
 def test_census_claims_match_the_scheduled_cpu_requests(monkeypatch):
     # Counted where they are created, the claims must equal what the
     # queue saw: one scheduled Request per granted CPU claim.
+    # A request is scheduled exactly when it is granted (``succeed``),
+    # so a counting Request subclass sees every scheduled one.
     system = _anchor_system()
     cpus = system.scheduler.cpus
     seen = {"cpu": 0, "disk": 0}
-    schedule = Engine._schedule
 
-    def scheduling(engine, event, delay, priority=NORMAL):
-        if isinstance(event, Request):
-            seen["cpu" if event.resource is cpus else "disk"] += 1
-        schedule(engine, event, delay, priority)
+    class CountedRequest(Request):
+        __slots__ = ()
 
-    monkeypatch.setattr(Engine, "_schedule", scheduling)
+        def succeed(self, *args, **kwargs):
+            seen["cpu" if self.resource is cpus else "disk"] += 1
+            return super().succeed(*args, **kwargs)
+
+    monkeypatch.setattr(resources, "Request", CountedRequest)
     system.run(warmup_txns=20, measure_txns=80)
     census = system.event_census()
     assert census["cpu_claim"] == seen["cpu"]

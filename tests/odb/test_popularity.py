@@ -16,7 +16,8 @@ from repro.odb.transactions import STANDARD_PROFILES
 from repro.workload import compile_workload, workload_by_name
 
 from tests.db.reference_blocks import total_units
-from tests.db.reference_lru import dirty_units, lookup, restore
+from tests.db.reference_lru import (
+    contains, dirty_units, lookup, restore, snapshot)
 
 
 def space_for(warehouses=10):
@@ -75,8 +76,8 @@ class TestSteadyStateFill:
         steady_state_fill(cache, space)
         # District and warehouse units (hottest) must be resident.
         for warehouse in range(50):
-            assert space.block_id("district", warehouse, 0) in cache
-            assert space.block_id("warehouse", warehouse, 0) in cache
+            assert contains(cache, space.block_id("district", warehouse, 0))
+            assert contains(cache, space.block_id("warehouse", warehouse, 0))
 
     def test_stats_reset_after_fill(self):
         space = space_for()
@@ -128,8 +129,8 @@ class TestBulkFillMatchesInstallLoop:
         installed = steady_state_fill(bulk, system.space, profiles)
         assert installed == install_loop_fill(reference, system.space,
                                               profiles)
-        assert list(bulk.snapshot().items()) == list(
-            reference.snapshot().items())
+        assert list(snapshot(bulk).items()) == list(
+            snapshot(reference).items())
         assert (bulk.hits, bulk.misses) == (0, 0)
 
 
@@ -174,8 +175,8 @@ class TestKernelFillMatchesDictFill:
         restore(kernel, {})  # empty again, counters zeroed
         installed = steady_state_fill(kernel, system.space, profiles)
         assert installed == dict_fill(oracle, system.space, profiles)
-        assert list(kernel.snapshot().items()) == list(
-            oracle.snapshot().items())
+        assert list(snapshot(kernel).items()) == list(
+            snapshot(oracle).items())
         assert dirty_units(kernel) == dirty_units(oracle) > 0
         assert (kernel.hits, kernel.misses) == (0, 0)
 
@@ -185,8 +186,8 @@ class TestKernelFillMatchesDictFill:
         kernel, oracle = BufferCache(capacity), BufferCache(capacity)
         assert (steady_state_fill(kernel, space)
                 == dict_fill(oracle, space, STANDARD_PROFILES) == capacity)
-        assert list(kernel.snapshot().items()) == list(
-            oracle.snapshot().items())
+        assert list(snapshot(kernel).items()) == list(
+            snapshot(oracle).items())
 
     def test_fill_rejects_what_does_not_fit(self):
         cache = BufferCache(10)

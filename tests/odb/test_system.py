@@ -19,6 +19,7 @@ from repro.odb import OdbConfig, OdbSystem, popularity
 from repro.odb import system as odb_system
 from repro.workload import compile_workload, workload_by_name
 
+from tests.db.reference_lru import snapshot
 from tests.odb.reference_prewarm import oracle_prewarm
 
 
@@ -117,23 +118,19 @@ class TestRun:
         # A phase stopped by its deadline ends the measurement window at
         # the last event it dispatched.  Pinning the clock to the
         # deadline would stretch elapsed_s over idle time and move every
-        # time-limited point.
-        from repro.sim.engine import Event
+        # time-limited point.  Here the last event before the deadline
+        # wakes a process, so the clock must read the last resume's time.
+        from tests.sim.recording import record_resumes
 
-        dispatched_at = []
-        process = Event._process
-
-        def recording(event):
-            dispatched_at.append(event.engine.now)
-            process(event)
-
-        monkeypatch.setattr(Event, "_process", recording)
+        resumed_at = []
+        record_resumes(monkeypatch,
+                       lambda engine, _ordinal: resumed_at.append(engine.now))
         system = OdbSystem(OdbConfig(warehouses=400, clients=1,
                                      processors=1))
         metrics = system.run(warmup_txns=10, measure_txns=10**9,
                              time_limit_s=5.0)
         assert metrics.transactions < 10**9   # the deadline stopped it
-        assert system.engine.now == dispatched_at[-1]
+        assert system.engine.now == resumed_at[-1]
         assert metrics.elapsed_s < 5.0
 
 
@@ -186,7 +183,7 @@ def memo_prewarm(**overrides):
     """``(reused, state)`` of a memoised prewarm of the varied base."""
     system = OdbSystem(OdbConfig(**{**BASE, **overrides}))
     reused = system._prewarm_once(PREWARM_PLANS)
-    return reused, list(system.buffer_cache.snapshot().items())
+    return reused, list(snapshot(system.buffer_cache).items())
 
 
 def fresh_prewarm(**overrides):

@@ -11,9 +11,28 @@ from repro.sim.engine import NORMAL, URGENT, Timeout
 from repro.sim.stats import Counter
 
 
+class _Dispatched:
+    """A stop counter that reads how many events ``engine`` has
+    dispatched."""
+
+    def __init__(self, engine: Engine):
+        self.engine = engine
+
+    @property
+    def count(self) -> int:
+        return self.engine.queue_stats()["dispatched"]
+
+
 def _next_time(engine: Engine) -> float:
-    """Time of the next scheduled event, or ``inf`` when none is."""
-    return engine._heap[0][0] if engine._heap else float("inf")
+    """Time of the next scheduled event, or ``inf`` when none is.
+
+    Dispatches that one event: a stopped run leaves the clock at the
+    last event it dispatched."""
+    stats = engine.queue_stats()
+    if not stats["pending"]:
+        return float("inf")
+    engine.run(stop=(_Dispatched(engine), stats["dispatched"] + 1))
+    return engine.now
 
 
 def test_clock_starts_at_zero():
@@ -199,12 +218,18 @@ def test_condition_propagates_failure():
 
 
 def _queue(engine, when, priority, tag, fired):
-    """A triggered event carrying ``tag``, queued at ``when``."""
+    """An event carrying ``tag``, triggered at ``when`` with
+    ``priority`` by a relay timeout.
+
+    The relays of one instant all dispatch before any NORMAL event they
+    trigger (they were scheduled first), and each URGENT one runs right
+    after its relay, so the events fire in ``(when, priority, call
+    order)`` order exactly when the queue orders by time, then
+    priority, then scheduling order."""
     event = engine.event()
-    event._triggered = True
-    event._value = tag
     event.add_callback(lambda e: fired.append(e.value))
-    engine._schedule(event, delay=when - engine.now, priority=priority)
+    engine.timeout(when - engine.now).add_callback(
+        lambda _relay: event.succeed(tag, priority))
     return event
 
 
@@ -277,9 +302,11 @@ class _CheckedEngine(Engine):
     """An engine that checks every dispatch against a sorted drain.
 
     Each scheduled entry's ``(time, priority, sequence)`` key is
-    remembered; when its event is processed, the key must be the
-    smallest among the entries still queued, and the clock must read
-    its time.
+    remembered where it is made: a timeout, a process start (URGENT, its
+    generator's first step) and a process end (the return schedules the
+    process's own event).  When the event is processed, the key must be
+    the smallest among the entries still queued, and the clock must
+    read its time.
     """
 
     def __init__(self):
@@ -287,11 +314,32 @@ class _CheckedEngine(Engine):
         self.queued = {}
         self.dispatched = []
 
-    def _schedule(self, event, delay, priority=NORMAL):
-        super()._schedule(event, delay, priority)
-        key = (self._now + delay, priority, self._sequence)
-        self.queued[key] = event
+    def _remember(self, delay, priority):
+        key = (self.now + delay, priority,
+               self.queue_stats()["scheduled"])
+        self.queued[key] = None
+        return key
+
+    def timeout(self, delay, value=None):
+        event = super().timeout(delay, value)
+        key = self._remember(delay, NORMAL)
         event.callbacks.insert(0, lambda e: self._check(key))
+        return event
+
+    def process(self, generator):
+        def checked():
+            self._check(start)
+            value = yield from generator
+            # The return schedules the process's event next.
+            end[0] = (self.now, NORMAL, self.queue_stats()["scheduled"] + 1)
+            self.queued[end[0]] = None
+            return value
+
+        end = [None]
+        process = super().process(checked())
+        start = self._remember(0.0, URGENT)
+        process.add_callback(lambda e: self._check(end[0]))
+        return process
 
     def _check(self, key):
         assert key == min(self.queued)
