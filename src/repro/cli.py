@@ -98,6 +98,7 @@ from repro.experiments.runner import (
 )
 from repro.faults import FaultPlan
 from repro.hw.machine import XEON_MP_QUAD, machine_by_name
+from repro.obs.snapshot import slug
 
 
 def _settings(args) -> RunnerSettings:
@@ -230,10 +231,8 @@ def _journal_path(args, faults: Optional[FaultPlan],
                   workload=None) -> Path:
     """Default journal location, keyed like the cache so unrelated sweeps
     never share a checkpoint file."""
-    machine = _machine(args)
-    slug = "".join(c if c.isalnum() or c in "-." else "_"
-                   for c in machine.name)
-    name = f"{slug}-p{args.processors}-{settings_fingerprint(_settings(args))}"
+    name = (f"{slug(_machine(args).name)}-p{args.processors}"
+            f"-{settings_fingerprint(_settings(args))}")
     if faults is not None:
         name += f"-f{faults.fingerprint()}"
     if workload is not None:
@@ -386,10 +385,6 @@ def _reports_dir() -> Path:
     return Path(__file__).resolve().parents[2] / "results" / "reports"
 
 
-def _slug(name: str) -> str:
-    return "".join(c if c.isalnum() or c in "-." else "_" for c in name)
-
-
 def cmd_report(args) -> int:
     """``repro report``: traced run (or ``--sweep``) -> dashboard."""
     import repro.obs as obs
@@ -421,7 +416,7 @@ def cmd_report(args) -> int:
         faults=faults,
     )
     out = Path(args.out) if args.out else _reports_dir()
-    stem = (f"report_{_slug(machine.name)}_w{result.warehouses}"
+    stem = (f"report_{slug(machine.name)}_w{result.warehouses}"
             f"_c{result.clients}_p{result.processors}")
     for path in write_run_report(report, out, stem, html=args.html):
         print(path)
@@ -449,7 +444,7 @@ def _report_sweep(args) -> int:
     report = build_sweep_report(
         points, events=executor.events if executor is not None else None)
     out = Path(args.out) if args.out else _reports_dir()
-    stem = (f"sweep_{_slug(machine.name)}_p{args.processors}"
+    stem = (f"sweep_{slug(machine.name)}_p{args.processors}"
             f"_w{'-'.join(str(w) for w in grid)}")
     for path in write_run_report(report, out, stem, html=args.html):
         print(path)
@@ -494,7 +489,7 @@ def cmd_trace(args) -> int:
         out = Path(args.out)
     else:
         out = (_traces_dir()
-               / (f"sweep_{_slug(machine.name)}_p{args.processors}"
+               / (f"sweep_{slug(machine.name)}_p{args.processors}"
                   f"_w{'-'.join(str(w) for w in grid)}.trace.json"))
     print(write_chrome_trace(tracks, out))
     print(f"{len(tracks)} track(s); load in https://ui.perfetto.dev "

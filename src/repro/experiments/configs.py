@@ -72,10 +72,6 @@ class RunnerSettings:
     seed: int = 42
     #: Simulated-seconds cap so I/O-bound configs terminate.
     time_limit_s: float = 900.0
-    #: Wall-clock watchdog per configuration (checked between coupled
-    #: rounds); None disables it.  Operational only — it never changes
-    #: what a run computes, so it is excluded from the cache fingerprint.
-    wall_clock_limit_s: float | None = None
 
     def __post_init__(self) -> None:
         if min(self.warmup_txns, self.measure_txns, self.trace_txns,
@@ -83,8 +79,6 @@ class RunnerSettings:
             raise ValueError("transaction counts must be >= 0")
         if self.fixed_point_rounds < 1:
             raise ValueError("need at least one fixed-point round")
-        if self.wall_clock_limit_s is not None and self.wall_clock_limit_s <= 0:
-            raise ValueError("wall_clock_limit_s must be positive when set")
 
 
 #: Full-fidelity settings for benchmarks and EXPERIMENTS.md numbers.

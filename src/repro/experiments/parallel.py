@@ -15,11 +15,10 @@ depend on *where* a point runs:
 - per-point state and attempts, deterministic backoff
   (:func:`backoff_delay`) and :class:`SweepFailure` once a point's
   retry budget (:class:`SupervisorPolicy`) is spent;
-- deadlines: at most :meth:`PoolExecutor.slots` points are in flight, so a
-  point's ``point_timeout_s`` budget starts when it is dispatched, is
-  flagged ``point-straggling`` at half and cancelled when spent;
-- completion dedup (a point completes once; late copies are dropped),
-  the ``on_result`` hook and the metrics-registry merge;
+- deadlines: at most ``jobs`` points are in flight, so a point's
+  ``point_timeout_s`` budget starts when it is dispatched, is flagged
+  ``point-straggling`` at half and cancelled when spent;
+- the ``on_result`` hook (once per point) and the metrics-registry merge;
 - the ``REPRO_SERIAL`` check and the one-rung degradation ladder: a
   pool that keeps breaking falls back to in-process execution
   (``serial-fallback``).
@@ -28,10 +27,11 @@ depend on *where* a point runs:
 lock, runs only the points the journal does not hold, records each one
 from this process as it completes, and merges everything in grid order.
 
-The :class:`PoolExecutor` is a small state machine the driver polls:
-one ``ProcessPoolExecutor``, rebuilt when a worker dies, whose workers
-run :func:`execute_point` under the test-only :class:`ChaosPolicy` and
-exit on their own when the driver's process dies.
+One supervision loop holds the ``ProcessPoolExecutor`` and its futures:
+it rebuilds the pool when a worker dies or a point overstays its
+deadline, and its workers run :func:`execute_point` under the test-only
+:class:`ChaosPolicy` and exit on their own when the driver's process
+dies.  :class:`PoolExecutor` is the caller's handle on it.
 
 Safety rules:
 
@@ -274,43 +274,38 @@ class SweepFailure(RuntimeError):
             f"{last_error!r}")
 
 
+#: Backoff before retry ``n`` (1-based) of a point is
+#: ``min(BASE_BACKOFF_S * BACKOFF_FACTOR**(n-1), MAX_BACKOFF_S)`` plus a
+#: deterministic jitter in ``[0, BASE_BACKOFF_S)`` (:func:`backoff_delay`).
+BASE_BACKOFF_S = 0.05
+BACKOFF_FACTOR = 2.0
+MAX_BACKOFF_S = 2.0
+#: Pool breaks in one run after which its remaining points run in-process.
+FAILURE_THRESHOLD = 3
+#: Longest the supervision loop waits for a completion before it
+#: dispatches backed-off points and scans deadlines again.
+TICK_S = 0.02
+
+
 @dataclass(frozen=True)
 class SupervisorPolicy:
-    """The driver's knobs: retry budget, backoff shape, deadlines, health.
+    """The sweep's two knobs: the retry budget and the point deadline.
 
-    ``max_retries`` is the number of *re*-attempts a point may consume
-    beyond its first try, across every rung of the degradation ladder.
-    ``point_timeout_s`` bounds one dispatched attempt (``None`` disables
-    deadlines; it cannot be enforced in-process).  Backoff for attempt
-    ``n`` (1-based) is
-    ``min(base_backoff_s * backoff_factor**(n-1), max_backoff_s)`` plus
-    a deterministic jitter in ``[0, base_backoff_s)`` seeded from the
-    spec key (:func:`backoff_delay`).  ``failure_threshold`` pool breaks
-    exhaust the pool.
-    ``tick_s`` is the driver's polling interval.
+    ``max_retries`` (the CLI's ``--retries``) is the number of
+    *re*-attempts a point may consume beyond its first try, across every
+    rung of the degradation ladder.  ``point_timeout_s``
+    (``--point-timeout``) bounds one dispatched attempt (``None``
+    disables deadlines; it cannot be enforced in-process).
     """
 
     max_retries: int = 3
     point_timeout_s: Optional[float] = None
-    base_backoff_s: float = 0.05
-    backoff_factor: float = 2.0
-    max_backoff_s: float = 2.0
-    failure_threshold: int = 3
-    tick_s: float = 0.02
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.point_timeout_s is not None and self.point_timeout_s <= 0:
             raise ValueError("point_timeout_s must be positive (or None)")
-        if self.base_backoff_s < 0 or self.max_backoff_s < 0:
-            raise ValueError("backoff times must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
-        if self.failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        if self.tick_s <= 0:
-            raise ValueError("tick_s must be positive")
 
 
 def _unit_hash(*parts) -> float:
@@ -320,17 +315,18 @@ def _unit_hash(*parts) -> float:
     return int.from_bytes(digest, "big") / 2.0 ** 64
 
 
-def backoff_delay(key: str, attempt: int, policy: SupervisorPolicy) -> float:
+def backoff_delay(key: str, attempt: int,
+                  policy: Optional[SupervisorPolicy] = None) -> float:
     """Backoff before retry ``attempt`` (1-based) of the point ``key``.
 
     Exponential in the attempt number, capped, plus a jitter drawn
     deterministically from (key, attempt) — two processes retrying the
     same point desynchronize, yet the same sweep replays identically.
+    The shape is the module constants; no ``policy`` changes it.
     """
-    base = min(policy.base_backoff_s * policy.backoff_factor ** (attempt - 1),
-               policy.max_backoff_s)
-    jitter = _unit_hash("backoff", key, attempt) * policy.base_backoff_s
-    return base + jitter
+    base = min(BASE_BACKOFF_S * BACKOFF_FACTOR ** (attempt - 1),
+               MAX_BACKOFF_S)
+    return base + _unit_hash("backoff", key, attempt) * BASE_BACKOFF_S
 
 
 # ----------------------------------------------------------------------
@@ -485,93 +481,19 @@ def _kill_pool(pool: ProcessPoolExecutor,
 
 
 # ----------------------------------------------------------------------
-# the pool executor
-
-
-_WAITING, _RUNNING, _DONE = "waiting", "running", "done"
-
-
-class SweepPoint:
-    """Driver-side state of one sweep point across its attempts.
-
-    Executors read ``spec``/``key``/``attempt``/``state`` and hand the
-    point back in their outcomes; only the driver changes its state.
-    """
-
-    __slots__ = ("index", "spec", "key", "attempt", "state", "not_before",
-                 "deadline", "timeout_s", "straggling")
-
-    def __init__(self, index: int, spec: RunSpec,
-                 timeout_s: Optional[float]):
-        self.index = index
-        self.spec = spec
-        self.key = spec.key()
-        self.attempt = 0
-        self.state = _WAITING
-        self.not_before = 0.0
-        self.deadline: Optional[float] = None
-        self.timeout_s = timeout_s
-        self.straggling = False
-
-    @property
-    def running(self) -> bool:
-        """True while an attempt of this point is in flight."""
-        return self.state == _RUNNING
-
-    @property
-    def done(self) -> bool:
-        """True once the point has completed."""
-        return self.state == _DONE
-
-    def dispatched(self, now: float) -> None:
-        """Mark an attempt in flight; its deadline starts now."""
-        self.state = _RUNNING
-        self.straggling = False
-        self.deadline = (now + self.timeout_s
-                         if self.timeout_s is not None else None)
-
-
-@dataclass(frozen=True)
-class RunOptions:
-    """What every point of one driver run shares."""
-
-    use_cache: bool
-    cache_dir: Optional[str]
-    trace: bool
-    policy: SupervisorPolicy
-
-
-def _emit(events: list, prefix: str, kind: str, fields: dict) -> None:
-    record = {"seq": len(events), "event": kind}
-    record.update(fields)
-    events.append(record)
-    if _metrics.ACTIVE:
-        _metrics.inc(f"{prefix}.{kind.replace('-', '_')}")
-        _metrics.emit(f"{prefix}-{kind}", **fields)
+# the supervision loop
 
 
 class PoolExecutor:
-    """Points across one local ``ProcessPoolExecutor``.
+    """The local process pool a sweep runs on: the caller's handle.
 
-    The driver calls ``open(options, points)`` once per run, then loops:
-    while the pool is ``usable()``, it ``submit(point)`` s at most
-    ``slots()`` ready points (``submit`` returns False when the point
-    did not start), collects ``poll(timeout)`` outcomes — ``(point,
-    payload)`` on completion, ``(point, error)`` on failure — and
-    ``cancel(point)`` s a point whose deadline passed (the failure
-    arrives through a later ``poll``).  ``close()`` always runs last.
-
-    A worker that dies (``BrokenProcessPool``) or a point that overstays
-    its deadline (a hung worker cannot be interrupted individually)
-    tears the whole pool down with :func:`_kill_pool`; every point in
-    flight on it fails and is retried, and the pool is rebuilt on the
-    next submit (``pool-rebuild``).  After ``failure_threshold`` such
-    breaks in one run the pool is exhausted, and the driver emits
-    ``serial-fallback`` and finishes in-process.
-
-    ``events`` is the ordered degradation timeline — the pool's own
-    events plus the driver's (``point-retry``, ``point-straggling``,
-    ``serial-fallback``) — mirrored to ``pool.*`` metrics counters and
+    ``jobs`` workers (``None``: one per CPU, capped at the points to
+    run) run :func:`execute_point` under the test-only ``chaos``;
+    :func:`run_points` builds, supervises and tears down one
+    ``ProcessPoolExecutor`` per run.  ``events`` is the ordered
+    degradation timeline of every run on this handle (``point-retry``,
+    ``point-straggling``, ``point-timeout``, ``pool-rebuild``,
+    ``serial-fallback``), mirrored to ``pool.*`` metrics counters and
     ``pool-*`` stream events when a registry is active.
     """
 
@@ -582,122 +504,49 @@ class PoolExecutor:
         self.jobs = jobs
         self.chaos = chaos
         self.events: list[dict] = []
-        self._width = 1
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._futures: dict = {}
-        self._outcomes: list = []
-        self._failures = 0
-        self._options: Optional[RunOptions] = None
-
-    def _event(self, kind: str, **fields) -> None:
-        _emit(self.events, self.name, kind, fields)
-
-    def open(self, options: RunOptions, points: int) -> None:
-        """Size the pool for the run; the pool itself starts on submit."""
-        self._options = options
-        self._width = max(1, min(effective_jobs(self.jobs), points))
-        self._failures = 0
-
-    def slots(self) -> int:
-        """Free workers: the width less the points in flight."""
-        return self._width - len(self._futures)
-
-    def usable(self) -> bool:
-        """True until ``failure_threshold`` breaks in this run."""
-        return self._failures < self._options.policy.failure_threshold
-
-    def submit(self, point: SweepPoint) -> bool:
-        """Submit to the pool (built on demand); a refusal breaks it."""
-        options = self._options
-        try:
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self._width, initializer=_exit_with_parent)
-            future = self._pool.submit(
-                _pool_worker, point.spec, options.cache_dir,
-                options.use_cache, options.trace, self._width,
-                point.attempt, self.chaos)
-        except _POOL_FAILURES as error:
-            self._break(error, "submit failed")
-            return False
-        self._futures[future] = point
-        return True
-
-    def poll(self, timeout: float) -> list:
-        """Finished futures; a dead worker breaks the whole pool."""
-        if self._futures:
-            done, _ = wait(self._futures,
-                           timeout=0 if self._outcomes else timeout,
-                           return_when=FIRST_COMPLETED)
-            # Completed points first: a break observed on one future
-            # must not discard results that already arrived.
-            for future in sorted(done, key=lambda f: f.exception()
-                                 is not None):
-                point = self._futures.pop(future, None)
-                if point is None:
-                    continue  # failed by a break earlier in this loop
-                error = future.exception()
-                if isinstance(error, BrokenProcessPool):
-                    self._futures[future] = point
-                    self._break(error, "worker died")
-                else:
-                    self._outcomes.append(
-                        (point, error if error is not None
-                         else future.result()))
-        elif not self._outcomes:
-            time.sleep(timeout)
-        outcomes, self._outcomes = self._outcomes, []
-        return outcomes
-
-    def cancel(self, point: SweepPoint) -> None:
-        """A hung worker cannot be interrupted alone: kill the pool."""
-        timeout = self._options.policy.point_timeout_s
-        self._event("point-timeout", key=point.key, attempt=point.attempt,
-                    timeout_s=timeout)
-        self._break(TimeoutError(f"{point.key} exceeded {timeout}s"),
-                    "point timeout")
-
-    def _break(self, error: BaseException, detail: str) -> None:
-        """Tear the pool down; every point still running on it fails."""
-        for future, point in self._futures.items():
-            finished = (future.done() and not future.cancelled()
-                        and future.exception() is None)
-            self._outcomes.append(
-                (point, future.result() if finished else error))
-        self._futures.clear()
-        if self._pool is not None:
-            _kill_pool(self._pool)
-            self._pool = None
-        self._failures += 1
-        if self.usable():
-            self._event("pool-rebuild", failures=self._failures,
-                        detail=detail)
-
-    def close(self) -> None:
-        """Join idle workers; kill them if points are still in flight."""
-        if self._pool is not None:
-            if self._futures:
-                _kill_pool(self._pool)
-            else:
-                self._pool.shutdown(wait=True)
-            self._pool = None
-        self._futures.clear()
 
 
-# ----------------------------------------------------------------------
-# the driver
+_WAITING, _RUNNING, _DONE = "waiting", "running", "done"
 
 
-class _Driver:
-    """One run of :func:`run_points`: point state, ladder, timeline."""
+class SweepPoint:
+    """Supervisor-side state of one sweep point across its attempts."""
+
+    __slots__ = ("index", "spec", "key", "attempt", "state", "not_before",
+                 "started", "straggling")
+
+    def __init__(self, index: int, spec: RunSpec):
+        self.index = index
+        self.spec = spec
+        self.key = spec.key()
+        self.attempt = 0
+        self.state = _WAITING
+        self.not_before = 0.0
+        self.started = 0.0
+        self.straggling = False
+
+
+class _Supervisor:
+    """One run of :func:`run_points`: its points, results and timeline.
+
+    The pending points run on the pool (:meth:`_on_pool`) unless
+    ``REPRO_SERIAL`` is set, or the pool would get one worker (``jobs=1``
+    or one pending point) and no point deadline needs a worker that can
+    be killed.  A pool that breaks ``FAILURE_THRESHOLD`` times hands the
+    rest to the in-process path (``serial-fallback``); attempts carry
+    across.
+    """
 
     def __init__(self, specs: Sequence[RunSpec],
-                 executor: Optional[PoolExecutor], options: RunOptions,
-                 on_result: Optional[Callable]):
-        self.options = options
-        self.policy = options.policy
+                 executor: Optional[PoolExecutor], policy: SupervisorPolicy,
+                 work: tuple, on_result: Optional[Callable]):
+        self.executor = executor
+        self.policy = policy
+        #: ``(cache_dir, use_cache, trace)``: the arguments every
+        #: point's run shares.
+        self.work = work
         self.on_result = on_result
-        self.points = [SweepPoint(index, spec, self.policy.point_timeout_s)
+        self.points = [SweepPoint(index, spec)
                        for index, spec in enumerate(specs)]
         self.results: list = [None] * len(specs)
         self.remaining = len(specs)
@@ -705,88 +554,142 @@ class _Driver:
         self.prefix = executor.name if executor is not None else "serial"
 
     def _event(self, kind: str, **fields) -> None:
-        _emit(self.events, self.prefix, kind, fields)
+        record = {"seq": len(self.events), "event": kind}
+        record.update(fields)
+        self.events.append(record)
+        if _metrics.ACTIVE:
+            _metrics.inc(f"{self.prefix}.{kind.replace('-', '_')}")
+            _metrics.emit(f"{self.prefix}-{kind}", **fields)
 
-    def run(self, executor: Optional[PoolExecutor]) -> list:
-        if (self.remaining and not self._in_process(executor)
-                and not self._drive(executor)):
-            self._event("serial-fallback", remaining=self.remaining,
-                        reason="pool exhausted")
+    def run(self) -> list:
+        executor = self.executor
+        if self.remaining and executor is not None and not serial_forced():
+            width = min(effective_jobs(executor.jobs), self.remaining)
+            if ((width > 1 or self.policy.point_timeout_s is not None)
+                    and not self._on_pool(width)):
+                self._event("serial-fallback", remaining=self.remaining,
+                            reason="pool exhausted")
         if self.remaining:
-            self._run_inline(executor.chaos if executor is not None
-                             else None)
+            self._run_inline()
         return self.results
 
-    def _in_process(self, executor: Optional[PoolExecutor]) -> bool:
-        """Whether the pending points run here instead of on the pool.
+    def _on_pool(self, width: int) -> bool:
+        """Run the pending points on a pool of ``width`` workers.
 
-        ``REPRO_SERIAL`` keeps a pool in-process.  So does a pool that
-        would get one worker (``jobs=1``, or one pending point), unless
-        a point deadline needs a worker the driver can kill.
+        One loop holds the pool and its futures.  Each turn dispatches
+        ready points up to the width, waits for the first completion,
+        settles the completions, and scans deadlines.  A break — a dead
+        worker, a point past its deadline (a hung worker cannot be
+        interrupted alone), a refused submit — kills the pool with
+        :func:`_kill_pool`, fails every point still in flight on it and
+        leaves the next dispatch to build a new one (``pool-rebuild``).
+        Returns False when the pool broke ``FAILURE_THRESHOLD`` times
+        with points left.
         """
-        if executor is None or serial_forced():
-            return True
-        return (min(effective_jobs(executor.jobs), self.remaining) <= 1
-                and self.policy.point_timeout_s is None)
-
-    def _drive(self, executor: PoolExecutor) -> bool:
-        """Run the pending points on the pool; False if it gave out."""
-        executor.open(self.options, self.remaining)
+        chaos = self.executor.chaos
+        timeout_s = self.policy.point_timeout_s
+        pool: Optional[ProcessPoolExecutor] = None
+        futures: dict = {}
+        breaks = 0
         try:
             while self.remaining:
-                if not executor.usable():
-                    for point, outcome in executor.poll(0):
-                        self._settle(point, outcome)
-                    return not self.remaining
-                self._dispatch(executor)
-                for point, outcome in executor.poll(self.policy.tick_s):
+                broken = None  # (error, detail) of this turn's break
+                now = time.monotonic()
+                for point in self.points:
+                    if len(futures) == width:
+                        break
+                    if point.state != _WAITING or point.not_before > now:
+                        continue
+                    try:
+                        if pool is None:
+                            pool = ProcessPoolExecutor(
+                                max_workers=width,
+                                initializer=_exit_with_parent)
+                        future = pool.submit(
+                            _pool_worker, point.spec, *self.work, width,
+                            point.attempt, chaos)
+                    except _POOL_FAILURES as error:
+                        broken = (error, "submit failed")
+                        break
+                    futures[future] = point
+                    point.state = _RUNNING
+                    point.started = now
+                    point.straggling = False
+                if broken is None and futures:
+                    done, _ = wait(futures, timeout=TICK_S,
+                                   return_when=FIRST_COMPLETED)
+                    # Completions settle before a break, so a dead
+                    # worker never discards a result that arrived.
+                    for future in done:
+                        error = future.exception()
+                        if isinstance(error, BrokenProcessPool):
+                            broken = (error, "worker died")
+                        else:
+                            self._settle(futures.pop(future),
+                                         error if error is not None
+                                         else future.result())
+                elif broken is None:
+                    time.sleep(TICK_S)
+                if broken is None and timeout_s is not None:
+                    broken = self._scan_deadlines(futures.values(),
+                                                  timeout_s)
+                if broken is None:
+                    continue
+                error, detail = broken
+                outcomes = []
+                for future, point in futures.items():
+                    arrived = (future.done() and not future.cancelled()
+                               and future.exception() is None)
+                    outcomes.append(
+                        (point, future.result() if arrived else error))
+                futures.clear()
+                if pool is not None:
+                    _kill_pool(pool)
+                    pool = None
+                breaks += 1
+                if breaks < FAILURE_THRESHOLD:
+                    self._event("pool-rebuild", failures=breaks,
+                                detail=detail)
+                for point, outcome in outcomes:
                     self._settle(point, outcome)
-                self._scan_deadlines(executor)
+                if breaks == FAILURE_THRESHOLD:
+                    return not self.remaining
             return True
         finally:
-            executor.close()
+            if pool is not None:
+                if futures:
+                    _kill_pool(pool)
+                else:
+                    pool.shutdown(wait=True)
 
-    def _dispatch(self, executor: PoolExecutor) -> None:
-        free = executor.slots()
+    def _scan_deadlines(self, running, timeout_s: float):
+        """Flag stragglers at half their budget; the first point past its
+        whole budget breaks the pool (returns the break)."""
         now = time.monotonic()
-        for point in self.points:
-            if free <= 0:
-                return
-            if point.state == _WAITING and point.not_before <= now:
-                if not executor.submit(point):
-                    return
-                point.dispatched(now)
-                free -= 1
-
-    def _scan_deadlines(self, executor: PoolExecutor) -> None:
-        timeout = self.policy.point_timeout_s
-        if timeout is None:
-            return
-        now = time.monotonic()
-        for point in self.points:
-            if not point.running or point.deadline is None:
-                continue
-            if not point.straggling and now >= point.deadline - timeout / 2:
+        for point in running:
+            elapsed = now - point.started
+            if not point.straggling and elapsed >= timeout_s / 2:
                 point.straggling = True
                 self._event("point-straggling", key=point.key,
                             attempt=point.attempt)
-            if now >= point.deadline:
-                point.deadline = None
-                executor.cancel(point)
+            if elapsed >= timeout_s:
+                self._event("point-timeout", key=point.key,
+                            attempt=point.attempt, timeout_s=timeout_s)
+                return (TimeoutError(f"{point.key} exceeded {timeout_s}s"),
+                        "point timeout")
+        return None
 
     def _settle(self, point: SweepPoint, outcome) -> None:
         if isinstance(outcome, BaseException):
-            if point.running:
-                self._retry(point, outcome)
-        elif not point.done:
+            self._retry(point, outcome)
+        else:
             self._complete(point, outcome)
 
     def _retry(self, point: SweepPoint, error: BaseException) -> None:
         point.attempt += 1
-        point.deadline = None
         if point.attempt > self.policy.max_retries:
             raise SweepFailure(point.key, point.attempt, error)
-        delay = backoff_delay(point.key, point.attempt, self.policy)
+        delay = backoff_delay(point.key, point.attempt)
         point.state = _WAITING
         point.not_before = time.monotonic() + delay
         self._event("point-retry", key=point.key, attempt=point.attempt,
@@ -795,21 +698,19 @@ class _Driver:
     def _complete(self, point: SweepPoint, payload: PointTelemetry) -> None:
         self.results[point.index] = payload
         point.state = _DONE
-        point.deadline = None
         self.remaining -= 1
         if _metrics.ACTIVE:
             _metrics.inc(f"{self.prefix}.points_completed")
         if self.on_result is not None:
             self.on_result(point.spec, payload)
 
-    def _run_inline(self, chaos: Optional[ChaosPolicy]) -> None:
+    def _run_inline(self) -> None:
         """Finish in this process, grid order; chaos ``kill``/``hang``
         degrade to ``poison`` so the parent survives its own chaos."""
-        options = self.options
+        chaos = self.executor.chaos if self.executor is not None else None
         for point in self.points:
-            while not point.done:
+            while point.state != _DONE:
                 time.sleep(max(0.0, point.not_before - time.monotonic()))
-                point.dispatched(time.monotonic())
                 action = (chaos.action(point.key, point.attempt)
                           if chaos is not None else None)
                 try:
@@ -817,8 +718,7 @@ class _Driver:
                         raise ChaosError(f"chaos ({action}) hit {point.key} "
                                          f"attempt {point.attempt} "
                                          f"in-process")
-                    payload = execute_point(point.spec, options.cache_dir,
-                                            options.use_cache, options.trace)
+                    payload = execute_point(point.spec, *self.work)
                 except Exception as error:
                     self._retry(point, error)
                     continue
@@ -844,11 +744,10 @@ def run_points(specs: Sequence[RunSpec],
     Raises :class:`SweepFailure` when a point exhausts
     ``policy.max_retries``.
     """
-    options = RunOptions(
-        use_cache=use_cache,
-        cache_dir=str(cache_dir) if cache_dir is not None else None,
-        trace=trace, policy=policy or SupervisorPolicy())
-    points = _Driver(specs, executor, options, on_result).run(executor)
+    work = (str(cache_dir) if cache_dir is not None else None, use_cache,
+            trace)
+    points = _Supervisor(specs, executor, policy or SupervisorPolicy(),
+                         work, on_result).run()
     registry = _metrics.current_registry()
     if trace and registry is not None:
         for point in points:

@@ -20,6 +20,7 @@ from typing import Optional
 from repro.core.cpi_model import CpiBreakdown, CpiSolution
 from repro.hw.trace import MicroarchRates
 from repro.obs import metrics as _metrics
+from repro.obs.snapshot import slug
 from repro.odb.system import SystemMetrics
 
 #: Serialization generation of :class:`ConfigResult`.  Bump whenever the
@@ -196,17 +197,13 @@ class ResultCache:
                 settings_fingerprint: str,
                 fault_fingerprint: Optional[str] = None,
                 workload_fingerprint: Optional[str] = None) -> str:
-        # Derived machine names ("xeon-mp-quad/l3=512KB") contain path
-        # separators and '='; flatten to a filesystem-safe slug.
         """Filesystem-safe cache key for one configuration.
 
         ``workload_fingerprint`` is only passed for non-standard
         workloads — the standard spec shares the default mix's keys by
         construction (bit-identical runs must hit the same cache).
         """
-        safe_machine = "".join(c if c.isalnum() or c in "-." else "_"
-                               for c in machine)
-        key = (f"{safe_machine}-w{warehouses}-c{clients}-p{processors}"
+        key = (f"{slug(machine)}-w{warehouses}-c{clients}-p{processors}"
                f"-{settings_fingerprint}")
         if fault_fingerprint:
             key += f"-f{fault_fingerprint}"

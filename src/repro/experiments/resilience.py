@@ -1,11 +1,11 @@
-"""Harness resilience: convergence guards, watchdogs, sweep checkpoints.
+"""Harness resilience: the convergence guard and sweep checkpoints.
 
 Every figure in this reproduction flows through the coupled runner, so
 the harness must stay trustworthy over long, repeated execution (the
 Darmont benchmark-quality argument): a fixed point that oscillates must
-not silently ship garbage, a wedged configuration must not hang a sweep
-forever, and a killed sweep must resume from its last completed point
-instead of restarting.
+not silently ship garbage, and a killed sweep must resume from its last
+completed point instead of restarting.  (A wedged configuration is the
+sweep driver's to cancel: ``SupervisorPolicy.point_timeout_s``.)
 
 - :class:`ConvergenceGuard` — watches the (user CPI, OS CPI) trajectory
   of the fixed-point iteration; rejects non-finite values outright and
@@ -14,8 +14,6 @@ instead of restarting.
   damping cannot rescue the iteration.  On a convergent trajectory —
   every healthy configuration — it is a pure observer and the iterates
   pass through bit-unchanged.
-- :class:`WatchdogTimeout` — raised by the runner when one
-  configuration exceeds its wall-clock budget between coupled rounds.
 - :class:`SweepJournal` — an append-only JSON-lines checkpoint of
   completed sweep points.  Each record carries the serialization schema
   version and a payload checksum; a partially written final line (the
@@ -71,17 +69,14 @@ class JournalOwnershipError(RuntimeError):
     """
 
 
-class WatchdogTimeout(RuntimeError):
-    """One configuration exceeded its wall-clock budget."""
-
-    def __init__(self, limit_s: float, elapsed_s: float, context: str = ""):
-        self.limit_s = limit_s
-        self.elapsed_s = elapsed_s
-        self.context = context
-        detail = f" [{context}]" if context else ""
-        super().__init__(
-            f"configuration watchdog fired{detail}: "
-            f"{elapsed_s:.1f}s elapsed > {limit_s:.1f}s limit")
+#: Relaxation of a damped update toward the last accepted iterate.
+DAMPING = 0.5
+#: A delta larger than this multiple of the previous one is "growing".
+GROWTH_TOLERANCE = 1.0
+#: Damped rounds allowed before the iteration is declared divergent.
+MAX_DAMPED_ROUNDS = 3
+#: Deltas at or below this never count as growing (converged noise).
+MIN_DELTA = 1e-6
 
 
 class ConvergenceGuard:
@@ -96,23 +91,15 @@ class ConvergenceGuard:
     - while successive deltas shrink (the normal, mildly-coupled case)
       the iterate passes through unchanged — healthy runs are
       bit-identical with or without the guard;
-    - when a delta *grows* past ``growth_tolerance`` times the previous
-      delta, the update is damped toward the last accepted iterate;
-      after ``max_damped_rounds`` damped updates with deltas still
-      growing, the iteration is declared divergent.
+    - when a delta *grows* past ``GROWTH_TOLERANCE`` times the previous
+      delta, the update is damped toward the last accepted iterate
+      (``DAMPING``); after ``MAX_DAMPED_ROUNDS`` damped updates with
+      deltas still growing, the iteration is declared divergent.
+
+    ``context`` names the configuration in a :class:`ConvergenceError`.
     """
 
-    def __init__(self, damping: float = 0.5, growth_tolerance: float = 1.0,
-                 max_damped_rounds: int = 3, min_delta: float = 1e-6,
-                 context: str = ""):
-        if not 0.0 < damping < 1.0:
-            raise ValueError("damping must be in (0, 1)")
-        if growth_tolerance < 1.0:
-            raise ValueError("growth_tolerance must be >= 1")
-        self.damping = damping
-        self.growth_tolerance = growth_tolerance
-        self.max_damped_rounds = max_damped_rounds
-        self.min_delta = min_delta
+    def __init__(self, context: str = ""):
         self.context = context
         self.history: list[tuple[float, float]] = []
         self.damped_rounds = 0
@@ -140,18 +127,18 @@ class ConvergenceGuard:
             return user_cpi, os_cpi
         delta = self._delta(user_cpi, os_cpi)
         growing = (self._last_delta is not None
-                   and delta > self.min_delta
-                   and delta > self.growth_tolerance * self._last_delta)
+                   and delta > MIN_DELTA
+                   and delta > GROWTH_TOLERANCE * self._last_delta)
         if growing:
             self.damped_rounds += 1
-            if self.damped_rounds > self.max_damped_rounds:
+            if self.damped_rounds > MAX_DAMPED_ROUNDS:
                 raise ConvergenceError(
-                    f"deltas still growing after {self.max_damped_rounds} "
+                    f"deltas still growing after {MAX_DAMPED_ROUNDS} "
                     f"damped rounds (last delta {delta:.3g})",
                     context=self.context, history=self.history)
             prev_user, prev_os = self._accepted
-            user_cpi = prev_user + self.damping * (user_cpi - prev_user)
-            os_cpi = prev_os + self.damping * (os_cpi - prev_os)
+            user_cpi = prev_user + DAMPING * (user_cpi - prev_user)
+            os_cpi = prev_os + DAMPING * (os_cpi - prev_os)
             delta = self._delta(user_cpi, os_cpi)
         self._last_delta = delta
         self._accepted = (user_cpi, os_cpi)

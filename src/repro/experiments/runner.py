@@ -39,7 +39,7 @@ from repro.experiments.configs import (
     client_count,
 )
 from repro.experiments.records import ConfigResult, ResultCache
-from repro.experiments.resilience import ConvergenceGuard, WatchdogTimeout
+from repro.experiments.resilience import ConvergenceGuard
 from repro.faults import FaultPlan, publish_fault_metrics
 from repro.hw.machine import MachineConfig, XEON_MP_QUAD
 from repro.hw.trace import TraceGenerator, TraceProfile
@@ -85,9 +85,8 @@ def default_cache() -> ResultCache:
 def settings_fingerprint(settings: RunnerSettings) -> str:
     """Short stable hash of the fidelity settings (cache key part).
 
-    Only fidelity-bearing fields participate: operational knobs like the
-    wall-clock watchdog change when a run *aborts*, never what it
-    computes, so they must not churn cache keys.
+    Every field of :class:`RunnerSettings` changes what a run computes,
+    so every field participates.
     """
     text = repr((settings.warmup_txns, settings.measure_txns,
                  settings.trace_txns, settings.trace_warmup,
@@ -161,9 +160,7 @@ def run_configuration(warehouses: int, processors: int,
     the run is bit-identical to an uninstrumented build (golden-pinned).
 
     Raises :class:`~repro.experiments.resilience.ConvergenceError` when
-    the CPI fixed point diverges and
-    :class:`~repro.experiments.resilience.WatchdogTimeout` when
-    ``settings.wall_clock_limit_s`` is exceeded between coupled rounds.
+    the CPI fixed point diverges.
     """
     global _LAST_MANIFEST
     if clients is None:
@@ -207,11 +204,6 @@ def run_configuration(warehouses: int, processors: int,
                 "processors": processors, "seed": settings.seed})
         for round_index in range(settings.fixed_point_rounds):
             round_started = time.monotonic()
-            if settings.wall_clock_limit_s is not None and round_index > 0:
-                elapsed = time.monotonic() - started
-                if elapsed > settings.wall_clock_limit_s:
-                    raise WatchdogTimeout(settings.wall_clock_limit_s,
-                                          elapsed, context=context)
             with _tracing.span(f"fixed-point-round-{round_index}"):
                 config = OdbConfig(
                     warehouses=warehouses,

@@ -82,6 +82,18 @@ class SnapshotError(ValueError):
     """A snapshot file is missing, malformed, or from another schema."""
 
 
+def slug(name: str) -> str:
+    """``name`` as a filesystem-safe file-name part.
+
+    Derived machine names (``"xeon-mp-quad/l3=512KB"``) carry path
+    separators and ``=``: every character but letters, digits, ``-`` and
+    ``.`` becomes ``_``.  Cache keys, snapshot point keys, report stems
+    and journal names all slug machine names this way, so it must never
+    change: existing caches and journals are found by these names.
+    """
+    return "".join(c if c.isalnum() or c in "-." else "_" for c in name)
+
+
 def point_key(machine: str, warehouses: int, clients: int,
               processors: int) -> str:
     """Grid-coordinate key a point aligns under when diffing.
@@ -92,9 +104,7 @@ def point_key(machine: str, warehouses: int, clients: int,
     fingerprints that differ belong in the provenance diff, not in the
     join key.
     """
-    safe_machine = "".join(c if c.isalnum() or c in "-." else "_"
-                           for c in machine)
-    return f"{safe_machine}-w{warehouses}-c{clients}-p{processors}"
+    return f"{slug(machine)}-w{warehouses}-c{clients}-p{processors}"
 
 
 def point_metrics(result: "ConfigResult") -> dict[str, float]:

@@ -33,8 +33,3 @@ class Process(_des.Process):
         super().__init__(engine, generator)
         if _tracing.ACTIVE:  # phase-level observability, never per event
             _tracing.current_tracer().count("processes_started")
-
-    @property
-    def is_alive(self) -> bool:
-        """True while the generator has not finished."""
-        return not self.triggered

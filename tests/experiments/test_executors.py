@@ -62,8 +62,7 @@ class TestFailureMatrixConformance:
         keys = [RunSpec(warehouses=w, processors=PROCESSORS,
                         settings=FAST_SETTINGS).key() for w in GRID]
         chaos = three_fault_chaos(keys, delay_s=5.0)
-        policy = SupervisorPolicy(max_retries=3, base_backoff_s=0.01,
-                                  max_backoff_s=0.05, point_timeout_s=4.0)
+        policy = SupervisorPolicy(max_retries=3, point_timeout_s=4.0)
         if where == "in-process":
             monkeypatch.setenv("REPRO_SERIAL", "1")
         executor = PoolExecutor(jobs=1, chaos=chaos)
@@ -76,6 +75,23 @@ class TestFailureMatrixConformance:
         retries = sorted((e["key"], e["attempt"]) for e in executor.events
                          if e["event"] == "point-retry")
         assert retries == sorted((key, 1) for key in keys)
+        # One worker runs one point at a time, so the whole degradation
+        # timeline (less the timing-dependent straggler flags) is fixed.
+        fault = {chaos.action(key, 0): key for key in keys}
+        timeline = [(e["event"], e.get("key"), e.get("attempt"))
+                    for e in executor.events
+                    if e["event"] != "point-straggling"]
+        if where == "in-process":
+            assert timeline == [("point-retry", key, 1) for key in keys]
+        else:
+            assert timeline == [
+                ("point-timeout", fault["hang"], 0),
+                ("pool-rebuild", None, None),
+                ("point-retry", fault["hang"], 1),
+                ("point-retry", fault["poison"], 1),
+                ("pool-rebuild", None, None),
+                ("point-retry", fault["kill"], 1),
+            ]
 
 
 class TestDeadlinesMeasureRunningPoints:

@@ -9,6 +9,8 @@ import pytest
 
 from repro.experiments.configs import FAST_SETTINGS
 from repro.experiments.parallel import (
+    BASE_BACKOFF_S,
+    MAX_BACKOFF_S,
     ChaosError,
     ChaosPolicy,
     PoolExecutor,
@@ -27,10 +29,8 @@ from tests.experiments.serial_oracle import canonical, serial_results
 GRID = (10, 25)
 PROCESSORS = 1
 
-#: Fast supervision knobs shared by every test: tiny backoff, quick
-#: ticks, so chaos recovery costs milliseconds, not the defaults.
-FAST_POLICY = SupervisorPolicy(max_retries=3, base_backoff_s=0.01,
-                               max_backoff_s=0.05, tick_s=0.02)
+#: The supervision policy shared by every test.
+POLICY = SupervisorPolicy(max_retries=3)
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +43,7 @@ def make_specs():
                     settings=FAST_SETTINGS) for w in GRID]
 
 
-def run_pool(pool, tmp_path, policy=FAST_POLICY, specs=None, **kwargs):
+def run_pool(pool, tmp_path, policy=POLICY, specs=None, **kwargs):
     """Run the grid on ``pool`` through the driver; results only."""
     points = run_points(specs or make_specs(), pool, policy=policy,
                         cache_dir=tmp_path / "cache", **kwargs)
@@ -54,32 +54,26 @@ def sweep_pool(pool, tmp_path, **kwargs):
     """A journaled-capable ``run_sweep`` of the grid on ``pool``."""
     return [point.result for point in run_sweep(
         GRID, PROCESSORS, settings=FAST_SETTINGS, executor=pool,
-        policy=FAST_POLICY, cache_dir=tmp_path / "cache", **kwargs)]
+        policy=POLICY, cache_dir=tmp_path / "cache", **kwargs)]
 
 
 class TestPolicyPrimitives:
     def test_backoff_is_deterministic_and_bounded(self):
-        policy = SupervisorPolicy(base_backoff_s=0.1, backoff_factor=2.0,
-                                  max_backoff_s=0.5)
-        first = backoff_delay("key-a", 1, policy)
-        assert first == backoff_delay("key-a", 1, policy)
+        first = backoff_delay("key-a", 1)
+        assert first == backoff_delay("key-a", 1)
         # jitter desynchronizes different keys and attempts
-        assert first != backoff_delay("key-b", 1, policy)
-        assert first != backoff_delay("key-a", 2, policy)
+        assert first != backoff_delay("key-b", 1)
+        assert first != backoff_delay("key-a", 2)
         # exponential growth up to the cap (+ jitter < base)
         for attempt in range(1, 8):
-            delay = backoff_delay("key-a", attempt, policy)
-            assert 0.0 <= delay <= 0.5 + 0.1
+            delay = backoff_delay("key-a", attempt)
+            assert 0.0 <= delay <= MAX_BACKOFF_S + BASE_BACKOFF_S
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             SupervisorPolicy(max_retries=-1)
         with pytest.raises(ValueError):
             SupervisorPolicy(point_timeout_s=0.0)
-        with pytest.raises(ValueError):
-            SupervisorPolicy(backoff_factor=0.5)
-        with pytest.raises(ValueError):
-            SupervisorPolicy(failure_threshold=0)
 
 
 class TestChaosPolicy:
@@ -121,10 +115,7 @@ class TestPoisonRetry:
     def test_retry_budget_exhaustion_raises_sweep_failure(self, tmp_path):
         pool = PoolExecutor(jobs=1, chaos=ChaosPolicy(poison=1.0, attempts=5))
         with pytest.raises(SweepFailure) as error:
-            run_pool(pool, tmp_path,
-                     policy=SupervisorPolicy(max_retries=1,
-                                             base_backoff_s=0.005,
-                                             tick_s=0.02))
+            run_pool(pool, tmp_path, policy=SupervisorPolicy(max_retries=1))
         assert error.value.attempts == 2
         assert isinstance(error.value.last_error, ChaosError)
 
@@ -142,21 +133,18 @@ class TestPoolSelfHealing:
         kinds = [e["event"] for e in pool.events]
         assert kinds.count("pool-rebuild") >= 1
         assert "serial-fallback" not in kinds
-        assert pool.usable()
         assert sorted(completed) == sorted(s.key() for s in make_specs())
 
 
 class TestPoolExhaustion:
     def test_exhausted_pool_falls_back_to_serial(self, tmp_path,
                                                  serial_reference):
-        # Chaos kills first attempts of everything and the threshold is
-        # 1: the pool is exhausted by the first kill, and the driver
+        # Chaos kills the first three attempts of everything: each
+        # breaks the pool, the third break exhausts it, and the driver
         # must still finish the sweep in-process (where kill degrades to
-        # poison, then the attempt bound clears).
-        policy = SupervisorPolicy(max_retries=3, base_backoff_s=0.01,
-                                  tick_s=0.02, failure_threshold=1)
-        pool = PoolExecutor(jobs=2, chaos=ChaosPolicy(kill=1.0, attempts=1))
-        results = run_pool(pool, tmp_path, policy=policy)
+        # poison, then the attempt bound clears within the budget).
+        pool = PoolExecutor(jobs=2, chaos=ChaosPolicy(kill=1.0, attempts=3))
+        results = run_pool(pool, tmp_path)
         assert canonical(results) == serial_reference
         assert "serial-fallback" in {e["event"] for e in pool.events}
 
@@ -167,8 +155,7 @@ class TestTimeouts:
         specs = make_specs()
         chaos = ChaosPolicy(hang=1.0, attempts=1, delay_s=30.0,
                             targets=(specs[0].key(),))
-        policy = SupervisorPolicy(max_retries=3, base_backoff_s=0.01,
-                                  tick_s=0.02, point_timeout_s=1.0)
+        policy = SupervisorPolicy(max_retries=3, point_timeout_s=1.0)
         pool = PoolExecutor(jobs=2, chaos=chaos)
         results = run_pool(pool, tmp_path, policy=policy, specs=specs)
         assert canonical(results) == serial_reference
@@ -239,7 +226,7 @@ class TestDegradationTelemetry:
 
     def test_degradation_timeline_lands_in_sweep_report(self, tmp_path):
         pool = PoolExecutor(jobs=2, chaos=ChaosPolicy(poison=1.0, attempts=1))
-        points = run_points(make_specs(), pool, policy=FAST_POLICY,
+        points = run_points(make_specs(), pool, policy=POLICY,
                             trace=True, cache_dir=tmp_path / "cache")
         report = build_sweep_report(points, events=pool.events)
         text = report.to_markdown()
@@ -263,7 +250,7 @@ class TestDegradationTelemetry:
             self, tmp_path):
         registry = metrics_module.enable_metrics()
         try:
-            run_points(make_specs(), PoolExecutor(jobs=2), policy=FAST_POLICY,
+            run_points(make_specs(), PoolExecutor(jobs=2), policy=POLICY,
                        trace=True, cache_dir=tmp_path / "cache")
         finally:
             metrics_module.disable_metrics()
@@ -287,12 +274,11 @@ class TestBackoffPortability:
     def test_matches_recomputed_formula(self):
         from repro.experiments.parallel import _unit_hash
 
-        policy = SupervisorPolicy(base_backoff_s=0.1, backoff_factor=3.0,
-                                  max_backoff_s=0.5)
+        # base 0.05, factor 2.0, cap 2.0: attempt 7 hits the cap
         for attempt in (1, 2, 3, 7):
-            expected = (min(0.1 * 3.0 ** (attempt - 1), 0.5)
-                        + _unit_hash("backoff", "k", attempt) * 0.1)
-            assert backoff_delay("k", attempt, policy) == expected
+            expected = (min(0.05 * 2.0 ** (attempt - 1), 2.0)
+                        + _unit_hash("backoff", "k", attempt) * 0.05)
+            assert backoff_delay("k", attempt, SupervisorPolicy()) == expected
 
 
 class TestSerialEnvWithShards:
@@ -309,13 +295,17 @@ class TestSerialEnvWithShards:
 
     def test_serial_env_sweeps_in_process(self, monkeypatch,
                                           serial_reference):
+        import repro.experiments.parallel as parallel
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the serial path built a pool")
+
         monkeypatch.setenv("REPRO_SERIAL", "1")
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
         pool = PoolExecutor(jobs=8)
         results = [point.result for point in run_points(
-            make_specs(), pool, policy=FAST_POLICY, use_cache=False)]
+            make_specs(), pool, policy=POLICY, use_cache=False)]
         assert canonical(results) == serial_reference
-        # the serial path never built a pool
-        assert pool._pool is None
 
 
 class TestPoolTeardown:

@@ -38,6 +38,13 @@ class TestPointKey:
         key = point_key("xeon/l3=512KB", 10, 80, 4)
         assert "/" not in key and "=" not in key
 
+    def test_cache_and_point_keys_share_one_pinned_slug(self):
+        # Existing caches and journals are found by this spelling.
+        assert point_key("xeon/l3=512KB", 10, 80, 4) == \
+            "xeon_l3_512KB-w10-c80-p4"
+        assert ResultCache.key_for("xeon/l3=512KB", 10, 80, 4, "abc") == \
+            "xeon_l3_512KB-w10-c80-p4-abc"
+
 
 class TestFromPoints:
     def test_points_keyed_by_grid_coordinates(self):

@@ -17,7 +17,7 @@ def test_process_runs_and_returns_value():
     engine.run()
     assert engine.now == 5.0
     assert p.value == "done"
-    assert not p.is_alive
+    assert p.triggered
 
 
 def test_timeout_value_is_delivered_to_process():

@@ -87,8 +87,7 @@ def scenario_kill(out: Path) -> list[str]:
                      settings=FAST_SETTINGS) for w in GRID]
     victim = specs[0].key()
     chaos = ChaosPolicy(seed=11, kill=1.0, attempts=1, targets=(victim,))
-    policy = SupervisorPolicy(max_retries=3, base_backoff_s=0.01,
-                              max_backoff_s=0.05, tick_s=0.02)
+    policy = SupervisorPolicy(max_retries=3)
     pool = PoolExecutor(jobs=2, chaos=chaos)
 
     print(f"[2/4] pool sweep, 2 workers, chaos kills {victim}")
