@@ -29,9 +29,9 @@ storms, transient aborts) into ``run``, ``sweep``, and ``report``.
 ``--workload <name|path>`` selects a declarative workload
 (:mod:`repro.workload`; a shipped scenario name or a YAML/JSON spec
 file) on every simulating command — specs are provenance-tracked
-through cache keys and run manifests, and ``odb-standard`` is
-bit-identical to the default.  See ``docs/WORKLOADS.md`` for the
-authoring guide.
+through cache keys and run manifests.  Without it a command runs the
+default ``odb-standard`` spec, so ``--workload odb-standard`` changes
+nothing.  See ``docs/WORKLOADS.md`` for the authoring guide.
 ``--jobs N`` fans independent configuration runs across ``N`` worker
 processes (default: one per CPU; results are bit-identical to serial,
 see DESIGN.md §8); ``REPRO_SERIAL=1`` forces serial execution.
@@ -579,9 +579,10 @@ def cmd_workload(args) -> int:
         WorkloadSpecError,
         available_workloads,
         compile_workload,
+        load_source,
         load_workload,
         resolve_workload,
-        scenario_paths,
+        scenario_sources,
     )
 
     if args.action == "list":
@@ -636,8 +637,8 @@ def cmd_workload(args) -> int:
                                       for name, weight in phase.weights)
                 print(f"phase {phase.name}: {phase.duration_s}s "
                       f"[{overrides or 'base weights'}]")
-        if compiled.is_standard:
-            print("(bit-identical to the built-in default mix)")
+        if compiled.is_default:
+            print("(the default workload: what runs without --workload)")
         return 0
 
     # validate: explicit spec files, or the whole shipped library.
@@ -645,12 +646,13 @@ def cmd_workload(args) -> int:
     if args.specs:
         targets = [Path(ref) for ref in args.specs]
     else:
-        targets = scenario_paths()
+        targets = list(scenario_sources().values())
         print(f"validating the shipped library "
-              f"({len(targets)} scenario file(s))")
-    for path in targets:
+              f"({len(targets)} scenario(s))")
+    for target in targets:
         try:
-            spec = load_workload(path)
+            spec = (load_workload(target) if args.specs
+                    else load_source(target))
             compiled = compile_workload(spec)
             # Exercise the full compile path, including block-space
             # construction for custom layouts, at a nominal scale.
@@ -663,7 +665,7 @@ def cmd_workload(args) -> int:
             print(f"FAIL {error}")
             failures += 1
             continue
-        extra = " (standard)" if compiled.is_standard else ""
+        extra = " (default)" if compiled.is_default else ""
         print(f"ok   {spec.name}: {len(spec.transactions)} txns, "
               f"{len(spec.phases or ())} phase(s), "
               f"fingerprint {spec.fingerprint()}{extra}")

@@ -31,7 +31,7 @@ from repro.core.regression import (
     fit_two_segments,
 )
 from repro.core.pivot import PivotAnalysis, pivot_point, representative_configuration
-from repro.core.saturation import SaturationResult, clients_for_utilization
+from repro.core.saturation import SaturationResult
 from repro.core.extrapolation import ExtrapolationReport, evaluate_extrapolation
 from repro.core.baselines import single_line_model, cached_setup_model
 from repro.core.validation import Check, assert_valid, validate_result
@@ -51,7 +51,6 @@ __all__ = [
     "pivot_point",
     "representative_configuration",
     "SaturationResult",
-    "clients_for_utilization",
     "ExtrapolationReport",
     "evaluate_extrapolation",
     "single_line_model",

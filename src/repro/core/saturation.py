@@ -12,14 +12,13 @@ reach it (the I/O-bound regime).
 The search is a generator (:func:`saturation_search`) that yields the
 next client count to measure and receives its utilization, so a caller
 can advance many searches in lockstep and measure each round's probes
-together; :func:`clients_for_utilization` drives one search with a
-``measure`` callable.
+together (:mod:`repro.experiments.exp_table1`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator
+from typing import Generator
 
 
 @dataclass(frozen=True)
@@ -80,21 +79,3 @@ def saturation_search(target: float = 0.90, minimum: int = 1,
             lo = mid + 1
     return SaturationResult(clients=hi, utilization=(yield from run(hi)),
                             reached_target=True, evaluations=len(measured))
-
-
-def clients_for_utilization(measure: Callable[[int], float],
-                            target: float = 0.90,
-                            minimum: int = 1, maximum: int = 80,
-                            ) -> SaturationResult:
-    """:func:`saturation_search` for one configuration.
-
-    ``measure(clients)`` runs the configuration and returns its CPU
-    utilization in [0, 1].
-    """
-    search = saturation_search(target, minimum, maximum)
-    try:
-        clients = next(search)
-        while True:
-            clients = search.send(measure(clients))
-    except StopIteration as stop:
-        return stop.value

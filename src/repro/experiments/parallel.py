@@ -95,9 +95,9 @@ class RunSpec:
     machine: MachineConfig = XEON_MP_QUAD
     settings: RunnerSettings = DEFAULT_SETTINGS
     faults: Optional[FaultPlan] = None
-    #: Declarative workload the point runs (``None`` = built-in standard
-    #: mix).  The *spec* ships across the process boundary — workers
-    #: compile it locally via the memoized ``compile_workload``.
+    #: Declarative workload the point runs (``None`` = the default
+    #: ``odb-standard``).  The *spec* ships across the process boundary;
+    #: workers compile it locally via the memoized ``compile_workload``.
     workload: Optional[WorkloadSpec] = None
 
     @property

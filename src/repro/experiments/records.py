@@ -199,9 +199,9 @@ class ResultCache:
                 workload_fingerprint: Optional[str] = None) -> str:
         """Filesystem-safe cache key for one configuration.
 
-        ``workload_fingerprint`` is only passed for non-standard
-        workloads — the standard spec shares the default mix's keys by
-        construction (bit-identical runs must hit the same cache).
+        ``workload_fingerprint`` is passed for every workload but the
+        default ``odb-standard``, so a run that names no workload and
+        ``--workload odb-standard`` (the same run) hit the same cache.
         """
         key = (f"{slug(machine)}-w{warehouses}-c{clients}-p{processors}"
                f"-{settings_fingerprint}")
@@ -307,11 +307,14 @@ class ResultCache:
                     pass
 
     def clear(self) -> int:
-        """Delete all cached entries; returns the number removed."""
+        """Delete all cached entries, and the temp files a store killed
+        before its replace left behind; returns the number of files
+        removed."""
         if not self.directory.exists():
             return 0
         removed = 0
-        for path in self.directory.glob("*.json"):
-            path.unlink()
-            removed += 1
+        for pattern in ("*.json", ".*.json.*.tmp"):
+            for path in self.directory.glob(pattern):
+                path.unlink()
+                removed += 1
         return removed

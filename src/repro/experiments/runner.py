@@ -15,12 +15,12 @@ iron law with the converged values.
 Resilience (see :mod:`repro.experiments.resilience`): every iterate
 passes a :class:`~repro.experiments.resilience.ConvergenceGuard`
 (NaN/oscillation detection with a damping fallback, raising a
-structured ``ConvergenceError`` when the fixed point diverges), an
-optional wall-clock watchdog bounds each configuration, and a
+structured ``ConvergenceError`` when the fixed point diverges), and a
 :class:`~repro.faults.FaultPlan` can be threaded through to run the same
 configuration on a degraded substrate; faulted results are cached under
 a separate key.  Running more than one configuration — sweeps, their
-journal and resume — is :mod:`repro.experiments.parallel`'s job.
+journal and resume, and the per-point wall-clock deadline — is
+:mod:`repro.experiments.parallel`'s job.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from repro.obs import tracing as _tracing
 from repro.obs.manifest import RunManifest, environment_fields
 from repro.odb.system import OdbConfig, OdbSystem
 from repro.sim.randomness import RandomStreams
-from repro.workload import CompiledWorkload, WorkloadSpec, compile_workload
+from repro.workload import WorkloadSpec, compiled_workload
 
 #: Process-wide default result cache, created lazily by
 #: :func:`default_cache` (honoring ``REPRO_CACHE_DIR``).  Injectable:
@@ -95,38 +95,22 @@ def settings_fingerprint(settings: RunnerSettings) -> str:
     return hashlib.blake2b(text.encode(), digest_size=6).hexdigest()
 
 
-def _compiled_workload(
-        workload: Optional[WorkloadSpec]) -> Optional[CompiledWorkload]:
-    """Compile a spec for a run; ``None`` stays the built-in default."""
-    if workload is None:
-        return None
-    return compile_workload(workload)
-
-
-def _workload_key_part(
-        compiled: Optional[CompiledWorkload]) -> Optional[str]:
-    """The cache-key contribution of a workload.
-
-    A spec whose compiled form is indistinguishable from the built-in
-    default (``is_standard``) contributes nothing, so ``--workload
-    odb-standard`` shares the default path's cache entries — the
-    bit-identity contract made operational.
-    """
-    if compiled is None or compiled.is_standard:
-        return None
-    return compiled.fingerprint()
-
-
 def configuration_key(machine: MachineConfig, warehouses: int, clients: int,
                       processors: int, settings: RunnerSettings,
                       faults: Optional[FaultPlan] = None,
                       workload: Optional[WorkloadSpec] = None) -> str:
-    """The cache/journal key of one fully resolved configuration."""
+    """The cache/journal key of one fully resolved configuration.
+
+    The default ``odb-standard`` spec adds nothing to the key, so
+    ``--workload odb-standard`` and a run that names no workload share
+    cache entries.
+    """
+    compiled = compiled_workload(workload)
     return ResultCache.key_for(
         machine.name, warehouses, clients, processors,
         settings_fingerprint(settings),
         faults.fingerprint() if faults is not None else None,
-        _workload_key_part(_compiled_workload(workload)))
+        None if compiled.is_default else compiled.fingerprint())
 
 
 def run_configuration(warehouses: int, processors: int,
@@ -149,7 +133,8 @@ def run_configuration(warehouses: int, processors: int,
     workers and tests use this for isolated cache directories).
     ``worker_count`` is recorded in the run's manifest (the pool width
     of the sweep the run belonged to); it never changes what is
-    computed.
+    computed.  ``workload`` is the spec the clients run; None is the
+    default ``odb-standard`` (:func:`repro.workload.compiled_workload`).
 
     Observability (DESIGN.md §9): a :class:`~repro.obs.manifest.RunManifest`
     is built for every computed run and persisted beside the cached
@@ -167,7 +152,7 @@ def run_configuration(warehouses: int, processors: int,
         clients = client_count(warehouses, processors)
     if cache is None:
         cache = default_cache()
-    compiled = _compiled_workload(workload)
+    compiled = compiled_workload(workload)
     key = configuration_key(machine, warehouses, clients, processors,
                             settings, faults, workload)
     if use_cache:
@@ -178,8 +163,8 @@ def run_configuration(warehouses: int, processors: int,
 
     context = (f"{machine.name} W={warehouses} C={clients} P={processors}"
                + (" faulted" if faults is not None else "")
-               + (f" workload={compiled.name}" if compiled is not None
-                  and not compiled.is_standard else ""))
+               + ("" if compiled.is_default
+                  else f" workload={compiled.name}"))
     started = time.monotonic()
     started_cpu = time.process_time()
     if _metrics.ACTIVE:
@@ -307,9 +292,8 @@ def run_configuration(warehouses: int, processors: int,
         settings_fingerprint=settings_fingerprint(settings),
         fault_fingerprint=(faults.fingerprint()
                            if faults is not None else None),
-        workload=(compiled.name if compiled is not None else "odb-standard"),
-        workload_fingerprint=(compiled.fingerprint()
-                              if compiled is not None else None),
+        workload=compiled.name,
+        workload_fingerprint=compiled.fingerprint(),
         worker_count=max(1, worker_count),
         wall_time_s=time.monotonic() - started,
         cpu_time_s=time.process_time() - started_cpu,

@@ -71,7 +71,6 @@ from repro.obs.metrics import (
     current_registry,
     disable_metrics,
     enable_metrics,
-    metrics_enabled,
 )
 from repro.obs.provenance import (
     CounterProvenance,
@@ -127,7 +126,6 @@ __all__ = [
     "current_registry",
     "disable_metrics",
     "enable_metrics",
-    "metrics_enabled",
     "CounterProvenance",
     "EmonProvenance",
     "emon_provenance",

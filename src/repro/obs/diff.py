@@ -109,23 +109,11 @@ DEFAULT_METRIC_POLICIES: dict[str, MetricPolicy] = {
 }
 
 
-def _yaml_or_json(text: str, source: str) -> dict:
-    """Parse a policy document: YAML when available, JSON fallback."""
-    try:
-        import yaml
-    except ImportError:
-        yaml = None
-    if yaml is not None:
-        try:
-            data = yaml.safe_load(text)
-        except yaml.YAMLError as error:
-            raise ThresholdPolicyError(f"{source}: bad YAML: {error}")
-    else:
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise ThresholdPolicyError(
-                f"{source}: bad JSON (and PyYAML is unavailable): {error}")
+def _policy_document(text: str, source: str) -> dict:
+    """Parse a policy document (YAML, or JSON, which is YAML too)."""
+    from repro.workload.loader import read_yaml
+
+    data = read_yaml(text, source, ThresholdPolicyError)
     if not isinstance(data, dict):
         raise ThresholdPolicyError(
             f"{source}: policy document must be a mapping")
@@ -186,7 +174,7 @@ class ThresholdPolicy:
             text = path.read_text(encoding="utf-8")
         except OSError as error:
             raise ThresholdPolicyError(f"cannot read policy file: {error}")
-        data = _yaml_or_json(text, str(path))
+        data = _policy_document(text, str(path))
         unknown = set(data) - {"default", "metrics"}
         if unknown:
             raise ThresholdPolicyError(
@@ -380,12 +368,7 @@ def diff_snapshots(baseline: SweepSnapshot, candidate: SweepSnapshot,
                 verdict=policy.classify(name, base_value, cand_value)))
 
     def flame_index(snapshot: SweepSnapshot) -> dict[str, dict]:
-        rows = {}
-        for row in snapshot.flame:
-            worker = row.get("worker", "")
-            track = (f"{worker}/{row['name']}" if worker else row["name"])
-            rows[track] = row
-        return rows
+        return {row["name"]: row for row in snapshot.flame}
 
     base_flame = flame_index(baseline)
     cand_flame = flame_index(candidate)

@@ -80,13 +80,11 @@ class RunManifest:
     seed: int
     settings_fingerprint: str
     fault_fingerprint: Optional[str] = None
-    #: Which declarative workload the run executed (``repro.workload``
-    #: scenario name, or the file stem of a user spec).  The default
-    #: code path and the shipped standard spec both record
-    #: ``"odb-standard"`` — they are bit-identical by contract.
+    #: Which declarative workload the run executed (the spec's name):
+    #: ``"odb-standard"`` when the run named none.
     workload: str = "odb-standard"
-    #: Spec content fingerprint; ``None`` for the built-in default path
-    #: (no spec object existed to hash).
+    #: Spec content fingerprint; ``None`` only in manifests written
+    #: before the default path ran the compiled ``odb-standard`` spec.
     workload_fingerprint: Optional[str] = None
     package_version: str = ""
     git_rev: str = "unknown"
@@ -94,12 +92,6 @@ class RunManifest:
     platform: str = ""
     #: Pool width of the sweep this run belonged to (1 = serial).
     worker_count: int = 1
-    #: Remote worker identity: always empty, as every point runs on the
-    #: driver's host; kept so that existing manifests load unchanged.
-    #: Descriptive, like the host fields — never part of cache keys or
-    #: comparisons.
-    worker_id: str = ""
-    worker_host: str = ""
     wall_time_s: float = 0.0
     cpu_time_s: float = 0.0
     fixed_point_rounds: int = 0

@@ -174,11 +174,6 @@ def disable_metrics() -> Optional[MetricsRegistry]:
     return registry
 
 
-def metrics_enabled() -> bool:
-    """True while a registry is installed."""
-    return ACTIVE
-
-
 def current_registry() -> Optional[MetricsRegistry]:
     """The installed registry, or None."""
     return _REGISTRY

@@ -156,7 +156,6 @@ def _provenance_from_manifests(manifests: Sequence["RunManifest"]) -> dict:
         "fleet": {
             "worker_count": max((m.worker_count for m in manifests),
                                 default=1),
-            "workers": _sorted_unique(m.worker_id for m in manifests),
         },
     }
 
@@ -171,7 +170,7 @@ def _empty_provenance() -> dict:
         "package_version": None,
         "git_rev": None,
         "seed": None,
-        "fleet": {"worker_count": 1, "workers": []},
+        "fleet": {"worker_count": 1},
     }
 
 
@@ -181,8 +180,8 @@ class SweepSnapshot:
 
     ``points`` maps :func:`point_key` → ``{"machine", "warehouses",
     "clients", "processors", "config_key", "metrics": {...}}``;
-    ``flame`` is the canonical flame table (``name``/``worker``/
-    ``calls`` rows, sorted by track); ``metrics`` carries the merged
+    ``flame`` is the canonical flame table (``name``/``calls`` rows,
+    sorted by name); ``metrics`` carries the merged
     registry's counters and gauges; ``provenance`` the identity fields;
     ``annex`` the non-canonical timing facts (see the module
     docstring).
@@ -232,10 +231,7 @@ class SweepSnapshot:
         flame = []
         timings = {}
         for agg in sorted(aggregates, key=lambda a: a.name):
-            # Every point runs on this host: the ``worker`` key stays
-            # for format compatibility and is always empty.
-            flame.append({"name": agg.name, "worker": "",
-                          "calls": agg.calls})
+            flame.append({"name": agg.name, "calls": agg.calls})
             timings[agg.name] = {"wall_s": agg.wall_s,
                                  "self_s": agg.self_s,
                                  "cpu_s": agg.cpu_s,

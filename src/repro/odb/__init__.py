@@ -7,8 +7,10 @@ recording payments, order-status and stock-level checks).
 
 - :mod:`~repro.odb.schema` — database sizing: ~100 MB per warehouse
   including indices, a global item catalog, two 25 GB log files.
-- :mod:`~repro.odb.transactions` — the five transaction profiles: block
-  touches, lock keys, user instruction path lengths.
+- :mod:`~repro.odb.transactions` — transaction profiles (block touches,
+  lock keys, user instruction path lengths) and their planning; the
+  five ODB types are the ``odb-standard`` spec
+  (:mod:`repro.workload.standard`).
 - :mod:`~repro.odb.mix` — the weighted transaction mix.
 - :mod:`~repro.odb.client` — client/server process pairs driving the
   database engine.
@@ -24,7 +26,6 @@ from repro.odb.transactions import (
     TouchSpec,
     TransactionPlan,
     TransactionProfile,
-    STANDARD_PROFILES,
     plan_transaction,
 )
 from repro.odb.mix import TransactionMix
@@ -36,7 +37,6 @@ __all__ = [
     "TouchSpec",
     "TransactionPlan",
     "TransactionProfile",
-    "STANDARD_PROFILES",
     "plan_transaction",
     "TransactionMix",
     "OdbConfig",

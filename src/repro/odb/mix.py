@@ -6,13 +6,13 @@ from bisect import bisect_right
 from random import Random
 from typing import Callable
 
-from repro.odb.transactions import STANDARD_PROFILES, TransactionProfile
+from repro.odb.transactions import TransactionProfile
 
 
 class TransactionMix:
     """Samples transaction types by weight."""
 
-    def __init__(self, profiles: tuple[TransactionProfile, ...] = STANDARD_PROFILES):
+    def __init__(self, profiles: tuple[TransactionProfile, ...]):
         if not profiles:
             raise ValueError("mix needs at least one profile")
         self.profiles = profiles

@@ -22,7 +22,7 @@ from random import Random
 from repro.db.blocks import BlockSpace
 from repro.db.buffer_cache import BufferCache
 from repro.hw.analytic import zipf_popularities
-from repro.odb.transactions import TransactionProfile, STANDARD_PROFILES
+from repro.odb.transactions import TransactionProfile
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,7 @@ class UnitPopularity:
 
 
 def unit_popularities(
-        space: BlockSpace,
-        profiles: tuple[TransactionProfile, ...] = STANDARD_PROFILES,
+        space: BlockSpace, profiles: tuple[TransactionProfile, ...],
 ) -> list[UnitPopularity]:
     """Per-distinct-unit touch rates, descending.
 
@@ -77,7 +76,7 @@ def unit_popularities(
 
 
 def segment_write_fractions(
-        profiles: tuple[TransactionProfile, ...] = STANDARD_PROFILES,
+        profiles: tuple[TransactionProfile, ...],
 ) -> dict[str, float]:
     """Probability a touch on each segment is a write (mix-weighted)."""
     touch_rate: dict[str, float] = {}
@@ -95,8 +94,7 @@ def segment_write_fractions(
 
 
 def steady_state_fill(cache: BufferCache, space: BlockSpace,
-                      profiles: tuple[TransactionProfile, ...] = STANDARD_PROFILES,
-                      ) -> int:
+                      profiles: tuple[TransactionProfile, ...]) -> int:
     """Install the most popular units up to cache capacity.
 
     Returns the number of units installed.  Per-warehouse units are

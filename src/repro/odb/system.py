@@ -11,8 +11,8 @@ split, disk I/O and context switches per transaction, utilization).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional
 
 from repro.db.blocks import BlockSpace
 from repro.db.buffer_cache import BufferCache
@@ -23,7 +23,6 @@ from repro.db.redo import RedoLog, log_writer_process
 from repro.faults import DiskFaultModel, FaultPlan, lock_storm_process
 from repro.hw.machine import MachineConfig, XEON_MP_QUAD
 from repro.odb.client import client_process
-from repro.odb.mix import TransactionMix
 from repro.odb.schema import OdbSchema
 from repro.odb.transactions import _SegmentSampler, TransactionProfile
 from repro.obs import metrics as _metrics
@@ -36,13 +35,29 @@ from repro.sim.engine import publish_scheduler_metrics
 from repro.sim.randomness import RandomStreams
 from repro.sim.stats import Counter
 
+if TYPE_CHECKING:
+    from repro.workload import CompiledWorkload
+
 #: A real database block: a buffer-cache miss is one physical read of
 #: this size regardless of the block-unit resolution (DESIGN.md §6).
 PHYSICAL_BLOCK_BYTES = 8 * 1024
 
+#: The block-unit resolution: the buffer cache and the block space
+#: count in units of this size (DESIGN.md §6).
+UNIT_BYTES = 64 * 1024
+
+#: Share of the SGA devoted to the database buffer cache (the paper's
+#: setup: 2.8 GB of the 3 GB SGA).
+BUFFER_CACHE_FRACTION = 2.8 / 3.0
+
+#: Chance a touch goes to a remote warehouse when the workload spec
+#: leaves ``remote_touch_prob`` unset (TPC-C's remote order lines and
+#: customer payments).
+REMOTE_TOUCH_PROB = 0.10
+
 #: ``(key, BufferCache.copy())`` of the most recent steady-state fill
-#: in this process.  The fill reads W, ``unit_bytes``, the workload and
-#: the capacity, but not the seed, so a new seed at the same W reuses it
+#: in this process.  The fill reads W, the workload and the capacity,
+#: but not the seed, so a new seed at the same W reuses it
 #: (DESIGN.md §11, "Prewarm reuse").
 _fill_memo: Optional[tuple[tuple, BufferCache]] = None
 #: ``(key, BufferCache.copy())`` of the most recent whole prewarm, so
@@ -60,12 +75,7 @@ class OdbConfig:
     clients: int
     processors: int
     machine: MachineConfig = XEON_MP_QUAD
-    unit_bytes: int = 64 * 1024
     seed: int = 42
-    #: Share of the SGA devoted to the database buffer cache (the paper's
-    #: setup: 2.8 GB of the 3 GB SGA).
-    buffer_cache_fraction: float = 2.8 / 3.0
-    remote_touch_prob: float = 0.10
     #: Initial CPI guesses; the experiment runner refines them through
     #: fixed-point iteration with the microarchitecture model.
     user_cpi: float = 2.5
@@ -74,11 +84,11 @@ class OdbConfig:
     #: Strictly opt-in: with no plan the simulation is bit-identical to a
     #: build without the fault layer.
     faults: Optional[FaultPlan] = None
-    #: Optional compiled workload (repro.workload.CompiledWorkload,
-    #: duck-typed to keep odb import-independent of the DSL layer).
-    #: None = the built-in standard ODB mix; a compiled ``odb-standard``
-    #: spec is value-identical and therefore bit-identical at run time.
-    workload: Optional[object] = None
+    #: The compiled workload the clients run
+    #: (:class:`repro.workload.CompiledWorkload`).  None resolves to the
+    #: compiled ``odb-standard`` spec at construction, so a built config
+    #: always carries one.
+    workload: Optional[CompiledWorkload] = None
 
     def __post_init__(self) -> None:
         if self.warehouses <= 0 or self.clients <= 0:
@@ -86,10 +96,13 @@ class OdbConfig:
         if not 1 <= self.processors <= self.machine.max_processors:
             raise ValueError(
                 f"processors must be 1..{self.machine.max_processors}")
-        if not 0.0 < self.buffer_cache_fraction <= 1.0:
-            raise ValueError("buffer_cache_fraction must be in (0, 1]")
         if self.user_cpi <= 0 or self.os_cpi <= 0:
             raise ValueError("CPI values must be positive")
+        if self.workload is None:
+            # Imported here: repro.workload compiles into repro.odb types.
+            from repro.workload import compiled_workload
+
+            object.__setattr__(self, "workload", compiled_workload(None))
 
 
 @dataclass(frozen=True)
@@ -160,21 +173,18 @@ class OdbSystem:
         self.scheduler.user_spi = config.user_cpi / machine.frequency_hz
         self.scheduler.os_spi = config.os_cpi / machine.frequency_hz
         self.disks = DiskArray(self.engine, machine.disks, self.streams)
-        schema = OdbSchema(config.warehouses, config.unit_bytes)
-        self.schema = schema
-        self.space: BlockSpace = schema.build_block_space()
-        self.workload = config.workload
-        self.remote_touch_prob = config.remote_touch_prob
-        if self.workload is not None:
-            custom_space = self.workload.build_block_space(
-                config.warehouses, config.unit_bytes)
-            if custom_space is not None:
-                self.space = custom_space
-            if self.workload.remote_touch_prob is not None:
-                self.remote_touch_prob = self.workload.remote_touch_prob
+        workload = config.workload
+        self.workload = workload
+        space = workload.build_block_space(config.warehouses, UNIT_BYTES)
+        if space is None:  # the spec keeps the ODB schema's layout
+            space = OdbSchema(config.warehouses,
+                              UNIT_BYTES).build_block_space()
+        self.space: BlockSpace = space
+        self.remote_touch_prob = (REMOTE_TOUCH_PROB
+                                  if workload.remote_touch_prob is None
+                                  else workload.remote_touch_prob)
         capacity_units = max(
-            1, int(machine.sga_bytes * config.buffer_cache_fraction)
-            // config.unit_bytes)
+            1, int(machine.sga_bytes * BUFFER_CACHE_FRACTION) // UNIT_BYTES)
         self.buffer_cache = BufferCache(capacity_units)
         self.lock_table = LockTable(self.engine)
         self.redo = RedoLog(self.engine)
@@ -182,15 +192,12 @@ class OdbSystem:
         self.db = DatabaseEngine(self.engine, self.scheduler, self.disks,
                                  self.buffer_cache, self.lock_table,
                                  self.redo, self.dbwriter)
-        if self.workload is not None:
-            # The phase clock reads simulated time lazily, so a schedule
-            # follows the engine without the mix holding engine state.
-            # It closes over the engine, not the system, so the system
-            # is no cycle and a closed round is freed by refcount.
-            engine = self.engine
-            self.mix = self.workload.build_mix(clock=lambda: engine.now)
-        else:
-            self.mix = TransactionMix()
+        # The phase clock reads simulated time lazily, so a schedule
+        # follows the engine without the mix holding engine state.  It
+        # closes over the engine, not the system, so the system is no
+        # cycle and a closed round is freed by refcount.
+        engine = self.engine
+        self.mix = workload.build_mix(clock=lambda: engine.now)
         self.sampler = _SegmentSampler(self.space)
         self._txn_log: list[tuple[str, TransactionStats]] = []
         # Fault injection (strictly opt-in; see repro.faults).  Fault
@@ -269,15 +276,14 @@ class OdbSystem:
 
     def _fill_key(self) -> tuple:
         config = self.config
-        return (config.warehouses, config.unit_bytes, config.workload,
+        return (config.warehouses, config.workload,
                 self.buffer_cache.capacity_units)
 
     def _prewarm_once(self, plans: int) -> bool:
         """:meth:`prewarm_buffer_cache`, or a restore of the memoised
         result when every input it reads matches; True on a restore."""
         global _prewarm_memo
-        key = (self.config.seed, self.remote_touch_prob,
-               plans) + self._fill_key()
+        key = (self.config.seed, plans) + self._fill_key()
         memo = _prewarm_memo
         if memo is not None and memo[0] == key:
             self.buffer_cache.restore_from(memo[1])

@@ -1,16 +1,18 @@
-"""The five ODB transaction types.
+"""Transaction profiles and their planning.
 
-Each profile lists the block-unit touches a transaction makes (per
-segment, with a popularity skew), the hot-row locks it takes (held to
-commit), its user-space instruction path length, and its redo volume.
-The weighted mix averages to the paper's observations: ~6 KB of redo per
-transaction and a user path length that does not depend on W.
+A :class:`TransactionProfile` lists the block-unit touches a
+transaction type makes (per segment, with a popularity skew), the
+hot-row locks it takes (held to commit), its user-space instruction
+path length, and its redo volume.  Profiles are compiled from a
+workload spec (:mod:`repro.workload`); the paper's five ODB types are
+the ``odb-standard`` spec in :mod:`repro.workload.standard`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from random import Random
 from typing import Optional
 
@@ -82,78 +84,6 @@ class TransactionPlan:
     touches: tuple[tuple[int, bool], ...]
 
 
-#: The standard ODB mix (TPC-C-like weights).  User path lengths are
-#: per-type calibration constants whose mix-weighted mean lands near the
-#: paper's ~1.2M user instructions per transaction (Figure 5).
-STANDARD_PROFILES: tuple[TransactionProfile, ...] = (
-    TransactionProfile(
-        name="new_order",
-        weight=0.45,
-        user_instructions=1.45e6,
-        touches=(
-            TouchSpec("district", 1, write_prob=1.0),
-            TouchSpec("item", 3, skew=0.8),
-            TouchSpec("stock", 9, write_prob=0.9, skew=0.55),
-            TouchSpec("customer", 1, skew=0.7),
-            TouchSpec("orders", 2, write_prob=1.0, append_hot=True),
-            TouchSpec("order_line", 2, write_prob=1.0, append_hot=True),
-            TouchSpec("new_order", 1, write_prob=1.0, append_hot=True),
-        ),
-        locks_district_row=True,
-        redo_bytes=7.5 * 1024,
-    ),
-    TransactionProfile(
-        name="payment",
-        weight=0.43,
-        user_instructions=0.85e6,
-        touches=(
-            TouchSpec("warehouse", 1, write_prob=1.0),
-            TouchSpec("district", 1, write_prob=1.0),
-            TouchSpec("customer", 2, write_prob=0.5, skew=0.7),
-            TouchSpec("history", 1, write_prob=1.0, append_hot=True),
-        ),
-        locks_warehouse_row=True,
-        locks_district_row=True,
-        redo_bytes=4.5 * 1024,
-    ),
-    TransactionProfile(
-        name="order_status",
-        weight=0.04,
-        user_instructions=0.6e6,
-        touches=(
-            TouchSpec("customer", 2, skew=0.7),
-            TouchSpec("orders", 2, append_hot=True),
-            TouchSpec("order_line", 2, append_hot=True),
-        ),
-        redo_bytes=0.3 * 1024,
-    ),
-    TransactionProfile(
-        name="delivery",
-        weight=0.04,
-        user_instructions=2.4e6,
-        touches=(
-            TouchSpec("new_order", 2, write_prob=1.0, append_hot=True),
-            TouchSpec("orders", 6, write_prob=1.0, append_hot=True),
-            TouchSpec("order_line", 4, write_prob=0.8, append_hot=True),
-            TouchSpec("customer", 6, write_prob=1.0, skew=0.55),
-        ),
-        districts_touched=10,
-        redo_bytes=9.0 * 1024,
-    ),
-    TransactionProfile(
-        name="stock_level",
-        weight=0.04,
-        user_instructions=1.5e6,
-        touches=(
-            TouchSpec("district", 1),
-            TouchSpec("order_line", 4, append_hot=True),
-            TouchSpec("stock", 12, skew=0.55),
-        ),
-        redo_bytes=0.3 * 1024,
-    ),
-)
-
-
 def abort_weight(profile: TransactionProfile) -> float:
     """Relative transient-abort likelihood of a transaction type.
 
@@ -161,14 +91,24 @@ def abort_weight(profile: TransactionProfile) -> float:
     base probability by this: transactions with a larger write and lock
     footprint are the plausible deadlock victims and transient-error
     targets, while read-only types (order_status, stock_level) are
-    nearly immune.  Normalized so the mix-weighted mean is 1.0 — a base
-    probability of ``p`` still aborts ``p`` of all transactions.
+    nearly immune.  Normalized against the default ``odb-standard`` mix,
+    whatever mix is running: over that mix the weighted mean is 1.0, so
+    a base probability of ``p`` aborts ``p`` of its transactions.  A
+    workload with other types or weights has a different mean.
     """
-    raw = _raw_abort_weight(profile)
-    total_weight = sum(p.weight for p in STANDARD_PROFILES)
-    mean_raw = sum(p.weight * _raw_abort_weight(p)
-                   for p in STANDARD_PROFILES) / total_weight
-    return raw / mean_raw
+    return _raw_abort_weight(profile) / _default_mean_raw_abort_weight()
+
+
+@lru_cache(maxsize=1)
+def _default_mean_raw_abort_weight() -> float:
+    """Mix-weighted mean raw abort weight of the default workload."""
+    # Imported here: repro.workload compiles into this module's types.
+    from repro.workload import compiled_workload
+
+    profiles = compiled_workload(None).profiles
+    total_weight = sum(p.weight for p in profiles)
+    return sum(p.weight * _raw_abort_weight(p)
+               for p in profiles) / total_weight
 
 
 def _raw_abort_weight(profile: TransactionProfile) -> float:

@@ -1,12 +1,11 @@
 """Compile a :class:`WorkloadSpec` into the ODB runtime types.
 
-The compiled form is the pre-DSL world: ``TransactionProfile`` tuples
-(:data:`repro.odb.transactions.STANDARD_PROFILES` is exactly what the
-``odb-standard`` scenario compiles to — value-equal dataclasses, so
-sampler plan caches, RNG draw order, and therefore every metric are
-bit-identical), an optional custom :class:`~repro.db.blocks.BlockSpace`
-layout, and an optional phase schedule realized as a
-:class:`~repro.odb.mix.PhasedTransactionMix`.
+The compiled form is what every run executes: ``TransactionProfile``
+tuples for the sampler and the popularity model, an optional custom
+:class:`~repro.db.blocks.BlockSpace` layout, and an optional phase
+schedule realized as a :class:`~repro.odb.mix.PhasedTransactionMix`.
+:func:`compiled_workload` is where a run that names no workload gets
+the compiled ``odb-standard`` spec (:mod:`repro.workload.standard`).
 
 Compilation is pure and cached: specs are frozen/hashable, so
 ``compile_workload`` memoizes on the spec itself.
@@ -21,17 +20,14 @@ from typing import Callable, Optional
 
 from repro.db.blocks import BlockSpace, Segment
 from repro.odb.mix import PhasedTransactionMix, TransactionMix
-from repro.odb.transactions import (
-    STANDARD_PROFILES,
-    TouchSpec,
-    TransactionProfile,
-)
+from repro.odb.transactions import TouchSpec, TransactionProfile
 from repro.workload.spec import (
     TouchRule,
     TransactionSpec,
     WorkloadSpec,
     WorkloadSpecError,
 )
+from repro.workload.standard import ODB_STANDARD
 
 
 def _compile_touch(rule: TouchRule) -> TouchSpec:
@@ -41,8 +37,7 @@ def _compile_touch(rule: TouchRule) -> TouchSpec:
     its skew, ``uniform`` is Zipf with skew 0 (every unit equally
     likely), ``append`` sets the rolling-window flag, and ``fixed``
     pins the unit index.  Non-zipf kinds leave ``skew`` at the TouchSpec
-    default so compiled standard touches stay value-equal to the
-    hand-written :data:`STANDARD_PROFILES` entries.
+    default.
     """
     kwargs = {
         "segment": rule.segment,
@@ -126,16 +121,10 @@ class CompiledWorkload:
         return self.spec.fingerprint()
 
     @property
-    def is_standard(self) -> bool:
-        """True when running this workload is indistinguishable from the
-        built-in default — compiled profiles value-equal to
-        :data:`STANDARD_PROFILES` with no phases, no custom layout, and
-        no locality override.  Standard workloads share the default's
-        cache keys."""
-        return (self.profiles == STANDARD_PROFILES
-                and not self.phases
-                and self.spec.segments is None
-                and self.spec.remote_touch_prob is None)
+    def is_default(self) -> bool:
+        """True for the default ``odb-standard`` spec, which shares the
+        cache keys of runs that name no workload."""
+        return self.spec == ODB_STANDARD
 
     def build_mix(self,
                   clock: Optional[Callable[[], float]] = None
@@ -184,3 +173,9 @@ def compile_workload(spec: WorkloadSpec) -> CompiledWorkload:
         phases=phases,
         remote_touch_prob=spec.remote_touch_prob,
     )
+
+
+def compiled_workload(spec: Optional[WorkloadSpec]) -> CompiledWorkload:
+    """What a run executes: ``spec`` compiled, or the compiled default
+    ``odb-standard`` spec when ``spec`` is None."""
+    return compile_workload(ODB_STANDARD if spec is None else spec)

@@ -1,10 +1,12 @@
 """The shipped scenario library and ``--workload`` reference resolution.
 
-Scenarios live as YAML files under ``src/repro/workload/scenarios/``;
-the file stem is the workload name (enforced at load, so ``--workload
-banking`` always means ``banking.yaml``).  ``resolve_workload`` accepts
-either a library name or a path to a user spec file, which is how every
-CLI surface takes its workload argument.
+The default workload, ``odb-standard``, is written in Python
+(:mod:`repro.workload.standard`); the other scenarios live as YAML
+files under ``src/repro/workload/scenarios/``, where the file stem is
+the workload name (enforced at load, so ``--workload banking`` always
+means ``banking.yaml``).  ``resolve_workload`` accepts either a library
+name or a path to a user spec file, which is how every CLI surface
+takes its workload argument.
 """
 
 from __future__ import annotations
@@ -14,10 +16,13 @@ from pathlib import Path
 
 from repro.workload.loader import load_workload
 from repro.workload.spec import WorkloadSpec, WorkloadSpecError
+from repro.workload.standard import ODB_STANDARD
 
-#: The workload every run uses unless told otherwise — compiled, it is
-#: value-identical to the built-in STANDARD_PROFILES mix.
-DEFAULT_WORKLOAD = "odb-standard"
+#: The workload every run uses unless told otherwise.
+DEFAULT_WORKLOAD = ODB_STANDARD.name
+
+#: Shipped scenarios written in Python, by name: no file to read.
+_BUILT_IN = {ODB_STANDARD.name: ODB_STANDARD}
 
 _SCENARIO_SUFFIXES = (".yaml", ".yml", ".json")
 
@@ -36,17 +41,30 @@ def scenario_paths() -> list[Path]:
                   if path.suffix in _SCENARIO_SUFFIXES)
 
 
+def scenario_sources() -> dict[str, WorkloadSpec | Path]:
+    """Every shipped scenario by name, in name order: the spec itself
+    when it is written in Python, otherwise its (unread) file."""
+    sources: dict[str, WorkloadSpec | Path] = dict(_BUILT_IN)
+    sources.update((path.stem, path) for path in scenario_paths())
+    return dict(sorted(sources.items()))
+
+
+def load_source(source: WorkloadSpec | Path) -> WorkloadSpec:
+    """The spec of one :func:`scenario_sources` entry."""
+    if isinstance(source, WorkloadSpec):
+        return source
+    spec = load_workload(source)
+    if spec.name != source.stem:
+        raise WorkloadSpecError(
+            f"{source.name}: name: scenario file stem must match the "
+            f"workload name (got {spec.name!r})")
+    return spec
+
+
 @lru_cache(maxsize=1)
 def _library() -> dict[str, WorkloadSpec]:
-    specs: dict[str, WorkloadSpec] = {}
-    for path in scenario_paths():
-        spec = load_workload(path)
-        if spec.name != path.stem:
-            raise WorkloadSpecError(
-                f"{path.name}: name: scenario file stem must match the "
-                f"workload name (got {spec.name!r})")
-        specs[spec.name] = spec
-    return specs
+    return {name: load_source(source)
+            for name, source in scenario_sources().items()}
 
 
 def available_workloads() -> dict[str, WorkloadSpec]:

@@ -8,16 +8,14 @@ coerces numerics (every float field goes through ``float()`` so a YAML
 :class:`~repro.workload.spec.WorkloadSpecError` with single-line
 messages of the form ``<source>: <key path>: <what is wrong>``.
 
-YAML support comes from PyYAML when it is installed; ``.json`` files
-(and JSON text, which is a YAML subset anyway) always work, so an
-environment without PyYAML can still author workloads.
+Text is read with PyYAML (a declared dependency), which also reads
+JSON: JSON text is YAML.  PyYAML is imported on the first read, not at
+import, so a run of the default workload never loads it.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
-from typing import Optional
 
 from repro.workload.spec import (
     PhaseSpec,
@@ -201,8 +199,7 @@ def parse_workload(data, source: str = "<workload>") -> WorkloadSpec:
 def parse_workload_text(text: str,
                         source: str = "<workload>") -> WorkloadSpec:
     """Parse YAML (or JSON) text into a validated spec."""
-    data = _load_structured_text(text, source)
-    return parse_workload(data, source=source)
+    return parse_workload(read_yaml(text, source), source=source)
 
 
 def load_workload(path: Path | str) -> WorkloadSpec:
@@ -215,31 +212,14 @@ def load_workload(path: Path | str) -> WorkloadSpec:
     return parse_workload_text(text, source=path.name)
 
 
-def _load_structured_text(text: str, source: str):
-    """YAML when available, JSON otherwise (JSON is always accepted)."""
-    yaml = _yaml_module()
-    if yaml is not None:
-        try:
-            return yaml.safe_load(text)
-        except yaml.YAMLError as error:
-            raise WorkloadSpecError(
-                f"{source}: not valid YAML: {_one_line(error)}")
+def read_yaml(text: str, source: str,
+              error: type[ValueError] = WorkloadSpecError):
+    """The document in YAML (or JSON) ``text``; a syntax error raises
+    ``error`` with a one-line message naming ``source``."""
+    import yaml
+
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as error:
-        raise WorkloadSpecError(
-            f"{source}: not valid JSON (and PyYAML is not installed "
-            f"for YAML specs): {_one_line(error)}")
-
-
-def _one_line(error: Exception) -> str:
-    return " ".join(str(error).split())
-
-
-def _yaml_module() -> Optional[object]:
-    """The ``yaml`` module, or ``None`` when PyYAML is absent."""
-    try:
-        import yaml
-    except ImportError:  # pragma: no cover - PyYAML is normally present
-        return None
-    return yaml
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        message = " ".join(str(exc).split())
+        raise error(f"{source}: not valid YAML: {message}") from None

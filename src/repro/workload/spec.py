@@ -202,8 +202,8 @@ class WorkloadSpec:
 
     ``segments=None`` means the default ODB layout
     (:func:`repro.odb.schema.odb_segments`); ``phases=None`` means a
-    stationary mix; ``remote_touch_prob=None`` keeps the
-    configuration's locality default (0.10).
+    stationary mix; ``remote_touch_prob=None`` keeps the system's
+    locality default (:data:`repro.odb.system.REMOTE_TOUCH_PROB`, 0.10).
     """
 
     name: str

@@ -5,7 +5,7 @@ import pytest
 from repro.core.baselines import cached_setup_model, single_line_model
 from repro.core.extrapolation import evaluate_extrapolation
 from repro.core.pivot import pivot_point, representative_configuration
-from repro.core.saturation import clients_for_utilization
+from tests.core.saturation_driver import clients_for_utilization
 
 
 def knee_series(knee=120.0, slope1=0.02, slope2=0.001, base=2.0):

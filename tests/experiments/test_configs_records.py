@@ -93,6 +93,15 @@ class TestResultCache:
         assert cache.clear() == 2
         assert cache.load("k1") is None
 
+    def test_clear_removes_orphaned_temp_files(self, tmp_path):
+        cache = ResultCache(directory=tmp_path)
+        cache.store("k1", self.make_result())
+        # What a store killed between its write and its replace leaves.
+        orphan = tmp_path / ".k2.json.4242.tmp"
+        orphan.write_text("{")
+        assert cache.clear() == 2
+        assert list(tmp_path.iterdir()) == []
+
     def test_disabled_via_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
         cache = ResultCache(directory=tmp_path)

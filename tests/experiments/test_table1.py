@@ -8,11 +8,11 @@ it: same client count, same utilization, same number of evaluations.
 
 import pytest
 
-from repro.core.saturation import clients_for_utilization
 from repro.experiments import exp_table1
 from repro.experiments.configs import FAST_SETTINGS
 from repro.experiments import runner
 from repro.experiments.runner import run_configuration
+from tests.core.saturation_driver import clients_for_utilization
 
 PROCESSORS = (1, 2)
 WAREHOUSES = (10, 50)

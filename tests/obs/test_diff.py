@@ -92,8 +92,6 @@ class TestPolicyFile:
         assert policy.for_metric("custom_metric").rel_tol == 0.25
 
     def test_yaml_policy_loads(self, tmp_path):
-        yaml = pytest.importorskip("yaml")
-        del yaml
         path = tmp_path / "policy.yaml"
         path.write_text("metrics:\n  cpi:\n    abs_tol: 0.5\n")
         assert ThresholdPolicy.load(path).for_metric("cpi").abs_tol == 0.5

@@ -19,7 +19,6 @@ from repro.obs.metrics import (
     current_registry,
     disable_metrics,
     enable_metrics,
-    metrics_enabled,
 )
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "experiments" / "golden"
@@ -82,7 +81,6 @@ class TestRegistry:
 
 class TestModuleSwitch:
     def test_off_by_default(self):
-        assert metrics_enabled() is False
         assert current_registry() is None
         assert metrics.ACTIVE is False
 
@@ -94,12 +92,12 @@ class TestModuleSwitch:
 
     def test_enable_installs_and_disable_returns(self):
         registry = enable_metrics()
-        assert metrics_enabled() and current_registry() is registry
+        assert metrics.ACTIVE and current_registry() is registry
         metrics.inc("hit")
         returned = disable_metrics()
         assert returned is registry
         assert returned.counters == {"hit": 1.0}
-        assert metrics_enabled() is False
+        assert metrics.ACTIVE is False
 
     def test_enable_accepts_existing_registry(self):
         mine = MetricsRegistry()

@@ -12,12 +12,16 @@ from repro.odb.popularity import (
     unit_popularities,
 )
 from repro.odb.schema import OdbSchema
-from repro.odb.transactions import STANDARD_PROFILES
-from repro.workload import compile_workload, workload_by_name
+from repro.workload import (
+    compile_workload, compiled_workload, workload_by_name)
 
 from tests.db.reference_blocks import total_units
 from tests.db.reference_lru import (
     contains, dirty_units, lookup, restore, snapshot)
+
+
+#: The default workload's profiles, what an ``OdbSystem`` fills from.
+PROFILES = compiled_workload(None).profiles
 
 
 def space_for(warehouses=10):
@@ -26,28 +30,27 @@ def space_for(warehouses=10):
 
 class TestUnitPopularities:
     def test_sorted_descending(self):
-        pops = unit_popularities(space_for())
+        pops = unit_popularities(space_for(), PROFILES)
         rates = [u.rate for u in pops]
         assert rates == sorted(rates, reverse=True)
 
     def test_district_unit_is_hottest_per_warehouse_unit(self):
-        pops = unit_popularities(space_for())
+        pops = unit_popularities(space_for(), PROFILES)
         per_warehouse = [u for u in pops if u.per_warehouse]
         assert per_warehouse[0].segment in ("district", "warehouse")
 
     def test_rates_positive(self):
-        assert all(u.rate > 0 for u in unit_popularities(space_for()))
+        assert all(u.rate > 0
+                   for u in unit_popularities(space_for(), PROFILES))
 
     def test_total_rate_matches_touch_count(self):
-        from repro.odb.transactions import STANDARD_PROFILES
-
         space = space_for(warehouses=5)
-        pops = unit_popularities(space)
+        pops = unit_popularities(space, PROFILES)
         total = sum(u.rate * (space.warehouses if u.per_warehouse else 1)
                     for u in pops)
-        total_weight = sum(p.weight for p in STANDARD_PROFILES)
+        total_weight = sum(p.weight for p in PROFILES)
         expected = sum(p.weight * sum(t.count for t in p.touches)
-                       for p in STANDARD_PROFILES) / total_weight
+                       for p in PROFILES) / total_weight
         assert total == pytest.approx(expected, rel=1e-6)
 
 
@@ -55,25 +58,25 @@ class TestSteadyStateFill:
     def test_fills_to_capacity_when_data_exceeds_cache(self):
         space = space_for(warehouses=50)
         cache = BufferCache(5000)
-        installed = steady_state_fill(cache, space)
+        installed = steady_state_fill(cache, space, PROFILES)
         assert installed == 5000
         assert cache.resident_units == 5000
 
     def test_small_database_installs_every_touchable_unit(self):
         space = space_for(warehouses=2)
         cache = BufferCache(10_000_000)
-        installed = steady_state_fill(cache, space)
+        installed = steady_state_fill(cache, space, PROFILES)
         # Only units with a nonzero touch rate enter steady state:
         # append-only segments are touched in their hot windows only.
         touchable = sum(space.warehouses if u.per_warehouse else 1
-                        for u in unit_popularities(space))
+                        for u in unit_popularities(space, PROFILES))
         assert installed == touchable
         assert installed < total_units(space)
 
     def test_hot_units_resident_after_fill(self):
         space = space_for(warehouses=50)
         cache = BufferCache(5000)
-        steady_state_fill(cache, space)
+        steady_state_fill(cache, space, PROFILES)
         # District and warehouse units (hottest) must be resident.
         for warehouse in range(50):
             assert contains(cache, space.block_id("district", warehouse, 0))
@@ -82,7 +85,7 @@ class TestSteadyStateFill:
     def test_stats_reset_after_fill(self):
         space = space_for()
         cache = BufferCache(100)
-        steady_state_fill(cache, space)
+        steady_state_fill(cache, space, PROFILES)
         assert cache.hits == 0 and cache.misses == 0
 
 
@@ -90,7 +93,7 @@ class TestSteadyStateFill:
         cache = BufferCache(100)
         cache.install(1)
         with pytest.raises(ValueError):
-            steady_state_fill(cache, space_for())
+            steady_state_fill(cache, space_for(), PROFILES)
 
 
 def install_loop_fill(cache, space, profiles):
@@ -184,8 +187,8 @@ class TestKernelFillMatchesDictFill:
     def test_partial_tiers(self, capacity):
         space = space_for(warehouses=50)
         kernel, oracle = BufferCache(capacity), BufferCache(capacity)
-        assert (steady_state_fill(kernel, space)
-                == dict_fill(oracle, space, STANDARD_PROFILES) == capacity)
+        assert (steady_state_fill(kernel, space, PROFILES)
+                == dict_fill(oracle, space, PROFILES) == capacity)
         assert list(snapshot(kernel).items()) == list(
             snapshot(oracle).items())
 

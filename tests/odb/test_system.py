@@ -158,8 +158,12 @@ OWN_ENTRY = {
         workload=compile_workload(workload_by_name("key-value"))),
     "phased": dict(
         workload=compile_workload(workload_by_name("order-entry-burst"))),
-    "remote-touch-prob": dict(remote_touch_prob=0.3),
-    "buffer-cache-fraction": dict(buffer_cache_fraction=0.1),
+    "remote-touch-prob": dict(workload=compile_workload(dataclasses.replace(
+        workload_by_name("odb-standard"), remote_touch_prob=0.3))),
+    # The buffer cache is a fixed share of the SGA, so a 0.3 GiB SGA
+    # (against the default 3 GiB) shrinks it to a tenth.
+    "buffer-cache-fraction": dict(machine=dataclasses.replace(
+        XEON_MP_QUAD, memory_bytes=GIB + 3 * GIB // 10)),
     "machine-sga": dict(machine=dataclasses.replace(
         XEON_MP_QUAD, memory_bytes=GIB + GIB // 2)),
 }

@@ -7,15 +7,19 @@ from hypothesis import strategies as st
 from repro.odb.mix import TransactionMix
 from repro.odb.schema import OdbSchema
 from repro.odb.transactions import (
-    STANDARD_PROFILES,
     TouchSpec,
     TransactionProfile,
     _SegmentSampler,
     plan_transaction,
 )
 from repro.sim.randomness import RandomStreams
+from repro.workload import compiled_workload
 
 from tests.db.reference_blocks import owner_of, total_units
+
+
+#: The default workload's five ODB transaction types.
+PROFILES = compiled_workload(None).profiles
 
 
 def sampler_for(warehouses=10):
@@ -25,13 +29,13 @@ def sampler_for(warehouses=10):
 
 def _mix_mean(field: str) -> float:
     """Mix-weighted mean of one profile field over the standard mix."""
-    total = sum(p.weight for p in STANDARD_PROFILES)
-    return sum(p.weight * getattr(p, field) for p in STANDARD_PROFILES) / total
+    total = sum(p.weight for p in PROFILES)
+    return sum(p.weight * getattr(p, field) for p in PROFILES) / total
 
 
 class TestProfiles:
     def test_five_transaction_types(self):
-        names = {p.name for p in STANDARD_PROFILES}
+        names = {p.name for p in PROFILES}
         assert names == {"new_order", "payment", "order_status", "delivery",
                          "stock_level"}
 
@@ -42,7 +46,7 @@ class TestProfiles:
         assert 1.0e6 < _mix_mean("user_instructions") < 1.4e6
 
     def test_new_order_and_payment_dominate(self):
-        weights = {p.name: p.weight for p in STANDARD_PROFILES}
+        weights = {p.name: p.weight for p in PROFILES}
         assert weights["new_order"] + weights["payment"] > 0.8
 
     def test_validation(self):
@@ -61,7 +65,7 @@ class TestPlanning:
     def test_plan_touches_match_profile(self):
         sampler, _space = sampler_for()
         rng = RandomStreams(1).stream("t")
-        profile = STANDARD_PROFILES[0]  # new_order
+        profile = PROFILES[0]  # new_order
         plan = plan_transaction(rng, profile, sampler, warehouses=10)
         expected = sum(spec.count for spec in profile.touches)
         assert len(plan.touches) == expected
@@ -69,7 +73,7 @@ class TestPlanning:
     def test_block_ids_valid(self):
         sampler, space = sampler_for()
         rng = RandomStreams(2).stream("t")
-        for profile in STANDARD_PROFILES:
+        for profile in PROFILES:
             plan = plan_transaction(rng, profile, sampler, warehouses=10)
             for block, _write in plan.touches:
                 assert 0 <= block < total_units(space)
@@ -77,7 +81,7 @@ class TestPlanning:
     def test_new_order_locks_district_not_warehouse(self):
         sampler, _space = sampler_for()
         rng = RandomStreams(3).stream("t")
-        mix = TransactionMix()
+        mix = TransactionMix(PROFILES)
         plan = plan_transaction(rng, mix.by_name("new_order"), sampler, 10)
         kinds = {key[0] for key in plan.lock_keys}
         assert kinds == {"dist"}
@@ -85,7 +89,7 @@ class TestPlanning:
     def test_payment_locks_warehouse_and_district(self):
         sampler, _space = sampler_for()
         rng = RandomStreams(3).stream("t")
-        mix = TransactionMix()
+        mix = TransactionMix(PROFILES)
         plan = plan_transaction(rng, mix.by_name("payment"), sampler, 10)
         kinds = [key[0] for key in plan.lock_keys]
         assert kinds == ["wh", "dist"]
@@ -93,7 +97,7 @@ class TestPlanning:
     def test_read_only_transactions_take_no_locks(self):
         sampler, _space = sampler_for()
         rng = RandomStreams(3).stream("t")
-        mix = TransactionMix()
+        mix = TransactionMix(PROFILES)
         for name in ("order_status", "stock_level"):
             plan = plan_transaction(rng, mix.by_name(name), sampler, 10)
             assert plan.lock_keys == ()
@@ -101,7 +105,7 @@ class TestPlanning:
     def test_remote_probability_zero_keeps_home_warehouse(self):
         sampler, space = sampler_for(warehouses=10)
         rng = RandomStreams(4).stream("t")
-        profile = TransactionMix().by_name("new_order")
+        profile = TransactionMix(PROFILES).by_name("new_order")
         for _ in range(20):
             plan = plan_transaction(rng, profile, sampler, 10, remote_prob=0.0)
             for block, _write in plan.touches:
@@ -111,7 +115,7 @@ class TestPlanning:
     def test_writes_follow_write_probability(self):
         sampler, _space = sampler_for()
         rng = RandomStreams(5).stream("t")
-        profile = TransactionMix().by_name("order_status")  # all reads
+        profile = TransactionMix(PROFILES).by_name("order_status")  # all reads
         plan = plan_transaction(rng, profile, sampler, 10)
         assert not any(write for _, write in plan.touches)
 
@@ -120,7 +124,7 @@ class TestPlanning:
     def test_plan_generation_total(self, warehouses, seed):
         sampler, space = sampler_for(warehouses)
         rng = RandomStreams(seed).stream("t")
-        mix = TransactionMix()
+        mix = TransactionMix(PROFILES)
         profile = mix.pick(rng)
         plan = plan_transaction(rng, profile, sampler, warehouses)
         assert 0 <= plan.warehouse < warehouses
@@ -131,13 +135,13 @@ class TestPlanning:
 
 class TestMix:
     def test_shares_normalized(self):
-        mix = TransactionMix()
-        weights = [mix.by_name(p.name).weight for p in STANDARD_PROFILES]
+        mix = TransactionMix(PROFILES)
+        weights = [mix.by_name(p.name).weight for p in PROFILES]
         assert sum(weights) == pytest.approx(
             sum(p.weight for p in mix.profiles))
 
     def test_pick_follows_weights(self):
-        mix = TransactionMix()
+        mix = TransactionMix(PROFILES)
         rng = RandomStreams(6).stream("t")
         picks = [mix.pick(rng).name for _ in range(4000)]
         share = picks.count("new_order") / len(picks)
@@ -145,7 +149,7 @@ class TestMix:
 
     def test_by_name_unknown(self):
         with pytest.raises(KeyError) as excinfo:
-            TransactionMix().by_name("refund")
+            TransactionMix(PROFILES).by_name("refund")
         message = str(excinfo.value)
         assert "refund" in message, "error must name the requested type"
         for known in ("new_order", "payment", "order_status",

@@ -135,17 +135,20 @@ class TestStallWait:
 
 class TestAbortWeight:
     def test_mix_weighted_mean_is_one(self):
-        from repro.odb.transactions import STANDARD_PROFILES, abort_weight
+        """Over the default mix, which it normalizes against."""
+        from repro.odb.transactions import abort_weight
+        from repro.workload import compiled_workload
 
-        total = sum(p.weight for p in STANDARD_PROFILES)
-        mean = sum(p.weight * abort_weight(p)
-                   for p in STANDARD_PROFILES) / total
+        profiles = compiled_workload(None).profiles
+        total = sum(p.weight for p in profiles)
+        mean = sum(p.weight * abort_weight(p) for p in profiles) / total
         assert mean == pytest.approx(1.0)
 
     def test_write_heavy_profiles_abort_more(self):
-        from repro.odb.transactions import STANDARD_PROFILES, abort_weight
+        from repro.odb.transactions import abort_weight
+        from repro.workload import compiled_workload
 
-        by_name = {p.name: p for p in STANDARD_PROFILES}
+        by_name = {p.name: p for p in compiled_workload(None).profiles}
         assert abort_weight(by_name["new_order"]) > \
             abort_weight(by_name["order_status"])
         assert abort_weight(by_name["payment"]) > \

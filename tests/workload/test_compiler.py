@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.odb import OdbConfig, OdbSystem
 from repro.odb.mix import PhasedTransactionMix, TransactionMix
-from repro.odb.transactions import STANDARD_PROFILES
 from repro.workload import (
     PhaseSpec,
     SegmentSpec,
@@ -11,8 +11,11 @@ from repro.workload import (
     TransactionSpec,
     WorkloadSpec,
     compile_workload,
+    compiled_workload,
     workload_by_name,
 )
+
+from tests.workload.standard_profiles import STANDARD_PROFILES
 
 
 def _spec(**overrides):
@@ -26,25 +29,30 @@ def _spec(**overrides):
 
 
 class TestStandardPin:
-    """odb-standard compiles to *exactly* the built-in default."""
+    """odb-standard compiles to *exactly* the hand-written paper mix,
+    and it is what a run that names no workload executes."""
 
     def test_profiles_value_equal_to_standard(self):
         compiled = compile_workload(workload_by_name("odb-standard"))
         assert compiled.profiles == STANDARD_PROFILES
 
     def test_odb_standard_is_standard(self):
-        assert compile_workload(workload_by_name("odb-standard")).is_standard
+        compiled = compile_workload(workload_by_name("odb-standard"))
+        assert compiled.is_default
+        assert compiled_workload(None) is compiled
 
     def test_every_other_scenario_is_not_standard(self):
         from repro.workload import available_workloads
         for name, spec in available_workloads().items():
             if name == "odb-standard":
                 continue
-            assert not compile_workload(spec).is_standard, name
+            assert not compile_workload(spec).is_default, name
 
     def test_standard_mix_equals_default_mix(self):
-        compiled = compile_workload(workload_by_name("odb-standard"))
-        assert compiled.build_mix().profiles == TransactionMix().profiles
+        system = OdbSystem(OdbConfig(10, 4, 1))
+        assert system.workload is compiled_workload(None)
+        assert type(system.mix) is TransactionMix
+        assert system.mix.profiles == STANDARD_PROFILES
 
 
 class TestGeneratorMapping:

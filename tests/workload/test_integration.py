@@ -9,6 +9,9 @@ single draw fails here by name.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -70,7 +73,7 @@ def test_default_manifest_names_the_standard_workload(tmp_path):
                       cache=ResultCache(tmp_path))
     manifest = last_manifest()
     assert manifest.workload == "odb-standard"
-    assert manifest.workload_fingerprint is None
+    assert manifest.workload_fingerprint == "ff052819f089"
 
 
 def test_phased_scenario_runs_and_differs_from_standard():
@@ -101,3 +104,21 @@ def test_runspec_round_trips_workload_through_pickle():
     assert thawed.workload == spec
     assert compile_workload(thawed.workload).name == "social-feed"
     assert "workload=social-feed" in thawed.label
+
+
+def test_default_path_imports_no_yaml():
+    """Building a system that names no workload reads no scenario file
+    and leaves PyYAML unimported: its import alone would cost a large
+    share of a fresh worker's set-up time."""
+    code = ("import sys\n"
+            "from repro.odb import OdbConfig, OdbSystem\n"
+            "system = OdbSystem(OdbConfig(100, 21, 4))\n"
+            "assert system.workload.name == 'odb-standard'\n"
+            "assert 'yaml' not in sys.modules, 'yaml was imported'\n")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

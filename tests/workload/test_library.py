@@ -10,6 +10,7 @@ from repro.workload import (
     available_workloads,
     resolve_workload,
     scenario_paths,
+    scenario_sources,
     workload_by_name,
 )
 
@@ -31,8 +32,12 @@ def test_every_scenario_has_a_description():
 
 
 def test_scenario_file_stems_match_spec_names():
+    """Every scenario but the Python default is a file named for it."""
     stems = sorted(path.stem for path in scenario_paths())
-    assert tuple(stems) == EXPECTED
+    assert tuple(stems) == tuple(n for n in EXPECTED if n != "odb-standard")
+    for path in scenario_paths():
+        assert available_workloads()[path.stem].name == path.stem
+    assert tuple(scenario_sources()) == EXPECTED
 
 
 def test_unknown_name_lists_known_scenarios():

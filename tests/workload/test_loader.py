@@ -110,7 +110,6 @@ def test_json_text_always_parses():
 
 
 def test_yaml_text_parses_when_pyyaml_present():
-    pytest.importorskip("yaml")
     spec = parse_workload_text(
         "name: mini\n"
         "transactions:\n"

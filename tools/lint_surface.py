@@ -12,10 +12,12 @@ carries it for its tests.  Such a check belongs in the test's own helper
 
 A name counts as named when it occurs as an identifier (a variable, an
 attribute, an import) or as a string constant that is a name or a dotted
-path (``getattr(obj, "name")``, ``__all__``, ``"module:function"``), so
-the scan matches names, not call graphs: a definition that shares its
-name with a live one passes.  Dunder methods are exempt; they are called
-by the language.
+path (``getattr(obj, "name")``, ``"module:function"``), so the scan
+matches names, not call graphs: a definition that shares its name with a
+live one passes.  A package ``__init__.py``'s re-exports (its ``from …
+import`` names and its ``__all__`` strings) do not count: they make a
+name importable, they do not use it.  Dunder methods are exempt; they
+are called by the language.
 
 ``ALLOWED`` lists the test-only definitions kept on purpose, each with
 its reason.  An entry that no longer matches a test-only definition is
@@ -41,7 +43,7 @@ TEST_ROOT = "tests"
 
 #: ``qualified name -> reason`` for test-only definitions kept on purpose.
 _CLAIMS = ("kept for the paper-claims registry to decide: it may read "
-           "this iron-law or pivot helper")
+           "this iron-law, pivot or result-validation helper")
 ALLOWED = {
     "repro.core.ironlaw.DatabaseIronLaw.tps_per_cpu": _CLAIMS,
     "repro.core.ironlaw.DatabaseIronLaw.seconds_per_transaction": _CLAIMS,
@@ -49,6 +51,7 @@ ALLOWED = {
     "repro.core.ironlaw.DatabaseIronLaw.speedup_from": _CLAIMS,
     "repro.core.pivot.PivotAnalysis.cached_region": _CLAIMS,
     "repro.core.pivot.PivotAnalysis.scaled_region": _CLAIMS,
+    "repro.core.validation.assert_valid": _CLAIMS,
 }
 
 #: A string that names something: ``name``, ``module.name`` or
@@ -61,10 +64,28 @@ def _python_files(root: Path):
                   if "__pycache__" not in path.parts)
 
 
-def _names(tree: ast.AST) -> set[str]:
-    """Every identifier a module names, outside its own ``def`` lines."""
+def _reexports(tree: ast.Module) -> set[int]:
+    """``id`` of every node of a package's re-exports: its ``from …
+    import`` aliases and the strings of its ``__all__``."""
+    skipped = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            skipped.update(id(alias) for alias in node.names)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(target, ast.Name)
+                      and target.id == "__all__" for target in node.targets)):
+            skipped.update(id(child) for child in ast.walk(node.value))
+    return skipped
+
+
+def _names(tree: ast.Module, package: bool = False) -> set[str]:
+    """Every identifier a module names, outside its own ``def`` lines
+    (and, for a package ``__init__``, outside its re-exports)."""
+    skipped = _reexports(tree) if package else set()
     found = set()
     for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
         if isinstance(node, ast.Name):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -99,10 +120,12 @@ def _module_name(path: Path) -> str:
     return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
 
 
-def _used(paths) -> set[str]:
+def _used(paths, program: bool = False) -> set[str]:
+    """Names ``paths`` use; in the program, re-exports are no use."""
     names = set()
     for path in paths:
-        names |= _names(ast.parse(path.read_text(), str(path)))
+        names |= _names(ast.parse(path.read_text(), str(path)),
+                        package=program and path.name == "__init__.py")
     return names
 
 
@@ -112,7 +135,7 @@ def main() -> int:
                for path in _python_files(REPO / root) if path != this]
     program += [REPO / name for name in PROGRAM_FILES
                 if (REPO / name).exists()]
-    program_names = _used(program)
+    program_names = _used(program, program=True)
     for toml in REPO.glob("*.toml"):
         program_names.update(re.findall(r"[A-Za-z_][A-Za-z0-9_]*",
                                         toml.read_text()))
