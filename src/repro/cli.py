@@ -41,14 +41,19 @@ self-healing on worker death, and the degradation timeline surfaced in
 sweep reports.  ``--retries N`` and ``--point-timeout S`` (on ``sweep``
 and ``report --sweep``) set its retry budget and per-point deadline.
 
-``report`` runs one configuration with tracing enabled
-(:mod:`repro.obs`) and writes a Markdown (optionally HTML) dashboard —
-run manifest, result summary, fixed-point convergence trajectory,
-phase timings, counter provenance, and the fault/retry timeline when
-``--faults`` is active — into ``results/reports/``.  ``report
---sweep`` runs a telemetry sweep instead and aggregates every point's
+``report`` runs one configuration traced, through the same
+:func:`~repro.experiments.parallel.execute_point` pool workers run, and
+renders the :class:`~repro.experiments.parallel.PointTelemetry` it
+returns as a Markdown (optionally HTML) dashboard — run manifest,
+result summary, fixed-point convergence trajectory, phase timings,
+counter provenance, and the fault/retry timeline when ``--faults`` is
+active — into ``results/reports/``.  ``report --sweep`` runs a
+telemetry sweep instead and aggregates every point's
 manifest/trace/metrics into one sweep dashboard (per-point cost, cache
 provenance, convergence trajectories, sweep-wide flame table).
+``sweep --snapshot``, ``report --sweep``, ``trace export`` and ``diff
+--workload`` run their traced sweep through one helper, and every one
+of them reads the points' telemetry the same way.
 ``trace export`` writes the same telemetry sweep as Chrome
 ``trace_event`` JSON (one track per point) for Perfetto /
 ``chrome://tracing``; ``trace validate`` checks a trace file against
@@ -86,9 +91,12 @@ from repro.experiments.configs import (
 )
 from repro.experiments.parallel import (
     PoolExecutor,
+    RunSpec,
     SupervisorPolicy,
+    execute_point,
     run_sweep,
 )
+from repro.experiments.records import slug
 from repro.experiments.report import render_series, render_table
 from repro.experiments.resilience import JournalOwnershipError, SweepJournal
 from repro.experiments.runner import (
@@ -98,7 +106,6 @@ from repro.experiments.runner import (
 )
 from repro.faults import FaultPlan
 from repro.hw.machine import XEON_MP_QUAD, machine_by_name
-from repro.obs.snapshot import slug
 
 
 def _settings(args) -> RunnerSettings:
@@ -230,13 +237,17 @@ def _parse_grid(text: Optional[str]) -> tuple[int, ...]:
 def _journal_path(args, faults: Optional[FaultPlan],
                   workload=None) -> Path:
     """Default journal location, keyed like the cache so unrelated sweeps
-    never share a checkpoint file."""
+    never share a checkpoint file (and, like the cache key, the default
+    ``odb-standard`` workload adds nothing to the name)."""
+    from repro.workload import compiled_workload
+
     name = (f"{slug(_machine(args).name)}-p{args.processors}"
             f"-{settings_fingerprint(_settings(args))}")
     if faults is not None:
         name += f"-f{faults.fingerprint()}"
-    if workload is not None:
-        name += f"-wl{workload.fingerprint()}"
+    compiled = compiled_workload(workload)
+    if not compiled.is_default:
+        name += f"-wl{compiled.fingerprint()}"
     root = Path(__file__).resolve().parents[2] / "results" / "sweeps"
     return root / f"{name}.jsonl"
 
@@ -255,6 +266,23 @@ def _print_degradation(executor: PoolExecutor) -> None:
               f"({kinds})")
 
 
+def _sweep(args, workload=None, faults: Optional[FaultPlan] = None, *,
+           trace: bool = True, journal: Optional[SweepJournal] = None):
+    """Run the ``--grid`` sweep at ``-p`` on a pool of ``--jobs`` workers.
+
+    The one sweep every sweeping command runs (traced unless ``trace``
+    is false); ``--retries``/``--point-timeout`` apply where the
+    command has them.  Returns the points and the pool handle, whose
+    ``events`` are the sweep's degradation timeline.
+    """
+    executor = PoolExecutor(args.jobs)
+    points = run_sweep(_parse_grid(args.grid), args.processors,
+                       machine=_machine(args), settings=_settings(args),
+                       faults=faults, workload=workload, executor=executor,
+                       policy=_policy(args), trace=trace, journal=journal)
+    return points, executor
+
+
 def cmd_sweep(args) -> int:
     """``repro sweep``: a warehouse sweep at fixed processor count.
 
@@ -262,7 +290,6 @@ def cmd_sweep(args) -> int:
     :class:`~repro.obs.snapshot.SweepSnapshot`; ``--resume``/``--journal``
     checkpoint it; ``--jobs`` sizes the pool that runs it.
     """
-    grid = _parse_grid(args.grid)
     faults = _faults(args)
     workload = _workload(args)
     journal = None
@@ -273,13 +300,9 @@ def cmd_sweep(args) -> int:
     if journal is not None:
         done = len(journal.load())
         print(f"journal: {journal.path} ({done} point(s) already complete)")
-    executor = PoolExecutor(args.jobs)
     try:
-        points = run_sweep(grid, args.processors, machine=_machine(args),
-                           settings=_settings(args), faults=faults,
-                           workload=workload, executor=executor,
-                           policy=_policy(args), trace=bool(args.snapshot),
-                           journal=journal)
+        points, executor = _sweep(args, workload, faults,
+                                  trace=bool(args.snapshot), journal=journal)
     except JournalOwnershipError as error:
         raise SystemExit(str(error))
     _print_degradation(executor)
@@ -313,11 +336,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_pivot(args) -> int:
     """``repro pivot``: pivot-point analysis over a warehouse sweep."""
-    grid = _parse_grid(args.grid)
-    records = [point.result for point in run_sweep(
-        grid, args.processors, machine=_machine(args),
-        settings=_settings(args), workload=_workload(args),
-        executor=PoolExecutor(args.jobs))]
+    points, _executor = _sweep(args, _workload(args), trace=False)
+    records = [point.result for point in points]
     xs = [r.warehouses for r in records]
     if args.metric == "cpi":
         ys = [r.cpi.cpi for r in records]
@@ -387,38 +407,26 @@ def _reports_dir() -> Path:
 
 def cmd_report(args) -> int:
     """``repro report``: traced run (or ``--sweep``) -> dashboard."""
-    import repro.obs as obs
     from repro.experiments.report import build_run_report, write_run_report
-    from repro.experiments.runner import last_manifest
 
     if args.sweep:
         return _report_sweep(args)
     if args.warehouses is None:
         raise SystemExit("repro report needs -w/--warehouses "
                          "(or --sweep for a sweep-level report)")
-    faults = _faults(args)
     machine = _machine(args)
-    tracer = obs.enable_tracing()
-    try:
-        # A fresh (uncached) run: the dashboard reports *this* run's
-        # phase timings, not the wall time of a cache load.
-        result = run_configuration(
-            args.warehouses, args.processors, clients=args.clients,
-            machine=machine, settings=_settings(args), use_cache=False,
-            faults=faults, workload=_workload(args))
-    finally:
-        obs.disable_tracing()
-    report = build_run_report(
-        result,
-        manifest=last_manifest(),
-        tracer=tracer,
-        provenance=obs.emon_provenance(result, machine),
-        faults=faults,
-    )
+    spec = RunSpec(args.warehouses, args.processors, clients=args.clients,
+                   machine=machine, settings=_settings(args),
+                   faults=_faults(args), workload=_workload(args))
+    # A fresh (uncached) run: the dashboard reports *this* run's phase
+    # timings, not the wall time of a cache load.
+    point = execute_point(spec, None, False, trace=True)
+    result = point.result
     out = Path(args.out) if args.out else _reports_dir()
     stem = (f"report_{slug(machine.name)}_w{result.warehouses}"
             f"_c{result.clients}_p{result.processors}")
-    for path in write_run_report(report, out, stem, html=args.html):
+    for path in write_run_report(build_run_report(point), out, stem,
+                                 html=args.html):
         print(path)
     return 0
 
@@ -428,24 +436,17 @@ def _report_sweep(args) -> int:
     from repro.experiments.report import write_run_report
     from repro.obs.sweep_report import build_sweep_report
 
-    grid = _parse_grid(args.grid)
-    machine = _machine(args)
-    executor = PoolExecutor(args.jobs)
-    points = run_sweep(grid, args.processors, machine=machine,
-                       settings=_settings(args), faults=_faults(args),
-                       workload=_workload(args), executor=executor,
-                       policy=_policy(args), trace=True)
-    if getattr(args, "snapshot", None):
+    points, executor = _sweep(args, _workload(args), _faults(args))
+    if args.snapshot:
         from repro.obs.snapshot import SweepSnapshot
 
         snapshot = SweepSnapshot.from_points(points)
         print(f"snapshot: {snapshot.save(args.snapshot)} "
               f"({snapshot.describe()})")
-    report = build_sweep_report(
-        points, events=executor.events if executor is not None else None)
+    report = build_sweep_report(points, events=executor.events)
     out = Path(args.out) if args.out else _reports_dir()
-    stem = (f"sweep_{slug(machine.name)}_p{args.processors}"
-            f"_w{'-'.join(str(w) for w in grid)}")
+    stem = (f"sweep_{slug(_machine(args).name)}_p{args.processors}"
+            f"_w{'-'.join(str(w) for w in _parse_grid(args.grid))}")
     for path in write_run_report(report, out, stem, html=args.html):
         print(path)
     return 0
@@ -475,12 +476,7 @@ def cmd_trace(args) -> int:
         print(f"{args.file}: valid trace_event JSON")
         return 0
 
-    grid = _parse_grid(args.grid)
-    machine = _machine(args)
-    points = run_sweep(grid, args.processors, machine=machine,
-                       settings=_settings(args), faults=_faults(args),
-                       workload=_workload(args),
-                       executor=PoolExecutor(args.jobs), trace=True)
+    points, _executor = _sweep(args, _workload(args), _faults(args))
     tracks = tracks_from_points(points)
     if not tracks:
         raise SystemExit("no spans were recorded (all points were "
@@ -488,8 +484,9 @@ def cmd_trace(args) -> int:
     if args.out:
         out = Path(args.out)
     else:
+        grid = _parse_grid(args.grid)
         out = (_traces_dir()
-               / (f"sweep_{slug(machine.name)}_p{args.processors}"
+               / (f"sweep_{slug(_machine(args).name)}_p{args.processors}"
                   f"_w{'-'.join(str(w) for w in grid)}.trace.json"))
     print(write_chrome_trace(tracks, out))
     print(f"{len(tracks)} track(s); load in https://ui.perfetto.dev "
@@ -506,10 +503,7 @@ def _workload_snapshot(args, reference):
         workload = resolve_workload(reference)
     except WorkloadSpecError as error:
         raise SystemExit(f"cannot load workload {reference!r}: {error}")
-    grid = _parse_grid(args.grid)
-    points = run_sweep(grid, args.processors, machine=_machine(args),
-                       settings=_settings(args), workload=workload,
-                       executor=PoolExecutor(args.jobs), trace=True)
+    points, _executor = _sweep(args, workload)
     print(f"swept workload {workload.name}: {len(points)} point(s)")
     return SweepSnapshot.from_points(points,
                                      source=f"workload:{workload.name}")

@@ -16,46 +16,3 @@
   and the naive cached-setup-as-truth assumption the paper argues
   against.
 """
-
-from repro.core.ironlaw import DatabaseIronLaw, tps
-from repro.core.cpi_model import (
-    CpiBreakdown,
-    CpiSolution,
-    compute_breakdown,
-    solve_cpi,
-)
-from repro.core.regression import (
-    LinearFit,
-    PiecewiseFit,
-    fit_line,
-    fit_two_segments,
-)
-from repro.core.pivot import PivotAnalysis, pivot_point, representative_configuration
-from repro.core.saturation import SaturationResult
-from repro.core.extrapolation import ExtrapolationReport, evaluate_extrapolation
-from repro.core.baselines import single_line_model, cached_setup_model
-from repro.core.validation import Check, assert_valid, validate_result
-
-__all__ = [
-    "DatabaseIronLaw",
-    "tps",
-    "CpiBreakdown",
-    "CpiSolution",
-    "compute_breakdown",
-    "solve_cpi",
-    "LinearFit",
-    "PiecewiseFit",
-    "fit_line",
-    "fit_two_segments",
-    "PivotAnalysis",
-    "pivot_point",
-    "representative_configuration",
-    "SaturationResult",
-    "ExtrapolationReport",
-    "evaluate_extrapolation",
-    "single_line_model",
-    "cached_setup_model",
-    "Check",
-    "assert_valid",
-    "validate_result",
-]

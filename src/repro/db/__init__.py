@@ -16,21 +16,3 @@ Implements the server-side mechanisms whose interplay the paper measures:
   evictions to disk asynchronously.
 - :mod:`~repro.db.engine` — the facade a server process talks to.
 """
-
-from repro.db.blocks import BlockSpace, Segment
-from repro.db.buffer_cache import BufferCache
-from repro.db.locks import LockTable
-from repro.db.redo import RedoLog
-from repro.db.dbwriter import DbWriter
-from repro.db.engine import DatabaseEngine, TransactionStats
-
-__all__ = [
-    "BlockSpace",
-    "Segment",
-    "BufferCache",
-    "LockTable",
-    "RedoLog",
-    "DbWriter",
-    "DatabaseEngine",
-    "TransactionStats",
-]

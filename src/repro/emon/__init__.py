@@ -17,23 +17,3 @@ Figure 11.
   registers.
 - :mod:`~repro.emon.sampler` — the round-robin interval sampler.
 """
-
-from repro.emon.events import (
-    EVENT_TABLE,
-    EmonEvent,
-    emon_sources,
-    event_by_alias,
-)
-from repro.emon.counters import CounterFile, PerformanceCounter
-from repro.emon.sampler import RoundRobinSampler, SampledRates
-
-__all__ = [
-    "EVENT_TABLE",
-    "EmonEvent",
-    "emon_sources",
-    "event_by_alias",
-    "CounterFile",
-    "PerformanceCounter",
-    "RoundRobinSampler",
-    "SampledRates",
-]

@@ -66,8 +66,7 @@ from repro.experiments.resilience import SweepJournal
 from repro.experiments.runner import (
     configuration_key,
     default_cache,
-    last_manifest,
-    run_configuration,
+    run_with_manifest,
 )
 from repro.faults import FaultPlan
 from repro.hw.machine import MachineConfig, XEON_MP_QUAD
@@ -338,7 +337,8 @@ def execute_point(spec: RunSpec, cache_dir: Optional[str], use_cache: bool,
                   ) -> PointTelemetry:
     """Run one spec against an explicit cache directory.
 
-    The one function pool workers and the in-process path both run.  Each process builds its own :class:`ResultCache`
+    The one function pool workers, the in-process path and ``repro
+    report`` run.  Each process builds its own :class:`ResultCache`
     handle on the shared directory, which is safe because ``store``
     publishes atomically; ``worker_count`` is stamped into the run's
     manifest.  With ``trace`` the run gets a *fresh* tracer and metrics
@@ -348,24 +348,23 @@ def execute_point(spec: RunSpec, cache_dir: Optional[str], use_cache: bool,
     """
     cache = ResultCache(Path(cache_dir)) if cache_dir is not None else None
 
-    def run() -> ConfigResult:
-        return run_configuration(
+    def run() -> tuple[ConfigResult, Optional[RunManifest]]:
+        return run_with_manifest(
             spec.warehouses, spec.processors, clients=spec.clients,
             machine=spec.machine, settings=spec.settings,
             use_cache=use_cache, faults=spec.faults, cache=cache,
             worker_count=worker_count, workload=spec.workload)
 
     if not trace:
-        result = run()
-        return PointTelemetry(spec=spec, result=result,
-                              manifest=last_manifest())
+        result, manifest = run()
+        return PointTelemetry(spec=spec, result=result, manifest=manifest)
     prev_tracer = _tracing.current_tracer()
     prev_registry = _metrics.current_registry()
     tracer = _tracing.enable_tracing(_tracing.Tracer())
     registry = _metrics.enable_metrics(_metrics.MetricsRegistry(
         os.environ.get(_metrics.METRICS_PATH_ENV)))
     try:
-        result = run()
+        result, manifest = run()
     finally:
         if prev_tracer is not None:
             _tracing.enable_tracing(prev_tracer)
@@ -378,7 +377,7 @@ def execute_point(spec: RunSpec, cache_dir: Optional[str], use_cache: bool,
     return PointTelemetry(
         spec=spec,
         result=result,
-        manifest=last_manifest(),
+        manifest=manifest,
         # A cache hit never opens a span; ship a falsy trace so track
         # builders and reports skip the point instead of rendering an
         # empty timeline.

@@ -20,7 +20,6 @@ from typing import Optional
 from repro.core.cpi_model import CpiBreakdown, CpiSolution
 from repro.hw.trace import MicroarchRates
 from repro.obs import metrics as _metrics
-from repro.obs.snapshot import slug
 from repro.odb.system import SystemMetrics
 
 #: Serialization generation of :class:`ConfigResult`.  Bump whenever the
@@ -126,6 +125,18 @@ class ConfigResult:
             tps_ironlaw=data["tps_ironlaw"],
             fixed_point_rounds=data["fixed_point_rounds"],
         )
+
+
+def slug(name: str) -> str:
+    """``name`` as a filesystem-safe file-name part.
+
+    Derived machine names (``"xeon-mp-quad/l3=512KB"``) carry path
+    separators and ``=``: every character but letters, digits, ``-`` and
+    ``.`` becomes ``_``.  Cache keys, snapshot point keys, report stems
+    and journal names all slug machine names this way, so it must never
+    change: existing caches and journals are found by these names.
+    """
+    return "".join(c if c.isalnum() or c in "-." else "_" for c in name)
 
 
 class ResultCache:

@@ -6,11 +6,13 @@ Two layers live here:
   every experiment module renders its result through, so the benchmark
   harness prints the same rows/series the paper reports;
 - the run-report generator behind ``python -m repro report``: a
-  :class:`RunReport` assembles one run's manifest, phase-timing tree
-  (from :mod:`repro.obs.tracing`), counter provenance
-  (:mod:`repro.obs.provenance`), result summary, and — when a fault
-  plan was active — the fault/retry timeline, then renders to Markdown
-  or a dependency-free HTML page under ``results/reports/``.
+  :class:`RunReport` assembled from the
+  :class:`~repro.experiments.parallel.PointTelemetry` of one traced run
+  — its manifest, result summary, fixed-point convergence, phase-timing
+  tree (from :mod:`repro.obs.tracing`), counter provenance
+  (:mod:`repro.obs.provenance`) and — when a fault plan was active —
+  the fault/retry timeline — renders to Markdown or a dependency-free
+  HTML page under ``results/reports/``.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ from __future__ import annotations
 import html as _html
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
+    from repro.experiments.parallel import PointTelemetry
     from repro.experiments.records import ConfigResult
     from repro.faults import FaultPlan
     from repro.obs.manifest import RunManifest
@@ -205,29 +208,6 @@ def phase_section(tracer: "Tracer") -> ReportSection:
              "span's root.")
 
 
-def convergence_section(manifest: "RunManifest") -> ReportSection:
-    """The run's fixed-point trajectory from ``manifest.round_deltas``."""
-    rows = []
-    for record in manifest.round_deltas:
-        tps_delta = record.get("tps_delta")
-        cpi_delta = record.get("cpi_delta")
-        rows.append([
-            record.get("round", "-"),
-            f"{record.get('tps', 0.0):.1f}",
-            f"{record.get('cpi', 0.0):.3f}",
-            f"{record.get('user_cpi', 0.0):.3f}",
-            f"{record.get('os_cpi', 0.0):.3f}",
-            f"{tps_delta:+.2f}" if tps_delta is not None else "-",
-            f"{cpi_delta:+.4f}" if cpi_delta is not None else "-",
-        ])
-    return ReportSection(
-        "Fixed-point convergence",
-        ["round", "TPS", "CPI", "user CPI", "OS CPI", "ΔTPS", "ΔCPI"],
-        rows,
-        note="Iterates of the coupled DES ⇄ CPI fixed point; the "
-             "shrinking deltas are what the ConvergenceGuard enforces.")
-
-
 def provenance_section(provenance: "EmonProvenance") -> ReportSection:
     """Counter provenance: metric → formula → events → stall cost."""
     return ReportSection(
@@ -299,30 +279,35 @@ def fault_timeline_section(plan: "FaultPlan",
              f" up to {plan.retry.max_attempts} attempts.")
 
 
-def build_run_report(result: "ConfigResult",
-                     manifest: Optional["RunManifest"] = None,
-                     tracer: Optional["Tracer"] = None,
-                     provenance: Optional["EmonProvenance"] = None,
-                     faults: Optional["FaultPlan"] = None) -> RunReport:
-    """Assemble the dashboard for one run from whatever is available.
+def build_run_report(point: "PointTelemetry") -> RunReport:
+    """The dashboard of one run, from the telemetry its run returned.
 
-    Sections for absent inputs are skipped, so the report degrades
-    gracefully (e.g. a cache-hit run has no trace).
+    ``point`` is what :func:`repro.experiments.parallel.execute_point`
+    returns; sections whose telemetry is absent are skipped (an untraced
+    point has no phase timings, a point without a manifest no manifest
+    or convergence section).
     """
+    from repro.obs.provenance import emon_provenance
+    from repro.obs.sweep_report import convergence_section
+    from repro.obs.tracing import Tracer
+
+    result = point.result
     report = RunReport(
         title=f"Run report — {result.machine} W={result.warehouses} "
               f"C={result.clients} P={result.processors}")
-    if manifest is not None:
-        report.sections.append(manifest_section(manifest))
+    if point.manifest is not None:
+        report.sections.append(manifest_section(point.manifest))
     report.sections.append(result_section(result))
-    if manifest is not None and manifest.round_deltas:
-        report.sections.append(convergence_section(manifest))
-    if tracer is not None and tracer.roots:
-        report.sections.append(phase_section(tracer))
-    if provenance is not None:
-        report.sections.append(provenance_section(provenance))
-    if faults is not None:
-        report.sections.append(fault_timeline_section(faults, result))
+    convergence = convergence_section([point])
+    if convergence.rows:
+        report.sections.append(convergence)
+    if point.trace:
+        report.sections.append(phase_section(Tracer.from_dict(point.trace)))
+    report.sections.append(provenance_section(
+        emon_provenance(result, point.spec.machine)))
+    if point.spec.faults is not None:
+        report.sections.append(
+            fault_timeline_section(point.spec.faults, result))
     return report
 
 

@@ -57,16 +57,6 @@ from repro.workload import WorkloadSpec, compiled_workload
 #: of sharing this one.
 _CACHE: Optional[ResultCache] = None
 
-#: Manifest of the most recent :func:`run_configuration` call in this
-#: process (set on both computed and cache-hit paths; None before the
-#: first run or when a cache hit has no stored manifest).
-_LAST_MANIFEST: Optional[RunManifest] = None
-
-
-def last_manifest() -> Optional[RunManifest]:
-    """The :class:`RunManifest` of the last run in this process."""
-    return _LAST_MANIFEST
-
 
 def default_cache() -> ResultCache:
     """The process-wide :class:`ResultCache`.
@@ -122,6 +112,23 @@ def run_configuration(warehouses: int, processors: int,
                       cache: Optional[ResultCache] = None,
                       worker_count: int = 1,
                       workload: Optional[WorkloadSpec] = None) -> ConfigResult:
+    """Run one (W, C, P) configuration end-to-end; see
+    :func:`run_with_manifest`, which also returns the run's manifest."""
+    return run_with_manifest(warehouses, processors, clients, machine,
+                             settings, use_cache, faults, cache,
+                             worker_count, workload)[0]
+
+
+def run_with_manifest(warehouses: int, processors: int,
+                      clients: Optional[int] = None,
+                      machine: MachineConfig = XEON_MP_QUAD,
+                      settings: RunnerSettings = DEFAULT_SETTINGS,
+                      use_cache: bool = True,
+                      faults: Optional[FaultPlan] = None,
+                      cache: Optional[ResultCache] = None,
+                      worker_count: int = 1,
+                      workload: Optional[WorkloadSpec] = None
+                      ) -> tuple[ConfigResult, Optional[RunManifest]]:
     """Run one (W, C, P) configuration end-to-end.
 
     ``clients`` defaults to the Table 1 client count for (W, P).
@@ -136,18 +143,18 @@ def run_configuration(warehouses: int, processors: int,
     computed.  ``workload`` is the spec the clients run; None is the
     default ``odb-standard`` (:func:`repro.workload.compiled_workload`).
 
-    Observability (DESIGN.md §9): a :class:`~repro.obs.manifest.RunManifest`
-    is built for every computed run and persisted beside the cached
-    result (``<key>.manifest.json``); when tracing is enabled
-    (:func:`repro.obs.enable_tracing`) the hot phases — the system DES,
-    trace generation, and CPI solve of each fixed-point round — open
-    nested spans with counter totals attached.  With tracing disabled
+    Returns the result and its :class:`~repro.obs.manifest.RunManifest`
+    (DESIGN.md §9): built for every computed run and persisted beside
+    the cached result (``<key>.manifest.json``); a cache hit returns the
+    stored manifest, or None when there is none.  When tracing is
+    enabled (:func:`repro.obs.tracing.enable_tracing`) the hot phases —
+    the system DES, trace generation, and CPI solve of each fixed-point
+    round — open nested spans with counter totals attached.  With tracing disabled
     the run is bit-identical to an uninstrumented build (golden-pinned).
 
     Raises :class:`~repro.experiments.resilience.ConvergenceError` when
     the CPI fixed point diverges.
     """
-    global _LAST_MANIFEST
     if clients is None:
         clients = client_count(warehouses, processors)
     if cache is None:
@@ -158,8 +165,7 @@ def run_configuration(warehouses: int, processors: int,
     if use_cache:
         cached = cache.load(key)
         if cached is not None:
-            _LAST_MANIFEST = cache.load_manifest(key)
-            return cached
+            return cached, cache.load_manifest(key)
 
     context = (f"{machine.name} W={warehouses} C={clients} P={processors}"
                + (" faulted" if faults is not None else "")
@@ -302,7 +308,6 @@ def run_configuration(warehouses: int, processors: int,
         round_deltas=round_deltas,
         **environment_fields(),
     )
-    _LAST_MANIFEST = manifest
     if use_cache:
         cache.store(key, result)
         cache.store_manifest(key, manifest)
@@ -315,5 +320,5 @@ def run_configuration(warehouses: int, processors: int,
                       cpi=solution.cpi, rounds=settings.fixed_point_rounds,
                       wall_s=manifest.wall_time_s,
                       cpu_s=manifest.cpu_time_s)
-    return result
+    return result, manifest
 

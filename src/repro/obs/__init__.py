@@ -32,7 +32,8 @@ three axes:
 - :mod:`repro.obs.sweep_report` — aggregation of a whole sweep's
   manifests/traces/metrics into one dashboard: per-point cost, cache
   provenance, fixed-point convergence trajectories, and the
-  slowest-phase flame table.
+  slowest-phase flame table.  Its :func:`~repro.obs.sweep_report.fold_sweep`
+  is the one fold of a sweep's points, which snapshots read too.
 - :mod:`repro.obs.snapshot` — a schema-versioned, deterministic
   :class:`~repro.obs.snapshot.SweepSnapshot` artifact freezing a whole
   sweep (per-point metrics, flame tables, registry totals, provenance)
@@ -43,107 +44,20 @@ three axes:
   flame/counter/provenance diffs) behind ``repro diff`` and its
   ``--fail-on-regress`` CI gate.
 
+Every consumer of a run's telemetry — the run report, the sweep
+report, the snapshot and the Chrome trace — reads the
+:class:`~repro.experiments.parallel.PointTelemetry` a point run returns.
+This package's ``__init__`` imports nothing, so loading
+:mod:`repro.obs.metrics` on the run path loads no other submodule.
+
 Typical use::
 
-    from repro import obs
+    from repro.experiments.parallel import RunSpec, execute_point
+    from repro.obs.tracing import Tracer
 
-    tracer = obs.enable_tracing()
-    result = run_configuration(100, 4, use_cache=False)
-    obs.disable_tracing()
-    for depth, span in tracer.walk():
+    point = execute_point(RunSpec(100, 4), None, False, trace=True)
+    for depth, span in Tracer.from_dict(point.trace).walk():
         print("  " * depth, span.name, span.duration_s)
 
 or via the CLI: ``python -m repro report -w 100 -p 4``.
 """
-
-from __future__ import annotations
-
-from repro.obs.diff import (
-    REGRESSION_EXIT_CODE,
-    SnapshotDiff,
-    ThresholdPolicy,
-    build_diff_report,
-    diff_snapshots,
-)
-from repro.obs.manifest import MANIFEST_VERSION, RunManifest, git_revision
-from repro.obs.metrics import (
-    MetricsRegistry,
-    current_registry,
-    disable_metrics,
-    enable_metrics,
-)
-from repro.obs.provenance import (
-    CounterProvenance,
-    EmonProvenance,
-    emon_provenance,
-)
-from repro.obs.snapshot import (
-    SNAPSHOT_VERSION,
-    SnapshotError,
-    SweepSnapshot,
-    point_key,
-    resolve_snapshot,
-)
-from repro.obs.sweep_report import (
-    SweepTelemetry,
-    aggregate_phases,
-    build_sweep_report,
-)
-from repro.obs.trace_export import (
-    TraceTrack,
-    chrome_trace,
-    chrome_trace_json,
-    tracks_from_points,
-    validate_chrome_trace,
-    validate_chrome_trace_file,
-    write_chrome_trace,
-)
-from repro.obs.tracing import (
-    Span,
-    Tracer,
-    current_tracer,
-    disable_tracing,
-    enable_tracing,
-    span,
-    tracing_enabled,
-)
-
-__all__ = [
-    "REGRESSION_EXIT_CODE",
-    "SnapshotDiff",
-    "ThresholdPolicy",
-    "build_diff_report",
-    "diff_snapshots",
-    "SNAPSHOT_VERSION",
-    "SnapshotError",
-    "SweepSnapshot",
-    "point_key",
-    "resolve_snapshot",
-    "MANIFEST_VERSION",
-    "RunManifest",
-    "git_revision",
-    "MetricsRegistry",
-    "current_registry",
-    "disable_metrics",
-    "enable_metrics",
-    "CounterProvenance",
-    "EmonProvenance",
-    "emon_provenance",
-    "SweepTelemetry",
-    "aggregate_phases",
-    "build_sweep_report",
-    "TraceTrack",
-    "chrome_trace",
-    "chrome_trace_json",
-    "tracks_from_points",
-    "validate_chrome_trace",
-    "validate_chrome_trace_file",
-    "write_chrome_trace",
-    "Span",
-    "Tracer",
-    "current_tracer",
-    "disable_tracing",
-    "enable_tracing",
-    "span",
-    "tracing_enabled",
-]

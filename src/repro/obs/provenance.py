@@ -17,20 +17,14 @@ This is the audit trail ``python -m repro report`` renders in its
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.emon.events import emon_sources
 
-if TYPE_CHECKING:  # heavy imports stay lazy: repro.sim modules import
-    # repro.obs.tracing, and the package __init__ pulls this module in.
+if TYPE_CHECKING:  # the records and machine modules load the model
     from repro.experiments.records import ConfigResult
     from repro.hw.machine import MachineConfig
-
-#: Provenance records serialization generation.
-PROVENANCE_VERSION = 1
-
 
 @dataclass(frozen=True)
 class CounterProvenance:
@@ -48,23 +42,6 @@ class CounterProvenance:
     #: Table 3 stall cost applied (cycles/event), when one applies.
     stall_cost_cycles: Optional[float] = None
 
-    def to_dict(self) -> dict:
-        """Plain-dict form, ready for JSON serialization."""
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CounterProvenance":
-        """Rebuild a record from its :meth:`to_dict` payload."""
-        return cls(
-            metric=data["metric"],
-            value=data["value"],
-            unit=data["unit"],
-            formula=data["formula"],
-            events=tuple(data["events"]),
-            emon_names=tuple(data["emon_names"]),
-            stall_cost_cycles=data.get("stall_cost_cycles"),
-        )
-
 
 @dataclass(frozen=True)
 class EmonProvenance:
@@ -72,7 +49,6 @@ class EmonProvenance:
 
     machine: str
     records: tuple[CounterProvenance, ...]
-    provenance_version: int = PROVENANCE_VERSION
 
     def rows(self) -> list[list]:
         """Table rows: metric, value, formula, events, EMON names, cost."""
@@ -88,28 +64,6 @@ class EmonProvenance:
                 else f"{r.stall_cost_cycles:g}",
             ])
         return rows
-
-    def to_dict(self) -> dict:
-        """Plain-dict form, ready for JSON serialization."""
-        return {
-            "provenance_version": self.provenance_version,
-            "machine": self.machine,
-            "records": [r.to_dict() for r in self.records],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EmonProvenance":
-        """Rebuild provenance from its :meth:`to_dict` payload."""
-        version = data.get("provenance_version", 0)
-        if version != PROVENANCE_VERSION:
-            raise ValueError(
-                f"provenance has version {version}, "
-                f"this build reads {PROVENANCE_VERSION}")
-        return cls(
-            machine=data["machine"],
-            records=tuple(CounterProvenance.from_dict(r)
-                          for r in data["records"]),
-        )
 
 
 def _record(metric: str, value: float, unit: str, formula: str,

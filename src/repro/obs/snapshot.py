@@ -27,10 +27,12 @@ Determinism contract (DESIGN.md §13):
 
 Snapshots are writable from live telemetry sweeps
 (:meth:`SweepSnapshot.from_points`, behind ``repro sweep --snapshot``)
-and reconstructable retroactively from the artifacts earlier PRs
-already persist: a result-cache directory
-(:meth:`SweepSnapshot.from_cache_dir`) or a sweep journal
-(:meth:`SweepSnapshot.from_journal`).
+and reconstructable retroactively from the artifacts sweeps persist: a
+result-cache directory (:meth:`SweepSnapshot.from_cache_dir`) or a
+sweep journal (:meth:`SweepSnapshot.from_journal`).  All three go
+through one fold (:func:`repro.obs.sweep_report.fold_sweep`); the
+retroactive ones feed it each point's key, result and manifest, with no
+trace or metrics.
 """
 
 from __future__ import annotations
@@ -39,13 +41,12 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.sweep_report import aggregate_phases
+from repro.experiments.records import ConfigResult, ResultCache, slug
+from repro.obs.sweep_report import PointInput, fold_sweep
 
 if TYPE_CHECKING:
-    from repro.experiments.records import ConfigResult
     from repro.obs.manifest import RunManifest
 
 #: Serialization generation of :class:`SweepSnapshot`.  Bump whenever
@@ -80,18 +81,6 @@ COST_COUNTERS = frozenset({"odb.prewarm.reused"})
 
 class SnapshotError(ValueError):
     """A snapshot file is missing, malformed, or from another schema."""
-
-
-def slug(name: str) -> str:
-    """``name`` as a filesystem-safe file-name part.
-
-    Derived machine names (``"xeon-mp-quad/l3=512KB"``) carry path
-    separators and ``=``: every character but letters, digits, ``-`` and
-    ``.`` becomes ``_``.  Cache keys, snapshot point keys, report stems
-    and journal names all slug machine names this way, so it must never
-    change: existing caches and journals are found by these names.
-    """
-    return "".join(c if c.isalnum() or c in "-." else "_" for c in name)
 
 
 def point_key(machine: str, warehouses: int, clients: int,
@@ -200,17 +189,18 @@ class SweepSnapshot:
     @classmethod
     def from_points(cls, points: Sequence,
                     source: str = "telemetry-sweep") -> "SweepSnapshot":
-        """Snapshot a live telemetry sweep.
+        """Snapshot a sweep's points through :func:`fold_sweep`.
 
-        ``points`` is what
-        :func:`repro.experiments.parallel.run_sweep` returns
-        (:class:`~repro.experiments.parallel.PointTelemetry`; ``None``
-        entries from skipped points are ignored).
+        ``points`` is what :func:`repro.experiments.parallel.run_sweep`
+        returns (:class:`~repro.experiments.parallel.PointTelemetry`;
+        ``None`` entries from skipped points are ignored), or the
+        :class:`~repro.obs.sweep_report.PointInput` entries the
+        cache-directory and journal reconstructions rebuild.
         """
-        points = [point for point in points if point is not None]
+        fold = fold_sweep(points)
         by_key: dict[str, dict] = {}
         costs: dict[str, dict] = {}
-        for point in points:
+        for point in fold.points:
             result = point.result
             key = point_key(result.machine, result.warehouses,
                             result.clients, result.processors)
@@ -219,33 +209,28 @@ class SweepSnapshot:
                 "warehouses": result.warehouses,
                 "clients": result.clients,
                 "processors": result.processors,
-                "config_key": point.spec.key(),
+                "config_key": point.key,
                 "metrics": point_metrics(result),
             }
             manifest = point.manifest
             if manifest is not None:
                 costs[key] = {"wall_s": manifest.wall_time_s,
                               "cpu_s": manifest.cpu_time_s}
-        aggregates = aggregate_phases(
-            [getattr(point, "trace", None) or {} for point in points])
         flame = []
         timings = {}
-        for agg in sorted(aggregates, key=lambda a: a.name):
+        for agg in sorted(fold.phases, key=lambda a: a.name):
             flame.append({"name": agg.name, "calls": agg.calls})
             timings[agg.name] = {"wall_s": agg.wall_s,
                                  "self_s": agg.self_s,
                                  "cpu_s": agg.cpu_s,
                                  "max_wall_s": agg.max_wall_s}
-        registry = MetricsRegistry()
-        for point in points:
-            if getattr(point, "metrics", None):
-                registry.merge(point.metrics)
+        registry = fold.registry
         counters = {name: value
                     for name, value in sorted(registry.counters.items())
                     if name not in COST_COUNTERS}
-        manifests = [point.manifest for point in points
+        manifests = [point.manifest for point in fold.points
                      if point.manifest is not None]
-        snapshot = cls(
+        return cls(
             points=dict(sorted(by_key.items())),
             flame=flame,
             metrics={"counters": counters,
@@ -255,46 +240,6 @@ class SweepSnapshot:
             annex={"point_costs": dict(sorted(costs.items())),
                    "flame_timings": dict(sorted(timings.items())),
                    "metric_timings": dict(sorted(registry.timings.items()))},
-            source=source,
-        )
-        return snapshot
-
-    @classmethod
-    def from_results(cls, results: Sequence["ConfigResult"],
-                     manifests: Optional[Sequence["RunManifest"]] = None,
-                     source: str = "results") -> "SweepSnapshot":
-        """Snapshot bare results (no traces/metrics — retro path)."""
-        by_key = {}
-        costs = {}
-        kept_manifests = []
-        manifests = list(manifests or [])
-        for result in results:
-            key = point_key(result.machine, result.warehouses,
-                            result.clients, result.processors)
-            by_key[key] = {
-                "machine": result.machine,
-                "warehouses": result.warehouses,
-                "clients": result.clients,
-                "processors": result.processors,
-                "config_key": None,
-                "metrics": point_metrics(result),
-            }
-        for manifest in manifests:
-            key = point_key(manifest.machine, manifest.warehouses,
-                            manifest.clients, manifest.processors)
-            if key in by_key:
-                by_key[key]["config_key"] = manifest.config_key
-                costs[key] = {"wall_s": manifest.wall_time_s,
-                              "cpu_s": manifest.cpu_time_s}
-                kept_manifests.append(manifest)
-        return cls(
-            points=dict(sorted(by_key.items())),
-            flame=[],
-            metrics={"counters": {}, "gauges": {}},
-            provenance=(_provenance_from_manifests(kept_manifests)
-                        if kept_manifests else _empty_provenance()),
-            annex={"point_costs": dict(sorted(costs.items())),
-                   "flame_timings": {}, "metric_timings": {}},
             source=source,
         )
 
@@ -307,30 +252,23 @@ class SweepSnapshot:
         manifests stored beside them, so historical sweeps can be
         snapshotted without re-running anything.
         """
-        from repro.experiments.records import ResultCache
-
         directory = Path(directory)
         if not directory.is_dir():
             raise SnapshotError(f"not a cache directory: {directory}")
         cache = ResultCache(directory)
-        results = []
-        manifests = []
+        points = []
         for path in sorted(directory.glob("*.json")):
             if path.name.endswith(".manifest.json"):
                 continue
             key = path.stem
             result = cache.load(key)
-            if result is None:
-                continue
-            results.append(result)
-            manifest = cache.load_manifest(key)
-            if manifest is not None:
-                manifests.append(manifest)
-        if not results:
+            if result is not None:
+                points.append(PointInput(key, result,
+                                         cache.load_manifest(key)))
+        if not points:
             raise SnapshotError(
                 f"no loadable cached results under {directory}")
-        return cls.from_results(results, manifests,
-                                source=f"cache:{directory.name}")
+        return cls.from_points(points, source=f"cache:{directory.name}")
 
     @classmethod
     def from_journal(cls, path: Path | str) -> "SweepSnapshot":
@@ -351,13 +289,10 @@ class SweepSnapshot:
         if not completed:
             raise SnapshotError(f"journal {path} holds no valid points")
         cache = default_cache()
-        manifests = []
-        for key in completed:
-            manifest = cache.load_manifest(key)
-            if manifest is not None:
-                manifests.append(manifest)
-        return cls.from_results(list(completed.values()), manifests,
-                                source=f"journal:{path.name}")
+        return cls.from_points(
+            [PointInput(key, result, cache.load_manifest(key))
+             for key, result in completed.items()],
+            source=f"journal:{path.name}")
 
     # -- serialization ------------------------------------------------
 

@@ -19,20 +19,26 @@ dashboard rendered by :class:`~repro.experiments.report.RunReport`:
   time;
 - **Metrics totals** — merged counters and timing summaries.
 
+The flame table and the metrics totals come from :func:`fold_sweep`,
+the one fold of a sweep's points, which
+:class:`~repro.obs.snapshot.SweepSnapshot` reads as well.
+
 Everything degrades gracefully: points without traces (cache hits) or
 manifests simply drop out of the sections that need them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
 
 if TYPE_CHECKING:
+    from repro.experiments.records import ConfigResult
     from repro.experiments.report import ReportSection, RunReport
+    from repro.obs.manifest import RunManifest
 
 
 @dataclass
@@ -74,24 +80,51 @@ def aggregate_phases(traces: Iterable[dict]) -> list[PhaseAggregate]:
     return sorted(by_name.values(), key=lambda a: (-a.wall_s, a.name))
 
 
+class PointInput(NamedTuple):
+    """One point as :func:`fold_sweep` reads it.
+
+    A live :class:`~repro.experiments.parallel.PointTelemetry` gives all
+    five; a point rebuilt from a result cache or a sweep journal gives
+    its key, result and manifest, and no trace or metrics.
+    """
+
+    key: str
+    result: "ConfigResult"
+    manifest: Optional["RunManifest"]
+    trace: Optional[dict] = None
+    metrics: Optional[dict] = None
+
+
 @dataclass
-class SweepTelemetry:
-    """The aggregated view of one telemetry sweep."""
+class SweepFold:
+    """A sweep's points folded once: the per-point inputs in input
+    order, the flame table (slowest phase first) and one registry
+    holding every point's metrics."""
 
-    points: Sequence = field(default_factory=list)
+    points: list[PointInput]
+    phases: list[PhaseAggregate]
+    registry: MetricsRegistry
 
-    def merged_metrics(self) -> MetricsRegistry:
-        """All points' metrics folded into one registry."""
-        registry = MetricsRegistry()
-        for point in self.points:
-            if getattr(point, "metrics", None):
-                registry.merge(point.metrics)
-        return registry
 
-    def phase_aggregates(self) -> list[PhaseAggregate]:
-        """The sweep-wide flame table rows (slowest phase first)."""
-        return aggregate_phases(
-            [getattr(point, "trace", None) or {} for point in self.points])
+def fold_sweep(points: Iterable) -> SweepFold:
+    """Fold a sweep's points into one flame table and one registry.
+
+    ``points`` holds what a traced
+    :func:`repro.experiments.parallel.run_sweep` returns
+    (:class:`~repro.experiments.parallel.PointTelemetry`) or
+    :class:`PointInput` entries; ``None`` entries (skipped points) are
+    dropped.
+    """
+    inputs = [point if isinstance(point, PointInput)
+              else PointInput(point.spec.key(), point.result,
+                              point.manifest, point.trace, point.metrics)
+              for point in points if point is not None]
+    registry = MetricsRegistry()
+    for point in inputs:
+        if point.metrics:
+            registry.merge(point.metrics)
+    return SweepFold(inputs, aggregate_phases(point.trace for point in inputs),
+                     registry)
 
 
 def _point_cost(manifest) -> tuple[Optional[float], Optional[float]]:
@@ -149,7 +182,12 @@ def cache_section(points: Sequence) -> "ReportSection":
 
 
 def convergence_section(points: Sequence) -> "ReportSection":
-    """Fixed-point trajectories: per-round TPS/CPI and deltas per point."""
+    """Fixed-point trajectories: per-round TPS/CPI and deltas per point.
+
+    ``points`` are telemetry points (a run report passes its one point);
+    the rows come from each manifest's ``round_deltas``, and points
+    without them are skipped.
+    """
     from repro.experiments.report import ReportSection
 
     rows = []
@@ -167,15 +205,18 @@ def convergence_section(points: Sequence) -> "ReportSection":
                 record.get("round", "-"),
                 f"{record.get('tps', 0.0):.1f}",
                 f"{record.get('cpi', 0.0):.3f}",
+                f"{record.get('user_cpi', 0.0):.3f}",
+                f"{record.get('os_cpi', 0.0):.3f}",
                 f"{tps_delta:+.2f}" if tps_delta is not None else "-",
                 f"{cpi_delta:+.4f}" if cpi_delta is not None else "-",
             ])
             label = ""  # repeat the point label only on its first row
     return ReportSection(
         "Fixed-point convergence",
-        ["point", "round", "TPS", "CPI", "ΔTPS", "ΔCPI"], rows,
-        note="Iterates of the coupled DES ⇄ CPI fixed point; shrinking "
-             "deltas are the convergence the guard enforces.")
+        ["point", "round", "TPS", "CPI", "user CPI", "OS CPI", "ΔTPS",
+         "ΔCPI"], rows,
+        note="Iterates of the coupled DES ⇄ CPI fixed point; the "
+             "shrinking deltas are what the ConvergenceGuard enforces.")
 
 
 def phase_flame_section(aggregates: Sequence[PhaseAggregate]
@@ -277,7 +318,7 @@ def build_sweep_report(points: Sequence,
                      f"W∈{{{grid}}}")
         else:
             title = "Sweep report — (no points)"
-    telemetry = SweepTelemetry(points)
+    fold = fold_sweep(points)
     report = RunReport(title=title)
     if points:
         report.sections.append(summary_section(points))
@@ -285,12 +326,11 @@ def build_sweep_report(points: Sequence,
     convergence = convergence_section(points)
     if convergence.rows:
         report.sections.append(convergence)
-    aggregates = telemetry.phase_aggregates()
-    if aggregates:
-        report.sections.append(phase_flame_section(aggregates))
+    if fold.phases:
+        report.sections.append(phase_flame_section(fold.phases))
     if events:
         report.sections.append(degradation_section(events))
-    registry = telemetry.merged_metrics()
+    registry = fold.registry
     if registry.counters or registry.gauges or registry.timings:
         report.sections.append(metrics_section(registry))
     return report
@@ -298,8 +338,10 @@ def build_sweep_report(points: Sequence,
 
 __all__ = [
     "PhaseAggregate",
-    "SweepTelemetry",
+    "PointInput",
+    "SweepFold",
     "aggregate_phases",
+    "fold_sweep",
     "build_sweep_report",
     "summary_section",
     "cache_section",

@@ -98,8 +98,9 @@ class Span:
         node.start_cpu = float(data.get("start_cpu", 0.0))
         node.end_wall = node.start_wall + float(data.get("duration_s", 0.0))
         node.end_cpu = node.start_cpu + float(data.get("cpu_s", 0.0))
-        node.counters = {str(k): float(v)
-                         for k, v in data.get("counters", {}).items()}
+        # Values keep their type (an int counter stays an int), so a
+        # rebuilt tree renders exactly like the live one.
+        node.counters = dict(data.get("counters", {}))
         node.children = [cls.from_dict(child, parent=node)
                          for child in data.get("children", [])]
         return node

@@ -13,9 +13,3 @@ It provides what the workload layer needs to *block*, *switch*, and
   paths (context switch, I/O submit/complete, ...), the source of the
   OS-space IPX growth in Figure 6.
 """
-
-from repro.osmodel.kernelcost import KernelCosts
-from repro.osmodel.disks import DiskArray, DiskRequest
-from repro.osmodel.scheduler import Scheduler
-
-__all__ = ["KernelCosts", "DiskArray", "DiskRequest", "Scheduler"]

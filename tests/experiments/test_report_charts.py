@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.charts import render_chart
+from repro.experiments.configs import FAST_SETTINGS
+from repro.experiments.parallel import PointTelemetry, RunSpec
 from repro.experiments.records import ConfigResult
 from repro.experiments.report import (
     RunReport,
@@ -163,30 +165,44 @@ class TestRunReportRendering:
         assert all(p.exists() for p in paths)
 
     def test_build_run_report_minimal(self, golden_result):
-        report = build_run_report(golden_result)
+        # An untraced point without a manifest: nothing to time or trace.
+        point = PointTelemetry(
+            spec=RunSpec(50, 2, settings=FAST_SETTINGS),
+            result=golden_result)
+        report = build_run_report(point)
         titles = [s.title for s in report.sections]
-        assert titles == ["Result summary"]
+        assert titles == ["Result summary",
+                          "Counter provenance (xeon-mp-quad)"]
         assert "W=50" in report.title
 
     def test_build_run_report_full(self, golden_result):
         manifest = RunManifest(
             config_key="k", machine="xeon-mp-quad", warehouses=50,
             clients=8, processors=2, seed=1,
-            settings_fingerprint="abc", created_unix=0.0)
+            settings_fingerprint="abc", created_unix=0.0,
+            round_deltas=[{"round": 0, "tps": 90.0, "cpi": 4.5,
+                           "user_cpi": 4.0, "os_cpi": 6.0,
+                           "tps_delta": None, "cpi_delta": None}])
         tracer = Tracer(wall_clock=fixed_clock(), cpu_clock=fixed_clock())
         with tracer.span("run-configuration"):
             with tracer.span("system-des") as node:
                 node.count("transactions", 10)
         plan = FaultPlan.from_dict({"seed": 3,
                                     "aborts": {"probability": 0.05}})
-        report = build_run_report(
-            golden_result, manifest=manifest, tracer=tracer,
-            provenance=emon_provenance(golden_result), faults=plan)
+        point = PointTelemetry(
+            spec=RunSpec(50, 2, settings=FAST_SETTINGS, faults=plan),
+            result=golden_result, manifest=manifest,
+            trace=tracer.to_dict())
+        report = build_run_report(point)
         titles = [s.title for s in report.sections]
-        assert titles[0] == "Run manifest"
-        assert "Phase timings" in titles
-        assert any(t.startswith("Counter provenance") for t in titles)
-        assert "Fault / retry timeline" in titles
+        assert titles == ["Run manifest", "Result summary",
+                          "Fixed-point convergence", "Phase timings",
+                          "Counter provenance (xeon-mp-quad)",
+                          "Fault / retry timeline"]
+        phases = report.sections[3]
+        assert [row[0] for row in phases.rows] == ["run-configuration",
+                                                   "· system-des"]
+        assert phases.rows[1][5] == "transactions=10.0"
 
 
 class TestPhaseSection:

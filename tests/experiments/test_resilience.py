@@ -151,7 +151,7 @@ class TestSweepJournal:
         uninterrupted = serial_results(grid, 1, clients=2)
 
         calls = {"n": 0}
-        original = parallel_module.run_configuration
+        original = parallel_module.run_with_manifest
 
         def killed_mid_grid(*args, **kwargs):
             calls["n"] += 1
@@ -160,11 +160,11 @@ class TestSweepJournal:
             return original(*args, **kwargs)
 
         journal = SweepJournal(tmp_path / "sweep.jsonl")
-        monkeypatch.setattr(parallel_module, "run_configuration",
+        monkeypatch.setattr(parallel_module, "run_with_manifest",
                             killed_mid_grid)
         with pytest.raises(KeyboardInterrupt):
             sweep(journal)
-        monkeypatch.setattr(parallel_module, "run_configuration", original)
+        monkeypatch.setattr(parallel_module, "run_with_manifest", original)
 
         # Two points survived the kill; resume recomputes only the third.
         assert len(journal.load()) == 2

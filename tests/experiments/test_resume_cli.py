@@ -221,3 +221,28 @@ class TestJournalOwnershipCli:
         assert code == 0
         assert not journal.lock_path.exists()  # broken, then released
         assert len(journal_lines(journal.path)) == 1
+
+
+class TestDefaultJournalName:
+    """``--resume`` finds a sweep's journal under one name per sweep."""
+
+    @staticmethod
+    def journal_name(*extra):
+        from repro.cli import _journal_path, _workload, build_parser
+
+        args = build_parser().parse_args(
+            ["sweep", "-p", "1", "--grid", "10,25", "--fast", "--resume",
+             *extra])
+        return _journal_path(args, None, _workload(args)).name
+
+    def test_default_workload_adds_nothing_to_the_name(self):
+        assert self.journal_name() == "xeon-mp-quad-p1-5a2454887bd6.jsonl"
+        assert (self.journal_name("--workload", "odb-standard")
+                == "xeon-mp-quad-p1-5a2454887bd6.jsonl")
+
+    def test_other_workloads_are_suffixed(self):
+        from repro.workload import workload_by_name
+
+        fingerprint = workload_by_name("banking").fingerprint()
+        assert (self.journal_name("--workload", "banking")
+                == f"xeon-mp-quad-p1-5a2454887bd6-wl{fingerprint}.jsonl")

@@ -6,11 +6,7 @@ import pytest
 
 from repro.experiments.configs import FAST_SETTINGS
 from repro.experiments.records import ResultCache
-from repro.experiments.runner import (
-    last_manifest,
-    run_configuration,
-    settings_fingerprint,
-)
+from repro.experiments.runner import run_with_manifest, settings_fingerprint
 from repro.obs.manifest import MANIFEST_VERSION, RunManifest, git_revision
 
 
@@ -86,9 +82,8 @@ class TestGitRevision:
 class TestRunnerIntegration:
     def test_manifest_persisted_beside_cache_entry(self, tmp_path):
         cache = ResultCache(tmp_path)
-        result = run_configuration(10, 1, settings=FAST_SETTINGS,
-                                   use_cache=True, cache=cache)
-        manifest = last_manifest()
+        result, manifest = run_with_manifest(10, 1, settings=FAST_SETTINGS,
+                                             use_cache=True, cache=cache)
         assert manifest is not None
         key = cache.key_for(result.machine, result.warehouses,
                             result.clients, result.processors,
@@ -105,19 +100,18 @@ class TestRunnerIntegration:
 
     def test_cache_hit_reloads_stored_manifest(self, tmp_path):
         cache = ResultCache(tmp_path)
-        run_configuration(10, 1, settings=FAST_SETTINGS,
-                          use_cache=True, cache=cache)
-        stored = last_manifest()
-        run_configuration(10, 1, settings=FAST_SETTINGS,
-                          use_cache=True, cache=cache)
-        assert last_manifest() == stored
+        _result, stored = run_with_manifest(10, 1, settings=FAST_SETTINGS,
+                                            use_cache=True, cache=cache)
+        _result, reloaded = run_with_manifest(10, 1, settings=FAST_SETTINGS,
+                                              use_cache=True, cache=cache)
+        assert reloaded == stored
 
     def test_manifest_never_blocks_a_run(self, tmp_path):
         # A cache with manifests disabled (enabled=False) still runs.
         cache = ResultCache(tmp_path)
         cache.enabled = False
-        result = run_configuration(10, 1, settings=FAST_SETTINGS,
-                                   use_cache=False, cache=cache)
+        result, manifest = run_with_manifest(10, 1, settings=FAST_SETTINGS,
+                                             use_cache=False, cache=cache)
         assert result.system.tps > 0
-        assert last_manifest() is not None
+        assert manifest is not None
 

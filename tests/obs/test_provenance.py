@@ -8,12 +8,7 @@ import pytest
 from repro.emon.events import EVENT_TABLE, emon_sources, event_by_alias
 from repro.experiments.records import ConfigResult
 from repro.hw.machine import XEON_MP_QUAD
-from repro.obs.provenance import (
-    PROVENANCE_VERSION,
-    CounterProvenance,
-    EmonProvenance,
-    emon_provenance,
-)
+from repro.obs.provenance import EmonProvenance, emon_provenance
 
 GOLDEN = (Path(__file__).resolve().parents[1]
           / "experiments" / "golden" / "config_w50_p2_fast.json")
@@ -95,23 +90,6 @@ class TestProvenanceRecords:
 
 
 class TestSerialization:
-    def test_dict_round_trip(self, provenance):
-        rebuilt = EmonProvenance.from_dict(provenance.to_dict())
-        assert rebuilt == provenance
-
-    def test_version_mismatch_rejected(self, provenance):
-        data = provenance.to_dict()
-        data["provenance_version"] = PROVENANCE_VERSION + 1
-        with pytest.raises(ValueError, match="version"):
-            EmonProvenance.from_dict(data)
-
-    def test_counter_record_round_trip(self):
-        record = CounterProvenance(
-            metric="m", value=1.5, unit="u", formula="f",
-            events=("l3_miss",), emon_names=("A", "B"),
-            stall_cost_cycles=None)
-        assert CounterProvenance.from_dict(record.to_dict()) == record
-
     def test_rows_shape(self, provenance):
         rows = provenance.rows()
         assert len(rows) == len(provenance.records)

@@ -13,10 +13,11 @@ from repro.experiments.configs import FAST_SETTINGS
 from repro.obs.manifest import RunManifest
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sweep_report import (
-    SweepTelemetry,
+    PointInput,
     aggregate_phases,
     build_sweep_report,
     convergence_section,
+    fold_sweep,
     phase_flame_section,
 )
 from repro.obs.tracing import Tracer
@@ -110,9 +111,9 @@ class TestAggregatePhases:
 
 class TestSweepTelemetry:
     def test_merged_metrics_sum_across_points(self):
-        telemetry = SweepTelemetry([fake_point(10), fake_point(25),
-                                    fake_point(50, cache_hit=True)])
-        registry = telemetry.merged_metrics()
+        fold = fold_sweep([fake_point(10), fake_point(25),
+                           fake_point(50, cache_hit=True)])
+        registry = fold.registry
         assert registry.counters["cache.misses"] == 2.0
         assert registry.counters["cache.hits"] == 1.0
         assert registry.counters["runner.rounds"] == 6.0
@@ -122,6 +123,19 @@ class TestSweepTelemetry:
         assert fake_point(10).cache_hit is False
         assert fake_point(10, cache_hit=True).cache_hit is True
 
+    def test_live_and_rebuilt_points_fold_alike(self):
+        live = fake_point(10)
+        fold = fold_sweep([None, live,
+                           PointInput("k25", fake_result(25), None)])
+        assert fold.points[0] == PointInput(
+            live.spec.key(), live.result, live.manifest, live.trace,
+            live.metrics)
+        assert fold.points[1].key == "k25"
+        # Only the live point carries a trace and metrics.
+        assert {agg.name: agg.calls for agg in fold.phases} == {
+            "run": 1, "des": 1, "cpi-model": 1}
+        assert fold.registry.counters["runner.rounds"] == 2.0
+
 
 class TestSections:
     def test_convergence_rows_one_label_per_point(self):
@@ -129,8 +143,10 @@ class TestSections:
         assert len(section.rows) == 4  # 2 points x 2 rounds
         labels = [row[0] for row in section.rows]
         assert labels == ["W=10 P=1", "", "W=25 P=1", ""]
-        assert section.rows[0][4] == "-"  # round 0 has no delta
-        assert section.rows[1][4] == "+10.00"
+        assert section.headers == ["point", "round", "TPS", "CPI",
+                                   "user CPI", "OS CPI", "ΔTPS", "ΔCPI"]
+        assert section.rows[0][6] == "-"  # round 0 has no delta
+        assert section.rows[1][6] == "+10.00"
 
     def test_phase_flame_self_shares_sum_to_one(self):
         aggregates = aggregate_phases([fake_trace()])

@@ -19,8 +19,8 @@ import pytest
 from repro.experiments.configs import FAST_SETTINGS
 from repro.experiments.runner import (
     configuration_key,
-    last_manifest,
     run_configuration,
+    run_with_manifest,
 )
 from repro.hw.machine import XEON_MP_QUAD
 from repro.workload import compile_workload, workload_by_name
@@ -59,9 +59,9 @@ def test_non_standard_workloads_get_distinct_keys():
 def test_manifest_records_workload_provenance(tmp_path):
     from repro.experiments.records import ResultCache
     spec = workload_by_name("banking")
-    run_configuration(10, 1, settings=FAST_SETTINGS,
-                      cache=ResultCache(tmp_path), workload=spec)
-    manifest = last_manifest()
+    _result, manifest = run_with_manifest(10, 1, settings=FAST_SETTINGS,
+                                          cache=ResultCache(tmp_path),
+                                          workload=spec)
     assert manifest is not None
     assert manifest.workload == "banking"
     assert manifest.workload_fingerprint == spec.fingerprint()
@@ -69,9 +69,8 @@ def test_manifest_records_workload_provenance(tmp_path):
 
 def test_default_manifest_names_the_standard_workload(tmp_path):
     from repro.experiments.records import ResultCache
-    run_configuration(10, 1, settings=FAST_SETTINGS,
-                      cache=ResultCache(tmp_path))
-    manifest = last_manifest()
+    _result, manifest = run_with_manifest(10, 1, settings=FAST_SETTINGS,
+                                          cache=ResultCache(tmp_path))
     assert manifest.workload == "odb-standard"
     assert manifest.workload_fingerprint == "ff052819f089"
 
