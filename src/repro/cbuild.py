@@ -3,9 +3,10 @@
 The cache-walk kernel (:mod:`repro.hw.cwalk`, cffi API mode) and the
 event kernel (:mod:`repro.sim.engine`, a CPython extension) are each
 compiled on first import into their package's ``__pycache__``, named by
-a digest of their C sources and the interpreter's ABI tag, so an edit
-or a different interpreter builds afresh and a cached import is one
-``dlopen``.  A build runs in a temp directory beside the target and
+a digest of their C sources, their compiler flags and the interpreter's
+ABI tag, so an edit, a flag change or a different interpreter builds
+afresh and a cached import is one ``dlopen``.  Both kernels build with
+:data:`FLAGS`.  A build runs in a temp directory beside the target and
 lands with ``os.replace``, so processes importing at once each see
 either no file or a whole one.  A process that lands a build removes
 this interpreter's other builds of the same kernel (older digests);
@@ -30,12 +31,19 @@ from typing import Callable, Iterable, Optional
 SUFFIX = importlib.machinery.EXTENSION_SUFFIXES[0]
 #: Hex digits of the source digest that end a build's name.
 _DIGEST_CHARS = 16
+#: The compiler flags of both kernels.  Floating-point contraction is
+#: off: a target with fused multiply-add could otherwise fuse a kernel's
+#: ``a + b * c``, which CPython, whose draws the samplers reproduce bit
+#: for bit, never does.
+FLAGS = ("-O2", "-ffp-contract=off")
 
 
 def build_name(prefix: str, sources: Iterable[Path]) -> str:
-    """``prefix`` plus a digest of ``sources`` and the interpreter ABI."""
+    """``prefix`` plus a digest of ``sources``, the compiler
+    :data:`FLAGS` and the interpreter ABI."""
     digest = hashlib.sha256()
     for part in [Path(source).read_bytes() for source in sources] + [
+            flag.encode() for flag in FLAGS] + [
             SUFFIX.encode(), sys.implementation.cache_tag.encode()]:
         digest.update(part)
         digest.update(b"\0")

@@ -544,9 +544,12 @@ def cmd_diff(args) -> int:
             raise SystemExit("repro diff needs <baseline> <candidate> — "
                              "each a snapshot file, sweep journal, or "
                              "cache directory — or two --workload flags")
+        # A journal's manifests come from the cache its sweep wrote:
+        # the one the CLI's sweeps write under this environment.
+        cache_dir = default_cache().directory
         try:
-            baseline = resolve_snapshot(args.baseline)
-            candidate = resolve_snapshot(args.candidate)
+            baseline = resolve_snapshot(args.baseline, cache_dir)
+            candidate = resolve_snapshot(args.candidate, cache_dir)
         except SnapshotError as error:
             raise SystemExit(str(error))
     diff = diff_snapshots(baseline, candidate, policy=policy)

@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.hw.cwalk import ffi, lib
-from repro.hw.sampling import Mersenne
 
 
 class BufferCache:
@@ -79,23 +78,22 @@ class BufferCache:
         if lib.lru_replay(self.c, codes, len(codes)) < 0:
             raise MemoryError("cannot grow the buffer cache")
 
-    def fill(self, rows, stride: int, rng) -> None:
+    def fill(self, rows, stride: int, mt) -> None:
         """Fill the empty cache in one kernel call: each ``(base,
         copies, dirty_prob)`` of ``rows`` in order installs ``copies``
         units ``stride`` apart from ``base``, each dirty when its
-        ``rng.random()`` draw falls below ``dirty_prob``; the draws come
-        from ``rng``'s stream through the kernel's Mersenne Twister.
-        The units must be distinct and fit; the counters end zeroed.
+        ``random()`` draw from the kernel stream ``mt`` falls below
+        ``dirty_prob``.  The units must be distinct and fit; the
+        counters end zeroed.
         """
         if self.c.used:
             raise ValueError("fill needs an empty cache")
         bases, copies, dirty_probs = zip(*rows) if rows else ((), (), ())
         if sum(copies) > self.capacity_units:
             raise ValueError("fill exceeds the cache capacity")
-        with Mersenne().borrowed(rng) as mt:
-            if lib.lru_fill(self.c, mt.c, bases, copies, dirty_probs,
-                            len(bases), stride) < 0:
-                raise MemoryError("cannot grow the buffer cache")
+        if lib.lru_fill(self.c, mt, bases, copies, dirty_probs, len(bases),
+                        stride) < 0:
+            raise MemoryError("cannot grow the buffer cache")
 
     def clean(self, block_id: int) -> bool:
         """Mark a block clean (the database writer finished its write)."""

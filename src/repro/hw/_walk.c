@@ -18,6 +18,7 @@
  * and oversized values before they get here.
  */
 
+#include <math.h>
 #include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -438,11 +439,11 @@ void walk_branch(hier_t *h, const uint64_t *run, size_t n, int kernel)
 
 /* -- exact sampling ---------------------------------------------------- */
 
-/* CPython's MT19937 and its conversions (Modules/_randommodule.c and
- * Lib/random.py), so a stream handed over through Random.getstate()
- * and back through setstate() draws exactly the numbers, in exactly
- * the order, that the Python calls named beside each sampler below
- * would have. */
+/* CPython's MT19937, its seeding and its conversions
+ * (Modules/_randommodule.c and Lib/random.py), so a stream seeded here
+ * draws exactly the numbers, in exactly the order, that the Python
+ * calls named beside each sampler below would draw from a
+ * random.Random given the same seed. */
 
 #define MT_N 624
 #define MT_M 397
@@ -517,6 +518,44 @@ static inline size_t bisect(const double *cdf, size_t n, double x)
     return lo;
 }
 
+/* random.Random(seed) for 0 <= seed < 2**64: init_genrand(19650218),
+ * then init_by_array over the seed's little-endian 32-bit words (one
+ * word below 2**32, zero included).  The read index ends at 624, so
+ * the first draw regenerates, as after Random.seed. */
+void mt_seed(mt_t *mt, uint64_t seed)
+{
+    uint32_t *s = mt->state;
+    const uint32_t key[2] = {(uint32_t)seed, (uint32_t)(seed >> 32)};
+    const uint32_t length = seed >> 32 ? 2 : 1;
+    uint32_t i, j = 0, k;
+    s[0] = 19650218U;
+    for (i = 1; i < MT_N; i++)
+        s[i] = 1812433253U * (s[i - 1] ^ (s[i - 1] >> 30)) + i;
+    i = 1;
+    for (k = MT_N; k; k--) {
+        s[i] = (s[i] ^ ((s[i - 1] ^ (s[i - 1] >> 30)) * 1664525U))
+               + key[j] + j;
+        i++;
+        j++;
+        if (i >= MT_N) {
+            s[0] = s[MT_N - 1];
+            i = 1;
+        }
+        if (j >= length)
+            j = 0;
+    }
+    for (k = MT_N - 1; k; k--) {
+        s[i] = (s[i] ^ ((s[i - 1] ^ (s[i - 1] >> 30)) * 1566083941U)) - i;
+        i++;
+        if (i >= MT_N) {
+            s[0] = s[MT_N - 1];
+            i = 1;
+        }
+    }
+    s[0] = 0x80000000U;
+    mt->index = MT_N;
+}
+
 double mt_random(mt_t *mt)
 {
     return rand_u(mt);
@@ -530,6 +569,23 @@ uint32_t mt_getrandbits(mt_t *mt, int k)
 uint32_t mt_randbelow(mt_t *mt, uint32_t n)
 {
     return n ? rand_below(mt, n) : 0;
+}
+
+/* random.lognormvariate(mu, sigma): exp of normalvariate's
+ * Kinderman-Monahan rejection draw, term for term in its order (the
+ * build turns off floating-point contraction, so no step fuses).
+ * `magic` is random.NV_MAGICCONST, passed in rather than recomputed. */
+double mt_lognormal(mt_t *mt, double mu, double sigma, double magic)
+{
+    double z;
+    for (;;) {
+        double u1 = rand_u(mt);
+        double u2 = 1.0 - rand_u(mt);
+        z = magic * (u1 - 0.5) / u2;
+        if (z * z / 4.0 <= -log(u2))
+            break;
+    }
+    return exp(mu + z * sigma);
 }
 
 /* Knuth's Poisson count against threshold = exp(-mean); a threshold
@@ -548,33 +604,41 @@ uint32_t mt_poisson(mt_t *mt, double threshold)
     return count;
 }
 
-/* -- prewarm plans ----------------------------------------------------- */
+/* -- transaction plans ------------------------------------------------ */
 
-/* `plans` transactions of repro.odb.transactions.plan_transaction, each
- * type drawn by TransactionMix.pick over `mix_cdf`: type t owns the
- * touch specs [first[t], first[t + 1]).  Every touch is packed as
+/* `plans` transactions of one stationary mix, as the DES and the
+ * prewarm draw them: the type by TransactionMix's weighted pick over
+ * `mix_cdf` (type t owns the touch specs [first[t], first[t + 1])),
+ * the home warehouse, the district (drawn and dropped: the lock keys
+ * are per warehouse), then per touch an optional remote warehouse, the
+ * unit and the write bit.  Every touch is packed as
  * (block_id << 1) | write into `out`, which holds the largest possible
- * total; the return value is the number written.  The district is drawn
- * and dropped, as the prewarm replay never locks. */
-size_t sample_plans(mt_t *mt, const double *mix_cdf, uint32_t types,
-                    const uint32_t *first, const touch_t *touches,
-                    uint32_t warehouses, double remote_prob,
-                    uint32_t plans, uint64_t *out)
+ * total; the return value is the number written.  With `picks`, plan p
+ * also reports its type in picks[2p] and its warehouse in
+ * picks[2p + 1]. */
+size_t sample_plans(mt_t *mt, const plans_t *table, uint32_t plans,
+                    uint64_t *out, uint32_t *picks)
 {
     size_t n = 0;
-    int multi = warehouses > 1;
+    const uint32_t types = table->types, warehouses = table->warehouses;
+    const int multi = warehouses > 1;
     for (uint32_t p = 0; p < plans; ++p) {
-        size_t type = bisect(mix_cdf, types, rand_u(mt));
+        size_t type = bisect(table->mix_cdf, types, rand_u(mt));
         uint32_t warehouse;
         if (type >= types)
             type = types - 1;
         warehouse = rand_below(mt, warehouses);
         rand_below(mt, 10);  /* district */
-        for (uint32_t t = first[type]; t < first[type + 1]; ++t) {
-            const touch_t *spec = touches + t;
+        if (picks) {
+            picks[2 * p] = (uint32_t)type;
+            picks[2 * p + 1] = warehouse;
+        }
+        for (uint32_t t = table->first[type]; t < table->first[type + 1];
+             ++t) {
+            const touch_t *spec = table->touches + t;
             for (uint32_t c = 0; c < spec->count; ++c) {
                 uint64_t target = warehouse, index, block;
-                if (multi && rand_u(mt) < remote_prob)
+                if (multi && rand_u(mt) < table->remote_prob)
                     target = rand_below(mt, warehouses);
                 index = bisect(spec->cdf, spec->cdf_len, rand_u(mt));
                 if (spec->modulus)
@@ -608,12 +672,12 @@ size_t sample_plans(mt_t *mt, const double *mix_cdf, uint32_t types,
 
 static inline uint64_t pick_line(gen_t *g, int which)
 {
-    return bisect(g->cdf[which], g->cdf_len[which], rand_u(&g->mt));
+    return bisect(g->cdf[which], g->cdf_len[which], rand_u(g->mt));
 }
 
 static inline uint64_t write_bit(gen_t *g, double prob)
 {
-    return rand_u(&g->mt) < prob ? 2 : 0;
+    return rand_u(g->mt) < prob ? 2 : 0;
 }
 
 /* A user data segment of `n` packed references
@@ -622,7 +686,7 @@ static inline uint64_t write_bit(gen_t *g, double prob)
 void gen_user_data(gen_t *g, uint64_t private_base, uint64_t *run,
                    size_t n)
 {
-    mt_t *mt = &g->mt;
+    mt_t *mt = g->mt;
     for (size_t k = 0; k < n; ++k) {
         double u;
         uint64_t address;
@@ -686,7 +750,7 @@ void gen_branches(gen_t *g, uint64_t *run, size_t n)
         double taken_prob = bucket < 12 ? 0.97
                             : bucket < 15 ? 0.03
                             : bucket < 19 ? 0.88 : 0.55;
-        run[k] = (site << 1) | (rand_u(&g->mt) < taken_prob);
+        run[k] = (site << 1) | (rand_u(g->mt) < taken_prob);
     }
 }
 
@@ -710,7 +774,7 @@ size_t gen_kernel_data(gen_t *g, size_t refs, size_t slab_refs,
         uint64_t base = KERNEL_TASK_BASE
                         + (uint64_t)task_client * g->task_lines_per_client * LINE;
         for (uint32_t k = 0; k < g->task_refs_per_cs; ++k) {
-            uint64_t offset = rand_below(&g->mt, g->task_lines_per_client);
+            uint64_t offset = rand_below(g->mt, g->task_lines_per_client);
             run[n++] = ((base + offset * LINE) << 2) | write_bit(g, 0.4);
         }
     }
@@ -749,7 +813,7 @@ static inline void context_switch(hier_t *h)
  * cannot grow. */
 int trace_transaction(gen_t *g, uint32_t cpu, uint32_t client)
 {
-    mt_t *mt = &g->mt;
+    mt_t *mt = g->mt;
     hier_t *h = g->cpus[cpu];
     uint64_t *buffer = g->buffer;
     uint64_t private_base = PRIVATE_BASE

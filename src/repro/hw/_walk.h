@@ -92,16 +92,18 @@ void walk_branch(hier_t *h, const uint64_t *run, size_t n, int kernel);
 /* -- exact sampling ---------------------------------------------------- */
 
 /* CPython's Mersenne Twister: the 624 state words and the read index,
- * exactly the 625 integers of random.Random.getstate()[1]. */
+ * exactly the 625 integers of a random.Random's internal state. */
 typedef struct {
     uint32_t state[624];
     uint32_t index;
 } mt_t;
 
+void mt_seed(mt_t *mt, uint64_t seed);
 double mt_random(mt_t *mt);
 uint32_t mt_getrandbits(mt_t *mt, int k);
 uint32_t mt_randbelow(mt_t *mt, uint32_t n);
 uint32_t mt_poisson(mt_t *mt, double threshold);
+double mt_lognormal(mt_t *mt, double mu, double sigma, double magic);
 
 /* One touch spec of a transaction type, resolved against the block
  * space (repro.odb.transactions._SegmentSampler): the unit index is
@@ -115,10 +117,19 @@ typedef struct {
     double write_prob;
 } touch_t;
 
-size_t sample_plans(mt_t *mt, const double *mix_cdf, uint32_t types,
-                    const uint32_t *first, const touch_t *touches,
-                    uint32_t warehouses, double remote_prob,
-                    uint32_t plans, uint64_t *out);
+/* The plan tables of one stationary mix over `warehouses` warehouses:
+ * the mix's cumulative weights, and type t's touch specs
+ * touches[first[t]] .. touches[first[t + 1] - 1]. */
+typedef struct {
+    const double *mix_cdf;
+    const uint32_t *first;
+    const touch_t *touches;
+    uint32_t types, warehouses;
+    double remote_prob;
+} plans_t;
+
+size_t sample_plans(mt_t *mt, const plans_t *table, uint32_t plans,
+                    uint64_t *out, uint32_t *picks);
 
 /* Zipf CDFs of the trace stream, in gen_t.cdf order. */
 enum {
@@ -126,11 +137,12 @@ enum {
     CDF_KERNEL_CODE, CDF_HOT_BLOCK
 };
 
-/* The synthetic reference stream (repro.hw.trace): its sampler, and
- * the transaction loop that walks it through `cpus`, one run at a time
- * in `buffer`.  The thresholds are mt_poisson's. */
+/* The synthetic reference stream (repro.hw.trace): its sampler, which
+ * draws from the kernel stream `mt`, and the transaction loop that
+ * walks it through `cpus`, one run at a time in `buffer`.  The
+ * thresholds are mt_poisson's. */
 typedef struct {
-    mt_t mt;
+    mt_t *mt;
     const double *cdf[7];
     uint32_t cdf_len[7];
     double p_hot, p_hot_warm, p_hot_warm_block;

@@ -23,7 +23,8 @@ _SUFFIX = cbuild.SUFFIX
 
 
 def module_name() -> str:
-    """Extension name: a digest of the C sources and the interpreter ABI."""
+    """Extension name: a digest of the C sources, the compiler flags and
+    the interpreter ABI."""
     return cbuild.build_name("_repro_walk_", (_HEADER, _SOURCE))
 
 
@@ -33,8 +34,8 @@ def _build(name: str, scratch: Path) -> str:
     builder = cffi.FFI()
     builder.cdef(_HEADER.read_text())
     builder.set_source(name, '#include "_walk.c"',
-                       include_dirs=[str(_HERE)],
-                       extra_compile_args=["-O2"])
+                       include_dirs=[str(_HERE)], libraries=["m"],
+                       extra_compile_args=list(cbuild.FLAGS))
     return builder.compile(tmpdir=str(scratch))
 
 

@@ -1,30 +1,32 @@
-"""Exact compiled sampling: a ``random.Random`` stream drawn in C.
+"""Exact compiled sampling: ``random.Random`` streams drawn in C.
 
-The walk kernel (``_walk.c``) carries CPython's MT19937 and the
-conversions of ``random.Random``: ``random()``, ``getrandbits(k)`` for
-``k <= 32`` and ``randrange(n)`` for ``n < 2**32``.  A sampler in the
-kernel therefore draws exactly the numbers, in exactly the order, of
-the Python calls it stands for.  A :class:`Mersenne` borrows a
-``Random``'s stream for one batch: :meth:`Mersenne.load` copies the
-state in through ``getstate()``, :meth:`Mersenne.store` hands it back
-through ``setstate()``, and in between only the compiled state draws
-(DESIGN.md §11, "Compiled sampling").
+The walk kernel (``_walk.c``) carries CPython's MT19937, its seeding
+and the conversions of ``random.Random``: ``random()``,
+``getrandbits(k)`` for ``k <= 32``, ``randrange(n)`` for ``n < 2**32``
+and ``lognormvariate``.  A sampler in the kernel therefore draws exactly
+the numbers, in exactly the order, of the Python calls it stands for.
+A stream the kernel alone draws from lives in the kernel from its seed
+on: :func:`seeded` makes an ``mt_t`` in the state ``random.Random(seed)``
+starts in, and only compiled code draws from it (DESIGN.md §11,
+"Compiled sampling").  :meth:`repro.sim.randomness.RandomStreams.kernel_stream`
+seeds the program's named ones.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from functools import lru_cache
-from random import Random
+from functools import lru_cache, partial
+from random import NV_MAGICCONST
+from typing import Callable
 
-from repro.hw.cwalk import ffi
+from repro.hw.cwalk import ffi, lib
 from repro.sim.randomness import zipf_cdf
 
-_WORDS = 624
 #: Exclusive bound of the ``randrange`` arguments the kernel takes: a
 #: draw must fit one 32-bit word.
 RANDBELOW_LIMIT = 1 << 32
+#: Exclusive bound of the seeds :func:`seeded` takes.
+SEED_LIMIT = 1 << 64
 
 
 def poisson_threshold(mean: float) -> float:
@@ -49,35 +51,29 @@ def zipf_array(n: int, skew: float):
     return ffi.new("double[]", zipf_cdf(n, skew))
 
 
-class Mersenne:
-    """CPython's MT19937 state in the kernel (an ``mt_t``).
+def seeded(seed: int):
+    """A kernel stream (an ``mt_t *``) in the state of
+    ``random.Random(seed)``, for ``0 <= seed < 2**64``."""
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must be in 0..2**64-1, got {seed}")
+    mt = ffi.new("mt_t *")
+    lib.mt_seed(mt, seed)
+    return mt
 
-    ``state`` is an existing ``mt_t *`` to wrap, such as the one inside
-    the trace generator's ``gen_t``; by default a fresh one is made.
-    """
 
-    def __init__(self, state=None):
-        self.c = ffi.new("mt_t *") if state is None else state
-        self._header = None
-
-    def load(self, rng: Random) -> None:
-        """Take over ``rng``'s stream position."""
-        version, internal, gauss_next = rng.getstate()
-        self.c.state = internal[:_WORDS]
-        self.c.index = internal[_WORDS]
-        self._header = (version, gauss_next)
-
-    def store(self, rng: Random) -> None:
-        """Hand the stream position back to the ``rng`` it was loaded from."""
-        version, gauss_next = self._header
-        rng.setstate((version, (*ffi.unpack(self.c.state, _WORDS),
-                                self.c.index), gauss_next))
-
-    @contextmanager
-    def borrowed(self, rng: Random):
-        """Draw from ``rng``'s stream in the kernel for one batch."""
-        self.load(rng)
-        try:
-            yield self
-        finally:
-            self.store(rng)
+def lognormal(mt, mean: float, cv: float) -> Callable[[], float]:
+    """A zero-argument sampler of lognormal variates with arithmetic
+    mean ``mean`` and coefficient of variation ``cv``, drawn from the
+    kernel stream ``mt`` as ``Random.lognormvariate`` draws them; the
+    lognormal's parameters are solved once.  ``cv == 0`` draws
+    nothing."""
+    if mean <= 0:
+        raise ValueError("lognormal mean must be > 0")
+    if cv < 0:
+        raise ValueError("coefficient of variation must be >= 0")
+    if cv == 0:
+        return lambda: mean
+    sigma2 = math.log(1.0 + cv * cv)
+    mu = math.log(mean) - sigma2 / 2.0
+    return partial(lib.mt_lognormal, mt, mu, math.sqrt(sigma2),
+                   NV_MAGICCONST)

@@ -44,7 +44,6 @@ from repro.hw.hierarchy import HierarchyCounts, SmpHierarchy
 from repro.hw.machine import MachineConfig
 from repro.hw.sampling import (
     RANDBELOW_LIMIT,
-    Mersenne,
     check_bound,
     poisson_threshold,
     zipf_array,
@@ -184,12 +183,10 @@ class TraceGenerator:
     """Drives an :class:`SmpHierarchy` with the synthetic stream.
 
     The stream is sampled and walked in the walk kernel (DESIGN.md §11,
-    "Compiled sampling"): a ``gen_t`` holds the ``trace`` stream's
-    Mersenne Twister state, the Zipf CDFs, the stream parameters and
-    the CPUs' kernel state of :attr:`smp`, and its transaction loop
-    fills each segment into a buffer and walks it there.  The
-    ``Random`` stream is handed to the kernel and back once per
-    :meth:`run` or :meth:`run_transaction` call.
+    "Compiled sampling"): a ``gen_t`` points at the kernel stream
+    ``trace``, the Zipf CDFs and the CPUs' kernel state of :attr:`smp`,
+    and holds the stream parameters; its transaction loop fills each
+    segment into a buffer and walks it there.
     """
 
     def __init__(self, machine: MachineConfig, profile: TraceProfile,
@@ -210,7 +207,8 @@ class TraceGenerator:
             check_bound(name, bound)
         self._smp = SmpHierarchy(machine, profile.processors,
                                  scale=params.micro_scale)
-        self._rng = streams.stream("trace")
+        #: The kernel stream every draw of the trace comes from.
+        self._mt = streams.kernel_stream("trace")
         shapes = ((p.hot_lines, p.hot_skew), (p.warm_lines, p.warm_skew),
                   (p.private_lines, 0.4),
                   (p.kernel_data_lines, p.kernel_skew),
@@ -229,6 +227,7 @@ class TraceGenerator:
             p.os_refs_per_cs + p.os_task_refs_per_cs, p.os_sync_refs_per_cs))
         p_hot_warm = p.p_hot + p.p_warm
         self._gen = ffi.new("gen_t *", {
+            "mt": self._mt,
             "cdf": self._cdfs,
             "cdf_len": [n for n, _ in shapes],
             "p_hot": p.p_hot,
@@ -266,7 +265,6 @@ class TraceGenerator:
             "sync_lines": p.os_sync_lines,
             "sync_refs_per_cs": p.os_sync_refs_per_cs,
         })
-        self._mt = Mersenne(ffi.addressof(self._gen, "mt"))
 
     @property
     def smp(self) -> SmpHierarchy:
@@ -291,8 +289,7 @@ class TraceGenerator:
                 f"cpu {cpu} out of range (P={self.profile.processors})")
         if not 0 <= client < RANDBELOW_LIMIT:
             raise ValueError(f"client must be in 0..2**32-1, got {client}")
-        with self._mt.borrowed(self._rng):
-            _grown(lib.trace_transaction(self._gen, cpu, client))
+        _grown(lib.trace_transaction(self._gen, cpu, client))
 
     def run(self, transactions: int, warmup: int = 0) -> MicroarchRates:
         """Run ``transactions`` transactions round-robin over clients.
@@ -303,10 +300,9 @@ class TraceGenerator:
         (Section 5.2).  ``warmup`` transactions run first and their
         counts are discarded, mirroring the paper's 20-minute warm-up.
         """
-        with self._mt.borrowed(self._rng):
-            _grown(lib.trace_run(self._gen, max(0, warmup)))
-            self._reset_counts()
-            _grown(lib.trace_run(self._gen, max(0, transactions)))
+        _grown(lib.trace_run(self._gen, max(0, warmup)))
+        self._reset_counts()
+        _grown(lib.trace_run(self._gen, max(0, transactions)))
         return self.rates()
 
     def _reset_counts(self) -> None:

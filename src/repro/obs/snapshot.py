@@ -271,15 +271,17 @@ class SweepSnapshot:
         return cls.from_points(points, source=f"cache:{directory.name}")
 
     @classmethod
-    def from_journal(cls, path: Path | str) -> "SweepSnapshot":
+    def from_journal(cls, path: Path | str,
+                     cache_dir: Path | str | None = None) -> "SweepSnapshot":
         """Reconstruct a snapshot from a :class:`SweepJournal` file.
 
-        Manifests are pulled from the cache directory beside the
-        results when the journal's keys are cached; a journal alone
-        still yields a fully diffable metrics snapshot.
+        Manifests are pulled from ``cache_dir``, the result cache the
+        journaled sweep wrote, for the keys cached there; without it,
+        or for a key it does not hold, a journal alone still yields a
+        fully diffable metrics snapshot.
         """
+        from repro.experiments.records import ResultCache
         from repro.experiments.resilience import SweepJournal
-        from repro.experiments.runner import default_cache
 
         path = Path(path)
         if not path.is_file():
@@ -288,9 +290,10 @@ class SweepSnapshot:
         completed = journal.load()
         if not completed:
             raise SnapshotError(f"journal {path} holds no valid points")
-        cache = default_cache()
+        cache = None if cache_dir is None else ResultCache(Path(cache_dir))
         return cls.from_points(
-            [PointInput(key, result, cache.load_manifest(key))
+            [PointInput(key, result,
+                        None if cache is None else cache.load_manifest(key))
              for key, result in completed.items()],
             source=f"journal:{path.name}")
 
@@ -399,12 +402,15 @@ class SweepSnapshot:
                 f"checksum {self.checksum()}")
 
 
-def resolve_snapshot(reference: Path | str) -> SweepSnapshot:
+def resolve_snapshot(reference: Path | str,
+                     cache_dir: Path | str | None = None) -> SweepSnapshot:
     """A snapshot from whatever artifact ``reference`` names.
 
     Accepts a snapshot JSON file, a sweep-journal ``.jsonl`` file, or a
     result-cache directory — the three places sweep output already
-    lives — so ``repro diff`` can compare any two of them directly.
+    lives — so ``repro diff`` can compare any two of them directly.  A
+    journal takes its manifests from ``cache_dir``, the cache its sweep
+    wrote (:meth:`SweepSnapshot.from_journal`).
     """
     path = Path(reference)
     if path.is_dir():
@@ -413,12 +419,12 @@ def resolve_snapshot(reference: Path | str) -> SweepSnapshot:
         raise SnapshotError(
             f"{reference}: not a snapshot file, journal, or cache dir")
     if path.suffix == ".jsonl":
-        return SweepSnapshot.from_journal(path)
+        return SweepSnapshot.from_journal(path, cache_dir)
     try:
         return SweepSnapshot.load(path)
     except SnapshotError:
         # A journal with an unusual extension still round-trips.
-        return SweepSnapshot.from_journal(path)
+        return SweepSnapshot.from_journal(path, cache_dir)
 
 
 __all__ = [

@@ -8,8 +8,8 @@ recording payments, order-status and stock-level checks).
 - :mod:`~repro.odb.schema` — database sizing: ~100 MB per warehouse
   including indices, a global item catalog, two 25 GB log files.
 - :mod:`~repro.odb.transactions` — transaction profiles (block touches,
-  lock keys, user instruction path lengths) and their planning; the
-  five ODB types are the ``odb-standard`` spec
+  lock keys, user instruction path lengths) and their planning in the
+  walk kernel; the five ODB types are the ``odb-standard`` spec
   (:mod:`repro.workload.standard`).
 - :mod:`~repro.odb.mix` — the weighted transaction mix.
 - :mod:`~repro.odb.client` — client/server process pairs driving the
@@ -22,12 +22,7 @@ ODB is *not* a compliant TPC-C benchmark (neither was the paper's).
 """
 
 from repro.odb.schema import OdbSchema, odb_segments
-from repro.odb.transactions import (
-    TouchSpec,
-    TransactionPlan,
-    TransactionProfile,
-    plan_transaction,
-)
+from repro.odb.transactions import TouchSpec, TransactionProfile
 from repro.odb.mix import TransactionMix
 from repro.odb.system import OdbConfig, OdbSystem, SystemMetrics
 
@@ -35,9 +30,7 @@ __all__ = [
     "OdbSchema",
     "odb_segments",
     "TouchSpec",
-    "TransactionPlan",
     "TransactionProfile",
-    "plan_transaction",
     "TransactionMix",
     "OdbConfig",
     "OdbSystem",

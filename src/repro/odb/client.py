@@ -4,7 +4,9 @@ In ODB a user process submits transactions and an Oracle server process
 executes them (Figure 1).  At the fidelity of this model the pair
 collapses into one simulation process per client that plans a
 transaction, acquires a CPU, and walks the plan through the database
-engine: lock, touch blocks (blocking on buffer misses), commit.
+engine: lock, touch blocks (blocking on buffer misses), commit.  Each
+plan is one call into the walk kernel, drawing from the client's own
+kernel stream (:meth:`~repro.odb.transactions._SegmentSampler.draw`).
 
 Clients run with zero think time — the paper controls CPU utilization
 purely through the number of concurrent clients (Section 3.2.1).
@@ -21,7 +23,7 @@ the healthy run over the same transaction sequence.
 from __future__ import annotations
 
 from repro.db.engine import TransactionStats
-from repro.odb.transactions import abort_weight, plan_transaction
+from repro.odb.transactions import abort_weight
 from repro.sim.engine import Timeout
 
 
@@ -32,7 +34,9 @@ def client_process(system, client_id: int):
     db = system.db
     reference = db.reference
     user_instructions = scheduler.user_instructions
-    rng = system.streams.stream(f"client-{client_id}")
+    mix = system.mix
+    draw = system.sampler.draw
+    stream = system.streams.kernel_stream(f"client-{client_id}")
     faults = system.faults
     abort_rng = None
     if faults is not None and faults.aborts is not None \
@@ -40,10 +44,9 @@ def client_process(system, client_id: int):
         abort_rng = system.fault_streams.stream(f"abort-{client_id}")
     sequence = 0
     while True:
-        profile = system.mix.pick(rng)
-        plan = plan_transaction(rng, profile, system.sampler,
-                                system.config.warehouses,
-                                remote_prob=system.remote_touch_prob)
+        kind, warehouse, touches = draw(stream, mix.active())
+        profile = kind.profile
+        chunk = kind.chunk
         attempt = 0
         while True:
             attempt += 1
@@ -53,25 +56,24 @@ def client_process(system, client_id: int):
             claim = scheduler.acquire()
             yield claim
             # Hot-row locks first, in plan order (fixed order: no deadlock).
-            for key in plan.lock_keys:
-                claim = yield from db.lock(claim, owner, key, stats)
-            # User work interleaved with block touches.  Each touch's
-            # burst is Scheduler.execute_user written out in this loop
-            # (same timeout, same accounting, one generator fewer), and
-            # a buffer hit is a plain call; only a miss runs a generator.
-            chunk = profile.user_instructions / (len(plan.touches) + 1)
-            if not chunk >= 0:
-                raise ValueError("instructions must be >= 0")
-            for block_id, write in plan.touches:
+            for lock in kind.locks:
+                claim = yield from db.lock(claim, owner, (lock, warehouse),
+                                           stats)
+            # User work interleaved with block touches, each packed as
+            # (block_id << 1) | write.  Each touch's burst is
+            # Scheduler.execute_user written out in this loop (same
+            # timeout, same accounting, one generator fewer), and a
+            # buffer hit is a plain call; only a miss runs a generator.
+            for code in touches:
                 duration = chunk * scheduler.user_spi
                 if duration > 0:
                     scheduler.bursts += 1
                     yield Timeout(engine, duration)
                 user_instructions.count += chunk
                 scheduler.user_busy_s += duration
-                if not reference(block_id, write, stats):
-                    claim = yield from db.read_miss(claim, block_id, write,
-                                                    stats)
+                if not reference(code >> 1, code & 1, stats):
+                    claim = yield from db.read_miss(claim, code >> 1,
+                                                    code & 1, stats)
             yield from scheduler.execute_user(chunk)
             # Per-transaction kernel baseline (IPC with the client, timers).
             yield from scheduler.execute_os(scheduler.costs.base_per_txn)

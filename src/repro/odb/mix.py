@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 from bisect import bisect_right
-from random import Random
 from typing import Callable
 
 from repro.odb.transactions import TransactionProfile
 
 
 class TransactionMix:
-    """Samples transaction types by weight."""
+    """Transaction types by weight.
+
+    A transaction's type is drawn in the walk kernel with the rest of
+    its plan (:meth:`repro.odb.transactions._SegmentSampler.draw`): one
+    uniform draw, and the first type whose :attr:`cdf` entry is at
+    least that draw.
+    """
 
     def __init__(self, profiles: tuple[TransactionProfile, ...]):
         if not profiles:
@@ -19,8 +24,8 @@ class TransactionMix:
         total = sum(p.weight for p in profiles)
         if total <= 0:
             raise ValueError("mix weights must sum to a positive value")
-        #: Cumulative normalized weights; ``pick`` takes the first profile
-        #: whose entry is >= the uniform draw.
+        #: Cumulative normalized weights; a plan takes the first profile
+        #: whose entry is >= its uniform draw.
         self.cdf: list[float] = []
         running = 0.0
         for profile in profiles:
@@ -29,16 +34,8 @@ class TransactionMix:
         self.cdf[-1] = 1.0
 
     def active(self) -> "TransactionMix":
-        """The stationary mix ``pick`` currently draws from: this one."""
+        """The stationary mix plans currently draw from: this one."""
         return self
-
-    def pick(self, rng: Random) -> TransactionProfile:
-        """Draw one transaction type from the mix."""
-        u = rng.random()
-        for probability, profile in zip(self.cdf, self.profiles):
-            if u <= probability:
-                return profile
-        return self.profiles[-1]
 
     def by_name(self, name: str) -> TransactionProfile:
         """The mix entry for ``name``; raises ``KeyError`` if unknown."""
@@ -55,11 +52,12 @@ class PhasedTransactionMix(TransactionMix):
     ``schedule`` is ``(duration_s, profiles)`` per phase; the phases
     repeat in order for the whole run (the paper's Figures 12-14
     new-order / payment waves).  ``clock`` reads the simulation time —
-    the engine's ``now`` — at each pick.  ``profiles`` (the base
-    attribute) holds the stationary duration-weighted blend, which is
-    what popularity/prewarm analysis should see; ``pick`` delegates to
-    the active phase's own weighted mix, costing the same single
-    uniform draw as the stationary case.
+    the engine's ``now`` — at each :meth:`active` call, which a client
+    makes per transaction.  ``profiles`` (the base attribute) holds the
+    stationary duration-weighted blend, which is what popularity/prewarm
+    analysis should see; a plan draws from the active phase's own
+    weighted mix, costing the same single uniform draw as the
+    stationary case.
     """
 
     def __init__(self, profiles: tuple[TransactionProfile, ...],
@@ -90,7 +88,3 @@ class PhasedTransactionMix(TransactionMix):
     def active(self) -> TransactionMix:
         """The active phase's own stationary mix."""
         return self._phase_mixes[self.active_phase()]
-
-    def pick(self, rng: Random) -> TransactionProfile:
-        """Draw one transaction type from the active phase's mix."""
-        return self.active().pick(rng)

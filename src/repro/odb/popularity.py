@@ -17,11 +17,11 @@ distinct unit and multiplied across warehouses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from random import Random
 
 from repro.db.blocks import BlockSpace
 from repro.db.buffer_cache import BufferCache
 from repro.hw.analytic import zipf_popularities
+from repro.hw.sampling import seeded
 from repro.odb.transactions import TransactionProfile
 
 
@@ -107,8 +107,9 @@ def steady_state_fill(cache: BufferCache, space: BlockSpace,
     dirty with its segment's write fraction — in steady state a unit
     near eviction has been written with that probability, so dirty
     evictions flow at the right rate from the first measured second.
-    The dirty bits draw from a fixed ``Random(0x5EED)``, so the fill
-    depends on the space, the profiles and the capacity alone.
+    The dirty bits draw from a kernel stream seeded ``0x5EED``
+    (:func:`repro.hw.sampling.seeded`), so the fill depends on the
+    space, the profiles and the capacity alone.
 
     The cache must be empty (``ValueError`` otherwise); it is filled in
     one kernel call (:meth:`BufferCache.fill`), which also zeroes its
@@ -132,5 +133,5 @@ def steady_state_fill(cache: BufferCache, space: BlockSpace,
     cache.fill([(space.block_id(segment, 0, index), copies,
                  write_fractions.get(segment, 0.0))
                 for segment, index, copies in reversed(selected)],
-               space.units_per_warehouse, Random(0x5EED))
+               space.units_per_warehouse, seeded(0x5EED))
     return cache.resident_units

@@ -180,9 +180,6 @@ class OdbSystem:
             space = OdbSchema(config.warehouses,
                               UNIT_BYTES).build_block_space()
         self.space: BlockSpace = space
-        self.remote_touch_prob = (REMOTE_TOUCH_PROB
-                                  if workload.remote_touch_prob is None
-                                  else workload.remote_touch_prob)
         capacity_units = max(
             1, int(machine.sga_bytes * BUFFER_CACHE_FRACTION) // UNIT_BYTES)
         self.buffer_cache = BufferCache(capacity_units)
@@ -198,7 +195,10 @@ class OdbSystem:
         # cycle and a closed round is freed by refcount.
         engine = self.engine
         self.mix = workload.build_mix(clock=lambda: engine.now)
-        self.sampler = _SegmentSampler(self.space)
+        self.sampler = _SegmentSampler(
+            space, config.warehouses,
+            REMOTE_TOUCH_PROB if workload.remote_touch_prob is None
+            else workload.remote_touch_prob)
         self._txn_log: list[tuple[str, TransactionStats]] = []
         # Fault injection (strictly opt-in; see repro.faults).  Fault
         # randomness derives from the plan's own seed so the workload
@@ -246,16 +246,16 @@ class OdbSystem:
         popularity fill loads the cache to capacity with the hottest
         units (see :mod:`repro.odb.popularity`), then a short plan replay
         freshens LRU recency with realistic access interleaving.  The
-        plans are sampled in the walk kernel a buffer at a time, and
-        each buffer is replayed in one kernel call; the clock stands
-        still during prewarm, so a phased mix draws from one phase
-        throughout.
+        plans are sampled in the walk kernel a buffer at a time, by the
+        DES's own planner from the kernel stream ``prewarm``, and each
+        buffer is replayed in one kernel call; the clock stands still
+        during prewarm, so a phased mix draws from one phase throughout.
         """
         self._fill()
         cache = self.buffer_cache
         for touches in self.sampler.sample_plans(
-                self.streams.stream("prewarm"), self.mix.active(),
-                self.config.warehouses, self.remote_touch_prob, plans):
+                self.streams.kernel_stream("prewarm"), self.mix.active(),
+                plans):
             cache.replay(touches)
         cache.reset_stats()
 

@@ -6,19 +6,22 @@ hot-row locks it takes (held to commit), its user-space instruction
 path length, and its redo volume.  Profiles are compiled from a
 workload spec (:mod:`repro.workload`); the paper's five ODB types are
 the ``odb-standard`` spec in :mod:`repro.workload.standard`.
+
+A transaction is planned in the walk kernel (``sample_plans`` in
+``repro/hw/_walk.c``), for the DES and the prewarm alike: the type
+drawn from the mix, the home warehouse and the blocks it touches, from
+a kernel stream (DESIGN.md §11, "Compiled sampling").
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from random import Random
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.db.blocks import BlockSpace
 from repro.hw.cwalk import ffi, lib
-from repro.hw.sampling import Mersenne, check_bound, zipf_array
+from repro.hw.sampling import check_bound, zipf_array
 from repro.sim.randomness import zipf_cdf
 
 
@@ -72,18 +75,6 @@ class TransactionProfile:
             raise ValueError("a transaction must touch at least one block")
 
 
-@dataclass(frozen=True)
-class TransactionPlan:
-    """A concrete transaction instance: what to lock and touch."""
-
-    profile: TransactionProfile
-    warehouse: int
-    district: int
-    lock_keys: tuple[tuple, ...]
-    #: (block_id, is_write) in access order.
-    touches: tuple[tuple[int, bool], ...]
-
-
 def abort_weight(profile: TransactionProfile) -> float:
     """Relative transient-abort likelihood of a transaction type.
 
@@ -118,23 +109,90 @@ def _raw_abort_weight(profile: TransactionProfile) -> float:
     return 0.1 + writes + 2.0 * locks
 
 
+class PlanType(NamedTuple):
+    """What the DES needs of one transaction type, per plan drawn."""
+
+    profile: TransactionProfile
+    #: The hot-row lock kinds, in lock order; each key is
+    #: ``(kind, warehouse)``.
+    locks: tuple[str, ...]
+    #: User instructions per burst: one burst per touch, one after.
+    chunk: float
+
+
+class _MixPlans:
+    """The kernel tables of one stationary mix (a ``plans_t``), with
+    the buffers one plan is drawn into."""
+
+    def __init__(self, sampler: "_SegmentSampler", mix):
+        #: Held, so the id the sampler files this under stays unique.
+        self.mix = mix
+        first = [0]
+        touches = []
+        types = []
+        #: Touches of the longest plan.
+        self.longest = 0
+        for profile in mix.profiles:
+            for (cdf, modulus, stride, offset, count, write_prob,
+                 array) in sampler.resolve(profile):
+                touches.append({
+                    "cdf": array, "cdf_len": len(cdf), "count": count,
+                    "modulus": modulus, "stride": stride, "offset": offset,
+                    "write_prob": write_prob})
+            first.append(len(touches))
+            length = sum(spec.count for spec in profile.touches)
+            self.longest = max(self.longest, length)
+            chunk = profile.user_instructions / (length + 1)
+            if not chunk >= 0:
+                raise ValueError("instructions must be >= 0")
+            types.append(PlanType(
+                profile,
+                ("wh",) * profile.locks_warehouse_row
+                # Block-granular: all ten district rows share one block
+                # unit, so updates contend per warehouse (Oracle
+                # buffer-level contention), which is what makes tiny
+                # databases switch-heavy.
+                + ("dist",) * profile.locks_district_row,
+                chunk))
+        self.types = tuple(types)
+        self._arrays = (ffi.new("double[]", mix.cdf),
+                        ffi.new("uint32_t[]", first),
+                        ffi.new("touch_t[]", touches))
+        self.c = ffi.new("plans_t *", {
+            "mix_cdf": self._arrays[0], "first": self._arrays[1],
+            "touches": self._arrays[2], "types": len(types),
+            "warehouses": sampler.warehouses,
+            "remote_prob": sampler.remote_prob})
+        self.out = ffi.new("uint64_t[]", self.longest)
+        self.picks = ffi.new("uint32_t[2]")
+
+
 class _SegmentSampler:
-    """Per-profile touch specs resolved against one block space.
+    """The one transaction planner: per-profile touch specs resolved
+    against one block space, and per stationary mix the kernel tables
+    that :meth:`draw` (the DES) and :meth:`sample_plans` (the prewarm)
+    plan from.
 
     Everything derivable from a spec alone (the Zipf CDF, the segment's
     unit count, the block-id base and stride) is resolved once per
     transaction profile, so a planned touch costs one uniform draw, a
-    bisect and one add chain.  The DES's :func:`plan_transaction` and
-    the compiled prewarm sampler (:meth:`sample_plans`) read the same
-    resolution.
+    bisect and one add chain.  ``remote_prob`` is the chance any given
+    touch goes to a remote warehouse (TPC-C's remote order lines and
+    customer payments).
     """
 
-    def __init__(self, space: BlockSpace):
+    def __init__(self, space: BlockSpace, warehouses: int,
+                 remote_prob: float):
+        check_bound("warehouses", warehouses)
         self.space = space
+        self.warehouses = warehouses
+        self.remote_prob = remote_prob
         #: id(profile) -> (profile, resolved touches).  Keyed by identity:
         #: hashing a frozen profile hashes every TouchSpec in it.  The
         #: entry holds the profile, so its id cannot be reused.
         self._resolved: dict[int, tuple] = {}
+        #: id(mix) -> its tables, built on first use; each holds its mix.
+        self._plans: dict[int, _MixPlans] = {}
 
     def resolve(self, profile: TransactionProfile) -> tuple[tuple, ...]:
         """Per touch spec of ``profile``: ``(cdf, modulus, stride,
@@ -178,37 +236,43 @@ class _SegmentSampler:
         return (zipf_cdf(units, skew), modulus, stride, offset + pinned,
                 spec.count, spec.write_prob, zipf_array(units, skew))
 
-    def sample_plans(self, rng: Random, mix, warehouses: int,
-                     remote_prob: float, plans: int):
-        """The touches of ``plans`` transactions drawn from ``mix`` in
-        the walk kernel, each packed as ``(block_id << 1) | write``.
+    def plans(self, mix) -> _MixPlans:
+        """The kernel tables of the stationary ``mix``, built once."""
+        plans = self._plans.get(id(mix))
+        if plans is None:
+            plans = self._plans[id(mix)] = _MixPlans(self, mix)
+        return plans
 
-        Returns an iterator of ``uint64_t[]`` slices, in access order,
-        each valid until the next is taken.  Iterated to the end, it
-        draws exactly what ``plans`` calls of ``plan_transaction(rng,
-        mix.pick(rng), self, warehouses, remote_prob)`` would and
-        leaves ``rng`` where they would.  ``mix`` is a stationary
-        :class:`~repro.odb.mix.TransactionMix`.
+    def draw(self, mt, mix) -> tuple[PlanType, int, list[int]]:
+        """One transaction of the stationary ``mix``, drawn from the
+        kernel stream ``mt``: its :class:`PlanType`, its home warehouse
+        and its touches in access order, each packed as
+        ``(block_id << 1) | write``."""
+        plans = self.plans(mix)
+        picks = plans.picks
+        count = _sample_plans(mt, plans.c, 1, plans.out, picks)
+        return plans.types[picks[0]], picks[1], _unpack(plans.out, count)
+
+    def sample_plans(self, mt, mix, plans: int):
+        """The touches of ``plans`` transactions of the stationary
+        ``mix``, drawn from the kernel stream ``mt`` as :meth:`draw`
+        draws them, for the prewarm's replay.
+
+        Returns an iterator of ``uint64_t[]`` slices of packed touches,
+        in access order, each valid until the next is taken.
         """
-        check_bound("warehouses", warehouses)
-        first = [0]
-        touches = []
-        for profile in mix.profiles:
-            for (cdf, modulus, stride, offset, count, write_prob,
-                 array) in self.resolve(profile):
-                touches.append({
-                    "cdf": array, "cdf_len": len(cdf), "count": count,
-                    "modulus": modulus, "stride": stride, "offset": offset,
-                    "write_prob": write_prob})
-            first.append(len(touches))
-        longest = max(sum(spec.count for spec in profile.touches)
-                      for profile in mix.profiles)
-        tables = (ffi.new("double[]", mix.cdf), len(mix.profiles),
-                  ffi.new("uint32_t[]", first), ffi.new("touch_t[]", touches),
-                  warehouses, remote_prob)
-        return _fills(rng, tables, plans, max(1, _FILL_TOUCHES // longest),
-                      longest)
+        table = self.plans(mix)
+        per_fill = max(1, _FILL_TOUCHES // table.longest)
+        out = ffi.new("uint64_t[]", per_fill * table.longest)
+        while plans > 0:
+            count = _sample_plans(mt, table.c, min(plans, per_fill), out,
+                                  ffi.NULL)
+            plans -= per_fill
+            yield out[0:count]
 
+
+_sample_plans = lib.sample_plans
+_unpack = ffi.unpack
 
 #: Touches one kernel call of ``_SegmentSampler.sample_plans`` fills at
 #: most: a 64 KiB buffer, reused.  One buffer for all 4 000 prewarm
@@ -216,70 +280,3 @@ class _SegmentSampler:
 #: glibc's mmap threshold; the DES's later allocations then fragment
 #: the heap, which cost about 3 MB of peak RSS per process.
 _FILL_TOUCHES = 8192
-
-
-def _fills(rng: Random, tables: tuple, plans: int, per_fill: int,
-           longest: int):
-    """Yield ``plans`` transactions' touches, ``per_fill`` plans per
-    kernel call, drawing from ``rng``'s stream (one handoff)."""
-    out = ffi.new("uint64_t[]", per_fill * longest)
-    with Mersenne().borrowed(rng) as mt:
-        while plans > 0:
-            count = lib.sample_plans(mt.c, *tables, min(plans, per_fill), out)
-            plans -= per_fill
-            yield out[0:count]
-
-
-def plan_transaction(rng: Random, profile: TransactionProfile,
-                     sampler: _SegmentSampler, warehouses: int,
-                     remote_prob: float = 0.10) -> TransactionPlan:
-    """Instantiate a transaction: pick warehouse, district, blocks, locks.
-
-    ``remote_prob`` is the chance any given touch goes to a remote
-    warehouse (TPC-C's remote order lines / customer payments).
-    """
-    # The randrange draws are inlined as CPython's
-    # Random._randbelow_with_getrandbits loop (k = n.bit_length(),
-    # redraw while >= n): same getrandbits sequence, so the stream stays
-    # pinned, minus two interpreter frames per draw.
-    getrandbits = rng.getrandbits
-    wh_bits = warehouses.bit_length()
-    warehouse = getrandbits(wh_bits)
-    while warehouse >= warehouses:
-        warehouse = getrandbits(wh_bits)
-    district = getrandbits(4)
-    while district >= 10:
-        district = getrandbits(4)
-    lock_keys: list[tuple] = []
-    if profile.locks_warehouse_row:
-        lock_keys.append(("wh", warehouse))
-    if profile.locks_district_row:
-        # Block-granular: all ten district rows share one block unit, so
-        # updates contend per warehouse (Oracle buffer-level contention),
-        # which is what makes tiny databases switch-heavy.
-        lock_keys.append(("dist", warehouse))
-    # Hot loop: the touch specs come resolved once per profile (one
-    # uniform draw, a bisect, an add chain per touch).
-    touches: list[tuple[int, bool]] = []
-    append = touches.append
-    rand = rng.random
-    multi = warehouses > 1
-    for (cdf, modulus, stride, offset, count, write_prob,
-         _) in sampler.resolve(profile):
-        for _ in range(count):
-            target = warehouse
-            if multi and rand() < remote_prob:
-                target = getrandbits(wh_bits)
-                while target >= warehouses:
-                    target = getrandbits(wh_bits)
-            index = bisect_left(cdf, rand())
-            if modulus:
-                index %= modulus
-            append((offset + stride * target + index, rand() < write_prob))
-    return TransactionPlan(
-        profile=profile,
-        warehouse=warehouse,
-        district=district,
-        lock_keys=tuple(lock_keys),
-        touches=tuple(touches),
-    )

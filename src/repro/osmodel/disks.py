@@ -15,9 +15,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from repro.hw.machine import DiskConfig
+from repro.hw.sampling import lognormal
 from repro.sim import Engine, Resource
 from repro.sim.engine import Timeout
-from repro.sim.randomness import RandomStreams, lognormal_sampler
+from repro.sim.randomness import RandomStreams
 from repro.sim.stats import Counter, Tally
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -64,8 +65,9 @@ class DiskArray:
                             for i in range(self.data_disk_count)]
         self._log_disks = [Resource(engine, 1, name=f"logdisk{i}")
                            for i in range(log_disks)]
-        self._service_time = lognormal_sampler(
-            streams.stream("disk-service"), config.service_time_s,
+        # Drawn in the walk kernel, from the kernel stream disk-service.
+        self._service_time = lognormal(
+            streams.kernel_stream("disk-service"), config.service_time_s,
             config.service_time_cv)
         self.reads = Counter("disk-reads")
         self.writes = Counter("disk-writes")

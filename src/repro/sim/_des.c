@@ -13,9 +13,11 @@
  * (PyIter_Send), with no Python frame in between.  Any other callback
  * (an AllOf's child hook, a test's lambda) is called with the event.
  *
- * The model's processes and the contention primitives built on these
- * events (Resource, Store, Gate, AllOf) stay Python: see
- * repro/sim/engine.py, process.py and resources.py.
+ * Resource, the FIFO facility CPUs and disks are, is compiled beside
+ * its Request: a grant, a release and the busy-time accrual are C.  The
+ * model's processes and the other primitives built on these events
+ * (Store, Gate, AllOf) stay Python: see repro/sim/engine.py,
+ * process.py and resources.py.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -28,7 +30,7 @@
 
 static PyObject *SimulationError;
 static PyObject *str_send, *str_throw, *str_close, *str_count,
-                *str_add_callback, *str_engine, *str_release;
+                *str_add_callback;
 
 /* -- exceptions across interpreter versions ------------------------------- */
 
@@ -142,6 +144,7 @@ typedef struct {
     Entry *heap;
     Py_ssize_t size, capacity;
     PyObject *live;             /* dict: unfinished processes, by start */
+    PyObject *resources;        /* list: the resources built on it */
 } EngineObject;
 
 /* Callbacks: ``waiter`` holds a lone first callback, so the common
@@ -169,10 +172,36 @@ event_value(EventObject *event)
     return event->own_value ? (PyObject *)event : event->value;
 }
 
-typedef struct {
+/* A claim's states on its resource. */
+enum { CLAIM_NEW, CLAIM_QUEUED, CLAIM_HELD, CLAIM_DONE };
+
+typedef struct ResourceObject ResourceObject;
+
+/* A claim on a Resource slot.  A queued claim is a link of its
+ * resource's FIFO queue (prev/next), which holds a reference to it; a
+ * held claim records the resource's close count, so a claim granted
+ * before Resource.close() no longer holds a slot after it. */
+typedef struct RequestObject {
     EventObject event;
-    PyObject *resource;
+    ResourceObject *resource;
+    struct RequestObject *prev, *next;
+    unsigned long long closes;
+    char state;
 } RequestObject;
+
+/* ``capacity`` identical slots, ``in_use`` of them held, and a FIFO
+ * queue of waiting claims (head first).  ``busy`` integrates the slots
+ * in use over time up to ``last``. */
+struct ResourceObject {
+    PyObject_HEAD
+    EngineObject *engine;
+    PyObject *name;
+    Py_ssize_t capacity, in_use;
+    long long grants;
+    double busy, last;
+    unsigned long long closes;
+    RequestObject *head, *tail;
+};
 
 typedef struct {
     EventObject event;
@@ -181,7 +210,7 @@ typedef struct {
 } ProcessObject;
 
 static PyTypeObject EngineType, EventType, TimeoutType, RequestType,
-                    ProcessType;
+                    ResourceType, ProcessType;
 
 /* -- the event queue ------------------------------------------------------ */
 
@@ -668,48 +697,7 @@ static PyTypeObject TimeoutType = {
     .tp_clear = event_clear,
 };
 
-/* -- resource requests ---------------------------------------------------- */
-
-static int
-request_setup(RequestObject *request, PyObject *resource)
-{
-    PyObject *engine = PyObject_GetAttr(resource, str_engine);
-    if (engine == NULL)
-        return -1;
-    if (check_engine(engine) < 0) {
-        Py_DECREF(engine);
-        return -1;
-    }
-    Py_XSETREF(request->event.engine, (EngineObject *)engine);
-    Py_XSETREF(request->resource, Py_NewRef(resource));
-    return 0;
-}
-
-static int
-request_init(PyObject *self, PyObject *args, PyObject *kwargs)
-{
-    static char *names[] = {"resource", NULL};
-    PyObject *resource;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O:Request", names,
-                                     &resource))
-        return -1;
-    return request_setup((RequestObject *)self, resource);
-}
-
-static PyObject *
-request_vectorcall(PyObject *Py_UNUSED(type), PyObject *const *args,
-                   size_t nargsf, PyObject *kwnames)
-{
-    static const char *const names[] = {"resource"};
-    PyObject *resource;
-    if (bind_args("Request", args, nargsf, kwnames, names, 1, 1,
-                  &resource) < 0)
-        return NULL;
-    PyObject *self = event_new(&RequestType, NULL, NULL);
-    if (self != NULL && request_setup((RequestObject *)self, resource) < 0)
-        Py_CLEAR(self);
-    return self;
-}
+/* -- resources and their requests ---------------------------------------- */
 
 static int
 request_traverse(PyObject *self, visitproc visit, void *arg)
@@ -725,6 +713,8 @@ request_clear(PyObject *self)
     return event_clear(self);
 }
 
+static PyObject *resource_release(PyObject *self, PyObject *claim);
+
 static PyObject *
 request_enter(PyObject *self, PyObject *Py_UNUSED(ignored))
 {
@@ -734,20 +724,16 @@ request_enter(PyObject *self, PyObject *Py_UNUSED(ignored))
 static PyObject *
 request_exit(PyObject *self, PyObject *Py_UNUSED(args))
 {
-    PyObject *resource = ((RequestObject *)self)->resource;
+    ResourceObject *resource = ((RequestObject *)self)->resource;
     if (resource == NULL)
         Py_RETURN_NONE;
-    PyObject *result = PyObject_CallMethodOneArg(resource, str_release, self);
-    if (result == NULL)
-        return NULL;
-    Py_DECREF(result);
-    Py_RETURN_NONE;
+    return resource_release((PyObject *)resource, self);
 }
 
 static PyObject *
 request_get_resource(PyObject *self, void *Py_UNUSED(closure))
 {
-    PyObject *resource = ((RequestObject *)self)->resource;
+    PyObject *resource = (PyObject *)((RequestObject *)self)->resource;
     return Py_NewRef(resource ? resource : Py_None);
 }
 
@@ -766,18 +752,299 @@ static PyGetSetDef request_getset[] = {
 static PyTypeObject RequestType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "repro.sim.resources.Request",
-    .tp_doc = "Request(resource)\n\n"
-              "A pending or granted claim on a Resource slot.",
+    .tp_doc = "A pending or granted claim on a Resource slot, made by "
+              "Resource.request().",
     .tp_basicsize = sizeof(RequestObject),
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE | Py_TPFLAGS_HAVE_GC,
-    .tp_new = event_new,
-    .tp_init = request_init,
-    .tp_vectorcall = request_vectorcall,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
     .tp_dealloc = event_dealloc,
     .tp_traverse = request_traverse,
     .tp_clear = request_clear,
     .tp_methods = request_methods,
     .tp_getset = request_getset,
+};
+
+/* Add the slot-time since the last change: busy += in_use * (now -
+ * last), the double operations of the Python expression. */
+static inline void
+resource_accrue(ResourceObject *resource)
+{
+    double now = resource->engine->now;
+    resource->busy += (double)resource->in_use * (now - resource->last);
+    resource->last = now;
+}
+
+/* Give a free slot to ``claim``: its event succeeds with itself. */
+static int
+resource_grant(ResourceObject *resource, RequestObject *claim)
+{
+    resource->in_use++;
+    resource->grants++;
+    claim->state = CLAIM_HELD;
+    claim->closes = resource->closes;
+    return event_trigger(&claim->event, (PyObject *)claim, 1, NORMAL);
+}
+
+/* Unlink ``claim`` from the queue; the queue's reference passes to the
+ * caller. */
+static void
+resource_unlink(ResourceObject *resource, RequestObject *claim)
+{
+    if (claim->prev != NULL)
+        claim->prev->next = claim->next;
+    else
+        resource->head = claim->next;
+    if (claim->next != NULL)
+        claim->next->prev = claim->prev;
+    else
+        resource->tail = claim->prev;
+    claim->prev = claim->next = NULL;
+}
+
+static void
+resource_drop_queue(ResourceObject *resource)
+{
+    while (resource->head != NULL) {
+        RequestObject *claim = resource->head;
+        resource_unlink(resource, claim);
+        claim->state = CLAIM_DONE;
+        Py_DECREF(claim);
+    }
+}
+
+static PyObject *
+resource_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
+{
+    static char *names[] = {"engine", "capacity", "name", NULL};
+    PyObject *engine, *name = NULL;
+    Py_ssize_t capacity = 1;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O|nO:Resource", names,
+                                     &engine, &capacity, &name)
+        || check_engine(engine) < 0)
+        return NULL;
+    if (capacity < 1) {
+        PyErr_Format(PyExc_ValueError, "capacity must be >= 1, got %zd",
+                     capacity);
+        return NULL;
+    }
+    ResourceObject *resource = (ResourceObject *)type->tp_alloc(type, 0);
+    if (resource == NULL)
+        return NULL;
+    resource->engine = (EngineObject *)Py_NewRef(engine);
+    resource->name = name ? Py_NewRef(name) : PyUnicode_FromString("");
+    resource->capacity = capacity;
+    resource->last = resource->engine->now;
+    if (resource->name == NULL
+        || PyList_Append(resource->engine->resources,
+                         (PyObject *)resource) < 0)
+        Py_CLEAR(resource);
+    return (PyObject *)resource;
+}
+
+static int
+resource_traverse(PyObject *self, visitproc visit, void *arg)
+{
+    ResourceObject *resource = (ResourceObject *)self;
+    Py_VISIT(resource->engine);
+    Py_VISIT(resource->name);
+    for (RequestObject *claim = resource->head; claim; claim = claim->next)
+        Py_VISIT(claim);
+    return 0;
+}
+
+static int
+resource_clear(PyObject *self)
+{
+    ResourceObject *resource = (ResourceObject *)self;
+    resource_drop_queue(resource);
+    Py_CLEAR(resource->engine);
+    Py_CLEAR(resource->name);
+    return 0;
+}
+
+static void
+resource_dealloc(PyObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    resource_clear(self);
+    Py_TYPE(self)->tp_free(self);
+}
+
+static int
+resource_check_engine(ResourceObject *resource)
+{
+    if (resource->engine != NULL)
+        return 0;
+    PyErr_SetString(SimulationError, "resource has no engine");
+    return -1;
+}
+
+/* Claim a slot: granted at once while one is free (its event
+ * succeeds), else queued behind the earlier claims. */
+static PyObject *
+resource_request(PyObject *self, PyObject *Py_UNUSED(ignored))
+{
+    ResourceObject *resource = (ResourceObject *)self;
+    if (resource_check_engine(resource) < 0)
+        return NULL;
+    RequestObject *claim =
+        (RequestObject *)event_alloc(&RequestType, resource->engine);
+    if (claim == NULL)
+        return NULL;
+    claim->resource = (ResourceObject *)Py_NewRef(self);
+    if (resource->in_use < resource->capacity) {
+        resource_accrue(resource);
+        if (resource_grant(resource, claim) < 0)
+            Py_CLEAR(claim);
+    }
+    else {
+        claim->state = CLAIM_QUEUED;
+        claim->prev = resource->tail;
+        if (resource->tail != NULL)
+            resource->tail->next = claim;
+        else
+            resource->head = claim;
+        resource->tail = (RequestObject *)Py_NewRef(claim);
+    }
+    return (PyObject *)claim;
+}
+
+/* Return a held slot and grant freed slots to the queue in FIFO order
+ * (one accrual covers the release and every grant it makes: they all
+ * happen at this instant), or cancel a queued claim.  Anything else,
+ * a claim released twice included, is a no-op. */
+static PyObject *
+resource_release(PyObject *self, PyObject *arg)
+{
+    ResourceObject *resource = (ResourceObject *)self;
+    RequestObject *claim = (RequestObject *)arg;
+    if (!PyObject_TypeCheck(arg, &RequestType) || claim->resource != resource)
+        Py_RETURN_NONE;
+    if (claim->state == CLAIM_HELD && claim->closes == resource->closes) {
+        if (resource_check_engine(resource) < 0)
+            return NULL;
+        resource_accrue(resource);
+        claim->state = CLAIM_DONE;
+        resource->in_use--;
+        while (resource->head != NULL
+               && resource->in_use < resource->capacity) {
+            RequestObject *waiter = resource->head;
+            resource_unlink(resource, waiter);
+            int status = resource_grant(resource, waiter);
+            Py_DECREF(waiter);
+            if (status < 0)
+                return NULL;
+        }
+    }
+    else if (claim->state == CLAIM_QUEUED) {
+        resource_unlink(resource, claim);
+        claim->state = CLAIM_DONE;
+        Py_DECREF(claim);
+    }
+    Py_RETURN_NONE;
+}
+
+/* Drop every claim, held and queued: a queued claim refers to its
+ * resource, which holds it, so the pair is a cycle. */
+static void
+resource_close_claims(ResourceObject *resource)
+{
+    resource->in_use = 0;
+    resource->closes++;
+    resource_drop_queue(resource);
+}
+
+static PyObject *
+resource_close(PyObject *self, PyObject *Py_UNUSED(ignored))
+{
+    resource_close_claims((ResourceObject *)self);
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+resource_busy_time(PyObject *self, PyObject *Py_UNUSED(ignored))
+{
+    ResourceObject *resource = (ResourceObject *)self;
+    if (resource_check_engine(resource) < 0)
+        return NULL;
+    resource_accrue(resource);
+    return PyFloat_FromDouble(resource->busy);
+}
+
+static PyObject *
+resource_utilization(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *names[] = {"elapsed", NULL};
+    ResourceObject *resource = (ResourceObject *)self;
+    PyObject *given = Py_None;
+    double elapsed;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "|O:utilization", names,
+                                     &given)
+        || resource_check_engine(resource) < 0)
+        return NULL;
+    if (given == Py_None)
+        elapsed = resource->engine->now;
+    else {
+        elapsed = PyFloat_AsDouble(given);
+        if (elapsed == -1.0 && PyErr_Occurred())
+            return NULL;
+    }
+    if (elapsed <= 0)
+        return PyFloat_FromDouble(0.0);
+    resource_accrue(resource);
+    return PyFloat_FromDouble(
+        resource->busy / ((double)resource->capacity * elapsed));
+}
+
+static PyMethodDef resource_methods[] = {
+    {"request", resource_request, METH_NOARGS,
+     "request()\n\n"
+     "Claim a slot; the returned Request fires when the slot is granted."},
+    {"release", resource_release, METH_O,
+     "release(request)\n\n"
+     "Return a granted slot and wake the next waiter, or cancel a queued "
+     "claim; releasing again is a no-op."},
+    {"busy_time", resource_busy_time, METH_NOARGS,
+     "busy_time()\n\n"
+     "Integral of the in-use slot count over time, up to now."},
+    {"utilization", (PyCFunction)(void (*)(void))resource_utilization,
+     METH_VARARGS | METH_KEYWORDS,
+     "utilization(elapsed=None)\n\n"
+     "Mean fraction of slots in use over ``elapsed`` (default: since "
+     "t=0)."},
+    {"close", resource_close, METH_NOARGS,
+     "close()\n\n"
+     "Drop every claim, granted and queued (Engine.close)."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyMemberDef resource_members[] = {
+    {"engine", T_OBJECT, offsetof(ResourceObject, engine), READONLY,
+     "The engine the resource runs on."},
+    {"name", T_OBJECT, offsetof(ResourceObject, name), READONLY,
+     "The resource's label."},
+    {"capacity", T_PYSSIZET, offsetof(ResourceObject, capacity), READONLY,
+     "The number of identical slots."},
+    {"grants", T_LONGLONG, offsetof(ResourceObject, grants), READONLY,
+     "Requests granted so far: each grant schedules one event."},
+    {NULL, 0, 0, 0, NULL},
+};
+
+static PyTypeObject ResourceType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim.resources.Resource",
+    .tp_doc = "Resource(engine, capacity=1, name='')\n\n"
+              "A facility with ``capacity`` identical slots and a FIFO "
+              "wait queue.  It records the busy slot-time (the integral "
+              "of slots in use over time), so utilization is "
+              "busy_time() / (capacity * elapsed).",
+    .tp_basicsize = sizeof(ResourceObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE | Py_TPFLAGS_HAVE_GC,
+    .tp_new = resource_new,
+    .tp_dealloc = resource_dealloc,
+    .tp_traverse = resource_traverse,
+    .tp_clear = resource_clear,
+    .tp_methods = resource_methods,
+    .tp_members = resource_members,
 };
 
 /* -- processes ------------------------------------------------------------ */
@@ -1001,7 +1268,8 @@ engine_new(PyTypeObject *type, PyObject *Py_UNUSED(args),
     if (engine == NULL)
         return NULL;
     engine->live = PyDict_New();
-    if (engine->live == NULL)
+    engine->resources = PyList_New(0);
+    if (engine->live == NULL || engine->resources == NULL)
         Py_CLEAR(engine);
     return (PyObject *)engine;
 }
@@ -1013,6 +1281,7 @@ engine_traverse(PyObject *self, visitproc visit, void *arg)
     for (Py_ssize_t i = 0; i < engine->size; i++)
         Py_VISIT(engine->heap[i].event);
     Py_VISIT(engine->live);
+    Py_VISIT(engine->resources);
     return 0;
 }
 
@@ -1022,6 +1291,7 @@ engine_clear(PyObject *self)
     EngineObject *engine = (EngineObject *)self;
     drop_pending(engine);
     Py_CLEAR(engine->live);
+    Py_CLEAR(engine->resources);
     return 0;
 }
 
@@ -1165,6 +1435,15 @@ engine_close(PyObject *self, PyObject *Py_UNUSED(ignored))
         Py_DECREF(processes);
     }
     drop_pending(engine);
+    if (engine->resources != NULL) {
+        PyObject *resources = engine->resources;
+        for (Py_ssize_t i = 0; i < PyList_GET_SIZE(resources); i++)
+            resource_close_claims(
+                (ResourceObject *)PyList_GET_ITEM(resources, i));
+        if (PyList_SetSlice(resources, 0, PyList_GET_SIZE(resources),
+                            NULL) < 0)
+            return NULL;
+    }
     Py_RETURN_NONE;
 }
 
@@ -1194,7 +1473,12 @@ static PyMethodDef engine_methods[] = {
     {"close", engine_close, METH_NOARGS,
      "close()\n\n"
      "End the simulation for good: close every unfinished process's "
-     "generator and forget its waiters, then drop the pending events."},
+     "generator and forget its waiters, drop the pending events, and "
+     "drop every claim on the engine's resources.  A finished "
+     "simulation is a web of cycles (processes, their generators' "
+     "frames, the model those frames hold, resource queues, the event "
+     "queue); closing it lets reference counting free it at once "
+     "instead of leaving it to the cyclic garbage collector."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1253,14 +1537,12 @@ PyInit__des(void)
     RequestType.tp_base = &EventType;
     ProcessType.tp_base = &EventType;
     PyTypeObject *types[] = {&EngineType, &EventType, &TimeoutType,
-                             &RequestType, &ProcessType};
+                             &RequestType, &ResourceType, &ProcessType};
     const char *names[] = {"Engine", "Event", "Timeout", "Request",
-                           "Process"};
+                           "Resource", "Process"};
     if (intern(&str_send, "send") < 0 || intern(&str_throw, "throw") < 0
         || intern(&str_close, "close") < 0 || intern(&str_count, "count") < 0
-        || intern(&str_add_callback, "add_callback") < 0
-        || intern(&str_engine, "engine") < 0
-        || intern(&str_release, "release") < 0)
+        || intern(&str_add_callback, "add_callback") < 0)
         return NULL;
     for (size_t i = 0; i < sizeof(types) / sizeof(types[0]); i++) {
         if (PyType_Ready(types[i]) < 0)

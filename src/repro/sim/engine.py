@@ -11,9 +11,10 @@ system model uses (timeouts, resource grants, store gets, gate levels,
 all-of conditions).  Every queued event is dispatched.
 
 The event queue, the dispatch loop, :class:`Event`, :class:`Timeout`,
-the resource ``Request`` and process resumption are compiled: they live
-in ``_des.c``, built once on first import by :func:`repro.cbuild.load`
-into this package's ``__pycache__``.  A failed build raises
+process resumption and the FIFO :class:`~repro.sim.resources.Resource`
+with its ``Request`` are compiled: they live in ``_des.c``, built once
+on first import by :func:`repro.cbuild.load` into this package's
+``__pycache__``.  A failed build raises
 :class:`ImportError`; there is no other implementation.  This module
 adds the Python side: :meth:`Engine.run`'s checks and per-run tracing,
 :meth:`Engine.queue_stats`, :class:`AllOf` and
@@ -36,7 +37,8 @@ def _build(_name: str, scratch: Path) -> str:
     from setuptools import Distribution, Extension
 
     distribution = Distribution({"ext_modules": [Extension(
-        "_des", sources=[str(_SOURCE)], extra_compile_args=["-O2"])]})
+        "_des", sources=[str(_SOURCE)],
+        extra_compile_args=list(cbuild.FLAGS))]})
     command = distribution.get_command_obj("build_ext")
     command.build_lib = command.build_temp = str(scratch)
     distribution.run_command("build_ext")
@@ -98,7 +100,8 @@ class Engine(_des.Engine):
     """The simulation event loop and its event queue.
 
     ``now`` (also ``_now``) is the clock; ``timeout(delay, value=None)``
-    and ``event()`` create events.
+    and ``event()`` create events; ``close()`` ends the simulation for
+    good, dropping every process, pending event and resource claim.
 
     >>> engine = Engine()
     >>> def proc(engine):
@@ -109,27 +112,6 @@ class Engine(_des.Engine):
     >>> p.value
     5.0
     """
-
-    def __init__(self) -> None:
-        super().__init__()
-        #: The resources built on this engine (see :meth:`close`).
-        self._resources: list = []
-
-    def close(self) -> None:
-        """End the simulation for good.
-
-        Closes every unfinished process's generator and forgets its
-        waiters, drops the pending events, and drops every claim on the
-        engine's resources.  A finished simulation is a web of cycles
-        (processes, their generators' frames, the model those frames
-        hold, resource queues, the event queue); closing it lets
-        reference counting free it at once instead of leaving it to the
-        cyclic garbage collector.
-        """
-        super().close()
-        for resource in self._resources:
-            resource.close()
-        self._resources.clear()
 
     def process(self, generator) -> "Process":
         """Register a generator as a simulation process."""

@@ -5,15 +5,18 @@ selection, disk service time, ...) draws from its own named stream, so
 changing how often one component draws does not perturb any other
 component.  Streams are derived from a single root seed via stable string
 hashing, which keeps whole-system runs exactly reproducible.
+
+A stream is drawn either in Python (:meth:`RandomStreams.stream`, a
+``random.Random``) or in the compiled walk kernel
+(:meth:`RandomStreams.kernel_stream`, an ``mt_t`` seeded exactly as
+``random.Random`` seeds itself; :mod:`repro.hw.sampling`), never both.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import random
-from functools import lru_cache, partial
-from typing import Callable
+from functools import lru_cache
 
 
 def derive_seed(root_seed: int, name: str) -> int:
@@ -28,18 +31,36 @@ def derive_seed(root_seed: int, name: str) -> int:
 
 
 class RandomStreams:
-    """A factory of independently seeded :class:`random.Random` streams."""
+    """A factory of independently seeded named streams."""
 
     def __init__(self, root_seed: int):
         self.root_seed = root_seed
-        self._streams: dict[str, random.Random] = {}
+        #: name -> its ``random.Random`` or its kernel ``mt_t *``.
+        self._streams: dict = {}
 
     def stream(self, name: str) -> random.Random:
-        """The stream for ``name``, created on first use."""
+        """The Python stream for ``name``, created on first use."""
         stream = self._streams.get(name)
         if stream is None:
             stream = random.Random(derive_seed(self.root_seed, name))
             self._streams[name] = stream
+        elif not isinstance(stream, random.Random):
+            raise ValueError(f"stream {name!r} is drawn in the kernel")
+        return stream
+
+    def kernel_stream(self, name: str):
+        """The kernel stream for ``name`` (an ``mt_t *`` of the walk
+        kernel), created on first use in the state
+        ``stream(name)`` would start in."""
+        stream = self._streams.get(name)
+        if stream is None:
+            # Imported here: repro.hw imports this module.
+            from repro.hw.sampling import seeded
+
+            stream = seeded(derive_seed(self.root_seed, name))
+            self._streams[name] = stream
+        elif isinstance(stream, random.Random):
+            raise ValueError(f"stream {name!r} is drawn in Python")
         return stream
 
     def fork(self, name: str) -> "RandomStreams":
@@ -72,20 +93,3 @@ def zipf_cdf(n: int, skew: float) -> tuple[float, ...]:
         cdf.append(running / total)
     cdf[-1] = 1.0
     return tuple(cdf)
-
-
-def lognormal_sampler(rng: random.Random, mean: float,
-                      cv: float) -> Callable[[], float]:
-    """A zero-argument sampler of lognormal variates with arithmetic
-    mean ``mean`` and coefficient of variation ``cv`` — the shape used
-    for disk service times; the lognormal's parameters are solved once
-    (a disk draws one per request)."""
-    if mean <= 0:
-        raise ValueError("lognormal mean must be > 0")
-    if cv < 0:
-        raise ValueError("coefficient of variation must be >= 0")
-    if cv == 0:
-        return lambda: mean
-    sigma2 = math.log(1.0 + cv * cv)
-    mu = math.log(mean) - sigma2 / 2.0
-    return partial(rng.lognormvariate, mu, math.sqrt(sigma2))

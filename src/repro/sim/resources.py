@@ -4,112 +4,38 @@ These model the shared facilities of the simulated system: CPUs and disks
 are :class:`Resource` instances, queues of pending work are
 :class:`Store` instances, and broadcast conditions (e.g. "the redo log has
 been flushed up to sequence N") are :class:`Gate` instances.
+
+:class:`Resource` and its :class:`Request` are compiled, beside the
+events in ``_des.c``: ``Resource(engine, capacity=1, name="")`` has
+``capacity`` identical slots and a FIFO wait queue.  Usage from a
+process::
+
+    req = cpu.request()
+    yield req
+    ... hold the resource ...
+    cpu.release(req)
+
+``with (yield cpu.request()):`` releases on leaving the block.
+Releasing twice is a no-op, and releasing a queued claim cancels it.
+The resource counts its ``grants`` (each schedules one event) and
+records the busy slot-time, the integral of in-use slots over time, so
+``utilization()`` is ``busy_time() / (capacity * elapsed)``.  It
+registers with its engine, whose ``close()`` drops every claim.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Deque
 
 from repro.sim.engine import Engine, Event, SimulationError, _des
 
-#: A pending or granted claim on a :class:`Resource` slot (compiled, with
-#: the events): ``Request(resource)``; ``with request:`` releases it.
+#: A facility with ``capacity`` identical slots and a FIFO wait queue
+#: (compiled; see the module docstring).
+Resource = _des.Resource
+#: A pending or granted claim on a :class:`Resource` slot (compiled),
+#: made by :meth:`Resource.request`.
 Request = _des.Request
-
-
-class Resource:
-    """A facility with ``capacity`` identical slots and a FIFO wait queue.
-
-    Usage from a process::
-
-        req = cpu.request()
-        yield req
-        ... hold the resource ...
-        cpu.release(req)
-
-    The resource records total busy slot-time (integral of in-use slots
-    over time) so utilization can be computed as
-    ``busy_time / (capacity * elapsed)``.
-    """
-
-    def __init__(self, engine: Engine, capacity: int = 1, name: str = ""):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.engine = engine
-        self.capacity = capacity
-        self.name = name
-        self._users: set[Request] = set()
-        self._queue: Deque[Request] = deque()
-        self._busy_time = 0.0
-        self._last_change = engine.now
-        #: Requests granted so far: each grant schedules one event.
-        self.grants = 0
-        engine._resources.append(self)
-
-    # -- introspection -----------------------------------------------------
-
-    def busy_time(self) -> float:
-        """Integral of in-use slot count over time, up to now."""
-        self._accrue()
-        return self._busy_time
-
-    def utilization(self, elapsed: Optional[float] = None) -> float:
-        """Mean fraction of slots in use over ``elapsed`` (default: since t=0)."""
-        if elapsed is None:
-            elapsed = self.engine.now
-        if elapsed <= 0:
-            return 0.0
-        return self.busy_time() / (self.capacity * elapsed)
-
-    # -- operations --------------------------------------------------------
-
-    def request(self) -> Request:
-        """Claim a slot; the returned event fires when the slot is granted."""
-        request = Request(self)
-        users = self._users
-        if len(users) < self.capacity:
-            self._accrue()
-            users.add(request)
-            self.grants += 1
-            request.succeed(request)
-        else:
-            self._queue.append(request)
-        return request
-
-    def release(self, request: Request) -> None:
-        """Return a previously granted slot and wake the next waiter."""
-        users = self._users
-        if request in users:
-            # One accrual covers the release and every grant it makes:
-            # they all happen at this instant.
-            self._accrue()
-            users.discard(request)
-            queue = self._queue
-            while queue and len(users) < self.capacity:
-                waiter = queue.popleft()
-                users.add(waiter)
-                self.grants += 1
-                waiter.succeed(waiter)
-        else:
-            # Cancelling a queued request is allowed and is a no-op if the
-            # request is unknown (idempotent release).
-            try:
-                self._queue.remove(request)
-            except ValueError:
-                pass
-
-    def close(self) -> None:
-        """Drop every claim, granted and queued (:meth:`Engine.close`):
-        a claim refers to its resource, so a held or queued one is a
-        cycle."""
-        self._users.clear()
-        self._queue.clear()
-
-    def _accrue(self) -> None:
-        now = self.engine._now
-        self._busy_time += len(self._users) * (now - self._last_change)
-        self._last_change = now
 
 
 class Store:

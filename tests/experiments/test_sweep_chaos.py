@@ -165,7 +165,7 @@ class TestTimeouts:
         assert "point-retry" in kinds
 
 
-class TestSupervisedSweep:
+class TestJournaledSweep:
     def test_journal_records_each_point_once(self, tmp_path,
                                              serial_reference):
         # Every first attempt kills its worker: the pool is rebuilt and
@@ -281,7 +281,7 @@ class TestBackoffPortability:
             assert backoff_delay("k", attempt, SupervisorPolicy()) == expected
 
 
-class TestSerialEnvWithShards:
+class TestSerialEnv:
     """REPRO_SERIAL=1 must win over any --jobs request or pool: every
     job budget collapses to one worker and execution never leaves the
     parent process."""

@@ -3,21 +3,25 @@
 The program reaches the kernel's caches, TLB, predictor and coherence
 directory only through its walks (``walk_data``/``walk_fetch``/
 ``walk_branch`` and the trace run) and draws from its Mersenne Twister
-only inside the kernel's samplers.  The tests check those parts one at
+only inside the kernel's samplers, on streams seeded in the kernel.  The tests check those parts one at
 a time: these helpers call the same exported kernel functions on the
 program's objects (:class:`~repro.hw.cache.SetAssociativeCache`,
 :class:`~repro.hw.tlb.Tlb`, :class:`~repro.hw.branch.BimodalPredictor`,
 :class:`~repro.hw.hierarchy.CpuHierarchy`,
-:class:`~repro.hw.coherence.CoherenceDirectory`,
-:class:`~repro.hw.sampling.Mersenne`) and read their state back as
-Python containers, in the shapes the pure-Python oracles
-(``reference_*.py``) keep.
+:class:`~repro.hw.coherence.CoherenceDirectory`, kernel streams) and
+read their state back as Python containers, in the shapes the
+pure-Python oracles (``reference_*.py``) keep: a kernel stream's
+:func:`state` is ``random.Random.getstate()``'s, and :func:`load`
+takes over a ``Random``'s position, so a test can compare the two
+draw for draw from any point of a stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
+
+from random import Random
 
 from repro.hw.cwalk import ffi, lib
 from repro.hw.sampling import check_bound, poisson_threshold
@@ -180,24 +184,43 @@ def reference_tables(directory):
 
 # -- the Mersenne Twister -----------------------------------------------------
 
+_WORDS = 624
+
+
+def state(mt) -> tuple:
+    """A kernel stream's state in the shape of ``Random.getstate()``
+    (version 3, the 624 words and the index, no cached gauss)."""
+    return (3, (*ffi.unpack(mt.state, _WORDS), mt.index), None)
+
+
+def load(rng: Random):
+    """A new kernel stream at ``rng``'s position; ``rng`` is left as
+    it is."""
+    _version, internal, _gauss_next = rng.getstate()
+    mt = ffi.new("mt_t *")
+    mt.state = internal[:_WORDS]
+    mt.index = internal[_WORDS]
+    return mt
+
+
 def random(mt) -> float:
-    """``Random.random()`` from a :class:`Mersenne`."""
-    return lib.mt_random(mt.c)
+    """``Random.random()`` from a kernel stream."""
+    return lib.mt_random(mt)
 
 
 def getrandbits(mt, k: int) -> int:
     """``Random.getrandbits(k)`` for ``0 <= k <= 32``."""
     if not 0 <= k <= 32:
         raise ValueError(f"getrandbits takes 0..32 bits here, got {k}")
-    return lib.mt_getrandbits(mt.c, k)
+    return lib.mt_getrandbits(mt, k)
 
 
 def randbelow(mt, n: int) -> int:
     """``Random.randrange(n)`` for ``1 <= n < 2**32``."""
     check_bound("randrange bound", n)
-    return lib.mt_randbelow(mt.c, n)
+    return lib.mt_randbelow(mt, n)
 
 
 def poisson(mt, mean: float) -> int:
     """The kernel's small-mean Poisson count (Knuth's method)."""
-    return lib.mt_poisson(mt.c, poisson_threshold(mean))
+    return lib.mt_poisson(mt, poisson_threshold(mean))

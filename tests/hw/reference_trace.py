@@ -4,12 +4,13 @@ compiled transaction loop.
 :class:`ReferenceTraceGenerator` is :class:`repro.hw.trace.TraceGenerator`'s
 stream generation as it was before the sampling moved into the walk
 kernel (``repro/hw/_walk.c``), unchanged but for the class name and its
-context switches (``kernel_driver.context_switch``): every draw is a
-``random.Random`` call in Python, in the order the compiled samplers
-must reproduce.  It drives the same
+context switches (``kernel_driver.context_switch``) and its stream:
+every draw is a call on a ``random.Random`` seeded as the compiled
+generator's kernel stream ``trace`` is, in the order the compiled
+samplers must reproduce.  It drives the same
 :class:`~repro.hw.hierarchy.SmpHierarchy` and shares the program's rate
 conversion, so ``test_compiled_sampling.py`` can compare rates, counts,
-directory state and the ``Random`` state left behind.
+directory state and the stream state left behind.
 
 :class:`SegmentTraceGenerator` is the step between the two: the
 transaction loop in Python, as it was before it moved into the kernel,
@@ -22,10 +23,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from random import Random
 
 from repro.hw.cwalk import lib
 from repro.hw.trace import MicroarchRates, TraceGenerator
-from repro.sim.randomness import zipf_cdf
+from repro.sim.randomness import derive_seed, zipf_cdf
 
 from tests.hw import kernel_driver
 
@@ -48,8 +50,10 @@ _CODE_LINE = 64  # TC line size
 class ReferenceTraceGenerator(TraceGenerator):
     """The synthetic stream, sampled in Python."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, machine, profile, streams, *args, **kwargs):
+        super().__init__(machine, profile, streams, *args, **kwargs)
+        #: The ``trace`` stream in Python, from the kernel stream's seed.
+        self._rng = Random(derive_seed(streams.root_seed, "trace"))
         p = self.params
         self._hot_cdf = zipf_cdf(p.hot_lines, p.hot_skew)
         self._warm_cdf = zipf_cdf(p.warm_lines, p.warm_skew)
@@ -311,13 +315,12 @@ class SegmentTraceGenerator(TraceGenerator):
             self.smp.fetch_run(cpu, buffer[0:count], True)
 
     def run_transaction(self, cpu: int, client: int) -> None:
-        with self._mt.borrowed(self._rng):
-            self._transaction(cpu, client)
+        self._transaction(cpu, client)
 
     def _transaction(self, cpu: int, client: int) -> None:
         p = self.params
         gen = self._gen
-        mt = self._mt.c
+        mt = self._mt
         buffer = self._buffer
         smp = self.smp
         profile = self.profile
@@ -370,12 +373,11 @@ class SegmentTraceGenerator(TraceGenerator):
 
     def run(self, transactions: int, warmup: int = 0) -> MicroarchRates:
         profile = self.profile
-        with self._mt.borrowed(self._rng):
-            for index in range(warmup):
-                client = index % profile.clients
-                self._transaction(client % profile.processors, client)
-            self._reset_counts()
-            for index in range(transactions):
-                client = index % profile.clients
-                self._transaction(client % profile.processors, client)
+        for index in range(warmup):
+            client = index % profile.clients
+            self._transaction(client % profile.processors, client)
+        self._reset_counts()
+        for index in range(transactions):
+            client = index % profile.clients
+            self._transaction(client % profile.processors, client)
         return self.rates()

@@ -16,16 +16,9 @@ from repro.hw import (
     TraceProfile,
     XEON_MP_QUAD,
 )
-from repro.hw.sampling import Mersenne
 from repro.sim.randomness import RandomStreams
 
-from tests.hw import kernel_driver
-
-
-def _poisson(rng, mean):
-    """One draw of the compiled Poisson sampler from ``rng``'s stream."""
-    with Mersenne().borrowed(rng) as mt:
-        return kernel_driver.poisson(mt, mean)
+from tests.hw.kernel_driver import poisson as _poisson
 
 
 def profile(warehouses=100, processors=4, clients=32, reads=3.0, switches=5.0):
@@ -152,17 +145,17 @@ class TestCounts:
 
 class TestPoisson:
     def test_zero_mean(self):
-        rng = RandomStreams(1).stream("p")
+        rng = RandomStreams(1).kernel_stream("p")
         assert _poisson(rng, 0.0) == 0
         assert _poisson(rng, -1.0) == 0
 
     def test_mean_matches(self):
-        rng = RandomStreams(1).stream("p")
+        rng = RandomStreams(1).kernel_stream("p")
         samples = [_poisson(rng, 4.0) for _ in range(5000)]
         assert sum(samples) / len(samples) == pytest.approx(4.0, rel=0.1)
 
     def test_all_nonnegative_integers(self):
-        rng = RandomStreams(2).stream("p")
+        rng = RandomStreams(2).kernel_stream("p")
         for _ in range(200):
             value = _poisson(rng, 2.5)
             assert isinstance(value, int) and value >= 0

@@ -5,7 +5,7 @@ a :meth:`TraceGenerator.run` at the runner's default length (250
 warm-up and 1,000 measured transactions), the digest covers every
 per-CPU Table 2 count slot (user and kernel of each event, then the
 context switches), the directory's three counters and the ``trace``
-stream's ``Random`` state.  A change that makes the trace run cheaper
+stream's state, in ``Random.getstate()``'s shape.  A change that makes the trace run cheaper
 must leave every one of them untouched, on one and on four CPUs, in
 and out of the cached region, on both machines.
 
@@ -22,6 +22,8 @@ from repro.hw import ITANIUM2_QUAD, XEON_MP_QUAD
 from repro.hw.hierarchy import HierarchyCounts
 from repro.hw.trace import TraceGenerator, TraceProfile
 from repro.sim.randomness import RandomStreams
+
+from tests.hw import kernel_driver
 
 #: (machine, W, P, clients, reads/txn, switches/txn): the anchor point,
 #: the uncached region, the one-CPU contention spike, and Itanium2.
@@ -63,7 +65,7 @@ def _trace_digest(case: str) -> str:
     directory = generator.smp.directory
     slots.extend((directory.invalidations, directory.interventions,
                   directory.coherence_misses))
-    text = f"{slots}\n{generator._rng.getstate()}"
+    text = f"{slots}\n{kernel_driver.state(generator._mt)}"
     return hashlib.sha256(text.encode()).hexdigest()
 
 

@@ -10,6 +10,8 @@ import json
 
 import pytest
 
+from repro.cli import main
+from repro.experiments import runner
 from repro.experiments.configs import FAST_SETTINGS
 from repro.experiments.parallel import PoolExecutor, run_sweep
 from repro.experiments.records import ResultCache
@@ -178,7 +180,7 @@ class TestReconstruction:
 
     def test_from_journal_matches_cache_results(self, swept):
         _root, cache_dir, journal, _points = swept
-        retro = SweepSnapshot.from_journal(journal.path)
+        retro = SweepSnapshot.from_journal(journal.path, cache_dir)
         cached = SweepSnapshot.from_cache_dir(cache_dir)
         assert set(retro.points) == set(cached.points)
         for key in retro.points:
@@ -191,7 +193,7 @@ class TestReconstruction:
         path = live.save(tmp_path / "live.json")
         assert resolve_snapshot(path).checksum() == live.checksum()
         assert resolve_snapshot(cache_dir).points
-        assert resolve_snapshot(journal.path).points
+        assert resolve_snapshot(journal.path, cache_dir).points
 
     def test_empty_cache_dir_raises(self, tmp_path):
         with pytest.raises(SnapshotError):
@@ -200,6 +202,41 @@ class TestReconstruction:
     def test_missing_reference_raises(self, tmp_path):
         with pytest.raises(SnapshotError):
             resolve_snapshot(tmp_path / "nope.json")
+
+
+class TestJournalManifests:
+    """A journal's provenance comes from the cache its sweep wrote."""
+
+    def test_journal_rebuilt_under_another_cache_keeps_its_provenance(
+            self, tmp_path, monkeypatch):
+        sweep_cache, other_cache = tmp_path / "sweep", tmp_path / "other"
+        journal = tmp_path / "sweep.jsonl"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(sweep_cache))
+        monkeypatch.setattr(runner, "_CACHE", None)
+        assert main(["sweep", "-p", "1", "--grid", "10,25", "--fast",
+                     "--jobs", "1", "--journal", str(journal)]) == 0
+        manifests = sorted(sweep_cache.glob("*.manifest.json"))
+        assert len(manifests) == 2
+        own = [json.loads(path.read_text()) for path in manifests]
+        # Another cache holds the same keys from unrelated runs.
+        other_cache.mkdir()
+        for path, data in zip(manifests, own):
+            (other_cache / path.name).write_text(json.dumps(
+                {**data, "git_rev": "f" * 40, "worker_count": 7,
+                 "workload_fingerprint": None}))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(other_cache))
+        monkeypatch.setattr(runner, "_CACHE", None)
+        retro = SweepSnapshot.from_journal(journal, sweep_cache)
+        provenance = retro.provenance
+        assert provenance["git_rev"] == own[0]["git_rev"] != "f" * 40
+        assert provenance["fleet"]["worker_count"] == max(
+            data["worker_count"] for data in own) != 7
+        assert provenance["workload_fingerprint"] == \
+            own[0]["workload_fingerprint"] is not None
+        # Without the sweep's cache a journal still yields its metrics.
+        bare = SweepSnapshot.from_journal(journal)
+        assert bare.points == retro.points
+        assert bare.provenance["git_rev"] is None
 
 
 class TestTelemetrySweepJournal:

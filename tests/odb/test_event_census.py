@@ -2,8 +2,8 @@
 
 from repro.obs.metrics import disable_metrics, enable_metrics
 from repro.odb import OdbConfig, OdbSystem
-from repro.sim import resources
-from repro.sim.resources import Request
+from repro.osmodel import disks, scheduler
+from repro.sim.resources import Resource
 
 KINDS = ("cpu_burst", "cpu_claim", "disk", "other")
 
@@ -35,24 +35,28 @@ def test_census_kinds_sum_to_scheduled_with_the_roadmap_shares():
 
 def test_census_claims_match_the_scheduled_cpu_requests(monkeypatch):
     # Counted where they are created, the claims must equal what the
-    # queue saw: one scheduled Request per granted CPU claim.
-    # A request is scheduled exactly when it is granted (``succeed``),
-    # so a counting Request subclass sees every scheduled one.
-    system = _anchor_system()
-    cpus = system.scheduler.cpus
-    seen = {"cpu": 0, "disk": 0}
+    # queue saw: one scheduled Request per granted CPU claim.  A request
+    # is scheduled exactly when it is granted (its event succeeds), so
+    # the requests a counting Resource hands out that end up triggered
+    # are every scheduled one.
+    claims = {"cpus": [], "disk": []}
 
-    class CountedRequest(Request):
+    class CountedResource(Resource):
         __slots__ = ()
 
-        def succeed(self, *args, **kwargs):
-            seen["cpu" if self.resource is cpus else "disk"] += 1
-            return super().succeed(*args, **kwargs)
+        def request(self):
+            claim = super().request()
+            claims["cpus" if self.name == "cpus" else "disk"].append(claim)
+            return claim
 
-    monkeypatch.setattr(resources, "Request", CountedRequest)
+    monkeypatch.setattr(scheduler, "Resource", CountedResource)
+    monkeypatch.setattr(disks, "Resource", CountedResource)
+    system = _anchor_system()
     system.run(warmup_txns=20, measure_txns=80)
+    seen = {kind: sum(claim.triggered for claim in made)
+            for kind, made in claims.items()}
     census = system.event_census()
-    assert census["cpu_claim"] == seen["cpu"]
+    assert census["cpu_claim"] == seen["cpus"]
     assert census["disk"] - system.disks.timeouts == seen["disk"]
     assert census["cpu_burst"] + census["cpu_claim"] + census["disk"] \
         <= system.engine.queue_stats()["scheduled"]

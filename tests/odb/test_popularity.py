@@ -5,6 +5,7 @@ from random import Random
 import pytest
 
 from repro.db.buffer_cache import BufferCache
+from repro.hw.sampling import seeded
 from repro.odb import OdbConfig, OdbSystem
 from repro.odb.popularity import (
     segment_write_fractions,
@@ -195,7 +196,7 @@ class TestKernelFillMatchesDictFill:
     def test_fill_rejects_what_does_not_fit(self):
         cache = BufferCache(10)
         with pytest.raises(ValueError, match="capacity"):
-            cache.fill([(0, 6, 0.5), (100, 5, 0.5)], 1, Random(1))
+            cache.fill([(0, 6, 0.5), (100, 5, 0.5)], 1, seeded(1))
         assert cache.resident_units == 0
-        cache.fill([], 1, Random(1))
+        cache.fill([], 1, seeded(1))
         assert cache.resident_units == 0

@@ -1,4 +1,10 @@
-"""Tests for ODB transaction profiles and planning."""
+"""Tests for ODB transaction profiles and planning.
+
+Planning runs in the walk kernel; its Python formulation,
+``tests/odb/reference_prewarm.py``'s ``plan_transaction`` and ``pick``,
+is the oracle ``tests/hw/test_compiled_sampling.py`` holds it to, and
+the planning properties below are checked on that oracle.
+"""
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +16,12 @@ from repro.odb.transactions import (
     TouchSpec,
     TransactionProfile,
     _SegmentSampler,
-    plan_transaction,
 )
 from repro.sim.randomness import RandomStreams
 from repro.workload import compiled_workload
 
 from tests.db.reference_blocks import owner_of, total_units
+from tests.odb.reference_prewarm import pick, plan_transaction
 
 
 #: The default workload's five ODB transaction types.
@@ -24,7 +30,7 @@ PROFILES = compiled_workload(None).profiles
 
 def sampler_for(warehouses=10):
     space = OdbSchema(warehouses).build_block_space()
-    return _SegmentSampler(space), space
+    return _SegmentSampler(space, warehouses, 0.10), space
 
 
 def _mix_mean(field: str) -> float:
@@ -125,7 +131,7 @@ class TestPlanning:
         sampler, space = sampler_for(warehouses)
         rng = RandomStreams(seed).stream("t")
         mix = TransactionMix(PROFILES)
-        profile = mix.pick(rng)
+        profile = pick(mix, rng)
         plan = plan_transaction(rng, profile, sampler, warehouses)
         assert 0 <= plan.warehouse < warehouses
         assert 0 <= plan.district < 10
@@ -143,7 +149,7 @@ class TestMix:
     def test_pick_follows_weights(self):
         mix = TransactionMix(PROFILES)
         rng = RandomStreams(6).stream("t")
-        picks = [mix.pick(rng).name for _ in range(4000)]
+        picks = [pick(mix, rng).name for _ in range(4000)]
         share = picks.count("new_order") / len(picks)
         assert share == pytest.approx(0.45, abs=0.04)
 

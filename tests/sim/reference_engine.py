@@ -1,21 +1,23 @@
 """The event kernel in Python, kept as the oracle for the compiled one.
 
 This is :mod:`repro.sim.engine`, :mod:`repro.sim.process` and the
-``Request`` of :mod:`repro.sim.resources` as they were before the event
-queue, the dispatch loop, the events and process resumption moved into
-``repro/sim/_des.c``: unchanged but for the per-``run()`` tracing and
-metrics, which the compiled kernel keeps in Python, and the resource
-list ``Resource`` now registers in.  ``test_des_kernel.py``
-drives random schedules through both and requires the same traces and
-queue counters; :func:`patched` points the program's ``Resource``,
-``Store`` and ``Gate`` at these events for the oracle's side.
+``Resource`` and ``Request`` of :mod:`repro.sim.resources` as they were
+before the event queue, the dispatch loop, the events, process
+resumption and the resource moved into ``repro/sim/_des.c``: unchanged
+but for the per-``run()`` tracing and metrics, which the compiled kernel
+keeps in Python, and the engine's resource list, which the compiled
+engine's ``close()`` empties.  ``test_des_kernel.py`` drives random
+schedules through both and requires the same traces and queue counters;
+:func:`patched` points the program's ``Store`` and ``Gate`` at these
+events for the oracle's side.
 """
 
 from __future__ import annotations
 
 import contextlib
+from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Deque, Generator, Iterable, Optional
 
 from repro.sim import resources
 from repro.sim.engine import NORMAL, URGENT, SimulationError
@@ -272,6 +274,100 @@ class Request(Event):
         self.resource.release(self)
 
 
+class Resource:
+    """A facility with ``capacity`` identical slots and a FIFO wait queue.
+
+    Usage from a process::
+
+        req = cpu.request()
+        yield req
+        ... hold the resource ...
+        cpu.release(req)
+
+    The resource records total busy slot-time (integral of in-use slots
+    over time) so utilization can be computed as
+    ``busy_time / (capacity * elapsed)``.
+    """
+
+    def __init__(self, engine: Engine, capacity: int = 1, name: str = ""):
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        self.engine = engine
+        self.capacity = capacity
+        self.name = name
+        self._users: set[Request] = set()
+        self._queue: Deque[Request] = deque()
+        self._busy_time = 0.0
+        self._last_change = engine.now
+        #: Requests granted so far: each grant schedules one event.
+        self.grants = 0
+        engine._resources.append(self)
+
+    # -- introspection -----------------------------------------------------
+
+    def busy_time(self) -> float:
+        """Integral of in-use slot count over time, up to now."""
+        self._accrue()
+        return self._busy_time
+
+    def utilization(self, elapsed: Optional[float] = None) -> float:
+        """Mean fraction of slots in use over ``elapsed`` (default: since t=0)."""
+        if elapsed is None:
+            elapsed = self.engine.now
+        if elapsed <= 0:
+            return 0.0
+        return self.busy_time() / (self.capacity * elapsed)
+
+    # -- operations --------------------------------------------------------
+
+    def request(self) -> Request:
+        """Claim a slot; the returned event fires when the slot is granted."""
+        request = Request(self)
+        users = self._users
+        if len(users) < self.capacity:
+            self._accrue()
+            users.add(request)
+            self.grants += 1
+            request.succeed(request)
+        else:
+            self._queue.append(request)
+        return request
+
+    def release(self, request: Request) -> None:
+        """Return a previously granted slot and wake the next waiter."""
+        users = self._users
+        if request in users:
+            # One accrual covers the release and every grant it makes:
+            # they all happen at this instant.
+            self._accrue()
+            users.discard(request)
+            queue = self._queue
+            while queue and len(users) < self.capacity:
+                waiter = queue.popleft()
+                users.add(waiter)
+                self.grants += 1
+                waiter.succeed(waiter)
+        else:
+            # Cancelling a queued request is allowed and is a no-op if the
+            # request is unknown (idempotent release).
+            try:
+                self._queue.remove(request)
+            except ValueError:
+                pass
+
+    def close(self) -> None:
+        """Drop every claim, granted and queued (:meth:`Engine.close`):
+        a claim refers to its resource, so a held or queued one is a
+        cycle."""
+        self._users.clear()
+        self._queue.clear()
+
+    def _accrue(self) -> None:
+        now = self.engine._now
+        self._busy_time += len(self._users) * (now - self._last_change)
+        self._last_change = now
+
+
 class Process(Event):
     """A running simulation process; completes when its generator returns."""
 
@@ -345,10 +441,11 @@ class Process(Event):
 
 @contextlib.contextmanager
 def patched():
-    """Make :mod:`repro.sim.resources` build this module's events."""
-    saved = resources.Event, resources.Request
-    resources.Event, resources.Request = Event, Request
+    """Make :mod:`repro.sim.resources`' ``Store`` and ``Gate`` build
+    this module's events."""
+    saved = resources.Event
+    resources.Event = Event
     try:
         yield
     finally:
-        resources.Event, resources.Request = saved
+        resources.Event = saved

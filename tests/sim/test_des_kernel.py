@@ -2,15 +2,18 @@
 
 Random schedules run through both kernels — ``repro.sim`` and
 ``tests/sim/reference_engine.py``, the Python kernel the compiled one
-replaced — with the program's own ``Resource``, ``Store``, ``Gate`` and
-``AllOf`` on top.  Each process runs a random script: sleeps on a
-coarse grid (so equal-time ties are common), resource holds, gate waits
-and broadcasts, store puts and gets, all-of waits, events failed under
-their waiter, crashing children watched or not (an unwatched crash
-raises out of ``run``), non-event and self yields, and waits on an
-event that may already be processed.  Children start URGENT in the
-middle of the run.  Both kernels must produce the same trace, clock and
-``queue_stats``, across runs bounded by ``until`` and by a ``stop``
+replaced, with its Python ``Resource`` — with the program's own
+``Store``, ``Gate`` and ``AllOf`` on top.  Each process runs a random
+script: sleeps on a coarse grid (so equal-time ties are common),
+resource holds (released once, twice or by a ``with`` block), claims
+cancelled while they may still be queued, gate waits and broadcasts,
+store puts and gets, all-of waits, events failed under their waiter,
+crashing children watched or not (an unwatched crash raises out of
+``run``), non-event and self yields, and waits on an event that may
+already be processed.  Children start URGENT in the middle of the run.
+Both kernels must produce the same trace, clock and ``queue_stats``,
+and each resource the same ``grants``, ``busy_time()`` and
+``utilization()``, across runs bounded by ``until`` and by a ``stop``
 counter.
 """
 
@@ -29,6 +32,9 @@ _delay = st.sampled_from([0.0, 0.5, 1.0, 1.5])
 _leaf = st.one_of(
     st.tuples(st.just("sleep"), _delay),
     st.tuples(st.just("hold"), st.sampled_from([0, 1]), _delay),
+    st.tuples(st.just("hold_twice"), st.sampled_from([0, 1]), _delay),
+    st.tuples(st.just("hold_with"), st.sampled_from([0, 1]), _delay),
+    st.tuples(st.just("cancel"), st.sampled_from([0, 1]), _delay),
     st.tuples(st.just("wait_gate"), st.integers(1, 4)),
     st.tuples(st.just("advance"), st.integers(1, 4)),
     st.tuples(st.just("all_of"), st.lists(_delay, max_size=3)),
@@ -48,11 +54,12 @@ _op = st.one_of(
 _scripts = st.lists(st.lists(_op, max_size=6), min_size=1, max_size=6)
 
 
-def _simulate(engine, scripts, until, stop_after):
-    """Run ``scripts`` on ``engine``; the trace, clock and queue stats."""
+def _simulate(engine, scripts, until, stop_after, resource=Resource):
+    """Run ``scripts`` on ``engine`` with ``resource``s; the trace, clock,
+    queue stats and resource accounts."""
     trace = []
-    resources = (Resource(engine, 1, name="one"),
-                 Resource(engine, 2, name="two"))
+    resources = (resource(engine, 1, name="one"),
+                 resource(engine, 2, name="two"))
     gate, store = Gate(engine), Store(engine)
     finished = Counter("finished")
     early = engine.timeout(0.0, value="early")
@@ -79,6 +86,22 @@ def _simulate(engine, scripts, until, stop_after):
                     note(pid, "granted", op[1])
                     yield engine.timeout(op[2])
                     resources[op[1]].release(request)
+                elif kind == "hold_twice":
+                    request = resources[op[1]].request()
+                    yield request
+                    yield engine.timeout(op[2])
+                    resources[op[1]].release(request)
+                    resources[op[1]].release(request)
+                elif kind == "hold_with":
+                    with (yield resources[op[1]].request()):
+                        note(pid, "granted", op[1])
+                        yield engine.timeout(op[2])
+                elif kind == "cancel":
+                    request = resources[op[1]].request()
+                    note(pid, "claimed", request.triggered)
+                    yield engine.timeout(op[2])
+                    resources[op[1]].release(request)
+                    note(pid, "cancelled", request.triggered)
                 elif kind == "wait_gate":
                     note(pid, kind, (yield gate.wait_for(op[1])))
                 elif kind == "advance":
@@ -128,6 +151,9 @@ def _simulate(engine, scripts, until, stop_after):
             except RuntimeError as exc:
                 note(None, "raised", type(exc).__name__, str(exc))
         trace.append(("stage", engine.now, engine.queue_stats()))
+        trace.append([(item.name, item.grants, item.busy_time(),
+                       item.utilization(), item.utilization(2.0))
+                      for item in resources])
     return trace
 
 
@@ -137,8 +163,63 @@ def test_compiled_kernel_matches_the_python_oracle(scripts, until, stop_after):
     compiled = _simulate(Engine(), scripts, until, stop_after)
     with reference_engine.patched():
         oracle = _simulate(reference_engine.Engine(), scripts, until,
-                           stop_after)
+                           stop_after, reference_engine.Resource)
     assert compiled == oracle
+
+
+def _resource_story(engine, resource):
+    """Grants, cancels, double releases and a close on one resource."""
+    cpus = resource(engine, 2, name="cpus")
+    log = []
+
+    def story():
+        a, b, c, d = (cpus.request() for _ in range(4))
+        log.append([claim.triggered for claim in (a, b, c, d)])
+        yield engine.timeout(1.0)
+        cpus.release(c)         # cancels the queued claim
+        cpus.release(a)         # grants d, not c
+        cpus.release(a)         # a second release is a no-op
+        log.append([claim.triggered for claim in (c, d)])
+        yield engine.timeout(0.5)
+        cpus.release(b)
+        cpus.release(d)
+        log.append((cpus.grants, cpus.busy_time(), cpus.utilization()))
+        e, f, g = (cpus.request() for _ in range(3))
+        yield engine.timeout(0.25)
+        cpus.close()            # drops e and f's slots and queued g
+        cpus.release(e)         # a claim from before the close: no-op
+        cpus.release(g)
+        h = cpus.request()
+        log.append((cpus.grants, cpus.busy_time(), h.triggered,
+                    g.triggered))
+        yield engine.timeout(1.0)
+        cpus.release(h)
+        log.append((cpus.grants, cpus.busy_time(), cpus.utilization(),
+                    cpus.utilization(0.0)))
+
+    engine.process(story())
+    engine.run()
+    return log, engine.queue_stats()
+
+
+def test_compiled_resource_matches_the_python_oracle():
+    compiled = _resource_story(Engine(), Resource)
+    oracle = _resource_story(reference_engine.Engine(),
+                             reference_engine.Resource)
+    assert compiled == oracle
+    assert compiled[0][1] == [False, True]
+
+
+def test_resource_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="capacity"):
+        Resource(Engine(), 0)
+    with pytest.raises(TypeError, match="Engine"):
+        Resource(reference_engine.Engine(), 1)
+    resource = Resource(Engine(), 1)
+    resource.release(object())  # not a claim: a no-op, as for any unknown
+    other = Resource(Engine(), 1).request()
+    resource.release(other)     # another resource's claim: a no-op
+    assert resource.request().triggered
 
 
 def test_close_ends_every_process_and_drops_the_queue():

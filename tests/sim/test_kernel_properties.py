@@ -57,7 +57,7 @@ def test_resource_invariants_under_random_load(capacity, jobs):
     assert sorted(finished) == list(range(len(jobs)))       # no starvation
     assert all(n <= capacity for n in in_use_samples)       # capacity bound
     assert last["n"] == 0                                   # all released
-    assert not resource._queue
+    assert resource.request().triggered                     # none queued
     assert abs(resource.busy_time() - busy_tally["area"]) < 1e-6
 
 

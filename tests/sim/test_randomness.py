@@ -1,17 +1,41 @@
-"""Tests for deterministic RNG streams and distributions."""
+"""Tests for deterministic RNG streams and distributions.
+
+:func:`lognormal_sampler` is the disks' service-time sampler as it was
+in Python, before it moved into the walk kernel
+(:func:`repro.hw.sampling.lognormal`); it stays as that sampler's
+oracle.
+"""
 
 import math
+import random
+from functools import partial
+from typing import Callable
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.randomness import (
-    RandomStreams,
-    derive_seed,
-    lognormal_sampler,
-    zipf_cdf,
-)
+from repro.hw.sampling import lognormal
+from repro.sim.randomness import RandomStreams, derive_seed, zipf_cdf
+
+from tests.hw import kernel_driver
+
+
+def lognormal_sampler(rng: random.Random, mean: float,
+                      cv: float) -> Callable[[], float]:
+    """A zero-argument sampler of lognormal variates with arithmetic
+    mean ``mean`` and coefficient of variation ``cv`` — the shape used
+    for disk service times; the lognormal's parameters are solved once
+    (a disk draws one per request)."""
+    if mean <= 0:
+        raise ValueError("lognormal mean must be > 0")
+    if cv < 0:
+        raise ValueError("coefficient of variation must be >= 0")
+    if cv == 0:
+        return lambda: mean
+    sigma2 = math.log(1.0 + cv * cv)
+    mu = math.log(mean) - sigma2 / 2.0
+    return partial(rng.lognormvariate, mu, math.sqrt(sigma2))
 
 
 def test_same_seed_same_stream():
@@ -39,6 +63,29 @@ def test_draws_on_one_stream_do_not_shift_another():
     for _ in range(100):
         streams.stream("a").random()
     assert [streams.stream("b").random() for _ in range(5)] == baseline
+
+
+def test_kernel_stream_starts_where_the_python_stream_starts():
+    kernel = RandomStreams(7).kernel_stream("disk")
+    python = RandomStreams(7).stream("disk")
+    assert kernel_driver.state(kernel) == python.getstate()
+    assert ([kernel_driver.random(kernel) for _ in range(10)]
+            == [python.random() for _ in range(10)])
+
+
+def test_kernel_stream_is_cached():
+    streams = RandomStreams(7)
+    assert streams.kernel_stream("x") is streams.kernel_stream("x")
+
+
+def test_a_name_is_drawn_in_python_or_in_the_kernel_never_both():
+    streams = RandomStreams(7)
+    streams.stream("python")
+    streams.kernel_stream("kernel")
+    with pytest.raises(ValueError, match="drawn in Python"):
+        streams.kernel_stream("python")
+    with pytest.raises(ValueError, match="drawn in the kernel"):
+        streams.stream("kernel")
 
 
 def test_fork_produces_independent_family():
@@ -119,3 +166,22 @@ class TestDistributions:
             return math.sqrt(sum((x - m) ** 2 for x in xs) / len(xs))
 
         assert stdev(tight) < stdev(wide)
+
+    @pytest.mark.parametrize("mean, cv", [(5e-3, 0.5), (1.0, 2.0),
+                                          (7.0, 0.0)])
+    def test_kernel_sampler_draws_what_the_python_sampler_draws(self, mean,
+                                                                cv):
+        expected = RandomStreams(3).stream("ln")
+        mt = RandomStreams(3).kernel_stream("ln")
+        draw, oracle = lognormal(mt, mean, cv), lognormal_sampler(
+            expected, mean, cv)
+        assert [draw() for _ in range(5000)] == \
+            [oracle() for _ in range(5000)]
+        assert kernel_driver.state(mt) == expected.getstate()
+
+    def test_kernel_sampler_validation(self):
+        mt = RandomStreams(3).kernel_stream("ln")
+        with pytest.raises(ValueError):
+            lognormal(mt, 0.0, 0.5)
+        with pytest.raises(ValueError):
+            lognormal(mt, 1.0, -0.5)

@@ -93,8 +93,8 @@ class TestResource:
         queued = cpu.request()
         assert not queued.triggered
         cpu.release(queued)  # cancel while queued
-        assert not cpu._queue
         cpu.release(holder)
+        assert not queued.triggered  # the cancelled claim is never granted
         assert cpu.request().triggered  # the slot is free again
 
     def test_request_context_manager(self):
