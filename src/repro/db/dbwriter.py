@@ -11,51 +11,46 @@ from __future__ import annotations
 from repro.osmodel.disks import DiskArray
 from repro.osmodel.scheduler import Scheduler
 from repro.sim import Engine, Store
-from repro.sim.stats import Counter
+
+#: Most blocks the writer submits in one batch.
+BATCH_SIZE = 128
+#: Simulated seconds between two incremental checkpoints.
+CHECKPOINT_INTERVAL_S = 0.5
+#: Most blocks one checkpoint writes out.
+CHECKPOINT_MAX_BLOCKS = 256
 
 
 class DbWriter:
     """Queue of dirty blocks plus the writer process."""
 
-    def __init__(self, engine: Engine, disks: DiskArray, scheduler: Scheduler,
-                 batch_size: int = 128):
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
+    def __init__(self, engine: Engine, disks: DiskArray, scheduler: Scheduler):
         self.engine = engine
         self.disks = disks
         self.scheduler = scheduler
-        self.batch_size = batch_size
         self._queue = Store(engine, name="dbwriter-queue")
-        self.enqueued = Counter("dbwriter-enqueued")
-        self.written = Counter("dbwriter-written")
 
     def enqueue(self, block_id: int) -> None:
         """Hand a dirty-evicted block to the writer (non-blocking)."""
-        self.enqueued.count += 1
         self._queue.put(block_id)
 
-    def checkpoint_process(self, cache, interval_s: float = 0.5,
-                           max_per_interval: int = 256):
+    def checkpoint_process(self, cache):
         """Age-based, rate-limited incremental checkpointing.
 
         A block is written when it has stayed dirty across two
-        checkpoint intervals (it "aged out"), approximating Oracle's
-        redo-age-driven incremental checkpoint at simulation timescale;
-        the write-out rate is bounded per interval as the real
-        checkpoint's is by recovery targets.  Hot blocks re-dirtied every
+        checkpoint intervals (``CHECKPOINT_INTERVAL_S``: it "aged out"),
+        approximating Oracle's redo-age-driven incremental checkpoint at
+        simulation timescale; the write-out rate is bounded per interval
+        (``CHECKPOINT_MAX_BLOCKS``) as the real checkpoint's is by
+        recovery targets.  Hot blocks re-dirtied every
         transaction are written at most once per interval — at small W
         those few hot blocks are the only data writes (traffic ≈ log
         only, Section 4.3).  The *growing* write flow at large W is
         dirty evictions, which reach the writer through the engine's
         eviction path, not through this process.
         """
-        if interval_s <= 0:
-            raise ValueError("interval_s must be positive")
-        if max_per_interval < 1:
-            raise ValueError("max_per_interval must be >= 1")
         previously_dirty: set[int] = set()
         while True:
-            yield self.engine.timeout(interval_s)
+            yield self.engine.timeout(CHECKPOINT_INTERVAL_S)
             # One full-cache scan: nothing changes the cache before the
             # loop below cleans the blocks it writes.
             dirty = cache.oldest_dirty(cache.resident_units)
@@ -68,7 +63,7 @@ class DbWriter:
                 cache.clean(block_id)
                 self.enqueue(block_id)
                 written += 1
-                if written >= max_per_interval:
+                if written >= CHECKPOINT_MAX_BLOCKS:
                     break
             previously_dirty = currently_dirty
 
@@ -83,17 +78,13 @@ class DbWriter:
         while True:
             first = yield self._queue.get()
             batch = [first]
-            while self._queue.size > 0 and len(batch) < self.batch_size:
+            while self._queue.size > 0 and len(batch) < BATCH_SIZE:
                 batch.append((yield self._queue.get()))
             claim = self.scheduler.acquire()
             yield claim
             yield from self.scheduler.execute_os(
                 len(batch) * self.scheduler.costs.write_submit)
             self.scheduler.release(claim)
-            writes = [self.engine.process(self._write_one(block_id))
+            writes = [self.engine.process(self.disks.write(block_id))
                       for block_id in batch]
             yield self.engine.all_of(writes)
-
-    def _write_one(self, block_id: int):
-        yield from self.disks.write(block_id)
-        self.written.count += 1

@@ -18,33 +18,17 @@ holds afterwards (re-acquired if the call had to block).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Hashable
 
 from repro.db.buffer_cache import BufferCache
 from repro.db.dbwriter import DbWriter
 from repro.db.locks import LockTable
 from repro.db.redo import RedoLog
-from repro.hw.cwalk import lib
 from repro.osmodel.disks import DiskArray
 from repro.osmodel.scheduler import Scheduler
 from repro.sim import Engine
 from repro.sim.resources import Request
 from repro.sim.stats import Counter
-
-
-@dataclass
-class TransactionStats:
-    """Per-transaction accounting filled in by the facade."""
-
-    logical_reads: int = 0
-    physical_reads: int = 0
-    lock_waits: int = 0
-    blocks_dirtied: int = 0
-    committed: bool = False
-
-
-_lru_lookup = lib.lru_lookup
 
 
 class DatabaseEngine:
@@ -57,43 +41,27 @@ class DatabaseEngine:
         self.scheduler = scheduler
         self.disks = disks
         self.buffer_cache = buffer_cache
-        self._lru = buffer_cache.c
         self.lock_table = lock_table
         self.redo = redo
         self.dbwriter = dbwriter
         self.transactions = Counter("transactions-committed")
         self.aborted = Counter("transactions-aborted")
         self.physical_reads = Counter("physical-reads")
-        self.logical_reads = Counter("logical-reads")
         self.lock_wait_switches = Counter("lock-wait-switches")
 
     # -- block access ---------------------------------------------------------
 
-    def reference(self, block_id: int, write: bool,
-                  stats: TransactionStats) -> bool:
-        """Reference one block unit in the buffer cache; True on a hit.
-
-        A plain call, not a generator: a hit costs no simulated time and
-        no event.  On a miss the caller runs :meth:`read_miss`.  The
-        lookup (read or write) is one kernel call, ``lru_lookup`` on the
-        cache's kernel state.
-        """
-        self.logical_reads.count += 1
-        stats.logical_reads += 1
-        if write:
-            stats.blocks_dirtied += 1
-        return _lru_lookup(self._lru, block_id, write)
-
-    def read_miss(self, claim: Request, block_id: int, write: bool,
-                  stats: TransactionStats):
-        """The I/O dance after a :meth:`reference` miss: submit the read,
+    def read_miss(self, claim: Request, block_id: int, write: bool):
+        """The I/O dance after a buffer-cache miss: submit the read,
         give up the CPU, sleep on the transfer, re-acquire a CPU and
         install the block (handing a dirty victim to the writer).
 
-        Returns the CPU claim held afterwards.
+        The lookup itself is one kernel call the client makes,
+        ``lru_lookup`` on the cache's kernel state: a hit costs no
+        simulated time and no event.  Returns the CPU claim held
+        afterwards.
         """
         self.physical_reads.count += 1
-        stats.physical_reads += 1
         scheduler = self.scheduler
         yield from scheduler.execute_os(scheduler.costs.io_submit)
         yield from scheduler.block(claim)
@@ -115,8 +83,7 @@ class DatabaseEngine:
     #: and buffer-busy waits spin-and-sleep rather than sleeping once).
     LATCH_SLEEP_S = 0.001
 
-    def lock(self, claim: Request, owner: object, key: Hashable,
-             stats: TransactionStats):
+    def lock(self, claim: Request, owner: object, key: Hashable):
         """Take an exclusive held-to-commit lock; blocks when contended.
 
         Returns the CPU claim held afterwards.  Contended acquisitions
@@ -131,7 +98,6 @@ class DatabaseEngine:
             # We will wait: give up the CPU first (that's the context
             # switch the paper attributes to data contention).
             yield from scheduler.block(claim)
-            stats.lock_waits += 1
             self.lock_wait_switches.count += 1
             wait_started = self.engine._now
             yield from self.lock_table.acquire(owner, key)
@@ -154,27 +120,21 @@ class DatabaseEngine:
 
     # -- commit -------------------------------------------------------------------
 
-    def commit(self, claim: Request, owner: object, stats: TransactionStats,
-               redo_bytes: float | None = None):
+    def commit(self, claim: Request, owner: object, redo_bytes: float):
         """Append redo, wait for group commit, release locks.
 
         Returns the CPU claim held afterwards (re-acquired after the
         flush wait).
         """
         scheduler = self.scheduler
+        # Never durable yet: the log writer flushes only what was
+        # appended before its round began.
         sequence = self.redo.append(redo_bytes)
-        if self.redo.flushed_sequence >= sequence:
-            # Already durable (possible only with a zero-latency log).
-            self.lock_table.release_all(owner)
-            stats.committed = True
-            self.transactions.count += 1
-            return claim
         yield from scheduler.block(claim)
         yield from self.redo.wait_for_flush(sequence)
         claim = scheduler.acquire()
         yield claim
         self.lock_table.release_all(owner)
-        stats.committed = True
         self.transactions.count += 1
         return claim
 

@@ -18,14 +18,16 @@ from repro.sim import Engine, Gate
 from repro.sim.stats import Counter, Tally
 
 
+#: The log writer's idle sleep: at load it is continuously busy, so
+#: commits wait at most one flush round.
+POLL_INTERVAL_S = 0.0005
+
+
 class RedoLog:
     """The shared redo buffer and its flush gate."""
 
-    def __init__(self, engine: Engine, bytes_per_txn: float = 6 * 1024):
-        if bytes_per_txn <= 0:
-            raise ValueError("bytes_per_txn must be positive")
+    def __init__(self, engine: Engine):
         self.engine = engine
-        self.bytes_per_txn = bytes_per_txn
         self._next_sequence = 0
         self._flushed = Gate(engine, level=0.0, name="redo-flushed")
         self.bytes_written = Counter("log-bytes")
@@ -43,11 +45,10 @@ class RedoLog:
         """Highest redo sequence number durably flushed."""
         return self._flushed.level
 
-    def append(self, redo_bytes: float | None = None) -> int:
+    def append(self, redo_bytes: float) -> int:
         """Append one transaction's redo; returns its commit sequence."""
         self._next_sequence += 1
-        self.bytes_written.add(
-            self.bytes_per_txn if redo_bytes is None else redo_bytes)
+        self.bytes_written.add(redo_bytes)
         return self._next_sequence
 
     def wait_for_flush(self, sequence: int):
@@ -65,23 +66,19 @@ class RedoLog:
 
 
 def log_writer_process(engine: Engine, redo: RedoLog, disks: DiskArray,
-                       scheduler: Scheduler, poll_interval_s: float = 0.0005,
-                       flush_instructions: float | None = None,
-                       stalls: tuple = ()):
+                       scheduler: Scheduler, stalls: tuple = ()):
     """The LGWR background process.
 
-    Loop: when un-flushed redo exists, charge the flush path on a CPU,
-    write the batch sequentially to a log disk, and open the commit gate
-    for every covered transaction.  ``poll_interval_s`` is the idle
-    sleep; at load the writer is continuously busy so commits wait at
-    most one flush round.
+    Loop: when un-flushed redo exists, charge the flush path
+    (``KernelCosts.log_flush``) on a CPU, write the batch sequentially
+    to a log disk, and open the commit gate for every covered
+    transaction; otherwise sleep ``POLL_INTERVAL_S``.
 
     ``stalls`` is an optional tuple of :class:`repro.faults.LogStall`
     fault windows: while one is open the writer is wedged — no flush
     completes, commit waits balloon, and group-commit batches grow.
     """
-    if flush_instructions is None:
-        flush_instructions = scheduler.costs.log_flush
+    flush_instructions = scheduler.costs.log_flush
     while True:
         if stalls:
             wedged = stall_wait_s(stalls, engine.now)
@@ -91,7 +88,7 @@ def log_writer_process(engine: Engine, redo: RedoLog, disks: DiskArray,
         target = redo.pending_sequence
         flushed = int(redo.flushed_sequence)
         if target <= flushed:
-            yield engine.timeout(poll_interval_s)
+            yield engine.timeout(POLL_INTERVAL_S)
             continue
         claim = scheduler.acquire()
         yield claim

@@ -121,9 +121,11 @@ class TransientAborts:
     """Seeded transient aborts decided at commit time.
 
     ``probability`` is the per-transaction base chance; the effective
-    chance is scaled by the transaction profile's write footprint (see
-    :func:`repro.odb.transactions.abort_weight`), so write-heavy
+    chance is scaled by the transaction type's write footprint (see
+    :attr:`repro.odb.transactions.PlanType.abort_weight`), so write-heavy
     transactions — the plausible deadlock victims — abort more often.
+    The scale averages 1.0 over the running mix, so ``probability`` is
+    the mean abort chance of an attempt in any workload.
     """
 
     probability: float = 0.0

@@ -22,8 +22,7 @@ the healthy run over the same transaction sequence.
 
 from __future__ import annotations
 
-from repro.db.engine import TransactionStats
-from repro.odb.transactions import abort_weight
+from repro.hw.cwalk import lib
 from repro.sim.engine import Timeout
 
 
@@ -32,7 +31,8 @@ def client_process(system, client_id: int):
     scheduler = system.scheduler
     engine = system.engine
     db = system.db
-    reference = db.reference
+    lru_lookup = lib.lru_lookup
+    lru = system.buffer_cache.c
     user_instructions = scheduler.user_instructions
     mix = system.mix
     draw = system.sampler.draw
@@ -45,25 +45,22 @@ def client_process(system, client_id: int):
     sequence = 0
     while True:
         kind, warehouse, touches = draw(stream, mix.active())
-        profile = kind.profile
         chunk = kind.chunk
         attempt = 0
         while True:
             attempt += 1
             owner = (client_id, sequence)
             sequence += 1
-            stats = TransactionStats()
             claim = scheduler.acquire()
             yield claim
             # Hot-row locks first, in plan order (fixed order: no deadlock).
             for lock in kind.locks:
-                claim = yield from db.lock(claim, owner, (lock, warehouse),
-                                           stats)
+                claim = yield from db.lock(claim, owner, (lock, warehouse))
             # User work interleaved with block touches, each packed as
             # (block_id << 1) | write.  Each touch's burst is
             # Scheduler.execute_user written out in this loop (same
             # timeout, same accounting, one generator fewer), and a
-            # buffer hit is a plain call; only a miss runs a generator.
+            # buffer hit is one kernel call; only a miss runs a generator.
             for code in touches:
                 duration = chunk * scheduler.user_spi
                 if duration > 0:
@@ -71,29 +68,27 @@ def client_process(system, client_id: int):
                     yield Timeout(engine, duration)
                 user_instructions.count += chunk
                 scheduler.user_busy_s += duration
-                if not reference(code >> 1, code & 1, stats):
+                if not lru_lookup(lru, code >> 1, code & 1):
                     claim = yield from db.read_miss(claim, code >> 1,
-                                                    code & 1, stats)
+                                                    code & 1)
             yield from scheduler.execute_user(chunk)
             # Per-transaction kernel baseline (IPC with the client, timers).
             yield from scheduler.execute_os(scheduler.costs.base_per_txn)
             if abort_rng is not None and (
                     abort_rng.random()
-                    < faults.aborts.probability * abort_weight(profile)):
+                    < faults.aborts.probability * kind.abort_weight):
                 # Transient abort: roll back (locks drop, work done so far
                 # stays spent), give up the CPU, back off, and retry.
                 db.abort(owner)
                 yield from scheduler.block(claim)
                 if attempt >= faults.retry.max_attempts:
-                    system.abandoned.add()
-                    break
+                    break  # abandoned
                 system.retries.add()
                 backoff = faults.retry.backoff_s(attempt)
                 if backoff > 0:
                     yield engine.timeout(backoff)
                 continue
-            claim = yield from db.commit(claim, owner, stats,
-                                         redo_bytes=profile.redo_bytes)
+            claim = yield from db.commit(claim, owner,
+                                         kind.profile.redo_bytes)
             scheduler.release(claim)
-            system.note_transaction(profile, stats)
             break

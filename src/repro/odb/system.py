@@ -17,14 +17,14 @@ from typing import TYPE_CHECKING, Optional
 from repro.db.blocks import BlockSpace
 from repro.db.buffer_cache import BufferCache
 from repro.db.dbwriter import DbWriter
-from repro.db.engine import DatabaseEngine, TransactionStats
+from repro.db.engine import DatabaseEngine
 from repro.db.locks import LockTable
 from repro.db.redo import RedoLog, log_writer_process
 from repro.faults import DiskFaultModel, FaultPlan, lock_storm_process
 from repro.hw.machine import MachineConfig, XEON_MP_QUAD
 from repro.odb.client import client_process
 from repro.odb.schema import OdbSchema
-from repro.odb.transactions import _SegmentSampler, TransactionProfile
+from repro.odb.transactions import _SegmentSampler
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
 from repro.osmodel.disks import DiskArray
@@ -199,14 +199,12 @@ class OdbSystem:
             space, config.warehouses,
             REMOTE_TOUCH_PROB if workload.remote_touch_prob is None
             else workload.remote_touch_prob)
-        self._txn_log: list[tuple[str, TransactionStats]] = []
         # Fault injection (strictly opt-in; see repro.faults).  Fault
         # randomness derives from the plan's own seed so the workload
         # streams stay untouched.
         self.faults = config.faults
         self.fault_streams = None
         self.retries = Counter("txn-retries")
-        self.abandoned = Counter("txn-abandoned")
         log_stalls: tuple = ()
         if self.faults is not None:
             self.fault_streams = RandomStreams(self.faults.seed)
@@ -227,15 +225,6 @@ class OdbSystem:
         self.engine.process(self.dbwriter.checkpoint_process(self.buffer_cache))
         for client_id in range(config.clients):
             self.engine.process(client_process(self, client_id))
-
-    # -- hooks ----------------------------------------------------------------
-
-    def note_transaction(self, profile: TransactionProfile,
-                         stats: TransactionStats) -> None:
-        """Called by clients at commit (kept small: counts live in parts)."""
-        self._txn_log.append((profile.name, stats))
-        if len(self._txn_log) > 50_000:
-            del self._txn_log[:25_000]
 
     # -- warm-up --------------------------------------------------------------
 
@@ -318,10 +307,8 @@ class OdbSystem:
             "aborted": self.db.aborted.snapshot(),
             "retries": self.retries.snapshot(),
             "physical_reads": self.db.physical_reads.snapshot(),
-            "logical_reads": self.db.logical_reads.snapshot(),
             "lock_wait_switches": self.db.lock_wait_switches.snapshot(),
             "data_writes": self.disks.writes.snapshot(),
-            "log_writes": self.disks.log_writes.snapshot(),
             "log_bytes": self.redo.bytes_written.snapshot(),
             "log_flushes": self.redo.flushes.snapshot(),
             "buffer_hits": float(self.buffer_cache.hits),

@@ -16,7 +16,6 @@ a kernel stream (DESIGN.md §11, "Compiled sampling").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from repro.db.blocks import BlockSpace
@@ -75,34 +74,9 @@ class TransactionProfile:
             raise ValueError("a transaction must touch at least one block")
 
 
-def abort_weight(profile: TransactionProfile) -> float:
-    """Relative transient-abort likelihood of a transaction type.
-
-    Fault injection (:class:`repro.faults.TransientAborts`) scales its
-    base probability by this: transactions with a larger write and lock
-    footprint are the plausible deadlock victims and transient-error
-    targets, while read-only types (order_status, stock_level) are
-    nearly immune.  Normalized against the default ``odb-standard`` mix,
-    whatever mix is running: over that mix the weighted mean is 1.0, so
-    a base probability of ``p`` aborts ``p`` of its transactions.  A
-    workload with other types or weights has a different mean.
-    """
-    return _raw_abort_weight(profile) / _default_mean_raw_abort_weight()
-
-
-@lru_cache(maxsize=1)
-def _default_mean_raw_abort_weight() -> float:
-    """Mix-weighted mean raw abort weight of the default workload."""
-    # Imported here: repro.workload compiles into this module's types.
-    from repro.workload import compiled_workload
-
-    profiles = compiled_workload(None).profiles
-    total_weight = sum(p.weight for p in profiles)
-    return sum(p.weight * _raw_abort_weight(p)
-               for p in profiles) / total_weight
-
-
 def _raw_abort_weight(profile: TransactionProfile) -> float:
+    """A transaction type's write and lock footprint, before
+    :class:`_MixPlans` normalizes it into :attr:`PlanType.abort_weight`."""
     writes = sum(spec.count * spec.write_prob for spec in profile.touches)
     locks = (int(profile.locks_warehouse_row)
              + int(profile.locks_district_row))
@@ -118,6 +92,16 @@ class PlanType(NamedTuple):
     locks: tuple[str, ...]
     #: User instructions per burst: one burst per touch, one after.
     chunk: float
+    #: Relative transient-abort likelihood.  Fault injection
+    #: (:class:`repro.faults.TransientAborts`) scales its base
+    #: probability by this: transactions with a larger write and lock
+    #: footprint are the plausible deadlock victims and transient-error
+    #: targets, while read-only types (order_status, stock_level) are
+    #: nearly immune.  Normalized over the stationary mix the plan is
+    #: drawn from (each phase of a phased mix on its own), so its
+    #: mix-weighted mean is 1.0 and a base probability ``p`` is the
+    #: mean abort chance of an attempt in any workload.
+    abort_weight: float
 
 
 class _MixPlans:
@@ -132,7 +116,11 @@ class _MixPlans:
         types = []
         #: Touches of the longest plan.
         self.longest = 0
-        for profile in mix.profiles:
+        profiles = mix.profiles
+        total_weight = sum(p.weight for p in profiles)
+        mean_abort_weight = sum(p.weight * _raw_abort_weight(p)
+                                for p in profiles) / total_weight
+        for profile in profiles:
             for (cdf, modulus, stride, offset, count, write_prob,
                  array) in sampler.resolve(profile):
                 touches.append({
@@ -153,7 +141,8 @@ class _MixPlans:
                 # buffer-level contention), which is what makes tiny
                 # databases switch-heavy.
                 + ("dist",) * profile.locks_district_row,
-                chunk))
+                chunk,
+                _raw_abort_weight(profile) / mean_abort_weight))
         self.types = tuple(types)
         self._arrays = (ffi.new("double[]", mix.cdf),
                         ffi.new("uint32_t[]", first),

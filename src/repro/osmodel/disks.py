@@ -12,7 +12,7 @@ at 1200 warehouses the 26-disk array can no longer keep 4 processors at
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.hw.machine import DiskConfig
 from repro.hw.sampling import lognormal
@@ -24,20 +24,8 @@ from repro.sim.stats import Counter, Tally
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults import DiskFaultModel
 
-
-class DiskRequest(NamedTuple):
-    """A completed disk request's accounting record (a named tuple: one
-    is built per request, and a frozen dataclass costs several times
-    more to construct)."""
-
-    disk: int
-    queued_s: float
-    service_s: float
-
-    @property
-    def latency_s(self) -> float:
-        """Queueing plus service time of the request, in seconds."""
-        return self.queued_s + self.service_s
+#: Disks of the array dedicated to the redo log; the rest hold data.
+LOG_DISKS = 2
 
 
 class DiskArray:
@@ -50,30 +38,27 @@ class DiskArray:
     WRITE_SERVICE_FACTOR = 0.25
 
     def __init__(self, engine: Engine, config: DiskConfig,
-                 streams: RandomStreams, log_disks: int = 2,
-                 fault_model: Optional["DiskFaultModel"] = None):
-        if log_disks < 0 or log_disks >= config.count:
+                 streams: RandomStreams):
+        if config.count <= LOG_DISKS:
             raise ValueError(
-                f"log_disks must be in [0, {config.count}), got {log_disks}")
+                f"the array needs more than its {LOG_DISKS} log disks, "
+                f"got {config.count} disks")
         self.engine = engine
         self.config = config
-        #: Optional degradation state (repro.faults); None = healthy array.
-        self.fault_model = fault_model
-        self.data_disk_count = config.count - log_disks
-        self.log_disk_count = log_disks
+        #: Degradation state (repro.faults), set by a faulted system;
+        #: None = healthy array.
+        self.fault_model: Optional["DiskFaultModel"] = None
+        self.data_disk_count = config.count - LOG_DISKS
         self._data_disks = [Resource(engine, 1, name=f"disk{i}")
                             for i in range(self.data_disk_count)]
         self._log_disks = [Resource(engine, 1, name=f"logdisk{i}")
-                           for i in range(log_disks)]
+                           for i in range(LOG_DISKS)]
         # Drawn in the walk kernel, from the kernel stream disk-service.
         self._service_time = lognormal(
             streams.kernel_stream("disk-service"), config.service_time_s,
             config.service_time_cv)
-        self.reads = Counter("disk-reads")
         self.writes = Counter("disk-writes")
-        self.log_writes = Counter("log-writes")
         self.read_latency = Tally("read-latency")
-        self.write_latency = Tally("write-latency")
         self._log_seq = 0
         #: Service and outage timeouts scheduled (with the disks'
         #: grants, ``engine.events.disk``).
@@ -81,44 +66,37 @@ class DiskArray:
 
     # -- operations (simulation processes) ----------------------------------
 
-    # read() and write() hand back the _serve generator itself, one
-    # generator level fewer per request; callers ``yield from`` either.
+    # read(), write() and log_append() hand back the _serve generator
+    # itself, one generator level fewer per request; callers
+    # ``yield from`` it.
 
     def read(self, block_id: int):
         """Blocking read of a data block; yields until the data is in memory."""
         index = block_id % self.data_disk_count
         return self._serve(self._data_disks[index], index, 1.0, True,
-                           self.reads, self.read_latency)
+                           latency=self.read_latency)
 
     def write(self, block_id: int):
         """Write of a data block (the caller decides whether to wait)."""
         index = block_id % self.data_disk_count
         return self._serve(self._data_disks[index], index,
                            self.WRITE_SERVICE_FACTOR, True,
-                           self.writes, self.write_latency)
+                           served=self.writes)
 
     def log_append(self):
-        """Sequential append to the redo log (round-robin over log disks).
-
-        Falls back to the data disks when no dedicated log disks exist.
-        """
+        """Sequential append to the redo log (round-robin over the log
+        disks, which disk faults never touch)."""
         self._log_seq += 1
-        if self._log_disks:
-            index = self._log_seq % self.log_disk_count
-            disk = self._log_disks[index]
-            faultable = False
-        else:
-            index = self._log_seq % self.data_disk_count
-            disk = self._data_disks[index]
-            faultable = True
-        return (yield from self._serve(disk, index, self.LOG_SERVICE_FACTOR,
-                                       faultable, self.log_writes))
+        index = self._log_seq % LOG_DISKS
+        return self._serve(self._log_disks[index], index,
+                           self.LOG_SERVICE_FACTOR, False)
 
     def _serve(self, disk: Resource, index: int, service_factor: float,
-               faultable: bool, served: Counter,
+               faultable: bool, served: Optional[Counter] = None,
                latency: Optional[Tally] = None):
-        """Queue on ``disk``, hold it for one service time, then count
-        the request in ``served`` (and its latency in ``latency``)."""
+        """Queue on ``disk`` and hold it for one service time; then
+        count the request in ``served`` or its queueing-plus-service
+        latency in ``latency``, when given."""
         engine = self.engine
         arrived = engine._now
         claim = disk.request()
@@ -136,11 +114,10 @@ class DiskArray:
         self.timeouts += 1
         yield Timeout(engine, service)
         disk.release(claim)
-        request = DiskRequest(disk=index, queued_s=queued, service_s=service)
-        served.count += 1
+        if served is not None:
+            served.count += 1
         if latency is not None:
-            latency.record(request.latency_s)
-        return request
+            latency.record(queued + service)
 
     def events(self) -> int:
         """DES events the array has scheduled: every grant of a disk

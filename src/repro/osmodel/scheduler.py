@@ -103,10 +103,6 @@ class Scheduler:
 
     # -- statistics -----------------------------------------------------------
 
-    def utilization(self, elapsed: float | None = None) -> float:
-        """Mean busy fraction across all CPUs since t=0 (or over elapsed)."""
-        return self.cpus.utilization(elapsed)
-
     def snapshot(self) -> dict[str, float]:
         """Counter snapshot for interval-delta measurement (EMON)."""
         return {

@@ -5,12 +5,11 @@ Two shapes of measurement recur throughout the system model:
 - :class:`Counter` — monotonically increasing event counts (transactions
   committed, context switches, disk reads) with support for interval
   snapshots, which is what the EMON sampling layer consumes.
-- :class:`Tally` — mean/variance over discrete observations (latencies).
+- :class:`Tally` — the running mean of discrete observations
+  (latencies, group-commit sizes).
 """
 
 from __future__ import annotations
-
-import math
 
 
 class Counter:
@@ -34,41 +33,23 @@ class Counter:
 
 
 class Tally:
-    """Streaming mean/variance (Welford) over discrete observations."""
+    """Streaming mean (Welford's update) over discrete observations."""
 
-    __slots__ = ("name", "n", "_mean", "_m2", "minimum", "maximum")
+    __slots__ = ("name", "n", "_mean")
 
     def __init__(self, name: str = ""):
         self.name = name
         self.n = 0
         self._mean = 0.0
-        self._m2 = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
 
     def record(self, value: float) -> None:
-        """Fold one observation into the running moments."""
+        """Fold one observation into the running mean."""
         self.n += 1
         delta = value - self._mean
         self._mean += delta / self.n
-        self._m2 += delta * (value - self._mean)
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
 
     @property
     def mean(self) -> float:
         """Mean of the recorded observations."""
         return self._mean if self.n else 0.0
-
-    @property
-    def variance(self) -> float:
-        """Sample variance (n-1 denominator)."""
-        return self._m2 / (self.n - 1) if self.n > 1 else 0.0
-
-    @property
-    def stdev(self) -> float:
-        """Sample standard deviation of the observations."""
-        return math.sqrt(self.variance)
 

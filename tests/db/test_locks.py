@@ -1,25 +1,37 @@
-"""Tests for the held-to-commit lock table."""
+"""Tests for the held-to-commit lock table.
 
-import pytest
+Waiting shows in simulated time and grant order: a waiter resumes when
+the holder releases, and waiters are granted in arrival order.
+"""
 
 from repro.db.locks import LockTable
 from repro.sim import Engine
+
+
+def holds(locks, owner, key) -> bool:
+    """True when ``owner`` holds ``key``: anyone else would wait for
+    it, and ``owner`` would not."""
+    return (locks.would_wait(("not", owner), key)
+            and not locks.would_wait(owner, key))
 
 
 class TestLockTable:
     def test_uncontended_acquire_is_immediate(self):
         engine = Engine()
         locks = LockTable(engine)
-        waited = []
+        acquired_at = []
 
         def proc():
-            waited.append((yield from locks.acquire("t1", ("wh", 0))))
+            yield from locks.acquire("t1", ("wh", 0))
+            acquired_at.append(engine.now)
 
         engine.process(proc())
         engine.run()
-        assert waited == [False]
-        assert locks.acquisitions.count == 1
-        assert locks.waits.count == 0
+        assert acquired_at == [0.0]
+        assert holds(locks, "t1", ("wh", 0))
+        # The grant is still one scheduled event, as the dispatch
+        # digests pin it; the process's start and end are the others.
+        assert engine.queue_stats()["scheduled"] == 3
 
     def test_contended_acquire_waits_until_release(self):
         engine = Engine()
@@ -33,15 +45,14 @@ class TestLockTable:
 
         def contender():
             yield engine.timeout(1.0)
-            waited = yield from locks.acquire("t2", ("wh", 0))
-            events.append((engine.now, waited))
+            assert locks.would_wait("t2", ("wh", 0))
+            yield from locks.acquire("t2", ("wh", 0))
+            events.append((engine.now, holds(locks, "t2", ("wh", 0))))
 
         engine.process(holder())
         engine.process(contender())
         engine.run()
         assert events == [(5.0, True)]
-        assert locks.waits.count == 1
-        assert locks.wait_time.mean == pytest.approx(4.0)
 
     def test_different_keys_do_not_conflict(self):
         engine = Engine()
@@ -66,18 +77,20 @@ class TestLockTable:
         def proc():
             yield from locks.acquire("t1", ("wh", 0))
             yield from locks.acquire("t1", ("dist", 0))
-            assert locks.holds("t1", ("wh", 0))
-            assert locks.holds("t1", ("dist", 0))
-            assert locks.release_all("t1") == 2
+            assert holds(locks, "t1", ("wh", 0))
+            assert holds(locks, "t1", ("dist", 0))
+            locks.release_all("t1")
 
         engine.process(proc())
         engine.run()
-        assert not locks.holds("t1", ("wh", 0))
-        assert not locks.holds("t1", ("dist", 0))
+        assert not holds(locks, "t1", ("wh", 0))
+        assert not holds(locks, "t1", ("dist", 0))
+        assert not locks.would_wait("t2", ("wh", 0))
 
     def test_release_all_unknown_owner(self):
         locks = LockTable(Engine())
-        assert locks.release_all("ghost") == 0
+        locks.release_all("ghost")
+        assert not locks.would_wait("ghost", "k")
 
     def test_holds(self):
         engine = Engine()
@@ -85,13 +98,34 @@ class TestLockTable:
 
         def proc():
             yield from locks.acquire("t1", "k")
-            assert locks.holds("t1", "k")
-            assert not locks.holds("t2", "k")
+            assert holds(locks, "t1", "k")
+            assert not holds(locks, "t2", "k")
             locks.release_all("t1")
 
         engine.process(proc())
         engine.run()
-        assert not locks.holds("t1", "k")
+        assert not holds(locks, "t1", "k")
+
+    def test_would_wait(self):
+        engine = Engine()
+        locks = LockTable(engine)
+
+        def holder():
+            yield from locks.acquire("h", "k")
+            yield engine.timeout(3.0)
+            locks.release_all("h")
+
+        def probe():
+            yield engine.timeout(1.0)
+            assert locks.would_wait("p", "k")
+            assert not locks.would_wait("h", "k")  # holders never wait
+            yield engine.timeout(3.0)
+            assert not locks.would_wait("p", "k")
+
+        assert not locks.would_wait("p", "k")  # nobody holds it yet
+        engine.process(holder())
+        engine.process(probe())
+        engine.run()
 
     def test_fifo_grant_order(self):
         engine = Engine()
@@ -118,6 +152,7 @@ class TestLockTable:
     def test_waiting_count(self):
         engine = Engine()
         locks = LockTable(engine)
+        granted = []
 
         def holder():
             yield from locks.acquire("t0", "k")
@@ -126,164 +161,46 @@ class TestLockTable:
 
         def contender(owner):
             yield from locks.acquire(owner, "k")
+            granted.append((engine.now, owner))
+            yield engine.timeout(1.0)
             locks.release_all(owner)
 
         engine.process(holder())
         engine.process(contender("a"))
         engine.process(contender("b"))
         engine.run(until=5.0)
-        assert len(locks._locks["k"]._queue) == 2
-
-
-class TestSharedExclusiveModes:
-    def test_readers_share(self):
-        engine = Engine()
-        locks = LockTable(engine)
-        acquired_at = []
-
-        def reader(owner):
-            yield from locks.acquire(owner, "k", mode="S")
-            acquired_at.append(engine.now)
-            yield engine.timeout(5.0)
-            locks.release_all(owner)
-
-        engine.process(reader("r1"))
-        engine.process(reader("r2"))
+        assert granted == []  # both still queued behind the holder
         engine.run()
-        assert acquired_at == [0.0, 0.0]  # concurrent grants
+        # Each waiter holds the lock in turn, one after the other.
+        assert granted == [(10.0, "a"), (11.0, "b")]
 
-    def test_writer_excludes_readers(self):
-        engine = Engine()
-        locks = LockTable(engine)
-        events = []
-
-        def writer():
-            yield from locks.acquire("w", "k", mode="X")
-            yield engine.timeout(4.0)
-            locks.release_all("w")
-
-        def reader():
-            yield engine.timeout(1.0)
-            waited = yield from locks.acquire("r", "k", mode="S")
-            events.append((engine.now, waited))
-            locks.release_all("r")
-
-        engine.process(writer())
-        engine.process(reader())
-        engine.run()
-        assert events == [(4.0, True)]
-
-    def test_writer_waits_for_all_readers(self):
+    def test_acquire_many_takes_the_keys_in_order(self):
         engine = Engine()
         locks = LockTable(engine)
         granted = []
-
-        def reader(owner, hold):
-            yield from locks.acquire(owner, "k", mode="S")
-            yield engine.timeout(hold)
-            locks.release_all(owner)
-
-        def writer():
-            yield engine.timeout(0.5)
-            yield from locks.acquire("w", "k", mode="X")
-            granted.append(engine.now)
-            locks.release_all("w")
-
-        engine.process(reader("r1", 2.0))
-        engine.process(reader("r2", 6.0))
-        engine.process(writer())
-        engine.run()
-        assert granted == [6.0]  # after the last reader
-
-    def test_queued_writer_blocks_later_readers(self):
-        engine = Engine()
-        locks = LockTable(engine)
-        order = []
-
-        def reader(owner, arrival):
-            yield engine.timeout(arrival)
-            yield from locks.acquire(owner, "k", mode="S")
-            order.append(owner)
-            yield engine.timeout(1.0)
-            locks.release_all(owner)
-
-        def writer(arrival):
-            yield engine.timeout(arrival)
-            yield from locks.acquire("w", "k", mode="X")
-            order.append("w")
-            yield engine.timeout(1.0)
-            locks.release_all("w")
-
-        engine.process(reader("r1", 0.0))
-        engine.process(writer(0.2))       # queues behind r1
-        engine.process(reader("r2", 0.4))  # must NOT jump the writer
-        engine.run()
-        assert order == ["r1", "w", "r2"]
-
-    def test_batch_of_readers_granted_together(self):
-        engine = Engine()
-        locks = LockTable(engine)
-        granted = []
-
-        def writer():
-            yield from locks.acquire("w", "k", mode="X")
-            yield engine.timeout(2.0)
-            locks.release_all("w")
-
-        def reader(owner):
-            yield engine.timeout(0.5)
-            yield from locks.acquire(owner, "k", mode="S")
-            granted.append((engine.now, owner))
-            locks.release_all(owner)
-
-        engine.process(writer())
-        engine.process(reader("r1"))
-        engine.process(reader("r2"))
-        engine.run()
-        assert granted == [(2.0, "r1"), (2.0, "r2")]
-
-    def test_would_wait(self):
-        engine = Engine()
-        locks = LockTable(engine)
 
         def holder():
-            yield from locks.acquire("h", "k", mode="S")
-            yield engine.timeout(3.0)
+            yield from locks.acquire("h", ("dist", 0))
+            yield engine.timeout(2.0)
             locks.release_all("h")
 
-        def probe():
+        def many():
+            yield from locks.acquire_many("m", [("wh", 0), ("dist", 0)])
+            granted.append(engine.now)
+
+        def late():
             yield engine.timeout(1.0)
-            assert not locks.would_wait("p", "k", mode="S")
-            assert locks.would_wait("p", "k", mode="X")
-            assert not locks.would_wait("h", "k")  # holders never wait
+            # ("wh", 0) is already taken by "m", queued on ("dist", 0).
+            assert locks.would_wait("l", ("wh", 0))
+            yield from locks.acquire("l", ("wh", 0))
+            granted.append(engine.now)
 
         engine.process(holder())
-        engine.process(probe())
+        engine.process(many())
+        engine.process(late())
+        engine.run(until=3.0)
+        assert granted == [2.0]
+        assert holds(locks, "m", ("wh", 0)) and holds(locks, "m", ("dist", 0))
+        locks.release_all("m")
         engine.run()
-
-    def test_invalid_mode(self):
-        engine = Engine()
-        locks = LockTable(engine)
-
-        def proc():
-            yield from locks.acquire("o", "k", mode="IX")
-
-        engine.process(proc())
-        with pytest.raises(ValueError):
-            engine.run()
-
-    def test_holds_covers_both_modes(self):
-        engine = Engine()
-        locks = LockTable(engine)
-
-        def proc():
-            yield from locks.acquire("o", "s-key", mode="S")
-            yield from locks.acquire("o", "x-key", mode="X")
-            assert locks.holds("o", "s-key")
-            assert locks.holds("o", "x-key")
-            locks.release_all("o")
-
-        engine.process(proc())
-        engine.run()
-        assert not locks.holds("o", "s-key")
-        assert not locks.holds("o", "x-key")
+        assert granted == [2.0, 3.0]

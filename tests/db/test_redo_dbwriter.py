@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.db import dbwriter
 from repro.db.buffer_cache import BufferCache
 from repro.db.dbwriter import DbWriter
 from repro.db.redo import RedoLog, log_writer_process
@@ -18,28 +19,37 @@ def make_world(processors=2):
     engine = Engine()
     scheduler = Scheduler(engine, processors, 1e9)
     disks = DiskArray(engine,
-                      DiskConfig(count=4, service_time_s=0.004,
+                      DiskConfig(count=5, service_time_s=0.004,
                                  service_time_cv=0.0),
-                      RandomStreams(5), log_disks=1)
+                      RandomStreams(5))
     return engine, scheduler, disks
+
+
+@pytest.fixture
+def fast_checkpoints(monkeypatch):
+    """Checkpoint every 0.01 s, so a test runs a few in little time."""
+    monkeypatch.setattr(dbwriter, "CHECKPOINT_INTERVAL_S", 0.01)
 
 
 class TestRedoLog:
     def test_append_assigns_sequences(self):
         redo = RedoLog(Engine())
-        assert redo.append() == 1
-        assert redo.append() == 2
+        assert redo.append(6 * 1024) == 1
+        assert redo.append(6 * 1024) == 2
         assert redo.pending_sequence - redo.flushed_sequence == 2
 
     def test_bytes_accounting_default_and_custom(self):
-        redo = RedoLog(Engine(), bytes_per_txn=6144)
-        redo.append()
-        redo.append(redo_bytes=1000)
+        redo = RedoLog(Engine())
+        redo.append(6 * 1024)  # a transaction profile's default
+        redo.append(1000)
         assert redo.bytes_written.count == 7144
 
     def test_validation(self):
+        redo = RedoLog(Engine())
         with pytest.raises(ValueError):
-            RedoLog(Engine(), bytes_per_txn=0)
+            redo.append(-1.0)
+        with pytest.raises(ValueError):
+            redo.append(float("nan"))
 
     def test_group_commit_wakes_all_covered(self):
         engine = Engine()
@@ -47,7 +57,7 @@ class TestRedoLog:
         woken = []
 
         def txn(name):
-            sequence = redo.append()
+            sequence = redo.append(6 * 1024)
             yield from redo.wait_for_flush(sequence)
             woken.append((engine.now, name))
 
@@ -68,19 +78,18 @@ class TestRedoLog:
     def test_log_writer_flushes_and_advances(self):
         engine, scheduler, disks = make_world()
         redo = RedoLog(engine)
-        engine.process(log_writer_process(engine, redo, disks, scheduler,
-                                          poll_interval_s=0.001))
+        engine.process(log_writer_process(engine, redo, disks, scheduler))
         committed = []
 
         def txn():
-            sequence = redo.append()
+            sequence = redo.append(6 * 1024)
             yield from redo.wait_for_flush(sequence)
             committed.append(engine.now)
 
         engine.process(txn())
         engine.run(until=1.0)
         assert committed and committed[0] < 0.1
-        assert disks.log_writes.count >= 1
+        assert sum(disk.grants for disk in disks._log_disks) >= 1
         assert redo.flushes.count >= 1
         # The flush path charged kernel instructions.
         assert scheduler.os_instructions.count >= scheduler.costs.log_flush
@@ -88,13 +97,12 @@ class TestRedoLog:
     def test_log_writer_groups_concurrent_commits(self):
         engine, scheduler, disks = make_world()
         redo = RedoLog(engine)
-        engine.process(log_writer_process(engine, redo, disks, scheduler,
-                                          poll_interval_s=0.0005))
+        engine.process(log_writer_process(engine, redo, disks, scheduler))
         done = []
 
         def txn(delay):
             yield engine.timeout(delay)
-            sequence = redo.append()
+            sequence = redo.append(6 * 1024)
             yield from redo.wait_for_flush(sequence)
             done.append(engine.now)
 
@@ -108,21 +116,17 @@ class TestRedoLog:
 
 
 class TestDbWriter:
-    def test_batched_writes_reach_disk(self):
+    def test_batched_writes_reach_disk(self, monkeypatch):
+        monkeypatch.setattr(dbwriter, "BATCH_SIZE", 4)
         engine, scheduler, disks = make_world()
-        writer = DbWriter(engine, disks, scheduler, batch_size=4)
+        writer = DbWriter(engine, disks, scheduler)
         engine.process(writer.process())
         for block in range(8):
             writer.enqueue(block)
         engine.run(until=1.0)
-        assert writer.written.count == 8
         assert disks.writes.count == 8
-        assert writer.enqueued.count == writer.written.count
-
-    def test_batch_size_validation(self):
-        engine, scheduler, disks = make_world()
-        with pytest.raises(ValueError):
-            DbWriter(engine, disks, scheduler, batch_size=0)
+        # Two batches of four, one CPU claim each for the submit path.
+        assert scheduler.cpus.grants == 2
 
     def test_writes_charge_kernel_instructions(self):
         engine, scheduler, disks = make_world()
@@ -132,19 +136,19 @@ class TestDbWriter:
         engine.run(until=1.0)
         assert scheduler.os_instructions.count >= scheduler.costs.write_submit
 
-    def test_checkpoint_cleans_and_queues_dirty(self):
+    def test_checkpoint_cleans_and_queues_dirty(self, fast_checkpoints):
         engine, scheduler, disks = make_world()
         writer = DbWriter(engine, disks, scheduler)
         cache = BufferCache(16)
         for block in range(6):
             cache.install(block, dirty=(block % 2 == 0))
         engine.process(writer.process())
-        engine.process(writer.checkpoint_process(cache, interval_s=0.01))
+        engine.process(writer.checkpoint_process(cache))
         engine.run(until=0.2)
         assert dirty_units(cache) == 0
-        assert writer.written.count == 3  # blocks 0, 2, 4
+        assert disks.writes.count == 3  # blocks 0, 2, 4
 
-    def test_checkpoint_rewrites_redirtied_hot_block(self):
+    def test_checkpoint_rewrites_redirtied_hot_block(self, fast_checkpoints):
         engine, scheduler, disks = make_world()
         writer = DbWriter(engine, disks, scheduler)
         cache = BufferCache(4)
@@ -157,12 +161,13 @@ class TestDbWriter:
 
         engine.process(redirty())
         engine.process(writer.process())
-        engine.process(writer.checkpoint_process(cache, interval_s=0.01))
+        engine.process(writer.checkpoint_process(cache))
         engine.run(until=0.5)
         # The same hot block is written repeatedly.
-        assert writer.written.count >= 5
+        assert disks.writes.count >= 5
 
-    def test_checkpoint_scans_the_cache_once_per_interval(self):
+    def test_checkpoint_scans_the_cache_once_per_interval(
+            self, fast_checkpoints, monkeypatch):
         class CountingCache(BufferCache):
             scans = 0
 
@@ -170,6 +175,7 @@ class TestDbWriter:
                 self.scans += 1
                 return super().oldest_dirty(limit)
 
+        monkeypatch.setattr(dbwriter, "CHECKPOINT_MAX_BLOCKS", 2)
         engine, scheduler, disks = make_world()
         writer = DbWriter(engine, disks, scheduler)
         cache = CountingCache(16)
@@ -179,18 +185,8 @@ class TestDbWriter:
         enqueue = writer.enqueue
         writer.enqueue = lambda block: (queued.append(block), enqueue(block))
         engine.process(writer.process())
-        engine.process(writer.checkpoint_process(cache, interval_s=0.01,
-                                                 max_per_interval=2))
+        engine.process(writer.checkpoint_process(cache))
         engine.run(until=0.035)  # checkpoints at 0.01, 0.02 and 0.03
         assert cache.scans == 3
         # Aged out at 0.02 (two per interval), the rest at 0.03.
         assert queued == [0, 2, 4]
-
-    def test_checkpoint_validation(self):
-        engine, scheduler, disks = make_world()
-        writer = DbWriter(engine, disks, scheduler)
-        cache = BufferCache(4)
-        with pytest.raises(ValueError):
-            next(writer.checkpoint_process(cache, interval_s=0))
-        with pytest.raises(ValueError):
-            next(writer.checkpoint_process(cache, max_per_interval=0))

@@ -9,22 +9,24 @@ from repro.sim import Engine
 from repro.sim.randomness import RandomStreams
 
 
-def make(count=4, log_disks=1, service=0.005, cv=0.0, plan=None):
+def make(count=5, service=0.005, cv=0.0, plan=None):
+    """An array of ``count - 2`` data disks and the two log disks."""
     engine = Engine()
     config = DiskConfig(count=count, service_time_s=service,
                         service_time_cv=cv)
-    array = DiskArray(engine, config, RandomStreams(9), log_disks=log_disks)
+    array = DiskArray(engine, config, RandomStreams(9))
     if plan is not None:
         array.fault_model = DiskFaultModel(plan, array.data_disk_count)
     return engine, array
 
 
 def read_one(engine, array, block_id=0):
+    """The time one read, alone on an idle array, finishes."""
     done = []
 
     def proc():
-        request = yield from array.read(block_id)
-        done.append((engine.now, request))
+        yield from array.read(block_id)
+        done.append(engine.now)
 
     engine.process(proc())
     engine.run()
@@ -35,32 +37,29 @@ class TestDegradation:
     def test_latency_factor_inflates_service(self):
         plan = FaultPlan(disks=(DiskDegradation(disk=-1, latency_factor=3.0),))
         engine, array = make(plan=plan)
-        finished, request = read_one(engine, array)
-        assert finished == pytest.approx(0.015)
-        assert request.service_s == pytest.approx(0.015)
+        assert read_one(engine, array) == pytest.approx(0.015)
+        assert array.read_latency.mean == pytest.approx(0.015)
 
     def test_only_target_disk_degrades(self):
         plan = FaultPlan(disks=(DiskDegradation(disk=1, latency_factor=4.0),))
         engine, array = make(plan=plan)  # 3 data disks
-        _, healthy = read_one(engine, array, block_id=0)
+        healthy = read_one(engine, array, block_id=0)
         engine2, array2 = make(plan=plan)
-        _, degraded = read_one(engine2, array2, block_id=1)
-        assert degraded.service_s == pytest.approx(4 * healthy.service_s)
+        degraded = read_one(engine2, array2, block_id=1)
+        assert degraded == pytest.approx(4 * healthy)
 
     def test_dedicated_log_disks_unaffected(self):
         plan = FaultPlan(disks=(DiskDegradation(disk=-1, latency_factor=5.0),))
         engine, array = make(plan=plan)
-        done = []
 
         def proc():
-            request = yield from array.log_append()
-            done.append(request)
+            yield from array.log_append()
 
         engine.process(proc())
         engine.run()
         # Log append on a dedicated log disk keeps its healthy service
         # time (log stalls are a separate fault model).
-        assert done[0].service_s == pytest.approx(
+        assert engine.now == pytest.approx(
             0.005 * DiskArray.LOG_SERVICE_FACTOR)
 
     def test_no_plan_is_bitwise_baseline(self):
@@ -69,6 +68,7 @@ class TestDegradation:
         engine2, array2 = make(cv=0.3)
         assert array2.fault_model is None
         assert read_one(engine2, array2) == baseline
+        assert array2.read_latency.mean == array.read_latency.mean
 
 
 class TestOutages:
@@ -76,9 +76,9 @@ class TestOutages:
         plan = FaultPlan(disks=(
             DiskDegradation(disk=0, outages=((0.0, 0.5),)),))
         engine, array = make(plan=plan)
-        finished, request = read_one(engine, array, block_id=0)
         # Serve waits out the outage window, then takes normal service.
-        assert finished == pytest.approx(0.5 + 0.005)
+        assert read_one(engine, array, block_id=0) == pytest.approx(
+            0.5 + 0.005)
 
     def test_queue_drains_after_outage(self):
         plan = FaultPlan(disks=(

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hw.machine import DiskConfig
-from repro.osmodel.disks import DiskArray
+from repro.osmodel.disks import LOG_DISKS, DiskArray
 from repro.sim import Engine
 from repro.sim.randomness import RandomStreams
 
@@ -27,25 +27,28 @@ def _max_data_utilization(array) -> float:
     return max(_busy(array))
 
 
-def make(count=4, log_disks=1, service=0.005, cv=0.0):
+def make(count=5, service=0.005, cv=0.0):
+    """An array of ``count`` disks: ``count - 2`` data disks."""
     engine = Engine()
     config = DiskConfig(count=count, service_time_s=service,
                         service_time_cv=cv)
-    array = DiskArray(engine, config, RandomStreams(9), log_disks=log_disks)
+    array = DiskArray(engine, config, RandomStreams(9))
     return engine, array
 
 
 class TestConfiguration:
     def test_log_disks_carved_from_total(self):
-        _engine, array = make(count=6, log_disks=2)
+        _engine, array = make(count=6)
         assert array.data_disk_count == 4
-        assert array.log_disk_count == 2
+        assert len(array._log_disks) == LOG_DISKS == 2
 
     def test_log_disks_bounds(self):
+        # At least one data disk beside the log disks.
         with pytest.raises(ValueError):
-            make(count=2, log_disks=2)
+            make(count=2)
         with pytest.raises(ValueError):
-            make(count=2, log_disks=-1)
+            make(count=1)
+        assert make(count=3)[1].data_disk_count == 1
 
 
 class TestReads:
@@ -54,40 +57,41 @@ class TestReads:
         done = []
 
         def proc():
-            request = yield from array.read(block_id=7)
-            done.append((engine.now, request))
+            yield from array.read(block_id=7)
+            done.append(engine.now)
 
         engine.process(proc())
         engine.run()
-        assert done[0][0] == pytest.approx(0.005)
-        assert array.reads.count == 1
+        assert done == [pytest.approx(0.005)]
+        assert array.read_latency.mean == pytest.approx(0.005)
 
     def test_blocks_stripe_across_disks(self):
-        engine, array = make(count=5, log_disks=1, cv=0.0)  # 4 data disks
-        seen = []
+        engine, array = make(count=6, cv=0.0)  # 4 data disks
 
         def proc(block):
-            request = yield from array.read(block)
-            seen.append(request.disk)
+            yield from array.read(block)
 
         for block in range(8):
             engine.process(proc(block))
         engine.run()
-        assert sorted(set(seen)) == [0, 1, 2, 3]
+        assert [disk.grants for disk in array._data_disks] == [2, 2, 2, 2]
+        # Two reads queue on each disk: the array finishes in two
+        # service times, not eight.
+        assert engine.now == pytest.approx(0.010)
 
     def test_same_disk_requests_queue(self):
         engine, array = make(cv=0.0)
-        latencies = []
+        finished = []
 
         def proc():
-            request = yield from array.read(block_id=0)
-            latencies.append(request.latency_s)
+            yield from array.read(block_id=0)
+            finished.append(engine.now)
 
         engine.process(proc())
         engine.process(proc())  # same stripe disk
         engine.run()
-        assert latencies[0] == pytest.approx(0.005)
-        assert latencies[1] == pytest.approx(0.010)
+        assert finished == [pytest.approx(0.005), pytest.approx(0.010)]
+        # The second read's latency includes its 5 ms in the queue.
         assert array.read_latency.mean == pytest.approx(0.0075)
 
     def test_different_disks_run_in_parallel(self):
@@ -112,36 +116,26 @@ class TestWritesAndLog:
         engine.process(proc())
         engine.run()
         assert array.writes.count == 1
-        assert array.reads.count == 0
+        assert array.read_latency.n == 0
 
     def test_log_append_uses_log_disk_and_is_fast(self):
         engine, array = make(cv=0.0)
-
-        def proc():
-            request = yield from array.log_append()
-            assert request.service_s == pytest.approx(
-                0.005 * DiskArray.LOG_SERVICE_FACTOR)
-
-        engine.process(proc())
-        engine.run()
-        assert array.log_writes.count == 1
-        # Data disks untouched.
-        assert _data_utilization(array) < 1e-9
-
-    def test_log_append_without_log_disks_falls_back(self):
-        engine, array = make(count=3, log_disks=0)
 
         def proc():
             yield from array.log_append()
 
         engine.process(proc())
         engine.run()
-        assert array.log_writes.count == 1
+        assert engine.now == pytest.approx(
+            0.005 * DiskArray.LOG_SERVICE_FACTOR)
+        assert sum(disk.grants for disk in array._log_disks) == 1
+        # Data disks untouched.
+        assert _data_utilization(array) < 1e-9
 
 
 class TestUtilization:
     def test_data_utilization_accounting(self):
-        engine, array = make(count=3, log_disks=1, cv=0.0)  # 2 data disks
+        engine, array = make(count=4, cv=0.0)  # 2 data disks
 
         def proc():
             yield from array.read(block_id=0)
@@ -153,7 +147,7 @@ class TestUtilization:
         assert _max_data_utilization(array) == pytest.approx(1.0)
 
     def test_saturation_under_offered_overload(self):
-        engine, array = make(count=3, log_disks=1, cv=0.0)
+        engine, array = make(count=4, cv=0.0)  # 2 data disks
 
         def proc(block):
             yield from array.read(block)

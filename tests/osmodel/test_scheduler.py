@@ -162,7 +162,7 @@ class TestUtilization:
 
         engine.process(proc())
         engine.run()
-        assert scheduler.utilization() == pytest.approx(1.0)
+        assert scheduler.cpus.utilization() == pytest.approx(1.0)
 
     def test_half_utilization_two_cpus_one_busy(self):
         engine, scheduler = make(processors=2)
@@ -175,7 +175,7 @@ class TestUtilization:
 
         engine.process(proc())
         engine.run()
-        assert scheduler.utilization() == pytest.approx(0.5)
+        assert scheduler.cpus.utilization() == pytest.approx(0.5)
 
     def test_snapshot_keys(self):
         _engine, scheduler = make()

@@ -36,15 +36,25 @@ class TestTally:
     def test_empty_tally_is_zero(self):
         t = Tally()
         assert t.mean == 0.0
-        assert t.variance == 0.0
+        assert t.n == 0
 
-    def test_mean_and_variance(self):
+    def test_mean(self):
         t = Tally()
         for v in (2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0):
             t.record(v)
         assert t.mean == pytest.approx(5.0)
-        assert t.variance == pytest.approx(32.0 / 7.0)
-        assert t.minimum == 2.0 and t.maximum == 9.0
+        assert t.n == 8
+
+    def test_mean_is_welfords_update(self):
+        """The exact floats of the running update, which the golden
+        files pin through the read-latency and commit-wait means."""
+        values = (0.1, 0.7, 1e-3, 2.5, 0.3)
+        t = Tally()
+        mean = 0.0
+        for n, v in enumerate(values, 1):
+            t.record(v)
+            mean += (v - mean) / n
+        assert t.mean == mean
 
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=200))
     @settings(max_examples=100, deadline=None)
@@ -53,12 +63,3 @@ class TestTally:
         for v in values:
             t.record(v)
         assert t.mean == pytest.approx(sum(values) / len(values), abs=1e-6)
-
-    @given(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=2, max_size=200))
-    @settings(max_examples=100, deadline=None)
-    def test_variance_nonnegative(self, values):
-        t = Tally()
-        for v in values:
-            t.record(v)
-        assert t.variance >= -1e-9
-

@@ -133,26 +133,50 @@ class TestStallWait:
         assert stall_wait_s((), 1.0) == 0.0
 
 
+def _stationary_plan_types(workload):
+    """The :class:`PlanType` tuple of each stationary mix the clients of
+    ``workload`` draw from: the mix itself, or each of its phases."""
+    from repro.odb import OdbConfig, OdbSystem
+    from repro.odb.mix import TransactionMix
+
+    system = OdbSystem(OdbConfig(warehouses=10, clients=1, processors=1,
+                                 workload=workload))
+    mixes = ([TransactionMix(profiles) for _, profiles in workload.phases]
+             or [TransactionMix(workload.profiles)])
+    return [system.sampler.plans(mix).types for mix in mixes]
+
+
+def _mean_abort_weight(types) -> float:
+    total = sum(kind.profile.weight for kind in types)
+    return sum(kind.profile.weight * kind.abort_weight
+               for kind in types) / total
+
+
 class TestAbortWeight:
     def test_mix_weighted_mean_is_one(self):
-        """Over the default mix, which it normalizes against."""
-        from repro.odb.transactions import abort_weight
+        """Over the default mix."""
         from repro.workload import compiled_workload
 
-        profiles = compiled_workload(None).profiles
-        total = sum(p.weight for p in profiles)
-        mean = sum(p.weight * abort_weight(p) for p in profiles) / total
-        assert mean == pytest.approx(1.0)
+        [types] = _stationary_plan_types(compiled_workload(None))
+        assert _mean_abort_weight(types) == pytest.approx(1.0, abs=1e-12)
+
+    def test_every_scenario_mix_has_mean_one(self):
+        """Normalized over the running mix, each phase on its own, so a
+        base probability ``p`` aborts ``p`` of any workload's attempts."""
+        from repro.workload import available_workloads, compile_workload
+
+        for name, spec in available_workloads().items():
+            for types in _stationary_plan_types(compile_workload(spec)):
+                assert _mean_abort_weight(types) == pytest.approx(
+                    1.0, abs=1e-12), name
 
     def test_write_heavy_profiles_abort_more(self):
-        from repro.odb.transactions import abort_weight
         from repro.workload import compiled_workload
 
-        by_name = {p.name: p for p in compiled_workload(None).profiles}
-        assert abort_weight(by_name["new_order"]) > \
-            abort_weight(by_name["order_status"])
-        assert abort_weight(by_name["payment"]) > \
-            abort_weight(by_name["stock_level"])
+        [types] = _stationary_plan_types(compiled_workload(None))
+        weight = {kind.profile.name: kind.abort_weight for kind in types}
+        assert weight["new_order"] > weight["order_status"]
+        assert weight["payment"] > weight["stock_level"]
 
 
 class TestLockStormProcess:
@@ -167,14 +191,16 @@ class TestLockStormProcess:
                           warehouses_per_burst=1, hold_s=0.2, interval_s=0.2)
         engine.process(lock_storm_process(
             engine, table, storm, warehouses=1, rng=random.Random(1)))
-        waits = []
+        granted = []
 
         def victim():
             yield engine.timeout(0.1)  # storm holds ("wh", 0) by now
-            waited = yield from table.acquire("victim", ("wh", 0))
-            waits.append(waited)
+            assert table.would_wait("victim", ("wh", 0))
+            yield from table.acquire("victim", ("wh", 0))
+            granted.append(engine.now)
             table.release_all("victim")
 
         engine.process(victim())
         engine.run(until=2.0)
-        assert waits == [True]
+        # Granted when the storm's first burst releases, hold_s in.
+        assert granted == [pytest.approx(0.2)]

@@ -30,7 +30,12 @@ new packages), run by the CI ``docs`` job:
   backticked ``Class.attr`` the attribute must be defined by that class
   or an in-tree base (a ``def``, a class-level assignment, or a
   ``self.attr`` assignment), so a doc row cannot keep naming a deleted
-  class or method.
+  class or method;
+- every backticked ``_des.<Name>`` in README.md and docs/API.md must be
+  a name the compiled event kernel's module init adds (its ``names[]``
+  type table and each ``PyModule_AddObjectRef`` string in
+  ``src/repro/sim/_des.c``, read as text), so a row cannot keep naming
+  a removed kernel type.
 
 Exit status is the number of problems found (0 = clean), each printed
 as ``path:line: message``.
@@ -266,6 +271,19 @@ def class_defines(classes: dict, name: str, attr: str) -> bool:
     return False
 
 
+def _code_spans(repo: Path):
+    """``(doc, line, span)`` for every inline code span in README.md and
+    docs/API.md, fenced code blocks skipped."""
+    for doc in (repo / "README.md", repo / "docs" / "API.md"):
+        if not doc.exists():  # pragma: no cover - repo invariant
+            continue
+        text = re.sub(r"```.*?```", lambda block: "\n" * block.group().count(
+            "\n"), doc.read_text(encoding="utf-8"), flags=re.DOTALL)
+        for span in re.finditer(r"`([^`\n]+)`", text):
+            line = text.count("\n", 0, span.start()) + 1
+            yield doc.relative_to(repo), line, span.group(1)
+
+
 def check_class_names(repo: Path) -> list[str]:
     """Stale-name findings: backticked CamelCase names in README.md and
     docs/API.md that no class under ``src/repro`` defines, and
@@ -274,25 +292,52 @@ def check_class_names(repo: Path) -> list[str]:
     it.  Fenced code blocks are skipped."""
     classes = source_classes(SOURCE_ROOT)
     problems = []
-    for doc in (repo / "README.md", repo / "docs" / "API.md"):
-        if not doc.exists():  # pragma: no cover - repo invariant
+    for doc, line, span in _code_spans(repo):
+        match = _CLASS_SPAN_RE.fullmatch(span)
+        if not match:
             continue
-        text = re.sub(r"```.*?```", lambda block: "\n" * block.group().count(
-            "\n"), doc.read_text(encoding="utf-8"), flags=re.DOTALL)
-        for span in re.finditer(r"`([^`\n]+)`", text):
-            match = _CLASS_SPAN_RE.fullmatch(span.group(1))
-            if not match:
-                continue
-            name, attr = match.group(1), match.group(2)
-            line = text.count("\n", 0, span.start()) + 1
-            if name not in classes:
-                problems.append(
-                    f"{doc.relative_to(repo)}:{line}: `{name}` "
-                    f"is not a class defined under src/repro")
-            elif attr and not class_defines(classes, name, attr):
-                problems.append(
-                    f"{doc.relative_to(repo)}:{line}: `{name}.{attr}` "
-                    f"is not defined by class {name} under src/repro")
+        name, attr = match.group(1), match.group(2)
+        if name not in classes:
+            problems.append(f"{doc}:{line}: `{name}` "
+                            f"is not a class defined under src/repro")
+        elif attr and not class_defines(classes, name, attr):
+            problems.append(f"{doc}:{line}: `{name}.{attr}` "
+                            f"is not defined by class {name} under src/repro")
+    return problems
+
+
+#: The compiled event kernel's source.
+DES_SOURCE = SOURCE_ROOT / "sim" / "_des.c"
+#: A code span naming a kernel attribute: `_des.Resource(engine)`; the
+#: source file's own name, `_des.c`, is not one.
+_DES_SPAN_RE = re.compile(r"_des\.(?!c$)(\w+)")
+
+
+def des_names(source: Path) -> set[str]:
+    """The names the event kernel's module init adds to ``_des``: the
+    strings of its ``names[]`` type table and of each
+    ``PyModule_AddObjectRef(module, "...")`` call."""
+    text = source.read_text(encoding="utf-8")
+    init = text[text.index("PyInit__des"):]
+    names = set(re.findall(r'PyModule_AddObjectRef\(\s*module,\s*"(\w+)"',
+                           init))
+    table = re.search(r"names\[\]\s*=\s*\{(.*?)\}", init, re.DOTALL)
+    if table:
+        names.update(re.findall(r'"(\w+)"', table.group(1)))
+    return names
+
+
+def check_des_names(repo: Path) -> list[str]:
+    """Stale-name findings: backticked ``_des.<Name>`` spans in
+    README.md and docs/API.md whose name the event kernel does not
+    add to its module."""
+    names = des_names(DES_SOURCE)
+    problems = []
+    for doc, line, span in _code_spans(repo):
+        match = _DES_SPAN_RE.match(span)
+        if match and match.group(1) not in names:
+            problems.append(f"{doc}:{line}: `_des.{match.group(1)}` is not "
+                            f"a name {DES_SOURCE.relative_to(repo)} defines")
     return problems
 
 
@@ -490,7 +535,8 @@ def main() -> int:
     problems = (check_docstrings(SOURCE_ROOT) + check_links(REPO)
                 + check_cli_docs(REPO) + check_design_sections(REPO)
                 + check_api_module_map(REPO) + check_obs_module_rows(REPO)
-                + check_workload_docs(REPO) + check_class_names(REPO))
+                + check_workload_docs(REPO) + check_class_names(REPO)
+                + check_des_names(REPO))
     for problem in problems:
         print(problem)
     if problems:
@@ -499,7 +545,7 @@ def main() -> int:
         print("docs lint clean: docstrings present, links resolve, "
               "CLI verbs documented, DESIGN/API maps in sync, "
               "workload scenarios and spec fields documented, "
-              "documented classes and attributes exist")
+              "documented classes, attributes and kernel names exist")
     return min(len(problems), 100)
 
 
