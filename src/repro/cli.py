@@ -65,9 +65,9 @@ freezes the sweep as a schema-versioned, deterministic
 :class:`~repro.obs.snapshot.SweepSnapshot`; ``diff`` compares two of
 them — or sweep journals, result-cache directories, or two
 ``--workload`` scenarios swept on the spot — into a Markdown/HTML
-dashboard of per-point metric deltas classified under a threshold
-policy (``--thresholds``), with ``--fail-on-regress`` exiting 3 on any
-regressed cell so CI can gate on it (DESIGN.md §13).
+dashboard of per-point metric deltas, each classified by its paper
+direction, with ``--fail-on-regress`` exiting 3 on any regressed cell
+so CI can gate on it (DESIGN.md §13).
 ``docs regen`` regenerates the generated blocks of EXPERIMENTS.md and
 results/README.md from the committed ``results/*.txt`` artifacts;
 ``--check`` fails (exit 1) on drift, which CI runs as the doc-drift
@@ -514,24 +514,13 @@ def cmd_diff(args) -> int:
 
     Exit codes: 0 on success (even with differences), 1 on load/usage
     errors, and :data:`repro.obs.diff.REGRESSION_EXIT_CODE` (3) when
-    ``--fail-on-regress`` is set and any metric cell regressed beyond
-    its threshold — the code CI gates on.
+    ``--fail-on-regress`` is set and any metric cell regressed — the
+    code CI gates on.
     """
     from repro.experiments.report import write_run_report
-    from repro.obs.diff import (
-        ThresholdPolicy,
-        ThresholdPolicyError,
-        build_diff_report,
-        diff_snapshots,
-    )
+    from repro.obs.diff import build_diff_report, diff_snapshots
     from repro.obs.snapshot import SnapshotError, resolve_snapshot
 
-    policy = None
-    if args.thresholds:
-        try:
-            policy = ThresholdPolicy.load(args.thresholds)
-        except ThresholdPolicyError as error:
-            raise SystemExit(str(error))
     workloads = args.workload or []
     if workloads:
         if len(workloads) != 2 or args.baseline or args.candidate:
@@ -552,7 +541,7 @@ def cmd_diff(args) -> int:
             candidate = resolve_snapshot(args.candidate, cache_dir)
         except SnapshotError as error:
             raise SystemExit(str(error))
-    diff = diff_snapshots(baseline, candidate, policy=policy)
+    diff = diff_snapshots(baseline, candidate)
     report = build_diff_report(diff, unchanged=args.unchanged)
     out = Path(args.out) if args.out else _reports_dir()
     stem = f"diff_{baseline.checksum()}_vs_{candidate.checksum()}"
@@ -822,13 +811,9 @@ def build_parser() -> argparse.ArgumentParser:
     diff_parser.add_argument("--grid", default=None,
                              help="warehouse grid for --workload sweeps "
                                   "(comma-separated)")
-    diff_parser.add_argument("--thresholds", default=None,
-                             metavar="POLICY.yaml",
-                             help="per-metric threshold overrides "
-                                  "(YAML/JSON; see DESIGN.md §13)")
     diff_parser.add_argument("--fail-on-regress", action="store_true",
                              help="exit 3 when any metric cell regressed "
-                                  "beyond its threshold (the CI gate)")
+                                  "(the CI gate)")
     diff_parser.add_argument("--unchanged", action="store_true",
                              help="include unchanged cells in the delta "
                                   "table (default: movement only)")

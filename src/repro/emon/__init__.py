@@ -13,7 +13,6 @@ variance, which is the paper's explanation for the noisy OS CPI of
 Figure 11.
 
 - :mod:`~repro.emon.events` — the Table 2 event definitions.
-- :mod:`~repro.emon.counters` — counters, pairs, and their configuration
-  registers.
-- :mod:`~repro.emon.sampler` — the round-robin interval sampler.
+- :mod:`~repro.emon.sampler` — the round-robin interval sampler, which
+  fits each rotation to the counter pairs (two counters per pair).
 """

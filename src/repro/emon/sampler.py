@@ -16,8 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.emon.counters import CounterFile
 from repro.emon.events import EmonEvent
+
+#: Counters per pair: "18 performance counters grouped into 9 pairs,
+#: with each pair associated to a particular subset of events"
+#: (Section 3.3).  At most this many events of one pair fit a rotation,
+#: which is why EMON must rotate event groups over time.
+COUNTERS_PER_PAIR = 2
 
 #: A measurement source: advance one interval, return event deltas.
 IntervalSource = Callable[[], dict[str, float]]
@@ -60,7 +65,7 @@ def _rotation_groups(events: Sequence[EmonEvent]) -> list[list[EmonEvent]]:
         for group in groups:
             same_pair = sum(1 for e in group
                             if e.counter_group == event.counter_group)
-            if same_pair < 2:
+            if same_pair < COUNTERS_PER_PAIR:
                 group.append(event)
                 placed = True
                 break
@@ -80,7 +85,6 @@ class RoundRobinSampler:
         self.events = tuple(events)
         self.repetitions = repetitions
         self.groups = _rotation_groups(events)
-        self.counter_file = CounterFile()
 
     @property
     def intervals_needed(self) -> int:
@@ -97,12 +101,9 @@ class RoundRobinSampler:
         samples: dict[str, list[float]] = {e.alias: [] for e in self.events}
         for _repetition in range(self.repetitions):
             for group in self.groups:
-                self.counter_file.program_events(group)
                 deltas = source()
-                self.counter_file.accumulate(deltas)
-                reading = self.counter_file.read()
                 for event in group:
-                    samples[event.alias].append(reading[event.alias])
+                    samples[event.alias].append(deltas.get(event.alias, 0.0))
         return SampledRates(
             events=tuple(e.alias for e in self.events),
             samples={alias: tuple(values) for alias, values in samples.items()},

@@ -314,14 +314,13 @@ def _unit_hash(*parts) -> float:
     return int.from_bytes(digest, "big") / 2.0 ** 64
 
 
-def backoff_delay(key: str, attempt: int,
-                  policy: Optional[SupervisorPolicy] = None) -> float:
+def backoff_delay(key: str, attempt: int) -> float:
     """Backoff before retry ``attempt`` (1-based) of the point ``key``.
 
     Exponential in the attempt number, capped, plus a jitter drawn
     deterministically from (key, attempt) — two processes retrying the
     same point desynchronize, yet the same sweep replays identically.
-    The shape is the module constants; no ``policy`` changes it.
+    The shape is the module constants.
     """
     base = min(BASE_BACKOFF_S * BACKOFF_FACTOR ** (attempt - 1),
                MAX_BACKOFF_S)

@@ -12,7 +12,7 @@ and produces a :class:`SnapshotDiff`:
   called out explicitly rather than silently dropped;
 - **per-metric deltas** — absolute and relative, for every
   :data:`~repro.obs.snapshot.POINT_METRICS` entry of every common
-  point, each classified by a :class:`ThresholdPolicy` into
+  point, each classified by :func:`classify` into
   ``improved`` / ``regressed`` / ``changed`` / ``unchanged``;
 - **flame-table diffs** — canonical call-count deltas plus
   informational self-time deltas from the snapshot annexes;
@@ -25,17 +25,16 @@ and produces a :class:`SnapshotDiff`:
   appear without their likely cause.
 
 Only per-point metric verdicts feed CI: ``repro diff --fail-on-regress``
-exits with :data:`REGRESSION_EXIT_CODE` iff any cell regressed beyond
-its threshold.  Thresholds default to exact comparison (results are
-deterministic) and can be widened per metric via a YAML/JSON policy
-file (DESIGN.md §13).
+exits with :data:`REGRESSION_EXIT_CODE` iff any cell regressed.  One
+fixed rule judges every cell: exact comparison up to :data:`REL_TOL`
+(results are deterministic) and the metric's paper direction from
+:data:`DIRECTIONS` (DESIGN.md §13).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 from repro.obs.snapshot import POINT_METRICS, SweepSnapshot
@@ -56,164 +55,49 @@ VERDICT_UNCHANGED = "unchanged"
 VERDICT_NEW = "new"
 VERDICT_MISSING = "missing"
 
-#: Metric directions: which way is better.  ``neutral`` metrics can
-#: change (reported as such) but never regress or improve.
-_DIRECTIONS = ("higher", "lower", "neutral")
-
-
-class ThresholdPolicyError(ValueError):
-    """A threshold policy file is malformed (bad key, type, or value)."""
-
-
-@dataclass(frozen=True)
-class MetricPolicy:
-    """How one metric's deltas are classified.
-
-    ``direction`` names the good direction (``higher`` for throughput,
-    ``lower`` for CPI, ``neutral`` for descriptive values); a delta
-    whose magnitude exceeds *both* tolerances is significant, and its
-    sign against the direction decides improved vs. regressed.
-    """
-
-    direction: str = "neutral"
-    #: Relative tolerance (fraction of the baseline magnitude).
-    rel_tol: float = 1e-9
-    #: Absolute tolerance, in the metric's own unit.
-    abs_tol: float = 0.0
-
-    def __post_init__(self):
-        """Validate direction and tolerance signs."""
-        if self.direction not in _DIRECTIONS:
-            raise ThresholdPolicyError(
-                f"direction must be one of {_DIRECTIONS}, "
-                f"got {self.direction!r}")
-        if self.rel_tol < 0 or self.abs_tol < 0:
-            raise ThresholdPolicyError("tolerances must be >= 0")
-
-
-#: Default per-metric policies: direction reflects what the paper's
-#: iron law treats as good (TPS up, CPI/MPI down); tolerances are exact
-#: because results are deterministic — a policy file widens them when
-#: comparing across code revisions that legitimately move numbers.
-DEFAULT_METRIC_POLICIES: dict[str, MetricPolicy] = {
-    "tps": MetricPolicy(direction="higher"),
-    "tps_ironlaw": MetricPolicy(direction="higher"),
-    "cpi": MetricPolicy(direction="lower"),
-    "user_cpi": MetricPolicy(direction="lower"),
-    "os_cpi": MetricPolicy(direction="lower"),
-    "l3_mpi_k": MetricPolicy(direction="lower"),
-    "util": MetricPolicy(direction="higher"),
-    "reads_per_txn": MetricPolicy(direction="lower"),
-    "cs_per_txn": MetricPolicy(direction="lower"),
-    "fixed_point_rounds": MetricPolicy(direction="neutral"),
+#: Which way is better per metric: what the paper's iron law treats as
+#: good (TPS up, CPI/MPI down).  ``neutral`` metrics, and any metric
+#: not named here, can change (reported as such) but never regress or
+#: improve.
+DIRECTIONS: dict[str, str] = {
+    "tps": "higher",
+    "tps_ironlaw": "higher",
+    "cpi": "lower",
+    "user_cpi": "lower",
+    "os_cpi": "lower",
+    "l3_mpi_k": "lower",
+    "util": "higher",
+    "reads_per_txn": "lower",
+    "cs_per_txn": "lower",
+    "fixed_point_rounds": "neutral",
 }
 
-
-def _policy_document(text: str, source: str) -> dict:
-    """Parse a policy document (YAML, or JSON, which is YAML too)."""
-    from repro.workload.loader import read_yaml
-
-    data = read_yaml(text, source, ThresholdPolicyError)
-    if not isinstance(data, dict):
-        raise ThresholdPolicyError(
-            f"{source}: policy document must be a mapping")
-    return data
+#: Relative tolerance (fraction of the baseline magnitude): exact up to
+#: float noise, because results are deterministic.
+REL_TOL = 1e-9
 
 
-def _metric_policy(data: dict, source: str,
-                   base: MetricPolicy) -> MetricPolicy:
-    """One policy entry merged over ``base``; unknown keys fail."""
-    if not isinstance(data, dict):
-        raise ThresholdPolicyError(
-            f"{source}: policy entry must be a mapping")
-    known = {"direction", "rel_tol", "abs_tol"}
-    unknown = set(data) - known
-    if unknown:
-        raise ThresholdPolicyError(
-            f"{source}: unknown policy key(s) {sorted(unknown)} "
-            f"(known: {sorted(known)})")
-    try:
-        return MetricPolicy(
-            direction=data.get("direction", base.direction),
-            rel_tol=float(data.get("rel_tol", base.rel_tol)),
-            abs_tol=float(data.get("abs_tol", base.abs_tol)),
-        )
-    except (TypeError, ValueError) as error:
-        raise ThresholdPolicyError(f"{source}: {error}")
+def classify(name: str, baseline: Optional[float],
+             candidate: Optional[float]) -> str:
+    """Verdict for one metric cell.
 
-
-@dataclass(frozen=True)
-class ThresholdPolicy:
-    """The full classification policy: defaults plus per-metric rows."""
-
-    default: MetricPolicy = field(default_factory=MetricPolicy)
-    metrics: dict = field(default_factory=dict)
-
-    @classmethod
-    def standard(cls) -> "ThresholdPolicy":
-        """The built-in policy (exact tolerances, paper directions)."""
-        return cls(metrics=dict(DEFAULT_METRIC_POLICIES))
-
-    @classmethod
-    def load(cls, path: Path | str) -> "ThresholdPolicy":
-        """Read per-metric overrides from a YAML/JSON policy file.
-
-        Layout::
-
-            default: {rel_tol: 0.01}
-            metrics:
-              tps: {direction: higher, rel_tol: 0.05}
-              cpi: {abs_tol: 0.02}
-
-        Overrides merge over the built-in defaults: an absent metric
-        keeps its standard direction and tolerances; an absent field in
-        an override keeps the standard value for that metric.
-        """
-        path = Path(path)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as error:
-            raise ThresholdPolicyError(f"cannot read policy file: {error}")
-        data = _policy_document(text, str(path))
-        unknown = set(data) - {"default", "metrics"}
-        if unknown:
-            raise ThresholdPolicyError(
-                f"{path}: unknown top-level key(s) {sorted(unknown)} "
-                f"(known: ['default', 'metrics'])")
-        default = _metric_policy(data.get("default", {}),
-                                 f"{path}: default", MetricPolicy())
-        metrics = dict(DEFAULT_METRIC_POLICIES)
-        entries = data.get("metrics", {})
-        if not isinstance(entries, dict):
-            raise ThresholdPolicyError(f"{path}: metrics must be a mapping")
-        for name, entry in entries.items():
-            base = metrics.get(name, default)
-            metrics[name] = _metric_policy(entry, f"{path}: metrics.{name}",
-                                           base)
-        return cls(default=default, metrics=metrics)
-
-    def for_metric(self, name: str) -> MetricPolicy:
-        """The policy governing ``name`` (falls back to the default)."""
-        return self.metrics.get(name, self.default)
-
-    def classify(self, name: str, baseline: Optional[float],
-                 candidate: Optional[float]) -> str:
-        """Verdict for one metric cell."""
-        if baseline is None and candidate is None:
-            return VERDICT_UNCHANGED
-        if baseline is None:
-            return VERDICT_NEW
-        if candidate is None:
-            return VERDICT_MISSING
-        policy = self.for_metric(name)
-        delta = candidate - baseline
-        tolerance = max(policy.abs_tol, policy.rel_tol * abs(baseline))
-        if abs(delta) <= tolerance:
-            return VERDICT_UNCHANGED
-        if policy.direction == "neutral":
-            return VERDICT_CHANGED
-        good = delta > 0 if policy.direction == "higher" else delta < 0
-        return VERDICT_IMPROVED if good else VERDICT_REGRESSED
+    A delta within ``REL_TOL * |baseline|`` is unchanged; a larger one
+    is improved or regressed by its sign against the metric's direction.
+    """
+    if baseline is None and candidate is None:
+        return VERDICT_UNCHANGED
+    if baseline is None:
+        return VERDICT_NEW
+    if candidate is None:
+        return VERDICT_MISSING
+    direction = DIRECTIONS.get(name, "neutral")
+    delta = candidate - baseline
+    if abs(delta) <= REL_TOL * abs(baseline):
+        return VERDICT_UNCHANGED
+    if direction == "neutral":
+        return VERDICT_CHANGED
+    good = delta > 0 if direction == "higher" else delta < 0
+    return VERDICT_IMPROVED if good else VERDICT_REGRESSED
 
 
 @dataclass(frozen=True)
@@ -283,7 +167,6 @@ class SnapshotDiff:
 
     baseline: SweepSnapshot
     candidate: SweepSnapshot
-    policy: ThresholdPolicy
     #: Per-(point, metric) cells for points present on both sides.
     deltas: list[MetricDelta] = field(default_factory=list)
     #: Grid keys only the candidate has.
@@ -313,7 +196,7 @@ class SnapshotDiff:
 
     @property
     def has_regressions(self) -> bool:
-        """True when any cell regressed beyond its threshold."""
+        """True when any cell regressed."""
         return any(d.verdict == VERDICT_REGRESSED for d in self.deltas)
 
     @property
@@ -335,17 +218,14 @@ def _explanations_for(changed_fields: list[str]) -> dict[str, str]:
         for name in changed_fields}
 
 
-def diff_snapshots(baseline: SweepSnapshot, candidate: SweepSnapshot,
-                   policy: Optional[ThresholdPolicy] = None) -> SnapshotDiff:
+def diff_snapshots(baseline: SweepSnapshot,
+                   candidate: SweepSnapshot) -> SnapshotDiff:
     """Compare two snapshots into a :class:`SnapshotDiff`.
 
     Deterministic: all joins iterate in sorted key order, so rendering
     the same pair twice is byte-identical.
     """
-    if policy is None:
-        policy = ThresholdPolicy.standard()
-    diff = SnapshotDiff(baseline=baseline, candidate=candidate,
-                        policy=policy)
+    diff = SnapshotDiff(baseline=baseline, candidate=candidate)
 
     base_points = baseline.points
     cand_points = candidate.points
@@ -365,7 +245,7 @@ def diff_snapshots(baseline: SweepSnapshot, candidate: SweepSnapshot,
             diff.deltas.append(MetricDelta(
                 point=key, metric=name, baseline=base_value,
                 candidate=cand_value,
-                verdict=policy.classify(name, base_value, cand_value)))
+                verdict=classify(name, base_value, cand_value)))
 
     def flame_index(snapshot: SweepSnapshot) -> dict[str, dict]:
         return {row["name"]: row for row in snapshot.flame}
@@ -446,9 +326,8 @@ def summary_section(diff: SnapshotDiff) -> "ReportSection":
         rows.append([f"cells {verdict}", counts[verdict]])
     return ReportSection(
         "Diff summary", ["field", "value"], rows,
-        note="Verdicts classify per-point metric cells under the "
-             "threshold policy; only 'regressed' cells gate "
-             "--fail-on-regress.")
+        note="Verdicts classify per-point metric cells by their paper "
+             "direction; only 'regressed' cells gate --fail-on-regress.")
 
 
 def provenance_section(diff: SnapshotDiff) -> "ReportSection":
@@ -509,9 +388,8 @@ def metric_section(diff: SnapshotDiff,
         "Per-point metric deltas",
         ["point", "metric", "baseline", "candidate", "Δ", "Δ%", "verdict"],
         rows,
-        note=f"{shown}; direction-aware verdicts under the threshold "
-             f"policy (tps/util higher-is-better, cpi/mpi "
-             f"lower-is-better).")
+        note=f"{shown}; direction-aware verdicts (tps/util "
+             f"higher-is-better, cpi/mpi lower-is-better).")
 
 
 def flame_section(diff: SnapshotDiff) -> "ReportSection":
@@ -592,14 +470,12 @@ def build_diff_report(diff: SnapshotDiff,
 
 
 __all__ = [
-    "DEFAULT_METRIC_POLICIES",
+    "DIRECTIONS",
     "MetricDelta",
-    "MetricPolicy",
     "ProvenanceDelta",
     "REGRESSION_EXIT_CODE",
+    "REL_TOL",
     "SnapshotDiff",
-    "ThresholdPolicy",
-    "ThresholdPolicyError",
     "VERDICT_CHANGED",
     "VERDICT_IMPROVED",
     "VERDICT_MISSING",
@@ -607,5 +483,6 @@ __all__ = [
     "VERDICT_REGRESSED",
     "VERDICT_UNCHANGED",
     "build_diff_report",
+    "classify",
     "diff_snapshots",
 ]

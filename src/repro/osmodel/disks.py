@@ -44,7 +44,6 @@ class DiskArray:
                 f"the array needs more than its {LOG_DISKS} log disks, "
                 f"got {config.count} disks")
         self.engine = engine
-        self.config = config
         #: Degradation state (repro.faults), set by a faulted system;
         #: None = healthy array.
         self.fault_model: Optional["DiskFaultModel"] = None

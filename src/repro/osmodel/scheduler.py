@@ -37,8 +37,6 @@ class Scheduler:
         if frequency_hz <= 0:
             raise ValueError("frequency must be positive")
         self.engine = engine
-        self.processors = processors
-        self.frequency_hz = frequency_hz
         self.costs = costs
         self.cpus = Resource(engine, processors, name="cpus")
         # Default to CPI=2.0 until the runner calibrates.

@@ -212,14 +212,14 @@ def load_workload(path: Path | str) -> WorkloadSpec:
     return parse_workload_text(text, source=path.name)
 
 
-def read_yaml(text: str, source: str,
-              error: type[ValueError] = WorkloadSpecError):
+def read_yaml(text: str, source: str):
     """The document in YAML (or JSON) ``text``; a syntax error raises
-    ``error`` with a one-line message naming ``source``."""
+    :class:`WorkloadSpecError` with a one-line message naming
+    ``source``."""
     import yaml
 
     try:
         return yaml.safe_load(text)
     except yaml.YAMLError as exc:
         message = " ".join(str(exc).split())
-        raise error(f"{source}: not valid YAML: {message}") from None
+        raise WorkloadSpecError(f"{source}: not valid YAML: {message}") from None

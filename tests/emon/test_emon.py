@@ -1,8 +1,7 @@
-"""Tests for the EMON counter model and round-robin sampler."""
+"""Tests for the EMON event table and round-robin sampler."""
 
 import pytest
 
-from repro.emon.counters import CounterFile, PerformanceCounter
 from repro.emon.events import EVENT_TABLE, EmonEvent, event_by_alias
 from repro.emon.sampler import RoundRobinSampler, _rotation_groups
 
@@ -27,49 +26,6 @@ class TestEvents:
     def test_counter_group_validated(self):
         with pytest.raises(ValueError):
             EmonEvent("x", ("e",), "d", counter_group=9)
-
-
-class TestCounterFile:
-    def test_eighteen_counters_in_nine_pairs(self):
-        cf = CounterFile()
-        assert len(cf.counters) == 18
-        assert {c.pair for c in cf.counters} == set(range(9))
-
-    def test_program_compatible_event(self):
-        cf = CounterFile()
-        event = event_by_alias("instructions")
-        counters = cf.program_events([event])
-        assert counters[0].pair == event.counter_group
-
-    def test_wrong_pair_rejected(self):
-        counter = PerformanceCounter(index=0, pair=0)
-        event = event_by_alias("tlb_miss")  # group 2
-        with pytest.raises(ValueError, match="pair"):
-            counter.program(event)
-
-    def test_pair_capacity_two(self):
-        cf = CounterFile()
-        # instructions and clock_cycles share group 0: both fit.
-        cf.program_events([event_by_alias("instructions"),
-                           event_by_alias("clock_cycles")])
-        # A third group-0 event cannot fit.
-        extra = EmonEvent("fake", ("f",), "d", counter_group=0)
-        with pytest.raises(ValueError, match="full"):
-            cf.program_events([event_by_alias("instructions"),
-                               event_by_alias("clock_cycles"), extra])
-
-    def test_accumulate_and_read(self):
-        cf = CounterFile()
-        cf.program_events([event_by_alias("instructions")])
-        cf.accumulate({"instructions": 100.0, "tlb_miss": 5.0})
-        cf.accumulate({"instructions": 50.0})
-        assert cf.read() == {"instructions": 150.0}
-
-    def test_clear_all(self):
-        cf = CounterFile()
-        cf.program_events([event_by_alias("instructions")])
-        cf.clear_all()
-        assert cf.read() == {}
 
 
 class TestRotationGroups:

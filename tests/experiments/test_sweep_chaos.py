@@ -258,17 +258,17 @@ class TestDegradationTelemetry:
 
 
 class TestBackoffPortability:
-    """backoff_delay must be a pure function of (key, attempt, policy) —
+    """backoff_delay must be a pure function of (key, attempt) —
     identical on every platform and process, because two coordinators
     replaying the same failing sweep must back off identically."""
 
     def test_pinned_literal_values(self):
         # blake2b-seeded jitter is platform-independent; these literals
         # pin the contract against hash/float drift across interpreters.
-        policy = SupervisorPolicy()  # base 0.05, factor 2.0, cap 2.0
-        assert backoff_delay("pinned-key", 1, policy) == \
+        # base 0.05, factor 2.0, cap 2.0
+        assert backoff_delay("pinned-key", 1) == \
             pytest.approx(0.059465334029109765, abs=0, rel=1e-15)
-        assert backoff_delay("pinned-key", 2, policy) == \
+        assert backoff_delay("pinned-key", 2) == \
             pytest.approx(0.12398061597169135, abs=0, rel=1e-15)
 
     def test_matches_recomputed_formula(self):
@@ -278,7 +278,7 @@ class TestBackoffPortability:
         for attempt in (1, 2, 3, 7):
             expected = (min(0.05 * 2.0 ** (attempt - 1), 2.0)
                         + _unit_hash("backoff", "k", attempt) * 0.05)
-            assert backoff_delay("k", attempt, SupervisorPolicy()) == expected
+            assert backoff_delay("k", attempt) == expected
 
 
 class TestSerialEnv:

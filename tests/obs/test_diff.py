@@ -1,4 +1,4 @@
-"""Tests for repro.obs.diff: threshold policy, verdicts, report, CLI.
+"""Tests for repro.obs.diff: the classify rule, verdicts, report, CLI.
 
 Unit level uses synthetic snapshots (the sweep-report fakes); the CLI
 class runs real fast sweeps through ``repro diff`` to pin the exit-code
@@ -6,17 +6,14 @@ contract CI gates on.
 """
 
 import copy
-import json
 
 import pytest
 
 from repro.obs.diff import (
-    DEFAULT_METRIC_POLICIES,
+    DIRECTIONS,
     REGRESSION_EXIT_CODE,
-    MetricPolicy,
-    ThresholdPolicy,
-    ThresholdPolicyError,
     build_diff_report,
+    classify,
     diff_snapshots,
 )
 from repro.obs.snapshot import SweepSnapshot
@@ -32,80 +29,35 @@ def perturbed(snapshot: SweepSnapshot, metric="tps",
     return other
 
 
-class TestThresholdPolicy:
+class TestClassify:
     def test_directions_cover_all_point_metrics(self):
         from repro.obs.snapshot import POINT_METRICS
 
-        assert set(DEFAULT_METRIC_POLICIES) == set(POINT_METRICS)
+        assert set(DIRECTIONS) == set(POINT_METRICS)
 
     def test_higher_better_classification(self):
-        policy = ThresholdPolicy.standard()
-        assert policy.classify("tps", 100.0, 90.0) == "regressed"
-        assert policy.classify("tps", 100.0, 110.0) == "improved"
-        assert policy.classify("tps", 100.0, 100.0) == "unchanged"
+        assert classify("tps", 100.0, 90.0) == "regressed"
+        assert classify("tps", 100.0, 110.0) == "improved"
+        assert classify("tps", 100.0, 100.0) == "unchanged"
 
     def test_lower_better_classification(self):
-        policy = ThresholdPolicy.standard()
-        assert policy.classify("cpi", 2.0, 2.5) == "regressed"
-        assert policy.classify("cpi", 2.0, 1.5) == "improved"
+        assert classify("cpi", 2.0, 2.5) == "regressed"
+        assert classify("cpi", 2.0, 1.5) == "improved"
 
     def test_neutral_metrics_change_but_never_regress(self):
-        policy = ThresholdPolicy.standard()
-        assert policy.classify("fixed_point_rounds", 3.0, 5.0) == "changed"
+        assert classify("fixed_point_rounds", 3.0, 5.0) == "changed"
+        # A metric DIRECTIONS does not name is neutral too.
+        assert classify("custom_metric", 3.0, 5.0) == "changed"
 
     def test_one_sided_cells(self):
-        policy = ThresholdPolicy.standard()
-        assert policy.classify("tps", None, 5.0) == "new"
-        assert policy.classify("tps", 5.0, None) == "missing"
+        assert classify("tps", None, 5.0) == "new"
+        assert classify("tps", 5.0, None) == "missing"
 
-    def test_tolerances_absorb_small_deltas(self):
-        policy = ThresholdPolicy(
-            metrics={"tps": MetricPolicy(direction="higher", rel_tol=0.05)})
-        assert policy.classify("tps", 100.0, 96.0) == "unchanged"
-        assert policy.classify("tps", 100.0, 94.0) == "regressed"
-
-    def test_bad_direction_rejected(self):
-        with pytest.raises(ThresholdPolicyError):
-            MetricPolicy(direction="sideways")
-
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(ThresholdPolicyError):
-            MetricPolicy(rel_tol=-0.1)
-
-
-class TestPolicyFile:
-    def test_json_overrides_merge_over_defaults(self, tmp_path):
-        path = tmp_path / "policy.json"
-        path.write_text(json.dumps(
-            {"metrics": {"tps": {"rel_tol": 0.5}}}))
-        policy = ThresholdPolicy.load(path)
-        assert policy.for_metric("tps").rel_tol == 0.5
-        # Direction survives the partial override; other metrics keep
-        # their standard rows.
-        assert policy.for_metric("tps").direction == "higher"
-        assert policy.for_metric("cpi").direction == "lower"
-
-    def test_default_section_governs_unknown_metrics(self, tmp_path):
-        path = tmp_path / "policy.json"
-        path.write_text(json.dumps({"default": {"rel_tol": 0.25}}))
-        policy = ThresholdPolicy.load(path)
-        assert policy.for_metric("custom_metric").rel_tol == 0.25
-
-    def test_yaml_policy_loads(self, tmp_path):
-        path = tmp_path / "policy.yaml"
-        path.write_text("metrics:\n  cpi:\n    abs_tol: 0.5\n")
-        assert ThresholdPolicy.load(path).for_metric("cpi").abs_tol == 0.5
-
-    def test_unknown_keys_fail_loudly(self, tmp_path):
-        path = tmp_path / "policy.json"
-        path.write_text(json.dumps({"metrics": {"tps": {"color": "red"}}}))
-        with pytest.raises(ThresholdPolicyError) as error:
-            ThresholdPolicy.load(path)
-        assert "color" in str(error.value)
-
-    def test_missing_file_fails_loudly(self, tmp_path):
-        with pytest.raises(ThresholdPolicyError):
-            ThresholdPolicy.load(tmp_path / "nope.yaml")
+    def test_tolerance_boundary(self):
+        # REL_TOL * |baseline| = 1e-7 here: a smaller drop is float
+        # noise, a larger one is a regression.
+        assert classify("tps", 100.0, 100.0 - 5e-8) == "unchanged"
+        assert classify("tps", 100.0, 100.0 - 2e-7) == "regressed"
 
 
 class TestDiffSnapshots:
@@ -240,20 +192,6 @@ class TestCliDiff:
         assert main(["diff", str(snapshot_path), str(worse_path),
                      "--out", str(tmp_path)]) == 0
 
-    def test_thresholds_file_waives_regression(self, snapshot_path,
-                                               tmp_path):
-        from repro.cli import main
-
-        base = SweepSnapshot.load(snapshot_path)
-        worse_path = perturbed(base, "tps", 0.8).save(
-            tmp_path / "worse.snapshot.json")
-        policy = tmp_path / "policy.json"
-        policy.write_text(json.dumps(
-            {"metrics": {"tps": {"rel_tol": 0.5}}}))
-        assert main(["diff", str(snapshot_path), str(worse_path),
-                     "--fail-on-regress", "--thresholds", str(policy),
-                     "--out", str(tmp_path)]) == 0
-
     def test_dropped_provenance_field_is_not_a_regression(
             self, snapshot_path, tmp_path):
         from repro.cli import main
@@ -278,3 +216,6 @@ class TestCliDiff:
         with pytest.raises(SystemExit):
             main(["diff", "--workload", "odb-standard",
                   "--out", str(tmp_path)])  # one workload is not a diff
+        with pytest.raises(SystemExit):
+            main(["diff", "a", "b", "--thresholds", "x",
+                  "--out", str(tmp_path)])  # no policy file option

@@ -13,6 +13,9 @@ new packages), run by the CI ``docs`` job:
 - every ``repro`` CLI subcommand registered in ``src/repro/cli.py``
   must be mentioned in the README *and* in the ``docs/API.md`` CLI
   table (as ``repro <name>``), so new verbs cannot land undocumented;
+- every ``--flag`` inside a backticked span of README.md and
+  docs/API.md must be an option ``src/repro/cli.py`` registers with
+  ``add_argument``, so the docs cannot keep naming a removed option;
 - every shipped workload scenario must have a catalog row in
   ``docs/WORKLOADS.md`` and every public spec dataclass field must be
   documented there (backticked), so new spec knobs and scenarios
@@ -180,6 +183,46 @@ def check_cli_docs(repo: Path) -> list[str]:
                 problems.append(
                     f"src/repro/cli.py:{line}: subcommand {name!r} is not "
                     f"documented in {rel} (no 'repro {name}' mention)")
+    return problems
+
+
+def cli_options(cli_path: Path) -> set[str]:
+    """Every ``--option`` string registered via ``add_argument``.
+
+    Parsed statically with ``ast``, like :func:`cli_subcommands`: the
+    literal string arguments of each ``<parser>.add_argument(...)``
+    call that start with ``--``.
+    """
+    tree = ast.parse(cli_path.read_text(encoding="utf-8"))
+    options = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add_argument"):
+            options.update(arg.value for arg in node.args
+                           if isinstance(arg, ast.Constant)
+                           and isinstance(arg.value, str)
+                           and arg.value.startswith("--"))
+    return options
+
+
+#: A long option inside a code span: `--fail-on-regress`, `--out DIR`.
+_OPTION_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+
+
+def check_cli_options(repo: Path) -> list[str]:
+    """Stale-option findings: backticked ``--flag`` spans in README.md
+    and docs/API.md that ``src/repro/cli.py`` does not register."""
+    cli_path = repo / "src" / "repro" / "cli.py"
+    if not cli_path.exists():  # pragma: no cover - repo invariant
+        return []
+    options = cli_options(cli_path)
+    problems = []
+    for doc, line, span in _code_spans(repo):
+        for option in _OPTION_RE.findall(span):
+            if option not in options:
+                problems.append(f"{doc}:{line}: `{option}` is not an option "
+                                f"src/repro/cli.py registers")
     return problems
 
 
@@ -536,14 +579,15 @@ def main() -> int:
                 + check_cli_docs(REPO) + check_design_sections(REPO)
                 + check_api_module_map(REPO) + check_obs_module_rows(REPO)
                 + check_workload_docs(REPO) + check_class_names(REPO)
-                + check_des_names(REPO))
+                + check_des_names(REPO) + check_cli_options(REPO))
     for problem in problems:
         print(problem)
     if problems:
         print(f"{len(problems)} documentation problem(s)")
     else:
         print("docs lint clean: docstrings present, links resolve, "
-              "CLI verbs documented, DESIGN/API maps in sync, "
+              "CLI verbs documented, documented CLI options exist, "
+              "DESIGN/API maps in sync, "
               "workload scenarios and spec fields documented, "
               "documented classes, attributes and kernel names exist")
     return min(len(problems), 100)
