@@ -23,9 +23,9 @@ depend on *where* a point runs:
   pool that keeps breaking falls back to in-process execution
   (``serial-fallback``).
 
-:func:`run_sweep` adds the journal on top: it takes the journal's owner
-lock, runs only the points the journal does not hold, records each one
-from this process as it completes, and merges everything in grid order.
+:func:`run_sweep` adds the journal on top: it holds the journal's lock,
+runs only the points the journal does not hold, records each one from
+this process as it completes, and merges everything in grid order.
 
 One supervision loop holds the ``ProcessPoolExecutor`` and its futures:
 it rebuilds the pool when a worker dies or a point overstays its
@@ -769,11 +769,12 @@ def run_sweep(warehouse_grid, processors: int,
     """A warehouse sweep through :func:`run_points`, with a journal.
 
     ``executor=None`` runs the sweep in this process.  With a
-    ``journal`` the sweep holds the journal's owner lock throughout: a
-    second live owner raises
-    :class:`~repro.experiments.resilience.JournalOwnershipError`, a
-    dead owner's stale lock is broken, and a journal the caller
-    already acquired keeps the caller's token and release.  Points
+    ``journal`` the sweep holds the journal's lock throughout
+    (:meth:`~repro.experiments.resilience.SweepJournal.held`): a
+    journal another live sweep holds raises
+    :class:`~repro.experiments.resilience.JournalOwnershipError` before
+    any point runs, a killed sweep's lock died with it, and a journal
+    instance the caller already holds is used as it is.  Points
     already journaled are reused without running (their manifests come
     from the cache; they carry no trace, like any cache hit), the rest
     run and are journaled from this process as they complete — one

@@ -39,6 +39,39 @@ def payload_checksum(payload: dict) -> str:
     return hashlib.blake2b(canonical.encode(), digest_size=8).hexdigest()
 
 
+def envelope(result: ConfigResult) -> dict:
+    """The stored form of ``result``: ``{schema_version, checksum,
+    result}``, as every cache file and journal line holds it."""
+    payload = result.to_dict()
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "checksum": payload_checksum(payload),
+        "result": payload,
+    }
+
+
+def open_envelope(data) -> ConfigResult:
+    """The result an :func:`envelope` holds.
+
+    Raises :class:`SchemaMismatchError` for an envelope of another
+    schema generation (or none: the pre-envelope format) and a plain
+    ``ValueError`` for a corrupt one: not an object, a checksum that
+    does not match, a payload that does not rebuild.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("not a result envelope")
+    if data.get("schema_version") != SCHEMA_VERSION or "result" not in data:
+        raise SchemaMismatchError(
+            f"envelope has schema_version {data.get('schema_version')}, "
+            f"this build reads {SCHEMA_VERSION}")
+    if payload_checksum(data["result"]) != data.get("checksum"):
+        raise ValueError("result checksum mismatch")
+    try:
+        return ConfigResult.from_dict(data["result"])
+    except (SchemaMismatchError, KeyError, TypeError) as error:
+        raise ValueError(f"corrupt result payload: {error!r}") from None
+
+
 @dataclass(frozen=True)
 class ConfigResult:
     """Everything measured at one (machine, W, C, P) operating point."""
@@ -264,29 +297,17 @@ class ResultCache:
             return None
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except (json.JSONDecodeError, OSError):
-            self._quarantine(path, key)
-            return None
-        if not isinstance(data, dict):
-            self._quarantine(path, key)
-            return None
-        if data.get("schema_version") != SCHEMA_VERSION or "result" not in data:
+                return open_envelope(json.load(handle))
+        except SchemaMismatchError:
             # A past schema generation (or the pre-envelope format):
             # cleanly invalidated, not an integrity problem.
             try:
                 path.unlink()
             except OSError:  # pragma: no cover
                 pass
-            return None
-        if payload_checksum(data["result"]) != data.get("checksum"):
+        except (ValueError, OSError):
             self._quarantine(path, key)
-            return None
-        try:
-            return ConfigResult.from_dict(data["result"])
-        except (SchemaMismatchError, KeyError, TypeError):
-            self._quarantine(path, key)
-            return None
+        return None
 
     def store(self, key: str, result: ConfigResult) -> None:
         """Atomically publish a result under ``key``."""
@@ -296,17 +317,11 @@ class ResultCache:
             _metrics.inc("cache.stores")
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self._path(key)
-        payload = result.to_dict()
-        envelope = {
-            "schema_version": SCHEMA_VERSION,
-            "checksum": payload_checksum(payload),
-            "result": payload,
-        }
         # Atomic publication: a kill mid-write leaves only the temp file.
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
             with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(envelope, handle)
+                json.dump(envelope(result), handle)
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp, path)

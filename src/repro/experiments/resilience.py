@@ -18,11 +18,14 @@ sweep driver's to cancel: ``SupervisorPolicy.point_timeout_s``.)
   completed sweep points.  Each record carries the serialization schema
   version and a payload checksum; a partially written final line (the
   kill case) or a corrupt/stale record is skipped on load, so resuming
-  only ever trusts fully journaled points.
+  only ever trusts fully journaled points.  One sweep at a time holds
+  a journal, through a kernel ``flock`` on its ``<journal>.lock``
+  sidecar (:meth:`SweepJournal.held`).
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import math
 import os
@@ -30,12 +33,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, Optional
 
-from repro.experiments.records import (
-    SCHEMA_VERSION,
-    ConfigResult,
-    SchemaMismatchError,
-    payload_checksum,
-)
+from repro.experiments.records import ConfigResult, envelope, open_envelope
 from repro.obs import metrics as _metrics
 
 
@@ -59,14 +57,7 @@ class ConvergenceError(RuntimeError):
 
 
 class JournalOwnershipError(RuntimeError):
-    """The journal is (or was) claimed by another live coordinator.
-
-    Raised by :meth:`SweepJournal.acquire` when a different coordinator
-    holds the lock and its process is still alive, and by
-    :meth:`SweepJournal.record` when an acquired lock has been broken
-    out from under us — the split-brain case where continuing to append
-    would interleave two coordinators' output.
-    """
+    """Another live sweep holds the journal (:meth:`SweepJournal.held`)."""
 
 
 #: Relaxation of a damped update toward the last accepted iterate.
@@ -145,19 +136,6 @@ class ConvergenceGuard:
         return user_cpi, os_cpi
 
 
-def _pid_alive(pid: int) -> bool:
-    """Best-effort liveness probe for a lock holder's process."""
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # pragma: no cover - other-user process
-        return True
-    except OSError:  # pragma: no cover - exotic kernels
-        return False
-    return True
-
-
 def _fsync_dir(path: Path) -> None:
     """fsync a directory so a just-created/renamed entry is durable.
 
@@ -179,6 +157,24 @@ def _fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
+#: Journals whose lock this process holds.  A forked child (a pool
+#: worker) inherits their lock descriptors, and a ``flock`` lasts until
+#: the last descriptor on it closes, so a child that outlived a killed
+#: sweep would keep its journal locked: every child closes them at once.
+_HOLDERS: set[SweepJournal] = set()
+
+
+def _drop_inherited_locks() -> None:
+    # Close, never LOCK_UN: unlocking would free the parent's lock too.
+    for journal in _HOLDERS:
+        os.close(journal._lock_fd)
+        journal._lock_fd = None
+    _HOLDERS.clear()
+
+
+os.register_at_fork(after_in_child=_drop_inherited_locks)
+
+
 class SweepJournal:
     """Append-only JSONL checkpoint of a sweep
     (:func:`repro.experiments.parallel.run_sweep`).
@@ -192,32 +188,29 @@ class SweepJournal:
     truncated, corrupt, checksum-inconsistent, or from another schema
     generation, which makes resumption safe after arbitrary crashes.
 
+    **One holder:** :meth:`held` takes an exclusive ``flock`` on the
+    ``<journal>.lock`` sidecar, and
+    :func:`~repro.experiments.parallel.run_sweep` holds it for the whole
+    sweep, so a second live sweep on the journal is refused.  The
+    kernel drops the lock when its holder dies, so a killed sweep
+    leaves nothing to break.  A bare ``record`` on a journal nobody
+    holds still appends.
+
     **Torn-line recovery:** a kill mid-append leaves a partial final
     line; if the journal were then appended to again, the next record
     would fuse onto the torn tail and *both* would be lost.  ``load``
-    therefore repairs the file on reopen: every undecodable line is
-    moved into the ``<journal>.quarantine`` sidecar (bytes preserved
-    for inspection) and the journal is atomically compacted to only its
-    valid lines, so subsequent ``record`` appends land on a clean tail.
-    Quarantine events are counted (``journal.quarantined``) and
-    streamed through :mod:`repro.obs.metrics` when a registry is
-    active.
+    under :meth:`held` therefore repairs the file: every undecodable
+    line is moved into the ``<journal>.quarantine`` sidecar (bytes
+    preserved for inspection) and the journal is atomically compacted
+    to only its valid lines, so subsequent ``record`` appends land on a
+    clean tail.  Quarantine events are counted (``journal.quarantined``)
+    and streamed through :mod:`repro.obs.metrics` when a registry is
+    active.  A ``load`` without the lock (a count, a ``repro diff``)
+    only skips bad lines: the file may be a live sweep's.
 
-    **Split-brain protection:** two coordinators appending to the same
-    journal would interleave records (and, on a torn tail, fuse them).
-    :meth:`acquire` claims exclusive append rights through an
-    ``O_EXCL``-created ``<journal>.lock`` sidecar naming the owner and
-    its pid; a second coordinator's ``acquire`` raises
-    :class:`JournalOwnershipError` while the first is alive, and breaks
-    the lock automatically once the holder's process is gone (crash
-    recovery needs no manual cleanup).  An acquired journal re-checks
-    the lock on every ``record`` and refuses to append if ownership was
-    stolen.  :func:`~repro.experiments.parallel.run_sweep` holds the
-    lock for the whole sweep (:meth:`held`), reusing the caller's token
-    when the caller acquired it first; a bare ``record`` on a journal
-    nobody acquired still appends.  Duplicate suppression is always on: re-recording a
-    key with a bit-identical result is a no-op, so retried points never
-    write twice.
+    Duplicate suppression is always on: re-recording a key with a
+    bit-identical result is a no-op, so retried points never write
+    twice.
     """
 
     def __init__(self, path: Path | str):
@@ -227,9 +220,8 @@ class SweepJournal:
         #: Lines moved to the quarantine sidecar over this journal's
         #: lifetime.
         self.quarantined = 0
-        #: Owner token while this instance holds the lock (see
-        #: :meth:`acquire`); ``None`` when unlocked.
-        self.owner: Optional[str] = None
+        # The locked sidecar's descriptor while :meth:`held`.
+        self._lock_fd: Optional[int] = None
         # key -> payload checksum of every record this instance has
         # appended or loaded; the duplicate-append suppression set.
         self._recorded: dict[str, str] = {}
@@ -241,115 +233,53 @@ class SweepJournal:
 
     @property
     def lock_path(self) -> Path:
-        """The ownership lock sidecar (see :meth:`acquire`)."""
+        """The lock sidecar :meth:`held` locks; never deleted, since a
+        new file would let two sweeps each lock their own."""
         return self.path.with_name(self.path.name + ".lock")
-
-    def _read_lock(self) -> Optional[dict]:
-        """The current lock holder's ``{"owner", "pid"}``, or ``None``."""
-        try:
-            entry = json.loads(self.lock_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            return None
-        if not isinstance(entry, dict) or "owner" not in entry:
-            return None
-        return entry
-
-    def acquire(self, owner: Optional[str] = None,
-                attempts: int = 5) -> str:
-        """Claim exclusive append rights; returns the owner token.
-
-        ``owner`` defaults to a pid-derived token.  Re-acquiring with
-        the token already on the lock is a no-op (idempotent).  A lock
-        held by a *dead* process is broken and taken over; a lock held
-        by a live one raises :class:`JournalOwnershipError`.
-        """
-        if owner is None:
-            owner = f"pid-{os.getpid()}"
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps({"owner": owner, "pid": os.getpid()})
-        for _attempt in range(attempts):
-            try:
-                fd = os.open(self.lock_path,
-                             os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                holder = self._read_lock()
-                if holder is not None and holder.get("owner") == owner:
-                    self.owner = owner
-                    return owner
-                pid = holder.get("pid") if holder is not None else None
-                if holder is not None and isinstance(pid, int) \
-                        and _pid_alive(pid):
-                    raise JournalOwnershipError(
-                        f"journal {self.path} is owned by "
-                        f"{holder['owner']!r} (pid {pid}, alive)")
-                # Holder is dead (or the lock is unreadable garbage):
-                # break the stale lock and race for it again.
-                if _metrics.ACTIVE:
-                    _metrics.inc("journal.stale_locks_broken")
-                try:
-                    self.lock_path.unlink()
-                except FileNotFoundError:
-                    pass
-                continue
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(payload + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            _fsync_dir(self.path.parent)
-            self.owner = owner
-            return owner
-        raise JournalOwnershipError(
-            f"could not acquire journal lock {self.lock_path} "
-            f"after {attempts} attempt(s)")
-
-    def release(self) -> None:
-        """Drop the ownership lock (no-op when not held by us)."""
-        if self.owner is None:
-            return
-        holder = self._read_lock()
-        if holder is not None and holder.get("owner") == self.owner:
-            try:
-                self.lock_path.unlink()
-            except OSError:  # pragma: no cover - read-only journal dir
-                pass
-        self.owner = None
 
     @contextmanager
     def held(self) -> Iterator["SweepJournal"]:
-        """Hold the owner lock for a block (what the sweep drivers use).
+        """Hold the journal's lock for a block (what sweeps use).
 
-        A journal the caller already acquired keeps the caller's token
-        (re-acquired, so a stolen lock still raises) and the caller's
-        release; otherwise a pid-derived token is taken on entry and
-        released on exit.
+        Raises :class:`JournalOwnershipError` when another sweep, or
+        another instance in this process, holds it.  Re-entrant on the
+        holding instance.
         """
-        caller_held = self.owner is not None
-        self.acquire(self.owner)
+        if self._lock_fd is not None:
+            yield self
+            return
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(self.lock_path, os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(fd)
+            raise JournalOwnershipError(
+                f"journal {self.path} is owned by another running "
+                f"sweep") from None
+        except OSError:
+            os.close(fd)
+            raise
+        self._lock_fd = fd
+        _HOLDERS.add(self)
         try:
             yield self
         finally:
-            if not caller_held:
-                self.release()
-
-    def _check_ownership(self) -> None:
-        """Refuse to append when an acquired lock was stolen/broken."""
-        if self.owner is None:
-            return
-        holder = self._read_lock()
-        if holder is None or holder.get("owner") != self.owner:
-            taken = holder.get("owner") if holder is not None else None
-            raise JournalOwnershipError(
-                f"lost ownership of journal {self.path}: lock now held "
-                f"by {taken!r}")
+            # A forked child that leaves the block closed its copy at
+            # the fork; its fd number may name another file by now.
+            if self._lock_fd is not None:
+                _HOLDERS.discard(self)
+                os.close(self._lock_fd)
+                self._lock_fd = None
 
     def load(self) -> dict[str, ConfigResult]:
-        """Completed points by cache key; repairs a torn/corrupt tail.
+        """Completed points by cache key, skipping untrusted lines.
 
         Any line that cannot be trusted (truncated JSON, checksum
-        mismatch, stale schema) is quarantined into
-        :attr:`quarantine_path` and the journal is rewritten with only
-        the valid lines, so the file is always safe to append to after
-        a ``load``.
+        mismatch, stale schema) is skipped.  Under :meth:`held` it is
+        also quarantined into :attr:`quarantine_path` and the journal
+        rewritten with only the valid lines, so the file is safe to
+        append to after the ``load``.
         """
         self.skipped = 0
         self._recorded = {}
@@ -365,21 +295,14 @@ class SweepJournal:
                     continue
                 try:
                     entry = json.loads(line)
-                    if (not isinstance(entry, dict)
-                            or entry.get("schema_version") != SCHEMA_VERSION):
-                        raise SchemaMismatchError("stale journal entry")
-                    if payload_checksum(entry["result"]) != entry["checksum"]:
-                        raise ValueError("journal checksum mismatch")
-                    completed[entry["key"]] = ConfigResult.from_dict(
-                        entry["result"])
+                    completed[entry["key"]] = open_envelope(entry)
                     self._recorded[entry["key"]] = entry["checksum"]
-                except (json.JSONDecodeError, SchemaMismatchError, ValueError,
-                        KeyError, TypeError):
+                except (ValueError, KeyError, TypeError):
                     self.skipped += 1
                     bad_lines.append((lineno, line))
                     continue
                 valid_lines.append(line)
-        if bad_lines:
+        if bad_lines and self._lock_fd is not None:
             self._quarantine_lines(bad_lines, valid_lines)
         return completed
 
@@ -423,23 +346,14 @@ class SweepJournal:
 
         Idempotent per (key, payload): re-recording a key with a
         bit-identical result (a retried point, a resumed sweep) is
-        suppressed rather than appended twice.  Raises
-        :class:`JournalOwnershipError` when this instance had acquired
-        the journal but no longer holds its lock.
+        suppressed rather than appended twice.
         """
-        self._check_ownership()
-        payload = result.to_dict()
-        checksum = payload_checksum(payload)
+        entry = {"key": key, **envelope(result)}
+        checksum = entry["checksum"]
         if self._recorded.get(key) == checksum:
             if _metrics.ACTIVE:
                 _metrics.inc("journal.duplicate_skips")
             return
-        entry = {
-            "key": key,
-            "schema_version": SCHEMA_VERSION,
-            "checksum": checksum,
-            "result": payload,
-        }
         self.path.parent.mkdir(parents=True, exist_ok=True)
         created = not self.path.exists()
         with open(self.path, "a", encoding="utf-8") as handle:

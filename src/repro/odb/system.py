@@ -107,7 +107,13 @@ class OdbConfig:
 
 @dataclass(frozen=True)
 class SystemMetrics:
-    """Measured system-level behavior over one measurement window."""
+    """Measured system-level behavior.
+
+    Every measured field covers the measurement window (after warm-up)
+    except three whole-run means: ``read_latency_s``, ``commit_wait_s``
+    and ``group_commit_size`` average every sample since t=0, warm-up
+    included.
+    """
 
     warehouses: int
     clients: int
@@ -129,6 +135,9 @@ class SystemMetrics:
     buffer_hit_rate: float
     disk_utilization: float
     max_disk_utilization: float
+    #: Whole-run means since t=0, warm-up included (not window deltas):
+    #: a data read's disk queueing plus service time, a commit's wait
+    #: for its log flush, and the commits per group-commit flush.
     read_latency_s: float
     commit_wait_s: float
     group_commit_size: float

@@ -3,6 +3,9 @@
 import dataclasses
 import json
 import os
+import signal
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -19,6 +22,7 @@ from repro.experiments.records import (
 from repro.experiments.resilience import (
     ConvergenceError,
     ConvergenceGuard,
+    JournalOwnershipError,
     SweepJournal,
 )
 from repro.experiments.runner import (
@@ -26,6 +30,7 @@ from repro.experiments.runner import (
     run_configuration,
 )
 from repro.faults import DiskDegradation, FaultPlan
+from tests.experiments.journal_holder import held_elsewhere, holder_env
 from tests.experiments.serial_oracle import serial_results
 
 
@@ -231,7 +236,8 @@ class TestCrashSafeCache:
 
 
 class TestJournalTornLineRecovery:
-    """Reopen must repair a torn tail: quarantine + atomic compaction."""
+    """Reopen under the lock must repair a torn tail: quarantine +
+    atomic compaction; without the lock the file is left alone."""
 
     def test_torn_line_moved_to_quarantine_sidecar(self, tmp_path, result):
         journal = SweepJournal(tmp_path / "sweep.jsonl")
@@ -239,7 +245,8 @@ class TestJournalTornLineRecovery:
         torn = '{"key": "key-b", "schema_ver'
         with open(journal.path, "a", encoding="utf-8") as handle:
             handle.write(torn)  # the kill case: no trailing newline
-        loaded = journal.load()
+        with journal.held():
+            loaded = journal.load()
         assert set(loaded) == {"key-a"}
         assert journal.skipped == 1
         assert journal.quarantined == 1
@@ -257,8 +264,9 @@ class TestJournalTornLineRecovery:
         with open(journal.path, "a", encoding="utf-8") as handle:
             handle.write('{"key": "key-b", "schema_ver')
         # The resume flow: load (repairs the tail), then keep recording.
-        journal.load()
-        journal.record("key-c", result)
+        with journal.held():
+            journal.load()
+            journal.record("key-c", result)
         reloaded = journal.load()
         assert set(reloaded) == {"key-a", "key-c"}
         assert journal.skipped == 0
@@ -274,7 +282,8 @@ class TestJournalTornLineRecovery:
         stream = tmp_path / "events.jsonl"
         registry = metrics_module.enable_metrics(stream_path=str(stream))
         try:
-            journal.load()
+            with journal.held():
+                journal.load()
         finally:
             metrics_module.disable_metrics()
         assert registry.counters["journal.quarantined"] == 2.0
@@ -288,8 +297,23 @@ class TestJournalTornLineRecovery:
         journal = SweepJournal(tmp_path / "sweep.jsonl")
         journal.record("key-a", result)
         before = journal.path.read_text()
-        journal.load()
+        with journal.held():
+            journal.load()
         assert journal.path.read_text() == before
+        assert not journal.quarantine_path.exists()
+
+    def test_load_without_the_lock_rewrites_nothing(self, tmp_path, result):
+        """A torn journal that may be a live sweep's (a count, a
+        ``repro diff``) is read, its bad line skipped in memory, and
+        neither compacted nor quarantined."""
+        journal = SweepJournal(tmp_path / "sweep.jsonl")
+        journal.record("key-a", result)
+        with open(journal.path, "a", encoding="utf-8") as handle:
+            handle.write('{"key": "key-b", "schema_ver')
+        before = journal.path.read_bytes()
+        assert set(journal.load()) == {"key-a"}
+        assert journal.skipped == 1 and journal.quarantined == 0
+        assert journal.path.read_bytes() == before
         assert not journal.quarantine_path.exists()
 
 
@@ -308,12 +332,13 @@ class TestJournalCrashConsistency:
         torn = lines[1][: len(lines[1]) // 2]
         journal.path.write_bytes(lines[0] + torn)
         recovered = SweepJournal(journal.path)
-        assert set(recovered.load()) == {"key-a"}
-        assert recovered.quarantined == 1
-        # The resume flow keeps appending to the compacted journal; the
-        # re-run of the torn point lands exactly once.
-        recovered.record("key-b", result)
-        assert set(recovered.load()) == {"key-a", "key-b"}
+        with recovered.held():
+            assert set(recovered.load()) == {"key-a"}
+            assert recovered.quarantined == 1
+            # The resume flow keeps appending to the compacted journal;
+            # the re-run of the torn point lands exactly once.
+            recovered.record("key-b", result)
+            assert set(recovered.load()) == {"key-a", "key-b"}
         assert torn.decode() in recovered.quarantine_path.read_text()
 
     def test_compaction_fsyncs_data_before_rename(self, tmp_path, result,
@@ -335,7 +360,8 @@ class TestJournalCrashConsistency:
 
         monkeypatch.setattr(os, "fsync", spy_fsync)
         monkeypatch.setattr(os, "replace", spy_replace)
-        journal.load()
+        with journal.held():
+            journal.load()
         # Sidecar and compacted-tmp fsyncs precede the rename; the
         # directory fsync follows it, so the repaired journal is durably
         # *named* before any later append trusts its clean tail.
@@ -405,118 +431,120 @@ class TestCacheQuarantineSurfacing:
         assert "cache.quarantined" in text  # no longer silent
 
 
+#: Holds the journal lock, forks a child that outlives it and waits to
+#: be killed.  The child prints its pid once it runs, so after the fork
+#: hooks.
+FORKING_HOLDER = (
+    "import os, sys, time\n"
+    "from repro.experiments.resilience import SweepJournal\n"
+    "with SweepJournal(sys.argv[1]).held():\n"
+    "    if os.fork() == 0:\n"
+    "        print(os.getpid(), flush=True)\n"
+    "        time.sleep(120)\n"
+    "        os._exit(0)\n"
+    "    time.sleep(120)\n"
+)
+
+
+def refused(path):
+    """Whether a fresh instance is refused the journal at ``path``."""
+    try:
+        with SweepJournal(path).held():
+            return False
+    except JournalOwnershipError:
+        return True
+
+
 class TestJournalSplitBrain:
-    """Two coordinators on one journal: the ownership lock contract."""
+    """One sweep at a time on a journal: the kernel lock's contract."""
 
     def test_second_live_coordinator_is_refused(self, tmp_path):
-        from repro.experiments.resilience import JournalOwnershipError
-
         path = tmp_path / "sweep.jsonl"
-        first = SweepJournal(path)
-        assert first.acquire("coord-a") == "coord-a"
-        second = SweepJournal(path)
-        with pytest.raises(JournalOwnershipError) as error:
-            second.acquire("coord-b")
-        assert "coord-a" in str(error.value)
+        with SweepJournal(path).held():
+            with pytest.raises(JournalOwnershipError) as error:
+                with SweepJournal(path).held():
+                    pass
+        message = str(error.value)
+        assert str(path) in message and "\n" not in message
 
-    def test_reacquire_is_idempotent(self, tmp_path):
+    def test_reacquire_is_idempotent(self, tmp_path, result):
         journal = SweepJournal(tmp_path / "sweep.jsonl")
-        journal.acquire("coord-a")
-        assert journal.acquire("coord-a") == "coord-a"
+        with journal.held():
+            with journal.held():
+                journal.record("k1", result)
+            # Leaving the inner block kept the outer block's lock.
+            assert refused(journal.path)
+        assert not refused(journal.path)
 
     def test_release_allows_takeover(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
         first = SweepJournal(path)
-        first.acquire("coord-a")
-        first.release()
-        assert SweepJournal(path).acquire("coord-b") == "coord-b"
+        with first.held():
+            pass
+        assert not refused(path)
+        # The sidecar stays: a new file would be a second lock.
+        assert first.lock_path.exists()
 
-    def test_dead_holders_lock_is_broken(self, tmp_path):
-        import subprocess
-        import sys
-
-        # A real process that acquired the lock and crashed without
-        # releasing: its pid is dead, so takeover must succeed.
+    def test_sigkilled_holder_with_a_live_child_frees_the_lock(
+            self, tmp_path):
+        """A holder SIGKILLed while a child it forked under the lock
+        lives on: the child closed its copy of the lock at the fork, so
+        the journal is free the moment the holder is gone."""
         path = tmp_path / "sweep.jsonl"
-        code = (
-            "import sys; sys.path.insert(0, sys.argv[2])\n"
-            "from repro.experiments.resilience import SweepJournal\n"
-            "SweepJournal(sys.argv[1]).acquire('coord-crashed')\n"
-        )
-        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-        subprocess.run([sys.executable, "-c", code, str(path), src],
-                       check=True)
-        assert (tmp_path / "sweep.jsonl.lock").exists()
-        journal = SweepJournal(path)
-        assert journal.acquire("coord-b") == "coord-b"
+        holder = subprocess.Popen(
+            [sys.executable, "-c", FORKING_HOLDER, str(path)],
+            env=holder_env(), stdout=subprocess.PIPE,
+            start_new_session=True)
+        try:
+            child = int(holder.stdout.readline())
+            assert refused(path)
+            holder.kill()
+            holder.wait(timeout=30.0)
+            os.kill(child, 0)  # the child is still alive
+            assert not refused(path)
+        finally:
+            os.killpg(holder.pid, signal.SIGKILL)
+            holder.stdout.close()
+
+    def test_sidecar_naming_a_live_unrelated_pid_does_not_block(
+            self, tmp_path, result):
+        """A sidecar whose bytes name a live process (an old owner
+        record, a recycled pid) means nothing: only the kernel lock
+        counts."""
+        journal = SweepJournal(tmp_path / "sweep.jsonl")
+        journal.lock_path.write_text(json.dumps(
+            {"owner": "crashed-sweep", "pid": os.getppid()}) + "\n")
+        with journal.held():
+            journal.record("k1", result)
+        assert "k1" in journal.load()
 
     def test_live_holder_in_another_process_is_refused(self, tmp_path):
-        import subprocess
-        import sys
-
-        # The second coordinator runs in a real subprocess while we (a
-        # live pid) hold the lock; it must exit through
-        # JournalOwnershipError.
         path = tmp_path / "sweep.jsonl"
-        SweepJournal(path).acquire("coord-a")
-        code = (
-            "import sys; sys.path.insert(0, sys.argv[2])\n"
-            "from repro.experiments.resilience import (\n"
-            "    JournalOwnershipError, SweepJournal)\n"
-            "try:\n"
-            "    SweepJournal(sys.argv[1]).acquire('coord-b')\n"
-            "except JournalOwnershipError:\n"
-            "    sys.exit(42)\n"
-            "sys.exit(0)\n"
-        )
-        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-        proc = subprocess.run([sys.executable, "-c", code, str(path), src])
-        assert proc.returncode == 42
-
-    def test_record_after_lock_stolen_raises(self, tmp_path, result):
-        from repro.experiments.resilience import JournalOwnershipError
-
-        path = tmp_path / "sweep.jsonl"
-        journal = SweepJournal(path)
-        journal.acquire("coord-a")
-        journal.record("k1", result)
-        # Another coordinator force-breaks the lock (split brain): our
-        # next append must refuse instead of interleaving.
-        journal.lock_path.write_text(
-            json.dumps({"owner": "coord-b", "pid": os.getpid()}) + "\n")
-        with pytest.raises(JournalOwnershipError):
-            journal.record("k2", result)
-        assert list(SweepJournal(path).load()) == ["k1"]
+        with held_elsewhere(path):
+            assert refused(path)
+        assert not refused(path)  # the holder exited
 
     def test_in_process_sweep_refuses_a_journal_a_live_owner_holds(
             self, tmp_path):
-        from repro.experiments.resilience import JournalOwnershipError
-
         path = tmp_path / "sweep.jsonl"
-        SweepJournal(path).acquire("coord-a")
-        with pytest.raises(JournalOwnershipError, match="coord-a"):
-            run_sweep((10,), 1, settings=FAST_SETTINGS, use_cache=False,
-                      journal=path)
+        with held_elsewhere(path):
+            with pytest.raises(JournalOwnershipError, match="sweep.jsonl"):
+                run_sweep((10,), 1, settings=FAST_SETTINGS, use_cache=False,
+                          journal=path)
         # Refused before the first point: nothing was appended.
-        assert not path.exists() or path.read_text() == ""
-        assert json.loads(path.with_name("sweep.jsonl.lock").read_text()
-                          )["owner"] == "coord-a"
+        assert not path.exists()
 
     def test_caller_held_journal_is_reused_not_refused(self, tmp_path):
-        """A caller that holds the journal under its own token runs a
-        sweep on it: the driver reuses the token, appends, and leaves
-        the lock for the caller to release."""
+        """A caller that holds the journal runs a sweep on it: the
+        driver appends under the caller's lock and leaves it held."""
         path = tmp_path / "sweep.jsonl"
         journal = SweepJournal(path)
-        journal.acquire("coordinator-1")
-        run_sweep((10,), 1, settings=FAST_SETTINGS, use_cache=False,
+        with journal.held():
+            run_sweep((10,), 1, settings=FAST_SETTINGS, use_cache=False,
                       journal=journal)
-        assert len(path.read_text().splitlines()) == 1
-        assert journal.owner == "coordinator-1"
-        assert json.loads(journal.lock_path.read_text()
-                          )["owner"] == "coordinator-1"
-        journal.release()
-        assert not journal.lock_path.exists()
+            assert len(path.read_text().splitlines()) == 1
+            assert refused(path)
+        assert not refused(path)
 
     def test_unlocked_journals_still_append(self, tmp_path, result):
         # Locking is opt-in: the single-coordinator path is unchanged.

@@ -3,9 +3,12 @@
 A ``repro sweep --jobs 2 --journal J`` is SIGKILLed mid-sweep: its pool
 workers must exit with it instead of lingering as orphans, and a
 relaunch with ``--resume`` must leave the journal holding every point
-exactly once, bit-identical to a serial sweep.  The journal owner-lock
-interplay (live-owner contention, a dead owner's stale lock) is pinned
-here for an in-process sweep (``REPRO_SERIAL=1``) and in
+exactly once, bit-identical to a serial sweep: the killed sweep's
+journal lock died with it (its workers closed their copies at the
+fork), so the resume takes it at once.  Contention on the lock (a live
+holder in another process, an old owner record in the sidecar, a torn
+journal that a refused sweep must not rewrite) is pinned here for an
+in-process sweep (``REPRO_SERIAL=1``) and in
 ``test_executors.TestJournalOwnership`` for the pool.
 
 Every killed sweep starts in its own session, so teardown can SIGKILL
@@ -24,6 +27,7 @@ import pytest
 
 from repro.cli import main
 from repro.experiments.resilience import SweepJournal
+from tests.experiments.journal_holder import held_elsewhere
 
 REPO = Path(__file__).resolve().parents[2]
 GRID = "10,20,30,40,50,60,70,80"
@@ -108,7 +112,7 @@ def kill_after_first_append(cmd, env, journal, log_path):
         else:
             pytest.fail("no journal append within 120s")
         workers = children_of(sweep.pid)
-        sweep.kill()  # SIGKILL: no cleanup, stale lock left behind
+        sweep.kill()  # SIGKILL: no cleanup; its lock dies with it
         sweep.wait(timeout=30.0)
     except BaseException:
         os.killpg(sweep.pid, signal.SIGKILL)
@@ -194,33 +198,58 @@ class TestJournalOwnershipCli:
             self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_SERIAL", "1")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        journal = SweepJournal(tmp_path / "journal.jsonl")
-        journal.acquire(owner="live-sweep")
-        try:
+        path = tmp_path / "journal.jsonl"
+        with held_elsewhere(path):
             with pytest.raises(SystemExit) as error:
                 main(["sweep", "--fast", "-p", "1", "--grid", "10",
-                      "--journal", str(journal.path)])
-            message = str(error.value)
-            assert "owned by" in message and "live-sweep" in message
-            assert "\n" not in message
-            assert not journal.path.exists()  # nothing was appended
-        finally:
-            journal.release()
+                      "--journal", str(path)])
+        message = str(error.value)
+        assert "owned by" in message and str(path) in message
+        assert "\n" not in message
+        assert not path.exists()  # nothing was appended
 
-    def test_stale_lock_of_dead_sweep_broken_by_resume(
+    def test_old_owner_record_naming_a_live_pid_does_not_block_resume(
             self, tmp_path, monkeypatch):
+        """The sidecar of a sweep killed under an older release names
+        a pid that a live, unrelated process (here the test runner's
+        parent) now has: ``--resume`` still runs."""
         monkeypatch.setenv("REPRO_SERIAL", "1")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         journal = SweepJournal(tmp_path / "journal.jsonl")
-        dead = subprocess.Popen([sys.executable, "-c", "pass"])
-        dead.wait(timeout=30.0)
         journal.lock_path.write_text(json.dumps(
-            {"owner": "crashed-sweep", "pid": dead.pid}) + "\n")
+            {"owner": "crashed-sweep", "pid": os.getppid()}) + "\n")
         code = main(["sweep", "--fast", "-p", "1", "--grid", "10",
                      "--journal", str(journal.path), "--resume"])
         assert code == 0
-        assert not journal.lock_path.exists()  # broken, then released
         assert len(journal_lines(journal.path)) == 1
+
+    def test_refused_sweep_and_diff_leave_a_torn_journal_alone(
+            self, tmp_path, monkeypatch):
+        """Only the lock holder rewrites a journal: a sweep refused the
+        lock, and a snapshot rebuilt from the journal, read a torn tail
+        without compacting it or moving it to the quarantine sidecar
+        (it may be the live sweep's half-written line)."""
+        from repro.obs.snapshot import SweepSnapshot
+
+        monkeypatch.setenv("REPRO_SERIAL", "1")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        journal = SweepJournal(tmp_path / "journal.jsonl")
+        assert main(["sweep", "--fast", "-p", "1", "--grid", "10",
+                     "--journal", str(journal.path)]) == 0
+        with journal.path.open("a", encoding="utf-8") as handle:
+            handle.write('{"key": "torn", "schema_ver')
+        before = journal.path.read_bytes()
+        with held_elsewhere(journal.path):
+            with pytest.raises(SystemExit) as error:
+                main(["sweep", "--fast", "-p", "1", "--grid", "10,20",
+                      "--journal", str(journal.path)])
+            assert "owned by" in str(error.value)
+            assert journal.path.read_bytes() == before
+            assert not journal.quarantine_path.exists()
+            snapshot = SweepSnapshot.from_journal(journal.path)
+            assert len(snapshot.points) == 1
+            assert journal.path.read_bytes() == before
+            assert not journal.quarantine_path.exists()
 
 
 class TestDefaultJournalName:

@@ -28,11 +28,15 @@ asserts:
 It then writes the degradation-timeline sweep report plus the raw
 event log into ``--out`` for upload as a CI artifact.
 
-``kill-resume`` SIGKILLs a real ``repro sweep --jobs 2 --journal`` after
-its first journal append and asserts that its pool workers exit with
-it.  It then relaunches the sweep with ``--resume`` on the same journal
-and asserts that the journal holds every point exactly once,
-byte-identical to the golden.  Both sweeps' logs go into ``--out``.
+``kill-resume`` stops a real ``repro sweep --jobs 2 --journal`` (SIGSTOP)
+after its first journal append and starts a second sweep on the same
+journal.  That one must exit non-zero with the one-line ownership
+message and leave the journal byte-identical (no compaction, no
+quarantine sidecar): the stopped sweep still holds the journal's lock.
+It then SIGKILLs the first sweep and asserts that its pool workers exit
+with it, relaunches the sweep with ``--resume`` on the same journal and
+asserts that the journal holds every point exactly once, byte-identical
+to the golden.  The sweeps' logs go into ``--out``.
 
 Exit status 0 means every assertion held.
 """
@@ -169,22 +173,46 @@ def alive(pid: int) -> bool:
     return stat[stat.rindex(")") + 2] != "Z"
 
 
+def contend(command: list[str], env: dict, journal: Path,
+            out: Path) -> list[str]:
+    """Run a second sweep on a journal a stopped sweep holds: it must
+    be refused with one line and leave the journal as it was."""
+    before = journal.read_bytes()
+    second = subprocess.run(command, env=env, timeout=120,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    (out / "sweep-contender.log").write_bytes(second.stdout + second.stderr)
+    failures = []
+    message = second.stderr.decode().strip()
+    if second.returncode == 0:
+        failures.append("a second sweep ran on a held journal")
+    elif "owned by" not in message or "\n" in message:
+        failures.append(f"contender did not exit with the one-line "
+                        f"ownership message: {message!r}")
+    if journal.read_bytes() != before:
+        failures.append("the refused sweep changed the journal")
+    if journal.with_name(journal.name + ".quarantine").exists():
+        failures.append("the refused sweep quarantined journal lines")
+    return failures
+
+
 def scenario_kill_resume(out: Path) -> list[str]:
-    """SIGKILL a real CLI sweep mid-run; resume it on its journal."""
+    """Contend for, then SIGKILL, a real CLI sweep mid-run; resume it on
+    its journal."""
     golden = golden_sweep(RESUME_GRID)
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
     env["REPRO_CACHE_DIR"] = str(out / "cache")
     env.pop("REPRO_SERIAL", None)
     journal = out / "journal.jsonl"
-    journal.unlink(missing_ok=True)
+    for stale in (journal, journal.with_name(journal.name + ".quarantine")):
+        stale.unlink(missing_ok=True)
     command = [sys.executable, "-m", "repro.cli", "sweep", "--fast",
                "-p", str(PROCESSORS), "--jobs", "2",
                "--grid", ",".join(str(w) for w in RESUME_GRID),
                "--journal", str(journal)]
 
-    print("[2/4] CLI sweep on a 2-worker pool; SIGKILL after the first "
-          "append")
+    print("[2/4] CLI sweep on a 2-worker pool; after the first append, "
+          "stop it, contend for its journal, then SIGKILL it")
     failures: list[str] = []
     # A log file, not a pipe, and a session of its own, so that any
     # worker that outlived the kill is still reaped below.
@@ -198,11 +226,14 @@ def scenario_kill_resume(out: Path) -> list[str]:
             if first.poll() is not None:
                 return ["sweep exited before its first append"]
             time.sleep(0.01)
+        if not journal_entries(journal):
+            return ["no journal append within 120s"]
+        # Stopped, the sweep holds its lock but appends nothing more.
+        first.send_signal(signal.SIGSTOP)
+        failures += contend(command, env, journal, out)
         workers = children_of(first.pid)
         first.send_signal(signal.SIGKILL)
         first.wait(timeout=30.0)
-        if not journal_entries(journal):
-            return ["no journal append within 120s"]
         deadline = time.monotonic() + 5.0
         while time.monotonic() < deadline and any(map(alive, workers)):
             time.sleep(0.05)
