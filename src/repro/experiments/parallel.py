@@ -31,7 +31,11 @@ One supervision loop holds the ``ProcessPoolExecutor`` and its futures:
 it rebuilds the pool when a worker dies or a point overstays its
 deadline, and its workers run :func:`execute_point` under the test-only
 :class:`ChaosPolicy` and exit on their own when the driver's process
-dies.  :class:`PoolExecutor` is the caller's handle on it.
+dies.  A run that ends cleanly keeps its pool for the next run in this
+process, which reuses it while it is wide enough and a fresh fork would
+see the same environment, tracer and metrics registry; the
+interpreter's exit shuts it down.  :class:`PoolExecutor` is the
+caller's handle on it.
 
 Safety rules:
 
@@ -479,6 +483,76 @@ def _kill_pool(pool: ProcessPoolExecutor,
 
 
 # ----------------------------------------------------------------------
+# the kept pool
+#
+# A run that ends with no break and nothing in flight leaves its pool
+# here instead of joining it, so a caller making runs in a row (Table
+# 1's lockstep rounds, a figure's grid, the perf harness's steps) forks
+# and warms its workers once.  A worker forks with a copy of this
+# process, so the pool is reused only when it is wide enough and a fork
+# now would copy the same things a point's run reads
+# (:func:`_fork_view`).  The stdlib's interpreter-exit hook shuts the
+# kept pool down and joins its workers.
+
+#: ``((view, width), pool)`` of the pool the last clean run left, or
+#: None.
+_kept: Optional[tuple] = None
+
+
+def _fork_view() -> tuple:
+    """What a worker forked now inherits that its points read: this
+    process, the environment (``REPRO_CACHE_DIR``) and the active tracer
+    and registry.
+
+    Module state patched inside this process (a monkeypatched function,
+    a harness's instrumentation) is not part of the view: workers kept
+    from before the patch would run without it, and nothing would fail.
+    Code that patches state the workers inherit must call
+    :func:`shutdown_pool` before its next pooled run.
+    """
+    return (os.getpid(), dict(os.environ),
+            _tracing.current_tracer(), _metrics.current_registry())
+
+
+def _take_pool(width: int) -> tuple:
+    """``(pool, shape)``: the kept pool when its workers forked with this
+    view and it has at least ``width`` of them, otherwise a fresh pool of
+    ``width`` workers (the kept one shut down first).  ``shape`` is the
+    pool's ``(view, width)``, which :func:`_keep_pool` stores with it."""
+    global _kept
+    view = _fork_view()
+    if _kept is not None:
+        shape, pool = _kept
+        (pid, environ, tracer, registry), kept_width = shape
+        if ((pid, environ) == view[:2] and tracer is view[2]
+                and registry is view[3] and kept_width >= width):
+            _kept = None
+            return pool, shape
+        shutdown_pool()
+    return (ProcessPoolExecutor(max_workers=width,
+                                initializer=_exit_with_parent),
+            (view, width))
+
+
+def _keep_pool(pool: ProcessPoolExecutor, shape: tuple) -> None:
+    """Keep a clean run's pool for the next run (any other kept pool is
+    shut down)."""
+    global _kept
+    shutdown_pool()
+    _kept = (shape, pool)
+
+
+def shutdown_pool() -> None:
+    """Shut the kept pool down and join its workers (no-op when none is
+    kept).  A forked child drops its parent's pool without touching it.
+    """
+    global _kept
+    kept, _kept = _kept, None
+    if kept is not None and kept[0][0][0] == os.getpid():
+        kept[1].shutdown(wait=True)
+
+
+# ----------------------------------------------------------------------
 # the supervision loop
 
 
@@ -486,9 +560,11 @@ class PoolExecutor:
     """The local process pool a sweep runs on: the caller's handle.
 
     ``jobs`` workers (``None``: one per CPU, capped at the points to
-    run) run :func:`execute_point` under the test-only ``chaos``;
-    :func:`run_points` builds, supervises and tears down one
-    ``ProcessPoolExecutor`` per run.  ``events`` is the ordered
+    run) run :func:`execute_point` under the test-only ``chaos``.
+    :func:`run_points` supervises a ``ProcessPoolExecutor`` with that
+    many points in flight, kills and rebuilds it on a break, and keeps
+    it for the next run when the run ends cleanly, so runs in a row
+    share their workers.  ``events`` is the ordered
     degradation timeline of every run on this handle (``point-retry``,
     ``point-straggling``, ``point-timeout``, ``pool-rebuild``,
     ``serial-fallback``), mirrored to ``pool.*`` metrics counters and
@@ -572,9 +648,12 @@ class _Supervisor:
         return self.results
 
     def _on_pool(self, width: int) -> bool:
-        """Run the pending points on a pool of ``width`` workers.
+        """Run the pending points on a pool, at most ``width`` of them
+        in flight.
 
-        One loop holds the pool and its futures.  Each turn dispatches
+        One loop holds the pool and its futures: the kept pool when it
+        fits (:func:`_take_pool`), which it keeps again when it ends with
+        nothing in flight.  Each turn dispatches
         ready points up to the width, waits for the first completion,
         settles the completions, and scans deadlines.  A break — a dead
         worker, a point past its deadline (a hung worker cannot be
@@ -600,9 +679,7 @@ class _Supervisor:
                         continue
                     try:
                         if pool is None:
-                            pool = ProcessPoolExecutor(
-                                max_workers=width,
-                                initializer=_exit_with_parent)
+                            pool, shape = _take_pool(width)
                         future = pool.submit(
                             _pool_worker, point.spec, *self.work, width,
                             point.attempt, chaos)
@@ -658,7 +735,7 @@ class _Supervisor:
                 if futures:
                     _kill_pool(pool)
                 else:
-                    pool.shutdown(wait=True)
+                    _keep_pool(pool, shape)
 
     def _scan_deadlines(self, running, timeout_s: float):
         """Flag stragglers at half their budget; the first point past its
@@ -740,7 +817,10 @@ def run_points(specs: Sequence[RunSpec],
     metrics registry is active here, every point's counters merge into
     it, so sweep totals aggregate exactly as they would serially.
     Raises :class:`SweepFailure` when a point exhausts
-    ``policy.max_retries``.
+    ``policy.max_retries``.  A pooled run reuses the pool an earlier
+    clean run kept when it has at least the run's width and a fresh fork
+    would see the same environment, tracer and registry, and otherwise
+    forks a new one.
     """
     work = (str(cache_dir) if cache_dir is not None else None, use_cache,
             trace)

@@ -28,12 +28,12 @@ import pytest
 from repro.cli import main
 from repro.experiments.resilience import SweepJournal
 from tests.experiments.journal_holder import held_elsewhere
+from tests.experiments.processes import HAVE_PROC, children_of, gone
 
 REPO = Path(__file__).resolve().parents[2]
 GRID = "10,20,30,40,50,60,70,80"
 
-pytestmark = pytest.mark.skipif(not Path("/proc/self/stat").exists(),
-                                reason="needs a Linux /proc")
+pytestmark = pytest.mark.skipif(not HAVE_PROC, reason="needs a Linux /proc")
 
 
 def cli_env(cache_dir):
@@ -59,34 +59,6 @@ def journal_lines(path):
         except json.JSONDecodeError:
             continue  # torn tail mid-crash is expected and tolerated
     return lines
-
-
-def proc_stat(pid):
-    """``(state, ppid)`` of ``pid``, or None once it is gone."""
-    try:
-        text = Path(f"/proc/{pid}/stat").read_text()
-    except OSError:
-        return None
-    # The command name may hold spaces: fields resume after its ')'.
-    fields = text[text.rindex(")") + 2:].split()
-    return fields[0], int(fields[1])
-
-
-def children_of(pid):
-    """Live pids whose parent is ``pid``."""
-    found = []
-    for entry in Path("/proc").iterdir():
-        if entry.name.isdigit():
-            stat = proc_stat(int(entry.name))
-            if stat is not None and stat[1] == pid:
-                found.append(int(entry.name))
-    return found
-
-
-def gone(pid):
-    """Exited: no process, or a zombie its new parent has not reaped."""
-    stat = proc_stat(pid)
-    return stat is None or stat[0] == "Z"
 
 
 def kill_after_first_append(cmd, env, journal, log_path):
