@@ -21,9 +21,9 @@ class BufferCache:
     """LRU cache of block units with dirty bits.
 
     The DES references blocks in the kernel (``lib.lru_lookup`` on
-    ``c``, read or write); ``install`` is the fill path after a disk
-    read, and returns the victim so the engine can hand a dirty one to
-    the database writer.
+    ``c``, read or write), and the compiled ``read_miss`` fills a block
+    after its disk read with the kernel's ``lru_install`` on ``c``;
+    ``install`` is that fill from Python, returning the victim.
 
     The LRU is exact and lives in the walk kernel (``lru_t`` in
     ``repro/hw/_walk.c``; DESIGN.md §11, "Buffer-cache LRU"): a doubly

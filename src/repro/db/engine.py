@@ -24,57 +24,44 @@ from repro.db.buffer_cache import BufferCache
 from repro.db.dbwriter import DbWriter
 from repro.db.locks import LockTable
 from repro.db.redo import RedoLog
+from repro.hw.sampling import address
 from repro.osmodel.disks import DiskArray
 from repro.osmodel.scheduler import Scheduler
 from repro.sim import Engine
+from repro.sim.engine import _des
 from repro.sim.resources import Request
 from repro.sim.stats import Counter
 
 
-class DatabaseEngine:
-    """Buffer cache + locks + redo + writer behind one interface."""
+class DatabaseEngine(_des.DatabaseEngine):
+    """Buffer cache + locks + redo + writer behind one interface.
+
+    ``read_miss(claim, block_id, write)`` is the I/O after a
+    buffer-cache miss, compiled (``_des.ReadMiss``; DESIGN.md §11,
+    "Compiled OS operations"): it counts the physical read, submits it
+    (``io_submit``), gives up the CPU (``Scheduler.block``), sleeps on
+    the disk read, re-acquires a CPU, completes it (``io_complete``),
+    installs the block in the kernel LRU (dirty for a write) and hands a
+    dirty victim to the writer.  ``yield from`` it for the CPU claim
+    held afterwards.  The lookup itself is one kernel call the client
+    makes, ``lru_lookup`` on the cache's kernel state: a hit costs no
+    simulated time and no event.  ``scheduler``, ``disks`` and
+    ``physical_reads`` live on the compiled base.
+    """
 
     def __init__(self, engine: Engine, scheduler: Scheduler, disks: DiskArray,
                  buffer_cache: BufferCache, lock_table: LockTable,
                  redo: RedoLog, dbwriter: DbWriter):
+        super().__init__(scheduler, disks, buffer_cache,
+                         address(buffer_cache.c), dbwriter.enqueue)
         self.engine = engine
-        self.scheduler = scheduler
-        self.disks = disks
         self.buffer_cache = buffer_cache
         self.lock_table = lock_table
         self.redo = redo
         self.dbwriter = dbwriter
         self.transactions = Counter("transactions-committed")
         self.aborted = Counter("transactions-aborted")
-        self.physical_reads = Counter("physical-reads")
         self.lock_wait_switches = Counter("lock-wait-switches")
-
-    # -- block access ---------------------------------------------------------
-
-    def read_miss(self, claim: Request, block_id: int, write: bool):
-        """The I/O dance after a buffer-cache miss: submit the read,
-        give up the CPU, sleep on the transfer, re-acquire a CPU and
-        install the block (handing a dirty victim to the writer).
-
-        The lookup itself is one kernel call the client makes,
-        ``lru_lookup`` on the cache's kernel state: a hit costs no
-        simulated time and no event.  Returns the CPU claim held
-        afterwards.
-        """
-        self.physical_reads.count += 1
-        scheduler = self.scheduler
-        yield from scheduler.execute_os(scheduler.costs.io_submit)
-        yield from scheduler.block(claim)
-        yield from self.disks.read(block_id)
-        claim = scheduler.acquire()
-        yield claim
-        yield from scheduler.execute_os(scheduler.costs.io_complete)
-        victim = self.buffer_cache.install(block_id, dirty=write)
-        if victim is not None:
-            victim_id, victim_dirty = victim
-            if victim_dirty:
-                self.dbwriter.enqueue(victim_id)
-        return claim
 
     # -- locking ----------------------------------------------------------------
 

@@ -50,9 +50,18 @@ static inline void remove_slot(uint64_t *tags, uint8_t *dirty,
     }
 }
 
+/* The set of `line`: a mask when the set count is a power of two (the
+ * L2's 32 and the L3's 128 sets), the remainder otherwise (the TC's
+ * 24).  Both give line mod num_sets. */
+static inline uint64_t set_of(const cache_t *c, uint64_t line)
+{
+    uint64_t n = c->num_sets;
+    return (n & (n - 1)) == 0 ? line & (n - 1) : line % n;
+}
+
 int cache_access(cache_t *c, uint64_t line, int write, uint64_t *victim)
 {
-    uint64_t set = line % c->num_sets;
+    uint64_t set = set_of(c, line);
     uint64_t *tags = c->tags + set * c->ways;
     uint8_t *dirty = c->dirty + set * c->ways;
     uint32_t fill = c->fill[set];
@@ -87,7 +96,7 @@ int cache_access(cache_t *c, uint64_t line, int write, uint64_t *victim)
 
 int cache_invalidate(cache_t *c, uint64_t line)
 {
-    uint64_t set = line % c->num_sets;
+    uint64_t set = set_of(c, line);
     uint64_t *tags = c->tags + set * c->ways;
     int64_t slot = find_slot(tags, c->fill[set], line);
     if (slot < 0)
@@ -325,7 +334,7 @@ static inline int data_ref(hier_t *h, uint64_t address, int write,
         l2->accesses++;
         l2->hits++;
         if (write) {
-            uint64_t set = line % l2->num_sets;
+            uint64_t set = set_of(l2, line);
             l2->dirty[set * l2->ways + l2->fill[set] - 1] = 1;
         }
         return 0;
@@ -494,10 +503,8 @@ static inline uint32_t rand_bits(mt_t *mt, int k)
  * getrandbits(n.bit_length()) while the draw is >= n. */
 static inline uint32_t rand_below(mt_t *mt, uint32_t n)
 {
-    int k = 0;
+    int k = 32 - __builtin_clz(n);
     uint32_t r;
-    while (k < 32 && (n >> k))
-        k++;
     do
         r = rand_bits(mt, k);
     while (r >= n);

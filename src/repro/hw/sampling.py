@@ -15,9 +15,8 @@ seeds the program's named ones.
 from __future__ import annotations
 
 import math
-from functools import lru_cache, partial
-from random import NV_MAGICCONST
-from typing import Callable
+from functools import lru_cache
+from typing import Optional
 
 from repro.hw.cwalk import ffi, lib
 from repro.sim.randomness import zipf_cdf
@@ -61,19 +60,24 @@ def seeded(seed: int):
     return mt
 
 
-def lognormal(mt, mean: float, cv: float) -> Callable[[], float]:
-    """A zero-argument sampler of lognormal variates with arithmetic
-    mean ``mean`` and coefficient of variation ``cv``, drawn from the
-    kernel stream ``mt`` as ``Random.lognormvariate`` draws them; the
-    lognormal's parameters are solved once.  ``cv == 0`` draws
-    nothing."""
+def lognormal_parameters(mean: float, cv: float) -> Optional[tuple]:
+    """``(mu, sigma)`` of the lognormal with arithmetic mean ``mean``
+    and coefficient of variation ``cv``, as ``Random.lognormvariate``
+    and the kernel's ``mt_lognormal`` take them (with
+    ``random.NV_MAGICCONST``), solved once; None for ``cv == 0``, whose
+    variate is ``mean`` itself and draws nothing."""
     if mean <= 0:
         raise ValueError("lognormal mean must be > 0")
     if cv < 0:
         raise ValueError("coefficient of variation must be >= 0")
     if cv == 0:
-        return lambda: mean
+        return None
     sigma2 = math.log(1.0 + cv * cv)
-    mu = math.log(mean) - sigma2 / 2.0
-    return partial(lib.mt_lognormal, mt, mu, math.sqrt(sigma2),
-                   NV_MAGICCONST)
+    return math.log(mean) - sigma2 / 2.0, math.sqrt(sigma2)
+
+
+def address(pointer) -> int:
+    """The address a kernel pointer (``cdata``) holds, as an int: how
+    the event kernel (``repro/sim/_des.c``) is handed walk-kernel state
+    and functions.  The caller keeps the pointer's owner alive."""
+    return int(ffi.cast("uintptr_t", pointer))

@@ -23,7 +23,6 @@ the healthy run over the same transaction sequence.
 from __future__ import annotations
 
 from repro.hw.cwalk import lib
-from repro.sim.engine import Timeout
 
 
 def client_process(system, client_id: int):
@@ -33,7 +32,8 @@ def client_process(system, client_id: int):
     db = system.db
     lru_lookup = lib.lru_lookup
     lru = system.buffer_cache.c
-    user_instructions = scheduler.user_instructions
+    execute_user = scheduler.execute_user
+    read_miss = db.read_miss
     mix = system.mix
     draw = system.sampler.draw
     stream = system.streams.kernel_stream(f"client-{client_id}")
@@ -57,21 +57,13 @@ def client_process(system, client_id: int):
             for lock in kind.locks:
                 claim = yield from db.lock(claim, owner, (lock, warehouse))
             # User work interleaved with block touches, each packed as
-            # (block_id << 1) | write.  Each touch's burst is
-            # Scheduler.execute_user written out in this loop (same
-            # timeout, same accounting, one generator fewer), and a
-            # buffer hit is one kernel call; only a miss runs a generator.
+            # (block_id << 1) | write.  A buffer hit is one kernel call;
+            # a miss is one compiled operation.
             for code in touches:
-                duration = chunk * scheduler.user_spi
-                if duration > 0:
-                    scheduler.bursts += 1
-                    yield Timeout(engine, duration)
-                user_instructions.count += chunk
-                scheduler.user_busy_s += duration
+                yield from execute_user(chunk)
                 if not lru_lookup(lru, code >> 1, code & 1):
-                    claim = yield from db.read_miss(claim, code >> 1,
-                                                    code & 1)
-            yield from scheduler.execute_user(chunk)
+                    claim = yield from read_miss(claim, code >> 1, code & 1)
+            yield from execute_user(chunk)
             # Per-transaction kernel baseline (IPC with the client, timers).
             yield from scheduler.execute_os(scheduler.costs.base_per_txn)
             if abort_rng is not None and (

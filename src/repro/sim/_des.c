@@ -14,9 +14,16 @@
  * (an AllOf's child hook, a test's lambda) is called with the event.
  *
  * Resource, the FIFO facility CPUs and disks are, is compiled beside
- * its Request: a grant, a release and the busy-time accrual are C.  The
- * model's processes and the other primitives built on these events
- * (Store, Gate, AllOf) stay Python: see repro/sim/engine.py,
+ * its Request: a grant, a release and the busy-time accrual are C.  So
+ * are the Counter and Tally the model books into, and the OS model's
+ * miss path: the Scheduler's bursts, the disk array's service and the
+ * database engine's read after a buffer miss run as compiled
+ * operations, generator-like objects a process runs or a generator
+ * ``yield from``s.  The service-time draw and the buffer-cache install
+ * they make are the walk kernel's own functions (repro/hw/_walk.c),
+ * called through addresses handed over once by link_walk().  The
+ * model's other processes and the other primitives built on these
+ * events (Store, Gate, AllOf) stay Python: see repro/sim/engine.py,
  * process.py and resources.py.
  */
 
@@ -24,13 +31,23 @@
 #include <Python.h>
 #include <structmember.h>
 
+/* The walk kernel's types (mt_t, lru_t) and its LRU_DIRTY bit. */
+#include "../hw/_walk.h"
+
 /* Event priorities (repro.sim.engine.URGENT and NORMAL). */
 #define URGENT 0
 #define NORMAL 1
 
 static PyObject *SimulationError;
 static PyObject *str_send, *str_throw, *str_close, *str_count,
-                *str_add_callback;
+                *str_add_callback, *str_outage_wait_s, *str_latency_factor;
+
+/* The walk kernel's entry points (link_walk): the disks' lognormal draw
+ * and the buffer cache's install after a read. */
+static double (*walk_lognormal)(mt_t *mt, double mu, double sigma,
+                                double magic);
+static int (*walk_lru_install)(lru_t *c, uint64_t id, int dirty,
+                               uint64_t *victim);
 
 /* -- exceptions across interpreter versions ------------------------------- */
 
@@ -210,7 +227,7 @@ typedef struct {
 } ProcessObject;
 
 static PyTypeObject EngineType, EventType, TimeoutType, RequestType,
-                    ResourceType, ProcessType;
+                    ResourceType, ProcessType, CounterType, TallyType;
 
 /* -- the event queue ------------------------------------------------------ */
 
@@ -465,7 +482,7 @@ event_clear(PyObject *self)
 }
 
 static void
-event_dealloc(PyObject *self)
+gc_dealloc(PyObject *self)
 {
     PyObject_GC_UnTrack(self);
     Py_TYPE(self)->tp_clear(self);
@@ -632,7 +649,7 @@ static PyTypeObject EventType = {
     .tp_new = event_new,
     .tp_init = event_init,
     .tp_vectorcall = event_vectorcall,
-    .tp_dealloc = event_dealloc,
+    .tp_dealloc = gc_dealloc,
     .tp_traverse = event_traverse,
     .tp_clear = event_clear,
     .tp_repr = event_repr,
@@ -641,6 +658,36 @@ static PyTypeObject EventType = {
 };
 
 /* -- timeouts ------------------------------------------------------------- */
+
+/* A Timeout firing ``seconds`` from now with ``value`` (borrowed; NULL
+ * for None).  ``not seconds >= 0`` also rejects NaN, which would break
+ * the order; ``delay`` is the given object, for the message. */
+static PyObject *
+timeout_after(EngineObject *engine, double seconds, PyObject *value,
+              PyObject *delay)
+{
+    if (!(seconds >= 0)) {
+        PyObject *shown = delay != NULL ? Py_NewRef(delay)
+                                        : PyFloat_FromDouble(seconds);
+        if (shown != NULL) {
+            PyErr_Format(PyExc_ValueError, "negative timeout delay: %S",
+                         shown);
+            Py_DECREF(shown);
+        }
+        return NULL;
+    }
+    EventObject *event = event_alloc(&TimeoutType, engine);
+    if (event == NULL)
+        return NULL;
+    if (value != NULL)
+        Py_SETREF(event->value, Py_NewRef(value));
+    event->triggered = 1;
+    if (schedule(engine, (PyObject *)event, seconds, NORMAL) < 0) {
+        Py_DECREF(event);
+        return NULL;
+    }
+    return (PyObject *)event;
+}
 
 static PyObject *
 timeout_create(PyObject *engine, PyObject *delay, PyObject *value)
@@ -652,22 +699,7 @@ timeout_create(PyObject *engine, PyObject *delay, PyObject *value)
                                         : PyFloat_AsDouble(delay);
     if (seconds == -1.0 && PyErr_Occurred())
         return NULL;
-    /* ``not delay >= 0`` also rejects NaN, which would break the order. */
-    if (!(seconds >= 0)) {
-        PyErr_Format(PyExc_ValueError, "negative timeout delay: %S", delay);
-        return NULL;
-    }
-    EventObject *event = event_alloc(&TimeoutType, (EngineObject *)engine);
-    if (event == NULL)
-        return NULL;
-    if (value != NULL)
-        Py_SETREF(event->value, Py_NewRef(value));
-    event->triggered = 1;
-    if (schedule(event->engine, (PyObject *)event, seconds, NORMAL) < 0) {
-        Py_DECREF(event);
-        return NULL;
-    }
-    return (PyObject *)event;
+    return timeout_after((EngineObject *)engine, seconds, value, delay);
 }
 
 static const char *const timeout_names[] = {"engine", "delay", "value"};
@@ -692,7 +724,7 @@ static PyTypeObject TimeoutType = {
     .tp_basicsize = sizeof(EventObject),
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
     .tp_vectorcall = timeout_vectorcall,
-    .tp_dealloc = event_dealloc,
+    .tp_dealloc = gc_dealloc,
     .tp_traverse = event_traverse,
     .tp_clear = event_clear,
 };
@@ -756,7 +788,7 @@ static PyTypeObject RequestType = {
               "Resource.request().",
     .tp_basicsize = sizeof(RequestObject),
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_dealloc = event_dealloc,
+    .tp_dealloc = gc_dealloc,
     .tp_traverse = request_traverse,
     .tp_clear = request_clear,
     .tp_methods = request_methods,
@@ -811,15 +843,11 @@ resource_drop_queue(ResourceObject *resource)
     }
 }
 
-static PyObject *
-resource_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
+static ResourceObject *
+resource_make(PyTypeObject *type, PyObject *engine, Py_ssize_t capacity,
+              PyObject *name)
 {
-    static char *names[] = {"engine", "capacity", "name", NULL};
-    PyObject *engine, *name = NULL;
-    Py_ssize_t capacity = 1;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O|nO:Resource", names,
-                                     &engine, &capacity, &name)
-        || check_engine(engine) < 0)
+    if (check_engine(engine) < 0)
         return NULL;
     if (capacity < 1) {
         PyErr_Format(PyExc_ValueError, "capacity must be >= 1, got %zd",
@@ -837,7 +865,19 @@ resource_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
         || PyList_Append(resource->engine->resources,
                          (PyObject *)resource) < 0)
         Py_CLEAR(resource);
-    return (PyObject *)resource;
+    return resource;
+}
+
+static PyObject *
+resource_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
+{
+    static char *names[] = {"engine", "capacity", "name", NULL};
+    PyObject *engine, *name = NULL;
+    Py_ssize_t capacity = 1;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O|nO:Resource", names,
+                                     &engine, &capacity, &name))
+        return NULL;
+    return (PyObject *)resource_make(type, engine, capacity, name);
 }
 
 static int
@@ -1253,10 +1293,1480 @@ static PyTypeObject ProcessType = {
     .tp_new = event_new,
     .tp_init = process_init,
     .tp_call = process_call,
-    .tp_dealloc = event_dealloc,
+    .tp_dealloc = gc_dealloc,
     .tp_traverse = process_traverse,
     .tp_clear = process_clear,
 };
+
+/* -- statistics ----------------------------------------------------------- */
+
+/* Counter and Tally share their head: the name, then the numbers. */
+typedef struct {
+    PyObject_HEAD
+    PyObject *name;
+    double count;
+} CounterObject;
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *name;
+    long long n;
+    double mean;
+} TallyObject;
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *name;
+} StatObject;
+
+static PyObject *
+stat_make(PyTypeObject *type, PyObject *name)
+{
+    StatObject *stat = (StatObject *)type->tp_alloc(type, 0);
+    if (stat == NULL)
+        return NULL;
+    stat->name = name ? Py_NewRef(name) : PyUnicode_FromString("");
+    if (stat->name == NULL)
+        Py_CLEAR(stat);
+    return (PyObject *)stat;
+}
+
+static PyObject *
+stat_named(PyTypeObject *type, const char *label)
+{
+    PyObject *name = PyUnicode_FromString(label);
+    if (name == NULL)
+        return NULL;
+    PyObject *stat = stat_make(type, name);
+    Py_DECREF(name);
+    return stat;
+}
+
+static PyObject *
+stat_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
+{
+    static char *names[] = {"name", NULL};
+    PyObject *name = NULL;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "|O", names, &name))
+        return NULL;
+    return stat_make(type, name);
+}
+
+static void
+stat_dealloc(PyObject *self)
+{
+    Py_XDECREF(((StatObject *)self)->name);
+    Py_TYPE(self)->tp_free(self);
+}
+
+static PyObject *
+counter_add(PyObject *self, PyObject *const *args, size_t nargsf,
+            PyObject *kwnames)
+{
+    static const char *const names[] = {"amount"};
+    CounterObject *counter = (CounterObject *)self;
+    PyObject *given;
+    double amount = 1.0;
+    if (bind_args("add", args, nargsf, kwnames, names, 1, 0, &given) < 0)
+        return NULL;
+    if (given != NULL) {
+        amount = PyFloat_AsDouble(given);
+        if (amount == -1.0 && PyErr_Occurred())
+            return NULL;
+        /* ``not amount >= 0`` also rejects NaN. */
+        if (!(amount >= 0)) {
+            PyErr_Format(PyExc_ValueError, "counter %R decremented by %S",
+                         counter->name, given);
+            return NULL;
+        }
+    }
+    counter->count += amount;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+counter_snapshot(PyObject *self, PyObject *Py_UNUSED(ignored))
+{
+    return PyFloat_FromDouble(((CounterObject *)self)->count);
+}
+
+static PyMethodDef counter_methods[] = {
+    {"add", (PyCFunction)(void (*)(void))counter_add,
+     METH_FASTCALL | METH_KEYWORDS,
+     "add(amount=1.0)\n\n"
+     "Increment the counter; negative and NaN amounts are rejected."},
+    {"snapshot", counter_snapshot, METH_NOARGS,
+     "snapshot()\n\nCurrent value, for interval deltas taken by a sampler."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyMemberDef counter_members[] = {
+    {"name", T_OBJECT, offsetof(CounterObject, name), READONLY,
+     "The counter's label."},
+    {"count", T_DOUBLE, offsetof(CounterObject, count), 0,
+     "The count so far (a float)."},
+    {NULL, 0, 0, 0, NULL},
+};
+
+static PyTypeObject CounterType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim.stats.Counter",
+    .tp_doc = "Counter(name='')\n\nA named monotone event counter.",
+    .tp_basicsize = sizeof(CounterObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_new = stat_new,
+    .tp_dealloc = stat_dealloc,
+    .tp_methods = counter_methods,
+    .tp_members = counter_members,
+};
+
+/* Welford's update, the double operations of the Python expressions
+ * ``delta = value - mean; mean += delta / n``. */
+static void
+tally_record(TallyObject *tally, double value)
+{
+    tally->n++;
+    double delta = value - tally->mean;
+    tally->mean += delta / (double)tally->n;
+}
+
+static PyObject *
+tally_record_method(PyObject *self, PyObject *value)
+{
+    double observed = PyFloat_AsDouble(value);
+    if (observed == -1.0 && PyErr_Occurred())
+        return NULL;
+    tally_record((TallyObject *)self, observed);
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+tally_get_mean(PyObject *self, void *Py_UNUSED(closure))
+{
+    TallyObject *tally = (TallyObject *)self;
+    return PyFloat_FromDouble(tally->n ? tally->mean : 0.0);
+}
+
+static PyMethodDef tally_methods[] = {
+    {"record", tally_record_method, METH_O,
+     "record(value)\n\nFold one observation into the running mean."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyMemberDef tally_members[] = {
+    {"name", T_OBJECT, offsetof(TallyObject, name), READONLY,
+     "The tally's label."},
+    {"n", T_LONGLONG, offsetof(TallyObject, n), READONLY,
+     "Observations recorded."},
+    {NULL, 0, 0, 0, NULL},
+};
+
+static PyGetSetDef tally_getset[] = {
+    {"mean", tally_get_mean, NULL,
+     "Mean of the recorded observations (0.0 before the first).", NULL},
+    {NULL, NULL, NULL, NULL, NULL},
+};
+
+static PyTypeObject TallyType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim.stats.Tally",
+    .tp_doc = "Tally(name='')\n\n"
+              "Streaming mean (Welford's update) over discrete observations.",
+    .tp_basicsize = sizeof(TallyObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_new = stat_new,
+    .tp_dealloc = stat_dealloc,
+    .tp_methods = tally_methods,
+    .tp_members = tally_members,
+    .tp_getset = tally_getset,
+};
+
+/* -- compiled operations -------------------------------------------------- */
+
+/* An operation is a generator-like object: it steps through
+ * PyIter_Send (am_send), next() and send(), and takes throw() and
+ * close(), so a process runs one directly and a generator ``yield
+ * from``s it.  Each step returns the event to wait on or ends the
+ * operation with its value; the value sent in is ignored (an operation
+ * knows what it waits on).  throw() and close() end it where it
+ * stands, booking and releasing nothing, as an exception or a
+ * GeneratorExit at a Python generator's bare yield would.  Work starts
+ * at the first step, not at the call, as a generator's body does. */
+
+typedef struct OpObject OpObject;
+
+/* 1 with *out the event to wait on, 0 with *out the operation's value,
+ * -1 on error; *out is a new reference. */
+typedef int (*op_step_fn)(OpObject *op, PyObject **out);
+
+struct OpObject {
+    PyObject_HEAD
+    op_step_fn step;
+    int stage;                  /* -1 once ended */
+};
+
+static PyObject *
+op_alloc(PyTypeObject *type, op_step_fn step)
+{
+    OpObject *op = (OpObject *)type->tp_alloc(type, 0);
+    if (op != NULL)
+        op->step = step;
+    return (PyObject *)op;
+}
+
+/* End the operation: drop what it holds. */
+static void
+op_end(OpObject *op)
+{
+    op->stage = -1;
+    Py_TYPE(op)->tp_clear((PyObject *)op);
+}
+
+static PySendResult
+op_send(PyObject *self, PyObject *Py_UNUSED(value), PyObject **result)
+{
+    OpObject *op = (OpObject *)self;
+    if (op->stage < 0) {
+        *result = Py_NewRef(Py_None);
+        return PYGEN_RETURN;
+    }
+    int status = op->step(op, result);
+    if (status == 1)
+        return PYGEN_NEXT;
+    op_end(op);
+    if (status == 0)
+        return PYGEN_RETURN;
+    *result = NULL;
+    return PYGEN_ERROR;
+}
+
+/* Raise StopIteration carrying ``value`` (stolen). */
+static void
+op_stop(PyObject *value)
+{
+    if (value == Py_None) {
+        Py_DECREF(value);
+        PyErr_SetNone(PyExc_StopIteration);
+        return;
+    }
+    PyObject *stop = PyObject_CallOneArg(PyExc_StopIteration, value);
+    Py_DECREF(value);
+    if (stop != NULL) {
+        PyErr_SetObject(PyExc_StopIteration, stop);
+        Py_DECREF(stop);
+    }
+}
+
+static PyObject *
+op_next(PyObject *self)
+{
+    PyObject *result;
+    switch (op_send(self, Py_None, &result)) {
+    case PYGEN_NEXT:
+        return result;
+    case PYGEN_RETURN:
+        if (result == Py_None)
+            Py_DECREF(result);
+        else
+            op_stop(result);
+        return NULL;
+    default:
+        return NULL;
+    }
+}
+
+static PyObject *
+op_send_method(PyObject *self, PyObject *value)
+{
+    PyObject *result;
+    switch (op_send(self, value, &result)) {
+    case PYGEN_NEXT:
+        return result;
+    case PYGEN_RETURN:
+        op_stop(result);
+        return NULL;
+    default:
+        return NULL;
+    }
+}
+
+/* throw(exception) or throw(type[, value[, traceback]]): end the
+ * operation and raise the exception out of it. */
+static PyObject *
+op_throw(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs < 1 || nargs > 3) {
+        PyErr_Format(PyExc_TypeError,
+                     "throw expected 1 to 3 arguments, got %zd", nargs);
+        return NULL;
+    }
+    op_end((OpObject *)self);
+    PyObject *type = args[0];
+    if (PyExceptionInstance_Check(type))
+        PyErr_SetObject((PyObject *)Py_TYPE(type), type);
+    else if (PyExceptionClass_Check(type))
+        PyErr_SetObject(type, nargs > 1 ? args[1] : Py_None);
+    else
+        PyErr_Format(PyExc_TypeError,
+                     "exceptions must be classes or instances deriving "
+                     "from BaseException, not %s", Py_TYPE(type)->tp_name);
+    return NULL;
+}
+
+static PyObject *
+op_close(PyObject *self, PyObject *Py_UNUSED(ignored))
+{
+    op_end((OpObject *)self);
+    Py_RETURN_NONE;
+}
+
+static PyMethodDef op_methods[] = {
+    {"send", op_send_method, METH_O,
+     "send(value)\n\nStep the operation (the value is ignored)."},
+    {"throw", (PyCFunction)(void (*)(void))op_throw, METH_FASTCALL,
+     "throw(exception)\n\nEnd the operation and raise ``exception``."},
+    {"close", op_close, METH_NOARGS,
+     "close()\n\nEnd the operation where it stands."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyAsyncMethods op_as_async = {
+    .am_send = op_send,
+};
+
+/* The fields every operation type shares. */
+#define OP_TYPE_FIELDS \
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC, \
+    .tp_as_async = &op_as_async, \
+    .tp_iter = PyObject_SelfIter, \
+    .tp_iternext = op_next, \
+    .tp_methods = op_methods, \
+    .tp_dealloc = gc_dealloc
+
+/* Release ``claim`` on ``resource`` (Resource.release). */
+static int
+release_claim(ResourceObject *resource, PyObject *claim)
+{
+    PyObject *done = resource_release((PyObject *)resource, claim);
+    if (done == NULL)
+        return -1;
+    Py_DECREF(done);
+    return 0;
+}
+
+/* Call ``method`` of ``target`` and read the result as a double. */
+static double
+call_double(PyObject *target, PyObject *method, PyObject *const *args,
+            size_t nargs)
+{
+    PyObject *call[3] = {target, NULL, NULL};
+    for (size_t i = 0; i < nargs; i++)
+        call[i + 1] = args[i];
+    PyObject *result = PyObject_VectorcallMethod(
+        method, call, nargs + 1, NULL);
+    if (result == NULL)
+        return -1.0;
+    double value = PyFloat_AsDouble(result);
+    Py_DECREF(result);
+    return value;
+}
+
+/* -- the scheduler and its bursts ----------------------------------------- */
+
+/* P CPUs (a Resource) and the accounting of what runs on them: the
+ * burst timeouts scheduled, user and kernel instructions and busy
+ * seconds, and context switches.  ``user_spi``/``os_spi`` are seconds
+ * per instruction; the kernel path lengths are read once from the
+ * (frozen) KernelCosts. */
+typedef struct {
+    PyObject_HEAD
+    EngineObject *engine;
+    ResourceObject *cpus;
+    PyObject *costs;
+    CounterObject *context_switches, *user_instructions, *os_instructions;
+    double user_spi, os_spi, user_busy_s, os_busy_s;
+    double switch_cost, io_submit, io_complete;
+    long long bursts;
+} SchedulerObject;
+
+/* One run of instructions on the held CPU.  A burst of positive length
+ * is one Timeout; it books its instructions and busy time when the
+ * timeout fires.  A zero-length burst yields nothing and books at once.
+ * ``not instructions >= 0`` also rejects NaN. */
+typedef struct {
+    double instructions, duration;
+    char os;                    /* kernel code */
+} BurstJob;
+
+static int
+burst_start(SchedulerObject *scheduler, BurstJob *job, PyObject **event)
+{
+    if (!(job->instructions >= 0)) {
+        PyErr_SetString(PyExc_ValueError, "instructions must be >= 0");
+        return -1;
+    }
+    job->duration = job->instructions
+        * (job->os ? scheduler->os_spi : scheduler->user_spi);
+    if (!(job->duration > 0))
+        return 0;
+    scheduler->bursts++;
+    *event = timeout_after(scheduler->engine, job->duration, NULL, NULL);
+    return *event == NULL ? -1 : 1;
+}
+
+static void
+burst_book(SchedulerObject *scheduler, const BurstJob *job)
+{
+    if (job->os) {
+        scheduler->os_instructions->count += job->instructions;
+        scheduler->os_busy_s += job->duration;
+    }
+    else {
+        scheduler->user_instructions->count += job->instructions;
+        scheduler->user_busy_s += job->duration;
+    }
+}
+
+/* The end of a block: one context switch counted, the CPU released. */
+static int
+switch_out(SchedulerObject *scheduler, PyObject *claim)
+{
+    scheduler->context_switches->count += 1;
+    return release_claim(scheduler->cpus, claim);
+}
+
+/* Scheduler.execute_user/execute_os (claim NULL) and Scheduler.block
+ * (a kernel burst of the context-switch path, then one switch counted
+ * and ``claim`` released). */
+typedef struct {
+    OpObject op;
+    SchedulerObject *scheduler;
+    PyObject *claim;
+    BurstJob job;
+} BurstObject;
+
+static int
+burst_step(OpObject *op, PyObject **out)
+{
+    BurstObject *burst = (BurstObject *)op;
+    SchedulerObject *scheduler = burst->scheduler;
+    if (op->stage == 0) {
+        op->stage = 1;
+        int status = burst_start(scheduler, &burst->job, out);
+        if (status != 0)
+            return status;
+    }
+    burst_book(scheduler, &burst->job);
+    if (burst->claim != NULL && switch_out(scheduler, burst->claim) < 0)
+        return -1;
+    *out = Py_NewRef(Py_None);
+    return 0;
+}
+
+static int
+burst_traverse(PyObject *self, visitproc visit, void *arg)
+{
+    Py_VISIT(((BurstObject *)self)->scheduler);
+    Py_VISIT(((BurstObject *)self)->claim);
+    return 0;
+}
+
+static int
+burst_clear(PyObject *self)
+{
+    Py_CLEAR(((BurstObject *)self)->scheduler);
+    Py_CLEAR(((BurstObject *)self)->claim);
+    return 0;
+}
+
+static PyTypeObject BurstType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._des.Burst",
+    .tp_doc = "A compiled CPU burst (Scheduler.execute_user, execute_os, "
+              "block): one Timeout, then its accounting.",
+    .tp_basicsize = sizeof(BurstObject),
+    .tp_traverse = burst_traverse,
+    .tp_clear = burst_clear,
+    OP_TYPE_FIELDS,
+};
+
+static PyObject *
+burst_new(SchedulerObject *scheduler, double instructions, int os,
+          PyObject *claim)
+{
+    BurstObject *burst = (BurstObject *)op_alloc(&BurstType, burst_step);
+    if (burst == NULL)
+        return NULL;
+    burst->scheduler = (SchedulerObject *)Py_NewRef(scheduler);
+    burst->claim = Py_XNewRef(claim);
+    burst->job.instructions = instructions;
+    burst->job.os = (char)os;
+    return (PyObject *)burst;
+}
+
+static int
+read_cost(PyObject *costs, const char *name, double *out)
+{
+    PyObject *value = PyObject_GetAttrString(costs, name);
+    if (value == NULL)
+        return -1;
+    *out = PyFloat_AsDouble(value);
+    Py_DECREF(value);
+    return (*out == -1.0 && PyErr_Occurred()) ? -1 : 0;
+}
+
+static PyObject *
+scheduler_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
+{
+    static char *names[] = {"engine", "processors", "frequency_hz", "costs",
+                            NULL};
+    PyObject *engine, *costs;
+    Py_ssize_t processors;
+    double frequency;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OndO:Scheduler", names,
+                                     &engine, &processors, &frequency,
+                                     &costs)
+        || check_engine(engine) < 0)
+        return NULL;
+    if (processors <= 0) {
+        PyErr_SetString(PyExc_ValueError, "processors must be positive");
+        return NULL;
+    }
+    if (frequency <= 0) {
+        PyErr_SetString(PyExc_ValueError, "frequency must be positive");
+        return NULL;
+    }
+    SchedulerObject *scheduler = (SchedulerObject *)type->tp_alloc(type, 0);
+    if (scheduler == NULL)
+        return NULL;
+    scheduler->engine = (EngineObject *)Py_NewRef(engine);
+    scheduler->costs = Py_NewRef(costs);
+    /* CPI 2.0 until the runner calibrates. */
+    scheduler->user_spi = scheduler->os_spi = 2.0 / frequency;
+    PyObject *name = PyUnicode_FromString("cpus");
+    if (name != NULL) {
+        scheduler->cpus = resource_make(&ResourceType, engine, processors,
+                                        name);
+        Py_DECREF(name);
+    }
+    scheduler->context_switches = (CounterObject *)stat_named(
+        &CounterType, "context-switches");
+    scheduler->user_instructions = (CounterObject *)stat_named(
+        &CounterType, "user-instructions");
+    scheduler->os_instructions = (CounterObject *)stat_named(
+        &CounterType, "os-instructions");
+    if (scheduler->cpus == NULL || scheduler->context_switches == NULL
+        || scheduler->user_instructions == NULL
+        || scheduler->os_instructions == NULL
+        || read_cost(costs, "context_switch", &scheduler->switch_cost) < 0
+        || read_cost(costs, "io_submit", &scheduler->io_submit) < 0
+        || read_cost(costs, "io_complete", &scheduler->io_complete) < 0)
+        Py_CLEAR(scheduler);
+    return (PyObject *)scheduler;
+}
+
+static int
+scheduler_traverse(PyObject *self, visitproc visit, void *arg)
+{
+    SchedulerObject *scheduler = (SchedulerObject *)self;
+    Py_VISIT(scheduler->engine);
+    Py_VISIT(scheduler->cpus);
+    Py_VISIT(scheduler->costs);
+    return 0;
+}
+
+static int
+scheduler_clear(PyObject *self)
+{
+    SchedulerObject *scheduler = (SchedulerObject *)self;
+    Py_CLEAR(scheduler->engine);
+    Py_CLEAR(scheduler->cpus);
+    Py_CLEAR(scheduler->costs);
+    Py_CLEAR(scheduler->context_switches);
+    Py_CLEAR(scheduler->user_instructions);
+    Py_CLEAR(scheduler->os_instructions);
+    return 0;
+}
+
+static PyObject *
+scheduler_acquire(PyObject *self, PyObject *Py_UNUSED(ignored))
+{
+    return resource_request((PyObject *)((SchedulerObject *)self)->cpus,
+                            NULL);
+}
+
+static PyObject *
+scheduler_release(PyObject *self, PyObject *claim)
+{
+    return resource_release((PyObject *)((SchedulerObject *)self)->cpus,
+                            claim);
+}
+
+static PyObject *
+scheduler_execute(PyObject *self, PyObject *instructions, int os)
+{
+    double count = PyFloat_AsDouble(instructions);
+    if (count == -1.0 && PyErr_Occurred())
+        return NULL;
+    return burst_new((SchedulerObject *)self, count, os, NULL);
+}
+
+static PyObject *
+scheduler_execute_user(PyObject *self, PyObject *instructions)
+{
+    return scheduler_execute(self, instructions, 0);
+}
+
+static PyObject *
+scheduler_execute_os(PyObject *self, PyObject *instructions)
+{
+    return scheduler_execute(self, instructions, 1);
+}
+
+static PyObject *
+scheduler_block(PyObject *self, PyObject *claim)
+{
+    SchedulerObject *scheduler = (SchedulerObject *)self;
+    return burst_new(scheduler, scheduler->switch_cost, 1, claim);
+}
+
+static PyMethodDef scheduler_methods[] = {
+    {"acquire", scheduler_acquire, METH_NOARGS,
+     "acquire()\n\n"
+     "Claim a CPU slot; yield the returned request to wait for it."},
+    {"release", scheduler_release, METH_O,
+     "release(claim)\n\n"
+     "Give up the CPU without a blocking switch (transaction end)."},
+    {"execute_user", scheduler_execute_user, METH_O,
+     "execute_user(instructions)\n\n"
+     "A compiled burst of user code on the held CPU: ``yield from`` it."},
+    {"execute_os", scheduler_execute_os, METH_O,
+     "execute_os(instructions)\n\n"
+     "A compiled burst of kernel code on the held CPU: ``yield from`` it."},
+    {"block", scheduler_block, METH_O,
+     "block(claim)\n\n"
+     "Voluntarily block: run the context-switch path, count the switch "
+     "and release ``claim`` (a compiled burst: ``yield from`` it).  The "
+     "caller re-acquires a CPU when it unblocks."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyMemberDef scheduler_members[] = {
+    {"engine", T_OBJECT, offsetof(SchedulerObject, engine), READONLY,
+     "The engine the CPUs run on."},
+    {"cpus", T_OBJECT, offsetof(SchedulerObject, cpus), READONLY,
+     "The CPUs, a Resource of P slots."},
+    {"costs", T_OBJECT, offsetof(SchedulerObject, costs), READONLY,
+     "The kernel path lengths (KernelCosts)."},
+    {"context_switches", T_OBJECT, offsetof(SchedulerObject,
+                                            context_switches), READONLY,
+     "Context switches (a Counter)."},
+    {"user_instructions", T_OBJECT, offsetof(SchedulerObject,
+                                             user_instructions), READONLY,
+     "User instructions retired (a Counter)."},
+    {"os_instructions", T_OBJECT, offsetof(SchedulerObject,
+                                           os_instructions), READONLY,
+     "Kernel instructions retired (a Counter)."},
+    {"user_spi", T_DOUBLE, offsetof(SchedulerObject, user_spi), 0,
+     "Seconds per user instruction (user CPI / F)."},
+    {"os_spi", T_DOUBLE, offsetof(SchedulerObject, os_spi), 0,
+     "Seconds per kernel instruction (OS CPI / F)."},
+    {"user_busy_s", T_DOUBLE, offsetof(SchedulerObject, user_busy_s),
+     READONLY, "CPU seconds spent in user code."},
+    {"os_busy_s", T_DOUBLE, offsetof(SchedulerObject, os_busy_s), READONLY,
+     "CPU seconds spent in kernel code."},
+    {"bursts", T_LONGLONG, offsetof(SchedulerObject, bursts), READONLY,
+     "Burst timeouts scheduled (engine.events.cpu_burst)."},
+    {NULL, 0, 0, 0, NULL},
+};
+
+static PyTypeObject SchedulerType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._des.Scheduler",
+    .tp_doc = "Scheduler(engine, processors, frequency_hz, costs)\n\n"
+              "P CPUs plus context-switch and user/OS accounting; its "
+              "execute_user, execute_os and block return compiled bursts.",
+    .tp_basicsize = sizeof(SchedulerObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE | Py_TPFLAGS_HAVE_GC,
+    .tp_new = scheduler_new,
+    .tp_dealloc = gc_dealloc,
+    .tp_traverse = scheduler_traverse,
+    .tp_clear = scheduler_clear,
+    .tp_methods = scheduler_methods,
+    .tp_members = scheduler_members,
+};
+
+/* -- the disk array and its service ---------------------------------------- */
+
+/* Data disks, log disks and what their service books: data writes
+ * served, read latency (queueing plus service), and the service and
+ * outage timeouts scheduled.  A service time is ``mean`` when ``stream``
+ * is NULL, else a lognormal draw from the kernel stream ``mt`` (which
+ * ``stream`` keeps alive). */
+typedef struct {
+    PyObject_HEAD
+    EngineObject *engine;
+    PyObject *data_disks, *log_disks;   /* tuples of Resource */
+    PyObject *fault_model;              /* None for a healthy array */
+    PyObject *stream;
+    mt_t *mt;
+    double mean, mu, sigma, magic, write_factor, log_factor;
+    CounterObject *writes;
+    TallyObject *read_latency;
+    long long timeouts, log_seq;
+} DiskArrayObject;
+
+enum { DISK_READ, DISK_WRITE, DISK_LOG };
+
+/* One request: queue on ``disk``, draw the service time at the grant,
+ * wait out a fault model's outage and stretch the service by its
+ * factor (data disks only), hold the disk for the service, release
+ * it, and book the request. */
+typedef struct {
+    ResourceObject *disk;
+    PyObject *claim;
+    PyObject *faults;           /* the fault model, on a faulted request */
+    double factor, arrived, queued, service;
+    Py_ssize_t index;
+    char kind, stage;
+} DiskJob;
+
+static void
+disk_job_start(DiskArrayObject *array, DiskJob *job, int kind,
+               Py_ssize_t index)
+{
+    PyObject *disks = kind == DISK_LOG ? array->log_disks : array->data_disks;
+    job->disk = (ResourceObject *)Py_NewRef(PyTuple_GET_ITEM(disks, index));
+    job->factor = kind == DISK_READ ? 1.0
+                  : kind == DISK_WRITE ? array->write_factor
+                  : array->log_factor;
+    job->index = index;
+    job->kind = (char)kind;
+    job->stage = 0;
+}
+
+static void
+disk_job_clear(DiskJob *job)
+{
+    Py_CLEAR(job->disk);
+    Py_CLEAR(job->claim);
+    Py_CLEAR(job->faults);
+}
+
+static int
+disk_job_traverse(DiskJob *job, visitproc visit, void *arg)
+{
+    Py_VISIT(job->disk);
+    Py_VISIT(job->claim);
+    Py_VISIT(job->faults);
+    return 0;
+}
+
+static int
+disk_step(DiskArrayObject *array, DiskJob *job, PyObject **out)
+{
+    EngineObject *engine = array->engine;
+    switch (job->stage) {
+    case 0:
+        job->arrived = engine->now;
+        job->claim = resource_request((PyObject *)job->disk, NULL);
+        if (job->claim == NULL)
+            return -1;
+        job->stage = 1;
+        *out = Py_NewRef(job->claim);
+        return 1;
+    case 1:
+        job->service = job->factor
+            * (array->stream == NULL
+               ? array->mean
+               : walk_lognormal(array->mt, array->mu, array->sigma,
+                                array->magic));
+        job->stage = 2;
+        if (job->kind != DISK_LOG && array->fault_model != Py_None) {
+            /* An outage holds the disk (and its queue) until the window
+             * closes; degradation then stretches the service itself. */
+            job->faults = Py_NewRef(array->fault_model);
+            PyObject *args[2] = {PyLong_FromSsize_t(job->index),
+                                 PyFloat_FromDouble(engine->now)};
+            double outage = -1.0;
+            if (args[0] != NULL && args[1] != NULL)
+                outage = call_double(job->faults, str_outage_wait_s, args, 2);
+            Py_XDECREF(args[0]);
+            Py_XDECREF(args[1]);
+            if (outage == -1.0 && PyErr_Occurred())
+                return -1;
+            if (outage > 0) {
+                array->timeouts++;
+                *out = timeout_after(engine, outage, NULL, NULL);
+                return *out == NULL ? -1 : 1;
+            }
+        }
+        /* fall through */
+    case 2:
+        if (job->faults != NULL) {
+            PyObject *index = PyLong_FromSsize_t(job->index);
+            if (index == NULL)
+                return -1;
+            double factor = call_double(job->faults, str_latency_factor,
+                                        &index, 1);
+            Py_DECREF(index);
+            if (factor == -1.0 && PyErr_Occurred())
+                return -1;
+            job->service *= factor;
+        }
+        job->queued = engine->now - job->arrived;
+        array->timeouts++;
+        job->stage = 3;
+        *out = timeout_after(engine, job->service, NULL, NULL);
+        return *out == NULL ? -1 : 1;
+    case 3:
+        if (release_claim(job->disk, job->claim) < 0)
+            return -1;
+        Py_CLEAR(job->claim);
+        if (job->kind == DISK_WRITE)
+            array->writes->count += 1;
+        else if (job->kind == DISK_READ)
+            tally_record(array->read_latency, job->queued + job->service);
+        job->stage = 4;
+        return 0;
+    }
+    PyErr_SetString(SimulationError, "disk request stepped after its end");
+    return -1;
+}
+
+/* DiskArray.read, write and log_append. */
+typedef struct {
+    OpObject op;
+    DiskArrayObject *array;
+    DiskJob job;
+} DiskServiceObject;
+
+static int
+disk_service_step(OpObject *op, PyObject **out)
+{
+    DiskServiceObject *service = (DiskServiceObject *)op;
+    op->stage = 1;
+    int status = disk_step(service->array, &service->job, out);
+    if (status == 0)
+        *out = Py_NewRef(Py_None);
+    return status;
+}
+
+static int
+disk_service_traverse(PyObject *self, visitproc visit, void *arg)
+{
+    DiskServiceObject *service = (DiskServiceObject *)self;
+    Py_VISIT(service->array);
+    return disk_job_traverse(&service->job, visit, arg);
+}
+
+static int
+disk_service_clear(PyObject *self)
+{
+    DiskServiceObject *service = (DiskServiceObject *)self;
+    Py_CLEAR(service->array);
+    disk_job_clear(&service->job);
+    return 0;
+}
+
+static PyTypeObject DiskServiceType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._des.DiskService",
+    .tp_doc = "A compiled disk request (DiskArray.read, write, "
+              "log_append): queue, serve, release, book.",
+    .tp_basicsize = sizeof(DiskServiceObject),
+    .tp_traverse = disk_service_traverse,
+    .tp_clear = disk_service_clear,
+    OP_TYPE_FIELDS,
+};
+
+static int
+disk_array_ready(DiskArrayObject *array)
+{
+    if (array->engine != NULL)
+        return 0;
+    PyErr_SetString(SimulationError, "disk array is not initialized");
+    return -1;
+}
+
+static PyObject *
+disk_service_new(DiskArrayObject *array, int kind, Py_ssize_t index)
+{
+    DiskServiceObject *service = (DiskServiceObject *)op_alloc(
+        &DiskServiceType, disk_service_step);
+    if (service == NULL)
+        return NULL;
+    service->array = (DiskArrayObject *)Py_NewRef(array);
+    disk_job_start(array, &service->job, kind, index);
+    return (PyObject *)service;
+}
+
+/* The stripe disk of ``block_id``: block_id mod the data disks, as
+ * Python's ``%`` takes it. */
+static int
+stripe_of(DiskArrayObject *array, PyObject *block_id, Py_ssize_t *index)
+{
+    long long block = PyLong_AsLongLong(block_id);
+    if (block == -1 && PyErr_Occurred())
+        return -1;
+    long long count = PyTuple_GET_SIZE(array->data_disks);
+    *index = (Py_ssize_t)(((block % count) + count) % count);
+    return 0;
+}
+
+static PyObject *
+disk_array_data_request(PyObject *self, PyObject *const *args,
+                        size_t nargsf, PyObject *kwnames, const char *name,
+                        int kind)
+{
+    static const char *const names[] = {"block_id"};
+    DiskArrayObject *array = (DiskArrayObject *)self;
+    PyObject *block_id;
+    Py_ssize_t index;
+    if (disk_array_ready(array) < 0
+        || bind_args(name, args, nargsf, kwnames, names, 1, 1,
+                     &block_id) < 0
+        || stripe_of(array, block_id, &index) < 0)
+        return NULL;
+    return disk_service_new(array, kind, index);
+}
+
+static PyObject *
+disk_array_read(PyObject *self, PyObject *const *args, size_t nargsf,
+                PyObject *kwnames)
+{
+    return disk_array_data_request(self, args, nargsf, kwnames, "read",
+                                   DISK_READ);
+}
+
+static PyObject *
+disk_array_write(PyObject *self, PyObject *const *args, size_t nargsf,
+                 PyObject *kwnames)
+{
+    return disk_array_data_request(self, args, nargsf, kwnames, "write",
+                                   DISK_WRITE);
+}
+
+static PyObject *
+disk_array_log_append(PyObject *self, PyObject *Py_UNUSED(ignored))
+{
+    DiskArrayObject *array = (DiskArrayObject *)self;
+    if (disk_array_ready(array) < 0)
+        return NULL;
+    array->log_seq++;
+    return disk_service_new(
+        array, DISK_LOG,
+        (Py_ssize_t)(array->log_seq % PyTuple_GET_SIZE(array->log_disks)));
+}
+
+static PyObject *
+disk_array_new(PyTypeObject *type, PyObject *Py_UNUSED(args),
+               PyObject *Py_UNUSED(kwargs))
+{
+    DiskArrayObject *array = (DiskArrayObject *)type->tp_alloc(type, 0);
+    if (array == NULL)
+        return NULL;
+    array->fault_model = Py_NewRef(Py_None);
+    array->writes = (CounterObject *)stat_named(&CounterType,
+                                                "disk-writes");
+    array->read_latency = (TallyObject *)stat_named(&TallyType,
+                                                    "read-latency");
+    if (array->writes == NULL || array->read_latency == NULL)
+        Py_CLEAR(array);
+    return (PyObject *)array;
+}
+
+/* A tuple of at least one Resource on ``engine``. */
+static PyObject *
+disk_tuple(PyObject *disks, PyObject *engine, const char *what)
+{
+    PyObject *tuple = PySequence_Tuple(disks);
+    if (tuple == NULL)
+        return NULL;
+    if (PyTuple_GET_SIZE(tuple) == 0) {
+        PyErr_Format(PyExc_ValueError, "the array needs %s", what);
+        Py_DECREF(tuple);
+        return NULL;
+    }
+    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(tuple); i++) {
+        PyObject *disk = PyTuple_GET_ITEM(tuple, i);
+        if (!PyObject_TypeCheck(disk, &ResourceType)
+            || (PyObject *)((ResourceObject *)disk)->engine != engine) {
+            PyErr_Format(PyExc_TypeError,
+                         "%s must be Resources on the array's engine, "
+                         "got %R", what, disk);
+            Py_DECREF(tuple);
+            return NULL;
+        }
+    }
+    return tuple;
+}
+
+static int
+disk_array_init(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *names[] = {"engine", "data_disks", "log_disks",
+                            "write_factor", "log_factor", "mean", "stream",
+                            "address", "mu", "sigma", "magic", NULL};
+    DiskArrayObject *array = (DiskArrayObject *)self;
+    PyObject *engine, *data, *logs, *stream = Py_None, *address = NULL;
+    double write_factor, log_factor, mean, mu = 0.0, sigma = 0.0, magic = 0.0;
+    if (!PyArg_ParseTupleAndKeywords(
+            args, kwargs, "O!OOddd|OOddd:DiskArray", names, &EngineType,
+            &engine, &data, &logs, &write_factor, &log_factor, &mean, &stream,
+            &address, &mu, &sigma, &magic))
+        return -1;
+    mt_t *mt = NULL;
+    if (stream != Py_None) {
+        if (walk_lognormal == NULL) {
+            PyErr_SetString(SimulationError,
+                            "the walk kernel is not linked (link_walk)");
+            return -1;
+        }
+        mt = address == NULL ? NULL : PyLong_AsVoidPtr(address);
+        if (mt == NULL) {
+            if (!PyErr_Occurred())
+                PyErr_SetString(PyExc_ValueError,
+                                "a drawn service time needs the stream's "
+                                "address");
+            return -1;
+        }
+    }
+    PyObject *data_disks = disk_tuple(data, engine, "data disks");
+    if (data_disks == NULL)
+        return -1;
+    PyObject *log_disks = disk_tuple(logs, engine, "log disks");
+    if (log_disks == NULL) {
+        Py_DECREF(data_disks);
+        return -1;
+    }
+    Py_XSETREF(array->engine, (EngineObject *)Py_NewRef(engine));
+    Py_XSETREF(array->data_disks, data_disks);
+    Py_XSETREF(array->log_disks, log_disks);
+    Py_XSETREF(array->stream, stream == Py_None ? NULL : Py_NewRef(stream));
+    array->mt = mt;
+    array->mean = mean;
+    array->mu = mu;
+    array->sigma = sigma;
+    array->magic = magic;
+    array->write_factor = write_factor;
+    array->log_factor = log_factor;
+    return 0;
+}
+
+static int
+disk_array_traverse(PyObject *self, visitproc visit, void *arg)
+{
+    DiskArrayObject *array = (DiskArrayObject *)self;
+    Py_VISIT(array->engine);
+    Py_VISIT(array->data_disks);
+    Py_VISIT(array->log_disks);
+    Py_VISIT(array->fault_model);
+    Py_VISIT(array->stream);
+    return 0;
+}
+
+static int
+disk_array_clear(PyObject *self)
+{
+    DiskArrayObject *array = (DiskArrayObject *)self;
+    Py_CLEAR(array->engine);
+    Py_CLEAR(array->data_disks);
+    Py_CLEAR(array->log_disks);
+    Py_CLEAR(array->fault_model);
+    Py_CLEAR(array->stream);
+    Py_CLEAR(array->writes);
+    Py_CLEAR(array->read_latency);
+    return 0;
+}
+
+static PyObject *
+disk_array_get_fault_model(PyObject *self, void *Py_UNUSED(closure))
+{
+    PyObject *model = ((DiskArrayObject *)self)->fault_model;
+    return Py_NewRef(model != NULL ? model : Py_None);
+}
+
+static int
+disk_array_set_fault_model(PyObject *self, PyObject *value,
+                           void *Py_UNUSED(closure))
+{
+    Py_XSETREF(((DiskArrayObject *)self)->fault_model,
+               Py_NewRef(value != NULL ? value : Py_None));
+    return 0;
+}
+
+static PyObject *
+disk_array_get_data_disk_count(PyObject *self, void *Py_UNUSED(closure))
+{
+    PyObject *disks = ((DiskArrayObject *)self)->data_disks;
+    return PyLong_FromSsize_t(disks != NULL ? PyTuple_GET_SIZE(disks) : 0);
+}
+
+static PyMethodDef disk_array_methods[] = {
+    {"read", (PyCFunction)(void (*)(void))disk_array_read,
+     METH_FASTCALL | METH_KEYWORDS,
+     "read(block_id)\n\n"
+     "Blocking read of a data block (a compiled disk request: ``yield "
+     "from`` it); done when the data is in memory."},
+    {"write", (PyCFunction)(void (*)(void))disk_array_write,
+     METH_FASTCALL | METH_KEYWORDS,
+     "write(block_id)\n\n"
+     "Write of a data block (a compiled disk request; the caller decides "
+     "whether to wait)."},
+    {"log_append", disk_array_log_append, METH_NOARGS,
+     "log_append()\n\n"
+     "Sequential append to the redo log, round-robin over the log disks, "
+     "which disk faults never touch (a compiled disk request)."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyMemberDef disk_array_members[] = {
+    {"engine", T_OBJECT, offsetof(DiskArrayObject, engine), READONLY,
+     "The engine the disks run on."},
+    {"_data_disks", T_OBJECT, offsetof(DiskArrayObject, data_disks),
+     READONLY, "The data disks (Resources), by stripe."},
+    {"_log_disks", T_OBJECT, offsetof(DiskArrayObject, log_disks), READONLY,
+     "The log disks (Resources)."},
+    {"writes", T_OBJECT, offsetof(DiskArrayObject, writes), READONLY,
+     "Data writes served (a Counter)."},
+    {"read_latency", T_OBJECT, offsetof(DiskArrayObject, read_latency),
+     READONLY, "Queueing plus service time of each read (a Tally)."},
+    {"timeouts", T_LONGLONG, offsetof(DiskArrayObject, timeouts), READONLY,
+     "Service and outage timeouts scheduled."},
+    {NULL, 0, 0, 0, NULL},
+};
+
+static PyGetSetDef disk_array_getset[] = {
+    {"fault_model", disk_array_get_fault_model, disk_array_set_fault_model,
+     "Degradation state (repro.faults.DiskFaultModel), set by a faulted "
+     "system; None for a healthy array.", NULL},
+    {"data_disk_count", disk_array_get_data_disk_count, NULL,
+     "Disks holding data (the rest hold the redo log).", NULL},
+    {NULL, NULL, NULL, NULL, NULL},
+};
+
+static PyTypeObject DiskArrayType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._des.DiskArray",
+    .tp_doc = "DiskArray(engine, data_disks, log_disks, write_factor, "
+              "log_factor, mean, stream=None, address=None, mu=0.0, "
+              "sigma=0.0, magic=0.0)\n\n"
+              "Striped data disks plus log disks; read, write and "
+              "log_append return compiled disk requests.",
+    .tp_basicsize = sizeof(DiskArrayObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE | Py_TPFLAGS_HAVE_GC,
+    .tp_new = disk_array_new,
+    .tp_init = disk_array_init,
+    .tp_dealloc = gc_dealloc,
+    .tp_traverse = disk_array_traverse,
+    .tp_clear = disk_array_clear,
+    .tp_methods = disk_array_methods,
+    .tp_members = disk_array_members,
+    .tp_getset = disk_array_getset,
+};
+
+/* -- the database engine's miss path --------------------------------------- */
+
+/* What a buffer miss touches: the scheduler, the disks, the buffer
+ * cache's kernel LRU (``cache`` keeps it alive) and the database
+ * writer's enqueue for a dirty victim. */
+typedef struct {
+    PyObject_HEAD
+    SchedulerObject *scheduler;
+    DiskArrayObject *disks;
+    PyObject *cache;
+    lru_t *lru;
+    PyObject *enqueue;
+    CounterObject *physical_reads;
+} DatabaseObject;
+
+/* DatabaseEngine.read_miss: count the physical read, run io_submit,
+ * block (releasing the CPU), read the block from its stripe disk,
+ * re-acquire a CPU, run io_complete, install the block (dirty for a
+ * write) and hand a dirty victim to the writer.  Ends with the CPU
+ * claim held afterwards. */
+typedef struct {
+    OpObject op;
+    DatabaseObject *db;
+    PyObject *claim;
+    BurstJob burst;
+    DiskJob disk;
+    uint64_t block;
+    int write;
+} ReadMissObject;
+
+static int
+read_miss_install(ReadMissObject *miss)
+{
+    DatabaseObject *db = miss->db;
+    uint64_t victim;
+    int result = walk_lru_install(db->lru, miss->block, miss->write, &victim);
+    if (result < 0) {
+        PyErr_SetString(PyExc_MemoryError, "cannot grow the buffer cache");
+        return -1;
+    }
+    if (!(result & LRU_DIRTY))
+        return 0;
+    PyObject *id = PyLong_FromUnsignedLongLong(victim);
+    if (id == NULL)
+        return -1;
+    PyObject *done = PyObject_CallOneArg(db->enqueue, id);
+    Py_DECREF(id);
+    Py_XDECREF(done);
+    return done == NULL ? -1 : 0;
+}
+
+static int
+read_miss_step(OpObject *op, PyObject **out)
+{
+    ReadMissObject *miss = (ReadMissObject *)op;
+    DatabaseObject *db = miss->db;
+    SchedulerObject *scheduler = db->scheduler;
+    int status;
+    switch (op->stage) {
+    case 0:
+        db->physical_reads->count += 1;
+        miss->burst = (BurstJob){scheduler->io_submit, 0.0, 1};
+        op->stage = 1;
+        if ((status = burst_start(scheduler, &miss->burst, out)) != 0)
+            return status;
+        /* fall through */
+    case 1:
+        burst_book(scheduler, &miss->burst);
+        miss->burst = (BurstJob){scheduler->switch_cost, 0.0, 1};
+        op->stage = 2;
+        if ((status = burst_start(scheduler, &miss->burst, out)) != 0)
+            return status;
+        /* fall through */
+    case 2: {
+        burst_book(scheduler, &miss->burst);
+        if (switch_out(scheduler, miss->claim) < 0)
+            return -1;
+        Py_CLEAR(miss->claim);
+        uint64_t stripes = (uint64_t)PyTuple_GET_SIZE(db->disks->data_disks);
+        disk_job_start(db->disks, &miss->disk, DISK_READ,
+                       (Py_ssize_t)(miss->block % stripes));
+        op->stage = 3;
+    }
+        /* fall through */
+    case 3:
+        if ((status = disk_step(db->disks, &miss->disk, out)) != 0)
+            return status;
+        disk_job_clear(&miss->disk);
+        miss->claim = resource_request((PyObject *)scheduler->cpus, NULL);
+        if (miss->claim == NULL)
+            return -1;
+        op->stage = 4;
+        *out = Py_NewRef(miss->claim);
+        return 1;
+    case 4:
+        miss->burst = (BurstJob){scheduler->io_complete, 0.0, 1};
+        op->stage = 5;
+        if ((status = burst_start(scheduler, &miss->burst, out)) != 0)
+            return status;
+        /* fall through */
+    case 5:
+        burst_book(scheduler, &miss->burst);
+        if (read_miss_install(miss) < 0)
+            return -1;
+        *out = miss->claim;
+        miss->claim = NULL;
+        return 0;
+    }
+    PyErr_SetString(SimulationError, "read miss stepped after its end");
+    return -1;
+}
+
+static int
+read_miss_traverse(PyObject *self, visitproc visit, void *arg)
+{
+    ReadMissObject *miss = (ReadMissObject *)self;
+    Py_VISIT(miss->db);
+    Py_VISIT(miss->claim);
+    return disk_job_traverse(&miss->disk, visit, arg);
+}
+
+static int
+read_miss_clear(PyObject *self)
+{
+    ReadMissObject *miss = (ReadMissObject *)self;
+    Py_CLEAR(miss->db);
+    Py_CLEAR(miss->claim);
+    disk_job_clear(&miss->disk);
+    return 0;
+}
+
+static PyTypeObject ReadMissType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._des.ReadMiss",
+    .tp_doc = "A compiled buffer-miss read (DatabaseEngine.read_miss); "
+              "ends with the CPU claim held afterwards.",
+    .tp_basicsize = sizeof(ReadMissObject),
+    .tp_traverse = read_miss_traverse,
+    .tp_clear = read_miss_clear,
+    OP_TYPE_FIELDS,
+};
+
+static PyObject *
+database_read_miss(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    DatabaseObject *db = (DatabaseObject *)self;
+    if (nargs != 3) {
+        PyErr_Format(PyExc_TypeError,
+                     "read_miss(claim, block_id, write) takes 3 arguments "
+                     "(%zd given)", nargs);
+        return NULL;
+    }
+    if (db->scheduler == NULL) {
+        PyErr_SetString(SimulationError,
+                        "database engine is not initialized");
+        return NULL;
+    }
+    unsigned long long block = PyLong_AsUnsignedLongLong(args[1]);
+    if (block == (unsigned long long)-1 && PyErr_Occurred())
+        return NULL;
+    int write = PyObject_IsTrue(args[2]);
+    if (write < 0)
+        return NULL;
+    ReadMissObject *miss = (ReadMissObject *)op_alloc(&ReadMissType,
+                                                      read_miss_step);
+    if (miss == NULL)
+        return NULL;
+    miss->db = (DatabaseObject *)Py_NewRef(db);
+    miss->claim = Py_NewRef(args[0]);
+    miss->block = block;
+    miss->write = write;
+    return (PyObject *)miss;
+}
+
+static PyObject *
+database_new(PyTypeObject *type, PyObject *Py_UNUSED(args),
+             PyObject *Py_UNUSED(kwargs))
+{
+    DatabaseObject *db = (DatabaseObject *)type->tp_alloc(type, 0);
+    if (db == NULL)
+        return NULL;
+    db->physical_reads = (CounterObject *)stat_named(&CounterType,
+                                                     "physical-reads");
+    if (db->physical_reads == NULL)
+        Py_CLEAR(db);
+    return (PyObject *)db;
+}
+
+static int
+database_init(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *names[] = {"scheduler", "disks", "cache", "address",
+                            "enqueue", NULL};
+    DatabaseObject *db = (DatabaseObject *)self;
+    PyObject *scheduler, *disks, *cache, *address, *enqueue;
+    if (!PyArg_ParseTupleAndKeywords(
+            args, kwargs, "O!O!OOO:DatabaseEngine", names, &SchedulerType,
+            &scheduler, &DiskArrayType, &disks, &cache, &address, &enqueue))
+        return -1;
+    if (walk_lru_install == NULL) {
+        PyErr_SetString(SimulationError,
+                        "the walk kernel is not linked (link_walk)");
+        return -1;
+    }
+    if (disk_array_ready((DiskArrayObject *)disks) < 0)
+        return -1;
+    lru_t *lru = PyLong_AsVoidPtr(address);
+    if (lru == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_ValueError, "the cache's address is NULL");
+        return -1;
+    }
+    Py_XSETREF(db->scheduler, (SchedulerObject *)Py_NewRef(scheduler));
+    Py_XSETREF(db->disks, (DiskArrayObject *)Py_NewRef(disks));
+    Py_XSETREF(db->cache, Py_NewRef(cache));
+    Py_XSETREF(db->enqueue, Py_NewRef(enqueue));
+    db->lru = lru;
+    return 0;
+}
+
+static int
+database_traverse(PyObject *self, visitproc visit, void *arg)
+{
+    DatabaseObject *db = (DatabaseObject *)self;
+    Py_VISIT(db->scheduler);
+    Py_VISIT(db->disks);
+    Py_VISIT(db->cache);
+    Py_VISIT(db->enqueue);
+    return 0;
+}
+
+static int
+database_clear(PyObject *self)
+{
+    DatabaseObject *db = (DatabaseObject *)self;
+    Py_CLEAR(db->scheduler);
+    Py_CLEAR(db->disks);
+    Py_CLEAR(db->cache);
+    Py_CLEAR(db->enqueue);
+    Py_CLEAR(db->physical_reads);
+    return 0;
+}
+
+static PyMethodDef database_methods[] = {
+    {"read_miss", (PyCFunction)(void (*)(void))database_read_miss,
+     METH_FASTCALL,
+     "read_miss(claim, block_id, write)\n\n"
+     "The I/O after a buffer-cache miss, as one compiled operation: "
+     "``yield from`` it for the CPU claim held afterwards."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyMemberDef database_members[] = {
+    {"scheduler", T_OBJECT, offsetof(DatabaseObject, scheduler), READONLY,
+     "The CPUs' scheduler."},
+    {"disks", T_OBJECT, offsetof(DatabaseObject, disks), READONLY,
+     "The disk array."},
+    {"physical_reads", T_OBJECT, offsetof(DatabaseObject, physical_reads),
+     READONLY, "Buffer misses read from disk (a Counter)."},
+    {NULL, 0, 0, 0, NULL},
+};
+
+static PyTypeObject DatabaseType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._des.DatabaseEngine",
+    .tp_doc = "DatabaseEngine(scheduler, disks, cache, address, enqueue)\n\n"
+              "The database engine's miss path: read_miss returns one "
+              "compiled operation.",
+    .tp_basicsize = sizeof(DatabaseObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE | Py_TPFLAGS_HAVE_GC,
+    .tp_new = database_new,
+    .tp_init = database_init,
+    .tp_dealloc = gc_dealloc,
+    .tp_traverse = database_traverse,
+    .tp_clear = database_clear,
+    .tp_methods = database_methods,
+    .tp_members = database_members,
+};
+
+/* link_walk(lognormal, lru_install): the addresses of the walk kernel's
+ * mt_lognormal and lru_install, handed over once. */
+static PyObject *
+link_walk(PyObject *Py_UNUSED(module), PyObject *const *args,
+          Py_ssize_t nargs)
+{
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "link_walk(lognormal, lru_install)");
+        return NULL;
+    }
+    void *lognormal = PyLong_AsVoidPtr(args[0]);
+    void *install = lognormal == NULL ? NULL : PyLong_AsVoidPtr(args[1]);
+    if (install == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_ValueError, "a NULL kernel address");
+        return NULL;
+    }
+    /* Object pointers to function pointers: what dlsym's users do. */
+    *(void **)&walk_lognormal = lognormal;
+    *(void **)&walk_lru_install = install;
+    Py_RETURN_NONE;
+}
 
 /* -- the engine ----------------------------------------------------------- */
 
@@ -1378,13 +2888,18 @@ engine_dispatch(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     }
     for (;;) {
         if (counter != NULL) {
-            PyObject *count = PyObject_GetAttr(counter, str_count);
-            if (count == NULL)
-                goto error;
-            int more = below(count, target, exact_target);
-            Py_DECREF(count);
-            if (more < 0)
-                goto error;
+            int more;
+            if (exact_target != NULL && Py_IS_TYPE(counter, &CounterType))
+                more = ((CounterObject *)counter)->count < target_value;
+            else {
+                PyObject *count = PyObject_GetAttr(counter, str_count);
+                if (count == NULL)
+                    goto error;
+                more = below(count, target, exact_target);
+                Py_DECREF(count);
+                if (more < 0)
+                    goto error;
+            }
             if (!more)
                 break;
         }
@@ -1516,11 +3031,20 @@ static PyTypeObject EngineType = {
 
 /* -- the module ----------------------------------------------------------- */
 
+static PyMethodDef des_functions[] = {
+    {"link_walk", (PyCFunction)(void (*)(void))link_walk, METH_FASTCALL,
+     "link_walk(lognormal, lru_install)\n\n"
+     "Hand over the addresses of the walk kernel's mt_lognormal and "
+     "lru_install, which the disk service and the miss path call."},
+    {NULL, NULL, 0, NULL},
+};
+
 static struct PyModuleDef des_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "repro.sim._des",
     .m_doc = "The compiled event kernel of repro.sim.",
     .m_size = -1,
+    .m_methods = des_functions,
 };
 
 static int
@@ -1537,12 +3061,19 @@ PyInit__des(void)
     RequestType.tp_base = &EventType;
     ProcessType.tp_base = &EventType;
     PyTypeObject *types[] = {&EngineType, &EventType, &TimeoutType,
-                             &RequestType, &ResourceType, &ProcessType};
+                             &RequestType, &ResourceType, &ProcessType,
+                             &CounterType, &TallyType, &SchedulerType,
+                             &BurstType, &DiskArrayType, &DiskServiceType,
+                             &DatabaseType, &ReadMissType};
     const char *names[] = {"Engine", "Event", "Timeout", "Request",
-                           "Resource", "Process"};
+                           "Resource", "Process", "Counter", "Tally",
+                           "Scheduler", "Burst", "DiskArray", "DiskService",
+                           "DatabaseEngine", "ReadMiss"};
     if (intern(&str_send, "send") < 0 || intern(&str_throw, "throw") < 0
         || intern(&str_close, "close") < 0 || intern(&str_count, "count") < 0
-        || intern(&str_add_callback, "add_callback") < 0)
+        || intern(&str_add_callback, "add_callback") < 0
+        || intern(&str_outage_wait_s, "outage_wait_s") < 0
+        || intern(&str_latency_factor, "latency_factor") < 0)
         return NULL;
     for (size_t i = 0; i < sizeof(types) / sizeof(types[0]); i++) {
         if (PyType_Ready(types[i]) < 0)

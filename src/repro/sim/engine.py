@@ -11,10 +11,12 @@ system model uses (timeouts, resource grants, store gets, gate levels,
 all-of conditions).  Every queued event is dispatched.
 
 The event queue, the dispatch loop, :class:`Event`, :class:`Timeout`,
-process resumption and the FIFO :class:`~repro.sim.resources.Resource`
-with its ``Request`` are compiled: they live in ``_des.c``, built once
-on first import by :func:`repro.cbuild.load` into this package's
-``__pycache__``.  A failed build raises
+process resumption, the FIFO :class:`~repro.sim.resources.Resource`
+with its ``Request``, the :mod:`~repro.sim.stats` counters and the OS
+model's compiled operations (the scheduler's bursts, the disk service
+and the database engine's read after a miss) are compiled: they live in
+``_des.c``, built once on first import by :func:`repro.cbuild.load`
+into this package's ``__pycache__``.  A failed build raises
 :class:`ImportError`; there is no other implementation.  This module
 adds the Python side: :meth:`Engine.run`'s checks and per-run tracing,
 :meth:`Engine.queue_stats`, :class:`AllOf` and
@@ -31,6 +33,8 @@ from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
 
 _SOURCE = Path(__file__).resolve().with_name("_des.c")
+#: The walk kernel's declarations, which the event kernel includes.
+_WALK_HEADER = _SOURCE.parents[1] / "hw" / "_walk.h"
 
 
 def _build(_name: str, scratch: Path) -> str:
@@ -49,7 +53,8 @@ def _build(_name: str, scratch: Path) -> str:
 def _kernel(cache_dir: Path = _SOURCE.parent / "__pycache__"):
     """The compiled event kernel, building it into ``cache_dir`` once."""
     return cbuild.load(
-        cbuild.build_name("_repro_des_", (_SOURCE,)), _build, cache_dir,
+        cbuild.build_name("_repro_des_", (_SOURCE, _WALK_HEADER)), _build,
+        cache_dir,
         "repro.sim could not build its compiled event kernel: it needs "
         "setuptools and a C compiler (cc/gcc) with the Python headers",
         module="repro.sim._des")

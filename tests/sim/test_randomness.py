@@ -1,21 +1,23 @@
 """Tests for deterministic RNG streams and distributions.
 
 :func:`lognormal_sampler` is the disks' service-time sampler as it was
-in Python, before it moved into the walk kernel
-(:func:`repro.hw.sampling.lognormal`); it stays as that sampler's
-oracle.
+in Python, before it moved into the walk kernel (``mt_lognormal`` with
+the parameters of :func:`repro.hw.sampling.lognormal_parameters`); it
+stays as that sampler's oracle.
 """
 
 import math
 import random
 from functools import partial
+from random import NV_MAGICCONST
 from typing import Callable
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hw.sampling import lognormal
+from repro.hw.cwalk import lib
+from repro.hw.sampling import lognormal_parameters
 from repro.sim.randomness import RandomStreams, derive_seed, zipf_cdf
 
 from tests.hw import kernel_driver
@@ -36,6 +38,15 @@ def lognormal_sampler(rng: random.Random, mean: float,
     sigma2 = math.log(1.0 + cv * cv)
     mu = math.log(mean) - sigma2 / 2.0
     return partial(rng.lognormvariate, mu, math.sqrt(sigma2))
+
+
+def kernel_sampler(mt, mean: float, cv: float) -> Callable[[], float]:
+    """The disks' draw: ``mt_lognormal`` on the kernel stream ``mt``
+    with :func:`lognormal_parameters`, or ``mean`` when they are None."""
+    parameters = lognormal_parameters(mean, cv)
+    if parameters is None:
+        return lambda: mean
+    return partial(lib.mt_lognormal, mt, *parameters, NV_MAGICCONST)
 
 
 def test_same_seed_same_stream():
@@ -173,15 +184,14 @@ class TestDistributions:
                                                                 cv):
         expected = RandomStreams(3).stream("ln")
         mt = RandomStreams(3).kernel_stream("ln")
-        draw, oracle = lognormal(mt, mean, cv), lognormal_sampler(
+        draw, oracle = kernel_sampler(mt, mean, cv), lognormal_sampler(
             expected, mean, cv)
         assert [draw() for _ in range(5000)] == \
             [oracle() for _ in range(5000)]
         assert kernel_driver.state(mt) == expected.getstate()
 
     def test_kernel_sampler_validation(self):
-        mt = RandomStreams(3).kernel_stream("ln")
         with pytest.raises(ValueError):
-            lognormal(mt, 0.0, 0.5)
+            lognormal_parameters(0.0, 0.5)
         with pytest.raises(ValueError):
-            lognormal(mt, 1.0, -0.5)
+            lognormal_parameters(1.0, -0.5)

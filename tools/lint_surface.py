@@ -11,8 +11,10 @@ carries it for its tests.  Such a check belongs in the test's own helper
 (``tests/hw/reference_*.py`` and the like), not in the program.
 
 A name counts as named when it occurs as an identifier (a variable, an
-attribute, an import) or as a string constant that is a name or a dotted
-path (``getattr(obj, "name")``, ``"module:function"``), so the scan
+attribute, an import), as a string constant that is a name or a dotted
+path (``getattr(obj, "name")``, ``"module:function"``) or as a string
+literal of the compiled kernels' C sources that is a name (a method the
+kernel calls, ``"outage_wait_s"``), so the scan
 matches names, not call graphs: a definition that shares its name with a
 live one passes.  A package ``__init__.py``'s re-exports (its ``from …
 import`` names and its ``__all__`` strings) do not count: they make a
@@ -139,6 +141,11 @@ def main() -> int:
     for toml in REPO.glob("*.toml"):
         program_names.update(re.findall(r"[A-Za-z_][A-Za-z0-9_]*",
                                         toml.read_text()))
+    # The compiled kernels call Python methods by name: a C string
+    # literal that is a name is a use.
+    for source in SOURCE_ROOT.rglob("*.c"):
+        program_names.update(re.findall(r'"([A-Za-z_][A-Za-z0-9_]*)"',
+                                        source.read_text()))
     test_names = _used(_python_files(REPO / TEST_ROOT))
     problems = []
     flagged = set()
