@@ -12,25 +12,23 @@ paper's own description, Section 3.1).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.hw.cwalk import ffi, lib
 
 
 class BufferCache:
     """LRU cache of block units with dirty bits.
 
-    The DES references blocks in the kernel (``lib.lru_lookup`` on
-    ``c``, read or write), and the compiled ``read_miss`` fills a block
-    after its disk read with the kernel's ``lru_install`` on ``c``;
-    ``install`` is that fill from Python, returning the victim.
+    The DES references blocks in the kernel (``lru_lookup`` on ``c``,
+    read or write), and the compiled ``read_miss`` fills a block after
+    its disk read with the kernel's ``lru_install`` on ``c``; both are
+    called from the event kernel.
 
     The LRU is exact and lives in the walk kernel (``lru_t`` in
     ``repro/hw/_walk.c``; DESIGN.md §11, "Buffer-cache LRU"): a doubly
     linked recency list over slots and an open-addressing table from
     block id to slot, growing with the resident units, not with the
     capacity.  ``c`` is the kernel state; the DES's block references
-    call ``lib.lru_lookup`` on it directly.  Block ids are ``uint64``.
+    call ``lru_lookup`` on it directly.  Block ids are ``uint64``.
     """
 
     def __init__(self, capacity_units: int):
@@ -41,7 +39,6 @@ class BufferCache:
         if state == ffi.NULL:
             raise MemoryError("cannot allocate the buffer cache")
         self.c = ffi.gc(state, lib.lru_free)
-        self._victim = ffi.new("uint64_t *")
 
     @property
     def resident_units(self) -> int:
@@ -57,19 +54,6 @@ class BufferCache:
     def misses(self) -> int:
         """References that did not."""
         return self.c.misses
-
-    def install(self, block_id: int, dirty: bool = False) -> Optional[tuple[int, bool]]:
-        """Insert a block after a disk read.
-
-        Returns the evicted ``(block_id, was_dirty)`` or None.  Installing
-        a block that is already resident just refreshes it.
-        """
-        result = lib.lru_install(self.c, block_id, dirty, self._victim)
-        if result <= 0:
-            if result < 0:
-                raise MemoryError("cannot grow the buffer cache")
-            return None
-        return self._victim[0], bool(result & lib.LRU_DIRTY)
 
     def replay(self, codes) -> None:
         """Reference every packed touch ``(block_id << 1) | write`` of

@@ -11,47 +11,29 @@ Every lock is exclusive (the ODB profiles only update their hot rows),
 with one holder and a FIFO queue of waiters.  Deadlock is avoided by
 ordered acquisition: callers acquire locks in a fixed key order —
 ``("wh", w)`` before ``("dist", w)``, warehouses ascending.
+
+The table is compiled (``_des.LockTable`` in ``repro/sim/_des.c``,
+DESIGN.md §11, "Compiled OS operations"), so the database engine's
+compiled lock and commit take and release its locks directly.
+``would_wait(owner, key)`` is true when someone other than ``owner``
+holds ``key``; ``acquire(owner, key)`` is a compiled operation to
+``yield from``: it waits on one event, already succeeded when nobody
+holds the key (so an uncontended acquisition costs the same scheduled
+event), else queued behind the key's earlier waiters, and the key
+counts as held from the resume after the grant.  ``release_all(owner)``
+(commit or abort) drops every lock ``owner`` holds, handing each to its
+oldest waiter.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Hashable
-
-from repro.sim import Engine, Event
+from repro.sim.engine import _des
 
 
-class LockTable:
+class LockTable(_des.LockTable):
     """Exclusive locks keyed by arbitrary hashables, held to commit."""
 
-    def __init__(self, engine: Engine):
-        self.engine = engine
-        #: key -> its holder; a key nobody holds has no entry.
-        self._holder: dict[Hashable, object] = {}
-        #: key -> ``(owner, event)`` of each waiter, in arrival order.
-        self._queue: dict[Hashable, deque[tuple[object, Event]]] = {}
-        #: owner -> the keys it holds, in acquisition order.
-        self._held: dict[object, list[Hashable]] = {}
-
-    def would_wait(self, owner: object, key: Hashable) -> bool:
-        """True when acquiring now would block (re-grants never block)."""
-        holder = self._holder.get(key)
-        return holder is not None and holder is not owner
-
-    def acquire(self, owner: object, key: Hashable):
-        """Acquire ``key`` for ``owner``; yields while queued.
-
-        An uncontended acquisition still yields one already-succeeded
-        event, so it costs the same scheduled event either way.
-        """
-        event = Event(self.engine)
-        if key in self._holder:
-            self._queue.setdefault(key, deque()).append((owner, event))
-        else:
-            self._holder[key] = owner
-            event.succeed()
-        yield event
-        self._held.setdefault(owner, []).append(key)
+    __slots__ = ()
 
     def acquire_many(self, owner: object, keys):
         """Acquire several keys in the given (fixed) order; yields while
@@ -63,14 +45,3 @@ class LockTable:
         """
         for key in keys:
             yield from self.acquire(owner, key)
-
-    def release_all(self, owner: object) -> None:
-        """Commit/abort: drop every lock ``owner`` holds, handing each
-        to its oldest waiter."""
-        for key in self._held.pop(owner, ()):
-            queue = self._queue.get(key)
-            if queue:
-                self._holder[key], event = queue.popleft()
-                event.succeed()
-            else:
-                del self._holder[key]

@@ -14,7 +14,8 @@ from __future__ import annotations
 from repro.faults import stall_wait_s
 from repro.osmodel.disks import DiskArray
 from repro.osmodel.scheduler import Scheduler
-from repro.sim import Engine, Gate
+from repro.sim import Engine
+from repro.sim.engine import _des
 from repro.sim.stats import Counter, Tally
 
 
@@ -23,42 +24,30 @@ from repro.sim.stats import Counter, Tally
 POLL_INTERVAL_S = 0.0005
 
 
-class RedoLog:
-    """The shared redo buffer and its flush gate."""
+class RedoLog(_des.RedoLog):
+    """The shared redo buffer and its flush gate.
+
+    The commit side is compiled (``_des.RedoLog``), so the database
+    engine's compiled commit appends and waits without Python:
+    ``append(redo_bytes)`` takes the next commit sequence and books the
+    bytes in ``bytes_written`` (a negative or NaN size raises
+    :class:`ValueError`); ``pending_sequence`` is the highest sequence
+    appended; ``commit_wait`` books each commit's wait on the flush gate
+    ``_flushed``.  The log writer's side stays here.
+    """
 
     def __init__(self, engine: Engine):
-        self.engine = engine
-        self._next_sequence = 0
-        self._flushed = Gate(engine, level=0.0, name="redo-flushed")
-        self.bytes_written = Counter("log-bytes")
         self.flushes = Counter("log-flushes")
         self.group_size = Tally("group-commit-size")
-        self.commit_wait = Tally("commit-wait-time")
-
-    @property
-    def pending_sequence(self) -> int:
-        """Highest sequence number appended so far."""
-        return self._next_sequence
 
     @property
     def flushed_sequence(self) -> float:
         """Highest redo sequence number durably flushed."""
         return self._flushed.level
 
-    def append(self, redo_bytes: float) -> int:
-        """Append one transaction's redo; returns its commit sequence."""
-        self._next_sequence += 1
-        self.bytes_written.add(redo_bytes)
-        return self._next_sequence
-
-    def wait_for_flush(self, sequence: int):
-        """Block until ``sequence`` is durable; yields the gate event."""
-        started = self.engine._now
-        yield self._flushed.wait_for(sequence)
-        self.commit_wait.record(self.engine._now - started)
-
     def mark_flushed(self, sequence: int, group: int) -> None:
-        """Log-writer callback after a successful flush."""
+        """Log-writer callback after a successful flush: opens the gate
+        for every commit through ``sequence``."""
         self.flushes.count += 1
         if group > 0:
             self.group_size.record(group)

@@ -8,6 +8,16 @@ engine: lock, touch blocks (blocking on buffer misses), commit.  Each
 plan is one call into the walk kernel, drawing from the client's own
 kernel stream (:meth:`~repro.odb.transactions._SegmentSampler.draw`).
 
+The loop is compiled: :func:`client_process` returns one
+``_des.Client`` operation (DESIGN.md §11, "Compiled OS operations")
+that the engine runs as the client's process.  Per transaction it makes
+one Python call, the plan draw; per attempt it takes a CPU, the plan's
+hot-row locks in order (the database engine's lock), and per touch a
+user burst and the buffer cache's kernel ``lru_lookup``, with the
+engine's read after a miss when it misses; then the closing user burst
+and the per-transaction kernel baseline (``base_per_txn``), and the
+engine's commit.
+
 Clients run with zero think time — the paper controls CPU utilization
 purely through the number of concurrent clients (Section 3.2.1).
 
@@ -17,70 +27,25 @@ exponential delay per the plan's :class:`~repro.faults.RetryPolicy`,
 and re-executes the *same* plan.  Abort decisions draw from a fault
 stream derived from the plan's seed, so the workload streams (mix,
 block selection) are untouched and a faulted run stays comparable to
-the healthy run over the same transaction sequence.
+the healthy run over the same transaction sequence.  The abort draw
+and the backoff are the loop's only other calls into Python, both on
+that rare path.
 """
 
 from __future__ import annotations
 
-from repro.hw.cwalk import lib
-
 
 def client_process(system, client_id: int):
-    """The per-client main loop; runs forever (the system bounds time)."""
-    scheduler = system.scheduler
-    engine = system.engine
-    db = system.db
-    lru_lookup = lib.lru_lookup
-    lru = system.buffer_cache.c
-    execute_user = scheduler.execute_user
-    read_miss = db.read_miss
-    mix = system.mix
-    draw = system.sampler.draw
+    """The per-client main loop, one compiled operation that runs
+    forever (the system bounds time)."""
+    draw, mix = system.sampler.draw, system.mix
     stream = system.streams.kernel_stream(f"client-{client_id}")
     faults = system.faults
-    abort_rng = None
+    aborts = None
     if faults is not None and faults.aborts is not None \
             and faults.aborts.probability > 0:
-        abort_rng = system.fault_streams.stream(f"abort-{client_id}")
-    sequence = 0
-    while True:
-        kind, warehouse, touches = draw(stream, mix.active())
-        chunk = kind.chunk
-        attempt = 0
-        while True:
-            attempt += 1
-            owner = (client_id, sequence)
-            sequence += 1
-            claim = scheduler.acquire()
-            yield claim
-            # Hot-row locks first, in plan order (fixed order: no deadlock).
-            for lock in kind.locks:
-                claim = yield from db.lock(claim, owner, (lock, warehouse))
-            # User work interleaved with block touches, each packed as
-            # (block_id << 1) | write.  A buffer hit is one kernel call;
-            # a miss is one compiled operation.
-            for code in touches:
-                yield from execute_user(chunk)
-                if not lru_lookup(lru, code >> 1, code & 1):
-                    claim = yield from read_miss(claim, code >> 1, code & 1)
-            yield from execute_user(chunk)
-            # Per-transaction kernel baseline (IPC with the client, timers).
-            yield from scheduler.execute_os(scheduler.costs.base_per_txn)
-            if abort_rng is not None and (
-                    abort_rng.random()
-                    < faults.aborts.probability * kind.abort_weight):
-                # Transient abort: roll back (locks drop, work done so far
-                # stays spent), give up the CPU, back off, and retry.
-                db.abort(owner)
-                yield from scheduler.block(claim)
-                if attempt >= faults.retry.max_attempts:
-                    break  # abandoned
-                system.retries.add()
-                backoff = faults.retry.backoff_s(attempt)
-                if backoff > 0:
-                    yield engine.timeout(backoff)
-                continue
-            claim = yield from db.commit(claim, owner,
-                                         kind.profile.redo_bytes)
-            scheduler.release(claim)
-            break
+        aborts = (system.fault_streams.stream(f"abort-{client_id}").random,
+                  faults.aborts.probability, faults.retry.max_attempts,
+                  faults.retry.backoff_s, system.retries)
+    return system.db.client(client_id, lambda: draw(stream, mix.active()),
+                            aborts)

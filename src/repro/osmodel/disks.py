@@ -35,11 +35,11 @@ from repro.sim.randomness import RandomStreams
 #: Disks of the array dedicated to the redo log; the rest hold data.
 LOG_DISKS = 2
 
-# The disk service and the database engine's miss path call the walk
-# kernel's lognormal draw and buffer-cache install through these
-# addresses, handed over once.
-_des.link_walk(address(ffi.addressof(lib, "mt_lognormal")),
-               address(ffi.addressof(lib, "lru_install")))
+# The disk service, the database engine's miss path and the client loop
+# call the walk kernel's lognormal draw and buffer-cache install and
+# lookup through these addresses, handed over once.
+_des.link_walk(*(address(ffi.addressof(lib, name))
+                 for name in ("mt_lognormal", "lru_install", "lru_lookup")))
 
 
 class DiskArray(_des.DiskArray):

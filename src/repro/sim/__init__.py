@@ -13,7 +13,8 @@ Public surface:
 - :class:`~repro.sim.process.Process` — generator-based processes.
 - :class:`~repro.sim.resources.Resource`,
   :class:`~repro.sim.resources.Store`,
-  :class:`~repro.sim.resources.Gate` — contention primitives.
+  :class:`~repro.sim.resources.Gate` — contention primitives (``Store``
+  is Python, the others compiled).
 - :mod:`~repro.sim.randomness` — named, independently seeded RNG streams.
 - :mod:`~repro.sim.stats` — event counters and observation tallies.
 """

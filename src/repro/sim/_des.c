@@ -15,16 +15,17 @@
  *
  * Resource, the FIFO facility CPUs and disks are, is compiled beside
  * its Request: a grant, a release and the busy-time accrual are C.  So
- * are the Counter and Tally the model books into, and the OS model's
- * miss path: the Scheduler's bursts, the disk array's service and the
- * database engine's read after a buffer miss run as compiled
- * operations, generator-like objects a process runs or a generator
- * ``yield from``s.  The service-time draw and the buffer-cache install
- * they make are the walk kernel's own functions (repro/hw/_walk.c),
- * called through addresses handed over once by link_walk().  The
- * model's other processes and the other primitives built on these
- * events (Store, Gate, AllOf) stay Python: see repro/sim/engine.py,
- * process.py and resources.py.
+ * are AllOf, the Gate, the Counter and Tally the model books into, and
+ * the OS and database model's transaction path: the Scheduler's
+ * bursts, the disk array's service, the lock table, the redo log's
+ * append and the database engine's lock, read after a buffer miss and
+ * commit run as compiled operations, generator-like objects a process
+ * runs or a generator ``yield from``s.  A client's whole loop is one
+ * such operation.  The service-time draw and the buffer-cache lookup
+ * and install they make are the walk kernel's own functions
+ * (repro/hw/_walk.c), called through addresses handed over once by
+ * link_walk().  The log writer, the database writer, its checkpoint
+ * scan and Store stay Python: see repro/db and repro/sim/resources.py.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -42,12 +43,13 @@ static PyObject *SimulationError;
 static PyObject *str_send, *str_throw, *str_close, *str_count,
                 *str_add_callback, *str_outage_wait_s, *str_latency_factor;
 
-/* The walk kernel's entry points (link_walk): the disks' lognormal draw
- * and the buffer cache's install after a read. */
+/* The walk kernel's entry points (link_walk): the disks' lognormal draw,
+ * the buffer cache's lookup of a touch and its install after a read. */
 static double (*walk_lognormal)(mt_t *mt, double mu, double sigma,
                                 double magic);
 static int (*walk_lru_install)(lru_t *c, uint64_t id, int dirty,
                                uint64_t *victim);
+static _Bool (*walk_lru_lookup)(lru_t *c, uint64_t id, int write);
 
 /* -- exceptions across interpreter versions ------------------------------- */
 
@@ -131,6 +133,17 @@ bind_args(const char *function, PyObject *const *args, size_t nargsf,
         }
     }
     return 0;
+}
+
+/* A METH_FASTCALL method's argument count. */
+static int
+check_arity(const char *usage, Py_ssize_t nargs, Py_ssize_t want)
+{
+    if (nargs == want)
+        return 0;
+    PyErr_Format(PyExc_TypeError, "%s takes %zd arguments (%zd given)",
+                 usage, want, nargs);
+    return -1;
 }
 
 static int
@@ -227,7 +240,8 @@ typedef struct {
 } ProcessObject;
 
 static PyTypeObject EngineType, EventType, TimeoutType, RequestType,
-                    ResourceType, ProcessType, CounterType, TallyType;
+                    ResourceType, ProcessType, AllOfType, CounterType,
+                    TallyType;
 
 /* -- the event queue ------------------------------------------------------ */
 
@@ -355,12 +369,15 @@ event_has_callbacks(EventObject *event)
 static int process_resume(ProcessObject *process, EventObject *event);
 static PyObject *process_call(PyObject *self, PyObject *args,
                               PyObject *kwargs);
+static int allof_on_child(PyObject *all, EventObject *child);
 
 static int
 invoke(PyObject *callback, EventObject *event)
 {
     if (Py_TYPE(callback)->tp_call == process_call)
         return process_resume((ProcessObject *)callback, event);
+    if (Py_IS_TYPE(callback, &AllOfType))
+        return allof_on_child(callback, event);
     PyObject *result = PyObject_CallOneArg(callback, (PyObject *)event);
     if (result == NULL)
         return -1;
@@ -1298,6 +1315,139 @@ static PyTypeObject ProcessType = {
     .tp_clear = process_clear,
 };
 
+/* -- all-of conditions ---------------------------------------------------- */
+
+/* An event that completes when every child has, with their values by
+ * index, or fails with the first child failure.  The condition is each
+ * child's callback (invoke() calls allof_on_child), appended after the
+ * callbacks the child already had; a child processed before the
+ * condition was built counts at once. */
+typedef struct {
+    EventObject event;
+    PyObject *events;           /* list: the children, in order */
+    Py_ssize_t completed;
+} AllOfObject;
+
+static int
+allof_succeed(AllOfObject *all)
+{
+    PyObject *values = PyDict_New();
+    if (values == NULL)
+        return -1;
+    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(all->events); i++) {
+        PyObject *index = PyLong_FromSsize_t(i);
+        int status = index == NULL ? -1 : PyDict_SetItem(
+            values, index,
+            event_value((EventObject *)PyList_GET_ITEM(all->events, i)));
+        Py_XDECREF(index);
+        if (status < 0) {
+            Py_DECREF(values);
+            return -1;
+        }
+    }
+    int status = event_trigger(&all->event, values, 1, NORMAL);
+    Py_DECREF(values);
+    return status;
+}
+
+static int
+allof_on_child(PyObject *self, EventObject *child)
+{
+    AllOfObject *all = (AllOfObject *)self;
+    if (all->event.triggered)
+        return 0;
+    if (!child->ok)
+        return event_trigger(&all->event, event_value(child), 0, NORMAL);
+    if (++all->completed < PyList_GET_SIZE(all->events))
+        return 0;
+    return allof_succeed(all);
+}
+
+static PyObject *
+allof_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
+{
+    static char *names[] = {"engine", "events", NULL};
+    PyObject *engine, *events;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO:AllOf", names,
+                                     &engine, &events)
+        || check_engine(engine) < 0)
+        return NULL;
+    PyObject *children = PySequence_List(events);
+    if (children == NULL)
+        return NULL;
+    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(children); i++) {
+        PyObject *child = PyList_GET_ITEM(children, i);
+        if (!PyObject_TypeCheck(child, &EventType)) {
+            PyErr_Format(PyExc_TypeError, "AllOf waits on events, got %R",
+                         child);
+            Py_DECREF(children);
+            return NULL;
+        }
+    }
+    AllOfObject *all = (AllOfObject *)event_alloc(type, (EngineObject *)engine);
+    if (all == NULL) {
+        Py_DECREF(children);
+        return NULL;
+    }
+    all->events = children;
+    int status = 0;
+    if (PyList_GET_SIZE(children) == 0)
+        status = allof_succeed(all);
+    for (Py_ssize_t i = 0; status == 0 && i < PyList_GET_SIZE(children); i++) {
+        EventObject *child = (EventObject *)PyList_GET_ITEM(children, i);
+        status = child->processed ? allof_on_child((PyObject *)all, child)
+                                  : event_append(child, (PyObject *)all);
+    }
+    if (status < 0)
+        Py_CLEAR(all);
+    return (PyObject *)all;
+}
+
+/* The work is done in allof_new; Event's initializer must not run. */
+static int
+allof_init(PyObject *Py_UNUSED(self), PyObject *Py_UNUSED(args),
+           PyObject *Py_UNUSED(kwargs))
+{
+    return 0;
+}
+
+static int
+allof_traverse(PyObject *self, visitproc visit, void *arg)
+{
+    Py_VISIT(((AllOfObject *)self)->events);
+    return event_traverse(self, visit, arg);
+}
+
+static int
+allof_clear(PyObject *self)
+{
+    Py_CLEAR(((AllOfObject *)self)->events);
+    return event_clear(self);
+}
+
+static PyMemberDef allof_members[] = {
+    {"events", T_OBJECT, offsetof(AllOfObject, events), READONLY,
+     "The child events, in order."},
+    {NULL, 0, 0, 0, NULL},
+};
+
+static PyTypeObject AllOfType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim.engine.AllOf",
+    .tp_doc = "AllOf(engine, events)\n\n"
+              "Completes when every child event has completed, with their "
+              "values by index ({} without children); fails with the first "
+              "child failure.",
+    .tp_basicsize = sizeof(AllOfObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_new = allof_new,
+    .tp_init = allof_init,
+    .tp_dealloc = gc_dealloc,
+    .tp_traverse = allof_traverse,
+    .tp_clear = allof_clear,
+    .tp_members = allof_members,
+};
+
 /* -- statistics ----------------------------------------------------------- */
 
 /* Counter and Tally share their head: the name, then the numbers. */
@@ -1359,12 +1509,29 @@ stat_dealloc(PyObject *self)
     Py_TYPE(self)->tp_free(self);
 }
 
+/* Add ``amount`` to ``counter``; ``not amount >= 0`` (NaN too) raises
+ * ValueError naming ``given``, the amount as given (NULL: as a float). */
+static int
+counter_increase(CounterObject *counter, double amount, PyObject *given)
+{
+    if (amount >= 0) {
+        counter->count += amount;
+        return 0;
+    }
+    PyObject *shown = given ? Py_NewRef(given) : PyFloat_FromDouble(amount);
+    if (shown != NULL) {
+        PyErr_Format(PyExc_ValueError, "counter %R decremented by %S",
+                     counter->name, shown);
+        Py_DECREF(shown);
+    }
+    return -1;
+}
+
 static PyObject *
 counter_add(PyObject *self, PyObject *const *args, size_t nargsf,
             PyObject *kwnames)
 {
     static const char *const names[] = {"amount"};
-    CounterObject *counter = (CounterObject *)self;
     PyObject *given;
     double amount = 1.0;
     if (bind_args("add", args, nargsf, kwnames, names, 1, 0, &given) < 0)
@@ -1373,14 +1540,9 @@ counter_add(PyObject *self, PyObject *const *args, size_t nargsf,
         amount = PyFloat_AsDouble(given);
         if (amount == -1.0 && PyErr_Occurred())
             return NULL;
-        /* ``not amount >= 0`` also rejects NaN. */
-        if (!(amount >= 0)) {
-            PyErr_Format(PyExc_ValueError, "counter %R decremented by %S",
-                         counter->name, given);
-            return NULL;
-        }
     }
-    counter->count += amount;
+    if (counter_increase((CounterObject *)self, amount, given) < 0)
+        return NULL;
     Py_RETURN_NONE;
 }
 
@@ -1479,6 +1641,221 @@ static PyTypeObject TallyType = {
     .tp_methods = tally_methods,
     .tp_members = tally_members,
     .tp_getset = tally_getset,
+};
+
+/* -- gates ---------------------------------------------------------------- */
+
+/* A broadcast condition with a level that only rises: a waiter's event
+ * succeeds once the level reaches its threshold.  The waiters are kept
+ * in arrival order, and one advance wakes every satisfied one in that
+ * order (the redo log's group commit: one flush wakes each transaction
+ * it covers). */
+typedef struct {
+    double threshold;
+    EventObject *event;         /* strong */
+} GateWaiter;
+
+typedef struct {
+    PyObject_HEAD
+    EngineObject *engine;
+    PyObject *name;
+    double level;
+    GateWaiter *waiters;
+    Py_ssize_t count, capacity;
+} GateObject;
+
+static PyObject *
+gate_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
+{
+    static char *names[] = {"engine", "level", "name", NULL};
+    PyObject *engine, *name = NULL;
+    double level = 0.0;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O|dO:Gate", names,
+                                     &engine, &level, &name)
+        || check_engine(engine) < 0)
+        return NULL;
+    GateObject *gate = (GateObject *)type->tp_alloc(type, 0);
+    if (gate == NULL)
+        return NULL;
+    gate->engine = (EngineObject *)Py_NewRef(engine);
+    gate->name = name ? Py_NewRef(name) : PyUnicode_FromString("");
+    gate->level = level;
+    if (gate->name == NULL)
+        Py_CLEAR(gate);
+    return (PyObject *)gate;
+}
+
+/* The event a wait for ``threshold`` waits on (new reference):
+ * succeeded with the level at once when the level has reached it. */
+static PyObject *
+gate_wait(GateObject *gate, double threshold)
+{
+    if (gate->engine == NULL) {
+        PyErr_SetString(SimulationError, "gate has no engine");
+        return NULL;
+    }
+    EventObject *event = event_alloc(&EventType, gate->engine);
+    if (event == NULL)
+        return NULL;
+    if (gate->level >= threshold) {
+        PyObject *level = PyFloat_FromDouble(gate->level);
+        int status = level == NULL ? -1
+                                   : event_trigger(event, level, 1, NORMAL);
+        Py_XDECREF(level);
+        if (status < 0)
+            Py_CLEAR(event);
+        return (PyObject *)event;
+    }
+    if (gate->count == gate->capacity) {
+        Py_ssize_t capacity = gate->capacity ? 2 * gate->capacity : 16;
+        GateWaiter *waiters = PyMem_Realloc(gate->waiters,
+                                            capacity * sizeof(GateWaiter));
+        if (waiters == NULL) {
+            Py_DECREF(event);
+            return PyErr_NoMemory();
+        }
+        gate->waiters = waiters;
+        gate->capacity = capacity;
+    }
+    gate->waiters[gate->count++] =
+        (GateWaiter){threshold, (EventObject *)Py_NewRef(event)};
+    return (PyObject *)event;
+}
+
+static PyObject *
+gate_wait_for(PyObject *self, PyObject *threshold)
+{
+    double value = PyFloat_AsDouble(threshold);
+    if (value == -1.0 && PyErr_Occurred())
+        return NULL;
+    return gate_wait((GateObject *)self, value);
+}
+
+/* Raise the level and wake the satisfied waiters, oldest first; the
+ * rest keep their order.  Returns the number woken. */
+static PyObject *
+gate_advance(PyObject *self, PyObject *arg)
+{
+    GateObject *gate = (GateObject *)self;
+    double level = PyFloat_AsDouble(arg);
+    if (level == -1.0 && PyErr_Occurred())
+        return NULL;
+    if (level < gate->level) {
+        PyObject *old = PyFloat_FromDouble(gate->level);
+        if (old != NULL) {
+            PyErr_Format(SimulationError,
+                         "gate level must not decrease (%R -> %R)", old, arg);
+            Py_DECREF(old);
+        }
+        return NULL;
+    }
+    /* The woken are set apart before any is triggered, so the waiter
+     * list is final first. */
+    Py_ssize_t kept = 0, woken = 0;
+    EventObject **ready = NULL;
+    if (gate->count > 0) {
+        ready = PyMem_Malloc(gate->count * sizeof(EventObject *));
+        if (ready == NULL)
+            return PyErr_NoMemory();
+    }
+    gate->level = level;
+    for (Py_ssize_t i = 0; i < gate->count; i++) {
+        if (gate->waiters[i].threshold <= level)
+            ready[woken++] = gate->waiters[i].event;
+        else
+            gate->waiters[kept++] = gate->waiters[i];
+    }
+    gate->count = kept;
+    PyObject *value = woken ? PyFloat_FromDouble(level) : NULL;
+    int status = woken && value == NULL ? -1 : 0;
+    for (Py_ssize_t i = 0; i < woken; i++) {
+        if (status == 0)
+            status = event_trigger(ready[i], value, 1, NORMAL);
+        Py_DECREF(ready[i]);
+    }
+    PyMem_Free(ready);
+    Py_XDECREF(value);
+    return status < 0 ? NULL : PyLong_FromSsize_t(woken);
+}
+
+static int
+gate_traverse(PyObject *self, visitproc visit, void *arg)
+{
+    GateObject *gate = (GateObject *)self;
+    Py_VISIT(gate->engine);
+    Py_VISIT(gate->name);
+    for (Py_ssize_t i = 0; i < gate->count; i++)
+        Py_VISIT(gate->waiters[i].event);
+    return 0;
+}
+
+static int
+gate_clear(PyObject *self)
+{
+    GateObject *gate = (GateObject *)self;
+    Py_ssize_t count = gate->count;
+    gate->count = 0;
+    for (Py_ssize_t i = 0; i < count; i++)
+        Py_DECREF(gate->waiters[i].event);
+    Py_CLEAR(gate->engine);
+    Py_CLEAR(gate->name);
+    return 0;
+}
+
+static void
+gate_dealloc(PyObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    gate_clear(self);
+    PyMem_Free(((GateObject *)self)->waiters);
+    Py_TYPE(self)->tp_free(self);
+}
+
+static PyObject *
+gate_get_level(PyObject *self, void *Py_UNUSED(closure))
+{
+    return PyFloat_FromDouble(((GateObject *)self)->level);
+}
+
+static PyMethodDef gate_methods[] = {
+    {"wait_for", gate_wait_for, METH_O,
+     "wait_for(threshold)\n\n"
+     "Event firing once ``level >= threshold`` (at once if it already is)."},
+    {"advance", gate_advance, METH_O,
+     "advance(new_level)\n\n"
+     "Raise the level, waking the satisfied waiters in arrival order; "
+     "returns how many woke.  A lower level raises SimulationError."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyMemberDef gate_members[] = {
+    {"engine", T_OBJECT, offsetof(GateObject, engine), READONLY,
+     "The engine the gate runs on."},
+    {"name", T_OBJECT, offsetof(GateObject, name), READONLY,
+     "The gate's label."},
+    {NULL, 0, 0, 0, NULL},
+};
+
+static PyGetSetDef gate_getset[] = {
+    {"level", gate_get_level, NULL, "The current level (a float).", NULL},
+    {NULL, NULL, NULL, NULL, NULL},
+};
+
+static PyTypeObject GateType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim.resources.Gate",
+    .tp_doc = "Gate(engine, level=0.0, name='')\n\n"
+              "A broadcast condition with a monotonically increasing level: "
+              "waiters wake once it reaches their threshold.",
+    .tp_basicsize = sizeof(GateObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_new = gate_new,
+    .tp_dealloc = gate_dealloc,
+    .tp_traverse = gate_traverse,
+    .tp_clear = gate_clear,
+    .tp_methods = gate_methods,
+    .tp_members = gate_members,
+    .tp_getset = gate_getset,
 };
 
 /* -- compiled operations -------------------------------------------------- */
@@ -1685,7 +2062,7 @@ typedef struct {
     PyObject *costs;
     CounterObject *context_switches, *user_instructions, *os_instructions;
     double user_spi, os_spi, user_busy_s, os_busy_s;
-    double switch_cost, io_submit, io_complete;
+    double switch_cost, io_submit, io_complete, base_per_txn;
     long long bursts;
 } SchedulerObject;
 
@@ -1804,10 +2181,11 @@ burst_new(SchedulerObject *scheduler, double instructions, int os,
     return (PyObject *)burst;
 }
 
+/* ``object.name`` as a double in *out. */
 static int
-read_cost(PyObject *costs, const char *name, double *out)
+attr_double(PyObject *object, const char *name, double *out)
 {
-    PyObject *value = PyObject_GetAttrString(costs, name);
+    PyObject *value = PyObject_GetAttrString(object, name);
     if (value == NULL)
         return -1;
     *out = PyFloat_AsDouble(value);
@@ -1858,9 +2236,10 @@ scheduler_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
     if (scheduler->cpus == NULL || scheduler->context_switches == NULL
         || scheduler->user_instructions == NULL
         || scheduler->os_instructions == NULL
-        || read_cost(costs, "context_switch", &scheduler->switch_cost) < 0
-        || read_cost(costs, "io_submit", &scheduler->io_submit) < 0
-        || read_cost(costs, "io_complete", &scheduler->io_complete) < 0)
+        || attr_double(costs, "context_switch", &scheduler->switch_cost) < 0
+        || attr_double(costs, "io_submit", &scheduler->io_submit) < 0
+        || attr_double(costs, "io_complete", &scheduler->io_complete) < 0
+        || attr_double(costs, "base_per_txn", &scheduler->base_per_txn) < 0)
         Py_CLEAR(scheduler);
     return (PyObject *)scheduler;
 }
@@ -2466,11 +2845,433 @@ static PyTypeObject DiskArrayType = {
     .tp_getset = disk_array_getset,
 };
 
-/* -- the database engine's miss path --------------------------------------- */
+/* -- the lock table -------------------------------------------------------- */
 
-/* What a buffer miss touches: the scheduler, the disks, the buffer
- * cache's kernel LRU (``cache`` keeps it alive) and the database
- * writer's enqueue for a dirty victim. */
+/* Exclusive held-to-commit locks keyed by any hashable.  ``holder``
+ * maps a key to its holder (a key nobody holds has no entry),
+ * ``queue`` a key to its waiters, oldest first, as (owner, event)
+ * pairs, and ``held`` an owner to the keys it holds, in the order
+ * granted.  An acquisition always waits on one event: succeeded at once
+ * when nobody holds the key, else queued, behind its own owner too. */
+typedef struct {
+    PyObject_HEAD
+    EngineObject *engine;
+    PyObject *holder, *queue, *held;    /* dicts */
+} LockTableObject;
+
+static int
+lock_would_wait(LockTableObject *table, PyObject *owner, PyObject *key)
+{
+    PyObject *holder = PyDict_GetItemWithError(table->holder, key);
+    if (holder == NULL)
+        return PyErr_Occurred() ? -1 : 0;
+    return holder != Py_None && holder != owner;
+}
+
+/* Append ``item`` to the list ``dict[key]``, made on first use. */
+static int
+append_to(PyObject *dict, PyObject *key, PyObject *item)
+{
+    PyObject *list = PyDict_GetItemWithError(dict, key);
+    if (list == NULL) {
+        if (PyErr_Occurred())
+            return -1;
+        list = PyList_New(0);
+        if (list == NULL)
+            return -1;
+        int status = PyDict_SetItem(dict, key, list);
+        Py_DECREF(list);
+        if (status < 0)
+            return -1;
+    }
+    return PyList_Append(list, item);
+}
+
+/* The event an acquisition of ``key`` waits on (new reference). */
+static PyObject *
+lock_request(LockTableObject *table, PyObject *owner, PyObject *key)
+{
+    if (table->engine == NULL) {
+        PyErr_SetString(SimulationError, "lock table has no engine");
+        return NULL;
+    }
+    EventObject *event = event_alloc(&EventType, table->engine);
+    if (event == NULL)
+        return NULL;
+    int status = PyDict_Contains(table->holder, key);
+    if (status > 0) {
+        PyObject *waiter = PyTuple_Pack(2, owner, (PyObject *)event);
+        status = waiter == NULL ? -1 : append_to(table->queue, key, waiter);
+        Py_XDECREF(waiter);
+    }
+    else if (status == 0) {
+        status = PyDict_SetItem(table->holder, key, owner);
+        if (status == 0)
+            status = event_trigger(event, Py_None, 1, NORMAL);
+    }
+    if (status < 0)
+        Py_CLEAR(event);
+    return (PyObject *)event;
+}
+
+/* After the grant: ``key`` joins the keys ``owner`` holds. */
+static int
+lock_granted(LockTableObject *table, PyObject *owner, PyObject *key)
+{
+    return append_to(table->held, owner, key);
+}
+
+/* Commit or abort: drop every lock ``owner`` holds, handing each key to
+ * its oldest waiter. */
+static int
+lock_release_all(LockTableObject *table, PyObject *owner)
+{
+    PyObject *keys = PyDict_GetItemWithError(table->held, owner);
+    if (keys == NULL)
+        return PyErr_Occurred() ? -1 : 0;
+    Py_INCREF(keys);
+    int status = PyDict_DelItem(table->held, owner);
+    for (Py_ssize_t i = 0; status == 0 && i < PyList_GET_SIZE(keys); i++) {
+        PyObject *key = PyList_GET_ITEM(keys, i);
+        PyObject *waiters = PyDict_GetItemWithError(table->queue, key);
+        if (waiters != NULL && PyList_GET_SIZE(waiters) > 0) {
+            PyObject *next = Py_NewRef(PyList_GET_ITEM(waiters, 0));
+            status = PyList_SetSlice(waiters, 0, 1, NULL);
+            if (status == 0)
+                status = PyDict_SetItem(table->holder, key,
+                                        PyTuple_GET_ITEM(next, 0));
+            if (status == 0)
+                status = event_trigger(
+                    (EventObject *)PyTuple_GET_ITEM(next, 1), Py_None, 1,
+                    NORMAL);
+            Py_DECREF(next);
+        }
+        else if (waiters == NULL && PyErr_Occurred())
+            status = -1;
+        else
+            status = PyDict_DelItem(table->holder, key);
+    }
+    Py_DECREF(keys);
+    return status;
+}
+
+/* LockTable.acquire: wait on the acquisition's event, then note the
+ * key as held. */
+typedef struct {
+    OpObject op;
+    LockTableObject *table;
+    PyObject *owner, *key;
+} AcquireObject;
+
+static int
+acquire_step(OpObject *op, PyObject **out)
+{
+    AcquireObject *acquire = (AcquireObject *)op;
+    if (op->stage == 0) {
+        op->stage = 1;
+        *out = lock_request(acquire->table, acquire->owner, acquire->key);
+        return *out == NULL ? -1 : 1;
+    }
+    if (lock_granted(acquire->table, acquire->owner, acquire->key) < 0)
+        return -1;
+    *out = Py_NewRef(Py_None);
+    return 0;
+}
+
+static int
+acquire_traverse(PyObject *self, visitproc visit, void *arg)
+{
+    AcquireObject *acquire = (AcquireObject *)self;
+    Py_VISIT(acquire->table);
+    Py_VISIT(acquire->owner);
+    Py_VISIT(acquire->key);
+    return 0;
+}
+
+static int
+acquire_clear(PyObject *self)
+{
+    AcquireObject *acquire = (AcquireObject *)self;
+    Py_CLEAR(acquire->table);
+    Py_CLEAR(acquire->owner);
+    Py_CLEAR(acquire->key);
+    return 0;
+}
+
+static PyTypeObject AcquireType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._des.Acquire",
+    .tp_doc = "A compiled lock acquisition (LockTable.acquire): one event, "
+              "then the key is held.",
+    .tp_basicsize = sizeof(AcquireObject),
+    .tp_traverse = acquire_traverse,
+    .tp_clear = acquire_clear,
+    OP_TYPE_FIELDS,
+};
+
+static PyObject *
+lock_table_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
+{
+    static char *names[] = {"engine", NULL};
+    PyObject *engine;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O!:LockTable", names,
+                                     &EngineType, &engine))
+        return NULL;
+    LockTableObject *table = (LockTableObject *)type->tp_alloc(type, 0);
+    if (table == NULL)
+        return NULL;
+    table->engine = (EngineObject *)Py_NewRef(engine);
+    table->holder = PyDict_New();
+    table->queue = PyDict_New();
+    table->held = PyDict_New();
+    if (table->holder == NULL || table->queue == NULL || table->held == NULL)
+        Py_CLEAR(table);
+    return (PyObject *)table;
+}
+
+static int
+lock_table_traverse(PyObject *self, visitproc visit, void *arg)
+{
+    LockTableObject *table = (LockTableObject *)self;
+    Py_VISIT(table->engine);
+    Py_VISIT(table->holder);
+    Py_VISIT(table->queue);
+    Py_VISIT(table->held);
+    return 0;
+}
+
+static int
+lock_table_clear(PyObject *self)
+{
+    LockTableObject *table = (LockTableObject *)self;
+    Py_CLEAR(table->engine);
+    Py_CLEAR(table->holder);
+    Py_CLEAR(table->queue);
+    Py_CLEAR(table->held);
+    return 0;
+}
+
+static int
+lock_table_ready(LockTableObject *table)
+{
+    if (table->holder != NULL)
+        return 0;
+    PyErr_SetString(SimulationError, "lock table is not initialized");
+    return -1;
+}
+
+static PyObject *
+lock_table_would_wait(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    LockTableObject *table = (LockTableObject *)self;
+    if (check_arity("would_wait(owner, key)", nargs, 2) < 0
+        || lock_table_ready(table) < 0)
+        return NULL;
+    int wait = lock_would_wait(table, args[0], args[1]);
+    return wait < 0 ? NULL : PyBool_FromLong(wait);
+}
+
+static PyObject *
+lock_table_acquire(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    LockTableObject *table = (LockTableObject *)self;
+    if (check_arity("acquire(owner, key)", nargs, 2) < 0
+        || lock_table_ready(table) < 0)
+        return NULL;
+    AcquireObject *acquire = (AcquireObject *)op_alloc(&AcquireType,
+                                                       acquire_step);
+    if (acquire == NULL)
+        return NULL;
+    acquire->table = (LockTableObject *)Py_NewRef(self);
+    acquire->owner = Py_NewRef(args[0]);
+    acquire->key = Py_NewRef(args[1]);
+    return (PyObject *)acquire;
+}
+
+static PyObject *
+lock_table_release_all(PyObject *self, PyObject *owner)
+{
+    LockTableObject *table = (LockTableObject *)self;
+    if (lock_table_ready(table) < 0 || lock_release_all(table, owner) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyMethodDef lock_table_methods[] = {
+    {"would_wait", (PyCFunction)(void (*)(void))lock_table_would_wait,
+     METH_FASTCALL,
+     "would_wait(owner, key)\n\n"
+     "True when someone other than ``owner`` holds ``key``."},
+    {"acquire", (PyCFunction)(void (*)(void))lock_table_acquire,
+     METH_FASTCALL,
+     "acquire(owner, key)\n\n"
+     "Acquire ``key`` for ``owner`` (a compiled operation: ``yield from`` "
+     "it); it waits on one event, already succeeded when nobody holds the "
+     "key."},
+    {"release_all", lock_table_release_all, METH_O,
+     "release_all(owner)\n\n"
+     "Commit or abort: drop every lock ``owner`` holds, handing each to "
+     "its oldest waiter."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyMemberDef lock_table_members[] = {
+    {"engine", T_OBJECT, offsetof(LockTableObject, engine), READONLY,
+     "The engine the locks' events run on."},
+    {NULL, 0, 0, 0, NULL},
+};
+
+static PyTypeObject LockTableType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._des.LockTable",
+    .tp_doc = "LockTable(engine)\n\n"
+              "Exclusive locks keyed by hashables, held to commit: one "
+              "holder and a FIFO queue of waiters per key.",
+    .tp_basicsize = sizeof(LockTableObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE | Py_TPFLAGS_HAVE_GC,
+    .tp_new = lock_table_new,
+    .tp_dealloc = gc_dealloc,
+    .tp_traverse = lock_table_traverse,
+    .tp_clear = lock_table_clear,
+    .tp_methods = lock_table_methods,
+    .tp_members = lock_table_members,
+};
+
+/* -- the redo log ----------------------------------------------------------- */
+
+/* What a commit touches of the redo log: the sequence appended so far,
+ * the log bytes, the gate of the flushed sequence commits wait on, and
+ * their wait times.  The log writer (repro.db.redo) flushes and
+ * advances the gate. */
+typedef struct {
+    PyObject_HEAD
+    EngineObject *engine;
+    GateObject *flushed;
+    CounterObject *bytes_written;
+    TallyObject *commit_wait;
+    long long next_sequence;
+} RedoObject;
+
+/* Append one transaction's redo: its commit sequence, or -1 when the
+ * size is negative or NaN (a sequence is taken all the same). */
+static long long
+redo_append(RedoObject *redo, double redo_bytes, PyObject *given)
+{
+    redo->next_sequence++;
+    if (counter_increase(redo->bytes_written, redo_bytes, given) < 0)
+        return -1;
+    return redo->next_sequence;
+}
+
+static PyObject *
+redo_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
+{
+    static char *names[] = {"engine", NULL};
+    PyObject *engine;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O!:RedoLog", names,
+                                     &EngineType, &engine))
+        return NULL;
+    RedoObject *redo = (RedoObject *)type->tp_alloc(type, 0);
+    if (redo == NULL)
+        return NULL;
+    redo->engine = (EngineObject *)Py_NewRef(engine);
+    redo->flushed = (GateObject *)PyObject_CallFunction(
+        (PyObject *)&GateType, "Ods", engine, 0.0, "redo-flushed");
+    redo->bytes_written = (CounterObject *)stat_named(&CounterType,
+                                                      "log-bytes");
+    redo->commit_wait = (TallyObject *)stat_named(&TallyType,
+                                                  "commit-wait-time");
+    if (redo->flushed == NULL || redo->bytes_written == NULL
+        || redo->commit_wait == NULL)
+        Py_CLEAR(redo);
+    return (PyObject *)redo;
+}
+
+static int
+redo_traverse(PyObject *self, visitproc visit, void *arg)
+{
+    RedoObject *redo = (RedoObject *)self;
+    Py_VISIT(redo->engine);
+    Py_VISIT(redo->flushed);
+    return 0;
+}
+
+static int
+redo_clear(PyObject *self)
+{
+    RedoObject *redo = (RedoObject *)self;
+    Py_CLEAR(redo->engine);
+    Py_CLEAR(redo->flushed);
+    Py_CLEAR(redo->bytes_written);
+    Py_CLEAR(redo->commit_wait);
+    return 0;
+}
+
+static PyObject *
+redo_append_method(PyObject *self, PyObject *given)
+{
+    RedoObject *redo = (RedoObject *)self;
+    double redo_bytes = PyFloat_AsDouble(given);
+    if (redo_bytes == -1.0 && PyErr_Occurred())
+        return NULL;
+    long long sequence = redo_append(redo, redo_bytes, given);
+    return sequence < 0 ? NULL : PyLong_FromLongLong(sequence);
+}
+
+static PyObject *
+redo_get_pending_sequence(PyObject *self, void *Py_UNUSED(closure))
+{
+    return PyLong_FromLongLong(((RedoObject *)self)->next_sequence);
+}
+
+static PyMethodDef redo_methods[] = {
+    {"append", redo_append_method, METH_O,
+     "append(redo_bytes)\n\n"
+     "Append one transaction's redo; returns its commit sequence."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyMemberDef redo_members[] = {
+    {"engine", T_OBJECT, offsetof(RedoObject, engine), READONLY,
+     "The engine the log runs on."},
+    {"_flushed", T_OBJECT, offsetof(RedoObject, flushed), READONLY,
+     "The gate of the flushed sequence, which commits wait on."},
+    {"bytes_written", T_OBJECT, offsetof(RedoObject, bytes_written),
+     READONLY, "Redo bytes appended (a Counter)."},
+    {"commit_wait", T_OBJECT, offsetof(RedoObject, commit_wait), READONLY,
+     "Each commit's wait for its flush (a Tally)."},
+    {NULL, 0, 0, 0, NULL},
+};
+
+static PyGetSetDef redo_getset[] = {
+    {"pending_sequence", redo_get_pending_sequence, NULL,
+     "Highest sequence number appended so far.", NULL},
+    {NULL, NULL, NULL, NULL, NULL},
+};
+
+static PyTypeObject RedoType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._des.RedoLog",
+    .tp_doc = "RedoLog(engine)\n\n"
+              "The redo log's commit side: appends, the log bytes, the "
+              "flush gate and the commit waits.",
+    .tp_basicsize = sizeof(RedoObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE | Py_TPFLAGS_HAVE_GC,
+    .tp_new = redo_new,
+    .tp_dealloc = gc_dealloc,
+    .tp_traverse = redo_traverse,
+    .tp_clear = redo_clear,
+    .tp_methods = redo_methods,
+    .tp_members = redo_members,
+    .tp_getset = redo_getset,
+};
+
+/* -- the database engine ---------------------------------------------------- */
+
+/* What a transaction touches: the scheduler, the disks, the buffer
+ * cache's kernel LRU (``cache`` keeps it alive), the database writer's
+ * enqueue for a dirty victim, the lock table, the redo log, and the
+ * counters a transaction books. */
 typedef struct {
     PyObject_HEAD
     SchedulerObject *scheduler;
@@ -2478,30 +3279,45 @@ typedef struct {
     PyObject *cache;
     lru_t *lru;
     PyObject *enqueue;
-    CounterObject *physical_reads;
+    LockTableObject *locks;
+    RedoObject *redo;
+    CounterObject *physical_reads, *transactions, *aborted,
+                  *lock_wait_switches;
 } DatabaseObject;
+
+/* A job is one database call run inside the operation that makes it:
+ * its step returns 1 with *out the event to wait on, 0 once done, -1 on
+ * error.  ``claim`` is the caller's CPU claim (a strong reference it
+ * owns), which a job that blocks gives up and re-acquires. */
+
+/* Claim a CPU: *claim the request, *out the event to wait on. */
+static int
+cpu_request(SchedulerObject *scheduler, PyObject **claim, PyObject **out)
+{
+    PyObject *request = resource_request((PyObject *)scheduler->cpus, NULL);
+    if (request == NULL)
+        return -1;
+    Py_XSETREF(*claim, request);
+    *out = Py_NewRef(request);
+    return 1;
+}
 
 /* DatabaseEngine.read_miss: count the physical read, run io_submit,
  * block (releasing the CPU), read the block from its stripe disk,
  * re-acquire a CPU, run io_complete, install the block (dirty for a
- * write) and hand a dirty victim to the writer.  Ends with the CPU
- * claim held afterwards. */
+ * write) and hand a dirty victim to the writer. */
 typedef struct {
-    OpObject op;
-    DatabaseObject *db;
-    PyObject *claim;
     BurstJob burst;
     DiskJob disk;
     uint64_t block;
-    int write;
-} ReadMissObject;
+    int write, stage;
+} MissJob;
 
 static int
-read_miss_install(ReadMissObject *miss)
+miss_install(DatabaseObject *db, MissJob *job)
 {
-    DatabaseObject *db = miss->db;
     uint64_t victim;
-    int result = walk_lru_install(db->lru, miss->block, miss->write, &victim);
+    int result = walk_lru_install(db->lru, job->block, job->write, &victim);
     if (result < 0) {
         PyErr_SetString(PyExc_MemoryError, "cannot grow the buffer cache");
         return -1;
@@ -2518,82 +3334,258 @@ read_miss_install(ReadMissObject *miss)
 }
 
 static int
-read_miss_step(OpObject *op, PyObject **out)
+miss_step(DatabaseObject *db, MissJob *job, PyObject **claim, PyObject **out)
 {
-    ReadMissObject *miss = (ReadMissObject *)op;
-    DatabaseObject *db = miss->db;
     SchedulerObject *scheduler = db->scheduler;
     int status;
-    switch (op->stage) {
+    switch (job->stage) {
     case 0:
         db->physical_reads->count += 1;
-        miss->burst = (BurstJob){scheduler->io_submit, 0.0, 1};
-        op->stage = 1;
-        if ((status = burst_start(scheduler, &miss->burst, out)) != 0)
+        job->burst = (BurstJob){scheduler->io_submit, 0.0, 1};
+        job->stage = 1;
+        if ((status = burst_start(scheduler, &job->burst, out)) != 0)
             return status;
         /* fall through */
     case 1:
-        burst_book(scheduler, &miss->burst);
-        miss->burst = (BurstJob){scheduler->switch_cost, 0.0, 1};
-        op->stage = 2;
-        if ((status = burst_start(scheduler, &miss->burst, out)) != 0)
+        burst_book(scheduler, &job->burst);
+        job->burst = (BurstJob){scheduler->switch_cost, 0.0, 1};
+        job->stage = 2;
+        if ((status = burst_start(scheduler, &job->burst, out)) != 0)
             return status;
         /* fall through */
     case 2: {
-        burst_book(scheduler, &miss->burst);
-        if (switch_out(scheduler, miss->claim) < 0)
+        burst_book(scheduler, &job->burst);
+        if (switch_out(scheduler, *claim) < 0)
             return -1;
-        Py_CLEAR(miss->claim);
+        Py_CLEAR(*claim);
         uint64_t stripes = (uint64_t)PyTuple_GET_SIZE(db->disks->data_disks);
-        disk_job_start(db->disks, &miss->disk, DISK_READ,
-                       (Py_ssize_t)(miss->block % stripes));
-        op->stage = 3;
+        disk_job_start(db->disks, &job->disk, DISK_READ,
+                       (Py_ssize_t)(job->block % stripes));
+        job->stage = 3;
     }
         /* fall through */
     case 3:
-        if ((status = disk_step(db->disks, &miss->disk, out)) != 0)
+        if ((status = disk_step(db->disks, &job->disk, out)) != 0)
             return status;
-        disk_job_clear(&miss->disk);
-        miss->claim = resource_request((PyObject *)scheduler->cpus, NULL);
-        if (miss->claim == NULL)
-            return -1;
-        op->stage = 4;
-        *out = Py_NewRef(miss->claim);
-        return 1;
+        disk_job_clear(&job->disk);
+        job->stage = 4;
+        return cpu_request(scheduler, claim, out);
     case 4:
-        miss->burst = (BurstJob){scheduler->io_complete, 0.0, 1};
-        op->stage = 5;
-        if ((status = burst_start(scheduler, &miss->burst, out)) != 0)
+        job->burst = (BurstJob){scheduler->io_complete, 0.0, 1};
+        job->stage = 5;
+        if ((status = burst_start(scheduler, &job->burst, out)) != 0)
             return status;
         /* fall through */
     case 5:
-        burst_book(scheduler, &miss->burst);
-        if (read_miss_install(miss) < 0)
-            return -1;
-        *out = miss->claim;
-        miss->claim = NULL;
-        return 0;
+        burst_book(scheduler, &job->burst);
+        job->stage = 6;
+        return miss_install(db, job);
     }
     PyErr_SetString(SimulationError, "read miss stepped after its end");
     return -1;
 }
 
+/* Latch-style waiting: a blocked process re-wakes this often to retry,
+ * costing a context-switch pair each time (Oracle latches and
+ * buffer-busy waits spin and sleep rather than sleeping once). */
+#define LATCH_SLEEP_S 0.001
+
+/* DatabaseEngine.lock: take an exclusive held-to-commit lock.  A
+ * contended one gives up the CPU first (the context switch the paper
+ * attributes to data contention), counts a lock-wait switch, waits in
+ * the key's queue and re-acquires a CPU.  A short wait is a latch's
+ * sleep-retry loop: every LATCH_SLEEP_S of it costs one more context
+ * switch and its kernel instructions; a wait of 5 LATCH_SLEEP_S or
+ * more parks on a semaphore and wakes once. */
+typedef struct {
+    PyObject *key;
+    BurstJob burst;
+    double started;             /* the wait once granted */
+    int stage;
+} LockJob;
+
 static int
-read_miss_traverse(PyObject *self, visitproc visit, void *arg)
+lock_step(DatabaseObject *db, LockJob *job, PyObject *owner, PyObject **claim,
+          PyObject **out)
 {
-    ReadMissObject *miss = (ReadMissObject *)self;
-    Py_VISIT(miss->db);
-    Py_VISIT(miss->claim);
-    return disk_job_traverse(&miss->disk, visit, arg);
+    SchedulerObject *scheduler = db->scheduler;
+    int status;
+    switch (job->stage) {
+    case 0:
+        if ((status = lock_would_wait(db->locks, owner, job->key)) <= 0) {
+            if (status < 0)
+                return -1;
+            job->stage = 5;
+            *out = lock_request(db->locks, owner, job->key);
+            return *out == NULL ? -1 : 1;
+        }
+        job->burst = (BurstJob){scheduler->switch_cost, 0.0, 1};
+        job->stage = 1;
+        if ((status = burst_start(scheduler, &job->burst, out)) != 0)
+            return status;
+        /* fall through */
+    case 1:
+        burst_book(scheduler, &job->burst);
+        if (switch_out(scheduler, *claim) < 0)
+            return -1;
+        Py_CLEAR(*claim);
+        db->lock_wait_switches->count += 1;
+        job->started = scheduler->engine->now;
+        job->stage = 2;
+        *out = lock_request(db->locks, owner, job->key);
+        return *out == NULL ? -1 : 1;
+    case 2:
+        if (lock_granted(db->locks, owner, job->key) < 0)
+            return -1;
+        job->started = scheduler->engine->now - job->started;
+        job->stage = 3;
+        return cpu_request(scheduler, claim, out);
+    case 3: {
+        double waited = job->started;
+        long long retries = waited < 5 * LATCH_SLEEP_S
+            ? (long long)(waited / LATCH_SLEEP_S) : 0;
+        job->stage = 6;
+        if (retries == 0)
+            return 0;
+        scheduler->context_switches->count += (double)retries;
+        job->burst = (BurstJob){(double)retries * scheduler->switch_cost,
+                                0.0, 1};
+        job->stage = 4;
+        if ((status = burst_start(scheduler, &job->burst, out)) != 0)
+            return status;
+    }
+        /* fall through */
+    case 4:
+        burst_book(scheduler, &job->burst);
+        job->stage = 6;
+        return 0;
+    case 5:
+        job->stage = 6;
+        return lock_granted(db->locks, owner, job->key);
+    }
+    PyErr_SetString(SimulationError, "lock stepped after its end");
+    return -1;
+}
+
+/* DatabaseEngine.commit: append the redo (never durable yet: the log
+ * writer flushes only what was appended before its round began), block,
+ * wait for the flush gate to pass the sequence and book the wait in
+ * ``commit_wait``, re-acquire a CPU, release every lock and count the
+ * transaction. */
+typedef struct {
+    BurstJob burst;
+    double started;
+    long long sequence;
+    int stage;
+} CommitJob;
+
+static int
+commit_step(DatabaseObject *db, CommitJob *job, PyObject *owner,
+            double redo_bytes, PyObject **claim, PyObject **out)
+{
+    SchedulerObject *scheduler = db->scheduler;
+    RedoObject *redo = db->redo;
+    int status;
+    switch (job->stage) {
+    case 0:
+        if ((job->sequence = redo_append(redo, redo_bytes, NULL)) < 0)
+            return -1;
+        job->burst = (BurstJob){scheduler->switch_cost, 0.0, 1};
+        job->stage = 1;
+        if ((status = burst_start(scheduler, &job->burst, out)) != 0)
+            return status;
+        /* fall through */
+    case 1:
+        burst_book(scheduler, &job->burst);
+        if (switch_out(scheduler, *claim) < 0)
+            return -1;
+        Py_CLEAR(*claim);
+        job->started = redo->engine->now;
+        job->stage = 2;
+        *out = gate_wait(redo->flushed, (double)job->sequence);
+        return *out == NULL ? -1 : 1;
+    case 2:
+        tally_record(redo->commit_wait, redo->engine->now - job->started);
+        job->stage = 3;
+        return cpu_request(scheduler, claim, out);
+    case 3:
+        if (lock_release_all(db->locks, owner) < 0)
+            return -1;
+        db->transactions->count += 1;
+        job->stage = 4;
+        return 0;
+    }
+    PyErr_SetString(SimulationError, "commit stepped after its end");
+    return -1;
+}
+
+/* DatabaseEngine.read_miss, lock and commit as operations: each runs
+ * its job and ends with the CPU claim held afterwards. */
+typedef struct {
+    OpObject op;
+    DatabaseObject *db;
+    PyObject *claim, *owner;
+    double redo_bytes;
+    MissJob miss;
+    LockJob lock;
+    CommitJob commit;
+} CallObject;
+
+static int
+call_end(CallObject *call, int status, PyObject **out)
+{
+    if (status == 0) {
+        *out = call->claim;
+        call->claim = NULL;
+    }
+    return status;
 }
 
 static int
-read_miss_clear(PyObject *self)
+read_miss_step(OpObject *op, PyObject **out)
 {
-    ReadMissObject *miss = (ReadMissObject *)self;
-    Py_CLEAR(miss->db);
-    Py_CLEAR(miss->claim);
-    disk_job_clear(&miss->disk);
+    CallObject *call = (CallObject *)op;
+    return call_end(call, miss_step(call->db, &call->miss, &call->claim, out),
+                    out);
+}
+
+static int
+lock_call_step(OpObject *op, PyObject **out)
+{
+    CallObject *call = (CallObject *)op;
+    return call_end(call, lock_step(call->db, &call->lock, call->owner,
+                                    &call->claim, out), out);
+}
+
+static int
+commit_call_step(OpObject *op, PyObject **out)
+{
+    CallObject *call = (CallObject *)op;
+    return call_end(call, commit_step(call->db, &call->commit, call->owner,
+                                      call->redo_bytes, &call->claim, out),
+                    out);
+}
+
+static int
+call_traverse(PyObject *self, visitproc visit, void *arg)
+{
+    CallObject *call = (CallObject *)self;
+    Py_VISIT(call->db);
+    Py_VISIT(call->claim);
+    Py_VISIT(call->owner);
+    Py_VISIT(call->lock.key);
+    return disk_job_traverse(&call->miss.disk, visit, arg);
+}
+
+static int
+call_clear(PyObject *self)
+{
+    CallObject *call = (CallObject *)self;
+    Py_CLEAR(call->db);
+    Py_CLEAR(call->claim);
+    Py_CLEAR(call->owner);
+    Py_CLEAR(call->lock.key);
+    disk_job_clear(&call->miss.disk);
     return 0;
 }
 
@@ -2602,42 +3594,477 @@ static PyTypeObject ReadMissType = {
     .tp_name = "repro.sim._des.ReadMiss",
     .tp_doc = "A compiled buffer-miss read (DatabaseEngine.read_miss); "
               "ends with the CPU claim held afterwards.",
-    .tp_basicsize = sizeof(ReadMissObject),
-    .tp_traverse = read_miss_traverse,
-    .tp_clear = read_miss_clear,
+    .tp_basicsize = sizeof(CallObject),
+    .tp_traverse = call_traverse,
+    .tp_clear = call_clear,
     OP_TYPE_FIELDS,
 };
+
+static PyTypeObject LockType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._des.Lock",
+    .tp_doc = "A compiled lock acquisition with its latch retries "
+              "(DatabaseEngine.lock); ends with the CPU claim held "
+              "afterwards.",
+    .tp_basicsize = sizeof(CallObject),
+    .tp_traverse = call_traverse,
+    .tp_clear = call_clear,
+    OP_TYPE_FIELDS,
+};
+
+static PyTypeObject CommitType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._des.Commit",
+    .tp_doc = "A compiled commit (DatabaseEngine.commit): redo append, "
+              "group-commit wait, lock release; ends with the CPU claim "
+              "held afterwards.",
+    .tp_basicsize = sizeof(CallObject),
+    .tp_traverse = call_traverse,
+    .tp_clear = call_clear,
+    OP_TYPE_FIELDS,
+};
+
+/* -- the client loop -------------------------------------------------------- */
+
+/* client_process: one client's server process, forever.  Per
+ * transaction: draw the plan (one Python call), then per attempt take a
+ * CPU, the plan's locks in order, and per touch a user burst and the
+ * kernel's lru_lookup, a read miss when it misses; then the closing
+ * user burst and the per-transaction kernel baseline.  Under transient
+ * aborts the fault stream's draw decides the attempt: an abort releases
+ * the locks, blocks, and retries the same plan after the policy's
+ * backoff, until its attempts run out; otherwise the attempt commits and
+ * gives up the CPU. */
+typedef struct {
+    OpObject op;
+    DatabaseObject *db;
+    PyObject *client_id, *plan;
+    PyObject *abort_draw, *backoff;     /* NULL without transient aborts */
+    CounterObject *retries;
+    double abort_probability;
+    long long max_attempts;
+    /* the plan */
+    PyObject *locks, *warehouse, *touches;
+    double chunk, abort_weight, redo_bytes;
+    /* the attempt */
+    long long attempt, sequence;
+    Py_ssize_t next;                    /* the next lock or touch */
+    PyObject *owner, *claim;
+    BurstJob burst;
+    LockJob lock;
+    MissJob miss;
+    CommitJob commit;
+} ClientObject;
+
+enum {
+    CLIENT_PLAN, CLIENT_ATTEMPT, CLIENT_LOCK, CLIENT_LOCKING, CLIENT_TOUCH,
+    CLIENT_TOUCHED, CLIENT_MISS, CLIENT_CLOSE, CLIENT_CLOSED, CLIENT_BASE,
+    CLIENT_ABORTED, CLIENT_COMMIT
+};
+
+/* Draw the next plan: ``plan()`` gives (kind, warehouse, touches), the
+ * kind a PlanType, the touches packed (block_id << 1) | write. */
+static int
+client_plan(ClientObject *client)
+{
+    PyObject *plan = PyObject_CallNoArgs(client->plan);
+    if (plan == NULL)
+        return -1;
+    if (!PyTuple_Check(plan) || PyTuple_GET_SIZE(plan) != 3) {
+        PyErr_Format(PyExc_TypeError,
+                     "a plan is (kind, warehouse, touches), got %R", plan);
+        Py_DECREF(plan);
+        return -1;
+    }
+    PyObject *kind = PyTuple_GET_ITEM(plan, 0);
+    PyObject *touches = PyTuple_GET_ITEM(plan, 2);
+    PyObject *locks = PyObject_GetAttrString(kind, "locks");
+    PyObject *profile = locks ? PyObject_GetAttrString(kind, "profile")
+                              : NULL;
+    touches = profile == NULL ? NULL
+        : PyList_CheckExact(touches) ? Py_NewRef(touches)
+        : PySequence_List(touches);
+    int status = -1;
+    if (touches != NULL && PyTuple_Check(locks)) {
+        if (attr_double(kind, "chunk", &client->chunk) == 0
+            && attr_double(kind, "abort_weight", &client->abort_weight) == 0
+            && attr_double(profile, "redo_bytes", &client->redo_bytes) == 0)
+            status = 0;
+    }
+    else if (touches != NULL)
+        PyErr_Format(PyExc_TypeError, "a plan's locks are a tuple, got %R",
+                     locks);
+    Py_XDECREF(profile);
+    if (status == 0) {
+        Py_XSETREF(client->locks, locks);
+        Py_XSETREF(client->warehouse, Py_NewRef(PyTuple_GET_ITEM(plan, 1)));
+        Py_XSETREF(client->touches, touches);
+    }
+    else {
+        Py_XDECREF(locks);
+        Py_XDECREF(touches);
+    }
+    Py_DECREF(plan);
+    return status;
+}
+
+/* The transient-abort draw on the plan's fault stream: 1 when this
+ * attempt aborts. */
+static int
+client_aborts(ClientObject *client)
+{
+    if (client->abort_draw == NULL)
+        return 0;
+    PyObject *drawn = PyObject_CallNoArgs(client->abort_draw);
+    if (drawn == NULL)
+        return -1;
+    double draw = PyFloat_AsDouble(drawn);
+    Py_DECREF(drawn);
+    if (draw == -1.0 && PyErr_Occurred())
+        return -1;
+    return draw < client->abort_probability * client->abort_weight;
+}
+
+static double
+client_backoff(ClientObject *client)
+{
+    PyObject *attempt = PyLong_FromLongLong(client->attempt);
+    if (attempt == NULL)
+        return -1.0;
+    PyObject *backoff = PyObject_CallOneArg(client->backoff, attempt);
+    Py_DECREF(attempt);
+    if (backoff == NULL)
+        return -1.0;
+    double seconds = PyFloat_AsDouble(backoff);
+    Py_DECREF(backoff);
+    return seconds;
+}
+
+static int
+client_step(OpObject *op, PyObject **out)
+{
+    ClientObject *client = (ClientObject *)op;
+    DatabaseObject *db = client->db;
+    SchedulerObject *scheduler = db->scheduler;
+    int status;
+    for (;;) {
+        switch (op->stage) {
+        case CLIENT_PLAN:
+            if (client_plan(client) < 0)
+                return -1;
+            client->attempt = 0;
+            /* fall through */
+        case CLIENT_ATTEMPT: {
+            client->attempt++;
+            PyObject *sequence = PyLong_FromLongLong(client->sequence++);
+            PyObject *owner = sequence == NULL ? NULL : PyTuple_Pack(
+                2, client->client_id, sequence);
+            Py_XDECREF(sequence);
+            if (owner == NULL)
+                return -1;
+            Py_XSETREF(client->owner, owner);
+            client->next = 0;
+            op->stage = CLIENT_LOCK;
+            return cpu_request(scheduler, &client->claim, out);
+        }
+        case CLIENT_LOCK: {
+            /* Hot-row locks first, in plan order (a fixed order: no
+             * deadlock). */
+            if (client->next == PyTuple_GET_SIZE(client->locks)) {
+                client->next = 0;
+                op->stage = CLIENT_TOUCH;
+                break;
+            }
+            PyObject *key = PyTuple_Pack(
+                2, PyTuple_GET_ITEM(client->locks, client->next),
+                client->warehouse);
+            if (key == NULL)
+                return -1;
+            Py_XSETREF(client->lock.key, key);
+            client->lock.stage = 0;
+            op->stage = CLIENT_LOCKING;
+        }
+            /* fall through */
+        case CLIENT_LOCKING:
+            if ((status = lock_step(db, &client->lock, client->owner,
+                                    &client->claim, out)) != 0)
+                return status;
+            Py_CLEAR(client->lock.key);
+            client->next++;
+            op->stage = CLIENT_LOCK;
+            break;
+        case CLIENT_TOUCH:
+            /* User work interleaved with the block touches. */
+            if (client->next == PyList_GET_SIZE(client->touches)) {
+                op->stage = CLIENT_CLOSE;
+                break;
+            }
+            client->burst = (BurstJob){client->chunk, 0.0, 0};
+            op->stage = CLIENT_TOUCHED;
+            if ((status = burst_start(scheduler, &client->burst, out)) != 0)
+                return status;
+            /* fall through */
+        case CLIENT_TOUCHED: {
+            burst_book(scheduler, &client->burst);
+            uint64_t code = PyLong_AsUnsignedLongLong(
+                PyList_GET_ITEM(client->touches, client->next));
+            if (code == (uint64_t)-1 && PyErr_Occurred())
+                return -1;
+            client->next++;
+            /* A hit is one kernel call; a miss reads the block. */
+            if (walk_lru_lookup(db->lru, code >> 1, (int)(code & 1))) {
+                op->stage = CLIENT_TOUCH;
+                break;
+            }
+            client->miss.block = code >> 1;
+            client->miss.write = (int)(code & 1);
+            client->miss.stage = 0;
+            op->stage = CLIENT_MISS;
+        }
+            /* fall through */
+        case CLIENT_MISS:
+            if ((status = miss_step(db, &client->miss, &client->claim,
+                                    out)) != 0)
+                return status;
+            op->stage = CLIENT_TOUCH;
+            break;
+        case CLIENT_CLOSE:
+            client->burst = (BurstJob){client->chunk, 0.0, 0};
+            op->stage = CLIENT_CLOSED;
+            if ((status = burst_start(scheduler, &client->burst, out)) != 0)
+                return status;
+            /* fall through */
+        case CLIENT_CLOSED:
+            /* The per-transaction kernel baseline (IPC with the client,
+             * timers). */
+            burst_book(scheduler, &client->burst);
+            client->burst = (BurstJob){scheduler->base_per_txn, 0.0, 1};
+            op->stage = CLIENT_BASE;
+            if ((status = burst_start(scheduler, &client->burst, out)) != 0)
+                return status;
+            /* fall through */
+        case CLIENT_BASE:
+            burst_book(scheduler, &client->burst);
+            if ((status = client_aborts(client)) <= 0) {
+                if (status < 0)
+                    return -1;
+                client->commit.stage = 0;
+                op->stage = CLIENT_COMMIT;
+                break;
+            }
+            /* A transient abort: roll back (the locks drop, the work
+             * done stays spent) and give up the CPU. */
+            if (lock_release_all(db->locks, client->owner) < 0)
+                return -1;
+            db->aborted->count += 1;
+            client->burst = (BurstJob){scheduler->switch_cost, 0.0, 1};
+            op->stage = CLIENT_ABORTED;
+            if ((status = burst_start(scheduler, &client->burst, out)) != 0)
+                return status;
+            /* fall through */
+        case CLIENT_ABORTED: {
+            burst_book(scheduler, &client->burst);
+            if (switch_out(scheduler, client->claim) < 0)
+                return -1;
+            Py_CLEAR(client->claim);
+            if (client->attempt >= client->max_attempts) {
+                op->stage = CLIENT_PLAN;        /* abandoned */
+                break;
+            }
+            client->retries->count += 1;
+            double backoff = client_backoff(client);
+            if (backoff == -1.0 && PyErr_Occurred())
+                return -1;
+            op->stage = CLIENT_ATTEMPT;
+            if (backoff > 0) {
+                *out = timeout_after(scheduler->engine, backoff, NULL, NULL);
+                return *out == NULL ? -1 : 1;
+            }
+            break;
+        }
+        case CLIENT_COMMIT:
+            if ((status = commit_step(db, &client->commit, client->owner,
+                                      client->redo_bytes, &client->claim,
+                                      out)) != 0)
+                return status;
+            if (release_claim(scheduler->cpus, client->claim) < 0)
+                return -1;
+            Py_CLEAR(client->claim);
+            op->stage = CLIENT_PLAN;
+            break;
+        default:
+            PyErr_SetString(SimulationError, "client stepped after its end");
+            return -1;
+        }
+    }
+}
+
+static int
+client_traverse(PyObject *self, visitproc visit, void *arg)
+{
+    ClientObject *client = (ClientObject *)self;
+    Py_VISIT(client->db);
+    Py_VISIT(client->client_id);
+    Py_VISIT(client->plan);
+    Py_VISIT(client->abort_draw);
+    Py_VISIT(client->backoff);
+    Py_VISIT(client->retries);
+    Py_VISIT(client->locks);
+    Py_VISIT(client->warehouse);
+    Py_VISIT(client->touches);
+    Py_VISIT(client->owner);
+    Py_VISIT(client->claim);
+    Py_VISIT(client->lock.key);
+    return disk_job_traverse(&client->miss.disk, visit, arg);
+}
+
+static int
+client_clear(PyObject *self)
+{
+    ClientObject *client = (ClientObject *)self;
+    Py_CLEAR(client->db);
+    Py_CLEAR(client->client_id);
+    Py_CLEAR(client->plan);
+    Py_CLEAR(client->abort_draw);
+    Py_CLEAR(client->backoff);
+    Py_CLEAR(client->retries);
+    Py_CLEAR(client->locks);
+    Py_CLEAR(client->warehouse);
+    Py_CLEAR(client->touches);
+    Py_CLEAR(client->owner);
+    Py_CLEAR(client->claim);
+    Py_CLEAR(client->lock.key);
+    disk_job_clear(&client->miss.disk);
+    return 0;
+}
+
+static PyTypeObject ClientType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._des.Client",
+    .tp_doc = "A client's server process as one compiled operation "
+              "(DatabaseEngine.client): it never ends.",
+    .tp_basicsize = sizeof(ClientObject),
+    .tp_traverse = client_traverse,
+    .tp_clear = client_clear,
+    OP_TYPE_FIELDS,
+};
+
+/* -- the database engine's methods ----------------------------------------- */
+
+static int
+database_ready(DatabaseObject *db)
+{
+    if (db->scheduler != NULL)
+        return 0;
+    PyErr_SetString(SimulationError, "database engine is not initialized");
+    return -1;
+}
+
+static CallObject *
+database_call(DatabaseObject *db, PyTypeObject *type, op_step_fn step,
+              PyObject *claim, PyObject *owner)
+{
+    CallObject *call = (CallObject *)op_alloc(type, step);
+    if (call == NULL)
+        return NULL;
+    call->db = (DatabaseObject *)Py_NewRef(db);
+    call->claim = Py_NewRef(claim);
+    call->owner = Py_XNewRef(owner);
+    return call;
+}
 
 static PyObject *
 database_read_miss(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     DatabaseObject *db = (DatabaseObject *)self;
-    if (nargs != 3) {
-        PyErr_Format(PyExc_TypeError,
-                     "read_miss(claim, block_id, write) takes 3 arguments "
-                     "(%zd given)", nargs);
+    if (check_arity("read_miss(claim, block_id, write)", nargs, 3) < 0
+        || database_ready(db) < 0)
         return NULL;
-    }
-    if (db->scheduler == NULL) {
-        PyErr_SetString(SimulationError,
-                        "database engine is not initialized");
-        return NULL;
-    }
     unsigned long long block = PyLong_AsUnsignedLongLong(args[1]);
     if (block == (unsigned long long)-1 && PyErr_Occurred())
         return NULL;
     int write = PyObject_IsTrue(args[2]);
     if (write < 0)
         return NULL;
-    ReadMissObject *miss = (ReadMissObject *)op_alloc(&ReadMissType,
-                                                      read_miss_step);
-    if (miss == NULL)
+    CallObject *call = database_call(db, &ReadMissType, read_miss_step,
+                                     args[0], NULL);
+    if (call != NULL) {
+        call->miss.block = block;
+        call->miss.write = write;
+    }
+    return (PyObject *)call;
+}
+
+static PyObject *
+database_lock(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    DatabaseObject *db = (DatabaseObject *)self;
+    if (check_arity("lock(claim, owner, key)", nargs, 3) < 0
+        || database_ready(db) < 0)
         return NULL;
-    miss->db = (DatabaseObject *)Py_NewRef(db);
-    miss->claim = Py_NewRef(args[0]);
-    miss->block = block;
-    miss->write = write;
-    return (PyObject *)miss;
+    CallObject *call = database_call(db, &LockType, lock_call_step, args[0],
+                                     args[1]);
+    if (call != NULL)
+        call->lock.key = Py_NewRef(args[2]);
+    return (PyObject *)call;
+}
+
+static PyObject *
+database_commit(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    DatabaseObject *db = (DatabaseObject *)self;
+    if (check_arity("commit(claim, owner, redo_bytes)", nargs, 3) < 0
+        || database_ready(db) < 0)
+        return NULL;
+    double redo_bytes = PyFloat_AsDouble(args[2]);
+    if (redo_bytes == -1.0 && PyErr_Occurred())
+        return NULL;
+    CallObject *call = database_call(db, &CommitType, commit_call_step,
+                                     args[0], args[1]);
+    if (call != NULL)
+        call->redo_bytes = redo_bytes;
+    return (PyObject *)call;
+}
+
+static PyObject *
+database_abort(PyObject *self, PyObject *owner)
+{
+    DatabaseObject *db = (DatabaseObject *)self;
+    if (database_ready(db) < 0 || lock_release_all(db->locks, owner) < 0)
+        return NULL;
+    db->aborted->count += 1;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+database_client(PyObject *self, PyObject *const *args, size_t nargsf,
+                PyObject *kwnames)
+{
+    static const char *const names[] = {"client_id", "plan", "aborts"};
+    DatabaseObject *db = (DatabaseObject *)self;
+    PyObject *bound[3], *draw = NULL, *backoff = NULL, *retries = NULL;
+    double probability = 0.0;
+    long long attempts = 0;
+    if (bind_args("client", args, nargsf, kwnames, names, 3, 2, bound) < 0
+        || database_ready(db) < 0)
+        return NULL;
+    if (bound[2] != NULL && bound[2] != Py_None
+        && !PyArg_ParseTuple(bound[2], "OdLOO!:client aborts", &draw,
+                             &probability, &attempts, &backoff, &CounterType,
+                             &retries))
+        return NULL;
+    ClientObject *client = (ClientObject *)op_alloc(&ClientType, client_step);
+    if (client == NULL)
+        return NULL;
+    client->db = (DatabaseObject *)Py_NewRef(db);
+    client->client_id = Py_NewRef(bound[0]);
+    client->plan = Py_NewRef(bound[1]);
+    client->abort_draw = Py_XNewRef(draw);
+    client->backoff = Py_XNewRef(backoff);
+    client->retries = (CounterObject *)Py_XNewRef(retries);
+    client->abort_probability = probability;
+    client->max_attempts = attempts;
+    return (PyObject *)client;
 }
 
 static PyObject *
@@ -2649,7 +4076,14 @@ database_new(PyTypeObject *type, PyObject *Py_UNUSED(args),
         return NULL;
     db->physical_reads = (CounterObject *)stat_named(&CounterType,
                                                      "physical-reads");
-    if (db->physical_reads == NULL)
+    db->transactions = (CounterObject *)stat_named(&CounterType,
+                                                   "transactions-committed");
+    db->aborted = (CounterObject *)stat_named(&CounterType,
+                                              "transactions-aborted");
+    db->lock_wait_switches = (CounterObject *)stat_named(
+        &CounterType, "lock-wait-switches");
+    if (db->physical_reads == NULL || db->transactions == NULL
+        || db->aborted == NULL || db->lock_wait_switches == NULL)
         Py_CLEAR(db);
     return (PyObject *)db;
 }
@@ -2658,14 +4092,15 @@ static int
 database_init(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *names[] = {"scheduler", "disks", "cache", "address",
-                            "enqueue", NULL};
+                            "enqueue", "lock_table", "redo", NULL};
     DatabaseObject *db = (DatabaseObject *)self;
-    PyObject *scheduler, *disks, *cache, *address, *enqueue;
+    PyObject *scheduler, *disks, *cache, *address, *enqueue, *locks, *redo;
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwargs, "O!O!OOO:DatabaseEngine", names, &SchedulerType,
-            &scheduler, &DiskArrayType, &disks, &cache, &address, &enqueue))
+            args, kwargs, "O!O!OOOO!O!:DatabaseEngine", names,
+            &SchedulerType, &scheduler, &DiskArrayType, &disks, &cache,
+            &address, &enqueue, &LockTableType, &locks, &RedoType, &redo))
         return -1;
-    if (walk_lru_install == NULL) {
+    if (walk_lru_install == NULL || walk_lru_lookup == NULL) {
         PyErr_SetString(SimulationError,
                         "the walk kernel is not linked (link_walk)");
         return -1;
@@ -2682,6 +4117,8 @@ database_init(PyObject *self, PyObject *args, PyObject *kwargs)
     Py_XSETREF(db->disks, (DiskArrayObject *)Py_NewRef(disks));
     Py_XSETREF(db->cache, Py_NewRef(cache));
     Py_XSETREF(db->enqueue, Py_NewRef(enqueue));
+    Py_XSETREF(db->locks, (LockTableObject *)Py_NewRef(locks));
+    Py_XSETREF(db->redo, (RedoObject *)Py_NewRef(redo));
     db->lru = lru;
     return 0;
 }
@@ -2694,6 +4131,8 @@ database_traverse(PyObject *self, visitproc visit, void *arg)
     Py_VISIT(db->disks);
     Py_VISIT(db->cache);
     Py_VISIT(db->enqueue);
+    Py_VISIT(db->locks);
+    Py_VISIT(db->redo);
     return 0;
 }
 
@@ -2705,7 +4144,12 @@ database_clear(PyObject *self)
     Py_CLEAR(db->disks);
     Py_CLEAR(db->cache);
     Py_CLEAR(db->enqueue);
+    Py_CLEAR(db->locks);
+    Py_CLEAR(db->redo);
     Py_CLEAR(db->physical_reads);
+    Py_CLEAR(db->transactions);
+    Py_CLEAR(db->aborted);
+    Py_CLEAR(db->lock_wait_switches);
     return 0;
 }
 
@@ -2715,6 +4159,27 @@ static PyMethodDef database_methods[] = {
      "read_miss(claim, block_id, write)\n\n"
      "The I/O after a buffer-cache miss, as one compiled operation: "
      "``yield from`` it for the CPU claim held afterwards."},
+    {"lock", (PyCFunction)(void (*)(void))database_lock, METH_FASTCALL,
+     "lock(claim, owner, key)\n\n"
+     "Take an exclusive held-to-commit lock, blocking when it is "
+     "contended, with the latch retries of a short wait (a compiled "
+     "operation: ``yield from`` it for the CPU claim held afterwards)."},
+    {"commit", (PyCFunction)(void (*)(void))database_commit, METH_FASTCALL,
+     "commit(claim, owner, redo_bytes)\n\n"
+     "Append redo, wait for group commit, release the locks (a compiled "
+     "operation: ``yield from`` it for the CPU claim held afterwards)."},
+    {"abort", database_abort, METH_O,
+     "abort(owner)\n\n"
+     "Release everything without committing and count the abort."},
+    {"client", (PyCFunction)(void (*)(void))database_client,
+     METH_FASTCALL | METH_KEYWORDS,
+     "client(client_id, plan, aborts=None)\n\n"
+     "A client's server process, one compiled operation that runs "
+     "forever.  ``plan()`` draws a transaction as (kind, warehouse, "
+     "touches); ``aborts`` is None or (draw, probability, max_attempts, "
+     "backoff, retries): the fault stream's ``random``, the base abort "
+     "chance, the retry policy's attempts and ``backoff_s``, and the "
+     "retries Counter."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -2723,17 +4188,29 @@ static PyMemberDef database_members[] = {
      "The CPUs' scheduler."},
     {"disks", T_OBJECT, offsetof(DatabaseObject, disks), READONLY,
      "The disk array."},
+    {"lock_table", T_OBJECT, offsetof(DatabaseObject, locks), READONLY,
+     "The lock table."},
+    {"redo", T_OBJECT, offsetof(DatabaseObject, redo), READONLY,
+     "The redo log."},
     {"physical_reads", T_OBJECT, offsetof(DatabaseObject, physical_reads),
      READONLY, "Buffer misses read from disk (a Counter)."},
+    {"transactions", T_OBJECT, offsetof(DatabaseObject, transactions),
+     READONLY, "Transactions committed (a Counter)."},
+    {"aborted", T_OBJECT, offsetof(DatabaseObject, aborted), READONLY,
+     "Transactions aborted (a Counter)."},
+    {"lock_wait_switches", T_OBJECT, offsetof(DatabaseObject,
+                                              lock_wait_switches),
+     READONLY, "Lock waits, each a blocking switch (a Counter)."},
     {NULL, 0, 0, 0, NULL},
 };
 
 static PyTypeObject DatabaseType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "repro.sim._des.DatabaseEngine",
-    .tp_doc = "DatabaseEngine(scheduler, disks, cache, address, enqueue)\n\n"
-              "The database engine's miss path: read_miss returns one "
-              "compiled operation.",
+    .tp_doc = "DatabaseEngine(scheduler, disks, cache, address, enqueue, "
+              "lock_table, redo)\n\n"
+              "The database engine's transaction path: read_miss, lock, "
+              "commit and client return compiled operations.",
     .tp_basicsize = sizeof(DatabaseObject),
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE | Py_TPFLAGS_HAVE_GC,
     .tp_new = database_new,
@@ -2745,26 +4222,29 @@ static PyTypeObject DatabaseType = {
     .tp_members = database_members,
 };
 
-/* link_walk(lognormal, lru_install): the addresses of the walk kernel's
- * mt_lognormal and lru_install, handed over once. */
+/* link_walk(lognormal, lru_install, lru_lookup): the addresses of the
+ * walk kernel's mt_lognormal, lru_install and lru_lookup, handed over
+ * once. */
 static PyObject *
 link_walk(PyObject *Py_UNUSED(module), PyObject *const *args,
           Py_ssize_t nargs)
 {
-    if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError, "link_walk(lognormal, lru_install)");
+    if (check_arity("link_walk(lognormal, lru_install, lru_lookup)", nargs,
+                    3) < 0)
         return NULL;
-    }
-    void *lognormal = PyLong_AsVoidPtr(args[0]);
-    void *install = lognormal == NULL ? NULL : PyLong_AsVoidPtr(args[1]);
-    if (install == NULL) {
-        if (!PyErr_Occurred())
-            PyErr_SetString(PyExc_ValueError, "a NULL kernel address");
-        return NULL;
+    void *addresses[3];
+    for (int i = 0; i < 3; i++) {
+        addresses[i] = PyLong_AsVoidPtr(args[i]);
+        if (addresses[i] == NULL) {
+            if (!PyErr_Occurred())
+                PyErr_SetString(PyExc_ValueError, "a NULL kernel address");
+            return NULL;
+        }
     }
     /* Object pointers to function pointers: what dlsym's users do. */
-    *(void **)&walk_lognormal = lognormal;
-    *(void **)&walk_lru_install = install;
+    *(void **)&walk_lognormal = addresses[0];
+    *(void **)&walk_lru_install = addresses[1];
+    *(void **)&walk_lru_lookup = addresses[2];
     Py_RETURN_NONE;
 }
 
@@ -3033,9 +4513,10 @@ static PyTypeObject EngineType = {
 
 static PyMethodDef des_functions[] = {
     {"link_walk", (PyCFunction)(void (*)(void))link_walk, METH_FASTCALL,
-     "link_walk(lognormal, lru_install)\n\n"
-     "Hand over the addresses of the walk kernel's mt_lognormal and "
-     "lru_install, which the disk service and the miss path call."},
+     "link_walk(lognormal, lru_install, lru_lookup)\n\n"
+     "Hand over the addresses of the walk kernel's mt_lognormal, "
+     "lru_install and lru_lookup, which the disk service, the miss path "
+     "and the client loop call."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -3060,15 +4541,20 @@ PyInit__des(void)
     TimeoutType.tp_base = &EventType;
     RequestType.tp_base = &EventType;
     ProcessType.tp_base = &EventType;
+    AllOfType.tp_base = &EventType;
     PyTypeObject *types[] = {&EngineType, &EventType, &TimeoutType,
                              &RequestType, &ResourceType, &ProcessType,
-                             &CounterType, &TallyType, &SchedulerType,
-                             &BurstType, &DiskArrayType, &DiskServiceType,
-                             &DatabaseType, &ReadMissType};
+                             &AllOfType, &GateType, &CounterType, &TallyType,
+                             &SchedulerType, &BurstType, &DiskArrayType,
+                             &DiskServiceType, &AcquireType, &LockTableType,
+                             &RedoType, &DatabaseType, &ReadMissType,
+                             &LockType, &CommitType, &ClientType};
     const char *names[] = {"Engine", "Event", "Timeout", "Request",
-                           "Resource", "Process", "Counter", "Tally",
-                           "Scheduler", "Burst", "DiskArray", "DiskService",
-                           "DatabaseEngine", "ReadMiss"};
+                           "Resource", "Process", "AllOf", "Gate", "Counter",
+                           "Tally", "Scheduler", "Burst", "DiskArray",
+                           "DiskService", "Acquire", "LockTable", "RedoLog",
+                           "DatabaseEngine", "ReadMiss", "Lock", "Commit",
+                           "Client"};
     if (intern(&str_send, "send") < 0 || intern(&str_throw, "throw") < 0
         || intern(&str_close, "close") < 0 || intern(&str_count, "count") < 0
         || intern(&str_add_callback, "add_callback") < 0

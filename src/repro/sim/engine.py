@@ -11,16 +11,23 @@ system model uses (timeouts, resource grants, store gets, gate levels,
 all-of conditions).  Every queued event is dispatched.
 
 The event queue, the dispatch loop, :class:`Event`, :class:`Timeout`,
-process resumption, the FIFO :class:`~repro.sim.resources.Resource`
-with its ``Request``, the :mod:`~repro.sim.stats` counters and the OS
-model's compiled operations (the scheduler's bursts, the disk service
-and the database engine's read after a miss) are compiled: they live in
+:class:`AllOf`, process resumption, the FIFO
+:class:`~repro.sim.resources.Resource` with its ``Request``, the
+:class:`~repro.sim.resources.Gate`, the :mod:`~repro.sim.stats`
+counters and the model's compiled operations (the scheduler's bursts,
+the disk service, the lock table and the database engine's lock, read
+after a miss, commit and client loop) are compiled: they live in
 ``_des.c``, built once on first import by :func:`repro.cbuild.load`
 into this package's ``__pycache__``.  A failed build raises
 :class:`ImportError`; there is no other implementation.  This module
 adds the Python side: :meth:`Engine.run`'s checks and per-run tracing,
-:meth:`Engine.queue_stats`, :class:`AllOf` and
-:func:`publish_scheduler_metrics`.
+:meth:`Engine.queue_stats` and :func:`publish_scheduler_metrics`.
+
+``AllOf(engine, events)`` completes when every child event has
+completed, with their values by index (``{}`` without children), and
+fails with the first child failure.  It is each child's callback,
+after the callbacks the child already had, and schedules one event,
+when the last child completes or the first fails.
 """
 
 from __future__ import annotations
@@ -71,34 +78,8 @@ NORMAL = 1
 SimulationError = _des.SimulationError
 Event = _des.Event
 Timeout = _des.Timeout
-
-
-class AllOf(Event):
-    """Completes when every child event has completed, with their values
-    by index; fails with the first child failure."""
-
-    __slots__ = ("events", "_completed")
-
-    def __init__(self, engine: "Engine", events: Iterable[Event]):
-        super().__init__(engine)
-        self.events = list(events)
-        self._completed = 0
-        if not self.events:
-            self.succeed({})
-            return
-        for event in self.events:
-            event.add_callback(self._on_child)
-
-    def _on_child(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event.ok:
-            self.fail(event.value)
-            return
-        self._completed += 1
-        if self._completed == len(self.events):
-            self.succeed({index: event.value
-                          for index, event in enumerate(self.events)})
+#: The all-of condition (compiled; see the module docstring).
+AllOf = _des.AllOf
 
 
 class Engine(_des.Engine):
@@ -119,9 +100,8 @@ class Engine(_des.Engine):
     """
 
     def process(self, generator) -> "Process":
-        """Register a generator as a simulation process."""
-        from repro.sim.process import Process
-
+        """Register a generator (or a compiled operation) as a simulation
+        process."""
         return Process(self, generator)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
@@ -204,3 +184,7 @@ def publish_scheduler_metrics(engine: Engine,
             _metrics.inc(f"engine.events.{kind}", count)
         _metrics.inc("engine.events.other",
                      stats["scheduled"] - sum(census.values()))
+
+
+# Last: repro.sim.process imports this module's Engine and kernel.
+from repro.sim.process import Process  # noqa: E402

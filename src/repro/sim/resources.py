@@ -21,6 +21,16 @@ The resource counts its ``grants`` (each schedules one event) and
 records the busy slot-time, the integral of in-use slots over time, so
 ``utilization()`` is ``busy_time() / (capacity * elapsed)``.  It
 registers with its engine, whose ``close()`` drops every claim.
+
+:class:`Gate` is compiled too: ``Gate(engine, level=0.0, name="")``
+keeps a float ``level`` that only rises.  ``wait_for(threshold)``
+returns an event that succeeds with the level once ``level >=
+threshold`` (at once when it already is); ``advance(new_level)`` raises
+the level, wakes the satisfied waiters in arrival order and returns how
+many woke, and a lower level raises
+:class:`~repro.sim.engine.SimulationError`.  This models group commit:
+transactions wait for "log flushed through sequence N", and one flush
+wakes every transaction at or below it.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque
 
-from repro.sim.engine import Engine, Event, SimulationError, _des
+from repro.sim.engine import Engine, Event, _des
 
 #: A facility with ``capacity`` identical slots and a FIFO wait queue
 #: (compiled; see the module docstring).
@@ -36,6 +46,9 @@ Resource = _des.Resource
 #: A pending or granted claim on a :class:`Resource` slot (compiled),
 #: made by :meth:`Resource.request`.
 Request = _des.Request
+#: A broadcast condition with a rising level (compiled; see the module
+#: docstring).
+Gate = _des.Gate
 
 
 class Store:
@@ -72,46 +85,3 @@ class Store:
         else:
             self._getters.append(event)
         return event
-
-
-class Gate:
-    """A broadcast condition with a monotonically increasing level.
-
-    Waiters ask to be woken once the gate's level reaches a threshold.
-    This models group commit: transactions wait for "log flushed through
-    sequence N" and a single flush wakes every transaction at or below the
-    flushed sequence.
-    """
-
-    def __init__(self, engine: Engine, level: float = 0.0, name: str = ""):
-        self.engine = engine
-        self.name = name
-        self._level = level
-        self._waiters: list[tuple[float, Event]] = []
-
-    @property
-    def level(self) -> float:
-        """Current gate level."""
-        return self._level
-
-    def wait_for(self, threshold: float) -> Event:
-        """Event firing once ``level >= threshold`` (immediately if already)."""
-        event = Event(self.engine)
-        if self._level >= threshold:
-            event.succeed(self._level)
-        else:
-            self._waiters.append((threshold, event))
-        return event
-
-    def advance(self, new_level: float) -> int:
-        """Raise the level, waking satisfied waiters; returns wake count."""
-        if new_level < self._level:
-            raise SimulationError(
-                f"gate level must not decrease ({self._level} -> {new_level})")
-        self._level = new_level
-        ready = [(t, e) for (t, e) in self._waiters if t <= new_level]
-        if ready:
-            self._waiters = [(t, e) for (t, e) in self._waiters if t > new_level]
-            for _threshold, event in ready:
-                event.succeed(new_level)
-        return len(ready)

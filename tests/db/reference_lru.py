@@ -3,7 +3,7 @@
 ``tests/db/test_buffer_cache_reference.py`` drives it beside
 :class:`~repro.db.buffer_cache.BufferCache` operation by operation, and
 ``tests/odb/reference_prewarm.py`` replays the whole prewarm into it.
-:func:`lookup`, :func:`touch_write`, :func:`contains`,
+:func:`lookup`, :func:`touch_write`, :func:`install`, :func:`contains`,
 :func:`snapshot`, :func:`dirty_units` and :func:`restore` drive or read
 one ``BufferCache`` at a time, through the kernel calls the DES and the
 prewarm make in bulk; its eviction counters are ``cache.c``'s
@@ -24,6 +24,19 @@ def touch_write(cache, block: int) -> bool:
     """Reference a block of a ``BufferCache`` for update, marking it
     dirty; True on a hit."""
     return lib.lru_lookup(cache.c, block, 1)
+
+
+def install(cache, block: int, dirty: bool = False):
+    """Insert a block into a ``BufferCache`` as the fill after a disk
+    read does (the kernel's ``lru_install``): the evicted ``(block_id,
+    was_dirty)``, or None.  Installing a resident block refreshes it."""
+    victim = ffi.new("uint64_t *")
+    result = lib.lru_install(cache.c, block, dirty, victim)
+    if result < 0:
+        raise MemoryError("cannot grow the buffer cache")
+    if result == 0:
+        return None
+    return victim[0], bool(result & lib.LRU_DIRTY)
 
 
 def contains(cache, block: int) -> bool:

@@ -9,6 +9,7 @@ from repro.db.buffer_cache import BufferCache
 from tests.db.reference_lru import (
     contains,
     dirty_units,
+    install,
     lookup,
     restore,
     snapshot,
@@ -24,71 +25,71 @@ class TestBasics:
     def test_lookup_miss_then_install_then_hit(self):
         cache = BufferCache(4)
         assert not lookup(cache, 1)
-        cache.install(1)
+        install(cache, 1)
         assert lookup(cache, 1)
         assert cache.hits == 1 and cache.misses == 1
 
     def test_contains(self):
         cache = BufferCache(4)
-        cache.install(5)
+        install(cache, 5)
         assert contains(cache, 5)
         assert not contains(cache, 6)
 
     def test_touch_write_marks_dirty(self):
         cache = BufferCache(4)
-        cache.install(1)
+        install(cache, 1)
         touch_write(cache, 1)
         assert dirty_units(cache) == 1
 
     def test_install_dirty(self):
         cache = BufferCache(4)
-        cache.install(1, dirty=True)
+        install(cache, 1, dirty=True)
         assert dirty_units(cache) == 1
 
     def test_reinstall_preserves_dirty(self):
         cache = BufferCache(4)
-        cache.install(1, dirty=True)
-        assert cache.install(1, dirty=False) is None
+        install(cache, 1, dirty=True)
+        assert install(cache, 1, dirty=False) is None
         assert dirty_units(cache) == 1
 
 
 class TestEviction:
     def test_lru_eviction_order(self):
         cache = BufferCache(2)
-        cache.install(1)
-        cache.install(2)
-        victim = cache.install(3)
+        install(cache, 1)
+        install(cache, 2)
+        victim = install(cache, 3)
         assert victim == (1, False)
         assert not contains(cache, 1)
         assert contains(cache, 2) and contains(cache, 3)
 
     def test_lookup_refreshes_recency(self):
         cache = BufferCache(2)
-        cache.install(1)
-        cache.install(2)
+        install(cache, 1)
+        install(cache, 2)
         lookup(cache, 1)
-        victim = cache.install(3)
+        victim = install(cache, 3)
         assert victim == (2, False)
 
     def test_dirty_victim_reported(self):
         cache = BufferCache(1)
-        cache.install(1, dirty=True)
-        victim = cache.install(2)
+        install(cache, 1, dirty=True)
+        victim = install(cache, 2)
         assert victim == (1, True)
         assert cache.c.dirty_evictions == 1
         assert cache.c.clean_evictions == 0
 
     def test_clean_victim_counted(self):
         cache = BufferCache(1)
-        cache.install(1)
-        cache.install(2)
+        install(cache, 1)
+        install(cache, 2)
         assert cache.c.clean_evictions == 1
 
 
 class TestWriterInterface:
     def test_clean_marks_block_clean(self):
         cache = BufferCache(4)
-        cache.install(1, dirty=True)
+        install(cache, 1, dirty=True)
         assert cache.clean(1)
         assert dirty_units(cache) == 0
 
@@ -97,17 +98,17 @@ class TestWriterInterface:
 
     def test_clean_preserves_recency_order(self):
         cache = BufferCache(2)
-        cache.install(1, dirty=True)
-        cache.install(2)
+        install(cache, 1, dirty=True)
+        install(cache, 2)
         cache.clean(1)  # must NOT make 1 most-recent
-        victim = cache.install(3)
+        victim = install(cache, 3)
         assert victim == (1, False)
 
     def test_oldest_dirty_in_lru_order(self):
         cache = BufferCache(4)
-        cache.install(1, dirty=True)
-        cache.install(2, dirty=False)
-        cache.install(3, dirty=True)
+        install(cache, 1, dirty=True)
+        install(cache, 2, dirty=False)
+        install(cache, 3, dirty=True)
         assert cache.oldest_dirty(10) == [1, 3]
         assert cache.oldest_dirty(1) == [1]
 
@@ -115,14 +116,14 @@ class TestWriterInterface:
 class TestStats:
     def test_hit_rate(self):
         cache = BufferCache(4)
-        cache.install(1)
+        install(cache, 1)
         lookup(cache, 1)
         lookup(cache, 2)
         assert cache.hits / (cache.hits + cache.misses) == pytest.approx(0.5)
 
     def test_reset_stats_keeps_contents(self):
         cache = BufferCache(4)
-        cache.install(1)
+        install(cache, 1)
         lookup(cache, 1)
         cache.reset_stats()
         assert cache.hits == 0
@@ -137,7 +138,7 @@ class TestSnapshotRestore:
     def used_cache() -> BufferCache:
         cache = BufferCache(3)
         for block_id in (1, 2, 3, 4):
-            cache.install(block_id)  # evicts 1
+            install(cache, block_id)  # evicts 1
         touch_write(cache, 3)
         lookup(cache, 2)
         lookup(cache, 9)
@@ -163,12 +164,12 @@ class TestSnapshotRestore:
         source = self.used_cache()
         state = snapshot(source)
         expected = list(state.items())
-        source.install(7, dirty=True)
+        install(source, 7, dirty=True)
         cache = BufferCache(3)
         restore(cache, state)
         lookup(cache, 4)
         touch_write(cache, 2)
-        cache.install(8)
+        install(cache, 8)
         cache.clean(3)
         assert list(state.items()) == expected
 
@@ -187,7 +188,7 @@ class TestProperties:
         for block, write in ops:
             hit = touch_write(cache, block) if write else lookup(cache, block)
             if not hit:
-                cache.install(block, dirty=write)
+                install(cache, block, dirty=write)
         assert cache.resident_units <= capacity
 
     @given(st.lists(st.integers(0, 50), min_size=1, max_size=300))
@@ -196,7 +197,7 @@ class TestProperties:
         cache = BufferCache(3)
         for block in blocks:
             if not lookup(cache, block):
-                cache.install(block)
+                install(cache, block)
             assert contains(cache, block)
 
     @given(st.lists(st.tuples(st.integers(0, 40), st.booleans()),
@@ -207,5 +208,5 @@ class TestProperties:
         for block, write in ops:
             hit = touch_write(cache, block) if write else lookup(cache, block)
             if not hit:
-                cache.install(block, dirty=write)
+                install(cache, block, dirty=write)
         assert 0 <= dirty_units(cache) <= cache.resident_units

@@ -10,6 +10,7 @@ from repro.db.buffer_cache import BufferCache
 from tests.db.reference_lru import (
     ReferenceLru,
     dirty_units,
+    install,
     lookup,
     restore,
     snapshot,
@@ -32,7 +33,7 @@ def test_buffer_cache_matches_reference(capacity, ops):
         ref_hit = reference.lookup(block, write)
         assert hit == ref_hit, f"hit mismatch on block {block}"
         if not hit:
-            victim = cache.install(block, dirty=write)
+            victim = install(cache, block, dirty=write)
             ref_victim = reference.install(block, write)
             assert victim == ref_victim, f"victim mismatch on block {block}"
     # Final state identical: same residents, same dirty bits, same order.
@@ -48,7 +49,7 @@ def test_clean_never_disturbs_order(capacity, ops):
         hit = touch_write(cache, block) if write else lookup(cache, block)
         reference.lookup(block, write)
         if not hit:
-            cache.install(block, dirty=write)
+            install(cache, block, dirty=write)
             reference.install(block, write)
         if index % 7 == 0:
             # Periodically clean the oldest dirty block in both models.
@@ -82,7 +83,7 @@ def drive_miss_heavy(capacity: int, seed: int, length: int,
             hit = touch_write(cache, block) if write else lookup(cache, block)
             assert hit == reference.lookup(block, write)
             if not hit:
-                victim = cache.install(block, dirty=write)
+                victim = install(cache, block, dirty=write)
                 assert victim == reference.install(block, write)
         elif kind == 16:
             assert cache.clean(block) == (block in reference.entries)
@@ -130,7 +131,7 @@ def test_long_run_over_colliding_ids_matches_reference():
         hit = touch_write(cache, block) if write else lookup(cache, block)
         assert hit == reference.lookup(block, write)
         if not hit:
-            assert (cache.install(block, dirty=write)
+            assert (install(cache, block, dirty=write)
                     == reference.install(block, write))
     assert list(snapshot(cache).items()) == list(reference.entries.items())
 
@@ -141,7 +142,7 @@ def test_copy_and_restore_from_match_the_snapshot():
     for _ in range(20_000):
         block = rng.randrange(2**40)
         if not touch_write(cache, block):
-            cache.install(block, dirty=rng.random() < 0.5)
+            install(cache, block, dirty=rng.random() < 0.5)
     copy = cache.copy()
     assert list(snapshot(copy).items()) == list(snapshot(cache).items())
     assert (copy.hits, copy.misses, copy.c.dirty_evictions,
@@ -150,10 +151,10 @@ def test_copy_and_restore_from_match_the_snapshot():
     # copy stays independent of both.
     bigger = BufferCache(10_000)
     for block in range(8000):
-        bigger.install(block)
+        install(bigger, block)
     bigger.restore_from(copy)
     expected = list(snapshot(copy).items())
-    bigger.install(2**41, dirty=True)
-    cache.install(2**41 + 1)
+    install(bigger, 2**41, dirty=True)
+    install(cache, 2**41 + 1)
     assert list(snapshot(copy).items()) == expected
     assert list(snapshot(bigger).items()) == expected + [(2**41, True)]

@@ -13,7 +13,8 @@ from repro.osmodel.scheduler import Scheduler
 from repro.sim import Engine
 from repro.sim.randomness import RandomStreams
 
-from tests.db.reference_lru import contains, dirty_units, lookup, touch_write
+from tests.db.reference_lru import (
+    contains, dirty_units, install, lookup, touch_write)
 
 
 def make_db(processors=2, cache_units=8, with_logwriter=True):
@@ -52,7 +53,7 @@ def _data_disk_requests(db) -> int:
 class TestAccessBlock:
     def test_hit_stays_on_cpu(self):
         engine, scheduler, db = make_db()
-        db.buffer_cache.install(42)
+        install(db.buffer_cache, 42)
 
         def proc():
             claim = scheduler.acquire()

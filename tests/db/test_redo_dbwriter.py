@@ -12,7 +12,8 @@ from repro.osmodel.scheduler import Scheduler
 from repro.sim import Engine
 from repro.sim.randomness import RandomStreams
 
-from tests.db.reference_lru import dirty_units, touch_write
+from tests.db.reference_lru import dirty_units, install, touch_write
+from tests.sim.reference_os import wait_for_flush
 
 
 def make_world(processors=2):
@@ -58,7 +59,7 @@ class TestRedoLog:
 
         def txn(name):
             sequence = redo.append(6 * 1024)
-            yield from redo.wait_for_flush(sequence)
+            yield from wait_for_flush(redo, sequence)
             woken.append((engine.now, name))
 
         engine.process(txn("a"))
@@ -83,7 +84,7 @@ class TestRedoLog:
 
         def txn():
             sequence = redo.append(6 * 1024)
-            yield from redo.wait_for_flush(sequence)
+            yield from wait_for_flush(redo, sequence)
             committed.append(engine.now)
 
         engine.process(txn())
@@ -103,7 +104,7 @@ class TestRedoLog:
         def txn(delay):
             yield engine.timeout(delay)
             sequence = redo.append(6 * 1024)
-            yield from redo.wait_for_flush(sequence)
+            yield from wait_for_flush(redo, sequence)
             done.append(engine.now)
 
         # Ten commits arriving while the first flush is in flight.
@@ -141,7 +142,7 @@ class TestDbWriter:
         writer = DbWriter(engine, disks, scheduler)
         cache = BufferCache(16)
         for block in range(6):
-            cache.install(block, dirty=(block % 2 == 0))
+            install(cache, block, dirty=(block % 2 == 0))
         engine.process(writer.process())
         engine.process(writer.checkpoint_process(cache))
         engine.run(until=0.2)
@@ -152,7 +153,7 @@ class TestDbWriter:
         engine, scheduler, disks = make_world()
         writer = DbWriter(engine, disks, scheduler)
         cache = BufferCache(4)
-        cache.install(0, dirty=True)
+        install(cache, 0, dirty=True)
 
         def redirty():
             while True:
@@ -180,7 +181,7 @@ class TestDbWriter:
         writer = DbWriter(engine, disks, scheduler)
         cache = CountingCache(16)
         for block in range(6):
-            cache.install(block, dirty=(block % 2 == 0))
+            install(cache, block, dirty=(block % 2 == 0))
         queued = []
         enqueue = writer.enqueue
         writer.enqueue = lambda block: (queued.append(block), enqueue(block))

@@ -18,7 +18,7 @@ from repro.workload import (
 
 from tests.db.reference_blocks import total_units
 from tests.db.reference_lru import (
-    contains, dirty_units, lookup, restore, snapshot)
+    contains, dirty_units, install, lookup, restore, snapshot)
 
 
 #: The default workload's profiles, what an ``OdbSystem`` fills from.
@@ -92,7 +92,7 @@ class TestSteadyStateFill:
 
     def test_refuses_a_non_empty_cache(self):
         cache = BufferCache(100)
-        cache.install(1)
+        install(cache, 1)
         with pytest.raises(ValueError):
             steady_state_fill(cache, space_for(), PROFILES)
 
@@ -113,7 +113,7 @@ def install_loop_fill(cache, space, profiles):
     for segment, index, copies in reversed(selected):
         dirty_prob = write_fractions.get(segment, 0.0)
         for warehouse in range(copies):
-            cache.install(space.block_id(segment, warehouse, index),
+            install(cache, space.block_id(segment, warehouse, index),
                           dirty=rng.random() < dirty_prob)
     cache.reset_stats()
     return cache.resident_units
@@ -174,7 +174,7 @@ class TestKernelFillMatchesDictFill:
         capacity = system.buffer_cache.capacity_units
         profiles = system.mix.profiles
         kernel, oracle = BufferCache(capacity), BufferCache(capacity)
-        kernel.install(1)
+        install(kernel, 1)
         lookup(kernel, 2)
         restore(kernel, {})  # empty again, counters zeroed
         installed = steady_state_fill(kernel, system.space, profiles)

@@ -79,7 +79,9 @@ def _build(oracle, processors, data_disks, cv, faulted, cache_units):
     cache = BufferCache(cache_units)
     dbwriter = DbWriter(engine, disks, scheduler)
     if oracle:
-        db = reference_os.DatabaseEngine(scheduler, disks, cache, dbwriter)
+        db = reference_os.DatabaseEngine(
+            engine, scheduler, disks, cache, reference_os.LockTable(engine),
+            reference_os.RedoLog(engine), dbwriter)
     else:
         db = DatabaseEngine(engine, scheduler, disks, cache,
                             LockTable(engine), RedoLog(engine), dbwriter)

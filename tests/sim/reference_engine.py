@@ -8,8 +8,8 @@ but for the per-``run()`` tracing and metrics, which the compiled kernel
 keeps in Python, and the engine's resource list, which the compiled
 engine's ``close()`` empties.  ``test_des_kernel.py`` drives random
 schedules through both and requires the same traces and queue counters;
-:func:`patched` points the program's ``Store`` and ``Gate`` at these
-events for the oracle's side.
+:func:`patched` points the program's ``Store`` at these events for
+the oracle's side.
 """
 
 from __future__ import annotations
@@ -441,8 +441,8 @@ class Process(Event):
 
 @contextlib.contextmanager
 def patched():
-    """Make :mod:`repro.sim.resources`' ``Store`` and ``Gate`` build
-    this module's events."""
+    """Make :mod:`repro.sim.resources`' ``Store`` build this module's
+    events."""
     saved = resources.Event
     resources.Event = Event
     try:

@@ -1,9 +1,11 @@
 """The compiled event kernel against its Python oracle.
 
-Random schedules run through both kernels — ``repro.sim`` and
+Random schedules run through both kernels — ``repro.sim``, with its
+compiled ``Resource``, ``Gate`` and ``AllOf``, and
 ``tests/sim/reference_engine.py``, the Python kernel the compiled one
-replaced, with its Python ``Resource`` — with the program's own
-``Store``, ``Gate`` and ``AllOf`` on top.  Each process runs a random
+replaced, with its Python ``Resource`` and ``AllOf`` and the Python
+``Gate`` of ``tests/sim/reference_os.py`` — with the program's own
+``Store`` on top.  Each process runs a random
 script: sleeps on a coarse grid (so equal-time ties are common),
 resource holds (released once, twice or by a ``with`` block), claims
 cancelled while they may still be queued, gate waits and broadcasts,
@@ -26,7 +28,7 @@ from hypothesis import strategies as st
 from repro.sim import Engine, Gate, Resource, SimulationError, Store
 from repro.sim import engine as engine_module
 from repro.sim.stats import Counter
-from tests.sim import reference_engine
+from tests.sim import reference_engine, reference_os
 
 _delay = st.sampled_from([0.0, 0.5, 1.0, 1.5])
 _leaf = st.one_of(
@@ -54,13 +56,14 @@ _op = st.one_of(
 _scripts = st.lists(st.lists(_op, max_size=6), min_size=1, max_size=6)
 
 
-def _simulate(engine, scripts, until, stop_after, resource=Resource):
-    """Run ``scripts`` on ``engine`` with ``resource``s; the trace, clock,
-    queue stats and resource accounts."""
+def _simulate(engine, scripts, until, stop_after, resource=Resource,
+              gate=Gate):
+    """Run ``scripts`` on ``engine`` with ``resource``s and a ``gate``;
+    the trace, clock, queue stats and resource accounts."""
     trace = []
     resources = (resource(engine, 1, name="one"),
                  resource(engine, 2, name="two"))
-    gate, store = Gate(engine), Store(engine)
+    gate, store = gate(engine), Store(engine)
     finished = Counter("finished")
     early = engine.timeout(0.0, value="early")
     processes = []
@@ -163,7 +166,8 @@ def test_compiled_kernel_matches_the_python_oracle(scripts, until, stop_after):
     compiled = _simulate(Engine(), scripts, until, stop_after)
     with reference_engine.patched():
         oracle = _simulate(reference_engine.Engine(), scripts, until,
-                           stop_after, reference_engine.Resource)
+                           stop_after, reference_engine.Resource,
+                           reference_os.Gate)
     assert compiled == oracle
 
 
