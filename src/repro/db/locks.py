@@ -7,7 +7,7 @@ by every concurrent transaction, so waiters pile up — each wait blocks
 the server process and costs a context switch.  This is the paper's
 "database block contention" at the 10-warehouse point (Figure 8).
 
-Every lock is exclusive (the ODB profiles only update their hot rows),
+Every lock is exclusive (the ODB transactions only update their hot rows),
 with one holder and a FIFO queue of waiters.  Deadlock is avoided by
 ordered acquisition: callers acquire locks in a fixed key order —
 ``("wh", w)`` before ``("dist", w)``, warehouses ascending.
@@ -20,7 +20,8 @@ holds ``key``; ``acquire(owner, key)`` is a compiled operation to
 ``yield from``: it waits on one event, already succeeded when nobody
 holds the key (so an uncontended acquisition costs the same scheduled
 event), else queued behind the key's earlier waiters, and the key
-counts as held from the resume after the grant.  ``release_all(owner)``
+counts as held from the resume after the grant; the holder acquiring
+its key again raises ``SimulationError``.  ``release_all(owner)``
 (commit or abort) drops every lock ``owner`` holds, handing each to its
 oldest waiter.
 """

@@ -7,11 +7,12 @@ recording payments, order-status and stock-level checks).
 
 - :mod:`~repro.odb.schema` — database sizing: ~100 MB per warehouse
   including indices, a global item catalog, two 25 GB log files.
-- :mod:`~repro.odb.transactions` — transaction profiles (block touches,
-  lock keys, user instruction path lengths) and their planning in the
-  walk kernel; the five ODB types are the ``odb-standard`` spec
-  (:mod:`repro.workload.standard`).
+- :mod:`~repro.odb.transactions` — transaction planning in the walk
+  kernel, straight from the workload spec's transaction types (block
+  touches, lock kinds, user instruction path lengths); the five ODB
+  types are the ``odb-standard`` spec (:mod:`repro.workload.standard`).
 - :mod:`~repro.odb.mix` — the weighted transaction mix.
+- :mod:`~repro.odb.popularity` — the analytic steady-state cache fill.
 - :mod:`~repro.odb.client` — client/server process pairs driving the
   database engine.
 - :mod:`~repro.odb.system` — the assembled testbed: one call builds the
@@ -21,16 +22,12 @@ recording payments, order-status and stock-level checks).
 ODB is *not* a compliant TPC-C benchmark (neither was the paper's).
 """
 
-from repro.odb.schema import OdbSchema, odb_segments
-from repro.odb.transactions import TouchSpec, TransactionProfile
+from repro.odb.schema import odb_segments
 from repro.odb.mix import TransactionMix
 from repro.odb.system import OdbConfig, OdbSystem, SystemMetrics
 
 __all__ = [
-    "OdbSchema",
     "odb_segments",
-    "TouchSpec",
-    "TransactionProfile",
     "TransactionMix",
     "OdbConfig",
     "OdbSystem",

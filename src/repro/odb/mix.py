@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from repro.odb.transactions import TransactionProfile
+if TYPE_CHECKING:
+    from repro.workload.spec import TransactionSpec
 
 
 class TransactionMix:
-    """Transaction types by weight.
+    """The workload's transaction types, each with its weight in this
+    mix (a phase's or the stationary blend's, not necessarily its own).
 
     A transaction's type is drawn in the walk kernel with the rest of
     its plan (:meth:`repro.odb.transactions._SegmentSampler.draw`): one
@@ -17,19 +19,23 @@ class TransactionMix:
     least that draw.
     """
 
-    def __init__(self, profiles: tuple[TransactionProfile, ...]):
-        if not profiles:
-            raise ValueError("mix needs at least one profile")
-        self.profiles = profiles
-        total = sum(p.weight for p in profiles)
+    def __init__(self, transactions: tuple[TransactionSpec, ...],
+                 weights: tuple[float, ...]):
+        if not transactions:
+            raise ValueError("mix needs at least one transaction")
+        if len(weights) != len(transactions):
+            raise ValueError("mix needs one weight per transaction")
+        self.transactions = transactions
+        self.weights = weights
+        total = sum(weights)
         if total <= 0:
             raise ValueError("mix weights must sum to a positive value")
-        #: Cumulative normalized weights; a plan takes the first profile
-        #: whose entry is >= its uniform draw.
+        #: Cumulative normalized weights; a plan takes the first
+        #: transaction whose entry is >= its uniform draw.
         self.cdf: list[float] = []
         running = 0.0
-        for profile in profiles:
-            running += profile.weight / total
+        for weight in weights:
+            running += weight / total
             self.cdf.append(running)
         self.cdf[-1] = 1.0
 
@@ -37,38 +43,30 @@ class TransactionMix:
         """The stationary mix plans currently draw from: this one."""
         return self
 
-    def by_name(self, name: str) -> TransactionProfile:
-        """The mix entry for ``name``; raises ``KeyError`` if unknown."""
-        for profile in self.profiles:
-            if profile.name == name:
-                return profile
-        known = ", ".join(p.name for p in self.profiles)
-        raise KeyError(f"unknown transaction {name!r}; known: {known}")
-
 
 class PhasedTransactionMix(TransactionMix):
     """A mix whose weights cycle through phases over simulated time.
 
-    ``schedule`` is ``(duration_s, profiles)`` per phase; the phases
+    ``schedule`` is ``(duration_s, weights)`` per phase; the phases
     repeat in order for the whole run (the paper's Figures 12-14
     new-order / payment waves).  ``clock`` reads the simulation time —
     the engine's ``now`` — at each :meth:`active` call, which a client
-    makes per transaction.  ``profiles`` (the base attribute) holds the
+    makes per transaction.  ``weights`` (the base attribute) holds the
     stationary duration-weighted blend, which is what popularity/prewarm
     analysis should see; a plan draws from the active phase's own
     weighted mix, costing the same single uniform draw as the
     stationary case.
     """
 
-    def __init__(self, profiles: tuple[TransactionProfile, ...],
-                 schedule: tuple[
-                     tuple[float, tuple[TransactionProfile, ...]], ...],
+    def __init__(self, transactions: tuple[TransactionSpec, ...],
+                 weights: tuple[float, ...],
+                 schedule: tuple[tuple[float, tuple[float, ...]], ...],
                  clock: Callable[[], float]):
-        super().__init__(profiles)
+        super().__init__(transactions, weights)
         if not schedule:
             raise ValueError("phased mix needs at least one phase")
-        self._phase_mixes = [TransactionMix(phase_profiles)
-                             for _, phase_profiles in schedule]
+        self._phase_mixes = [TransactionMix(transactions, phase_weights)
+                             for _, phase_weights in schedule]
         self._ends: list[float] = []
         elapsed = 0.0
         for duration_s, _ in schedule:

@@ -17,12 +17,16 @@ distinct unit and multiplied across warehouses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.db.blocks import BlockSpace
 from repro.db.buffer_cache import BufferCache
 from repro.hw.analytic import zipf_popularities
 from repro.hw.sampling import seeded
-from repro.odb.transactions import TransactionProfile
+from repro.odb.transactions import touch_draw
+
+if TYPE_CHECKING:
+    from repro.odb.mix import TransactionMix
 
 
 @dataclass(frozen=True)
@@ -35,36 +39,26 @@ class UnitPopularity:
     per_warehouse: bool
 
 
-def unit_popularities(
-        space: BlockSpace, profiles: tuple[TransactionProfile, ...],
-) -> list[UnitPopularity]:
-    """Per-distinct-unit touch rates, descending.
+def unit_popularities(space: BlockSpace,
+                      mix: TransactionMix) -> list[UnitPopularity]:
+    """Per-distinct-unit touch rates of ``mix``, descending.
 
     Rates for per-warehouse units are *per warehouse* (i.e. already
     divided by W, since a uniformly chosen warehouse receives 1/W of the
     segment's traffic).
     """
-    total_weight = sum(p.weight for p in profiles)
+    total_weight = sum(mix.weights)
     rates: dict[tuple[str, int], float] = {}
-    for profile in profiles:
-        share = profile.weight / total_weight
-        for spec in profile.touches:
-            segment = space.segment(spec.segment)
-            touch_rate = share * spec.count
-            if spec.fixed_index is not None:
-                weights = [1.0]
-                indices = [spec.fixed_index % segment.units]
-            elif spec.append_hot:
-                window = max(4, segment.units // 50)
-                weights = zipf_popularities(window, 1.2)
-                indices = range(window)
-            else:
-                weights = zipf_popularities(segment.units, spec.skew)
-                indices = range(segment.units)
+    for transaction, mix_weight in zip(mix.transactions, mix.weights):
+        share = mix_weight / total_weight
+        for rule in transaction.touches:
+            segment = space.segment(rule.segment)
+            touch_rate = share * rule.count
+            window, skew, first = touch_draw(rule, segment.units)
             if segment.per_warehouse:
                 touch_rate /= space.warehouses
-            for index, weight in zip(indices, weights):
-                key = (spec.segment, index % segment.units)
+            for rank, weight in enumerate(zipf_popularities(window, skew)):
+                key = (rule.segment, (first + rank) % segment.units)
                 rates[key] = rates.get(key, 0.0) + touch_rate * weight
     result = [
         UnitPopularity(segment=name, index=index, rate=rate,
@@ -75,26 +69,24 @@ def unit_popularities(
     return result
 
 
-def segment_write_fractions(
-        profiles: tuple[TransactionProfile, ...],
-) -> dict[str, float]:
+def segment_write_fractions(mix: TransactionMix) -> dict[str, float]:
     """Probability a touch on each segment is a write (mix-weighted)."""
     touch_rate: dict[str, float] = {}
     write_rate: dict[str, float] = {}
-    total_weight = sum(p.weight for p in profiles)
-    for profile in profiles:
-        share = profile.weight / total_weight
-        for spec in profile.touches:
-            touch_rate[spec.segment] = (touch_rate.get(spec.segment, 0.0)
-                                        + share * spec.count)
-            write_rate[spec.segment] = (write_rate.get(spec.segment, 0.0)
-                                        + share * spec.count * spec.write_prob)
+    total_weight = sum(mix.weights)
+    for transaction, mix_weight in zip(mix.transactions, mix.weights):
+        share = mix_weight / total_weight
+        for rule in transaction.touches:
+            touch_rate[rule.segment] = (touch_rate.get(rule.segment, 0.0)
+                                        + share * rule.count)
+            write_rate[rule.segment] = (write_rate.get(rule.segment, 0.0)
+                                        + share * rule.count * rule.write_prob)
     return {segment: write_rate[segment] / rate
             for segment, rate in touch_rate.items() if rate > 0}
 
 
 def steady_state_fill(cache: BufferCache, space: BlockSpace,
-                      profiles: tuple[TransactionProfile, ...]) -> int:
+                      mix: TransactionMix) -> int:
     """Install the most popular units up to cache capacity.
 
     Returns the number of units installed.  Per-warehouse units are
@@ -109,7 +101,7 @@ def steady_state_fill(cache: BufferCache, space: BlockSpace,
     evictions flow at the right rate from the first measured second.
     The dirty bits draw from a kernel stream seeded ``0x5EED``
     (:func:`repro.hw.sampling.seeded`), so the fill depends on the
-    space, the profiles and the capacity alone.
+    space, the mix and the capacity alone.
 
     The cache must be empty (``ValueError`` otherwise); it is filled in
     one kernel call (:meth:`BufferCache.fill`), which also zeroes its
@@ -117,10 +109,10 @@ def steady_state_fill(cache: BufferCache, space: BlockSpace,
     """
     if cache.resident_units:
         raise ValueError("steady_state_fill needs an empty cache")
-    write_fractions = segment_write_fractions(profiles)
+    write_fractions = segment_write_fractions(mix)
     selected: list[tuple[str, int, int]] = []  # (segment, index, copies)
     budget = cache.capacity_units
-    for unit in unit_popularities(space, profiles):
+    for unit in unit_popularities(space, mix):
         if budget <= 0:
             break
         copies = space.warehouses if unit.per_warehouse else 1

@@ -10,9 +10,7 @@ the item catalog, which all warehouses share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.db.blocks import BlockSpace, Segment
+from repro.db.blocks import Segment
 
 WAREHOUSE_BYTES = 100 * 1024 * 1024
 LOG_FILE_BYTES = 25 * 1024**3
@@ -47,21 +45,3 @@ def odb_segments(unit_bytes: int = 64 * 1024) -> list[Segment]:
         units = max(1, int(budget * fraction) // unit_bytes)
         segments.append(Segment(name, units))
     return segments
-
-
-@dataclass(frozen=True)
-class OdbSchema:
-    """A sized ODB database: block space plus logical row counts."""
-
-    warehouses: int
-    unit_bytes: int = 64 * 1024
-
-    def __post_init__(self) -> None:
-        if self.warehouses <= 0:
-            raise ValueError("warehouses must be positive")
-
-    def build_block_space(self) -> BlockSpace:
-        """The block space sized for this schema."""
-        return BlockSpace(self.warehouses, odb_segments(self.unit_bytes),
-                          self.unit_bytes)
-

@@ -23,7 +23,6 @@ from repro.db.redo import RedoLog, log_writer_process
 from repro.faults import DiskFaultModel, FaultPlan, lock_storm_process
 from repro.hw.machine import MachineConfig, XEON_MP_QUAD
 from repro.odb.client import client_process
-from repro.odb.schema import OdbSchema
 from repro.odb.transactions import _SegmentSampler
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
@@ -99,7 +98,7 @@ class OdbConfig:
         if self.user_cpi <= 0 or self.os_cpi <= 0:
             raise ValueError("CPI values must be positive")
         if self.workload is None:
-            # Imported here: repro.workload compiles into repro.odb types.
+            # Imported here: repro.workload imports repro.odb.
             from repro.workload import compiled_workload
 
             object.__setattr__(self, "workload", compiled_workload(None))
@@ -185,9 +184,6 @@ class OdbSystem:
         workload = config.workload
         self.workload = workload
         space = workload.build_block_space(config.warehouses, UNIT_BYTES)
-        if space is None:  # the spec keeps the ODB schema's layout
-            space = OdbSchema(config.warehouses,
-                              UNIT_BYTES).build_block_space()
         self.space: BlockSpace = space
         capacity_units = max(
             1, int(machine.sga_bytes * BUFFER_CACHE_FRACTION) // UNIT_BYTES)
@@ -204,10 +200,10 @@ class OdbSystem:
         # cycle and a closed round is freed by refcount.
         engine = self.engine
         self.mix = workload.build_mix(clock=lambda: engine.now)
+        remote_prob = workload.spec.remote_touch_prob
         self.sampler = _SegmentSampler(
             space, config.warehouses,
-            REMOTE_TOUCH_PROB if workload.remote_touch_prob is None
-            else workload.remote_touch_prob)
+            REMOTE_TOUCH_PROB if remote_prob is None else remote_prob)
         # Fault injection (strictly opt-in; see repro.faults).  Fault
         # randomness derives from the plan's own seed so the workload
         # streams stay untouched.
@@ -269,7 +265,7 @@ class OdbSystem:
         if memo is not None and memo[0] == key:
             cache.restore_from(memo[1])
             return
-        steady_state_fill(cache, self.space, self.mix.profiles)
+        steady_state_fill(cache, self.space, self.mix)
         _fill_memo = (key, cache.copy())
 
     def _fill_key(self) -> tuple:

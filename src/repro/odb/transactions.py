@@ -1,11 +1,11 @@
-"""Transaction profiles and their planning.
+"""Transaction planning.
 
-A :class:`TransactionProfile` lists the block-unit touches a
-transaction type makes (per segment, with a popularity skew), the
+A transaction type is a :class:`~repro.workload.spec.TransactionSpec`
+of the running workload: the block-unit touches it makes (per segment,
+each drawn as :func:`touch_draw` maps its :class:`TouchRule`), the
 hot-row locks it takes (held to commit), its user-space instruction
-path length, and its redo volume.  Profiles are compiled from a
-workload spec (:mod:`repro.workload`); the paper's five ODB types are
-the ``odb-standard`` spec in :mod:`repro.workload.standard`.
+path length, and its redo volume.  The paper's five ODB types are the
+``odb-standard`` spec in :mod:`repro.workload.standard`.
 
 A transaction is planned in the walk kernel (``sample_plans`` in
 ``repro/hw/_walk.c``), for the DES and the prewarm alike: the type
@@ -15,78 +15,51 @@ a kernel stream (DESIGN.md §11, "Compiled sampling").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.db.blocks import BlockSpace
 from repro.hw.cwalk import ffi, lib
 from repro.hw.sampling import check_bound, zipf_array
 from repro.sim.randomness import zipf_cdf
 
-
-@dataclass(frozen=True)
-class TouchSpec:
-    """Block touches against one segment."""
-
-    segment: str
-    count: int
-    write_prob: float = 0.0
-    #: Zipf skew of unit popularity within the segment.
-    skew: float = 0.5
-    #: Append-mostly segments (orders, history): touches cluster in a
-    #: small rolling window rather than spreading over the segment.
-    append_hot: bool = False
-    #: Always touch this one unit (a hot counter row).  Mutually
-    #: exclusive with ``append_hot``; overrides the skew distribution.
-    fixed_index: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.count <= 0:
-            raise ValueError("touch count must be positive")
-        if not 0.0 <= self.write_prob <= 1.0:
-            raise ValueError("write_prob must be in [0, 1]")
-        if self.fixed_index is not None:
-            if self.fixed_index < 0:
-                raise ValueError("fixed_index must be >= 0")
-            if self.append_hot:
-                raise ValueError("fixed_index and append_hot are exclusive")
+if TYPE_CHECKING:
+    from repro.odb.mix import TransactionMix
+    from repro.workload.spec import TouchRule, TransactionSpec
 
 
-@dataclass(frozen=True)
-class TransactionProfile:
-    """One ODB transaction type."""
+def touch_draw(rule: TouchRule, units: int) -> tuple[int, float, int]:
+    """How one touch of ``rule`` picks a unit of a segment of ``units``
+    units: ``(window, skew, first)``, for a Zipf(``skew``) rank below
+    ``window`` and the unit ``(first + rank) % units``.
 
-    name: str
-    weight: float
-    user_instructions: float
-    touches: tuple[TouchSpec, ...]
-    #: Hot-row locks taken at start, held to commit.
-    locks_warehouse_row: bool = False
-    locks_district_row: bool = False
-    redo_bytes: float = 6 * 1024
-    #: Districts involved (Delivery processes all ten).
-    districts_touched: int = 1
-
-    def __post_init__(self) -> None:
-        if self.weight <= 0 or self.user_instructions <= 0:
-            raise ValueError("weight and instructions must be positive")
-        if not self.touches:
-            raise ValueError("a transaction must touch at least one block")
+    ``zipf`` keeps its skew and ``uniform`` is skew 0, both over the
+    whole segment.  ``append`` is a rolling append window: the hottest
+    ~2% of the segment (at least 4 units), strongly skewed.  ``fixed``
+    pins unit ``index``: a one-rank window, so the touch still consumes
+    exactly one uniform draw (keeping the RNG stream aligned with
+    distribution changes).  The sampler and the popularity model
+    (:mod:`repro.odb.popularity`) both draw through this.
+    """
+    if rule.distribution == "fixed":
+        return 1, 0.0, rule.index % units
+    if rule.distribution == "append":
+        return max(4, units // 50), 1.2, 0
+    return units, (0.0 if rule.distribution == "uniform" else rule.skew), 0
 
 
-def _raw_abort_weight(profile: TransactionProfile) -> float:
+def _raw_abort_weight(transaction: TransactionSpec) -> float:
     """A transaction type's write and lock footprint, before
     :class:`_MixPlans` normalizes it into :attr:`PlanType.abort_weight`."""
-    writes = sum(spec.count * spec.write_prob for spec in profile.touches)
-    locks = (int(profile.locks_warehouse_row)
-             + int(profile.locks_district_row))
-    return 0.1 + writes + 2.0 * locks
+    writes = sum(rule.count * rule.write_prob
+                 for rule in transaction.touches)
+    return 0.1 + writes + 2.0 * len(transaction.locks)
 
 
 class PlanType(NamedTuple):
     """What the DES needs of one transaction type, per plan drawn."""
 
-    profile: TransactionProfile
+    #: The workload's transaction type.
+    profile: TransactionSpec
     #: The hot-row lock kinds, in lock order; each key is
     #: ``(kind, warehouse)``.
     locks: tuple[str, ...]
@@ -108,7 +81,7 @@ class _MixPlans:
     """The kernel tables of one stationary mix (a ``plans_t``), with
     the buffers one plan is drawn into."""
 
-    def __init__(self, sampler: "_SegmentSampler", mix):
+    def __init__(self, sampler: "_SegmentSampler", mix: TransactionMix):
         #: Held, so the id the sampler files this under stays unique.
         self.mix = mix
         first = [0]
@@ -116,33 +89,36 @@ class _MixPlans:
         types = []
         #: Touches of the longest plan.
         self.longest = 0
-        profiles = mix.profiles
-        total_weight = sum(p.weight for p in profiles)
-        mean_abort_weight = sum(p.weight * _raw_abort_weight(p)
-                                for p in profiles) / total_weight
-        for profile in profiles:
+        transactions = mix.transactions
+        total_weight = sum(mix.weights)
+        mean_abort_weight = sum(
+            weight * _raw_abort_weight(transaction)
+            for transaction, weight in zip(transactions, mix.weights)
+        ) / total_weight
+        for transaction in transactions:
             for (cdf, modulus, stride, offset, count, write_prob,
-                 array) in sampler.resolve(profile):
+                 array) in sampler.resolve(transaction):
                 touches.append({
                     "cdf": array, "cdf_len": len(cdf), "count": count,
                     "modulus": modulus, "stride": stride, "offset": offset,
                     "write_prob": write_prob})
             first.append(len(touches))
-            length = sum(spec.count for spec in profile.touches)
+            length = sum(rule.count for rule in transaction.touches)
             self.longest = max(self.longest, length)
-            chunk = profile.user_instructions / (length + 1)
+            chunk = transaction.user_instructions / (length + 1)
             if not chunk >= 0:
                 raise ValueError("instructions must be >= 0")
             types.append(PlanType(
-                profile,
-                ("wh",) * profile.locks_warehouse_row
+                transaction,
+                # In lock order, whatever order the spec lists them in.
+                ("wh",) * ("warehouse" in transaction.locks)
                 # Block-granular: all ten district rows share one block
                 # unit, so updates contend per warehouse (Oracle
                 # buffer-level contention), which is what makes tiny
                 # databases switch-heavy.
-                + ("dist",) * profile.locks_district_row,
+                + ("dist",) * ("district" in transaction.locks),
                 chunk,
-                _raw_abort_weight(profile) / mean_abort_weight))
+                _raw_abort_weight(transaction) / mean_abort_weight))
         self.types = tuple(types)
         self._arrays = (ffi.new("double[]", mix.cdf),
                         ffi.new("uint32_t[]", first),
@@ -157,14 +133,14 @@ class _MixPlans:
 
 
 class _SegmentSampler:
-    """The one transaction planner: per-profile touch specs resolved
-    against one block space, and per stationary mix the kernel tables
+    """The one transaction planner: per transaction type its touch rules
+    resolved against one block space, and per stationary mix the kernel tables
     that :meth:`draw` (the DES) and :meth:`sample_plans` (the prewarm)
     plan from.
 
     Everything derivable from a spec alone (the Zipf CDF, the segment's
     unit count, the block-id base and stride) is resolved once per
-    transaction profile, so a planned touch costs one uniform draw, a
+    transaction type, so a planned touch costs one uniform draw, a
     bisect and one add chain.  ``remote_prob`` is the chance any given
     touch goes to a remote warehouse (TPC-C's remote order lines and
     customer payments).
@@ -176,54 +152,42 @@ class _SegmentSampler:
         self.space = space
         self.warehouses = warehouses
         self.remote_prob = remote_prob
-        #: id(profile) -> (profile, resolved touches).  Keyed by identity:
-        #: hashing a frozen profile hashes every TouchSpec in it.  The
-        #: entry holds the profile, so its id cannot be reused.
+        #: id(transaction) -> (transaction, resolved touches).  Keyed by
+        #: identity: hashing a frozen spec hashes every TouchRule in it.
+        #: The entry holds the spec, so its id cannot be reused.
         self._resolved: dict[int, tuple] = {}
         #: id(mix) -> its tables, built on first use; each holds its mix.
         self._plans: dict[int, _MixPlans] = {}
 
-    def resolve(self, profile: TransactionProfile) -> tuple[tuple, ...]:
-        """Per touch spec of ``profile``: ``(cdf, modulus, stride,
+    def resolve(self, transaction: TransactionSpec) -> tuple[tuple, ...]:
+        """Per touch rule of ``transaction``: ``(cdf, modulus, stride,
         offset, count, write_prob, cdf_array)``.  The unit index is
         ``bisect_left(cdf, u)``, taken mod ``modulus`` when that is
         nonzero; the block is ``offset + stride * warehouse + index``.
         ``cdf_array`` is ``cdf`` as a ``double[]`` for the kernel."""
-        entry = self._resolved.get(id(profile))
+        entry = self._resolved.get(id(transaction))
         if entry is None:
-            entry = (profile, tuple(self._touch(spec)
-                                    for spec in profile.touches))
-            self._resolved[id(profile)] = entry
+            entry = (transaction, tuple(self._touch(rule)
+                                        for rule in transaction.touches))
+            self._resolved[id(transaction)] = entry
         return entry[1]
 
-    def _touch(self, spec: TouchSpec) -> tuple:
+    def _touch(self, rule: TouchRule) -> tuple:
         space = self.space
-        segment = space.segment(spec.segment)
-        modulus = 0
-        if spec.fixed_index is not None:
-            # A pinned unit: the CDF degenerates to one bucket so the
-            # touch still consumes exactly one uniform draw (keeping the
-            # RNG stream aligned with distribution changes) and the
-            # chosen index folds into the offset.
-            units, skew = 1, 0.0
-            pinned = spec.fixed_index % segment.units
-        elif spec.append_hot:
-            # A rolling append window: the hottest ~2% of the segment
-            # (at least 4 units), strongly skewed.
-            units, skew = max(4, segment.units // 50), 1.2
-            modulus = segment.units
-            pinned = 0
-        else:
-            units, skew = segment.units, spec.skew
-            pinned = 0
+        segment = space.segment(rule.segment)
+        # A pinned unit's index folds into the offset; only a window
+        # wider than its segment (an append window over fewer than 4
+        # units) needs the modulus.
+        window, skew, first = touch_draw(rule, segment.units)
+        modulus = segment.units if window > segment.units else 0
         if segment.per_warehouse:
             stride = space.units_per_warehouse
-            offset = space.global_units + space._wh_offsets[spec.segment]
+            offset = space.global_units + space._wh_offsets[rule.segment]
         else:
             stride = 0
-            offset = space._global_offsets[spec.segment]
-        return (zipf_cdf(units, skew), modulus, stride, offset + pinned,
-                spec.count, spec.write_prob, zipf_array(units, skew))
+            offset = space._global_offsets[rule.segment]
+        return (zipf_cdf(window, skew), modulus, stride, offset + first,
+                rule.count, rule.write_prob, zipf_array(window, skew))
 
     def plans(self, mix) -> _MixPlans:
         """The kernel tables of the stationary ``mix``, built once."""

@@ -2852,7 +2852,9 @@ static PyTypeObject DiskArrayType = {
  * ``queue`` a key to its waiters, oldest first, as (owner, event)
  * pairs, and ``held`` an owner to the keys it holds, in the order
  * granted.  An acquisition always waits on one event: succeeded at once
- * when nobody holds the key, else queued, behind its own owner too. */
+ * when nobody holds the key, else queued.  The holder acquiring its
+ * own key again is a SimulationError: it would queue behind itself and
+ * never be woken. */
 typedef struct {
     PyObject_HEAD
     EngineObject *engine;
@@ -2895,10 +2897,18 @@ lock_request(LockTableObject *table, PyObject *owner, PyObject *key)
         PyErr_SetString(SimulationError, "lock table has no engine");
         return NULL;
     }
+    PyObject *holder = PyDict_GetItemWithError(table->holder, key);
+    if (holder == NULL && PyErr_Occurred())
+        return NULL;
+    if (holder == owner) {
+        PyErr_Format(SimulationError, "lock %R acquired again by its holder",
+                     key);
+        return NULL;
+    }
+    int status = holder != NULL;
     EventObject *event = event_alloc(&EventType, table->engine);
     if (event == NULL)
         return NULL;
-    int status = PyDict_Contains(table->holder, key);
     if (status > 0) {
         PyObject *waiter = PyTuple_Pack(2, owner, (PyObject *)event);
         status = waiter == NULL ? -1 : append_to(table->queue, key, waiter);

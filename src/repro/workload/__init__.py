@@ -9,9 +9,10 @@ The package splits into five small layers:
   key-path error messages.
 - :mod:`repro.workload.standard` — the paper's ODB mix as a spec
   (``odb-standard``), the workload of every run that names none.
-- :mod:`repro.workload.compiler` — lowering to the ODB runtime types
-  (``compile_workload`` -> :class:`CompiledWorkload`;
-  ``compiled_workload(None)`` is the compiled default).
+- :mod:`repro.workload.compiler` — the mix weights and the block
+  space a run derives from a spec (``compile_workload`` ->
+  :class:`CompiledWorkload`; ``compiled_workload(None)`` is the
+  compiled default).
 - :mod:`repro.workload.library` — the shipped scenarios (the Python
   default plus the YAML files) and ``--workload`` reference resolution.
 

@@ -1,11 +1,15 @@
-"""Compile a :class:`WorkloadSpec` into the ODB runtime types.
+"""Compile a :class:`WorkloadSpec` into what a run executes.
 
-The compiled form is what every run executes: ``TransactionProfile``
-tuples for the sampler and the popularity model, an optional custom
-:class:`~repro.db.blocks.BlockSpace` layout, and an optional phase
-schedule realized as a :class:`~repro.odb.mix.PhasedTransactionMix`.
-:func:`compiled_workload` is where a run that names no workload gets
-the compiled ``odb-standard`` spec (:mod:`repro.workload.standard`).
+The spec's :class:`TransactionSpec` and :class:`TouchRule` are the
+runtime types: the sampler, the mix and the popularity model read them
+directly.  Compiling derives only the mix weights: the stationary
+weights (the spec's own, or the duration-weighted blend of a phase
+schedule) and each phase's, which :meth:`CompiledWorkload.build_mix`
+realizes as a :class:`~repro.odb.mix.TransactionMix` or a
+:class:`~repro.odb.mix.PhasedTransactionMix`; and it builds the block
+space, custom or the ODB layout.  :func:`compiled_workload` is where a
+run that names no workload gets the compiled ``odb-standard`` spec
+(:mod:`repro.workload.standard`).
 
 Compilation is pure and cached: specs are frozen/hashable, so
 ``compile_workload`` memoizes on the spec itself.
@@ -13,90 +17,40 @@ Compilation is pure and cached: specs are frozen/hashable, so
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
 from repro.db.blocks import BlockSpace, Segment
 from repro.odb.mix import PhasedTransactionMix, TransactionMix
-from repro.odb.transactions import TouchSpec, TransactionProfile
-from repro.workload.spec import (
-    TouchRule,
-    TransactionSpec,
-    WorkloadSpec,
-    WorkloadSpecError,
-)
+from repro.odb.schema import odb_segments
+from repro.workload.spec import WorkloadSpec
 from repro.workload.standard import ODB_STANDARD
 
 
-def _compile_touch(rule: TouchRule) -> TouchSpec:
-    """One touch rule -> the sampler's TouchSpec.
+def _blended_weights(
+        phases: tuple[tuple[float, tuple[float, ...]], ...],
+) -> tuple[float, ...]:
+    """Duration-weighted time-average of the phase weights.
 
-    The four generator kinds map onto TouchSpec's knobs: ``zipf`` keeps
-    its skew, ``uniform`` is Zipf with skew 0 (every unit equally
-    likely), ``append`` sets the rolling-window flag, and ``fixed``
-    pins the unit index.  Non-zipf kinds leave ``skew`` at the TouchSpec
-    default.
-    """
-    kwargs = {
-        "segment": rule.segment,
-        "count": rule.count,
-        "write_prob": rule.write_prob,
-    }
-    if rule.distribution == "zipf":
-        kwargs["skew"] = rule.skew
-    elif rule.distribution == "uniform":
-        kwargs["skew"] = 0.0
-    elif rule.distribution == "append":
-        kwargs["append_hot"] = True
-    elif rule.distribution == "fixed":
-        kwargs["fixed_index"] = rule.index
-    else:  # pragma: no cover - spec validation rejects unknown kinds
-        raise WorkloadSpecError(
-            f"touches[{rule.segment!r}].distribution: "
-            f"unsupported kind {rule.distribution!r}")
-    return TouchSpec(**kwargs)
-
-
-def _compile_transaction(spec: TransactionSpec) -> TransactionProfile:
-    return TransactionProfile(
-        name=spec.name,
-        weight=spec.weight,
-        user_instructions=spec.user_instructions,
-        touches=tuple(_compile_touch(rule) for rule in spec.touches),
-        locks_warehouse_row="warehouse" in spec.locks,
-        locks_district_row="district" in spec.locks,
-        redo_bytes=spec.redo_bytes,
-        districts_touched=spec.districts_touched,
-    )
-
-
-def _blended_profiles(
-        base: tuple[TransactionProfile, ...],
-        phases: tuple[tuple[float, tuple[TransactionProfile, ...]], ...],
-) -> tuple[TransactionProfile, ...]:
-    """Duration-weighted time-average of the phase mixes.
-
-    Used as the compiled workload's *stationary* profile view — what
-    the analytic cache prewarm and popularity model see.  Each phase's
+    Used as the compiled workload's *stationary* weights — what the
+    analytic cache prewarm and popularity model see.  Each phase's
     weights are normalized before blending, so a phase with large
     absolute weights does not dominate beyond its duration share.
     """
     total_duration = sum(duration for duration, _ in phases)
-    shares = {profile.name: 0.0 for profile in base}
-    for duration, profiles in phases:
-        phase_total = sum(p.weight for p in profiles)
-        for profile in profiles:
-            shares[profile.name] += (
-                (duration / total_duration) * profile.weight / phase_total)
-    return tuple(dataclasses.replace(profile, weight=shares[profile.name])
-                 for profile in base)
+    shares = [0.0] * len(phases[0][1])
+    for duration, weights in phases:
+        phase_total = sum(weights)
+        for index, weight in enumerate(weights):
+            shares[index] += (duration / total_duration) * weight / phase_total
+    return tuple(shares)
 
 
 @dataclass(frozen=True)
 class CompiledWorkload:
-    """A spec lowered to runtime form; what :class:`OdbConfig` carries.
+    """A spec with its derived mix weights; what :class:`OdbConfig`
+    carries.
 
     Frozen and hashable (so configs stay hashable) and picklable (so it
     crosses process pools, though sweeps prefer shipping the spec and
@@ -104,12 +58,11 @@ class CompiledWorkload:
     """
 
     spec: WorkloadSpec
-    #: Stationary profiles: the mix itself when there are no phases,
-    #: the duration-weighted blend when there are.
-    profiles: tuple[TransactionProfile, ...]
-    #: ``(duration_s, profiles)`` per phase; empty for stationary mixes.
-    phases: tuple[tuple[float, tuple[TransactionProfile, ...]], ...]
-    remote_touch_prob: Optional[float]
+    #: Stationary weights, one per spec transaction: their own when
+    #: there are no phases, the duration-weighted blend when there are.
+    weights: tuple[float, ...]
+    #: ``(duration_s, weights)`` per phase; empty for stationary mixes.
+    phases: tuple[tuple[float, tuple[float, ...]], ...]
 
     @property
     def name(self) -> str:
@@ -130,49 +83,45 @@ class CompiledWorkload:
                   clock: Optional[Callable[[], float]] = None
                   ) -> TransactionMix:
         """The runtime mix; phase schedules need the engine ``clock``."""
+        transactions = self.spec.transactions
         if not self.phases:
-            return TransactionMix(self.profiles)
+            return TransactionMix(transactions, self.weights)
         if clock is None:
             raise ValueError(
                 f"workload {self.name!r} has a phase schedule and needs a "
                 f"simulation clock to build its mix")
-        return PhasedTransactionMix(self.profiles, self.phases, clock)
+        return PhasedTransactionMix(transactions, self.weights, self.phases,
+                                    clock)
 
     def build_block_space(self, warehouses: int,
-                          unit_bytes: int) -> Optional[BlockSpace]:
-        """The custom layout's block space, or ``None`` for the ODB
-        default (the system then keeps its schema-built space)."""
+                          unit_bytes: int) -> BlockSpace:
+        """The block space: the custom layout's, or the ODB schema's
+        (:func:`~repro.odb.schema.odb_segments`) when the spec has
+        none."""
         if self.spec.segments is None:
-            return None
-        segments = [
-            Segment(seg.name, seg.resolved_units(unit_bytes),
-                    per_warehouse=seg.per_warehouse)
-            for seg in self.spec.segments
-        ]
+            segments = odb_segments(unit_bytes)
+        else:
+            segments = [
+                Segment(seg.name, seg.resolved_units(unit_bytes),
+                        per_warehouse=seg.per_warehouse)
+                for seg in self.spec.segments
+            ]
         return BlockSpace(warehouses, segments, unit_bytes)
 
 
 @lru_cache(maxsize=128)
 def compile_workload(spec: WorkloadSpec) -> CompiledWorkload:
-    """Lower a validated spec to its runtime form (memoized)."""
-    base = tuple(_compile_transaction(txn) for txn in spec.transactions)
-    phases: tuple[tuple[float, tuple[TransactionProfile, ...]], ...] = ()
-    profiles = base
+    """Derive a validated spec's mix weights (memoized)."""
+    weights = tuple(txn.weight for txn in spec.transactions)
+    phases: tuple[tuple[float, tuple[float, ...]], ...] = ()
     if spec.phases:
         phases = tuple(
             (phase.duration_s, tuple(
-                dataclasses.replace(
-                    profile, weight=phase.weight_map.get(profile.name,
-                                                         profile.weight))
-                for profile in base))
+                phase.weight_map.get(txn.name, txn.weight)
+                for txn in spec.transactions))
             for phase in spec.phases)
-        profiles = _blended_profiles(base, phases)
-    return CompiledWorkload(
-        spec=spec,
-        profiles=profiles,
-        phases=phases,
-        remote_touch_prob=spec.remote_touch_prob,
-    )
+        weights = _blended_weights(phases)
+    return CompiledWorkload(spec=spec, weights=weights, phases=phases)
 
 
 def compiled_workload(spec: Optional[WorkloadSpec]) -> CompiledWorkload:

@@ -31,7 +31,7 @@ DISTRIBUTIONS = ("zipf", "uniform", "fixed", "append")
 #: warehouse row and/or the (block-shared) district row.
 LOCK_KINDS = ("warehouse", "district")
 
-#: Default Zipf skew — matches :class:`repro.odb.transactions.TouchSpec`.
+#: Default Zipf skew of a ``zipf`` touch; other kinds must leave it here.
 DEFAULT_SKEW = 0.5
 
 #: Default redo volume per transaction (the paper's ~6 KB mean).

@@ -11,8 +11,8 @@ User path lengths are per-type calibration constants whose mix-weighted
 mean lands near the paper's ~1.2M user instructions per transaction
 (Figure 5); the weighted redo volume averages to its ~6 KB per
 transaction.  The spec fingerprint is a cache-key component and the
-compiled profiles feed every golden result, so editing a number here
-fails ``tests/workload/test_compiler.py`` and the golden tests.
+spec's transaction types feed every golden result, so editing a number
+here fails ``tests/workload/test_compiler.py`` and the golden tests.
 """
 
 from __future__ import annotations

@@ -4,8 +4,12 @@ Waiting shows in simulated time and grant order: a waiter resumes when
 the holder releases, and waiters are granted in arrival order.
 """
 
+import pytest
+
 from repro.db.locks import LockTable
-from repro.sim import Engine
+from repro.sim import Engine, SimulationError
+
+from tests.sim import reference_os
 
 
 def holds(locks, owner, key) -> bool:
@@ -204,3 +208,26 @@ class TestLockTable:
         locks.release_all("m")
         engine.run()
         assert granted == [2.0, 3.0]
+
+    def test_holder_reacquire_raises(self):
+        """A holder acquiring its own key again would queue behind
+        itself and never be woken: it raises at the request, in the
+        kernel and in the Python oracle alike, and leaves the table as
+        it was."""
+        for table in (LockTable, reference_os.LockTable):
+            engine = Engine()
+            locks = table(engine)
+            raised = []
+
+            def proc():
+                yield from locks.acquire("t1", "k")
+                with pytest.raises(SimulationError, match="holder"):
+                    yield from locks.acquire("t1", "k")
+                raised.append(table)
+                assert holds(locks, "t1", "k")
+                locks.release_all("t1")
+
+            engine.process(proc())
+            engine.run()
+            assert raised == [table]
+            assert not locks.would_wait("t2", "k")

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from random import Random
 
 from repro.odb.popularity import segment_write_fractions, unit_popularities
-from repro.odb.transactions import TransactionProfile
 from repro.sim.randomness import derive_seed
+from repro.workload.spec import TransactionSpec
 
 from tests.db.reference_lru import ReferenceLru
 
@@ -31,7 +31,7 @@ from tests.db.reference_lru import ReferenceLru
 class TransactionPlan:
     """A concrete transaction instance: what to lock and touch."""
 
-    profile: TransactionProfile
+    profile: TransactionSpec
     warehouse: int
     district: int
     lock_keys: tuple[tuple, ...]
@@ -39,18 +39,18 @@ class TransactionPlan:
     touches: tuple[tuple[int, bool], ...]
 
 
-def pick(mix, rng: Random) -> TransactionProfile:
+def pick(mix, rng: Random) -> TransactionSpec:
     """Draw one transaction type from ``mix``'s active stationary mix:
-    the first profile whose cumulative weight is >= one uniform draw."""
+    the first type whose cumulative weight is >= one uniform draw."""
     mix = mix.active()
     u = rng.random()
-    for probability, profile in zip(mix.cdf, mix.profiles):
+    for probability, transaction in zip(mix.cdf, mix.transactions):
         if u <= probability:
-            return profile
-    return mix.profiles[-1]
+            return transaction
+    return mix.transactions[-1]
 
 
-def plan_transaction(rng: Random, profile: TransactionProfile, sampler,
+def plan_transaction(rng: Random, profile: TransactionSpec, sampler,
                      warehouses: int,
                      remote_prob: float = 0.10) -> TransactionPlan:
     """Instantiate a transaction: pick warehouse, district, blocks, locks.
@@ -71,9 +71,9 @@ def plan_transaction(rng: Random, profile: TransactionProfile, sampler,
     while district >= 10:
         district = getrandbits(4)
     lock_keys: list[tuple] = []
-    if profile.locks_warehouse_row:
+    if "warehouse" in profile.locks:
         lock_keys.append(("wh", warehouse))
-    if profile.locks_district_row:
+    if "district" in profile.locks:
         lock_keys.append(("dist", warehouse))
     touches: list[tuple[int, bool]] = []
     append = touches.append
@@ -106,14 +106,14 @@ def python_stream(system, name: str) -> Random:
     return Random(derive_seed(system.streams.root_seed, name))
 
 
-def reference_fill(reference: ReferenceLru, space, profiles) -> None:
+def reference_fill(reference: ReferenceLru, space, mix) -> None:
     """``steady_state_fill`` as one ``install`` per unit, least popular
     first, with the same fixed-seed dirty draws."""
     rng = Random(0x5EED)
-    write_fractions = segment_write_fractions(profiles)
+    write_fractions = segment_write_fractions(mix)
     selected = []
     budget = reference.capacity
-    for unit in unit_popularities(space, profiles):
+    for unit in unit_popularities(space, mix):
         if budget <= 0:
             break
         copies = min(space.warehouses if unit.per_warehouse else 1, budget)
@@ -132,7 +132,7 @@ def oracle_prewarm(system, plans: int,
     drawing the plans from ``rng``: by default a Python twin of
     ``system``'s own kernel stream ``prewarm``."""
     reference = ReferenceLru(system.buffer_cache.capacity_units)
-    reference_fill(reference, system.space, system.mix.profiles)
+    reference_fill(reference, system.space, system.mix)
     if rng is None:
         rng = python_stream(system, "prewarm")
     for _ in range(plans):

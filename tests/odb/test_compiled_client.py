@@ -40,7 +40,6 @@ from repro.faults import (FaultPlan, LockStorm, LogStall, RetryPolicy,
 from repro.hw.machine import DiskConfig
 from repro.odb.client import client_process
 from repro.odb.popularity import steady_state_fill
-from repro.odb.schema import OdbSchema
 from repro.odb.system import REMOTE_TOUCH_PROB, UNIT_BYTES
 from repro.odb.transactions import _SegmentSampler
 from repro.osmodel.disks import DiskArray
@@ -116,11 +115,11 @@ def _build(oracle, schedule):
     scheduler.user_spi, scheduler.os_spi = user_spi, 2e-9
     workload = (compile_workload(workload_by_name("order-entry-burst"))
                 if phased else compiled_workload(None))
-    space = OdbSchema(warehouses, UNIT_BYTES).build_block_space()
+    space = workload.build_block_space(warehouses, UNIT_BYTES)
     mix = workload.build_mix(clock=lambda: engine.now)
     cache = BufferCache(cache_units)
     if warm:
-        steady_state_fill(cache, space, mix.profiles)
+        steady_state_fill(cache, space, mix)
     dbwriter = DbWriter(engine, disks, scheduler)
     make = reference_os.DatabaseEngine if oracle else DatabaseEngine
     db = make(engine, scheduler, disks, cache, locks, redo, dbwriter)

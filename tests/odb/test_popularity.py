@@ -12,7 +12,8 @@ from repro.odb.popularity import (
     steady_state_fill,
     unit_popularities,
 )
-from repro.odb.schema import OdbSchema
+from repro.db.blocks import BlockSpace
+from repro.odb.schema import odb_segments
 from repro.workload import (
     compile_workload, compiled_workload, workload_by_name)
 
@@ -21,37 +22,38 @@ from tests.db.reference_lru import (
     contains, dirty_units, install, lookup, restore, snapshot)
 
 
-#: The default workload's profiles, what an ``OdbSystem`` fills from.
-PROFILES = compiled_workload(None).profiles
+#: The default workload's mix, what an ``OdbSystem`` fills from.
+MIX = compiled_workload(None).build_mix()
 
 
 def space_for(warehouses=10):
-    return OdbSchema(warehouses).build_block_space()
+    return BlockSpace(warehouses, odb_segments(), 64 * 1024)
 
 
 class TestUnitPopularities:
     def test_sorted_descending(self):
-        pops = unit_popularities(space_for(), PROFILES)
+        pops = unit_popularities(space_for(), MIX)
         rates = [u.rate for u in pops]
         assert rates == sorted(rates, reverse=True)
 
     def test_district_unit_is_hottest_per_warehouse_unit(self):
-        pops = unit_popularities(space_for(), PROFILES)
+        pops = unit_popularities(space_for(), MIX)
         per_warehouse = [u for u in pops if u.per_warehouse]
         assert per_warehouse[0].segment in ("district", "warehouse")
 
     def test_rates_positive(self):
         assert all(u.rate > 0
-                   for u in unit_popularities(space_for(), PROFILES))
+                   for u in unit_popularities(space_for(), MIX))
 
     def test_total_rate_matches_touch_count(self):
         space = space_for(warehouses=5)
-        pops = unit_popularities(space, PROFILES)
+        pops = unit_popularities(space, MIX)
         total = sum(u.rate * (space.warehouses if u.per_warehouse else 1)
                     for u in pops)
-        total_weight = sum(p.weight for p in PROFILES)
-        expected = sum(p.weight * sum(t.count for t in p.touches)
-                       for p in PROFILES) / total_weight
+        total_weight = sum(MIX.weights)
+        expected = sum(w * sum(t.count for t in p.touches)
+                       for p, w in zip(MIX.transactions, MIX.weights)
+                       ) / total_weight
         assert total == pytest.approx(expected, rel=1e-6)
 
 
@@ -59,25 +61,25 @@ class TestSteadyStateFill:
     def test_fills_to_capacity_when_data_exceeds_cache(self):
         space = space_for(warehouses=50)
         cache = BufferCache(5000)
-        installed = steady_state_fill(cache, space, PROFILES)
+        installed = steady_state_fill(cache, space, MIX)
         assert installed == 5000
         assert cache.resident_units == 5000
 
     def test_small_database_installs_every_touchable_unit(self):
         space = space_for(warehouses=2)
         cache = BufferCache(10_000_000)
-        installed = steady_state_fill(cache, space, PROFILES)
+        installed = steady_state_fill(cache, space, MIX)
         # Only units with a nonzero touch rate enter steady state:
         # append-only segments are touched in their hot windows only.
         touchable = sum(space.warehouses if u.per_warehouse else 1
-                        for u in unit_popularities(space, PROFILES))
+                        for u in unit_popularities(space, MIX))
         assert installed == touchable
         assert installed < total_units(space)
 
     def test_hot_units_resident_after_fill(self):
         space = space_for(warehouses=50)
         cache = BufferCache(5000)
-        steady_state_fill(cache, space, PROFILES)
+        steady_state_fill(cache, space, MIX)
         # District and warehouse units (hottest) must be resident.
         for warehouse in range(50):
             assert contains(cache, space.block_id("district", warehouse, 0))
@@ -86,7 +88,7 @@ class TestSteadyStateFill:
     def test_stats_reset_after_fill(self):
         space = space_for()
         cache = BufferCache(100)
-        steady_state_fill(cache, space, PROFILES)
+        steady_state_fill(cache, space, MIX)
         assert cache.hits == 0 and cache.misses == 0
 
 
@@ -94,17 +96,17 @@ class TestSteadyStateFill:
         cache = BufferCache(100)
         install(cache, 1)
         with pytest.raises(ValueError):
-            steady_state_fill(cache, space_for(), PROFILES)
+            steady_state_fill(cache, space_for(), MIX)
 
 
-def install_loop_fill(cache, space, profiles):
+def install_loop_fill(cache, space, mix):
     """The fill as one ``install`` per unit: the reference the bulk fill
     must reproduce, order and dirty bits included."""
     rng = Random(0x5EED)
-    write_fractions = segment_write_fractions(profiles)
+    write_fractions = segment_write_fractions(mix)
     selected = []
     budget = cache.capacity_units
-    for unit in unit_popularities(space, profiles):
+    for unit in unit_popularities(space, mix):
         if budget <= 0:
             break
         copies = min(space.warehouses if unit.per_warehouse else 1, budget)
@@ -128,24 +130,24 @@ class TestBulkFillMatchesInstallLoop:
             warehouses=warehouses, clients=4, processors=1,
             workload=compile_workload(workload_by_name(workload))))
         capacity = system.buffer_cache.capacity_units
-        profiles = system.mix.profiles
+        mix = system.mix
         bulk, reference = BufferCache(capacity), BufferCache(capacity)
-        installed = steady_state_fill(bulk, system.space, profiles)
+        installed = steady_state_fill(bulk, system.space, mix)
         assert installed == install_loop_fill(reference, system.space,
-                                              profiles)
+                                              mix)
         assert list(snapshot(bulk).items()) == list(
             snapshot(reference).items())
         assert (bulk.hits, bulk.misses) == (0, 0)
 
 
-def dict_fill(cache, space, profiles):
+def dict_fill(cache, space, mix):
     """The fill in Python, as it was before it moved into the kernel:
     the LRU-ordered contents built as a dict with ``Random(0x5EED)``
     dirty draws, handed over with one ``restore``."""
-    write_fractions = segment_write_fractions(profiles)
+    write_fractions = segment_write_fractions(mix)
     selected = []
     budget = cache.capacity_units
-    for unit in unit_popularities(space, profiles):
+    for unit in unit_popularities(space, mix):
         if budget <= 0:
             break
         copies = min(space.warehouses if unit.per_warehouse else 1, budget)
@@ -172,13 +174,13 @@ class TestKernelFillMatchesDictFill:
             warehouses=warehouses, clients=4, processors=1,
             workload=compile_workload(workload_by_name(workload))))
         capacity = system.buffer_cache.capacity_units
-        profiles = system.mix.profiles
+        mix = system.mix
         kernel, oracle = BufferCache(capacity), BufferCache(capacity)
         install(kernel, 1)
         lookup(kernel, 2)
         restore(kernel, {})  # empty again, counters zeroed
-        installed = steady_state_fill(kernel, system.space, profiles)
-        assert installed == dict_fill(oracle, system.space, profiles)
+        installed = steady_state_fill(kernel, system.space, mix)
+        assert installed == dict_fill(oracle, system.space, mix)
         assert list(snapshot(kernel).items()) == list(
             snapshot(oracle).items())
         assert dirty_units(kernel) == dirty_units(oracle) > 0
@@ -188,8 +190,8 @@ class TestKernelFillMatchesDictFill:
     def test_partial_tiers(self, capacity):
         space = space_for(warehouses=50)
         kernel, oracle = BufferCache(capacity), BufferCache(capacity)
-        assert (steady_state_fill(kernel, space, PROFILES)
-                == dict_fill(oracle, space, PROFILES) == capacity)
+        assert (steady_state_fill(kernel, space, MIX)
+                == dict_fill(oracle, space, MIX) == capacity)
         assert list(snapshot(kernel).items()) == list(
             snapshot(oracle).items())
 

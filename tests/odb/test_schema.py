@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.db.blocks import BlockSpace
 from repro.odb.schema import (
-    OdbSchema,
     WAREHOUSE_BYTES,
     odb_segments,
 )
@@ -44,27 +44,31 @@ class TestSegments:
             odb_segments(0)
 
 
+def odb_space(warehouses, unit_bytes=64 * 1024):
+    """The ODB block space, as a run builds it for the ODB layout."""
+    return BlockSpace(warehouses, odb_segments(unit_bytes), unit_bytes)
+
+
 class TestOdbSchema:
     def test_data_bytes_scale_linearly(self):
         def data_bytes(warehouses):
-            space = OdbSchema(warehouses).build_block_space()
+            space = odb_space(warehouses)
             return total_units(space) * space.unit_bytes
 
         assert data_bytes(100) > 9 * data_bytes(10)
 
     def test_block_space_round_trip(self):
-        schema = OdbSchema(warehouses=3)
-        space = schema.build_block_space()
+        space = odb_space(warehouses=3)
         assert space.warehouses == 3
         block = space.block_id("stock", 2, 0)
         assert owner_of(space, block)[0] == "stock"
 
     def test_working_set_grows_linearly_with_warehouses(self):
-        w10 = total_units(OdbSchema(10).build_block_space())
-        w100 = total_units(OdbSchema(100).build_block_space())
+        w10 = total_units(odb_space(10))
+        w100 = total_units(odb_space(100))
         # Linear growth modulo the fixed global item segment.
         assert w100 > 9 * w10 * 0.9
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            OdbSchema(warehouses=0)
+            odb_space(warehouses=0)

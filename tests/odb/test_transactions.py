@@ -1,4 +1,4 @@
-"""Tests for ODB transaction profiles and planning.
+"""Tests for the ODB transaction types and their planning.
 
 Planning runs in the walk kernel; its Python formulation,
 ``tests/odb/reference_prewarm.py``'s ``plan_transaction`` and ``pick``,
@@ -10,26 +10,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.db.blocks import BlockSpace
 from repro.odb.mix import TransactionMix
-from repro.odb.schema import OdbSchema
-from repro.odb.transactions import (
-    TouchSpec,
-    TransactionProfile,
-    _SegmentSampler,
-)
+from repro.odb.schema import odb_segments
+from repro.odb.transactions import _SegmentSampler
 from repro.sim.randomness import RandomStreams
-from repro.workload import compiled_workload
+from repro.workload import TouchRule, TransactionSpec, compiled_workload
 
 from tests.db.reference_blocks import owner_of, total_units
 from tests.odb.reference_prewarm import pick, plan_transaction
 
 
-#: The default workload's five ODB transaction types.
-PROFILES = compiled_workload(None).profiles
+#: The default workload's mix of the five ODB transaction types.
+MIX = compiled_workload(None).build_mix()
+PROFILES = MIX.transactions
+BY_NAME = {transaction.name: transaction for transaction in PROFILES}
 
 
 def sampler_for(warehouses=10):
-    space = OdbSchema(warehouses).build_block_space()
+    space = BlockSpace(warehouses, odb_segments(), 64 * 1024)
     return _SegmentSampler(space, warehouses, 0.10), space
 
 
@@ -57,14 +56,14 @@ class TestProfiles:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            TouchSpec("stock", 0)
+            TouchRule("stock", 0)
         with pytest.raises(ValueError):
-            TouchSpec("stock", 1, write_prob=1.5)
+            TouchRule("stock", 1, write_prob=1.5)
         with pytest.raises(ValueError):
-            TransactionProfile("x", weight=0, user_instructions=1,
-                               touches=(TouchSpec("stock", 1),))
+            TransactionSpec("x", weight=0, user_instructions=1,
+                            touches=(TouchRule("stock", 1),))
         with pytest.raises(ValueError):
-            TransactionProfile("x", weight=1, user_instructions=1, touches=())
+            TransactionSpec("x", weight=1, user_instructions=1, touches=())
 
 
 class TestPlanning:
@@ -87,31 +86,28 @@ class TestPlanning:
     def test_new_order_locks_district_not_warehouse(self):
         sampler, _space = sampler_for()
         rng = RandomStreams(3).stream("t")
-        mix = TransactionMix(PROFILES)
-        plan = plan_transaction(rng, mix.by_name("new_order"), sampler, 10)
+        plan = plan_transaction(rng, BY_NAME["new_order"], sampler, 10)
         kinds = {key[0] for key in plan.lock_keys}
         assert kinds == {"dist"}
 
     def test_payment_locks_warehouse_and_district(self):
         sampler, _space = sampler_for()
         rng = RandomStreams(3).stream("t")
-        mix = TransactionMix(PROFILES)
-        plan = plan_transaction(rng, mix.by_name("payment"), sampler, 10)
+        plan = plan_transaction(rng, BY_NAME["payment"], sampler, 10)
         kinds = [key[0] for key in plan.lock_keys]
         assert kinds == ["wh", "dist"]
 
     def test_read_only_transactions_take_no_locks(self):
         sampler, _space = sampler_for()
         rng = RandomStreams(3).stream("t")
-        mix = TransactionMix(PROFILES)
         for name in ("order_status", "stock_level"):
-            plan = plan_transaction(rng, mix.by_name(name), sampler, 10)
+            plan = plan_transaction(rng, BY_NAME[name], sampler, 10)
             assert plan.lock_keys == ()
 
     def test_remote_probability_zero_keeps_home_warehouse(self):
         sampler, space = sampler_for(warehouses=10)
         rng = RandomStreams(4).stream("t")
-        profile = TransactionMix(PROFILES).by_name("new_order")
+        profile = BY_NAME["new_order"]
         for _ in range(20):
             plan = plan_transaction(rng, profile, sampler, 10, remote_prob=0.0)
             for block, _write in plan.touches:
@@ -121,7 +117,7 @@ class TestPlanning:
     def test_writes_follow_write_probability(self):
         sampler, _space = sampler_for()
         rng = RandomStreams(5).stream("t")
-        profile = TransactionMix(PROFILES).by_name("order_status")  # all reads
+        profile = BY_NAME["order_status"]  # all reads
         plan = plan_transaction(rng, profile, sampler, 10)
         assert not any(write for _, write in plan.touches)
 
@@ -130,8 +126,7 @@ class TestPlanning:
     def test_plan_generation_total(self, warehouses, seed):
         sampler, space = sampler_for(warehouses)
         rng = RandomStreams(seed).stream("t")
-        mix = TransactionMix(PROFILES)
-        profile = pick(mix, rng)
+        profile = pick(MIX, rng)
         plan = plan_transaction(rng, profile, sampler, warehouses)
         assert 0 <= plan.warehouse < warehouses
         assert 0 <= plan.district < 10
@@ -141,27 +136,15 @@ class TestPlanning:
 
 class TestMix:
     def test_shares_normalized(self):
-        mix = TransactionMix(PROFILES)
-        weights = [mix.by_name(p.name).weight for p in PROFILES]
-        assert sum(weights) == pytest.approx(
-            sum(p.weight for p in mix.profiles))
+        weights = [BY_NAME[p.name].weight for p in PROFILES]
+        assert sum(weights) == pytest.approx(sum(MIX.weights))
 
     def test_pick_follows_weights(self):
-        mix = TransactionMix(PROFILES)
         rng = RandomStreams(6).stream("t")
-        picks = [pick(mix, rng).name for _ in range(4000)]
+        picks = [pick(MIX, rng).name for _ in range(4000)]
         share = picks.count("new_order") / len(picks)
         assert share == pytest.approx(0.45, abs=0.04)
 
-    def test_by_name_unknown(self):
-        with pytest.raises(KeyError) as excinfo:
-            TransactionMix(PROFILES).by_name("refund")
-        message = str(excinfo.value)
-        assert "refund" in message, "error must name the requested type"
-        for known in ("new_order", "payment", "order_status",
-                      "delivery", "stock_level"):
-            assert known in message, "error must list the known types"
-
     def test_empty_mix_rejected(self):
         with pytest.raises(ValueError):
-            TransactionMix(profiles=())
+            TransactionMix(transactions=(), weights=())

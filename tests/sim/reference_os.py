@@ -227,12 +227,16 @@ class LockTable:
         self._held: dict = {}
 
     def would_wait(self, owner: object, key: Hashable) -> bool:
-        """True when acquiring now would block (re-grants never block)."""
+        """True when acquiring now would block (never for the holder)."""
         holder = self._holder.get(key)
         return holder is not None and holder is not owner
 
     def acquire(self, owner: object, key: Hashable):
-        """Acquire ``key`` for ``owner``; yields while queued."""
+        """Acquire ``key`` for ``owner``; yields while queued.  The
+        holder acquiring it again raises :class:`SimulationError`."""
+        if key in self._holder and self._holder[key] is owner:
+            raise SimulationError(f"lock {key!r} acquired again by its "
+                                  "holder")
         event = self.engine.event()
         if key in self._holder:
             self._queue.setdefault(key, deque()).append((owner, event))

@@ -135,21 +135,25 @@ class TestStallWait:
 
 def _stationary_plan_types(workload):
     """The :class:`PlanType` tuple of each stationary mix the clients of
-    ``workload`` draw from: the mix itself, or each of its phases."""
+    ``workload`` draw from (the mix itself, or each of its phases), with
+    the weights it is drawn at."""
     from repro.odb import OdbConfig, OdbSystem
     from repro.odb.mix import TransactionMix
 
     system = OdbSystem(OdbConfig(warehouses=10, clients=1, processors=1,
                                  workload=workload))
-    mixes = ([TransactionMix(profiles) for _, profiles in workload.phases]
-             or [TransactionMix(workload.profiles)])
-    return [system.sampler.plans(mix).types for mix in mixes]
+    transactions = workload.spec.transactions
+    mixes = ([TransactionMix(transactions, weights)
+              for _, weights in workload.phases]
+             or [TransactionMix(transactions, workload.weights)])
+    return [(system.sampler.plans(mix).types, mix.weights) for mix in mixes]
 
 
-def _mean_abort_weight(types) -> float:
-    total = sum(kind.profile.weight for kind in types)
-    return sum(kind.profile.weight * kind.abort_weight
-               for kind in types) / total
+def _mean_abort_weight(plan_types) -> float:
+    types, weights = plan_types
+    total = sum(weights)
+    return sum(weight * kind.abort_weight
+               for kind, weight in zip(types, weights)) / total
 
 
 class TestAbortWeight:
@@ -173,7 +177,7 @@ class TestAbortWeight:
     def test_write_heavy_profiles_abort_more(self):
         from repro.workload import compiled_workload
 
-        [types] = _stationary_plan_types(compiled_workload(None))
+        [(types, _weights)] = _stationary_plan_types(compiled_workload(None))
         weight = {kind.profile.name: kind.abort_weight for kind in types}
         assert weight["new_order"] > weight["order_status"]
         assert weight["payment"] > weight["stock_level"]

@@ -1,9 +1,12 @@
-"""Spec → runtime lowering: the odb-standard pin and generator mapping."""
+"""Compiling a spec: the default workload, the touch mapping, the mix
+weights and the block space."""
 
 import pytest
 
 from repro.odb import OdbConfig, OdbSystem
 from repro.odb.mix import PhasedTransactionMix, TransactionMix
+from repro.odb.schema import odb_segments
+from repro.odb.transactions import _SegmentSampler, touch_draw
 from repro.workload import (
     PhaseSpec,
     SegmentSpec,
@@ -14,8 +17,7 @@ from repro.workload import (
     compiled_workload,
     workload_by_name,
 )
-
-from tests.workload.standard_profiles import STANDARD_PROFILES
+from repro.workload.standard import ODB_STANDARD
 
 
 def _spec(**overrides):
@@ -29,12 +31,7 @@ def _spec(**overrides):
 
 
 class TestStandardPin:
-    """odb-standard compiles to *exactly* the hand-written paper mix,
-    and it is what a run that names no workload executes."""
-
-    def test_profiles_value_equal_to_standard(self):
-        compiled = compile_workload(workload_by_name("odb-standard"))
-        assert compiled.profiles == STANDARD_PROFILES
+    """odb-standard is what a run that names no workload executes."""
 
     def test_odb_standard_is_standard(self):
         compiled = compile_workload(workload_by_name("odb-standard"))
@@ -52,41 +49,44 @@ class TestStandardPin:
         system = OdbSystem(OdbConfig(10, 4, 1))
         assert system.workload is compiled_workload(None)
         assert type(system.mix) is TransactionMix
-        assert system.mix.profiles == STANDARD_PROFILES
+        assert system.mix.transactions is ODB_STANDARD.transactions
 
 
 class TestGeneratorMapping:
-    def _touch_spec(self, rule):
-        spec = _spec(transactions=(TransactionSpec(
-            "t", 1.0, 1000.0, (rule,)),))
-        return compile_workload(spec).profiles[0].touches[0]
+    """:func:`touch_draw`: ``(window, skew, first)`` over a segment of
+    1,000 units."""
 
     def test_zipf_passes_skew(self):
-        touch = self._touch_spec(TouchRule("stock", 2, skew=0.9))
-        assert touch.skew == 0.9 and not touch.append_hot
-        assert touch.fixed_index is None
+        assert touch_draw(TouchRule("stock", 2, skew=0.9), 1000) \
+            == (1000, 0.9, 0)
 
     def test_uniform_is_zero_skew(self):
-        touch = self._touch_spec(
-            TouchRule("stock", 2, distribution="uniform"))
-        assert touch.skew == 0.0
+        assert touch_draw(TouchRule("stock", 2, distribution="uniform"),
+                          1000) == (1000, 0.0, 0)
 
     def test_append_sets_append_hot(self):
-        touch = self._touch_spec(
-            TouchRule("orders", 1, distribution="append"))
-        assert touch.append_hot
+        """The rolling append window: 2% of the segment at skew 1.2, and
+        at least 4 units."""
+        rule = TouchRule("orders", 1, distribution="append")
+        assert touch_draw(rule, 1000) == (20, 1.2, 0)
+        assert touch_draw(rule, 2) == (4, 1.2, 0)
 
     def test_fixed_sets_fixed_index(self):
-        touch = self._touch_spec(
-            TouchRule("stock", 1, distribution="fixed", index=3))
-        assert touch.fixed_index == 3
+        rule = TouchRule("stock", 1, distribution="fixed", index=3)
+        assert touch_draw(rule, 1000) == (1, 0.0, 3)
+        assert touch_draw(rule, 2) == (1, 0.0, 1)
 
-    def test_locks_map_to_profile_booleans(self):
-        spec = _spec(transactions=(TransactionSpec(
-            "t", 1.0, 1000.0, (TouchRule("stock", 1),),
-            locks=("warehouse", "district")),))
-        profile = compile_workload(spec).profiles[0]
-        assert profile.locks_warehouse_row and profile.locks_district_row
+    def test_locks_take_the_lock_order(self):
+        """The warehouse row before the district row, whatever order
+        the spec lists them in."""
+        for locks in (("warehouse", "district"), ("district", "warehouse")):
+            spec = _spec(transactions=(TransactionSpec(
+                "t", 1.0, 1000.0, (TouchRule("stock", 1),), locks=locks),))
+            compiled = compile_workload(spec)
+            sampler = _SegmentSampler(
+                compiled.build_block_space(2, 65536), 2, 0.1)
+            [kind] = sampler.plans(compiled.build_mix()).types
+            assert kind.locks == ("wh", "dist")
 
 
 class TestPhasesAndBlend:
@@ -103,7 +103,7 @@ class TestPhasesAndBlend:
 
     def test_blended_profiles_are_duration_weighted(self):
         compiled = compile_workload(self._phased())
-        shares = {p.name: p.weight for p in compiled.profiles}
+        shares = dict(zip(("a", "b"), compiled.weights))
         # 0.75 of the cycle at 0.9 + 0.25 at 0.1, normalized.
         assert shares["a"] == pytest.approx(0.75 * 0.9 + 0.25 * 0.1)
         assert sum(shares.values()) == pytest.approx(1.0)
@@ -122,8 +122,11 @@ class TestPhasesAndBlend:
 
 
 class TestBlockSpace:
-    def test_default_layout_returns_none(self):
-        assert compile_workload(_spec()).build_block_space(10, 8192) is None
+    def test_default_layout_is_the_odb_space(self):
+        space = compile_workload(_spec()).build_block_space(10, 8192)
+        assert space.warehouses == 10
+        for segment in odb_segments(8192):
+            assert space.segment(segment.name) == segment
 
     def test_custom_segments_build_a_space(self):
         spec = _spec(

@@ -14,9 +14,11 @@ A name counts as named when it occurs as an identifier (a variable, an
 attribute, an import), as a string constant that is a name or a dotted
 path (``getattr(obj, "name")``, ``"module:function"``) or as a string
 literal of the compiled kernels' C sources that is a name (a method the
-kernel calls, ``"outage_wait_s"``), so the scan
-matches names, not call graphs: a definition that shares its name with a
-live one passes.  A package ``__init__.py``'s re-exports (its ``from …
+kernel calls, ``"outage_wait_s"``).  A method or property is reached
+through its object, so for one only an attribute access, an import
+alias or a name string counts: a local variable that shares its name
+does not.  The scan matches names, not call graphs: a definition that
+shares its name with a live one passes.  A package ``__init__.py``'s re-exports (its ``from …
 import`` names and its ``__all__`` strings) do not count: they make a
 name importable, they do not use it.  Dunder methods are exempt; they
 are called by the language.
@@ -80,41 +82,45 @@ def _reexports(tree: ast.Module) -> set[int]:
     return skipped
 
 
-def _names(tree: ast.Module, package: bool = False) -> set[str]:
-    """Every identifier a module names, outside its own ``def`` lines
-    (and, for a package ``__init__``, outside its re-exports)."""
+def _names(tree: ast.Module,
+           package: bool = False) -> tuple[set[str], set[str]]:
+    """``(bare, members)``: the bare identifiers a module names, and the
+    names it reaches as attributes, import aliases or name strings,
+    outside its own ``def`` lines (and, for a package ``__init__``,
+    outside its re-exports)."""
     skipped = _reexports(tree) if package else set()
-    found = set()
+    bare, members = set(), set()
     for node in ast.walk(tree):
         if id(node) in skipped:
             continue
         if isinstance(node, ast.Name):
-            found.add(node.id)
+            bare.add(node.id)
         elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
+            members.add(node.attr)
         elif isinstance(node, ast.alias):
-            found.update(node.name.split("."))
+            members.update(node.name.split("."))
             if node.asname:
-                found.add(node.asname)
+                members.add(node.asname)
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and _REFERENCE.match(node.value)):
-            found.update(re.split(r"[.:]", node.value))
-    return found
+            members.update(re.split(r"[.:]", node.value))
+    return bare, members
 
 
 def _definitions(tree: ast.Module, module: str):
-    """``(qualified name, name, line)`` of every module-level function and
-    every method or property of a (possibly nested) class."""
-    stack = [(tree, module)]
+    """``(qualified name, name, line, member)`` of every module-level
+    function and every method or property of a (possibly nested) class;
+    ``member`` is true for the latter."""
+    stack = [(tree, module, False)]
     while stack:
-        node, prefix = stack.pop()
+        node, prefix, member = stack.pop()
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
-                stack.append((child, f"{prefix}.{child.name}"))
+                stack.append((child, f"{prefix}.{child.name}", True))
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 name = child.name
                 if not (name.startswith("__") and name.endswith("__")):
-                    yield f"{prefix}.{name}", name, child.lineno
+                    yield f"{prefix}.{name}", name, child.lineno, member
 
 
 def _module_name(path: Path) -> str:
@@ -122,13 +128,16 @@ def _module_name(path: Path) -> str:
     return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
 
 
-def _used(paths, program: bool = False) -> set[str]:
-    """Names ``paths`` use; in the program, re-exports are no use."""
-    names = set()
+def _used(paths, program: bool = False) -> tuple[set[str], set[str]]:
+    """``(bare, members)`` names ``paths`` use (see :func:`_names`); in
+    the program, re-exports are no use."""
+    bare, members = set(), set()
     for path in paths:
-        names |= _names(ast.parse(path.read_text(), str(path)),
-                        package=program and path.name == "__init__.py")
-    return names
+        found = _names(ast.parse(path.read_text(), str(path)),
+                       package=program and path.name == "__init__.py")
+        bare |= found[0]
+        members |= found[1]
+    return bare, members
 
 
 def main() -> int:
@@ -137,21 +146,26 @@ def main() -> int:
                for path in _python_files(REPO / root) if path != this]
     program += [REPO / name for name in PROGRAM_FILES
                 if (REPO / name).exists()]
-    program_names = _used(program, program=True)
+    program_bare, program_members = _used(program, program=True)
     for toml in REPO.glob("*.toml"):
-        program_names.update(re.findall(r"[A-Za-z_][A-Za-z0-9_]*",
-                                        toml.read_text()))
+        program_members.update(re.findall(r"[A-Za-z_][A-Za-z0-9_]*",
+                                          toml.read_text()))
     # The compiled kernels call Python methods by name: a C string
     # literal that is a name is a use.
     for source in SOURCE_ROOT.rglob("*.c"):
-        program_names.update(re.findall(r'"([A-Za-z_][A-Za-z0-9_]*)"',
-                                        source.read_text()))
-    test_names = _used(_python_files(REPO / TEST_ROOT))
+        program_members.update(re.findall(r'"([A-Za-z_][A-Za-z0-9_]*)"',
+                                          source.read_text()))
+    test_bare, test_members = _used(_python_files(REPO / TEST_ROOT))
+    program_all = program_bare | program_members
+    test_all = test_bare | test_members
     problems = []
     flagged = set()
     for path in _python_files(SOURCE_ROOT):
         tree = ast.parse(path.read_text(), str(path))
-        for qualified, name, line in _definitions(tree, _module_name(path)):
+        for qualified, name, line, member in _definitions(
+                tree, _module_name(path)):
+            program_names = program_members if member else program_all
+            test_names = test_members if member else test_all
             if name in program_names or name not in test_names:
                 continue
             flagged.add(qualified)
